@@ -88,7 +88,6 @@ import (
 	"annotadb/internal/rules"
 	"annotadb/internal/shard"
 	"annotadb/internal/storage"
-	"annotadb/internal/wal"
 )
 
 // AnnotationPrefix is the token prefix that marks annotations in dataset
@@ -404,12 +403,9 @@ type TupleSpec struct {
 type Engine struct {
 	ds  *Dataset
 	eng *incremental.Engine
-	// store is the durable backing store when the engine came from
-	// OpenDurable; NewServer wires it into the serving writer's journal.
-	store *wal.Store
-	// cluster is the sharded durable backing store when the engine came
-	// from OpenDurable with Shards > 1; NewServer wires its per-shard
-	// stores into the per-shard writers' journals.
+	// cluster is the durable backing store when the engine came from
+	// OpenDurable (one store per shard); NewServer wires its stores into
+	// the shard writers' journals.
 	cluster *shard.Cluster
 }
 
@@ -571,15 +567,15 @@ func (e *Engine) ApplyUpdateFile(r io.Reader) (UpdateReport, error) {
 // audits. On a sharded engine every shard is verified against a re-mine of
 // its own family projection.
 func (e *Engine) Verify() error {
-	if e.cluster != nil {
-		for s, eng := range e.cluster.Engines() {
-			if err := eng.Verify(); err != nil {
-				return fmt.Errorf("annotadb: shard %d: %w", s, err)
-			}
-		}
-		return nil
+	if e.eng != nil {
+		return e.eng.Verify()
 	}
-	return e.eng.Verify()
+	for s, eng := range e.cluster.Engines() {
+		if err := eng.Verify(); err != nil {
+			return fmt.Errorf("annotadb: shard %d: %w", s, err)
+		}
+	}
+	return nil
 }
 
 // Generalization is one concept-mapping rule (Figure 9): any tuple carrying

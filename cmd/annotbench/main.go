@@ -28,7 +28,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("annotbench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "", "run a single experiment (E1..E15); empty runs all")
+		experiment = fs.String("experiment", "", "run a single experiment (E1..E11); empty runs all")
 		quick      = fs.Bool("quick", false, "smoke-test scale instead of paper scale")
 		tuples     = fs.Int("tuples", 0, "override base relation size")
 		seed       = fs.Int64("seed", 1, "workload seed")

@@ -328,7 +328,7 @@ func newHandler(srv *annotadb.Server, streamCtx context.Context) http.Handler {
 // paths it reports — diverged replicas, a failed WAL fsync — are one-way
 // states a handler test cannot cheaply enter for real).
 func newHandlerHealth(srv *annotadb.Server, streamCtx context.Context, health func() error) http.Handler {
-	return httpapi.NewWithHealth(srv, streamCtx, health)
+	return httpapi.NewWithOptions(srv, streamCtx, httpapi.Options{Health: health})
 }
 
 // Error codes of the structured error schema, aliased from internal/httpapi

@@ -721,6 +721,52 @@ func newShardedAPI(t *testing.T, shards int) (*httptest.Server, *annotadb.Server
 	return ts, srv
 }
 
+// TestWriteValidationErrorsModeNeutral pins that a rejected write reads the
+// same whatever the shard count: the same bad tuple index and unknown-token
+// removal yield the same status, code and message on a one-shard and a
+// three-shard server, and the message names no internal package of the
+// write path.
+func TestWriteValidationErrorsModeNeutral(t *testing.T) {
+	type errBody struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	requests := []struct {
+		name, path, body string
+	}{
+		{"out-of-range add", "/annotations", `{"updates":[{"tuple":1,"annotation":"Annot_q:1"},{"tuple":99999,"annotation":"Annot_q:1"}]}`},
+		{"negative index", "/annotations", `{"updates":[{"tuple":-1,"annotation":"Annot_q:1"}]}`},
+		{"unknown removal", "/annotations", `{"remove":true,"updates":[{"tuple":0,"annotation":"Annot_never:seen"}]}`},
+		{"removal of a data value", "/annotations", `{"remove":true,"updates":[{"tuple":0,"annotation":"28"}]}`},
+		{"empty tuple token", "/tuples", `{"tuples":[{"values":["28"]},{"values":[""]}]}`},
+	}
+	one, _ := newShardedAPI(t, 1)
+	three, _ := newShardedAPI(t, 3)
+	for _, rq := range requests {
+		t.Run(rq.name, func(t *testing.T) {
+			var got [2]errBody
+			for i, ts := range []*httptest.Server{one, three} {
+				if status := postJSON(t, ts.URL+rq.path, rq.body, &got[i]); status != http.StatusBadRequest {
+					t.Fatalf("server %d: status = %d, want 400", i, status)
+				}
+				if got[i].Error.Code != "invalid_argument" {
+					t.Errorf("server %d: code = %q, want invalid_argument", i, got[i].Error.Code)
+				}
+			}
+			if got[0].Error.Message != got[1].Error.Message {
+				t.Errorf("message differs by shard count:\n1 shard:  %s\n3 shards: %s", got[0].Error.Message, got[1].Error.Message)
+			}
+			for _, pkg := range []string{"shard:", "serve:"} {
+				if strings.Contains(got[0].Error.Message, pkg) {
+					t.Errorf("message names an internal package: %s", got[0].Error.Message)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedEndpoints exercises the HTTP surface of a sharded server: the
 // merged /rules, /recommend with its seq_vector, write endpoints routing by
 // family, and the per-shard /stats section.

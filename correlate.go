@@ -5,6 +5,7 @@ import (
 
 	"annotadb/internal/correlate"
 	"annotadb/internal/serve"
+	"annotadb/internal/shard"
 )
 
 // ErrUnknownAnchor is returned by Server.Correlate for an anchor token with
@@ -66,8 +67,8 @@ type CorrelateAnswer struct {
 // with candidates below minLift dropped. k <= 0 and minLift <= 0 apply the
 // defaults (10 and 1.0). The whole answer comes from one published snapshot
 // generation — identified by the returned ReadSeq — using a per-generation
-// index cached on the snapshot, so the query takes zero engine locks. A
-// sharded server merges its per-shard indexes at the returned seq vector; a
+// index cached on each shard's snapshot, so the query takes zero engine
+// locks; the per-shard indexes are merged at the returned seq vector. A
 // follower answers from its replica snapshot and reports the replication
 // watermark.
 func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnswer, ReadSeq, error) {
@@ -78,35 +79,14 @@ func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnsw
 	if q.MinLift <= 0 {
 		q.MinLift = correlate.DefaultMinLift
 	}
-	if s.router != nil {
-		snaps := s.router.Snapshots()
-		seqs := make([]uint64, len(snaps))
-		idxs := make([]*correlate.Index, len(snaps))
-		for i, sn := range snaps {
-			seqs[i] = sn.Snap.Seq
-			idxs[i] = s.correlateIndex(sn.Snap)
-		}
-		rs := ReadSeq{Seq: seqSum(seqs), Shards: seqs}
-		ans, err := correlate.TopKMerged(idxs, q)
-		if err != nil {
-			return CorrelateAnswer{}, rs, err
-		}
-		return publicAnswer(ans), rs, nil
+	r, mark := s.serving()
+	snaps := r.Snapshots()
+	idxs := make([]*correlate.Index, len(snaps))
+	for i, sn := range snaps {
+		idxs[i] = s.correlateIndex(sn.Snap)
 	}
-	if s.follower != nil {
-		// Like RecommendAt: advertise the replication watermark, sampled
-		// before the read so the snapshot can only be at or beyond it.
-		rs := ReadSeq{Seq: s.follower.Seq()}
-		w := s.follower.World()
-		ans, err := s.correlateIndex(w.Core.Snapshot()).TopK(q)
-		if err != nil {
-			return CorrelateAnswer{}, rs, err
-		}
-		return publicAnswer(ans), rs, nil
-	}
-	snap := s.core.Snapshot()
-	rs := ReadSeq{Seq: snap.Seq}
-	ans, err := s.correlateIndex(snap).TopK(q)
+	rs := s.readSeq(shard.Seqs(snaps), mark)
+	ans, err := correlate.TopKMerged(idxs, q)
 	if err != nil {
 		return CorrelateAnswer{}, rs, err
 	}

@@ -163,7 +163,7 @@ func TestCorrelateEquivalenceUnderLiveWrites(t *testing.T) {
 				if q.MinLift == 0 {
 					q.MinLift = correlate.DefaultMinLift
 				}
-				snap := srv.core.Snapshot()
+				snap := srv.router.Snapshots()[0].Snap
 				got, gotErr := srv.correlateIndex(snap).TopK(q)
 				want, wantErr := correlate.BruteForce(snap.View, q)
 				if (gotErr != nil) != (wantErr != nil) {

@@ -1,7 +1,6 @@
 package annotadb
 
 import (
-	"fmt"
 	"time"
 
 	"annotadb/internal/relation"
@@ -227,49 +226,31 @@ func openDurable(opts Options, dopts DurabilityOptions, bootstrap func() (*relat
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	if dopts.Shards > 1 {
-		cluster, err := shard.OpenDurable(shard.DurableOptions{
-			Dir:    dopts.Dir,
-			Shards: dopts.Shards,
-			Wal:    wopts,
-		}, cfg, incrementalOptions(opts), bootstrap)
-		if err != nil {
-			return nil, RecoveryReport{}, err
-		}
-		rec := publicClusterRecovery(cluster.Recovery(), dopts.Shards)
-		return &Engine{cluster: cluster}, rec, nil
-	}
-	if shard.HasDurableState(dopts.Dir) {
-		return nil, RecoveryReport{}, fmt.Errorf("annotadb: %s holds a sharded cluster; reopen it with DurabilityOptions.Shards set to its manifest's count", dopts.Dir)
-	}
-	store, err := wal.Open(wopts, cfg, incrementalOptions(opts), bootstrap)
+	cluster, err := shard.OpenDurable(shard.DurableOptions{
+		Dir:    dopts.Dir,
+		Shards: dopts.Shards,
+		Wal:    wopts,
+	}, cfg, incrementalOptions(opts), bootstrap)
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	rec := publicRecovery(store.Recovery())
-	eng := &Engine{
-		ds:    &Dataset{rel: store.Engine().Relation()},
-		eng:   store.Engine(),
-		store: store,
+	eng := &Engine{cluster: cluster}
+	if engines := cluster.Engines(); len(engines) == 1 {
+		// The single-store layout has one underlying engine, so the handle
+		// supports direct Engine reads like an in-memory one.
+		eng.eng = engines[0]
+		eng.ds = &Dataset{rel: eng.eng.Relation()}
 	}
-	return eng, rec, nil
+	return eng, publicRecovery(cluster), nil
 }
 
-func publicRecovery(r wal.Recovery) RecoveryReport {
+func publicRecovery(c *shard.Cluster) RecoveryReport {
+	r := c.Recovery()
 	return RecoveryReport{
 		FromCheckpoint:  r.FromCheckpoint,
 		RecordsReplayed: r.Records,
 		TornTail:        r.TornTail,
-		DurationSeconds: r.Duration.Seconds(),
-	}
-}
-
-func publicClusterRecovery(r shard.Recovery, shards int) RecoveryReport {
-	return RecoveryReport{
-		FromCheckpoint:  r.FromCheckpoint,
-		RecordsReplayed: r.Records,
-		TornTail:        r.TornTail,
-		Shards:          shards,
+		Shards:          publicShards(len(c.Stores())),
 		PaddedTuples:    r.PaddedTuples,
 		DurationSeconds: r.Duration.Seconds(),
 	}
@@ -279,51 +260,40 @@ func publicClusterRecovery(r shard.Recovery, shards int) RecoveryReport {
 // a purely in-memory server (one whose engine did not come from
 // OpenDurable).
 func (s *Server) Durability() *DurabilityStats {
-	if s.cluster != nil {
-		out := &DurabilityStats{
-			Recovery: publicClusterRecovery(s.cluster.Recovery(), len(s.cluster.Stores())),
-			Events:   s.eventLogStats(),
-		}
-		for i, st := range s.cluster.Stats() {
-			out.RecordsAppended += st.Records
-			out.LogBytes += st.LogBytes
-			out.Syncs += st.Syncs
-			out.UnsyncedRecords += st.UnsyncedRecords
-			out.UnsyncedBytes += st.UnsyncedBytes
-			out.Checkpoints += st.Checkpoints
-			out.CheckpointErrors += st.CheckpointErrors
-			if st.LastCheckpointUnixNano > out.LastCheckpointUnixNano {
-				out.LastCheckpointUnixNano = st.LastCheckpointUnixNano
-			}
-			out.PerShard = append(out.PerShard, ShardDurabilityStats{
-				Shard:            i,
-				RecordsAppended:  st.Records,
-				LogBytes:         st.LogBytes,
-				Syncs:            st.Syncs,
-				UnsyncedRecords:  st.UnsyncedRecords,
-				UnsyncedBytes:    st.UnsyncedBytes,
-				Checkpoints:      st.Checkpoints,
-				CheckpointErrors: st.CheckpointErrors,
-			})
-		}
-		return out
-	}
-	if s.store == nil {
+	if s.cluster == nil {
 		return nil
 	}
-	st := s.store.Stats()
-	return &DurabilityStats{
-		RecordsAppended:        st.Records,
-		LogBytes:               st.LogBytes,
-		Syncs:                  st.Syncs,
-		UnsyncedRecords:        st.UnsyncedRecords,
-		UnsyncedBytes:          st.UnsyncedBytes,
-		Checkpoints:            st.Checkpoints,
-		CheckpointErrors:       st.CheckpointErrors,
-		LastCheckpointUnixNano: st.LastCheckpointUnixNano,
-		Recovery:               publicRecovery(st.Recovery),
-		Events:                 s.eventLogStats(),
+	out := &DurabilityStats{
+		Recovery: publicRecovery(s.cluster),
+		Events:   s.eventLogStats(),
 	}
+	stats := s.cluster.Stats()
+	for i, st := range stats {
+		out.RecordsAppended += st.Records
+		out.LogBytes += st.LogBytes
+		out.Syncs += st.Syncs
+		out.UnsyncedRecords += st.UnsyncedRecords
+		out.UnsyncedBytes += st.UnsyncedBytes
+		out.Checkpoints += st.Checkpoints
+		out.CheckpointErrors += st.CheckpointErrors
+		if st.LastCheckpointUnixNano > out.LastCheckpointUnixNano {
+			out.LastCheckpointUnixNano = st.LastCheckpointUnixNano
+		}
+		if len(stats) == 1 {
+			continue // the totals above are the one store's
+		}
+		out.PerShard = append(out.PerShard, ShardDurabilityStats{
+			Shard:            i,
+			RecordsAppended:  st.Records,
+			LogBytes:         st.LogBytes,
+			Syncs:            st.Syncs,
+			UnsyncedRecords:  st.UnsyncedRecords,
+			UnsyncedBytes:    st.UnsyncedBytes,
+			Checkpoints:      st.Checkpoints,
+			CheckpointErrors: st.CheckpointErrors,
+		})
+	}
+	return out
 }
 
 // eventLogStats snapshots the durable event log's counters, nil when the

@@ -9,8 +9,7 @@ import (
 	"annotadb/internal/incremental"
 	"annotadb/internal/replica"
 	"annotadb/internal/serve"
-	"annotadb/internal/stream"
-	"annotadb/internal/wal"
+	"annotadb/internal/shard"
 )
 
 // ErrFollower is returned by Server write methods on a read replica: the
@@ -72,13 +71,13 @@ type ReplicationStats struct {
 
 // Follow starts a read replica of the primary named in fopts: it bootstraps
 // from the primary's current checkpoint, tails its write-ahead log, and
-// applies the records through a local serving core — so reads (Rules,
+// applies the records through a local one-shard router — so reads (Rules,
 // Recommend*, Stats, Subscribe) serve from local immutable snapshots with
 // bounded staleness, and writes fail with ErrFollower.
 //
 // opts must match the primary's mining configuration: the checkpoint's
 // fingerprint is compared exactly as a local recovery would, and a mismatch
-// fails the bootstrap. sopts tunes the local core and event stream;
+// fails the bootstrap. sopts tunes the local router and event stream;
 // sopts.Shards must be 0 or 1 (only unsharded primaries replicate, and the
 // follower mirrors their shape).
 //
@@ -108,12 +107,8 @@ func Follow(opts Options, sopts ServeOptions, fopts FollowOptions) (*Server, err
 		ChunkBytes:    fopts.ChunkBytes,
 		Config:        cfg,
 		EngineOptions: eopts,
-		NewCore: func(eng *incremental.Engine) (*serve.Server, error) {
-			c := sopts.internal()
-			if broker != nil {
-				c.Stream = stream.NewPublisher(broker, 0, eng.Relation().Dictionary())
-			}
-			return serve.New(eng, c), nil
+		NewRouter: func(eng *incremental.Engine) (*shard.Router, error) {
+			return shard.FromEngines([]*incremental.Engine{eng}, shard.Config{Serve: sopts.internal(), Stream: broker})
 		},
 	})
 	if err != nil {
@@ -206,16 +201,4 @@ func retryHint(batchWindow, flushWindow time.Duration) time.Duration {
 		h = time.Second
 	}
 	return h
-}
-
-// storeFlushWindow returns the group-commit linger of the server's durable
-// store (0 for in-memory servers; the shared per-shard value for clusters).
-func storeFlushWindow(store *wal.Store, stores []*wal.Store) time.Duration {
-	if store != nil {
-		return store.FlushWindow()
-	}
-	if len(stores) > 0 {
-		return stores[0].FlushWindow()
-	}
-	return 0
 }

@@ -22,8 +22,9 @@ import (
 
 // SpawningPackages walks the module rooted at root and returns the
 // packages containing at least one go statement, as "." / "./rel" paths
-// (the form the CI race line uses). Vendored trees, testdata, and dot
-// directories are skipped.
+// (the form the CI race line uses). Vendored trees, testdata, dot
+// directories, and nested modules (a directory with its own go.mod is
+// outside this module's ./... and is raced by its own CI step) are skipped.
 func SpawningPackages(root string) ([]string, error) {
 	seen := map[string]bool{}
 	fset := token.NewFileSet()
@@ -33,7 +34,13 @@ func SpawningPackages(root string) ([]string, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if path == root {
+				return nil
+			}
+			if strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -3,6 +3,7 @@ package racepkgs
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -35,6 +36,36 @@ func TestRaceJobCoversGoroutineSpawners(t *testing.T) {
 		if !covered[p] {
 			t.Errorf("%s spawns goroutines but is missing from the CI race line (.github/workflows/ci.yml); add it to `go test -race -shuffle=on ...`", p)
 		}
+	}
+}
+
+// TestSpawningPackagesStopsAtNestedModules pins the walker's boundary: a
+// directory with its own go.mod is another module, whose packages this
+// module's race line can neither name nor run.
+func TestSpawningPackagesStopsAtNestedModules(t *testing.T) {
+	root := t.TempDir()
+	const spawner = "package p\n\nfunc f() { go f() }\n"
+	for path, content := range map[string]string{
+		"go.mod":             "module outer\n",
+		"a/a.go":             spawner,
+		"nested/go.mod":      "module outer/nested\n",
+		"nested/b.go":        spawner,
+		"nested/deeper/c.go": spawner,
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := SpawningPackages(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"./a"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("SpawningPackages = %v, want %v", got, want)
 	}
 }
 

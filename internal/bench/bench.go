@@ -1,5 +1,5 @@
 // Package bench defines the experiment harness that regenerates the paper's
-// evaluation artifacts (DESIGN.md §3, experiments E1–E10). Each experiment
+// evaluation artifacts (DESIGN.md §3, experiments E1–E10, plus E11 for the paper's §6 removal extension). Each experiment
 // produces a table in the shape of the corresponding paper figure; absolute
 // timings differ from the paper's 2015 Java implementation, but the
 // comparisons — who wins, by what factor, where growth explodes — are the
@@ -11,15 +11,10 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"annotadb/internal/apriori"
@@ -30,10 +25,6 @@ import (
 	"annotadb/internal/predict"
 	"annotadb/internal/relation"
 	"annotadb/internal/rules"
-	"annotadb/internal/serve"
-	"annotadb/internal/shard"
-	"annotadb/internal/stream"
-	"annotadb/internal/wal"
 	"annotadb/internal/workload"
 )
 
@@ -118,344 +109,7 @@ func All() []Experiment {
 		{ID: "E9", Title: "Ablation: candidate store (slack pool) on vs off", Anchor: "§4.3 candidate rules", Run: runE9},
 		{ID: "E10", Title: "Ablation: hash-tree vs naive counting; Apriori vs FP-Growth", Anchor: "Figure 3 / §4", Run: runE10},
 		{ID: "E11", Title: "Extension: incremental annotation removal (paper's §6 future work)", Anchor: "§6", Run: runE11},
-		{ID: "E12", Title: "Extension: sharded write path — Case 3 throughput vs shard count", Anchor: "§6 scale-out", Run: runE12},
-		{ID: "E13", Title: "Extension: rule-churn event fanout — publish latency vs subscriber count", Anchor: "§6 curator push", Run: runE13},
-		{ID: "E14", Title: "Extension: WAL group commit — fsync'd write throughput vs flush window", Anchor: "§6 durability", Run: runE14},
-		{ID: "E15", Title: "Extension: macro HTTP load — read-heavy, write-heavy, and mixed+SSE mixes over the full serving stack", Anchor: "§6 serving", Run: runE15},
 	}
-}
-
-// runE14 measures the WAL group-commit policy beyond the paper: the same
-// concurrent annotation write storm committed through a durable serving
-// core under fsync-per-record durability, at flush window 0 (the legacy
-// policy: one inline fsync per applied batch) and at 1 ms and 5 ms (group
-// commit: batches sealed while a sync is in flight ride the next one, so
-// one fsync acknowledges every write that queued behind it). The fsyncs
-// column is the direct mechanism: throughput rises as writes-per-fsync
-// grows, while every acknowledged write is still durable before its ack.
-func runE14(p Params) (*Result, error) {
-	scfg := mining.Config{MinSupport: 0.03, MinConfidence: 0.5, Parallelism: 1}
-	const writers = 16
-	perWriter := p.Repeats * 4
-	writes := writers * perWriter
-	res := &Result{Header: []string{"flush window", "writes", "fsyncs", "writes/fsync", "total", "writes/sec", "vs window 0"}}
-	var base time.Duration
-	for _, window := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
-		dir, err := os.MkdirTemp("", "annotadb-e14-*")
-		if err != nil {
-			return nil, err
-		}
-		rel := shardWorld(p.Seed, p.BaseTuples)
-		store, err := wal.Open(wal.Options{
-			Dir:         dir,
-			Sync:        wal.SyncAlways,
-			FlushWindow: window,
-		}, scfg, incremental.Options{}, func() (*relation.Relation, error) { return rel, nil })
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		srv := serve.New(store.Engine(), serve.Config{
-			BatchWindow: -1,
-			MaxBatch:    4, // small batches keep the fsync policy, not coalescing, under test
-			QueueDepth:  writers * 2,
-			Journal:     store,
-		})
-		n := rel.Len()
-		dict := rel.Dictionary()
-		syncsBefore := store.Stats().Syncs
-		d, err := timeIt(func() error {
-			var wg sync.WaitGroup
-			errs := make([]error, writers)
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					ctx := context.Background()
-					member, ierr := dict.InternAnnotation(fmt.Sprintf("Annot_f%d:m2", w%8))
-					if ierr != nil {
-						errs[w] = ierr
-						return
-					}
-					for r := 0; r < perWriter; r++ {
-						upd := []relation.AnnotationUpdate{{Index: (w*7919 + r*31) % n, Annotation: member}}
-						var e error
-						if r%2 == 0 {
-							_, e = srv.AddAnnotations(ctx, upd)
-						} else {
-							_, e = srv.RemoveAnnotations(ctx, upd)
-						}
-						if e != nil {
-							errs[w] = e
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			return errors.Join(errs...)
-		})
-		syncs := store.Stats().Syncs - syncsBefore
-		closeCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		closeErr := srv.Close(closeCtx) // server first: seal tickets need the store's committer
-		cancel()
-		storeErr := store.Close()
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, err
-		}
-		if closeErr != nil {
-			return nil, closeErr
-		}
-		if storeErr != nil {
-			return nil, storeErr
-		}
-		if window == 0 {
-			base = d
-		}
-		label := "0 (fsync per batch)"
-		if window != 0 {
-			label = window.String()
-		}
-		res.Rows = append(res.Rows, []string{
-			label,
-			fmt.Sprintf("%d", writes),
-			fmt.Sprintf("%d", syncs),
-			fmt.Sprintf("%.1f", float64(writes)/float64(maxUint64(syncs, 1))),
-			ms(d),
-			fmt.Sprintf("%.0f", float64(writes)/maxFloat(d.Seconds(), 1e-9)),
-			fmt.Sprintf("%.2fx", float64(base)/float64(maxDuration(d, time.Nanosecond))),
-		})
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("workload: %d tuples, %d concurrent writers × %d single-update writes each, Fsync \"always\", seed %d", p.BaseTuples, writers, perWriter, p.Seed),
-		"every ack still means \"durable on disk\": group commit moves the fsync off the per-batch path, it does not skip it; the microbenchmark equivalent is BenchmarkGroupCommit in internal/serve")
-	return res, nil
-}
-
-func maxUint64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// runE13 measures the event-stream fanout beyond the paper: the same
-// deterministic attach/detach churn workload committed through one serving
-// writer whose snapshot diffs feed 0, 1, 8, and 64 live subscribers (plus
-// one deliberately stalled subscriber in every row). The claim under test
-// is the slow-subscriber policy: delivery rides the subscribers' pump
-// goroutines, so the writer's per-batch latency stays flat as fanout grows
-// and a stalled consumer is absorbed by the gap policy instead of
-// back-pressuring the write path.
-func runE13(p Params) (*Result, error) {
-	scfg := mining.Config{MinSupport: 0.03, MinConfidence: 0.5, Parallelism: 1}
-	batchSize := p.BatchSizes[0]
-	rounds := p.Repeats * 8
-	res := &Result{Header: []string{"subscribers", "batches", "events", "total", "per batch", "vs 0 subs"}}
-	var base time.Duration
-	for _, subs := range []int{0, 1, 8, 64} {
-		rel := shardWorld(p.Seed, p.BaseTuples)
-		eng, err := incremental.New(rel, scfg, incremental.Options{})
-		if err != nil {
-			return nil, err
-		}
-		broker := stream.NewBroker(stream.Options{Ring: 4096})
-		srv := serve.New(eng, serve.Config{
-			BatchWindow: -1,
-			Stream:      stream.NewPublisher(broker, 0, rel.Dictionary()),
-		})
-		ctx, cancel := context.WithCancel(context.Background())
-		for i := 0; i < subs; i++ {
-			sub, serr := broker.Subscribe(ctx, stream.SubscribeOptions{Buffer: 256})
-			if serr != nil {
-				cancel()
-				return nil, serr
-			}
-			go func() {
-				for range sub.Events {
-				}
-			}()
-		}
-		if _, serr := broker.Subscribe(ctx, stream.SubscribeOptions{Buffer: 1}); serr != nil {
-			cancel()
-			return nil, serr
-		}
-		n := rel.Len()
-		dict := rel.Dictionary()
-		d, err := timeIt(func() error {
-			bg := context.Background()
-			for r := 0; r < rounds; r++ {
-				batch := make([]relation.AnnotationUpdate, batchSize)
-				member, ierr := dict.InternAnnotation(fmt.Sprintf("Annot_f%d:m2", r%8))
-				if ierr != nil {
-					return ierr
-				}
-				for j := range batch {
-					batch[j] = relation.AnnotationUpdate{Index: (r*batchSize + j*31) % n, Annotation: member}
-				}
-				var e error
-				if r%2 == 0 {
-					_, e = srv.AddAnnotations(bg, batch)
-				} else {
-					_, e = srv.RemoveAnnotations(bg, batch)
-				}
-				if e != nil {
-					return e
-				}
-			}
-			return nil
-		})
-		events := broker.Stats().Published
-		closeCtx, closeCancel := context.WithTimeout(context.Background(), time.Minute)
-		closeErr := srv.Close(closeCtx)
-		closeCancel()
-		cancel()
-		broker.Close()
-		if err != nil {
-			return nil, err
-		}
-		if closeErr != nil {
-			return nil, closeErr
-		}
-		if subs == 0 {
-			base = d
-		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", subs),
-			fmt.Sprintf("%d", rounds),
-			fmt.Sprintf("%d", events),
-			ms(d),
-			ms(d / time.Duration(rounds)),
-			fmt.Sprintf("%.2fx", float64(d)/float64(maxDuration(base, time.Nanosecond))),
-		})
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("workload: %d tuples, %d-update attach/detach batches, seed %d; every row also carries one stalled subscriber that never reads", p.BaseTuples, batchSize, p.Seed),
-		"publish latency is flat in fanout because delivery happens on subscriber pump goroutines; the microbenchmark equivalent is BenchmarkEventFanout in internal/stream")
-	return res, nil
-}
-
-// shardWorld generates the sharded benchmark relation: families
-// "Annot_f0".."Annot_f7" (four members each, correlations intra-family),
-// deterministic in seed so the same workload hits every shard count.
-func shardWorld(seed int64, tuples int) *relation.Relation {
-	rng := rand.New(rand.NewSource(seed))
-	rel := relation.New()
-	dict := rel.Dictionary()
-	const families = 8
-	batch := make([]relation.Tuple, 0, tuples)
-	for i := 0; i < tuples; i++ {
-		var data, annots []string
-		f := rng.Intn(families)
-		data = append(data, fmt.Sprintf("d%d", f))
-		if rng.Float64() < 0.5 {
-			annots = append(annots, fmt.Sprintf("Annot_f%d:m0", f))
-			if rng.Float64() < 0.8 {
-				annots = append(annots, fmt.Sprintf("Annot_f%d:m1", f))
-			}
-		}
-		if rng.Float64() < 0.35 {
-			annots = append(annots, fmt.Sprintf("Annot_f%d:m2", f))
-		}
-		for v := 0; v < 4; v++ {
-			data = append(data, fmt.Sprintf("d%d", 10+rng.Intn(30)))
-		}
-		batch = append(batch, relation.MustTuple(dict, data, annots))
-	}
-	rel.Append(batch...)
-	return rel
-}
-
-// runE12 measures the sharded write path beyond the paper: the same
-// deterministic Case 3 workload (per-family attach/detach batches)
-// committed through 1, 2, 4, and 8 annotation-family shards. Each family's
-// batches run on their own goroutine, as concurrent curators would; the
-// speedup column is wall-time relative to the single-shard row.
-func runE12(p Params) (*Result, error) {
-	const families = 8
-	scfg := mining.Config{MinSupport: 0.03, MinConfidence: 0.5, Parallelism: 1}
-	batchSize := p.BatchSizes[0]
-	rounds := p.Repeats * 4
-	res := &Result{Header: []string{"shards", "batches", "total", "per batch", "speedup", "identical"}}
-	var base time.Duration
-	for _, shards := range []int{1, 2, 4, 8} {
-		router, err := shard.NewRouter(shardWorld(p.Seed, p.BaseTuples), func(rel *relation.Relation) (*incremental.Engine, error) {
-			return incremental.New(rel, scfg, incremental.Options{})
-		}, shard.Config{Shards: shards, Serve: serve.Config{BatchWindow: -1}})
-		if err != nil {
-			return nil, err
-		}
-		n := p.BaseTuples
-		d, err := timeIt(func() error {
-			var wg sync.WaitGroup
-			errs := make([]error, families)
-			for f := 0; f < families; f++ {
-				wg.Add(1)
-				go func(f int) {
-					defer wg.Done()
-					ctx := context.Background()
-					member := fmt.Sprintf("Annot_f%d:m2", f)
-					for r := 0; r < rounds; r++ {
-						batch := make([]shard.Update, batchSize)
-						for j := range batch {
-							batch[j] = shard.Update{Tuple: (f*7919 + r*batchSize + j) % n, Annotation: member}
-						}
-						var e error
-						if r%2 == 0 {
-							_, e = router.AddAnnotations(ctx, batch)
-						} else {
-							_, e = router.RemoveAnnotations(ctx, batch)
-						}
-						if e != nil {
-							errs[f] = e
-							return
-						}
-					}
-				}(f)
-			}
-			wg.Wait()
-			return errors.Join(errs...)
-		})
-		if err != nil {
-			return nil, err
-		}
-		identical := true
-		for _, eng := range router.Engines() {
-			if eng.Verify() != nil {
-				identical = false
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		closeErr := router.Close(ctx)
-		cancel()
-		if closeErr != nil {
-			return nil, closeErr
-		}
-		if shards == 1 {
-			base = d
-		}
-		batches := families * rounds
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", shards),
-			fmt.Sprintf("%d", batches),
-			ms(d),
-			ms(d / time.Duration(batches)),
-			fmt.Sprintf("%.2fx", float64(base)/float64(maxDuration(d, time.Nanosecond))),
-			fmt.Sprintf("%v", identical),
-		})
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("workload: %d tuples, 8 annotation families, %d-update Case 3 batches, seed %d — identical across shard counts", p.BaseTuples, batchSize, p.Seed),
-		"speedup combines work partitioning (each shard maintains only its families' patterns) with writer parallelism (one goroutine per family); the microbenchmark equivalent is BenchmarkShardedWriters in internal/shard")
-	return res, nil
 }
 
 // runE11 exercises the future-work extension: removal batches maintained

@@ -127,11 +127,6 @@ func New(srv *annotadb.Server, streamCtx context.Context) http.Handler {
 	return NewWithOptions(srv, streamCtx, Options{})
 }
 
-// NewWithHealth is New with an injectable health probe.
-func NewWithHealth(srv *annotadb.Server, streamCtx context.Context, health func() error) http.Handler {
-	return NewWithOptions(srv, streamCtx, Options{Health: health})
-}
-
 // NewWithOptions is New with transport options.
 func NewWithOptions(srv *annotadb.Server, streamCtx context.Context, opts Options) http.Handler {
 	health := opts.Health

@@ -15,8 +15,7 @@ import (
 
 	"annotadb/internal/incremental"
 	"annotadb/internal/mining"
-	"annotadb/internal/relation"
-	"annotadb/internal/serve"
+	"annotadb/internal/shard"
 	"annotadb/internal/storage"
 	"annotadb/internal/wal"
 )
@@ -130,22 +129,15 @@ func drain(body io.ReadCloser) {
 	body.Close()
 }
 
-// World is one bootstrapped follower state: a serving core over an engine
-// restored from a primary checkpoint. Reads load the current world
+// World is one bootstrapped follower state: a one-shard router over an
+// engine restored from a primary checkpoint. Reads load the current world
 // atomically; a re-bootstrap builds a new world and swaps it in whole.
 type World struct {
-	// Core is the follower's serving core (its writer only ever sees the
+	// Router is the follower's serving core (its writer only ever sees the
 	// sequential apply loop).
-	Core *serve.Server
-	// Rel is the restored relation Core's engine mines.
-	Rel *relation.Relation
+	Router *shard.Router
 	// Epoch is the checkpoint generation this world bootstrapped from.
 	Epoch uint64
-	// Gen counts bootstraps and uniquely identifies this world within the
-	// follower process — unlike Epoch, which can repeat when a primary
-	// restart forces a re-bootstrap from an unchanged checkpoint. Render
-	// caches key on (Gen, local seq).
-	Gen uint64
 }
 
 // Options configures a follower.
@@ -167,9 +159,9 @@ type Options struct {
 	EngineOptions incremental.Options
 	// Tag is the configuration fingerprint tag (must match the primary's).
 	Tag string
-	// NewCore builds a serving core over a freshly restored engine; called
-	// once per (re-)bootstrap. The follower owns closing the returned core.
-	NewCore func(*incremental.Engine) (*serve.Server, error)
+	// NewRouter builds a one-shard router over a freshly restored engine;
+	// called once per (re-)bootstrap. The follower owns closing it.
+	NewRouter func(*incremental.Engine) (*shard.Router, error)
 }
 
 func (o Options) withDefaults() Options {
@@ -249,8 +241,8 @@ func Start(opts Options) (*Follower, error) {
 	if opts.Primary == "" {
 		return nil, errors.New("replica: follower requires a primary URL")
 	}
-	if opts.NewCore == nil {
-		return nil, errors.New("replica: follower requires a NewCore constructor")
+	if opts.NewRouter == nil {
+		return nil, errors.New("replica: follower requires a NewRouter constructor")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{
@@ -289,12 +281,12 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: restore checkpoint: %w", err)
 	}
-	core, err := f.opts.NewCore(eng)
+	router, err := f.opts.NewRouter(eng)
 	if err != nil {
 		return err
 	}
-	w := &World{Core: core, Rel: eng.Relation(), Epoch: ck.Epoch, Gen: f.bootstraps.Add(1)}
-	old := f.world.Swap(w)
+	f.bootstraps.Add(1)
+	old := f.world.Swap(&World{Router: router, Epoch: ck.Epoch})
 	f.epoch = ck.Epoch
 	f.from = wal.LogHeaderSize
 	f.noteContact()
@@ -302,7 +294,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if old != nil {
 		closeCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		old.Core.Close(closeCtx) //nolint:errcheck
+		old.Router.Close(closeCtx) //nolint:errcheck
 	}
 	return nil
 }
@@ -375,37 +367,11 @@ func (f *Follower) step() (caughtUp bool, err error) {
 	return false, nil
 }
 
-// apply feeds one log record through the world's serving core, resolving
-// tokens exactly as primary recovery does. The apply loop is the core's only
-// writer and is sequential, so admission control never sheds it.
+// apply replays one log record through the world's router. The apply loop
+// is the router's only writer and is sequential, so admission control never
+// sheds it.
 func (f *Follower) apply(rec wal.Record) error {
-	w := f.world.Load()
-	dict := w.Rel.Dictionary()
-	switch rec.Kind {
-	case wal.KindAddAnnotations:
-		updates, err := wal.ResolveAnnotations(dict, rec.Updates)
-		if err != nil {
-			return err
-		}
-		_, err = w.Core.AddAnnotations(f.ctx, updates)
-		return err
-	case wal.KindRemoveAnnotations:
-		updates, err := wal.ResolveAnnotations(dict, rec.Updates)
-		if err != nil {
-			return err
-		}
-		_, err = w.Core.RemoveAnnotations(f.ctx, updates)
-		return err
-	case wal.KindAddTuples:
-		tuples, err := wal.ResolveTuples(dict, rec.Tuples)
-		if err != nil {
-			return err
-		}
-		_, err = w.Core.AddTuples(f.ctx, tuples)
-		return err
-	default:
-		return fmt.Errorf("replica: unknown record kind %v", rec.Kind)
-	}
+	return f.world.Load().Router.Replay(f.ctx, rec)
 }
 
 // noteRunID records the primary run id without touching the watermark; the
@@ -529,7 +495,7 @@ func (f *Follower) Stats() Stats {
 	return st
 }
 
-// Close stops the tail loop and closes the current world's core.
+// Close stops the tail loop and closes the current world's router.
 func (f *Follower) Close(ctx context.Context) error {
 	f.cancel()
 	select {
@@ -538,7 +504,7 @@ func (f *Follower) Close(ctx context.Context) error {
 		return ctx.Err()
 	}
 	if w := f.world.Load(); w != nil {
-		return w.Core.Close(ctx)
+		return w.Router.Close(ctx)
 	}
 	return nil
 }

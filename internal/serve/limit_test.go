@@ -72,8 +72,8 @@ func TestRecommendLimitEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := len(s.RecommendIncoming(tu)); got != tc.want {
-				t.Errorf("RecommendIncoming with Limit %d returned %d, want %d", tc.limit, got, tc.want)
+			if got := len(s.Snapshot().Compiled.ForTuple(tu)); got != tc.want {
+				t.Errorf("incoming tuple with Limit %d drew %d recommendations, want %d", tc.limit, got, tc.want)
 			}
 		})
 	}

@@ -27,7 +27,6 @@ import (
 	"annotadb/internal/metrics"
 	"annotadb/internal/predict"
 	"annotadb/internal/relation"
-	"annotadb/internal/rules"
 	"annotadb/internal/stream"
 )
 
@@ -333,12 +332,6 @@ func (s *Server) Seq() uint64 {
 	return s.snap.Load().Seq
 }
 
-// Rules returns the current valid rules in deterministic order. The slice
-// is shared with the snapshot; callers must not modify it.
-func (s *Server) Rules() []rules.Rule {
-	return s.Snapshot().Rules.Sorted()
-}
-
 // Recommend evaluates the snapshot's rules against the tuple at position
 // idx and reports the snapshot sequence it answered from. Both the tuple
 // contents and the rules come from the same published generation — one
@@ -354,12 +347,6 @@ func (s *Server) Recommend(idx int) ([]predict.Recommendation, uint64, error) {
 		return nil, snap.Seq, err
 	}
 	return snap.Compiled.ForTupleAt(tu, idx), snap.Seq, nil
-}
-
-// RecommendIncoming evaluates a free-standing tuple (the paper's insert
-// trigger, §5 case 2) against the snapshot's rules.
-func (s *Server) RecommendIncoming(tu relation.Tuple) []predict.Recommendation {
-	return s.Snapshot().Compiled.ForTuple(tu)
 }
 
 // Stats reports serving counters plus the published snapshot's identity.

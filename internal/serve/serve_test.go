@@ -85,9 +85,6 @@ func TestInitialSnapshotMatchesEngine(t *testing.T) {
 	if diff := rules.Diff(snap.Rules.Thaw(), eng.Rules(), rel.Dictionary()); len(diff) != 0 {
 		t.Fatalf("initial snapshot diverges from engine: %v", diff)
 	}
-	if len(s.Rules()) != snap.Rules.Len() {
-		t.Errorf("Rules() returned %d rules, view has %d", len(s.Rules()), snap.Rules.Len())
-	}
 }
 
 func TestAddAnnotationsRefreshesSnapshot(t *testing.T) {
@@ -205,7 +202,7 @@ func TestRecommend(t *testing.T) {
 	// Incoming-tuple trigger: {28,85} with no annotations must draw the
 	// strong {28,85}⇒Annot_1 recommendation.
 	tu := relation.MustTuple(dict, []string{"28", "85"}, nil)
-	recs := s.RecommendIncoming(tu)
+	recs := s.Snapshot().Compiled.ForTuple(tu)
 	found := false
 	for _, r := range recs {
 		if dict.Token(r.Annotation) == "Annot_1" {
@@ -265,7 +262,7 @@ func TestCloseSemantics(t *testing.T) {
 		t.Errorf("write after close: err = %v, want ErrClosed", err)
 	}
 	// Reads stay valid after close.
-	if s.Snapshot() == nil || len(s.Rules()) == 0 {
+	if snap := s.Snapshot(); snap == nil || snap.Rules.Len() == 0 {
 		t.Error("reads broken after close")
 	}
 }
@@ -564,8 +561,8 @@ func TestStatsReflectSnapshot(t *testing.T) {
 	if st.N != rel.Len() {
 		t.Errorf("Stats N = %d, want %d", st.N, rel.Len())
 	}
-	if st.RuleCount != len(s.Rules()) {
-		t.Errorf("Stats RuleCount = %d, want %d", st.RuleCount, len(s.Rules()))
+	if want := s.Snapshot().Rules.Len(); st.RuleCount != want {
+		t.Errorf("Stats RuleCount = %d, want %d", st.RuleCount, want)
 	}
 	if st.Engine.Bootstraps != 1 {
 		t.Errorf("Stats Engine.Bootstraps = %d, want 1", st.Engine.Bootstraps)

@@ -123,23 +123,27 @@ type Recovery struct {
 	Duration time.Duration
 }
 
-// DurableOptions configure a sharded durable cluster.
+// DurableOptions configure a durable cluster.
 type DurableOptions struct {
-	// Dir is the cluster directory; each shard keeps its own WAL and
-	// checkpoints in Dir/shard-NN, tied together by Dir/MANIFEST.json.
+	// Dir is the data directory. With Shards > 1 each shard keeps its own
+	// WAL and checkpoints in Dir/shard-NN, tied together by
+	// Dir/MANIFEST.json; a single shard keeps its WAL and checkpoints in
+	// Dir itself, with no manifest.
 	Dir string
-	// Shards is the shard count. It is pinned by the manifest: reopening
-	// with a different count is refused (re-sharding would require
-	// re-partitioning every replica).
+	// Shards is the shard count; 0 or 1 means the single-store layout. A
+	// count above 1 is pinned by the manifest: reopening with a different
+	// count is refused (re-sharding would require re-partitioning every
+	// replica).
 	Shards int
 	// Wal is the per-shard store configuration template; Dir and Tag are
 	// derived per shard.
 	Wal wal.Options
 }
 
-// Cluster is a sharded durable store: one wal.Store per shard plus the
-// manifest tying their generations together. Wire Stores into a Router via
-// Config.Journals and route every mutation through the router.
+// Cluster is the durable store behind a Router: one wal.Store per shard
+// plus, when there are several, the manifest tying their generations
+// together. Wire Stores into a Router via Config.Journals and route every
+// mutation through the router.
 type Cluster struct {
 	dir      string
 	stores   []*wal.Store
@@ -153,11 +157,16 @@ func shardTag(s, n int) string {
 	return fmt.Sprintf("shard=%d/%d sep=%s", s, n, FamilySeparator)
 }
 
-// OpenDurable opens (or creates) the sharded durable cluster in opts.Dir.
+// OpenDurable opens (or creates) the durable cluster in opts.Dir.
 //
-// On first open, bootstrap supplies the seed relation; each shard mines its
-// family projection of it (in parallel) and writes its first checkpoint,
-// and the manifest is installed. On reopen, the manifest pins the shard
+// With opts.Shards <= 1 the cluster is the single root-level store: its
+// checkpoint and log sit in opts.Dir itself, seeded by bootstrap on first
+// open and recovered from afterwards, with no manifest and no fingerprint
+// tag. A directory that holds a sharded cluster is refused.
+//
+// With more shards, on first open, bootstrap supplies the seed relation;
+// each shard mines its family projection of it (in parallel) and writes its
+// first checkpoint, and the manifest is installed. On reopen, the manifest pins the shard
 // count and each shard recovers independently — checkpoint restore plus log
 // tail replay — after which replica lengths are reconciled: a shard that a
 // crash mid-append-fanout left short is padded with the missing tuples'
@@ -168,8 +177,23 @@ func OpenDurable(opts DurableOptions, cfg mining.Config, eopts incremental.Optio
 		return nil, errors.New("shard: DurableOptions.Dir is required")
 	}
 	n := opts.Shards
-	if n < 1 {
-		n = 1
+	if n <= 1 {
+		if HasDurableState(opts.Dir) {
+			return nil, fmt.Errorf("shard: %s holds a sharded cluster; reopen it with the shard count its manifest records", opts.Dir)
+		}
+		wopts := opts.Wal
+		wopts.Dir = opts.Dir
+		store, err := wal.Open(wopts, cfg, eopts, bootstrap)
+		if err != nil {
+			return nil, err
+		}
+		rec := store.Recovery()
+		return &Cluster{dir: opts.Dir, stores: []*wal.Store{store}, recovery: Recovery{
+			FromCheckpoint: rec.FromCheckpoint,
+			Records:        rec.Records,
+			TornTail:       rec.TornTail,
+			Duration:       rec.Duration,
+		}}, nil
 	}
 	start := time.Now()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -486,16 +510,19 @@ func (c *Cluster) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// Close closes every shard's store and records the final epoch vector in
-// the manifest. Idempotent; call after the Router has been closed.
+// Close closes every shard's store and, for a sharded layout, records the
+// final epoch vector in the manifest. Idempotent; call after the Router has
+// been closed.
 func (c *Cluster) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
 	err := c.closeStores()
-	if merr := c.writeManifest(); merr != nil && err == nil {
-		err = merr
+	if len(c.stores) > 1 {
+		if merr := c.writeManifest(); merr != nil && err == nil {
+			err = merr
+		}
 	}
 	return err
 }

@@ -59,23 +59,19 @@ import (
 	"annotadb/internal/rules"
 	"annotadb/internal/serve"
 	"annotadb/internal/stream"
+	"annotadb/internal/wal"
 )
 
 // Update is one token-level annotation attachment (or detachment): attach
 // Annotation to the tuple at zero-based Tuple. The router works in tokens
 // rather than interned items because each shard owns an independent
-// dictionary.
-type Update struct {
-	Tuple      int
-	Annotation string
-}
+// dictionary. It is the write-ahead log's record form, so a replication
+// follower feeds logged batches to its router as they are.
+type Update = wal.Update
 
 // TupleSpec is one token-level tuple to append: data value tokens plus
 // annotation tokens. The router projects it per shard.
-type TupleSpec struct {
-	Values      []string
-	Annotations []string
-}
+type TupleSpec = wal.TupleSpec
 
 // Rule is a token-rendered association rule from a shard snapshot, carrying
 // the exact integer counts of the rules package.
@@ -117,7 +113,7 @@ type Recommendation struct {
 // Config configures a Router.
 type Config struct {
 	// Shards is the number of independent shards; 0 or 1 means a single
-	// shard (the router still works, with every family on shard 0).
+	// shard with every family on it — the unsharded server.
 	Shards int
 	// Serve is the per-shard serving configuration (batch window, queue
 	// depth, recommendation filter). Its Journal and Stream fields must be
@@ -165,7 +161,7 @@ type Router struct {
 	shards []*shardState
 	// appendMu serializes tuple-append fan-out so every shard's replica
 	// appends tuples in the same order; annotation batches (single-shard)
-	// never take it.
+	// and the appends of a one-shard router never take it.
 	appendMu sync.Mutex
 	// failed latches the router when replica lengths diverged (a tuple
 	// append applied on some shards but not others, e.g. one shard's WAL
@@ -236,8 +232,9 @@ func NewRouter(src relation.Source, build EngineBuilder, cfg Config) (*Router, e
 // invoked concurrently, once per shard.
 type EngineBuilder func(rel *relation.Relation) (*incremental.Engine, error)
 
-// FromEngines wraps pre-built per-shard engines (the durable recovery path:
-// each engine comes from its shard's wal store) in serving cores. len(engines)
+// FromEngines wraps pre-built per-shard engines (each from its shard's wal
+// store on the durable path; a plain engine for a one-shard in-memory
+// server or a follower world) in serving cores. len(engines)
 // must equal cfg.Shards, and engine i's relation must be the shard-i
 // projection (same tuple count and order on every shard).
 func FromEngines(engines []*incremental.Engine, cfg Config) (*Router, error) {
@@ -498,16 +495,17 @@ func mergeReports(c incremental.Case, reps []*incremental.Report, tuples bool) *
 }
 
 // validate rejects a batch whose indexes or tokens could not apply, before
-// any shard is touched, mirroring the unsharded serving core's all-or-nothing
-// validation.
+// any shard is touched or any token interned: a rejected batch must not
+// grow a dictionary. The messages reach HTTP clients of every shard count,
+// so they name no package of the write path.
 func (r *Router) validate(updates []Update) error {
 	n := r.Len()
 	for i, u := range updates {
 		if u.Tuple < 0 || u.Tuple >= n {
-			return fmt.Errorf("shard: update %d: %w: %d (relation has %d tuples)", i, relation.ErrTupleIndex, u.Tuple, n)
+			return fmt.Errorf("update %d: %w: %d (relation has %d tuples)", i, relation.ErrTupleIndex, u.Tuple, n)
 		}
 		if u.Annotation == "" {
-			return fmt.Errorf("shard: update %d: empty annotation token", i)
+			return fmt.Errorf("update %d: empty annotation token", i)
 		}
 	}
 	return nil
@@ -521,18 +519,42 @@ func (r *Router) validate(updates []Update) error {
 // failure on one shard — a full disk under that shard's log, say — fails the
 // call while other shards' sub-batches may have applied.
 func (r *Router) AddAnnotations(ctx context.Context, updates []Update) (*incremental.Report, error) {
-	return r.annotate(ctx, updates, false)
+	return r.annotate(ctx, updates, false, false)
 }
 
 // RemoveAnnotations splits a removal batch by annotation family and submits
 // each sub-batch to its owning shard concurrently. Entries whose annotation
 // is absent from the tuple are skipped, not errors; an annotation token the
-// dataset has never seen is an error, matching the unsharded facade.
+// dataset has never seen is an error.
 func (r *Router) RemoveAnnotations(ctx context.Context, updates []Update) (*incremental.Report, error) {
-	return r.annotate(ctx, updates, true)
+	return r.annotate(ctx, updates, true, false)
 }
 
-func (r *Router) annotate(ctx context.Context, updates []Update, remove bool) (*incremental.Report, error) {
+// Replay applies one logged record in the token form it was logged in — the
+// write path the primary's own request took — with recovery's one leniency
+// (wal's applyRecord): a removal of a token this dictionary has never held
+// interns the token and skips, where a client's removal is refused. The
+// primary can hold a token no record carries — a rejected, shed or cancelled
+// write interns before it fails — so a removal it journaled and acknowledged
+// as a skip has to be a skip for whoever replays its log.
+func (r *Router) Replay(ctx context.Context, rec wal.Record) error {
+	var err error
+	switch rec.Kind {
+	case wal.KindAddAnnotations:
+		_, err = r.annotate(ctx, rec.Updates, false, true)
+	case wal.KindRemoveAnnotations:
+		_, err = r.annotate(ctx, rec.Updates, true, true)
+	case wal.KindAddTuples:
+		_, err = r.AddTuples(ctx, rec.Tuples)
+	default:
+		err = fmt.Errorf("replay: unknown record kind %v", rec.Kind)
+	}
+	return err
+}
+
+// annotate is the body of both annotation writes. replay marks a logged
+// record (see Replay): a removal's unknown token is interned, not refused.
+func (r *Router) annotate(ctx context.Context, updates []Update, remove, replay bool) (*incremental.Report, error) {
 	c := incremental.CaseNewAnnotations
 	if remove {
 		c = incremental.CaseRemoveAnnotations
@@ -558,16 +580,21 @@ func (r *Router) annotate(ctx context.Context, updates []Update, remove bool) (*
 		if remove {
 			var ok bool
 			it, ok = dict.Lookup(u.Annotation)
-			if !ok {
-				return nil, fmt.Errorf("shard: removal %d: annotation %q unknown to this dataset", i, u.Annotation)
-			}
-			if !it.IsAnnotation() {
-				return nil, fmt.Errorf("shard: removal %d: token %q is a data value", i, u.Annotation)
+			switch {
+			case ok && !it.IsAnnotation():
+				return nil, fmt.Errorf("removal %d: token %q is a data value", i, u.Annotation)
+			case ok:
+			case !replay:
+				return nil, fmt.Errorf("removal %d: annotation %q unknown to this dataset", i, u.Annotation)
+			default:
+				if it, err = dict.InternAnnotation(u.Annotation); err != nil {
+					return nil, fmt.Errorf("removal %d: %w", i, err)
+				}
 			}
 		} else {
 			it, err = dict.InternAnnotation(u.Annotation)
 			if err != nil {
-				return nil, fmt.Errorf("shard: update %d: %w", i, err)
+				return nil, fmt.Errorf("update %d: %w", i, err)
 			}
 		}
 		perShard[s] = append(perShard[s], relation.AnnotationUpdate{Index: u.Tuple, Annotation: it})
@@ -643,7 +670,7 @@ func (r *Router) AddTuples(ctx context.Context, tuples []TupleSpec) (*incrementa
 			for _, tok := range spec.Values {
 				it, err := r.shards[s].dict.InternData(tok)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("tuple %d: %w", i, err)
 				}
 				items = append(items, it)
 			}
@@ -653,7 +680,7 @@ func (r *Router) AddTuples(ctx context.Context, tuples []TupleSpec) (*incrementa
 				}
 				it, err := r.shards[s].dict.InternAnnotation(tok)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("tuple %d: %w", i, err)
 				}
 				items = append(items, it)
 			}
@@ -665,8 +692,13 @@ func (r *Router) AddTuples(ctx context.Context, tuples []TupleSpec) (*incrementa
 	if annotated {
 		c = incremental.CaseAnnotatedTuples
 	}
-	r.appendMu.Lock()
-	defer r.appendMu.Unlock()
+	if n > 1 {
+		// A lone replica has no peer to disagree with: its writer orders
+		// the appends, and concurrent ones coalesce into one batch there.
+		// The lock, held across the whole commit, would queue them up.
+		r.appendMu.Lock()
+		defer r.appendMu.Unlock()
+	}
 	reps := make([]*incremental.Report, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -882,8 +914,7 @@ func sortRecommendations(recs []Recommendation) {
 // limit applies the configured recommendation cap to a merged result, in
 // the router's deterministic (tuple, annotation token) order. Shards are
 // compiled uncapped (see FromEngines), so the cap selects from the full
-// merged set; the kept prefix may differ from an unsharded server's, whose
-// tie-break follows its internal item order.
+// merged set and keeps the same prefix at every shard count.
 func (r *Router) limit(recs []Recommendation) []Recommendation {
 	if l := r.cfg.Serve.Recommend.Limit; l > 0 && len(recs) > l {
 		return recs[:l]

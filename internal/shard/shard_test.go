@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"annotadb/internal/predict"
 	"annotadb/internal/relation"
 	"annotadb/internal/serve"
+	"annotadb/internal/wal"
 )
 
 func TestFamilyOf(t *testing.T) {
@@ -141,6 +143,46 @@ func TestRouterValidationAndEmptyBatches(t *testing.T) {
 	// A rejected batch must not have touched any shard.
 	if got := router.Stats().Requests; got != 0 {
 		t.Errorf("rejected/empty batches reached shard writers: %d requests", got)
+	}
+}
+
+// A logged removal replays as a skip even for a token the replayer has never
+// interned (the primary can hold one no record carries); the same request
+// from a client is still refused, and a logged removal of a data value or an
+// unknown record kind still fails.
+func TestRouterReplayToleratesUnknownRemoval(t *testing.T) {
+	t.Parallel()
+	router := mustRouter(t, buildBase(7, 60), 2, Config{Serve: serve.Config{BatchWindow: -1}})
+	defer closeRouter(t, router)
+	ctx := context.Background()
+	ghost := []Update{{Tuple: 0, Annotation: "Annot_ghost:1"}}
+
+	if _, err := router.RemoveAnnotations(ctx, ghost); err == nil {
+		t.Fatal("a client's removal of an unknown token was accepted")
+	}
+	before := router.Stats()
+	if err := router.Replay(ctx, wal.Record{Kind: wal.KindRemoveAnnotations, Updates: ghost}); err != nil {
+		t.Fatalf("replaying a logged removal of an unknown token: %v", err)
+	}
+	after := router.Stats()
+	if after.Attachments != before.Attachments || after.Requests != before.Requests+1 {
+		t.Errorf("replayed removal: attachments %d → %d, requests %d → %d; want a one-request no-op",
+			before.Attachments, after.Attachments, before.Requests, after.Requests)
+	}
+	if _, err := router.RemoveAnnotations(ctx, ghost); err != nil {
+		t.Errorf("the replayed token was not interned: %v", err)
+	}
+	if err := router.Replay(ctx, wal.Record{Kind: wal.KindRemoveAnnotations, Updates: []Update{{Tuple: 0, Annotation: "d1"}}}); err == nil {
+		t.Error("replayed removal of a data value accepted")
+	}
+	if err := router.Replay(ctx, wal.Record{Kind: wal.Kind(99)}); err == nil {
+		t.Error("replay of an unknown record kind accepted")
+	}
+	if err := router.Replay(ctx, wal.Record{Kind: wal.KindAddAnnotations, Updates: ghost}); err != nil {
+		t.Errorf("replayed add: %v", err)
+	}
+	if got := router.Stats().Attachments; got != before.Attachments+1 {
+		t.Errorf("replayed add: attachments = %d, want %d", got, before.Attachments+1)
 	}
 }
 
@@ -281,6 +323,36 @@ func TestRouterLatchesOnReplicaDivergence(t *testing.T) {
 // TestRouterAppendNotSplitByCancel pins that a cancelled client context
 // cannot split an append fan-out: admission is refused up front, and a
 // fan-out that starts completes on every shard.
+// The append order lock exists to keep several replicas in step. A one-shard
+// router must not take it: held across the commit, it would hand concurrent
+// appends to the writer one at a time — one batch window and one log sync
+// each — where the writer alone coalesces them into a single application.
+func TestOneShardRouterCoalescesConcurrentAppends(t *testing.T) {
+	t.Parallel()
+	router := mustRouter(t, buildBase(23, 60), 1, Config{Serve: serve.Config{BatchWindow: 200 * time.Millisecond}})
+	defer closeRouter(t, router)
+	const appenders = 4
+	before := router.Len()
+	var wg sync.WaitGroup
+	for i := 0; i < appenders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := router.AddTuples(context.Background(), []TupleSpec{{Values: []string{"d1", "d2"}, Annotations: []string{"Annot_q:n1"}}}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	st := router.Stats()
+	if got := router.Len() - before; got != appenders || st.Requests != appenders {
+		t.Fatalf("%d tuples appended by %d requests, want %d", got, st.Requests, appenders)
+	}
+	if st.Batches >= st.Requests {
+		t.Errorf("%d concurrent appends took %d engine applications: they queued up instead of coalescing", st.Requests, st.Batches)
+	}
+}
+
 func TestRouterAppendNotSplitByCancel(t *testing.T) {
 	t.Parallel()
 	router := mustRouter(t, buildBase(19, 60), 2, Config{Serve: serve.Config{BatchWindow: -1}})

@@ -202,11 +202,9 @@ func resolveAnnotationItem(dict *relation.Dictionary, token string) (itemset.Ite
 	return dict.InternAnnotation(token)
 }
 
-// ResolveAnnotations converts a logged annotation batch back into engine
-// updates against dict, re-interning tokens exactly as recovery does.
-// Applying resolved batches in log order reproduces the primary's interning
-// order, which is what keeps a replica's dictionary item codes aligned.
-func ResolveAnnotations(dict *relation.Dictionary, updates []Update) ([]relation.AnnotationUpdate, error) {
+// resolveAnnotations converts a logged annotation batch back into engine
+// updates against dict, re-interning tokens in log order.
+func resolveAnnotations(dict *relation.Dictionary, updates []Update) ([]relation.AnnotationUpdate, error) {
 	out := make([]relation.AnnotationUpdate, 0, len(updates))
 	for _, u := range updates {
 		it, err := resolveAnnotationItem(dict, u.Annotation)
@@ -218,9 +216,9 @@ func ResolveAnnotations(dict *relation.Dictionary, updates []Update) ([]relation
 	return out, nil
 }
 
-// ResolveTuples converts a logged tuple batch back into relation tuples
-// against dict, re-interning tokens exactly as recovery does.
-func ResolveTuples(dict *relation.Dictionary, specs []TupleSpec) ([]relation.Tuple, error) {
+// resolveTuples converts a logged tuple batch back into relation tuples
+// against dict, re-interning tokens in log order.
+func resolveTuples(dict *relation.Dictionary, specs []TupleSpec) ([]relation.Tuple, error) {
 	out := make([]relation.Tuple, 0, len(specs))
 	for _, spec := range specs {
 		items := make([]itemset.Item, 0, len(spec.Values)+len(spec.Annotations))

@@ -193,7 +193,7 @@ func TestResolveTokensAgainstDictionary(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture annotation missing from dictionary")
 	}
-	got, err := ResolveAnnotations(dict, []Update{{Tuple: 3, Annotation: "Annot_1"}})
+	got, err := resolveAnnotations(dict, []Update{{Tuple: 3, Annotation: "Annot_1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestResolveTokensAgainstDictionary(t *testing.T) {
 	}
 
 	// An unseen annotation token interns fresh, exactly as recovery would.
-	got, err = ResolveAnnotations(dict, []Update{{Tuple: 0, Annotation: "Annot_new"}})
+	got, err = resolveAnnotations(dict, []Update{{Tuple: 0, Annotation: "Annot_new"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestResolveTokensAgainstDictionary(t *testing.T) {
 	}
 
 	// A data value posing as an annotation is rejected, never re-interned.
-	if _, err := ResolveAnnotations(dict, []Update{{Tuple: 0, Annotation: "28"}}); err == nil {
+	if _, err := resolveAnnotations(dict, []Update{{Tuple: 0, Annotation: "28"}}); err == nil {
 		t.Error("data token resolved as an annotation")
 	}
 
-	tuples, err := ResolveTuples(dict, []TupleSpec{{Values: []string{"28", "777"}, Annotations: []string{"Annot_1"}}})
+	tuples, err := resolveTuples(dict, []TupleSpec{{Values: []string{"28", "777"}, Annotations: []string{"Annot_1"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -851,14 +851,12 @@ func (s *Store) Close() error {
 
 // applyRecord replays one log record through the engine's ordinary
 // incremental update paths, re-interning tokens (replay order matches the
-// original append order, so interning is deterministic). The token
-// resolution is shared with replication followers (ResolveAnnotations,
-// ResolveTuples), which replay the same records against their own engines.
+// original append order, so interning is deterministic).
 func (s *Store) applyRecord(rec Record) error {
 	dict := s.eng.Relation().Dictionary()
 	switch rec.Kind {
 	case KindAddAnnotations, KindRemoveAnnotations:
-		updates, err := ResolveAnnotations(dict, rec.Updates)
+		updates, err := resolveAnnotations(dict, rec.Updates)
 		if err != nil {
 			return err
 		}
@@ -869,7 +867,7 @@ func (s *Store) applyRecord(rec Record) error {
 		}
 		return err
 	case KindAddTuples:
-		tuples, err := ResolveTuples(dict, rec.Tuples)
+		tuples, err := resolveTuples(dict, rec.Tuples)
 		if err != nil {
 			return err
 		}

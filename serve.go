@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"annotadb/internal/correlate"
 	"annotadb/internal/incremental"
-	"annotadb/internal/itemset"
 	"annotadb/internal/metrics"
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
@@ -85,6 +85,10 @@ type ServeOptions struct {
 // acknowledged after the batch they rode in is applied and fresh snapshots
 // are published.
 //
+// Every Server is a router over N >= 1 family shards; an unsharded server
+// is the N = 1 case, and its public shape (scalar sequences, no per-shard
+// sections) is the one-shard form of the same code path.
+//
 // NewServer takes ownership of the engine and its dataset: route every
 // mutation through the Server and treat direct Engine/Dataset calls as
 // read-only (their results may trail the serving snapshot by one batch).
@@ -92,22 +96,23 @@ type ServeOptions struct {
 // DurabilityOptions.Shards > 1) serves the merged view of its per-shard
 // state; Dataset returns nil for it.
 type Server struct {
-	ds   *Dataset
-	core *serve.Server // unsharded serving core; nil when sharded
-	// router fans writes out by annotation family and merges reads; nil
-	// when unsharded.
+	// ds is a one-shard primary's live dataset; nil when sharded and on a
+	// follower (see Dataset).
+	ds *Dataset
+	// router is the primary's serving core: it fans writes out by annotation
+	// family and merges reads. Nil on a follower, whose router belongs to its
+	// current world (see serving).
 	router *shard.Router
-	// store is the durable backing store (nil for in-memory servers): the
-	// serving writer journals every batch to it, and Close checkpoints and
-	// closes it. storeClosed makes that final step run exactly once.
-	store *wal.Store
-	// cluster is the sharded durable backing store (nil otherwise).
-	cluster     *shard.Cluster
-	storeClosed atomic.Bool
+	// cluster is the durable backing store (nil for in-memory servers and
+	// followers): the shard writers journal every batch to it, and Close
+	// checkpoints and closes it. clusterClosed makes that final step run
+	// exactly once.
+	cluster       *shard.Cluster
+	clusterClosed atomic.Bool
 
 	// follower is non-nil on a read replica (see Follow): reads serve from
 	// its current world, writes fail with ErrFollower. replicaSrc is the
-	// primary-side replication feed (non-nil only on unsharded durable
+	// primary-side replication feed (non-nil only on one-shard durable
 	// servers). retry is the shed-write backoff hint (see RetryAfter).
 	follower   *replica.Follower
 	replicaSrc *replica.Source
@@ -127,132 +132,65 @@ type Server struct {
 	correlateBuilds atomic.Uint64
 	correlateHits   atomic.Uint64
 
-	// rendered memoizes the token-rendered rules of one snapshot, so that
-	// serving GET /rules-style reads does not re-resolve dictionary tokens
-	// (each behind the dictionary's lock) for every request.
+	// rendered memoizes the public rules of one generation, so that serving
+	// GET /rules-style reads does not re-resolve dictionary tokens (each
+	// behind a dictionary's lock) and re-sort for every request.
 	rendered atomic.Pointer[renderedRules]
 }
 
-// renderedRules caches the public rules of one snapshot generation: the
-// scalar sequence for an unsharded server, the full per-shard sequence
-// vector for a sharded one. The vector itself is the cache key — two
-// concurrent readers can assemble different vectors with equal sums (the
-// per-shard loads are not one atomic cut), so the sum alone would collide.
+// renderedRules caches the public rules of one generation, keyed by the
+// router that served it and the full per-shard sequence vector. The vector,
+// not its sum, is the key — two concurrent readers can assemble different
+// vectors with equal sums (the per-shard loads are not one atomic cut) — and
+// the router tells a follower's worlds apart, whose sequences each restart
+// from scratch.
 type renderedRules struct {
-	seq   uint64
-	seqs  []uint64 // nil for unsharded
-	rules []Rule
-}
-
-func (c *renderedRules) matches(seqs []uint64) bool {
-	if len(c.seqs) != len(seqs) {
-		return false
-	}
-	for i := range seqs {
-		if c.seqs[i] != seqs[i] {
-			return false
-		}
-	}
-	return true
+	router *shard.Router
+	seqs   []uint64
+	rules  []Rule
 }
 
 // NewServer wraps an engine in a serving core and starts its writer loops.
-// An engine from OpenDurable brings its durable store along: the writer
-// journals every batch to the write-ahead log before applying it. With
+// An engine from OpenDurable brings its durable store along: the writers
+// journal every batch to the write-ahead log before applying it. With
 // ServeOptions.Shards > 1 on an in-memory engine, the engine's dataset is
 // partitioned by annotation family and each shard is mined and served
 // independently (the engine itself is then no longer connected to the
 // served state — route everything through the Server).
 func NewServer(e *Engine, opts ServeOptions) (*Server, error) {
-	if e.cluster != nil {
-		if opts.Shards > 0 && opts.Shards != len(e.cluster.Stores()) {
-			return nil, fmt.Errorf("annotadb: ServeOptions.Shards = %d but the durable cluster holds %d shards", opts.Shards, len(e.cluster.Stores()))
+	engines := []*incremental.Engine{e.eng}
+	switch {
+	case e.cluster != nil:
+		engines = e.cluster.Engines()
+		if opts.Shards > 0 && opts.Shards != len(engines) {
+			// Serving a durable engine through a different number of
+			// in-memory shards would acknowledge writes that never reach
+			// its WALs — silent data loss at the next open.
+			return nil, fmt.Errorf("annotadb: ServeOptions.Shards = %d but the engine's durable store holds %d; reopen with DurabilityOptions.Shards instead", opts.Shards, len(engines))
 		}
-		broker, eventLog, err := newStream(opts.Stream, e.cluster.Dir(), len(e.cluster.Stores()))
-		if err != nil {
-			return nil, err
-		}
-		router, err := shard.FromEngines(e.cluster.Engines(), shardStreamConfig(shard.Config{
-			Shards:   len(e.cluster.Stores()),
-			Serve:    opts.internal(),
-			Journals: e.cluster.Journals(),
-		}, broker))
-		if err != nil {
-			if broker != nil {
-				broker.Close()
-			}
-			return nil, err
-		}
-		s := &Server{
-			router:   router,
-			cluster:  e.cluster,
-			stream:   broker,
-			eventLog: eventLog,
-			retry:    retryHint(opts.BatchWindow, storeFlushWindow(nil, e.cluster.Stores())),
-		}
-		if err := s.startDetector(opts.Correlate, nil); err != nil {
-			s.Close(context.Background()) //nolint:errcheck
-			return nil, err
-		}
-		return s, nil
-	}
-	if opts.Shards > 1 {
-		if e.store != nil {
-			// Serving a durable unsharded engine through in-memory shards
-			// would acknowledge writes that never reach its WAL — silent
-			// data loss at the next open.
-			return nil, fmt.Errorf("annotadb: ServeOptions.Shards = %d but the engine's durable store is unsharded; reopen with DurabilityOptions.Shards instead", opts.Shards)
-		}
+	case opts.Shards > 1:
 		return newShardedInMemory(e.ds, e.eng.Config(), opts)
 	}
-	cfg := opts.internal()
-	dir := ""
-	if e.store != nil {
-		cfg.Journal = e.store
-		dir = e.store.Dir()
-	}
-	broker, eventLog, err := newStream(opts.Stream, dir, 1)
-	if err != nil {
-		return nil, err
-	}
-	if broker != nil {
-		cfg.Stream = stream.NewPublisher(broker, 0, e.ds.rel.Dictionary())
-	}
-	s := &Server{
-		ds:       e.ds,
-		core:     serve.New(e.eng, cfg),
-		store:    e.store,
-		stream:   broker,
-		eventLog: eventLog,
-		retry:    retryHint(opts.BatchWindow, storeFlushWindow(e.store, nil)),
-	}
-	if s.store != nil {
-		// An unsharded durable server owns the one checkpoint + log a
-		// follower needs, so it is born replicable; the source's run id
-		// identifies this process run to followers across restarts.
-		src, err := replica.NewSource(s.store, s.core.Seq)
-		if err != nil {
-			s.core.Close(context.Background()) //nolint:errcheck
-			if broker != nil {
-				broker.Close() //nolint:errcheck
-			}
-			return nil, err
-		}
-		s.replicaSrc = src
-	}
-	if err := s.startDetector(opts.Correlate, s.core.Seq); err != nil {
-		s.Close(context.Background()) //nolint:errcheck
-		return nil, err
-	}
-	return s, nil
+	return newPrimary(e.ds, e.cluster, opts, len(engines), func(cfg shard.Config) (*shard.Router, error) {
+		return shard.FromEngines(engines, cfg)
+	})
 }
 
 // NewShardedServer partitions the dataset by annotation family into
 // opts.Shards independent shards, mines each projection in parallel, and
 // serves the merged view. It is the in-memory sharded entry point that
 // skips the full unsharded bootstrap mine NewEngine would pay; the durable
-// equivalent is OpenDurable with DurabilityOptions.Shards.
+// equivalent is OpenDurable with DurabilityOptions.Shards. With Shards 0 or
+// 1 there is nothing to partition and the result is NewServer's over a
+// fresh engine.
 func NewShardedServer(d *Dataset, opts Options, sopts ServeOptions) (*Server, error) {
+	if sopts.Shards <= 1 {
+		e, err := NewEngine(d, opts)
+		if err != nil {
+			return nil, err
+		}
+		return NewServer(e, sopts)
+	}
 	cfg, err := opts.internal()
 	if err != nil {
 		return nil, err
@@ -262,38 +200,75 @@ func NewShardedServer(d *Dataset, opts Options, sopts ServeOptions) (*Server, er
 
 func newShardedInMemory(d *Dataset, cfg mining.Config, sopts ServeOptions) (*Server, error) {
 	eopts := incremental.Options{DisableCandidateStore: cfg.CandidateSlack >= 1}
-	shards := sopts.Shards
-	if shards < 1 {
-		shards = 1
+	return newPrimary(nil, nil, sopts, sopts.Shards, func(rcfg shard.Config) (*shard.Router, error) {
+		return shard.NewRouter(d.rel, func(rel *relation.Relation) (*incremental.Engine, error) {
+			return incremental.New(rel, cfg, eopts)
+		}, rcfg)
+	})
+}
+
+// newPrimary assembles a writable server around the router build returns:
+// the event stream (durable under the cluster's directory), the per-shard
+// journals, the replication feed and the anomaly detector. ds is the live
+// dataset of a one-shard server (nil otherwise), cluster its durable store
+// (nil in memory).
+func newPrimary(ds *Dataset, cluster *shard.Cluster, opts ServeOptions, shards int, build func(shard.Config) (*shard.Router, error)) (*Server, error) {
+	cfg := shard.Config{Shards: shards, Serve: opts.internal()}
+	dir := ""
+	var flushWindow time.Duration
+	if cluster != nil {
+		cfg.Journals = cluster.Journals()
+		dir = cluster.Dir()
+		flushWindow = cluster.Stores()[0].FlushWindow() // one policy for every shard
 	}
-	broker, _, err := newStream(sopts.Stream, "", shards)
+	broker, eventLog, err := newStream(opts.Stream, dir, shards)
 	if err != nil {
 		return nil, err
 	}
-	router, err := shard.NewRouter(d.rel, func(rel *relation.Relation) (*incremental.Engine, error) {
-		return incremental.New(rel, cfg, eopts)
-	}, shardStreamConfig(shard.Config{
-		Shards: sopts.Shards,
-		Serve:  sopts.internal(),
-	}, broker))
+	cfg.Stream = broker
+	router, err := build(cfg)
 	if err != nil {
 		if broker != nil {
-			broker.Close()
+			broker.Close() //nolint:errcheck
 		}
 		return nil, err
 	}
-	s := &Server{router: router, stream: broker, retry: retryHint(sopts.BatchWindow, 0)}
-	if err := s.startDetector(sopts.Correlate, nil); err != nil {
+	s := &Server{
+		ds:       ds,
+		router:   router,
+		stream:   broker,
+		eventLog: eventLog,
+		retry:    retryHint(opts.BatchWindow, flushWindow),
+	}
+	// seqFn stamps anomaly events with the serving generation. It stays nil
+	// (stamping 0) on a sharded broker, whose seq vector only shard
+	// publishers may advance.
+	var seqFn func() uint64
+	if shards == 1 {
+		seqFn = func() uint64 { return router.Seqs()[0] }
+		if cluster != nil {
+			// A one-shard durable server owns the one checkpoint + log a
+			// follower needs, so it is born replicable; the source's run id
+			// identifies this process run to followers across restarts.
+			if s.replicaSrc, err = replica.NewSource(cluster.Stores()[0], seqFn); err != nil {
+				s.Close(context.Background()) //nolint:errcheck
+				return nil, err
+			}
+		}
+	}
+	if err := s.startDetector(opts.Correlate, seqFn); err != nil {
 		s.Close(context.Background()) //nolint:errcheck
 		return nil, err
 	}
+	// Adopted last: a failed construction closes what it built (router,
+	// stream, detector) and leaves the durable store to the engine's owner.
+	s.cluster = cluster
 	return s, nil
 }
 
 // startDetector starts the churn-anomaly detector when the options ask for
 // one and the server has an event stream to watch. seqFn stamps emitted
-// events with a serving generation; nil stamps 0 — mandatory on sharded
-// brokers, whose seq vector only shard publishers may advance.
+// events with a serving generation; nil stamps 0.
 func (s *Server) startDetector(opts CorrelateOptions, seqFn func() uint64) error {
 	if !opts.Anomalies || s.stream == nil {
 		return nil
@@ -318,16 +293,61 @@ func (o ServeOptions) internal() serve.Config {
 	}
 }
 
-// Sharded reports whether the server fans writes out over family shards.
-func (s *Server) Sharded() bool { return s.router != nil }
+// serving returns the router every read and write goes against — the
+// primary's own, or the follower's current world's — and, on a follower, the
+// replication watermark. The watermark is sampled before the router is
+// loaded, so a snapshot read through the router can only be at or beyond
+// the watermark's apply point; pass it to readSeq after the read.
+func (s *Server) serving() (*shard.Router, uint64) {
+	if s.follower != nil {
+		mark := s.follower.Seq()
+		return s.follower.World().Router, mark
+	}
+	return s.router, 0
+}
+
+// shapeSeq maps a per-shard sequence vector to the public generation
+// identity. A one-shard vector is the unsharded shape: its single component
+// is the scalar (a unique, strictly increasing generation id) and no vector
+// is reported.
+func shapeSeq(seqs []uint64) ReadSeq {
+	rs := ReadSeq{Seq: seqSum(seqs)}
+	if len(seqs) > 1 {
+		rs.Shards = seqs
+	}
+	return rs
+}
+
+// publicShards is a shard count as the public API reports it: 0 for a
+// one-shard (unsharded) server.
+func publicShards(n int) int {
+	if n > 1 {
+		return n
+	}
+	return 0
+}
+
+// readSeq is the generation identity of a read answered at seqs. A
+// follower's local sequences are meaningless to clients (they restart at
+// every re-bootstrap), so it advertises the replication watermark serving
+// sampled instead — the primary sequence whose acknowledged writes are all
+// visible in the answer.
+func (s *Server) readSeq(seqs []uint64, watermark uint64) ReadSeq {
+	if s.follower != nil {
+		return ReadSeq{Seq: watermark}
+	}
+	return shapeSeq(seqs)
+}
 
 // Shards returns the shard count: 1 for an unsharded server.
 func (s *Server) Shards() int {
-	if s.router == nil {
-		return 1
-	}
-	return s.router.Shards()
+	r, _ := s.serving()
+	return r.Shards()
 }
+
+// Sharded reports whether the server fans writes out over more than one
+// family shard.
+func (s *Server) Sharded() bool { return s.Shards() > 1 }
 
 // Close drains queued updates and stops the writer loops, waiting up to ctx.
 // A durable server then writes final checkpoints (so the next open replays
@@ -335,24 +355,22 @@ func (s *Server) Shards() int {
 // Reads remain valid (and final) after Close; writes fail with an error.
 // Close is idempotent: later calls return nil once the first completed.
 func (s *Server) Close(ctx context.Context) error {
+	var err error
 	if s.follower != nil {
-		// Stop the tail loop first (it is the world core's only writer), then
-		// close the core; the stream broker seals last so subscribers drain.
-		err := s.follower.Close(ctx)
-		if streamErr := s.closeStream(); streamErr != nil && err == nil {
-			err = streamErr
-		}
+		// Stops the tail loop first (it is the world router's only writer),
+		// then the router.
+		err = s.follower.Close(ctx)
+	} else {
+		err = s.router.Close(ctx)
+	}
+	if err != nil {
+		// On a drain timeout a writer may still be running; leave the store
+		// to it — every applied batch is already in the synced log, so
+		// recovery replays it. Only a clean drain may checkpoint.
 		return err
 	}
-	if s.router != nil {
-		err := s.router.Close(ctx)
-		if s.cluster == nil || err != nil {
-			if err == nil {
-				err = s.closeStream()
-			}
-			return err
-		}
-		if !s.storeClosed.CompareAndSwap(false, true) {
+	if s.cluster != nil {
+		if !s.clusterClosed.CompareAndSwap(false, true) {
 			return nil
 		}
 		if ckErr := s.cluster.Checkpoint(); ckErr != nil {
@@ -361,35 +379,10 @@ func (s *Server) Close(ctx context.Context) error {
 		if closeErr := s.cluster.Close(); closeErr != nil && err == nil {
 			err = closeErr
 		}
-		// The writers have drained: the event stream is complete, so the
-		// broker can seal its segment log (subscribers finish draining and
-		// their channels close).
-		if streamErr := s.closeStream(); streamErr != nil && err == nil {
-			err = streamErr
-		}
-		return err
 	}
-	err := s.core.Close(ctx)
-	if s.store == nil || err != nil {
-		// On a drain timeout the writer may still be running; leave the
-		// store to it — every applied batch is already in the synced log,
-		// so recovery replays it. Only a clean drain may checkpoint.
-		if err == nil {
-			err = s.closeStream()
-		}
-		return err
-	}
-	if !s.storeClosed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if s.store.HasPendingRecords() {
-		if ckErr := s.store.Checkpoint(); ckErr != nil {
-			err = ckErr
-		}
-	}
-	if closeErr := s.store.Close(); closeErr != nil && err == nil {
-		err = closeErr
-	}
+	// The writers have drained: the event stream is complete, so the broker
+	// can seal its segment log (subscribers finish draining and their
+	// channels close).
 	if streamErr := s.closeStream(); streamErr != nil && err == nil {
 		err = streamErr
 	}
@@ -416,18 +409,6 @@ func (s *Server) closeStream() error {
 // re-bootstrap; read through the serving methods instead).
 func (s *Server) Dataset() *Dataset { return s.ds }
 
-// world returns the serving core and relation unsharded reads go against:
-// the follower's current world, or the primary core and its live relation.
-// The pair comes from one atomic load, so core and relation always belong
-// to the same bootstrap generation.
-func (s *Server) world() (*serve.Server, *relation.Relation) {
-	if s.follower != nil {
-		w := s.follower.World()
-		return w.Core, w.Rel
-	}
-	return s.core, s.ds.rel
-}
-
 // publicShardRule converts a token-form shard rule to the public type.
 func publicShardRule(r shard.Rule) Rule {
 	kind := DataToAnnotation
@@ -446,82 +427,31 @@ func publicShardRule(r shard.Rule) Rule {
 	}
 }
 
-// Rules returns the current snapshot's valid rules, deterministically
-// ordered, without taking any maintenance engine's lock. For a sharded
-// server the result is the merged (disjoint) union of the per-shard rule
-// views at one sequence vector. The slice is rendered once per snapshot and
-// shared between callers; treat it as read-only.
+// Rules returns the current generation's valid rules — the disjoint union of
+// the per-shard rule views at one sequence vector — ordered by kind, then
+// LHS tokens, then RHS token, without taking any maintenance engine's lock.
+// The slice is rendered once per generation and shared between callers;
+// treat it as read-only.
 func (s *Server) Rules() []Rule {
-	if s.router != nil {
-		// Load the vector first and only render on a cache miss: rendering
-		// walks and re-sorts every shard's rules, which is the whole cost
-		// the memo exists to avoid.
-		snaps := s.router.Snapshots()
-		seqs := shard.Seqs(snaps)
-		if c := s.rendered.Load(); c != nil && c.matches(seqs) {
-			return c.rules
-		}
-		shardRules := shard.MergedRules(snaps)
-		out := make([]Rule, len(shardRules))
-		for i, r := range shardRules {
-			out[i] = publicShardRule(r)
-		}
-		// Vectors are only partially ordered across concurrent readers, so
-		// there is no "newer" to protect: last render wins, and any cached
-		// entry is internally consistent with its own vector.
-		s.rendered.Store(&renderedRules{seqs: seqs, rules: out})
-		return out
-	}
-	if s.follower != nil {
-		// A follower's local sequence restarts at every re-bootstrap, so the
-		// scalar key (strictly increasing on a primary) would collide across
-		// worlds; key on (world generation, local seq) via the vector slot
-		// instead, last render wins like the sharded path.
-		w := s.follower.World()
-		snap := w.Core.Snapshot()
-		key := []uint64{w.Gen, snap.Seq}
-		if c := s.rendered.Load(); c != nil && c.matches(key) {
-			return c.rules
-		}
-		dict := w.Rel.Dictionary()
-		sorted := snap.Rules.Sorted()
-		out := make([]Rule, len(sorted))
-		for i, r := range sorted {
-			out[i] = publicRule(r, dict)
-		}
-		s.rendered.Store(&renderedRules{seqs: key, rules: out})
-		return out
-	}
-	snap := s.core.Snapshot()
-	if c := s.rendered.Load(); c != nil && c.seq == snap.Seq {
+	// Load the vector first and only render on a cache miss: rendering walks
+	// and re-sorts every shard's rules, which is the whole cost the memo
+	// exists to avoid.
+	r, _ := s.serving()
+	snaps := r.Snapshots()
+	seqs := shard.Seqs(snaps)
+	if c := s.rendered.Load(); c != nil && c.router == r && slices.Equal(c.seqs, seqs) {
 		return c.rules
 	}
-	dict := s.ds.rel.Dictionary()
-	sorted := snap.Rules.Sorted()
-	out := make([]Rule, len(sorted))
-	for i, r := range sorted {
-		out[i] = publicRule(r, dict)
+	shardRules := shard.MergedRules(snaps)
+	out := make([]Rule, len(shardRules))
+	for i, sr := range shardRules {
+		out[i] = publicShardRule(sr)
 	}
-	s.cacheRendered(snap.Seq, out)
+	// Vectors are only partially ordered across concurrent readers, so there
+	// is no "newer" to protect: last render wins, and any cached entry is
+	// internally consistent with its own vector.
+	s.rendered.Store(&renderedRules{router: r, seqs: seqs, rules: out})
 	return out
-}
-
-// cacheRendered publishes a rendered rule slice under its scalar snapshot
-// key (unsharded path). Racing renders of the same snapshot produce
-// identical slices; the CAS loop guarantees a newer snapshot's cache is
-// never replaced by an older render (keys are strictly increasing across
-// publishes).
-func (s *Server) cacheRendered(key uint64, rules []Rule) {
-	fresh := &renderedRules{seq: key, rules: rules}
-	for {
-		c := s.rendered.Load()
-		if c != nil && c.seq >= key {
-			return
-		}
-		if s.rendered.CompareAndSwap(c, fresh) {
-			return
-		}
-	}
 }
 
 // seqSum folds a per-shard sequence vector into an informational scalar.
@@ -540,10 +470,11 @@ func seqSum(seqs []uint64) uint64 {
 // ReadSeq identifies the snapshot generation a read was answered from.
 type ReadSeq struct {
 	// Seq is the scalar form: the snapshot sequence for an unsharded server
-	// (a unique, strictly increasing generation id), or the sum of the
-	// per-shard sequence vector for a sharded one — a staleness indicator
-	// only, since concurrent readers can observe different vectors with
-	// equal sums; Shards is the authoritative generation identity there.
+	// (a unique, strictly increasing generation id), the replication
+	// watermark for a follower, or the sum of the per-shard sequence vector
+	// for a sharded server — a staleness indicator only, since concurrent
+	// readers can observe different vectors with equal sums; Shards is the
+	// authoritative generation identity there.
 	Seq uint64
 	// Shards is the per-shard sequence vector; nil for unsharded servers.
 	Shards []uint64
@@ -563,37 +494,19 @@ func (s *Server) Recommend(idx int) ([]Recommendation, uint64, error) {
 }
 
 // RecommendAt behaves like Recommend but reports the full generation
-// identity: on a sharded server each shard's rules are evaluated against
-// that shard's own snapshot view of the tuple (per-shard consistency) and
-// the vector says exactly which per-shard generations answered.
+// identity: each shard's rules are evaluated against that shard's own
+// snapshot view of the tuple (per-shard consistency) and the vector says
+// exactly which per-shard generations answered. Recommendations are ordered
+// by annotation token, and RecommendOptions.Limit keeps a prefix of that
+// order.
 func (s *Server) RecommendAt(idx int) ([]Recommendation, ReadSeq, error) {
-	if s.router != nil {
-		recs, seqs, err := s.router.Recommend(idx)
-		rs := ReadSeq{Seq: seqSum(seqs), Shards: seqs}
-		if err != nil {
-			return nil, rs, err
-		}
-		return publicShardRecommendations(recs), rs, nil
-	}
-	if s.follower != nil {
-		// A follower's local sequence is meaningless to clients (it restarts
-		// on re-bootstrap); advertise the replication watermark instead —
-		// the primary sequence whose acknowledged writes are all visible in
-		// this answer. Sample it before the read: the snapshot the read uses
-		// can only be at or beyond the watermark's apply point.
-		rs := ReadSeq{Seq: s.follower.Seq()}
-		w := s.follower.World()
-		recs, _, err := w.Core.Recommend(idx)
-		if err != nil {
-			return nil, rs, err
-		}
-		return publicRecommendations(recs, w.Rel.Dictionary()), rs, nil
-	}
-	recs, seq, err := s.core.Recommend(idx)
+	r, mark := s.serving()
+	recs, seqs, err := r.Recommend(idx)
+	rs := s.readSeq(seqs, mark)
 	if err != nil {
-		return nil, ReadSeq{Seq: seq}, err
+		return nil, rs, err
 	}
-	return publicRecommendations(recs, s.ds.rel.Dictionary()), ReadSeq{Seq: seq}, nil
+	return publicShardRecommendations(recs), rs, nil
 }
 
 func publicShardRecommendations(recs []shard.Recommendation) []Recommendation {
@@ -614,214 +527,95 @@ func publicShardRecommendations(recs []shard.Recommendation) []Recommendation {
 // are ignored, which cannot change the outcome — an unknown token cannot
 // appear in any rule's LHS or RHS.
 func (s *Server) RecommendForTuple(spec TupleSpec) ([]Recommendation, error) {
-	if s.router != nil {
-		recs := s.router.RecommendIncoming(shard.TupleSpec{Values: spec.Values, Annotations: spec.Annotations})
-		return publicShardRecommendations(recs), nil
+	r, _ := s.serving()
+	recs := r.RecommendIncoming(shard.TupleSpec(spec))
+	return publicShardRecommendations(recs), nil
+}
+
+// write runs one mutation against the primary's router and stamps the
+// report with the snapshot sequence current after the acknowledgement. The
+// writers publish before they ack, so the sequence loaded here is at or
+// beyond the one that made the write visible — the report's Seq/SeqVector
+// are valid read-your-writes watermarks (see UpdateReport.Seq). A follower
+// refuses every write: its state changes only through the primary's log.
+func (s *Server) write(apply func(*shard.Router) (*incremental.Report, error)) (UpdateReport, error) {
+	if s.follower != nil {
+		return UpdateReport{}, ErrFollower
 	}
-	core, rel := s.world()
-	dict := rel.Dictionary()
-	items := make([]itemset.Item, 0, len(spec.Values)+len(spec.Annotations))
-	for _, tok := range spec.Values {
-		if it, ok := dict.Lookup(tok); ok {
-			items = append(items, it)
-		}
+	rep, err := apply(s.router)
+	if err != nil {
+		return UpdateReport{}, err
 	}
-	for _, tok := range spec.Annotations {
-		if it, ok := dict.Lookup(tok); ok {
-			items = append(items, it)
-		}
-	}
-	tu := relation.NewTuple(items...)
-	return publicRecommendations(core.RecommendIncoming(tu), dict), nil
+	out := publicReport(rep)
+	rs := shapeSeq(s.router.Seqs())
+	out.Seq, out.SeqVector = rs.Seq, rs.Shards
+	return out, nil
 }
 
 // AddAnnotations submits a Case 3 batch and waits until it is applied and
 // visible in the snapshot. The report covers the whole coalesced batch the
-// updates rode in, which may include other callers' updates. On a sharded
-// server the batch is split by annotation family and the owning shards
-// commit their sub-batches in parallel; batch atomicity is per shard.
+// updates rode in, which may include other callers' updates. The batch is
+// split by annotation family and the owning shards commit their sub-batches
+// in parallel; batch atomicity is per shard.
 //
 // Indexes are validated before any token is interned, so a rejected batch
-// cannot grow the shared dictionary (which would let bad requests leak
-// permanent state).
+// cannot grow a dictionary (which would let bad requests leak permanent
+// state).
 func (s *Server) AddAnnotations(ctx context.Context, batch []AnnotationUpdate) (UpdateReport, error) {
-	if s.follower != nil {
-		return UpdateReport{}, ErrFollower
-	}
-	if s.router != nil {
-		rep, err := s.router.AddAnnotations(ctx, shardUpdates(batch))
-		if err != nil {
-			return UpdateReport{}, err
-		}
-		return s.stamped(publicReport(rep)), nil
-	}
-	if err := s.validateIndexes(batch); err != nil {
-		return UpdateReport{}, err
-	}
-	dict := s.ds.rel.Dictionary()
-	updates := make([]relation.AnnotationUpdate, 0, len(batch))
-	for i, u := range batch {
-		it, err := dict.InternAnnotation(u.Annotation)
-		if err != nil {
-			return UpdateReport{}, fmt.Errorf("annotadb: update %d: %w", i, err)
-		}
-		updates = append(updates, relation.AnnotationUpdate{Index: u.Tuple, Annotation: it})
-	}
-	rep, err := s.core.AddAnnotations(ctx, updates)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	return s.stamped(publicReport(rep)), nil
+	return s.write(func(r *shard.Router) (*incremental.Report, error) {
+		return r.AddAnnotations(ctx, shardUpdates(batch))
+	})
 }
 
 func shardUpdates(batch []AnnotationUpdate) []shard.Update {
 	out := make([]shard.Update, len(batch))
 	for i, u := range batch {
-		out[i] = shard.Update{Tuple: u.Tuple, Annotation: u.Annotation}
+		out[i] = shard.Update(u)
 	}
 	return out
-}
-
-// validateIndexes rejects out-of-range tuple positions up front. The
-// relation only grows, so an index valid here stays valid at apply time.
-func (s *Server) validateIndexes(batch []AnnotationUpdate) error {
-	n := s.ds.rel.Len()
-	for i, u := range batch {
-		if u.Tuple < 0 || u.Tuple >= n {
-			return fmt.Errorf("annotadb: update %d: %w: %d (relation has %d tuples)", i, relation.ErrTupleIndex, u.Tuple, n)
-		}
-	}
-	return nil
 }
 
 // RemoveAnnotations submits an annotation-removal batch and waits until it
 // is applied. Entries whose annotation is absent are skipped and reported.
 func (s *Server) RemoveAnnotations(ctx context.Context, batch []AnnotationUpdate) (UpdateReport, error) {
-	if s.follower != nil {
-		return UpdateReport{}, ErrFollower
-	}
-	if s.router != nil {
-		rep, err := s.router.RemoveAnnotations(ctx, shardUpdates(batch))
-		if err != nil {
-			return UpdateReport{}, err
-		}
-		return s.stamped(publicReport(rep)), nil
-	}
-	dict := s.ds.rel.Dictionary()
-	updates := make([]relation.AnnotationUpdate, 0, len(batch))
-	for i, u := range batch {
-		it, ok := dict.Lookup(u.Annotation)
-		if !ok {
-			return UpdateReport{}, fmt.Errorf("annotadb: removal %d: annotation %q unknown to this dataset", i, u.Annotation)
-		}
-		if !it.IsAnnotation() {
-			return UpdateReport{}, fmt.Errorf("annotadb: removal %d: token %q is a data value", i, u.Annotation)
-		}
-		updates = append(updates, relation.AnnotationUpdate{Index: u.Tuple, Annotation: it})
-	}
-	rep, err := s.core.RemoveAnnotations(ctx, updates)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	return s.stamped(publicReport(rep)), nil
+	return s.write(func(r *shard.Router) (*incremental.Report, error) {
+		return r.RemoveAnnotations(ctx, shardUpdates(batch))
+	})
 }
 
 // AddTuples submits a tuple batch and waits until it is applied. The batch
 // takes the paper's Case 1 path when any tuple carries annotations and the
-// cheaper Case 2 path when none do. On a sharded server the batch fans out
-// to every shard: each replica receives every tuple's data values plus the
-// annotations its families own, in the same order.
+// cheaper Case 2 path when none do. It fans out to every shard: each replica
+// receives every tuple's data values plus the annotations its families own,
+// in the same order.
 func (s *Server) AddTuples(ctx context.Context, batch []TupleSpec) (UpdateReport, error) {
-	if s.follower != nil {
-		return UpdateReport{}, ErrFollower
-	}
-	if s.router != nil {
+	return s.write(func(r *shard.Router) (*incremental.Report, error) {
 		specs := make([]shard.TupleSpec, len(batch))
 		for i, t := range batch {
-			specs[i] = shard.TupleSpec{Values: t.Values, Annotations: t.Annotations}
+			specs[i] = shard.TupleSpec(t)
 		}
-		rep, err := s.router.AddTuples(ctx, specs)
-		if err != nil {
-			return UpdateReport{}, err
-		}
-		return s.stamped(publicReport(rep)), nil
-	}
-	dict := s.ds.rel.Dictionary()
-	tuples := make([]relation.Tuple, 0, len(batch))
-	for i, spec := range batch {
-		tu, err := buildTuple(dict, spec.Values, spec.Annotations)
-		if err != nil {
-			return UpdateReport{}, fmt.Errorf("annotadb: tuple %d: %w", i, err)
-		}
-		tuples = append(tuples, tu)
-	}
-	rep, err := s.core.AddTuples(ctx, tuples)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	return s.stamped(publicReport(rep)), nil
+		return r.AddTuples(ctx, specs)
+	})
 }
 
 // ApplyUpdateFile reads a Figure 14-format annotation batch and submits it.
 // Like AddAnnotations, indexes are validated before tokens are interned.
 func (s *Server) ApplyUpdateFile(ctx context.Context, r io.Reader) (UpdateReport, error) {
-	if s.follower != nil {
-		return UpdateReport{}, ErrFollower
-	}
-	lines, err := storage.ReadUpdateBatch(r, storage.Options{})
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	n := s.serveLen()
-	for _, u := range lines {
-		if u.Index < 0 || u.Index >= n {
-			return UpdateReport{}, fmt.Errorf("annotadb: update %d:%s: %w (relation has %d tuples)", u.Index+1, u.Token, relation.ErrTupleIndex, n)
+	return s.write(func(rt *shard.Router) (*incremental.Report, error) {
+		lines, err := storage.ReadUpdateBatch(r, storage.Options{})
+		if err != nil {
+			return nil, err
 		}
-	}
-	if s.router != nil {
+		n := rt.Len()
 		batch := make([]shard.Update, len(lines))
 		for i, u := range lines {
+			if u.Index < 0 || u.Index >= n {
+				return nil, fmt.Errorf("annotadb: update %d:%s: %w (relation has %d tuples)", u.Index+1, u.Token, relation.ErrTupleIndex, n)
+			}
 			batch[i] = shard.Update{Tuple: u.Index, Annotation: u.Token}
 		}
-		rep, err := s.router.AddAnnotations(ctx, batch)
-		if err != nil {
-			return UpdateReport{}, err
-		}
-		return s.stamped(publicReport(rep)), nil
-	}
-	updates, err := storage.ResolveUpdates(s.ds.rel, lines)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	rep, err := s.core.AddAnnotations(ctx, updates)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	return s.stamped(publicReport(rep)), nil
-}
-
-// stamped records the snapshot sequence current after an acknowledged
-// write on its report. The writer publishes before it acks, so the
-// sequence loaded here is at or beyond the one that made the write
-// visible — the report's Seq/SeqVector are valid read-your-writes
-// watermarks (see UpdateReport.Seq).
-func (s *Server) stamped(rep UpdateReport) UpdateReport {
-	if s.router != nil {
-		rep.SeqVector = s.router.Seqs()
-		rep.Seq = seqSum(rep.SeqVector)
-		return rep
-	}
-	rep.Seq = s.core.Seq()
-	return rep
-}
-
-// serveLen returns the live served relation length (merged for sharded).
-func (s *Server) serveLen() int {
-	if s.router != nil {
-		return s.router.Len()
-	}
-	_, rel := s.world()
-	return rel.Len()
+		return rt.AddAnnotations(ctx, batch)
+	})
 }
 
 // ShardServerStats is one shard's serving statistics inside ServerStats.
@@ -947,55 +741,14 @@ type ServerStats struct {
 
 // Stats returns current serving statistics.
 func (s *Server) Stats() ServerStats {
-	if s.router != nil {
-		st := s.router.Stats()
-		out := ServerStats{
-			SnapshotSeq:         seqSum(st.Seqs),
-			Tuples:              st.N,
-			RuleCount:           st.RuleCount,
-			Attachments:         st.Attachments,
-			DistinctAnnotations: st.DistinctAnnotations,
-			Requests:            st.Requests,
-			Batches:             st.Batches,
-			Coalesced:           st.Coalesced,
-			Reads:               st.Reads,
-			Shed:                st.Shed,
-			Latency:             writeLatencyStats(st.Latency),
-			Remines:             st.Remines,
-			Shards:              st.Shards,
-			SeqVector:           st.Seqs,
-		}
-		for _, ss := range st.PerShard {
-			out.RelVersion += ss.RelVersion
-			out.LiveRelVersion += ss.LiveRelVersion
-			out.PerShard = append(out.PerShard, ShardServerStats{
-				Shard:               ss.Shard,
-				SnapshotSeq:         ss.Seq,
-				Tuples:              ss.N,
-				RuleCount:           ss.RuleCount,
-				RelVersion:          ss.RelVersion,
-				LiveRelVersion:      ss.LiveRelVersion,
-				Attachments:         ss.Attachments,
-				DistinctAnnotations: ss.DistinctAnnotations,
-				Requests:            ss.Requests,
-				Batches:             ss.Batches,
-				Coalesced:           ss.Coalesced,
-				Reads:               ss.Reads,
-				Shed:                ss.Shed,
-				Remines:             ss.Engine.Remines,
-			})
-		}
-		return out
-	}
-	core, _ := s.world()
-	st := core.Stats()
-	return ServerStats{
+	r, _ := s.serving()
+	st := r.Stats()
+	rs := shapeSeq(st.Seqs)
+	out := ServerStats{
 		Replication:         s.Replication(),
-		SnapshotSeq:         st.Seq,
+		SnapshotSeq:         rs.Seq,
 		Tuples:              st.N,
 		RuleCount:           st.RuleCount,
-		RelVersion:          st.RelVersion,
-		LiveRelVersion:      st.LiveRelVersion,
 		Attachments:         st.Attachments,
 		DistinctAnnotations: st.DistinctAnnotations,
 		Requests:            st.Requests,
@@ -1004,6 +757,32 @@ func (s *Server) Stats() ServerStats {
 		Reads:               st.Reads,
 		Shed:                st.Shed,
 		Latency:             writeLatencyStats(st.Latency),
-		Remines:             st.Engine.Remines,
+		Remines:             st.Remines,
+		Shards:              publicShards(st.Shards),
+		SeqVector:           rs.Shards,
 	}
+	for _, ss := range st.PerShard {
+		out.RelVersion += ss.RelVersion
+		out.LiveRelVersion += ss.LiveRelVersion
+		if st.Shards == 1 {
+			continue // the totals above are the one shard's
+		}
+		out.PerShard = append(out.PerShard, ShardServerStats{
+			Shard:               ss.Shard,
+			SnapshotSeq:         ss.Seq,
+			Tuples:              ss.N,
+			RuleCount:           ss.RuleCount,
+			RelVersion:          ss.RelVersion,
+			LiveRelVersion:      ss.LiveRelVersion,
+			Attachments:         ss.Attachments,
+			DistinctAnnotations: ss.DistinctAnnotations,
+			Requests:            ss.Requests,
+			Batches:             ss.Batches,
+			Coalesced:           ss.Coalesced,
+			Reads:               ss.Reads,
+			Shed:                ss.Shed,
+			Remines:             ss.Engine.Remines,
+		})
+	}
+	return out
 }

@@ -60,107 +60,6 @@ func ruleKeys(rs []Rule) []string {
 	return out
 }
 
-// TestShardedServerMatchesUnsharded pins the facade-level equivalence: the
-// same dataset served with Shards 1 (unsharded core) and Shards 3 must
-// expose identical rules, recommendations, and attachment stats, before and
-// after a mixed write sequence.
-func TestShardedServerMatchesUnsharded(t *testing.T) {
-	plain, err := NewEngine(shardedFixture(t), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewServer(plain, ServeOptions{BatchWindow: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeServer(t, ref)
-
-	srv, err := NewShardedServer(shardedFixture(t), testOpts(), ServeOptions{BatchWindow: -1, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeServer(t, srv)
-
-	if !srv.Sharded() || srv.Shards() != 3 {
-		t.Fatalf("Sharded()=%v Shards()=%d, want true/3", srv.Sharded(), srv.Shards())
-	}
-	if srv.Dataset() != nil {
-		t.Error("sharded server exposed a live Dataset")
-	}
-
-	ctx := context.Background()
-	writes := func(s *Server) {
-		t.Helper()
-		if _, err := s.AddAnnotations(ctx, []AnnotationUpdate{
-			{Tuple: 5, Annotation: "Annot_q:1"},
-			{Tuple: 9, Annotation: "Annot_src:a"},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AddTuples(ctx, []TupleSpec{
-			{Values: []string{"28", "85"}, Annotations: []string{"Annot_q:1", "Annot_src:a"}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.RemoveAnnotations(ctx, []AnnotationUpdate{{Tuple: 0, Annotation: "Annot_q:5"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writes(ref)
-	writes(srv)
-
-	if got, want := ruleKeys(srv.Rules()), ruleKeys(ref.Rules()); !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded rules diverge:\ngot  %v\nwant %v", got, want)
-	}
-	refStats, st := ref.Stats(), srv.Stats()
-	if st.Tuples != refStats.Tuples || st.Attachments != refStats.Attachments || st.DistinctAnnotations != refStats.DistinctAnnotations {
-		t.Errorf("sharded stats diverge: got %+v want tuples/attach/distinct %d/%d/%d",
-			st, refStats.Tuples, refStats.Attachments, refStats.DistinctAnnotations)
-	}
-	if st.Shards != 3 || len(st.SeqVector) != 3 || len(st.PerShard) != 3 {
-		t.Errorf("sharded stats missing shard sections: %+v", st)
-	}
-	for idx := 0; idx < refStats.Tuples; idx++ {
-		want, _, err := ref.Recommend(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, seq, err := srv.RecommendAt(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq.Shards) != 3 {
-			t.Fatalf("RecommendAt returned %d-wide seq vector, want 3", len(seq.Shards))
-		}
-		if got, want := ruleKeysFromRecs(got), ruleKeysFromRecs(want); !reflect.DeepEqual(got, want) {
-			t.Errorf("tuple %d: sharded recommendations diverge:\ngot  %v\nwant %v", idx, got, want)
-		}
-	}
-
-	// Incoming-tuple trigger parity.
-	spec := TupleSpec{Values: []string{"28", "85"}}
-	want, err := ref.RecommendForTuple(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := srv.RecommendForTuple(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ruleKeysFromRecs(got), ruleKeysFromRecs(want)) {
-		t.Errorf("incoming recommendations diverge:\ngot  %v\nwant %v", got, want)
-	}
-}
-
-func ruleKeysFromRecs(recs []Recommendation) []string {
-	out := make([]string, len(recs))
-	for i, r := range recs {
-		out[i] = r.Annotation + "|" + r.Rule.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestNewServerShardsOption pins that ServeOptions.Shards on a plain engine
 // shards the serving state too (the engine is then disconnected).
 func TestNewServerShardsOption(t *testing.T) {
@@ -178,6 +77,57 @@ func TestNewServerShardsOption(t *testing.T) {
 	}
 	if len(srv.Rules()) == 0 {
 		t.Fatal("sharded server mined no rules")
+	}
+}
+
+// TestShardsZeroOrOneServesUnsharded pins the documented "0 or 1 serves
+// unsharded" for every constructor: the one-shard form reports scalar
+// sequences and no per-shard sections, whichever entry point built it.
+func TestShardsZeroOrOneServesUnsharded(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		eng, err := NewEngine(shardedFixture(t), testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaEngine, err := NewServer(eng, ServeOptions{BatchWindow: -1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeServer(t, viaEngine)
+		viaSharded, err := NewShardedServer(shardedFixture(t), testOpts(), ServeOptions{BatchWindow: -1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeServer(t, viaSharded)
+
+		for name, srv := range map[string]*Server{"NewServer": viaEngine, "NewShardedServer": viaSharded} {
+			if srv.Sharded() || srv.Shards() != 1 {
+				t.Errorf("%s Shards=%d: Sharded()=%v Shards()=%d, want false/1", name, shards, srv.Sharded(), srv.Shards())
+			}
+			if srv.Dataset() == nil {
+				t.Errorf("%s Shards=%d: unsharded server exposes no Dataset", name, shards)
+			}
+			rep, err := srv.AddAnnotations(context.Background(), []AnnotationUpdate{{Tuple: 5, Annotation: "Annot_q:1"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Seq == 0 || rep.SeqVector != nil {
+				t.Errorf("%s Shards=%d: write ack Seq=%d SeqVector=%v, want a scalar and no vector", name, shards, rep.Seq, rep.SeqVector)
+			}
+			_, rs, err := srv.RecommendAt(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Shards != nil || rs.Seq != rep.Seq {
+				t.Errorf("%s Shards=%d: ReadSeq = %+v, want scalar %d and no vector", name, shards, rs, rep.Seq)
+			}
+			if _, rs, err := srv.Correlate("Annot_q:1", 0, 0); err != nil || rs.Shards != nil {
+				t.Errorf("%s Shards=%d: Correlate ReadSeq = %+v (err %v), want no vector", name, shards, rs, err)
+			}
+			if st := srv.Stats(); st.Shards != 0 || st.SeqVector != nil || st.PerShard != nil || st.SnapshotSeq != rep.Seq {
+				t.Errorf("%s Shards=%d: stats carry shard sections: %+v", name, shards, st)
+			}
+		}
 	}
 }
 

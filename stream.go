@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"annotadb/internal/shard"
 	"annotadb/internal/stream"
 	"annotadb/internal/wal"
 )
@@ -297,34 +296,17 @@ func (s *Server) StreamStats() StreamStats {
 // snapshots; restart it to recover. Transports surface this as a degraded
 // health probe so load balancers stop routing writes here.
 func (s *Server) Health() error {
-	if s.router != nil {
-		if err := s.router.Err(); err != nil {
-			return err
-		}
-		if err := s.router.JournalErr(); err != nil {
-			return fmt.Errorf("annotadb: %w", err)
-		}
+	r, _ := s.serving()
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if s.core != nil {
-		if err := s.core.JournalErr(); err != nil {
-			return fmt.Errorf("annotadb: %w", err)
-		}
+	if err := r.JournalErr(); err != nil {
+		return fmt.Errorf("annotadb: %w", err)
 	}
 	if s.cluster != nil {
 		if err := s.cluster.Failed(); err != nil {
 			return fmt.Errorf("annotadb: durable store failed (restart to recover): %w", err)
 		}
 	}
-	if s.store != nil {
-		if err := s.store.Failed(); err != nil {
-			return fmt.Errorf("annotadb: durable store failed (restart to recover): %w", err)
-		}
-	}
 	return nil
-}
-
-// shardStreamConfig wires the shared broker into a sharded router config.
-func shardStreamConfig(cfg shard.Config, broker *stream.Broker) shard.Config {
-	cfg.Stream = broker
-	return cfg
 }
