@@ -247,8 +247,10 @@ func (o Options) internal() (mining.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// RuleKind names the two rule families of the paper.
-type RuleKind string
+// RuleKind names the two rule families of the paper. It is plain string —
+// the wire spelling in Rule.Kind and GET /rules?kind= — so a Rule encodes and
+// compares without conversion.
+type RuleKind = string
 
 const (
 	// DataToAnnotation rules have data values on the left-hand side.
@@ -257,51 +259,14 @@ const (
 	AnnotationToAnnotation RuleKind = "annotation-to-annotation"
 )
 
-// Rule is an association rule with string tokens and derived statistics.
-type Rule struct {
-	LHS        []string
-	RHS        string
-	Kind       RuleKind
-	Support    float64
-	Confidence float64
-	// Raw integer counts: PatternCount tuples contain LHS∪{RHS}, LHSCount
-	// contain LHS, out of N tuples.
-	PatternCount int
-	LHSCount     int
-	N            int
-}
-
-// String renders the Figure 7 output line.
-func (r Rule) String() string {
-	return fmt.Sprintf("%s -> %s (confidence: %.4f, support: %.4f)",
-		strings.Join(r.LHS, ", "), r.RHS, r.Confidence, r.Support)
-}
-
-func publicRule(r rules.Rule, dict *relation.Dictionary) Rule {
-	kind := DataToAnnotation
-	if r.Kind() == rules.AnnotationToAnnotation {
-		kind = AnnotationToAnnotation
-	}
-	return Rule{
-		LHS:          dict.Tokens(r.LHS),
-		RHS:          dict.Token(r.RHS),
-		Kind:         kind,
-		Support:      r.Support(),
-		Confidence:   r.Confidence(),
-		PatternCount: r.PatternCount,
-		LHSCount:     r.LHSCount,
-		N:            r.N,
-	}
-}
-
-func publicRules(set *rules.Set, dict *relation.Dictionary) []Rule {
-	sorted := set.Sorted()
-	out := make([]Rule, len(sorted))
-	for i, r := range sorted {
-		out[i] = publicRule(r, dict)
-	}
-	return out
-}
+// Rule is an association rule with string tokens and derived statistics:
+// LHS (tokens) and RHS (token), Kind (DataToAnnotation or
+// AnnotationToAnnotation), the derived Support and Confidence, and the raw
+// integer counts they derive from — PatternCount tuples contain LHS∪{RHS},
+// LHSCount contain LHS, out of N tuples. String renders the Figure 7 output
+// line. The type carries its wire JSON tags: GET /rules and the rule inside
+// a /recommend entry are this struct encoded as is.
+type Rule = rules.TokenRule
 
 // Mine runs a one-shot mining pass and returns the valid rules, ordered
 // deterministically (data-to-annotation first, then lexicographically).
@@ -314,7 +279,7 @@ func Mine(d *Dataset, opts Options) ([]Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return publicRules(res.Rules, d.rel.Dictionary()), nil
+	return rules.RenderAll(d.rel.Dictionary(), res.Rules.Sorted()), nil
 }
 
 // WriteRules writes rules in the paper's Figure 7 output format.
@@ -330,30 +295,30 @@ func WriteRules(w io.Writer, rs []Rule, minSupport, minConfidence float64) error
 	return nil
 }
 
-// AnnotationUpdate attaches Annotation to the tuple at zero-based position
-// Tuple (the programmatic form of a Figure 14 batch line).
-type AnnotationUpdate struct {
-	Tuple      int
-	Annotation string
-}
+// AnnotationUpdate attaches Annotation (a token) to the tuple at zero-based
+// position Tuple — the programmatic form of a Figure 14 batch line. The same
+// struct is the element of a POST /annotations body and of a write-ahead log
+// record, so a batch travels from the API to the log without being copied.
+type AnnotationUpdate = relation.TokenUpdate
 
-// UpdateReport summarizes one incremental maintenance operation.
+// UpdateReport summarizes one incremental maintenance operation. Its JSON
+// form is the body of a successful POST /annotations or POST /tuples.
 type UpdateReport struct {
 	// Operation names the update case that ran.
-	Operation string
+	Operation string `json:"operation"`
 	// Applied counts tuples appended or annotations attached; Skipped
 	// counts duplicate annotation attachments ignored.
-	Applied int
-	Skipped int
+	Applied int `json:"applied"`
+	Skipped int `json:"skipped"`
 	// Rule churn caused by the update.
-	Promoted   int
-	Demoted    int
-	Discovered int
-	Dropped    int
+	Promoted   int `json:"promoted"`
+	Demoted    int `json:"demoted"`
+	Discovered int `json:"discovered"`
+	Dropped    int `json:"dropped"`
 	// Remined records that the engine fell back to a full re-mine.
-	Remined bool
+	Remined bool `json:"remined"`
 	// DurationSeconds is the wall time of the maintenance work.
-	DurationSeconds float64
+	DurationSeconds float64 `json:"duration_seconds"`
 	// Seq is the snapshot sequence current when a Server acknowledged the
 	// write (zero for direct Engine operations, which have no snapshot
 	// machinery). Because a serving writer publishes the new snapshot
@@ -362,13 +327,13 @@ type UpdateReport struct {
 	// been acked and compares it against the seq reported by /recommend
 	// gets read-your-writes. Seq restarts from one when a durable server
 	// reopens.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// SeqVector is the per-shard equivalent of Seq on sharded servers
 	// (nil otherwise): component i was read from shard i after the ack,
 	// so a read whose seq_vector dominates it observes the write. Seq is
 	// then the vector's sum — monotone, so still usable as a scalar
 	// staleness bound.
-	SeqVector []uint64
+	SeqVector []uint64 `json:"seq_vector,omitempty"`
 }
 
 func publicReport(r *incremental.Report) UpdateReport {
@@ -385,11 +350,11 @@ func publicReport(r *incremental.Report) UpdateReport {
 	}
 }
 
-// TupleSpec is a tuple to insert: data value tokens plus annotation tokens.
-type TupleSpec struct {
-	Values      []string
-	Annotations []string
-}
+// TupleSpec is a tuple to insert: Values (data value tokens) plus
+// Annotations (annotation tokens). Like AnnotationUpdate it is the one tuple
+// type from the API to the write-ahead log, and the element of a POST
+// /tuples body.
+type TupleSpec = relation.TokenTuple
 
 // Engine maintains the rule set of a dataset incrementally. After an Engine
 // is created, route all dataset mutations through it; mutating the Dataset
@@ -444,7 +409,7 @@ func (e *Engine) Rules() []Rule {
 	if e.eng == nil {
 		return nil
 	}
-	return publicRules(e.eng.Rules(), e.ds.rel.Dictionary())
+	return rules.RenderAll(e.ds.rel.Dictionary(), e.eng.Rules().Sorted())
 }
 
 // Candidates returns the near-miss candidate store (rules slightly below
@@ -453,7 +418,7 @@ func (e *Engine) Candidates() []Rule {
 	if e.eng == nil {
 		return nil
 	}
-	return publicRules(e.eng.Candidates(), e.ds.rel.Dictionary())
+	return rules.RenderAll(e.ds.rel.Dictionary(), e.eng.Candidates().Sorted())
 }
 
 // AddTuples appends a batch of tuples, choosing the paper's Case 1 path
@@ -663,23 +628,12 @@ func (e *Engine) ApplyGeneralizations(gens []Generalization) (*GeneralizationRep
 	return out, nil
 }
 
-// Recommendation proposes attaching Annotation to the tuple at zero-based
-// position Tuple (-1 for a tuple not yet inserted), justified by Rule.
-type Recommendation struct {
-	Tuple      int
-	Annotation string
-	Rule       Rule
-}
-
-// String renders the recommendation for curators, with the supporting
-// rule's properties as the paper's Figure 17 prescribes.
-func (r Recommendation) String() string {
-	target := "incoming tuple"
-	if r.Tuple >= 0 {
-		target = fmt.Sprintf("tuple %d", r.Tuple+1)
-	}
-	return fmt.Sprintf("%s: add %s  [because %s]", target, r.Annotation, r.Rule)
-}
+// Recommendation proposes attaching Annotation (a token) to the tuple at
+// zero-based position Tuple (-1 for a tuple not yet inserted), justified by
+// Rule. String renders it for curators, with the supporting rule's
+// properties as the paper's Figure 17 prescribes. The type carries its wire
+// JSON tags: a GET /recommend entry is this struct encoded as is.
+type Recommendation = predict.TokenRecommendation
 
 // RecommendOptions filter recommendation output.
 type RecommendOptions struct {
@@ -702,18 +656,6 @@ func (o RecommendOptions) internal() predict.Options {
 	}
 }
 
-func publicRecommendations(recs []predict.Recommendation, dict *relation.Dictionary) []Recommendation {
-	out := make([]Recommendation, len(recs))
-	for i, r := range recs {
-		out[i] = Recommendation{
-			Tuple:      r.TupleIndex,
-			Annotation: dict.Token(r.Annotation),
-			Rule:       publicRule(r.Rule, dict),
-		}
-	}
-	return out
-}
-
 // RecommendAll scans the whole dataset for missing annotations (§5 case 1).
 // Nil for a sharded engine.
 func (e *Engine) RecommendAll(opts RecommendOptions) []Recommendation {
@@ -721,7 +663,7 @@ func (e *Engine) RecommendAll(opts RecommendOptions) []Recommendation {
 		return nil
 	}
 	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	return publicRecommendations(rc.ScanAll(), e.ds.rel.Dictionary())
+	return predict.Render(e.ds.rel.Dictionary(), rc.ScanAll())
 }
 
 // RecommendRange scans tuple positions [start, end). Nil for a sharded
@@ -731,7 +673,7 @@ func (e *Engine) RecommendRange(start, end int, opts RecommendOptions) []Recomme
 		return nil
 	}
 	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	return publicRecommendations(rc.ScanRange(start, end), e.ds.rel.Dictionary())
+	return predict.Render(e.ds.rel.Dictionary(), rc.ScanRange(start, end))
 }
 
 // RecommendForTuple evaluates a tuple before insertion (§5 case 2, the
@@ -745,7 +687,7 @@ func (e *Engine) RecommendForTuple(spec TupleSpec, opts RecommendOptions) ([]Rec
 		return nil, err
 	}
 	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	return publicRecommendations(rc.ForTuple(tu), e.ds.rel.Dictionary()), nil
+	return predict.Render(e.ds.rel.Dictionary(), rc.ForTuple(tu)), nil
 }
 
 // AddTuplesWithTrigger appends a batch and immediately returns trigger
@@ -763,7 +705,7 @@ func (e *Engine) AddTuplesWithTrigger(batch []TupleSpec, opts RecommendOptions) 
 		return UpdateReport{}, nil, err
 	}
 	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	recs := publicRecommendations(rc.OnInsert(start), e.ds.rel.Dictionary())
+	recs := predict.Render(e.ds.rel.Dictionary(), rc.OnInsert(start))
 	return rep, recs, nil
 }
 

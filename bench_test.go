@@ -1,10 +1,9 @@
 // Microbenchmarks regenerating the paper's evaluation, one benchmark (or
 // sub-benchmark family) per table/figure. The table-shaped counterparts live
-// in internal/bench and are rendered by cmd/annotbench; EXPERIMENTS.md maps
-// each paper artifact to both. Figures 3, 12, and 13 are algorithms (their
-// reproduction is the implementation plus its equivalence tests), and
-// Figure 11 is a direction matrix checked by property tests and experiment
-// E6, so they have no timing benchmark here.
+// in internal/bench and are rendered by cmd/annotbench. Figures 3, 12, and 13
+// are algorithms (their reproduction is the implementation plus its
+// equivalence tests), and Figure 11 is a direction matrix checked by property
+// tests and experiment E6, so they have no timing benchmark here.
 package annotadb
 
 import (

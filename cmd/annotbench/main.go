@@ -1,6 +1,6 @@
 // Command annotbench regenerates the paper's evaluation: every figure and
-// results section has a corresponding experiment (E1–E10, see DESIGN.md §3)
-// whose table it prints. EXPERIMENTS.md records a captured run.
+// results section has a corresponding experiment (E1–E10, plus E11 for the
+// §6 removal extension) whose table it prints.
 //
 // Usage:
 //

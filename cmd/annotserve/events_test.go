@@ -270,7 +270,7 @@ func TestEventsSSEStreamsChurnAndResumes(t *testing.T) {
 	if first.data.Seq == 0 {
 		t.Errorf("event carries no generation seq: %+v", first)
 	}
-	if first.event != first.data.Kind {
+	if first.event != string(first.data.Kind) {
 		t.Errorf("SSE event field %q != data kind %q", first.event, first.data.Kind)
 	}
 

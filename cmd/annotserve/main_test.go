@@ -593,7 +593,7 @@ func TestDurableRestartRecoversWithoutRemine(t *testing.T) {
 // TestStructuredErrorSchema pins the {"error":{"code","message"}} error
 // contract across endpoints and status classes.
 func TestStructuredErrorSchema(t *testing.T) {
-	ts, _ := newTestAPI(t)
+	ts, srv := newTestAPI(t)
 	type errBody struct {
 		Error struct {
 			Code    string `json:"code"`
@@ -636,6 +636,26 @@ func TestStructuredErrorSchema(t *testing.T) {
 			code:   "invalid_argument",
 		},
 		{
+			// A misspelled key must not decode to the zero value and attach
+			// the annotation to tuple 0.
+			name: "annotations unknown key",
+			do: func() (*http.Response, error) {
+				return http.Post(ts.URL+"/annotations", "application/json",
+					strings.NewReader(`{"updates":[{"tupel":7,"annotation":"Annot_9"}]}`))
+			},
+			status: http.StatusBadRequest,
+			code:   "invalid_argument",
+		},
+		{
+			name: "tuples unknown key",
+			do: func() (*http.Response, error) {
+				return http.Post(ts.URL+"/tuples", "application/json",
+					strings.NewReader(`{"tuples":[{"value":["28"],"annotations":["Annot_9"]}]}`))
+			},
+			status: http.StatusBadRequest,
+			code:   "invalid_argument",
+		},
+		{
 			name: "oversized body",
 			do: func() (*http.Response, error) {
 				return http.Post(ts.URL+"/tuples", "application/json",
@@ -666,6 +686,9 @@ func TestStructuredErrorSchema(t *testing.T) {
 				t.Error("error.message is empty")
 			}
 		})
+	}
+	if n := srv.Dataset().AnnotationFrequency("Annot_9"); n != 0 {
+		t.Errorf("rejected writes attached Annot_9 to %d tuples", n)
 	}
 }
 

@@ -30,36 +30,26 @@ type CorrelateOptions struct {
 	AnomalyThreshold float64
 }
 
-// CorrelateResult is one ranked candidate of an anchor query.
-type CorrelateResult struct {
-	// Token is the candidate annotation; Family its annotation family.
-	Token  string
-	Family string
-	// Count is the anchor∧candidate co-occurrence count and Frequency the
-	// candidate's own occurrence count, both in the answering generation.
-	Count     int
-	Frequency int
-	// Confidence is Count over the anchor's count; Lift the observed-over-
-	// expected co-occurrence ratio (> 1 means positive association).
-	Confidence float64
-	Lift       float64
-	// ChiSquare and PValue are the independence-test statistics (one
-	// degree of freedom) behind the significance filter.
-	ChiSquare float64
-	PValue    float64
-}
+// CorrelateResult is one ranked candidate of an anchor query: Token is the
+// candidate annotation and Family its annotation family; Count is the
+// anchor∧candidate co-occurrence count and Frequency the candidate's own
+// occurrence count, both in the answering generation; Confidence is Count
+// over the anchor's count and Lift the observed-over-expected co-occurrence
+// ratio (> 1 means positive association); ChiSquare and PValue are the
+// independence-test statistics (one degree of freedom) behind the
+// significance filter. A degenerate 2×2 table (the anchor or the candidate
+// covers every tuple) reports ChiSquare as math.MaxFloat64 — finite, so the
+// struct encodes to JSON as is, and beyond any cutoff. A GET /correlate
+// result entry is this struct encoded by its own JSON tags.
+type CorrelateResult = correlate.Result
 
-// CorrelateAnswer is the result of one anchor query.
-type CorrelateAnswer struct {
-	// Anchor echoes the anchor token; AnchorCount is its occurrence count
-	// in the answering generation; N the generation's tuple count.
-	Anchor      string
-	AnchorCount int
-	N           int
-	// Results are the significance-filtered top-K candidates, ranked by
-	// confidence then lift (descending), token ascending on ties.
-	Results []CorrelateResult
-}
+// CorrelateAnswer is the result of one anchor query: Anchor echoes the
+// anchor token, AnchorCount is its occurrence count in the answering
+// generation and N the generation's tuple count; Results are the
+// significance-filtered top-K candidates, ranked by confidence then lift
+// (descending), token ascending on ties — empty, never nil, when nothing
+// passes.
+type CorrelateAnswer = correlate.Answer
 
 // Correlate answers an anchor query: the top-k annotations most strongly
 // associated with the anchor token (an annotation or a data value), ranked
@@ -87,10 +77,7 @@ func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnsw
 	}
 	rs := s.readSeq(shard.Seqs(snaps), mark)
 	ans, err := correlate.TopKMerged(idxs, q)
-	if err != nil {
-		return CorrelateAnswer{}, rs, err
-	}
-	return publicAnswer(ans), rs, nil
+	return ans, rs, err
 }
 
 // correlateIndex returns the snapshot's cached correlate index, building it
@@ -103,28 +90,6 @@ func (s *Server) correlateIndex(snap *serve.Snapshot) *correlate.Index {
 		s.correlateHits.Add(1)
 	}
 	return idx
-}
-
-func publicAnswer(a correlate.Answer) CorrelateAnswer {
-	out := CorrelateAnswer{
-		Anchor:      a.Anchor,
-		AnchorCount: a.AnchorCount,
-		N:           a.N,
-		Results:     make([]CorrelateResult, len(a.Results)),
-	}
-	for i, r := range a.Results {
-		out.Results[i] = CorrelateResult{
-			Token:      r.Token,
-			Family:     r.Family,
-			Count:      r.Count,
-			Frequency:  r.Frequency,
-			Confidence: r.Confidence,
-			Lift:       r.Lift,
-			ChiSquare:  r.ChiSquare,
-			PValue:     r.PValue,
-		}
-	}
-	return out
 }
 
 // CorrelateStats reports the correlation subsystem's activity.

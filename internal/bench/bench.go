@@ -1,13 +1,13 @@
 // Package bench defines the experiment harness that regenerates the paper's
-// evaluation artifacts (DESIGN.md §3, experiments E1–E10, plus E11 for the paper's §6 removal extension). Each experiment
-// produces a table in the shape of the corresponding paper figure; absolute
-// timings differ from the paper's 2015 Java implementation, but the
-// comparisons — who wins, by what factor, where growth explodes — are the
-// reproduction targets.
+// evaluation artifacts (experiments E1–E10, plus E11 for the paper's §6
+// removal extension). Each experiment produces a table in the shape of the
+// corresponding paper figure; absolute timings differ from the paper's 2015
+// Java implementation, but the comparisons — who wins, by what factor, where
+// growth explodes — are the reproduction targets.
 //
-// The harness is used by cmd/annotbench (pretty tables, EXPERIMENTS.md) and
-// smoke-tested in-package; the matching testing.B microbenchmarks live in
-// the repository root's bench_test.go.
+// The harness is used by cmd/annotbench (pretty tables) and smoke-tested
+// in-package; the matching testing.B microbenchmarks live in the repository
+// root's bench_test.go.
 package bench
 
 import (

@@ -96,7 +96,7 @@ func ParseQuery(anchor, k, minLift string) (Query, error) {
 // Result is one ranked candidate annotation.
 type Result struct {
 	// Token is the candidate annotation's dictionary token; Family its
-	// annotation family (the prefix before the first ":").
+	// annotation family (relation.FamilyOf).
 	Token  string `json:"token"`
 	Family string `json:"family"`
 	// Count is the anchor∧candidate co-occurrence count; Frequency the
@@ -196,8 +196,11 @@ func score(co, freqA, freqC, n int) (confidence, lift, chi2, p float64) {
 	if denom <= 0 {
 		// A degenerate margin (anchor or candidate in every tuple, or in
 		// none) carries no independence information; treat it as maximally
-		// dependent so ubiquity alone never hides a perfect association.
-		chi2 = math.Inf(1)
+		// dependent so ubiquity alone never hides a perfect association. The
+		// statistic is the largest finite float rather than +Inf, which JSON
+		// cannot carry: a Result encodes as it is, and the value is still
+		// unmistakably beyond any cutoff.
+		chi2 = math.MaxFloat64
 		p = 0
 		return
 	}
@@ -207,11 +210,12 @@ func score(co, freqA, freqC, n int) (confidence, lift, chi2, p float64) {
 }
 
 // rank sorts results by confidence descending, lift descending, token
-// ascending, and truncates to k. An empty answer is always nil, whatever
-// the caller accumulated into, so answers compare with reflect.DeepEqual.
+// ascending, and truncates to k. An empty answer is always the empty
+// non-nil slice, whatever the caller accumulated into, so answers compare
+// with reflect.DeepEqual and encode as [] rather than null.
 func rank(results []Result, k int) []Result {
 	if len(results) == 0 {
-		return nil
+		return []Result{}
 	}
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Confidence != results[j].Confidence {
@@ -272,7 +276,7 @@ func scoreCandidate(token string, co, freqA, freqC, n int, minLift float64) []Re
 	}
 	return []Result{{
 		Token:      token,
-		Family:     familyOf(token),
+		Family:     relation.FamilyOf(token),
 		Count:      co,
 		Frequency:  freqC,
 		Confidence: confidence,
@@ -280,17 +284,6 @@ func scoreCandidate(token string, co, freqA, freqC, n int, minLift float64) []Re
 		ChiSquare:  chi2,
 		PValue:     p,
 	}}
-}
-
-// familyOf extracts the annotation family from a token: the prefix before
-// the first ":", or the whole token (the stream package's placement rule).
-func familyOf(token string) string {
-	for i := 0; i < len(token); i++ {
-		if token[i] == ':' {
-			return token[:i]
-		}
-	}
-	return token
 }
 
 // clampBelow returns the prefix of ascending positions strictly below n.

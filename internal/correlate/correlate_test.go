@@ -219,7 +219,7 @@ func shardedFixture(t *testing.T) (merged *relation.View, shards []*Index) {
 		annots := make([][]string, len(rels))
 		for _, a := range tu.Annots {
 			token := dict.Token(a)
-			s := famShard[familyOf(token)]
+			s := famShard[relation.FamilyOf(token)]
 			annots[s] = append(annots[s], token)
 		}
 		for s, rel := range rels {

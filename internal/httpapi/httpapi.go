@@ -148,74 +148,45 @@ func NewWithOptions(srv *annotadb.Server, streamCtx context.Context, opts Option
 	return mux
 }
 
-// RuleJSON is the wire form of one rule, as it appears in /rules,
-// /recommend, and event payloads.
-type RuleJSON struct {
-	LHS          []string `json:"lhs"`
-	RHS          string   `json:"rhs"`
-	Kind         string   `json:"kind"`
-	Support      float64  `json:"support"`
-	Confidence   float64  `json:"confidence"`
-	PatternCount int      `json:"pattern_count"`
-	LHSCount     int      `json:"lhs_count"`
-	N            int      `json:"n"`
-}
+// The wire forms of the token-form types are the types themselves: each is
+// declared once, with its JSON tags, in the package that produces it, and
+// the handlers encode what the facade returned. The names below remain for
+// callers that decode responses.
 
-func toRuleJSON(r annotadb.Rule) RuleJSON {
-	return RuleJSON{
-		LHS:          r.LHS,
-		RHS:          r.RHS,
-		Kind:         string(r.Kind),
-		Support:      r.Support,
-		Confidence:   r.Confidence,
-		PatternCount: r.PatternCount,
-		LHSCount:     r.LHSCount,
-		N:            r.N,
-	}
-}
+// RuleJSON is the wire form of one rule, as it appears in /rules and
+// /recommend: annotadb.Rule, with fields LHS, RHS, Kind, Support,
+// Confidence, PatternCount, LHSCount, N.
+type RuleJSON = annotadb.Rule
 
 // RecommendationJSON is the wire form of one missing-annotation
-// recommendation in the /recommend response.
-type RecommendationJSON struct {
-	Tuple      int      `json:"tuple"`
-	Annotation string   `json:"annotation"`
-	Rule       RuleJSON `json:"rule"`
-}
+// recommendation in the /recommend response: annotadb.Recommendation, with
+// fields Tuple, Annotation, Rule.
+type RecommendationJSON = annotadb.Recommendation
 
 // ReportJSON is the wire form of an update report — the body of a
-// successful POST /annotations or POST /tuples. Seq is the snapshot
-// sequence current when the write was acknowledged: because updates
-// publish before they ack, every read at or after Seq observes this write
-// (SeqVector is the per-shard equivalent on sharded servers).
-type ReportJSON struct {
-	Operation       string   `json:"operation"`
-	Applied         int      `json:"applied"`
-	Skipped         int      `json:"skipped"`
-	Promoted        int      `json:"promoted"`
-	Demoted         int      `json:"demoted"`
-	Discovered      int      `json:"discovered"`
-	Dropped         int      `json:"dropped"`
-	Remined         bool     `json:"remined"`
-	DurationSeconds float64  `json:"duration_seconds"`
-	Seq             uint64   `json:"seq"`
-	SeqVector       []uint64 `json:"seq_vector,omitempty"`
-}
+// successful POST /annotations or POST /tuples: annotadb.UpdateReport, with
+// fields Operation, Applied, Skipped, Promoted, Demoted, Discovered,
+// Dropped, Remined, DurationSeconds, Seq, SeqVector. Seq is the snapshot
+// sequence current when the write was acknowledged: because updates publish
+// before they ack, every read at or after Seq observes this write (SeqVector
+// is the per-shard equivalent on sharded servers).
+type ReportJSON = annotadb.UpdateReport
 
-func toReportJSON(r annotadb.UpdateReport) ReportJSON {
-	return ReportJSON{
-		Operation:       r.Operation,
-		Applied:         r.Applied,
-		Skipped:         r.Skipped,
-		Promoted:        r.Promoted,
-		Demoted:         r.Demoted,
-		Discovered:      r.Discovered,
-		Dropped:         r.Dropped,
-		Remined:         r.Remined,
-		DurationSeconds: r.DurationSeconds,
-		Seq:             r.Seq,
-		SeqVector:       r.SeqVector,
-	}
-}
+// CorrelateResultJSON is the wire form of one ranked candidate in the
+// /correlate response: annotadb.CorrelateResult, with fields Token, Family,
+// Count, Frequency, Confidence, Lift, ChiSquare, PValue.
+type CorrelateResultJSON = annotadb.CorrelateResult
+
+// EventCountsJSON is the wire form of one side of a rule's count change:
+// annotadb.RuleCounts, with fields PatternCount, LHSCount, N, Support,
+// Confidence.
+type EventCountsJSON = annotadb.RuleCounts
+
+// EventJSON is the wire form of one churn event (the SSE data: payload):
+// annotadb.Event, with fields Cursor, Seq, SeqVector, Shard, Kind, Tier,
+// Family, LHS, RHS, Old, New, From, To and the churn_anomaly payload
+// WindowMillis, Count, Baseline, Related.
+type EventJSON = annotadb.Event
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -359,14 +330,16 @@ func (a *api) rules(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rules := a.srv.Rules()
+	// rules is the facade's per-generation cached slice, shared with every
+	// concurrent reader: re-slice or copy it, never sort or write into it.
 	if kind := r.URL.Query().Get("kind"); kind != "" {
-		if kind != string(annotadb.DataToAnnotation) && kind != string(annotadb.AnnotationToAnnotation) {
+		if kind != annotadb.DataToAnnotation && kind != annotadb.AnnotationToAnnotation {
 			writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Errorf("unknown kind %q", kind))
 			return
 		}
 		filtered := rules[:0:0]
 		for _, rl := range rules {
-			if string(rl.Kind) == kind {
+			if rl.Kind == kind {
 				filtered = append(filtered, rl)
 			}
 		}
@@ -382,11 +355,7 @@ func (a *api) rules(w http.ResponseWriter, r *http.Request) {
 			rules = rules[:limit]
 		}
 	}
-	out := make([]RuleJSON, len(rules))
-	for i, rl := range rules {
-		out[i] = toRuleJSON(rl)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(out), "rules": out})
+	writeJSON(w, http.StatusOK, map[string]any{"count": len(rules), "rules": rules})
 }
 
 func (a *api) recommend(w http.ResponseWriter, r *http.Request) {
@@ -416,15 +385,7 @@ func (a *api) recommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, err)
 		return
 	}
-	out := make([]RecommendationJSON, len(recs))
-	for i, rec := range recs {
-		out[i] = RecommendationJSON{
-			Tuple:      rec.Tuple,
-			Annotation: rec.Annotation,
-			Rule:       toRuleJSON(rec.Rule),
-		}
-	}
-	body := map[string]any{"tuple": idx, "seq": seq.Seq, "count": len(out), "recommendations": out}
+	body := map[string]any{"tuple": idx, "seq": seq.Seq, "count": len(recs), "recommendations": recs}
 	if seq.Shards != nil {
 		// Sharded: the per-shard snapshot sequence vector the answer was
 		// assembled from.
@@ -471,19 +432,6 @@ func (a *api) seqBarrier(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// CorrelateResultJSON is the wire form of one ranked candidate in the
-// /correlate response.
-type CorrelateResultJSON struct {
-	Token      string  `json:"token"`
-	Family     string  `json:"family"`
-	Count      int     `json:"count"`
-	Frequency  int     `json:"frequency"`
-	Confidence float64 `json:"confidence"`
-	Lift       float64 `json:"lift"`
-	ChiSquare  float64 `json:"chi_square"`
-	PValue     float64 `json:"p_value"`
-}
-
 // correlate answers an anchor query: the top-K annotations most strongly
 // associated with ?anchor=, ranked by confidence then lift and filtered by
 // the chi-square significance test (?k= and ?min_lift= tune the cut). The
@@ -513,27 +461,6 @@ func (a *api) correlate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err)
 		return
 	}
-	out := make([]CorrelateResultJSON, len(ans.Results))
-	for i, res := range ans.Results {
-		chi2 := res.ChiSquare
-		if math.IsInf(chi2, 1) {
-			// A degenerate 2×2 table (a zero margin: the anchor or the
-			// candidate covers every tuple) makes the statistic +Inf, which
-			// JSON cannot carry; the wire reports the largest finite float —
-			// still unmistakably beyond any cutoff.
-			chi2 = math.MaxFloat64
-		}
-		out[i] = CorrelateResultJSON{
-			Token:      res.Token,
-			Family:     res.Family,
-			Count:      res.Count,
-			Frequency:  res.Frequency,
-			Confidence: res.Confidence,
-			Lift:       res.Lift,
-			ChiSquare:  chi2,
-			PValue:     res.PValue,
-		}
-	}
 	body := map[string]any{
 		"anchor":       ans.Anchor,
 		"anchor_count": ans.AnchorCount,
@@ -541,8 +468,8 @@ func (a *api) correlate(w http.ResponseWriter, r *http.Request) {
 		"k":            cq.K,
 		"min_lift":     cq.MinLift,
 		"seq":          seq.Seq,
-		"count":        len(out),
-		"results":      out,
+		"count":        len(ans.Results),
+		"results":      ans.Results,
 	}
 	if seq.Shards != nil {
 		body["seq_vector"] = seq.Shards
@@ -550,12 +477,18 @@ func (a *api) correlate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// decodeBody decodes a JSON write body into req. Unknown keys are rejected:
+// a misspelled field would otherwise decode to its zero value and be applied
+// (an update of tuple 0) and acknowledged.
+func decodeBody(r *http.Request, req any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(req)
+}
+
 type annotationsRequest struct {
-	Updates []struct {
-		Tuple      int    `json:"tuple"`
-		Annotation string `json:"annotation"`
-	} `json:"updates"`
-	Remove bool `json:"remove"`
+	Updates []annotadb.AnnotationUpdate `json:"updates"`
+	Remove  bool                        `json:"remove"`
 }
 
 func (a *api) annotations(w http.ResponseWriter, r *http.Request) {
@@ -571,51 +504,40 @@ func (a *api) annotations(w http.ResponseWriter, r *http.Request) {
 		rep, err = a.srv.ApplyUpdateFile(r.Context(), r.Body)
 	default:
 		var req annotationsRequest
-		if derr := json.NewDecoder(r.Body).Decode(&req); derr != nil {
+		if derr := decodeBody(r, &req); derr != nil {
 			writeBodyError(w, derr)
 			return
 		}
-		batch := make([]annotadb.AnnotationUpdate, len(req.Updates))
-		for i, u := range req.Updates {
-			batch[i] = annotadb.AnnotationUpdate{Tuple: u.Tuple, Annotation: u.Annotation}
-		}
 		if req.Remove {
-			rep, err = a.srv.RemoveAnnotations(r.Context(), batch)
+			rep, err = a.srv.RemoveAnnotations(r.Context(), req.Updates)
 		} else {
-			rep, err = a.srv.AddAnnotations(r.Context(), batch)
+			rep, err = a.srv.AddAnnotations(r.Context(), req.Updates)
 		}
 	}
 	if err != nil {
 		a.writeUpdateError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toReportJSON(rep))
+	writeJSON(w, http.StatusOK, rep)
 }
 
 type tuplesRequest struct {
-	Tuples []struct {
-		Values      []string `json:"values"`
-		Annotations []string `json:"annotations"`
-	} `json:"tuples"`
+	Tuples []annotadb.TupleSpec `json:"tuples"`
 }
 
 func (a *api) tuples(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req tuplesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	batch := make([]annotadb.TupleSpec, len(req.Tuples))
-	for i, t := range req.Tuples {
-		batch[i] = annotadb.TupleSpec{Values: t.Values, Annotations: t.Annotations}
-	}
-	rep, err := a.srv.AddTuples(r.Context(), batch)
+	rep, err := a.srv.AddTuples(r.Context(), req.Tuples)
 	if err != nil {
 		a.writeUpdateError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toReportJSON(rep))
+	writeJSON(w, http.StatusOK, rep)
 }
 
 func (a *api) stats(w http.ResponseWriter, r *http.Request) {
@@ -884,75 +806,6 @@ func (a *api) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// EventCountsJSON is the wire form of one side of a rule's count change.
-type EventCountsJSON struct {
-	PatternCount int     `json:"pattern_count"`
-	LHSCount     int     `json:"lhs_count"`
-	N            int     `json:"n"`
-	Support      float64 `json:"support"`
-	Confidence   float64 `json:"confidence"`
-}
-
-// EventJSON is the wire form of one churn event (the SSE data: payload).
-type EventJSON struct {
-	Cursor    uint64           `json:"cursor,omitempty"`
-	Seq       uint64           `json:"seq,omitempty"`
-	SeqVector []uint64         `json:"seq_vector,omitempty"`
-	Shard     int              `json:"shard"`
-	Kind      string           `json:"kind"`
-	Tier      string           `json:"tier,omitempty"`
-	Family    string           `json:"family,omitempty"`
-	LHS       []string         `json:"lhs,omitempty"`
-	RHS       string           `json:"rhs,omitempty"`
-	Old       *EventCountsJSON `json:"old,omitempty"`
-	New       *EventCountsJSON `json:"new,omitempty"`
-	From      uint64           `json:"from,omitempty"`
-	To        uint64           `json:"to,omitempty"`
-	// churn_anomaly payload: the detection window, the spiking family's
-	// churn count in it, the EWMA baseline it beat, and the co-churned
-	// families of the same window.
-	WindowMillis int64    `json:"window_ms,omitempty"`
-	Count        uint64   `json:"count,omitempty"`
-	Baseline     float64  `json:"baseline,omitempty"`
-	Related      []string `json:"related,omitempty"`
-}
-
-func toEventCountsJSON(c *annotadb.RuleCounts) *EventCountsJSON {
-	if c == nil {
-		return nil
-	}
-	return &EventCountsJSON{
-		PatternCount: c.PatternCount,
-		LHSCount:     c.LHSCount,
-		N:            c.N,
-		Support:      c.Support,
-		Confidence:   c.Confidence,
-	}
-}
-
-func toEventJSON(ev annotadb.Event) EventJSON {
-	return EventJSON{
-		Cursor:    ev.Cursor,
-		Seq:       ev.Seq,
-		SeqVector: ev.SeqVector,
-		Shard:     ev.Shard,
-		Kind:      ev.Kind,
-		Tier:      ev.Tier,
-		Family:    ev.Family,
-		LHS:       ev.LHS,
-		RHS:       ev.RHS,
-		Old:       toEventCountsJSON(ev.Old),
-		New:       toEventCountsJSON(ev.New),
-		From:      ev.From,
-		To:        ev.To,
-
-		WindowMillis: ev.WindowMillis,
-		Count:        ev.Count,
-		Baseline:     ev.Baseline,
-		Related:      ev.Related,
-	}
-}
-
 // events streams rule churn as Server-Sent Events. Resume: pass the last
 // cursor seen as the Last-Event-ID header (the standard SSE reconnect
 // behavior — every non-gap event carries id: <cursor>) or as ?from=C to
@@ -1012,7 +865,7 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	for ev := range ch {
-		data, err := json.Marshal(toEventJSON(ev))
+		data, err := json.Marshal(ev)
 		if err != nil {
 			return
 		}

@@ -602,15 +602,7 @@ func (st *runState) doCorrelate(ctx context.Context, w *worker) {
 // doAnnotations posts one annotation batch.
 func (st *runState) doAnnotations(ctx context.Context, w *worker) {
 	batch := w.stream.Annotations(st.sc.BatchSize, st.relLen)
-	type upd struct {
-		Tuple      int    `json:"tuple"`
-		Annotation string `json:"annotation"`
-	}
-	updates := make([]upd, len(batch))
-	for i, u := range batch {
-		updates[i] = upd{Tuple: u.Tuple, Annotation: u.Annotation}
-	}
-	body, err := json.Marshal(map[string]any{"updates": updates})
+	body, err := json.Marshal(map[string]any{"updates": batch})
 	if err != nil {
 		st.annotations.errors.Add(1)
 		return
@@ -621,15 +613,7 @@ func (st *runState) doAnnotations(ctx context.Context, w *worker) {
 // doTuples posts one tuple batch.
 func (st *runState) doTuples(ctx context.Context, w *worker) {
 	batch := w.stream.Tuples(st.sc.TupleBatchSize)
-	type tup struct {
-		Values      []string `json:"values"`
-		Annotations []string `json:"annotations"`
-	}
-	tuples := make([]tup, len(batch))
-	for i, t := range batch {
-		tuples[i] = tup{Values: t.Values, Annotations: t.Annotations}
-	}
-	body, err := json.Marshal(map[string]any{"tuples": tuples})
+	body, err := json.Marshal(map[string]any{"tuples": batch})
 	if err != nil {
 		st.tuples.errors.Add(1)
 		return

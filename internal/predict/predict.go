@@ -26,13 +26,39 @@ type Recommendation struct {
 	Rule       rules.Rule
 }
 
-// Format renders the recommendation with its supporting rule for curators.
-func (r Recommendation) Format(dict *relation.Dictionary) string {
+// TokenRecommendation is a recommendation rendered to dictionary tokens:
+// attach Annotation to the tuple at zero-based position Tuple (-1 for a
+// tuple not yet inserted), justified by Rule. It is the one token-form
+// recommendation type, served by the public API and — through its JSON tags
+// — by GET /recommend as is.
+type TokenRecommendation struct {
+	Tuple      int             `json:"tuple"`
+	Annotation string          `json:"annotation"`
+	Rule       rules.TokenRule `json:"rule"`
+}
+
+// String renders the recommendation for curators, with the supporting
+// rule's properties as the paper's Figure 17 prescribes.
+func (r TokenRecommendation) String() string {
 	target := "incoming tuple"
-	if r.TupleIndex >= 0 {
-		target = fmt.Sprintf("tuple %d", r.TupleIndex+1) // 1-based for humans, like Figure 14
+	if r.Tuple >= 0 {
+		target = fmt.Sprintf("tuple %d", r.Tuple+1) // 1-based for humans, like Figure 14
 	}
-	return fmt.Sprintf("%s: add %s  [because %s]", target, dict.Token(r.Annotation), r.Rule.Format(dict))
+	return fmt.Sprintf("%s: add %s  [because %s]", target, r.Annotation, r.Rule)
+}
+
+// Render resolves recommendations against dict. The result is never nil, so
+// an empty answer encodes as [] rather than null.
+func Render(dict *relation.Dictionary, recs []Recommendation) []TokenRecommendation {
+	out := make([]TokenRecommendation, len(recs))
+	for i, r := range recs {
+		out[i] = TokenRecommendation{
+			Tuple:      r.TupleIndex,
+			Annotation: dict.Token(r.Annotation),
+			Rule:       rules.Render(dict, r.Rule),
+		}
+	}
+	return out
 }
 
 // Options filter and bound recommendation output.

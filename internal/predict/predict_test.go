@@ -289,13 +289,13 @@ func TestRecommendationFormat(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
 	}
-	line := recs[0].Format(rel.Dictionary())
+	line := Render(rel.Dictionary(), recs)[0].String()
 	if !strings.Contains(line, "add Annot_1") || !strings.Contains(line, "because") {
-		t.Errorf("Format = %q", line)
+		t.Errorf("String = %q", line)
 	}
 	free := Recommendation{TupleIndex: -1, Annotation: recs[0].Annotation, Rule: recs[0].Rule}
-	if got := free.Format(rel.Dictionary()); !strings.Contains(got, "incoming tuple") {
-		t.Errorf("Format = %q", got)
+	if got := Render(rel.Dictionary(), []Recommendation{free})[0].String(); !strings.Contains(got, "incoming tuple") {
+		t.Errorf("String = %q", got)
 	}
 }
 

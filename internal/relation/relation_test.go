@@ -575,3 +575,23 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind renders empty")
 	}
 }
+
+// TestFamilyOf pins the one placement rule every layer shares: the family
+// is the prefix before the first separator, or the whole token.
+func TestFamilyOf(t *testing.T) {
+	cases := []struct{ token, want string }{
+		{"a:b", "a"},
+		{"a:b:c", "a"},
+		{":x", ""},
+		{"plain", "plain"},
+		{"", ""},
+		{"Annot_src:db1", "Annot_src"},
+		{"Annot_4", "Annot_4"},
+		{"Annot_trailing:", "Annot_trailing"},
+	}
+	for _, c := range cases {
+		if got := FamilyOf(c.token); got != c.want {
+			t.Errorf("FamilyOf(%q) = %q, want %q", c.token, got, c.want)
+		}
+	}
+}

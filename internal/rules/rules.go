@@ -159,16 +159,59 @@ func (r Rule) String() string {
 // Format renders the Figure 7 output line using dictionary tokens:
 //
 //	28, 85 -> Annot_1 (confidence: 0.9659, support: 0.4194)
-func (r Rule) Format(dict *relation.Dictionary) string {
-	var b strings.Builder
-	for i, it := range r.LHS {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(dict.Token(it))
+func (r Rule) Format(dict *relation.Dictionary) string { return Render(dict, r).String() }
+
+// TokenRule is a rule rendered to dictionary tokens with its ratios
+// precomputed: the one token-form rule type, served by the public API and —
+// through its JSON tags — by GET /rules and GET /recommend as is. Rule keeps
+// the ratios as methods because maintenance updates the counts; a TokenRule
+// is a finished rendering, so it carries them as fields.
+type TokenRule struct {
+	// LHS and RHS are dictionary tokens.
+	LHS []string `json:"lhs"`
+	RHS string   `json:"rhs"`
+	// Kind is the wire spelling of the rule's Kind ("data-to-annotation" or
+	// "annotation-to-annotation").
+	Kind string `json:"kind"`
+	// Support is PatternCount / N and Confidence PatternCount / LHSCount.
+	Support    float64 `json:"support"`
+	Confidence float64 `json:"confidence"`
+	// PatternCount tuples contain LHS ∪ {RHS}, LHSCount contain LHS, out of
+	// N tuples.
+	PatternCount int `json:"pattern_count"`
+	LHSCount     int `json:"lhs_count"`
+	N            int `json:"n"`
+}
+
+// String renders the Figure 7 output line.
+func (r TokenRule) String() string {
+	return fmt.Sprintf("%s -> %s (confidence: %.4f, support: %.4f)",
+		strings.Join(r.LHS, ", "), r.RHS, r.Confidence, r.Support)
+}
+
+// RenderAll renders rs in order. The result is never nil, so an empty rule
+// set encodes as [] rather than null.
+func RenderAll(dict *relation.Dictionary, rs []Rule) []TokenRule {
+	out := make([]TokenRule, len(rs))
+	for i, r := range rs {
+		out[i] = Render(dict, r)
 	}
-	fmt.Fprintf(&b, " -> %s (confidence: %.4f, support: %.4f)", dict.Token(r.RHS), r.Confidence(), r.Support())
-	return b.String()
+	return out
+}
+
+// Render resolves a rule's items against dict and derives its ratios. It is
+// the only item-form to token-form rule conversion.
+func Render(dict *relation.Dictionary, r Rule) TokenRule {
+	return TokenRule{
+		LHS:          dict.Tokens(r.LHS),
+		RHS:          dict.Token(r.RHS),
+		Kind:         r.Kind().String(),
+		Support:      r.Support(),
+		Confidence:   r.Confidence(),
+		PatternCount: r.PatternCount,
+		LHSCount:     r.LHSCount,
+		N:            r.N,
+	}
 }
 
 // Set is a collection of rules keyed by identity. The zero value is not

@@ -154,7 +154,7 @@ type Cluster struct {
 // shardTag is the per-shard fingerprint tag: a shard checkpoint is only
 // valid in its own slot of its own layout.
 func shardTag(s, n int) string {
-	return fmt.Sprintf("shard=%d/%d sep=%s", s, n, FamilySeparator)
+	return fmt.Sprintf("shard=%d/%d sep=%s", s, n, relation.FamilySeparator)
 }
 
 // OpenDurable opens (or creates) the durable cluster in opts.Dir.
@@ -205,8 +205,8 @@ func OpenDurable(opts DurableOptions, cfg mining.Config, eopts incremental.Optio
 		if man.Shards != n {
 			return nil, fmt.Errorf("shard: %s was partitioned into %d shards, cannot open with %d (re-sharding requires a fresh directory)", opts.Dir, man.Shards, n)
 		}
-		if man.Separator != FamilySeparator {
-			return nil, fmt.Errorf("shard: %s was partitioned under family separator %q, this build uses %q", opts.Dir, man.Separator, FamilySeparator)
+		if man.Separator != relation.FamilySeparator {
+			return nil, fmt.Errorf("shard: %s was partitioned under family separator %q, this build uses %q", opts.Dir, man.Separator, relation.FamilySeparator)
 		}
 		for s := 0; s < n; s++ {
 			if !wal.HasCheckpoint(ShardDir(opts.Dir, s)) {
@@ -430,7 +430,7 @@ func (c *Cluster) writeManifest() error {
 	m := &manifest{
 		Version:   manifestVersion,
 		Shards:    len(c.stores),
-		Separator: FamilySeparator,
+		Separator: relation.FamilySeparator,
 		Epochs:    make([]uint64, len(c.stores)),
 	}
 	for s, st := range c.stores {

@@ -11,6 +11,7 @@ import (
 
 	"annotadb/internal/incremental"
 	"annotadb/internal/relation"
+	"annotadb/internal/rules"
 	"annotadb/internal/serve"
 )
 
@@ -101,7 +102,7 @@ func refRecommendations(t testing.TB, rs *refStack) []string {
 		}
 		for _, rec := range recs {
 			out = append(out, fmt.Sprintf("%d|%s|%s", rec.TupleIndex, dict.Token(rec.Annotation),
-				renderRuleKey(renderRule(dict, rec.Rule))))
+				renderRuleKey(rules.Render(dict, rec.Rule))))
 		}
 	}
 	sort.Strings(out)

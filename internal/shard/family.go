@@ -1,26 +1,10 @@
 package shard
 
-import "hash/fnv"
+import (
+	"hash/fnv"
 
-// FamilySeparator splits an annotation token into its family prefix and the
-// member name: the family of "Annot_src:db1" is "Annot_src", and a token
-// without a separator ("Annot_4") forms a single-member family of its own.
-// Families are the unit of placement — every annotation of one family lives
-// on one shard — so annotation-to-annotation correlations are discovered
-// within a family (or across families that happen to co-locate); namespace
-// tokens that should correlate under a shared family prefix.
-const FamilySeparator = ":"
-
-// FamilyOf extracts the annotation family from a token: the prefix before
-// the first FamilySeparator, or the whole token when no separator appears.
-func FamilyOf(token string) string {
-	for i := 0; i < len(token); i++ {
-		if token[i] == FamilySeparator[0] {
-			return token[:i]
-		}
-	}
-	return token
-}
+	"annotadb/internal/relation"
+)
 
 // ShardOf routes an annotation token to one of n shards by hashing its
 // family with FNV-1a. The placement is a pure function of (token, n): every
@@ -32,6 +16,6 @@ func ShardOf(token string, n int) int {
 		return 0
 	}
 	h := fnv.New32a()
-	h.Write([]byte(FamilyOf(token)))
+	h.Write([]byte(relation.FamilyOf(token)))
 	return int(h.Sum32() % uint32(n))
 }

@@ -1,5 +1,5 @@
 // Package shard partitions the serving write path by annotation family: a
-// Router hashes every annotation token's family (FamilyOf) to one of N
+// Router hashes every annotation token's family (relation.FamilyOf) to one of N
 // independent shards, each holding its own relation replica, incremental
 // maintenance engine, and single-writer serving core — so coalesced
 // annotation batches for different families commit in parallel instead of
@@ -45,16 +45,19 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"annotadb/internal/incremental"
 	"annotadb/internal/itemset"
+	"annotadb/internal/predict"
 	"annotadb/internal/relation"
 	"annotadb/internal/rules"
 	"annotadb/internal/serve"
@@ -62,53 +65,18 @@ import (
 	"annotadb/internal/wal"
 )
 
-// Update is one token-level annotation attachment (or detachment): attach
-// Annotation to the tuple at zero-based Tuple. The router works in tokens
-// rather than interned items because each shard owns an independent
-// dictionary. It is the write-ahead log's record form, so a replication
-// follower feeds logged batches to its router as they are.
-type Update = wal.Update
+// Update is one token-level annotation attachment (or detachment): the
+// relation package's token-form update, with fields Tuple (zero-based
+// position) and Annotation (token). The router works in tokens rather than
+// interned items because each shard owns an independent dictionary; the same
+// type is the write-ahead log's record form, so a replication follower feeds
+// logged batches to its router as they are.
+type Update = relation.TokenUpdate
 
-// TupleSpec is one token-level tuple to append: data value tokens plus
-// annotation tokens. The router projects it per shard.
-type TupleSpec = wal.TupleSpec
-
-// Rule is a token-rendered association rule from a shard snapshot, carrying
-// the exact integer counts of the rules package.
-type Rule struct {
-	// LHS and RHS are dictionary tokens; Kind classifies the rule.
-	LHS  []string
-	RHS  string
-	Kind rules.Kind
-	// PatternCount, LHSCount, and N are the raw counts (see rules.Rule).
-	PatternCount int
-	LHSCount     int
-	N            int
-}
-
-// Support returns PatternCount / N, or 0 for an empty relation.
-func (r Rule) Support() float64 {
-	if r.N == 0 {
-		return 0
-	}
-	return float64(r.PatternCount) / float64(r.N)
-}
-
-// Confidence returns PatternCount / LHSCount, or 0 when the LHS never occurs.
-func (r Rule) Confidence() float64 {
-	if r.LHSCount == 0 {
-		return 0
-	}
-	return float64(r.PatternCount) / float64(r.LHSCount)
-}
-
-// Recommendation proposes attaching Annotation to the tuple at zero-based
-// Tuple (-1 for an incoming tuple), justified by Rule.
-type Recommendation struct {
-	Tuple      int
-	Annotation string
-	Rule       Rule
-}
+// TupleSpec is one token-level tuple to append: the relation package's
+// token-form tuple, with fields Values and Annotations (tokens). The router
+// projects it per shard.
+type TupleSpec = relation.TokenTuple
 
 // Config configures a Router.
 type Config struct {
@@ -774,25 +742,15 @@ func Seqs(snaps []ShardSnapshot) []uint64 {
 	return out
 }
 
-// renderRule renders one rule of a shard snapshot to token form.
-func renderRule(dict *relation.Dictionary, r rules.Rule) Rule {
-	return Rule{
-		LHS:          dict.Tokens(r.LHS),
-		RHS:          dict.Token(r.RHS),
-		Kind:         r.Kind(),
-		PatternCount: r.PatternCount,
-		LHSCount:     r.LHSCount,
-		N:            r.N,
-	}
-}
-
 // SortRules orders token-form rules deterministically: by kind, then LHS
 // tokens, then RHS token — the merged equivalent of the rules package's
-// Sorted order.
-func SortRules(rs []Rule) {
+// Sorted order. Data-to-annotation rules come first, as there; that is the
+// reverse of the wire kind strings' lexicographic order.
+func SortRules(rs []rules.TokenRule) {
+	dataFirst := rules.DataToAnnotation.String()
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].Kind != rs[j].Kind {
-			return rs[i].Kind < rs[j].Kind
+			return rs[i].Kind == dataFirst
 		}
 		if c := slices.Compare(rs[i].LHS, rs[j].LHS); c != 0 {
 			return c < 0
@@ -805,13 +763,11 @@ func SortRules(rs []Rule) {
 // the disjoint union of every shard's rule view, token-rendered and
 // deterministically ordered. Callers that cache by the vector (the root
 // facade) load Snapshots first, consult their cache, and only render on a
-// miss.
-func MergedRules(snaps []ShardSnapshot) []Rule {
-	var out []Rule
+// miss. The result is never nil, so an empty rule set encodes as [].
+func MergedRules(snaps []ShardSnapshot) []rules.TokenRule {
+	out := []rules.TokenRule{}
 	for _, s := range snaps {
-		for _, rl := range s.Snap.Rules.Sorted() {
-			out = append(out, renderRule(s.Dict, rl))
-		}
+		out = append(out, rules.RenderAll(s.Dict, s.Snap.Rules.Sorted())...)
 	}
 	SortRules(out)
 	return out
@@ -819,7 +775,7 @@ func MergedRules(snaps []ShardSnapshot) []Rule {
 
 // Rules returns the merged valid rule set of the current generation plus
 // the sequence vector it came from; see MergedRules.
-func (r *Router) Rules() ([]Rule, []uint64) {
+func (r *Router) Rules() ([]rules.TokenRule, []uint64) {
 	snaps := r.Snapshots()
 	return MergedRules(snaps), Seqs(snaps)
 }
@@ -831,7 +787,7 @@ func (r *Router) Rules() ([]Rule, []uint64) {
 // concatenation. A tuple not yet present in every shard's snapshot reports
 // relation.ErrTupleIndex: it does not exist in the merged generation. The
 // returned vector is the per-shard sequence the answer was served from.
-func (r *Router) Recommend(idx int) ([]Recommendation, []uint64, error) {
+func (r *Router) Recommend(idx int) ([]predict.TokenRecommendation, []uint64, error) {
 	snaps := r.Snapshots()
 	seqs := Seqs(snaps)
 	if idx < 0 {
@@ -846,19 +802,13 @@ func (r *Router) Recommend(idx int) ([]Recommendation, []uint64, error) {
 	if idx >= minN {
 		return nil, seqs, fmt.Errorf("%w: %d (merged snapshot has %d tuples)", relation.ErrTupleIndex, idx, minN)
 	}
-	var out []Recommendation
+	out := []predict.TokenRecommendation{}
 	for _, s := range snaps {
 		tu, err := s.Snap.View.Tuple(idx)
 		if err != nil {
 			return nil, seqs, err
 		}
-		for _, rec := range s.Snap.Compiled.ForTupleAt(tu, idx) {
-			out = append(out, Recommendation{
-				Tuple:      rec.TupleIndex,
-				Annotation: s.Dict.Token(rec.Annotation),
-				Rule:       renderRule(s.Dict, rec.Rule),
-			})
-		}
+		out = append(out, predict.Render(s.Dict, s.Snap.Compiled.ForTupleAt(tu, idx))...)
 	}
 	sortRecommendations(out)
 	out = r.limit(out)
@@ -869,9 +819,9 @@ func (r *Router) Recommend(idx int) ([]Recommendation, []uint64, error) {
 // merged snapshot rules (the paper's insert trigger). As a pure read it
 // never grows any shard's dictionary: unknown tokens are ignored, which
 // cannot change the outcome.
-func (r *Router) RecommendIncoming(spec TupleSpec) []Recommendation {
+func (r *Router) RecommendIncoming(spec TupleSpec) []predict.TokenRecommendation {
 	snaps := r.Snapshots()
-	var out []Recommendation
+	out := []predict.TokenRecommendation{}
 	for _, s := range snaps {
 		var items []itemset.Item
 		for _, tok := range spec.Values {
@@ -887,27 +837,18 @@ func (r *Router) RecommendIncoming(spec TupleSpec) []Recommendation {
 				items = append(items, it)
 			}
 		}
-		tu := relation.NewTuple(items...)
-		for _, rec := range s.Snap.Compiled.ForTuple(tu) {
-			out = append(out, Recommendation{
-				Tuple:      rec.TupleIndex,
-				Annotation: s.Dict.Token(rec.Annotation),
-				Rule:       renderRule(s.Dict, rec.Rule),
-			})
-		}
+		out = append(out, predict.Render(s.Dict, s.Snap.Compiled.ForTuple(relation.NewTuple(items...)))...)
 	}
 	sortRecommendations(out)
 	return r.limit(out)
 }
 
 // sortRecommendations orders merged recommendations deterministically: by
-// tuple, then annotation token.
-func sortRecommendations(recs []Recommendation) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Tuple != recs[j].Tuple {
-			return recs[i].Tuple < recs[j].Tuple
-		}
-		return recs[i].Annotation < recs[j].Annotation
+// tuple, then annotation token. (Not sort.Slice: boxing the empty non-nil
+// slice most reads produce would allocate on every request.)
+func sortRecommendations(recs []predict.TokenRecommendation) {
+	slices.SortFunc(recs, func(a, b predict.TokenRecommendation) int {
+		return cmp.Or(cmp.Compare(a.Tuple, b.Tuple), strings.Compare(a.Annotation, b.Annotation))
 	})
 }
 
@@ -915,7 +856,7 @@ func sortRecommendations(recs []Recommendation) {
 // the router's deterministic (tuple, annotation token) order. Shards are
 // compiled uncapped (see FromEngines), so the cap selects from the full
 // merged set and keeps the same prefix at every shard count.
-func (r *Router) limit(recs []Recommendation) []Recommendation {
+func (r *Router) limit(recs []predict.TokenRecommendation) []predict.TokenRecommendation {
 	if l := r.cfg.Serve.Recommend.Limit; l > 0 && len(recs) > l {
 		return recs[:l]
 	}

@@ -16,23 +16,6 @@ import (
 	"annotadb/internal/wal"
 )
 
-func TestFamilyOf(t *testing.T) {
-	cases := map[string]string{
-		"Annot_src:db1":   "Annot_src",
-		"Annot_src:db2":   "Annot_src",
-		"Annot_q:good":    "Annot_q",
-		"Annot_4":         "Annot_4",
-		"Annot_a:b:c":     "Annot_a",
-		":leading":        "",
-		"Annot_trailing:": "Annot_trailing",
-	}
-	for tok, want := range cases {
-		if got := FamilyOf(tok); got != want {
-			t.Errorf("FamilyOf(%q) = %q, want %q", tok, got, want)
-		}
-	}
-}
-
 func TestShardOf(t *testing.T) {
 	if got := ShardOf("Annot_anything", 1); got != 0 {
 		t.Errorf("ShardOf with 1 shard = %d, want 0", got)

@@ -201,15 +201,15 @@ func generateSteps(t testing.TB, base *relation.Relation, seed int64, n int) []s
 
 // renderRuleKey flattens a token-form rule (counts included) into one
 // comparable string.
-func renderRuleKey(r Rule) string {
-	return fmt.Sprintf("%d|%s|%s|%d/%d/%d", r.Kind, strings.Join(r.LHS, ","), r.RHS, r.PatternCount, r.LHSCount, r.N)
+func renderRuleKey(r rules.TokenRule) string {
+	return fmt.Sprintf("%s|%s|%s|%d/%d/%d", r.Kind, strings.Join(r.LHS, ","), r.RHS, r.PatternCount, r.LHSCount, r.N)
 }
 
 // renderSet renders a rule set through its dictionary into sorted keys.
 func renderSet(set *rules.Set, dict *relation.Dictionary) []string {
 	var out []string
 	set.Each(func(r rules.Rule) bool {
-		out = append(out, renderRuleKey(renderRule(dict, r)))
+		out = append(out, renderRuleKey(rules.Render(dict, r)))
 		return true
 	})
 	sort.Strings(out)

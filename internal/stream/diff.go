@@ -107,18 +107,13 @@ func ruleEvent(kind Kind, tier Tier, dict *relation.Dictionary, old, cur *rules.
 		r = old
 	}
 	rhs := dict.Token(r.RHS)
-	ev := Event{
+	return Event{
 		Kind:   kind,
 		Tier:   tier,
-		Family: FamilyOf(rhs),
+		Family: relation.FamilyOf(rhs),
 		LHS:    dict.Tokens(r.LHS),
 		RHS:    rhs,
+		Old:    newRuleStat(old),
+		New:    newRuleStat(cur),
 	}
-	if old != nil {
-		ev.Old = &RuleStat{PatternCount: old.PatternCount, LHSCount: old.LHSCount, N: old.N}
-	}
-	if cur != nil {
-		ev.New = &RuleStat{PatternCount: cur.PatternCount, LHSCount: cur.LHSCount, N: cur.N}
-	}
-	return ev
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"annotadb/internal/rules"
 )
 
 // Kind classifies a churn event. The values are the wire spellings used by
@@ -76,29 +78,38 @@ const (
 // ValidTier reports whether t is a known tier name.
 func ValidTier(t Tier) bool { return t == TierValid || t == TierCandidate }
 
-// RuleStat is one side of a rule's count change: the raw integers the
-// ratios derive from (see the rules package).
+// RuleStat is one side of a rule's count change: the raw integers (see the
+// rules package) and the ratios derived from them, stored so the value
+// encodes as the wire shows it. The ratios are filled when the event is
+// diffed; DecodeEvent re-derives them, so an event log written before they
+// were stored replays with the same values.
 type RuleStat struct {
 	PatternCount int `json:"pattern_count"`
 	LHSCount     int `json:"lhs_count"`
 	N            int `json:"n"`
+	// Support is PatternCount / N and Confidence PatternCount / LHSCount (0
+	// when the denominator is).
+	Support    float64 `json:"support"`
+	Confidence float64 `json:"confidence"`
 }
 
-// Support returns PatternCount / N, or 0 for an empty relation.
-func (s RuleStat) Support() float64 {
-	if s.N == 0 {
-		return 0
+// newRuleStat captures one side of a rule's counts; nil stays nil.
+func newRuleStat(r *rules.Rule) *RuleStat {
+	if r == nil {
+		return nil
 	}
-	return float64(s.PatternCount) / float64(s.N)
+	s := &RuleStat{PatternCount: r.PatternCount, LHSCount: r.LHSCount, N: r.N}
+	s.derive()
+	return s
 }
 
-// Confidence returns PatternCount / LHSCount, or 0 when the LHS never
-// occurs.
-func (s RuleStat) Confidence() float64 {
-	if s.LHSCount == 0 {
-		return 0
+// derive fills the ratios from the counts, by the rules package's formulas.
+func (s *RuleStat) derive() {
+	if s == nil {
+		return
 	}
-	return float64(s.PatternCount) / float64(s.LHSCount)
+	r := rules.Rule{PatternCount: s.PatternCount, LHSCount: s.LHSCount, N: s.N}
+	s.Support, s.Confidence = r.Support(), r.Confidence()
 }
 
 // Event is one rule-churn observation. Everything in it is immutable; the
@@ -122,9 +133,8 @@ type Event struct {
 	// Kind and Tier classify the event; see the Kind and Tier constants.
 	Kind Kind `json:"kind"`
 	Tier Tier `json:"tier,omitempty"`
-	// Family is the annotation family of the rule's RHS (the token prefix
-	// before the first ":", or the whole token) — the sharding and
-	// subscription-filter unit.
+	// Family is the annotation family of the rule's RHS (relation.FamilyOf)
+	// — the sharding and subscription-filter unit.
 	Family string `json:"family,omitempty"`
 	// LHS and RHS are the rule's dictionary tokens.
 	LHS []string `json:"lhs,omitempty"`
@@ -144,16 +154,6 @@ type Event struct {
 	Count        uint64   `json:"count,omitempty"`
 	Baseline     float64  `json:"baseline,omitempty"`
 	Related      []string `json:"related,omitempty"`
-}
-
-// FamilyOf extracts the annotation family from a token: the prefix before
-// the first ":", or the whole token. It mirrors the shard package's
-// placement function (the packages stay independent on purpose).
-func FamilyOf(token string) string {
-	if i := strings.IndexByte(token, ':'); i >= 0 {
-		return token[:i]
-	}
-	return token
 }
 
 // EncodeEvent renders the event as a segment-log payload (JSON, so retained
@@ -184,6 +184,10 @@ func DecodeEvent(payload []byte) (Event, error) {
 			return Event{}, fmt.Errorf("stream: decode event: unknown tier %q", ev.Tier)
 		}
 	}
+	// The counts are authoritative: logs written before the ratios were
+	// stored carry none.
+	ev.Old.derive()
+	ev.New.derive()
 	return ev, nil
 }
 

@@ -473,8 +473,26 @@ func TestEventEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Cursor != ev.Cursor || got.Kind != ev.Kind || got.RHS != ev.RHS ||
-		got.Old == nil || got.Old.PatternCount != 3 || got.New.Confidence() != 0.8 {
+		got.Old == nil || got.Old.PatternCount != 3 || got.New.Confidence != 0.8 {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+	// A payload as the event log held it before RuleStat stored its ratios
+	// (counts only): the ratios come back from the counts.
+	const countsOnly = `{"cursor":7,"seq":3,"shard":0,"kind":"confidence_changed","tier":"valid","family":"Annot_q","lhs":["28","85"],"rhs":"Annot_q:1","old":{"pattern_count":5,"lhs_count":6,"n":13},"new":{"pattern_count":6,"lhs_count":6,"n":13}}`
+	old, err := DecodeEvent([]byte(countsOnly))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (RuleStat{PatternCount: 5, LHSCount: 6, N: 13, Support: 5.0 / 13, Confidence: 5.0 / 6}); *old.Old != want {
+		t.Errorf("counts-only old side decoded to %+v, want %+v", *old.Old, want)
+	}
+	if want := (RuleStat{PatternCount: 6, LHSCount: 6, N: 13, Support: 6.0 / 13, Confidence: 1}); *old.New != want {
+		t.Errorf("counts-only new side decoded to %+v, want %+v", *old.New, want)
+	}
+	// Stored ratios that disagree with the counts lose to the counts.
+	if ev, err := DecodeEvent([]byte(`{"cursor":1,"kind":"rule_added","new":{"pattern_count":1,"lhs_count":2,"n":4,"support":9,"confidence":9}}`)); err != nil ||
+		ev.New.Support != 0.25 || ev.New.Confidence != 0.5 {
+		t.Errorf("stored ratios survived decoding: %+v, %v", ev.New, err)
 	}
 	if _, err := DecodeEvent([]byte(`{"kind":"bogus","cursor":1}`)); err == nil {
 		t.Error("DecodeEvent accepted an unknown kind")

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+
+	"annotadb/internal/relation"
 )
 
 // Kind identifies the serving mutation a record carries.
@@ -69,20 +71,15 @@ func ParseEncoding(s string) (Encoding, error) {
 	}
 }
 
-// Update is one annotation attachment or detachment in token form:
-// attach (or detach) Annotation to the tuple at zero-based position Tuple.
-// Records carry tokens rather than dictionary item codes so that replay is
-// independent of interning order.
-type Update struct {
-	Tuple      int    `json:"tuple"`
-	Annotation string `json:"annotation"`
-}
+// Update is the record form of one annotation attachment or detachment: the
+// relation package's token-form update, with fields Tuple (zero-based
+// position) and Annotation (token). Its JSON tags are the JSON record
+// encoding.
+type Update = relation.TokenUpdate
 
-// TupleSpec is one tuple to append, in token form.
-type TupleSpec struct {
-	Values      []string `json:"values"`
-	Annotations []string `json:"annotations,omitempty"`
-}
+// TupleSpec is the record form of one tuple to append: the relation
+// package's token-form tuple, with fields Values and Annotations (tokens).
+type TupleSpec = relation.TokenTuple
 
 // Record is one logged serving mutation: exactly one coalesced batch as the
 // serving writer applied it.

@@ -45,6 +45,39 @@ func TestRecordRoundTripBothEncodings(t *testing.T) {
 	}
 }
 
+// TestRecordGoldenBytes pins the frame payloads of both encodings. The
+// record's Update and TupleSpec are the relation package's token-form types,
+// whose JSON tags also name the HTTP request body keys: a wire rename there
+// would silently change the JSON log format, and this is the test that
+// notices. The bytes were captured before the types were shared.
+func TestRecordGoldenBytes(t *testing.T) {
+	annotations := Record{Kind: KindAddAnnotations, Updates: []Update{{Tuple: 150, Annotation: "Annot_3"}, {Tuple: 0, Annotation: "Annot_src:db1"}}}
+	tuples := Record{Kind: KindAddTuples, Tuples: []TupleSpec{{Values: []string{"28", "85"}, Annotations: []string{"Annot_1"}}, {Values: []string{"99"}}}}
+	cases := []struct {
+		rec  Record
+		enc  Encoding
+		want string
+	}{
+		{annotations, EncodingBinary, "\x00\x01\x02\x96\x01\aAnnot_3\x00\rAnnot_src:db1\x00"},
+		{annotations, EncodingJSON, "\x01\x01" + `{"updates":[{"tuple":150,"annotation":"Annot_3"},{"tuple":0,"annotation":"Annot_src:db1"}]}`},
+		{tuples, EncodingBinary, "\x00\x03\x00\x02\x02\x0228\x0285\x01\aAnnot_1\x01\x0299\x00"},
+		{tuples, EncodingJSON, "\x01\x03" + `{"tuples":[{"values":["28","85"],"annotations":["Annot_1"]},{"values":["99"]}]}`},
+	}
+	for _, c := range cases {
+		got, err := encodePayload(c.rec, c.enc)
+		if err != nil {
+			t.Fatalf("%v %v: %v", c.rec.Kind, c.enc, err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%v %v payload = %q, want %q", c.rec.Kind, c.enc, got, c.want)
+		}
+		back, err := decodePayload([]byte(c.want))
+		if err != nil || !reflect.DeepEqual(back, c.rec) {
+			t.Errorf("%v %v golden payload decodes to %+v (%v), want %+v", c.rec.Kind, c.enc, back, err, c.rec)
+		}
+	}
+}
+
 func TestRecordRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty payload":    {},

@@ -10,24 +10,16 @@ import (
 	"annotadb/internal/relation"
 )
 
-// TokenTuple is one generated tuple in token form — the shape POST /tuples
-// accepts and the Figure 4 text format stores (data values first, then
-// annotation tokens).
-type TokenTuple struct {
-	// Values are the tuple's data-value tokens.
-	Values []string
-	// Annotations are the tuple's annotation tokens.
-	Annotations []string
-}
+// TokenTuple is one generated tuple in token form — the relation package's
+// token-form tuple, with fields Values (data-value tokens) and Annotations
+// (annotation tokens): the shape POST /tuples accepts and the Figure 4 text
+// format stores (data values first, then annotation tokens).
+type TokenTuple = relation.TokenTuple
 
-// TokenUpdate attaches Annotation to the zero-based tuple position Tuple —
-// the shape POST /annotations accepts.
-type TokenUpdate struct {
-	// Tuple is the zero-based position of the target tuple.
-	Tuple int
-	// Annotation is the annotation token to attach.
-	Annotation string
-}
+// TokenUpdate attaches Annotation (a token) to the zero-based tuple position
+// Tuple — the relation package's token-form update, the shape POST
+// /annotations accepts.
+type TokenUpdate = relation.TokenUpdate
 
 // Stream is a deterministic token-form traffic source for the macro load
 // harness: Base builds the corpus a server is seeded with, and Tuples and

@@ -14,7 +14,6 @@ import (
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
 	"annotadb/internal/replica"
-	"annotadb/internal/rules"
 	"annotadb/internal/serve"
 	"annotadb/internal/shard"
 	"annotadb/internal/storage"
@@ -409,24 +408,6 @@ func (s *Server) closeStream() error {
 // re-bootstrap; read through the serving methods instead).
 func (s *Server) Dataset() *Dataset { return s.ds }
 
-// publicShardRule converts a token-form shard rule to the public type.
-func publicShardRule(r shard.Rule) Rule {
-	kind := DataToAnnotation
-	if r.Kind == rules.AnnotationToAnnotation {
-		kind = AnnotationToAnnotation
-	}
-	return Rule{
-		LHS:          r.LHS,
-		RHS:          r.RHS,
-		Kind:         kind,
-		Support:      r.Support(),
-		Confidence:   r.Confidence(),
-		PatternCount: r.PatternCount,
-		LHSCount:     r.LHSCount,
-		N:            r.N,
-	}
-}
-
 // Rules returns the current generation's valid rules — the disjoint union of
 // the per-shard rule views at one sequence vector — ordered by kind, then
 // LHS tokens, then RHS token, without taking any maintenance engine's lock.
@@ -442,11 +423,7 @@ func (s *Server) Rules() []Rule {
 	if c := s.rendered.Load(); c != nil && c.router == r && slices.Equal(c.seqs, seqs) {
 		return c.rules
 	}
-	shardRules := shard.MergedRules(snaps)
-	out := make([]Rule, len(shardRules))
-	for i, sr := range shardRules {
-		out[i] = publicShardRule(sr)
-	}
+	out := shard.MergedRules(snaps)
 	// Vectors are only partially ordered across concurrent readers, so there
 	// is no "newer" to protect: last render wins, and any cached entry is
 	// internally consistent with its own vector.
@@ -502,23 +479,7 @@ func (s *Server) Recommend(idx int) ([]Recommendation, uint64, error) {
 func (s *Server) RecommendAt(idx int) ([]Recommendation, ReadSeq, error) {
 	r, mark := s.serving()
 	recs, seqs, err := r.Recommend(idx)
-	rs := s.readSeq(seqs, mark)
-	if err != nil {
-		return nil, rs, err
-	}
-	return publicShardRecommendations(recs), rs, nil
-}
-
-func publicShardRecommendations(recs []shard.Recommendation) []Recommendation {
-	out := make([]Recommendation, len(recs))
-	for i, r := range recs {
-		out[i] = Recommendation{
-			Tuple:      r.Tuple,
-			Annotation: r.Annotation,
-			Rule:       publicShardRule(r.Rule),
-		}
-	}
-	return out
+	return recs, s.readSeq(seqs, mark), err
 }
 
 // RecommendForTuple evaluates a not-yet-inserted tuple against the
@@ -528,8 +489,7 @@ func publicShardRecommendations(recs []shard.Recommendation) []Recommendation {
 // appear in any rule's LHS or RHS.
 func (s *Server) RecommendForTuple(spec TupleSpec) ([]Recommendation, error) {
 	r, _ := s.serving()
-	recs := r.RecommendIncoming(shard.TupleSpec(spec))
-	return publicShardRecommendations(recs), nil
+	return r.RecommendIncoming(spec), nil
 }
 
 // write runs one mutation against the primary's router and stamps the
@@ -563,23 +523,15 @@ func (s *Server) write(apply func(*shard.Router) (*incremental.Report, error)) (
 // state).
 func (s *Server) AddAnnotations(ctx context.Context, batch []AnnotationUpdate) (UpdateReport, error) {
 	return s.write(func(r *shard.Router) (*incremental.Report, error) {
-		return r.AddAnnotations(ctx, shardUpdates(batch))
+		return r.AddAnnotations(ctx, batch)
 	})
-}
-
-func shardUpdates(batch []AnnotationUpdate) []shard.Update {
-	out := make([]shard.Update, len(batch))
-	for i, u := range batch {
-		out[i] = shard.Update(u)
-	}
-	return out
 }
 
 // RemoveAnnotations submits an annotation-removal batch and waits until it
 // is applied. Entries whose annotation is absent are skipped and reported.
 func (s *Server) RemoveAnnotations(ctx context.Context, batch []AnnotationUpdate) (UpdateReport, error) {
 	return s.write(func(r *shard.Router) (*incremental.Report, error) {
-		return r.RemoveAnnotations(ctx, shardUpdates(batch))
+		return r.RemoveAnnotations(ctx, batch)
 	})
 }
 
@@ -590,11 +542,7 @@ func (s *Server) RemoveAnnotations(ctx context.Context, batch []AnnotationUpdate
 // in the same order.
 func (s *Server) AddTuples(ctx context.Context, batch []TupleSpec) (UpdateReport, error) {
 	return s.write(func(r *shard.Router) (*incremental.Report, error) {
-		specs := make([]shard.TupleSpec, len(batch))
-		for i, t := range batch {
-			specs[i] = shard.TupleSpec(t)
-		}
-		return r.AddTuples(ctx, specs)
+		return r.AddTuples(ctx, batch)
 	})
 }
 
@@ -607,12 +555,12 @@ func (s *Server) ApplyUpdateFile(ctx context.Context, r io.Reader) (UpdateReport
 			return nil, err
 		}
 		n := rt.Len()
-		batch := make([]shard.Update, len(lines))
+		batch := make([]AnnotationUpdate, len(lines))
 		for i, u := range lines {
 			if u.Index < 0 || u.Index >= n {
 				return nil, fmt.Errorf("annotadb: update %d:%s: %w (relation has %d tuples)", u.Index+1, u.Token, relation.ErrTupleIndex, n)
 			}
-			batch[i] = shard.Update{Tuple: u.Index, Annotation: u.Token}
+			batch[i] = AnnotationUpdate{Tuple: u.Index, Annotation: u.Token}
 		}
 		return rt.AddAnnotations(ctx, batch)
 	})

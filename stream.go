@@ -38,60 +38,39 @@ const (
 	TierCandidate = "candidate"
 )
 
-// RuleCounts is one side of a rule's count change inside an Event, with the
-// derived ratios precomputed for display.
-type RuleCounts struct {
-	PatternCount int
-	LHSCount     int
-	N            int
-	Support      float64
-	Confidence   float64
-}
+// RuleCounts is one side of a rule's count change inside an Event: the raw
+// PatternCount, LHSCount and N, with the derived Support and Confidence
+// precomputed for display.
+type RuleCounts = stream.RuleStat
 
 // Event is one rule-churn observation: the serving writer diffs every
 // published snapshot against its predecessor (per tier) and streams the
 // transitions. Events are totally ordered by Cursor — dense, strictly
 // increasing, durable across restarts on a durable server — which is the
-// resume token (SSE Last-Event-ID).
-type Event struct {
-	// Cursor is the event's position in the stream (0 for synthetic gap
-	// events, which exist per subscriber, not in the stream).
-	Cursor uint64
-	// Seq is the snapshot generation the event was diffed at (the sum of
-	// SeqVector on a sharded server). It restarts with the process; Cursor
-	// does not.
-	Seq uint64
-	// SeqVector is the merged per-shard generation vector as of this event
-	// (nil unsharded), monotone along the stream.
-	SeqVector []uint64
-	// Shard is the shard whose publish emitted the event (0 unsharded).
-	Shard int
-	// Kind and Tier classify the transition; see the Event* and Tier*
-	// constants.
-	Kind string
-	Tier string
-	// Family is the annotation family of the rule's RHS — the filter and
-	// sharding unit.
-	Family string
-	// LHS and RHS are the rule's tokens.
-	LHS []string
-	RHS string
-	// Old and New are the rule's counts before and after the generation
-	// boundary; added events have no Old, retired events no New.
-	Old *RuleCounts
-	New *RuleCounts
-	// From and To bound a gap event's missed cursor range (inclusive).
-	From uint64
-	To   uint64
-	// WindowMillis, Count, Baseline, and Related are the churn_anomaly
-	// payload: the detection window, the family's churn-event count in it,
-	// the EWMA baseline it spiked against, and the co-churned families of
-	// the same window ranked by churn count.
-	WindowMillis int64
-	Count        uint64
-	Baseline     float64
-	Related      []string
-}
+// resume token (SSE Last-Event-ID). The struct is the stream's own event
+// type: it is what the durable event log stores and, encoded by its JSON
+// tags, the data: payload of a GET /events frame.
+//
+// Fields: Cursor is the event's position in the stream (0 for synthetic gap
+// events, which exist per subscriber, not in the stream). Seq is the
+// snapshot generation the event was diffed at (the sum of SeqVector on a
+// sharded server); it restarts with the process, Cursor does not. SeqVector
+// is the merged per-shard generation vector as of this event (nil
+// unsharded), monotone along the stream. Shard is the shard whose publish
+// emitted the event (0 unsharded). Kind and Tier classify the transition —
+// string-typed, compare them with the Event* and Tier* constants. Family is
+// the annotation family of the rule's RHS, the filter and sharding unit. LHS
+// and RHS are the rule's tokens. Old and New are the rule's counts before
+// and after the generation boundary; added events have no Old, retired
+// events no New. From and To bound a gap event's missed cursor range
+// (inclusive). WindowMillis, Count, Baseline and Related are the
+// churn_anomaly payload: the detection window, the family's churn-event
+// count in it, the EWMA baseline it spiked against, and the co-churned
+// families of the same window ranked by churn count.
+//
+// One Event value is shared by every subscriber (its slices and its Old and
+// New sides included): treat it as read-only.
+type Event = stream.Event
 
 // SubscribeOptions position and filter one churn subscription.
 type SubscribeOptions struct {
@@ -203,54 +182,7 @@ func (s *Server) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan E
 	if err != nil {
 		return nil, err
 	}
-	out := make(chan Event)
-	go func() {
-		defer close(out)
-		for ev := range sub.Events {
-			select {
-			case out <- publicEvent(ev):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, nil
-}
-
-func publicEvent(ev stream.Event) Event {
-	return Event{
-		Cursor:    ev.Cursor,
-		Seq:       ev.Seq,
-		SeqVector: ev.SeqVector,
-		Shard:     ev.Shard,
-		Kind:      string(ev.Kind),
-		Tier:      string(ev.Tier),
-		Family:    ev.Family,
-		LHS:       ev.LHS,
-		RHS:       ev.RHS,
-		Old:       publicCounts(ev.Old),
-		New:       publicCounts(ev.New),
-		From:      ev.From,
-		To:        ev.To,
-
-		WindowMillis: ev.WindowMillis,
-		Count:        ev.Count,
-		Baseline:     ev.Baseline,
-		Related:      ev.Related,
-	}
-}
-
-func publicCounts(s *stream.RuleStat) *RuleCounts {
-	if s == nil {
-		return nil
-	}
-	return &RuleCounts{
-		PatternCount: s.PatternCount,
-		LHSCount:     s.LHSCount,
-		N:            s.N,
-		Support:      s.Support(),
-		Confidence:   s.Confidence(),
-	}
+	return sub.Events, nil
 }
 
 // StreamStats reports churn-stream activity; see Server.StreamStats.
