@@ -56,11 +56,13 @@ type CorrelateAnswer = correlate.Answer
 // by confidence and lift and filtered by a chi-square significance test,
 // with candidates below minLift dropped. k <= 0 and minLift <= 0 apply the
 // defaults (10 and 1.0). The whole answer comes from one published snapshot
-// generation — identified by the returned ReadSeq — using a per-generation
-// index cached on each shard's snapshot, so the query takes zero engine
-// locks; the per-shard indexes are merged at the returned seq vector. A
-// follower answers from its replica snapshot and reports the replication
-// watermark.
+// generation — identified by the returned ReadSeq — using the correlate
+// index each shard's snapshot carries, so the query takes zero engine locks;
+// the per-shard indexes are merged at the returned seq vector. A shard's
+// index is built once, by the first query to reach that shard, and from then
+// on its writer extends it at every publish by the tuples the batch
+// appended, so only that first query pays an O(N) scan. A follower answers
+// from its replica snapshot and reports the replication watermark.
 func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnswer, ReadSeq, error) {
 	q := correlate.Query{Anchor: anchor, K: k, MinLift: minLift}
 	if q.K <= 0 {
@@ -80,8 +82,9 @@ func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnsw
 	return ans, rs, err
 }
 
-// correlateIndex returns the snapshot's cached correlate index, building it
-// on the generation's first query and counting builds vs reuses.
+// correlateIndex returns the snapshot's correlate index, building it if the
+// shard's writer has none to carry forward yet, and counting full builds vs
+// queries that found the index present.
 func (s *Server) correlateIndex(snap *serve.Snapshot) *correlate.Index {
 	idx, built := snap.Correlate.Get(snap.View)
 	if built {
@@ -94,10 +97,15 @@ func (s *Server) correlateIndex(snap *serve.Snapshot) *correlate.Index {
 
 // CorrelateStats reports the correlation subsystem's activity.
 type CorrelateStats struct {
-	// IndexBuilds counts per-generation correlate index builds (at most
-	// one per published snapshot, paid by that generation's first query);
-	// CacheHits counts queries answered from an already-built index. On a
-	// sharded server both count per shard index.
+	// IndexBuilds counts full O(N) correlate index builds; CacheHits
+	// counts queries that found their snapshot's index already present. On
+	// a sharded server both count per shard index. An index is built by
+	// the first query to reach a shard and then extended by that shard's
+	// writer at every publish, which counts as neither — so after warm-up
+	// IndexBuilds stays near the shard count (a few more if cold builds
+	// raced early publishes; it restarts with a reopened or re-bootstrapped
+	// core) while CacheHits grows with the query count. IndexBuilds
+	// growing with the write rate means the carry-forward is not happening.
 	IndexBuilds uint64
 	CacheHits   uint64
 	// Anomalies counts churn_anomaly events emitted by the detector;

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"annotadb/internal/correlate"
+	"annotadb/internal/serve"
 )
 
 // correlateKeys renders an answer as comparable strings (the full scored
@@ -109,11 +110,103 @@ func TestCorrelateShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestCorrelateIndexCarriedAcrossWrites: after the one query that warms a
+// server, rounds of annotation batch, tuple batch, removal and query never
+// build an index again — IndexBuilds ends at the shard count while CacheHits
+// grows every round — and every answer is exact: the unsharded server's
+// against brute force over its own snapshot, the sharded server's against
+// the unsharded server's.
+func TestCorrelateIndexCarriedAcrossWrites(t *testing.T) {
+	eng, err := NewEngine(shardedFixture(t), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewServer(eng, ServeOptions{BatchWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(t, one)
+	three, err := NewShardedServer(shardedFixture(t), testOpts(), ServeOptions{BatchWindow: -1, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(t, three)
+	servers := []struct {
+		srv    *Server
+		shards uint64
+	}{{one, 1}, {three, 3}}
+
+	anchors := []string{"Annot_q:1", "Annot_q:5", "Annot_src:a", "Annot_round:x", "28", "85", "62", "round=1"}
+	query := func(stage string) {
+		t.Helper()
+		for _, anchor := range anchors {
+			want, _, wantErr := one.Correlate(anchor, 50, 0.5)
+			brute, bruteErr := correlate.BruteForce(one.router.Snapshots()[0].Snap.View,
+				correlate.Query{Anchor: anchor, K: 50, MinLift: 0.5})
+			got, _, gotErr := three.Correlate(anchor, 50, 0.5)
+			if !errors.Is(wantErr, bruteErr) || !errors.Is(gotErr, wantErr) {
+				t.Fatalf("%s anchor %q: errors diverged: brute %v, N=1 %v, N=3 %v", stage, anchor, bruteErr, wantErr, gotErr)
+			}
+			if !reflect.DeepEqual(want, brute) {
+				t.Fatalf("%s anchor %q: N=1 diverged from brute force:\nserver %+v\nbrute  %+v", stage, anchor, want, brute)
+			}
+			if !reflect.DeepEqual(correlateKeys(got), correlateKeys(want)) {
+				t.Fatalf("%s anchor %q: N=3 diverged from N=1:\nN=3 %v\nN=1 %v", stage, anchor, correlateKeys(got), correlateKeys(want))
+			}
+		}
+	}
+	// Warm-up: exactly one query per server, reaching every shard.
+	for _, s := range servers {
+		if _, _, err := s.srv.Correlate("28", 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if cs := s.srv.CorrelateStats(); cs.IndexBuilds != s.shards || cs.CacheHits != 0 {
+			t.Fatalf("N=%d after the first query: stats %+v, want %d builds and no hits", s.shards, cs, s.shards)
+		}
+	}
+
+	ctx := context.Background()
+	const rounds = 12
+	for round := 1; round <= rounds; round++ {
+		hitsBefore := []uint64{one.CorrelateStats().CacheHits, three.CorrelateStats().CacheHits}
+		for _, s := range servers {
+			if _, err := s.srv.AddAnnotations(ctx, []AnnotationUpdate{
+				{Tuple: round % 10, Annotation: "Annot_round:x"},
+				{Tuple: (round + 3) % 10, Annotation: "Annot_q:1"},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.srv.AddTuples(ctx, []TupleSpec{
+				{Values: []string{"28", "85", fmt.Sprintf("round=%d", round)}, Annotations: []string{"Annot_q:1", "Annot_round:x"}},
+				{Values: []string{"62", fmt.Sprintf("round=%d", round)}, Annotations: []string{"Annot_src:a"}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.srv.RemoveAnnotations(ctx, []AnnotationUpdate{{Tuple: (round + 1) % 10, Annotation: "Annot_q:5"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query(fmt.Sprintf("round %d", round))
+		for i, s := range servers {
+			cs := s.srv.CorrelateStats()
+			if cs.IndexBuilds != s.shards {
+				t.Fatalf("round %d, N=%d: %d index builds, want %d (one per shard, ever)", round, s.shards, cs.IndexBuilds, s.shards)
+			}
+			if cs.CacheHits <= hitsBefore[i] {
+				t.Fatalf("round %d, N=%d: cache hits did not grow (%d -> %d)", round, s.shards, hitsBefore[i], cs.CacheHits)
+			}
+		}
+	}
+}
+
 // TestCorrelateEquivalenceUnderLiveWrites is the acceptance property under
-// concurrency: while writers churn annotations and tuples, every reader
-// pins one published snapshot and the cached index's answer on it must
-// equal the O(N·M) brute-force recomputation over the same frozen view.
-// Run under -race by the CI race job.
+// concurrency: while writers churn annotations and append tuples carrying
+// the data-value anchors — so the writer keeps extending the index in place
+// past the lengths older generations hold — every reader pins published
+// snapshots and the carried index's answer on each, the current one and
+// older ones re-queried later, must equal the O(N·M) brute-force
+// recomputation over the same frozen view. Run under -race by the CI race
+// job.
 func TestCorrelateEquivalenceUnderLiveWrites(t *testing.T) {
 	eng, err := NewEngine(shardedFixture(t), testOpts())
 	if err != nil {
@@ -152,28 +245,52 @@ func TestCorrelateEquivalenceUnderLiveWrites(t *testing.T) {
 		}(g)
 	}
 
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		// Bounded, so the brute-force oracle stays cheap under -race.
+		for i := 0; i < 300; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := srv.AddTuples(ctx, []TupleSpec{
+				{Values: []string{"28", "85", fmt.Sprintf("live=%d", i%5)}, Annotations: []string{"Annot_q:1"}},
+				{Values: []string{"85", "41"}, Annotations: []string{"Annot_q:5"}},
+			}); err != nil {
+				t.Errorf("tuple writer: %v", err)
+				return
+			}
+		}
+	}()
+
 	anchors := []string{"Annot_q:1", "Annot_q:5", "28", "85", "Annot_live:0_0"}
 	var readers sync.WaitGroup
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
+			var pinned []*serve.Snapshot
 			for i := 0; i < 150; i++ {
 				q := correlate.Query{Anchor: anchors[(r+i)%len(anchors)], K: 1 + i%8, MinLift: float64(i%2) * 0.8}
 				if q.MinLift == 0 {
 					q.MinLift = correlate.DefaultMinLift
 				}
-				snap := srv.router.Snapshots()[0].Snap
-				got, gotErr := srv.correlateIndex(snap).TopK(q)
-				want, wantErr := correlate.BruteForce(snap.View, q)
-				if (gotErr != nil) != (wantErr != nil) {
-					t.Errorf("reader %d anchor %q: index err %v, brute err %v", r, q.Anchor, gotErr, wantErr)
-					return
-				}
-				if gotErr == nil && !reflect.DeepEqual(got, want) {
-					t.Errorf("reader %d anchor %q k=%d: cached index diverged from recompute:\nindex %+v\nbrute %+v",
-						r, q.Anchor, q.K, got, want)
-					return
+				pinned = append(pinned, srv.router.Snapshots()[0].Snap)
+				// The newest generation, then one pinned up to 32 reads ago.
+				for _, snap := range []*serve.Snapshot{pinned[i], pinned[max(0, i-1-(r+i)%32)]} {
+					got, gotErr := srv.correlateIndex(snap).TopK(q)
+					want, wantErr := correlate.BruteForce(snap.View, q)
+					if (gotErr != nil) != (wantErr != nil) {
+						t.Errorf("reader %d seq %d anchor %q: index err %v, brute err %v", r, snap.Seq, q.Anchor, gotErr, wantErr)
+						return
+					}
+					if gotErr == nil && !reflect.DeepEqual(got, want) {
+						t.Errorf("reader %d seq %d anchor %q k=%d: carried index diverged from recompute:\nindex %+v\nbrute %+v",
+							r, snap.Seq, q.Anchor, q.K, got, want)
+						return
+					}
 				}
 			}
 		}(r)
@@ -182,8 +299,8 @@ func TestCorrelateEquivalenceUnderLiveWrites(t *testing.T) {
 	close(stop)
 	writers.Wait()
 
-	// The cache amortizes: builds are bounded by generations actually
-	// queried, and with 450 reads over few generations hits must dominate.
+	// The carry amortizes: only generations published while no index was
+	// present yet can cost a build, so with 900 reads hits must dominate.
 	cs := srv.CorrelateStats()
 	if cs.IndexBuilds == 0 || cs.CacheHits < cs.IndexBuilds {
 		t.Fatalf("correlate stats = %+v, want cache hits to dominate builds", cs)

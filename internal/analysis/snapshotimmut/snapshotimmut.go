@@ -1,8 +1,9 @@
 // Package snapshotimmut implements the annotlint analyzer enforcing the
 // published-snapshot immutability contract: values of the snapshot types the
 // serving layer shares across goroutines without synchronization
-// (rules.View, relation.View, serve.Snapshot, stream.Event, predict.Compiled)
-// must never be written through outside the package that owns the type. A
+// (rules.View, relation.View, serve.Snapshot, stream.Event, predict.Compiled,
+// correlate.Index) must never be written through outside the package that
+// owns the type. A
 // reader holding a published snapshot relies on every field, slice, and map
 // reachable from it being frozen; one assignment through a shared view is a
 // data race the type system cannot see.
@@ -36,6 +37,9 @@ var DefaultTypes = []string{
 	"annotadb/internal/serve.Snapshot",
 	"annotadb/internal/stream.Event",
 	"annotadb/internal/predict.Compiled",
+	// Its posting arrays outlive a generation: every later generation's
+	// index shares them (correlate.Index.Extend).
+	"annotadb/internal/correlate.Index",
 }
 
 // Default returns the analyzer configured for this repository.

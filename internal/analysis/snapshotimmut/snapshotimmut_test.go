@@ -8,11 +8,13 @@ import (
 )
 
 // TestSnapshotImmut runs the analyzer over a two-package golden tree: snap
-// owns the View snapshot type (its construction-time mutations must pass),
-// consumer mutates published views every way the analyzer flags, including
-// the through-a-method-result write that made PR 3's torn-read bug
-// possible, plus one sanctioned suppressed-with-reason mutation.
+// owns the View and Index snapshot types (its construction-time mutations,
+// Index.Extend's in-place append among them, must pass), consumer mutates
+// published views every way the analyzer flags, including the
+// through-a-method-result write that made PR 3's torn-read bug possible and
+// an append into an index's shared posting array, plus one sanctioned
+// suppressed-with-reason mutation.
 func TestSnapshotImmut(t *testing.T) {
-	a := snapshotimmut.New(snapshotimmut.Config{Types: []string{"snap.View"}})
+	a := snapshotimmut.New(snapshotimmut.Config{Types: []string{"snap.View", "snap.Index"}})
 	analysistest.Run(t, analysistest.TestData(), a, "snap", "consumer")
 }

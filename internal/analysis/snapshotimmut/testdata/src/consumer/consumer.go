@@ -14,6 +14,13 @@ func Mutate(v *snap.View) {
 	v.Sorted()[0] = "z"      // want `assignment through published snapshot type snap.View`
 }
 
+// Grow appends into an index's shared posting array: even with the result
+// stored elsewhere, the write lands past the length every sibling
+// generation was promised, and only the owner tracks who may do that.
+func Grow(idx *snap.Index) []int {
+	return append(idx.Postings(0), 7) // want `append on data shared with published snapshot type snap.Index`
+}
+
 // Read-only access is fine.
 func Read(v *snap.View) int { return len(v.Items) }
 

@@ -1,6 +1,6 @@
-// Package snap owns the published snapshot type View. Mutations inside
-// this package are construction-time and sanctioned; the analyzer must not
-// flag them.
+// Package snap owns the published snapshot types View and Index. Mutations
+// inside this package are construction-time and sanctioned; the analyzer
+// must not flag them.
 package snap
 
 // View is a published snapshot: immutable outside this package.
@@ -25,3 +25,20 @@ func New(items []string) *View {
 
 // Sorted returns the items, backed by the snapshot's own array.
 func (v *View) Sorted() []string { return v.Items }
+
+// Index is a published snapshot whose posting arrays later generations
+// share, in the shape of correlate.Index.
+type Index struct {
+	postings [][]int
+}
+
+// Extend derives the next generation, appending in place past the lengths
+// idx's own slice headers record: the owner's sanctioned write.
+func (idx *Index) Extend(key, pos int) *Index {
+	next := &Index{postings: append([][]int(nil), idx.postings...)}
+	next.postings[key] = append(next.postings[key], pos)
+	return next
+}
+
+// Postings returns key's positions, backed by the shared array.
+func (idx *Index) Postings(key int) []int { return idx.postings[key] }

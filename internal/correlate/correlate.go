@@ -10,9 +10,14 @@
 // high-support noise cannot crowd out genuinely associated annotations. All
 // counts come from one frozen relation.View generation — the paper's §4.3
 // annotation inverted index and frequency table — so a query takes zero
-// engine locks. An Index caches the one derived structure a View lacks (the
-// data-value inverted index) and is itself cached per snapshot generation by
-// Lazy, built on the first query and dropped wholesale at the next publish.
+// engine locks. An Index holds the one derived structure a View lacks, the
+// data-value inverted index. Tuples are append-only and a tuple's data
+// values never change, so that structure is purely append-only: it is built
+// once per serving core, by the first query (Lazy.Get), and from then on the
+// core's writer carries it from each generation to the next (Lazy.Next,
+// Index.Extend) — shared as is across an annotation batch, grown by exactly
+// the appended tuples' values across a tuple batch — so no query after the
+// first scans the relation.
 //
 // Churn-anomaly detection (detector.go) watches the rule-churn event stream
 // for per-family spikes against an EWMA baseline and publishes them back
@@ -21,11 +26,16 @@
 package correlate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
@@ -125,34 +135,84 @@ type Answer struct {
 	Results []Result `json:"results"`
 }
 
-// Index is the per-generation correlate index over one frozen View: the
+// Index is the correlate index of one frozen View generation: the
 // data-value inverted index the relation itself does not maintain (the
 // paper's §4.3 index covers annotations only). Everything else a query
 // needs — annotation postings, frequencies, N — is served straight from
-// the View. An Index is immutable after NewIndex and safe for concurrent
+// the View. An Index is immutable once handed out and safe for concurrent
 // queries.
+//
+// Generations of one relation form a lineage of indexes that share posting
+// arrays: Extend derives the next generation's index by appending the new
+// tuples' positions past the lengths this one's slice headers record, so an
+// older index only ever reads the [0:len) prefix it was built with — the
+// persistence argument relation.View makes for its chunk spine. Appending in
+// place is sound for one successor only; tail is the token that grants it.
+// An Index references its own View and nothing of the generations before it.
 type Index struct {
 	view *relation.View
 	n    int
-	// dataPostings maps each data-value item to the ascending tuple
-	// positions containing it, mirroring View.TuplesWith for annotations.
-	dataPostings map[itemset.Item][]int
+	// dataPostings holds, at each data value's dense dictionary id, the
+	// ascending tuple positions containing that value, mirroring
+	// View.TuplesWith for annotations. Ids never seen lie past its end.
+	dataPostings [][]int
+	// tail is shared by every index whose slice headers end where this
+	// one's do (an Extend over an unchanged tuple count shares it); the
+	// first Extend that appends claims it and gives its result a fresh one.
+	tail *atomic.Bool
 }
 
 // NewIndex builds the index with one O(N) scan over the view.
 func NewIndex(view *relation.View) *Index {
-	idx := &Index{
+	return (&Index{view: view, tail: new(atomic.Bool)}).Extend(view)
+}
+
+// Extend returns the index of view, a later generation of the relation this
+// index was built over, without rescanning what is already indexed. With the
+// tuple count unchanged the postings are shared as they are and only the
+// View is swapped; otherwise the slice headers are copied once and the
+// positions of the tuples appended since are appended in place, O(appended)
+// beyond that copy. idx itself is not modified and keeps answering for its
+// own generation.
+//
+// The in-place append happens at most once per set of shared arrays: a
+// second appending Extend from the same lengths (a fork of the lineage), and
+// a view that is not a successor — shorter, or over another dictionary —
+// get a full rebuild instead, never a write into arrays a sibling owns.
+func (idx *Index) Extend(view *relation.View) *Index {
+	switch {
+	case view.Len() < idx.n, idx.n > 0 && view.Dictionary() != idx.view.Dictionary():
+		return NewIndex(view) // not a successor
+	case view.Len() == idx.n:
+		return &Index{view: view, n: idx.n, dataPostings: idx.dataPostings, tail: idx.tail}
+	case !idx.tail.CompareAndSwap(false, true):
+		return NewIndex(view) // a fork: the arrays' one in-place append is taken
+	}
+	next := &Index{
 		view:         view,
 		n:            view.Len(),
-		dataPostings: make(map[itemset.Item][]int),
+		dataPostings: slices.Clone(idx.dataPostings),
+		tail:         new(atomic.Bool),
 	}
-	view.Each(func(i int, t relation.Tuple) bool {
+	view.EachFrom(idx.n, func(i int, t relation.Tuple) bool {
 		for _, it := range t.Data {
-			idx.dataPostings[it] = append(idx.dataPostings[it], i)
+			id := it.ID()
+			if id >= len(next.dataPostings) {
+				next.dataPostings = append(next.dataPostings, make([][]int, id+1-len(next.dataPostings))...)
+			}
+			next.dataPostings[id] = append(next.dataPostings[id], i)
 		}
 		return true
 	})
-	return idx
+	return next
+}
+
+// postings returns the ascending positions of data value it.
+func (idx *Index) postings(it itemset.Item) []int {
+	if id := it.ID(); id < len(idx.dataPostings) {
+		return idx.dataPostings[id]
+	}
+	return nil
 }
 
 // View returns the frozen generation the index was built over.
@@ -169,7 +229,7 @@ func (idx *Index) anchorPostings(token string) ([]int, error) {
 		return nil, ErrUnknownAnchor
 	}
 	if it.IsData() {
-		if p := idx.dataPostings[it]; len(p) > 0 {
+		if p := idx.postings(it); len(p) > 0 {
 			return p, nil
 		}
 		return nil, ErrUnknownAnchor
@@ -217,19 +277,78 @@ func rank(results []Result, k int) []Result {
 	if len(results) == 0 {
 		return []Result{}
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Confidence != results[j].Confidence {
-			return results[i].Confidence > results[j].Confidence
+	slices.SortFunc(results, func(a, b Result) int {
+		if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+			return c
 		}
-		if results[i].Lift != results[j].Lift {
-			return results[i].Lift > results[j].Lift
+		if c := cmp.Compare(b.Lift, a.Lift); c != 0 {
+			return c
 		}
-		return results[i].Token < results[j].Token
+		return strings.Compare(a.Token, b.Token)
 	})
 	if len(results) > k {
 		results = results[:k]
 	}
 	return results
+}
+
+// tally counts annotation co-occurrences along an anchor's postings. Raw and
+// derived annotation ids are dense from 1 per kind (relation.Dictionary), so
+// the counters are two flat slices indexed by id, grown on demand, plus the
+// candidates in first-seen order — which is also what reset walks, so a
+// query costs O(candidates), not O(dictionary), to clean up after. Ids mean
+// something only within one dictionary: reset before counting another
+// shard's tuples.
+type tally struct {
+	raw, derived []int
+	seen         []itemset.Item
+}
+
+// tallies recycles tally buffers across queries; a pooled tally is reset.
+var tallies = sync.Pool{New: func() any { return new(tally) }}
+
+func borrowTally() *tally { return tallies.Get().(*tally) }
+
+func (t *tally) release() {
+	t.reset()
+	tallies.Put(t)
+}
+
+func (t *tally) slot(a itemset.Item) *int {
+	counts := &t.raw
+	if a.IsDerived() {
+		counts = &t.derived
+	}
+	id := a.ID()
+	if id >= len(*counts) {
+		*counts = append(*counts, make([]int, id+1-len(*counts))...)
+	}
+	return &(*counts)[id]
+}
+
+// count tallies the annotations of view's tuples at postings.
+func (t *tally) count(view *relation.View, postings []int) error {
+	for _, p := range postings {
+		tu, err := view.Tuple(p)
+		if err != nil {
+			return err
+		}
+		for _, a := range tu.Annots {
+			c := t.slot(a)
+			if *c == 0 {
+				t.seen = append(t.seen, a)
+			}
+			*c++
+		}
+	}
+	return nil
+}
+
+func (t *tally) reset() {
+	for _, a := range t.seen {
+		*t.slot(a) = 0
+	}
+	t.seen = t.seen[:0]
 }
 
 // TopK answers an anchor query from this index: candidates are every
@@ -240,24 +359,21 @@ func (idx *Index) TopK(q Query) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
-	counts := make(map[itemset.Item]int)
-	for _, p := range postings {
-		t, terr := idx.view.Tuple(p)
-		if terr != nil {
-			return Answer{}, terr
-		}
-		for _, a := range t.Annots {
-			counts[a]++
-		}
+	counts := borrowTally()
+	defer counts.release()
+	if err := counts.count(idx.view, postings); err != nil {
+		return Answer{}, err
 	}
 	dict := idx.view.Dictionary()
-	results := make([]Result, 0, len(counts))
-	for cand, co := range counts {
+	results := make([]Result, 0, len(counts.seen))
+	for _, cand := range counts.seen {
 		token := dict.Token(cand)
 		if token == q.Anchor {
 			continue
 		}
-		results = append(results, scoreCandidate(token, co, len(postings), idx.view.Frequency(cand), idx.n, q.MinLift)...)
+		if r, ok := scoreCandidate(token, *counts.slot(cand), len(postings), idx.view.Frequency(cand), idx.n, q.MinLift); ok {
+			results = append(results, r)
+		}
 	}
 	return Answer{
 		Anchor:      q.Anchor,
@@ -268,13 +384,13 @@ func (idx *Index) TopK(q Query) (Answer, error) {
 }
 
 // scoreCandidate scores one candidate and applies the significance and
-// lift filters, returning zero or one results.
-func scoreCandidate(token string, co, freqA, freqC, n int, minLift float64) []Result {
+// lift filters; ok reports whether it passed.
+func scoreCandidate(token string, co, freqA, freqC, n int, minLift float64) (r Result, ok bool) {
 	confidence, lift, chi2, p := score(co, freqA, freqC, n)
 	if chi2 < ChiSquareCutoff || lift < minLift {
-		return nil
+		return Result{}, false
 	}
-	return []Result{{
+	return Result{
 		Token:      token,
 		Family:     relation.FamilyOf(token),
 		Count:      co,
@@ -283,7 +399,7 @@ func scoreCandidate(token string, co, freqA, freqC, n int, minLift float64) []Re
 		Lift:       lift,
 		ChiSquare:  chi2,
 		PValue:     p,
-	}}
+	}, true
 }
 
 // clampBelow returns the prefix of ascending positions strictly below n.
@@ -327,26 +443,25 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 	if len(postings) == 0 {
 		return Answer{}, ErrUnknownAnchor
 	}
+	counts := borrowTally()
+	defer counts.release()
 	var results []Result
 	for _, idx := range idxs {
-		counts := make(map[itemset.Item]int)
-		for _, p := range postings {
-			t, terr := idx.view.Tuple(p)
-			if terr != nil {
-				return Answer{}, terr
-			}
-			for _, a := range t.Annots {
-				counts[a]++
-			}
+		counts.reset()
+		if err := counts.count(idx.view, postings); err != nil {
+			return Answer{}, err
 		}
 		dict := idx.view.Dictionary()
-		for cand, co := range counts {
+		results = slices.Grow(results, len(counts.seen))
+		for _, cand := range counts.seen {
 			token := dict.Token(cand)
 			if token == q.Anchor {
 				continue
 			}
 			freqC := len(clampBelow(idx.view.TuplesWith(cand), minN))
-			results = append(results, scoreCandidate(token, co, len(postings), freqC, minN, q.MinLift)...)
+			if r, ok := scoreCandidate(token, *counts.slot(cand), len(postings), freqC, minN, q.MinLift); ok {
+				results = append(results, r)
+			}
 		}
 	}
 	return Answer{
@@ -403,7 +518,9 @@ func BruteForce(view *relation.View, q Query) (Answer, error) {
 		if co == 0 {
 			continue
 		}
-		results = append(results, scoreCandidate(token, co, freqA, freqC, n, q.MinLift)...)
+		if r, ok := scoreCandidate(token, co, freqA, freqC, n, q.MinLift); ok {
+			results = append(results, r)
+		}
 	}
 	return Answer{
 		Anchor:      q.Anchor,

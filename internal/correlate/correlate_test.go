@@ -315,6 +315,213 @@ func TestLazyBuildsOnce(t *testing.T) {
 	}
 }
 
+// TestLazyNextCarriesOnlyABuiltIndex: a slot nobody queried hands its
+// successor nothing (the core stays cold and pays no scan), a queried one
+// hands over its index extended to the new view.
+func TestLazyNextCarriesOnlyABuiltIndex(t *testing.T) {
+	rel := plantedRelation()
+	v0 := rel.View()
+	cold := new(Lazy)
+	if _, built := cold.Next(v0).Get(v0); !built {
+		t.Fatal("successor of a never-queried slot was born warm")
+	}
+	base, _ := cold.Get(v0)
+	rel.Append(relation.MustTuple(rel.Dictionary(), []string{"src=a", "row=new"}, []string{"cpu:high"}))
+	v1 := rel.View()
+	idx, built := cold.Next(v1).Get(v1)
+	if built {
+		t.Fatal("successor of a queried slot had to build")
+	}
+	if idx.View() != v1 || idx.N() != v0.Len()+1 {
+		t.Fatalf("carried index covers n=%d of view %p, want n=%d of %p", idx.N(), idx.View(), v0.Len()+1, v1)
+	}
+	if base.View() != v0 || base.N() != v0.Len() {
+		t.Fatal("carrying the index forward modified the generation it came from")
+	}
+	if !reflect.DeepEqual(idx.dataPostings, NewIndex(v1).dataPostings) {
+		t.Fatal("carried index differs from a fresh build over the same view")
+	}
+}
+
+// historyAnnots is the annotation pool of the random histories below: raw
+// annotations across several families, so removals and re-adds hit them all.
+var historyAnnots = []string{
+	"cpu:high", "cpu:low", "mem:high", "mem:low",
+	"io:slow", "io:fast", "net:sat", "disk:full", "oom:kill", "plain",
+}
+
+// historyStep mutates rel by one random batch: a tuple append (repeating
+// data values, so existing postings grow, plus now and then a value never
+// seen, so the spine grows), an annotation attach batch, or a removal batch.
+func historyStep(t *testing.T, rng *rand.Rand, rel *relation.Relation, step int) {
+	t.Helper()
+	dict := rel.Dictionary()
+	switch op := rng.Intn(3); op {
+	case 0:
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			data := []string{fmt.Sprintf("host=h%d", rng.Intn(8)), fmt.Sprintf("img=i%d", rng.Intn(4))}
+			if rng.Intn(5) == 0 {
+				data = append(data, fmt.Sprintf("ctr=c%d", step))
+			}
+			var attach []string
+			for _, a := range historyAnnots {
+				if rng.Float64() < 0.25 {
+					attach = append(attach, a)
+				}
+			}
+			rel.Append(relation.MustTuple(dict, data, attach))
+		}
+	case 1, 2:
+		batch := make([]relation.AnnotationUpdate, 1+rng.Intn(6))
+		for i := range batch {
+			a := historyAnnots[rng.Intn(len(historyAnnots))]
+			batch[i] = relation.AnnotationUpdate{Index: rng.Intn(rel.Len()), Annotation: relation.MustAnnotation(dict, a)}
+		}
+		apply := rel.ApplyUpdates
+		if op == 2 {
+			apply = rel.ApplyRemovals
+		}
+		if _, _, err := apply(batch); err != nil {
+			t.Fatalf("step %d: annotation batch (op %d): %v", step, op, err)
+		}
+	}
+}
+
+// checkAgainstBruteForce asserts idx answers every probe anchor exactly as
+// the no-derived-structure recomputation over idx's own view does.
+func checkAgainstBruteForce(t *testing.T, label string, idx *Index) {
+	t.Helper()
+	for _, anchor := range []string{"cpu:high", "mem:low", "plain", "host=h1", "img=i2", "ctr=c7", "never-seen"} {
+		q := Query{Anchor: anchor, K: 20, MinLift: 0}
+		got, gotErr := idx.TopK(q)
+		want, wantErr := BruteForce(idx.View(), q)
+		if !errors.Is(gotErr, wantErr) {
+			t.Fatalf("%s anchor %q: TopK err %v, BruteForce err %v", label, anchor, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s anchor %q:\n index: %+v\n brute: %+v", label, anchor, got, want)
+		}
+	}
+}
+
+// TestExtendMatchesRebuildOverRandomHistories is the carry-forward oracle:
+// along a random history of tuple appends, annotation adds and removals, the
+// index extended generation by generation equals a fresh build over each
+// view and answers as BruteForce does — and every older generation's index,
+// whose arrays later generations appended into in place, keeps doing so.
+func TestExtendMatchesRebuildOverRandomHistories(t *testing.T) {
+	const generations = 240
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		rel := randomRelation(rng, 40)
+		idx := NewIndex(rel.View())
+		retained := []*Index{idx}
+		for step := 1; step <= generations; step++ {
+			historyStep(t, rng, rel, step)
+			view := rel.View()
+			idx = idx.Extend(view)
+			if idx.View() != view || idx.N() != view.Len() {
+				t.Fatalf("seed %d step %d: extended index covers n=%d, view has %d", seed, step, idx.N(), view.Len())
+			}
+			if !reflect.DeepEqual(idx.dataPostings, NewIndex(view).dataPostings) {
+				t.Fatalf("seed %d step %d: extended postings differ from a fresh build", seed, step)
+			}
+			checkAgainstBruteForce(t, fmt.Sprintf("seed %d step %d", seed, step), idx)
+			retained = append(retained, idx)
+			old := rng.Intn(len(retained))
+			checkAgainstBruteForce(t, fmt.Sprintf("seed %d step %d, retained generation %d", seed, step, old), retained[old])
+		}
+		for g, old := range retained {
+			if !reflect.DeepEqual(old.dataPostings, NewIndex(old.View()).dataPostings) {
+				t.Fatalf("seed %d: generation %d's postings changed under later in-place appends", seed, g)
+			}
+			if g%16 == 0 {
+				checkAgainstBruteForce(t, fmt.Sprintf("seed %d, generation %d at the end", seed, g), old)
+			}
+		}
+	}
+}
+
+// TestExtendForkDoesNotWriteSharedArrays: only one successor may append in
+// place. Two relations diverging from one generation (same dictionary, same
+// prefix, different appended tuples) both extend the same index; so does a
+// second branch taken through an annotation-only generation that shares the
+// first one's arrays. Every branch must equal a fresh build of its own view.
+func TestExtendForkDoesNotWriteSharedArrays(t *testing.T) {
+	rel := randomRelation(rand.New(rand.NewSource(11)), 300)
+	base := NewIndex(rel.View())
+	// Every branch ends with four host=h0 rows, after a different number of
+	// other rows: an unguarded second append would overwrite the positions
+	// the first branch wrote into host=h0's array with different ones.
+	appendRows := func(r *relation.Relation, lead int) *relation.View {
+		for i := 0; i < lead+4; i++ {
+			host := "host=h0"
+			if i < lead {
+				host = "host=h7"
+			}
+			r.Append(relation.MustTuple(r.Dictionary(), []string{host, "img=i0"}, []string{"cpu:high"}))
+		}
+		return r.View()
+	}
+	relA, relB, relC := rel.Clone(), rel.Clone(), rel.Clone()
+	if err := relC.AddAnnotation(0, relation.MustAnnotation(relC.Dictionary(), "fork:only")); err != nil {
+		t.Fatal(err)
+	}
+	sameLen := base.Extend(relC.View())
+	if &sameLen.dataPostings[0] != &base.dataPostings[0] {
+		t.Fatal("an unchanged tuple count must share the postings, not copy them")
+	}
+	branches := map[string]*Index{
+		"first":                 base.Extend(appendRows(relA, 0)),
+		"second":                base.Extend(appendRows(relB, 2)),
+		"through-shared-arrays": sameLen.Extend(appendRows(relC, 4)),
+		"shorter-view":          base.Extend(randomRelation(rand.New(rand.NewSource(12)), 20).View()),
+	}
+	for name, idx := range branches {
+		if !reflect.DeepEqual(idx.dataPostings, NewIndex(idx.View()).dataPostings) {
+			t.Fatalf("branch %q: postings differ from a fresh build of its view", name)
+		}
+		checkAgainstBruteForce(t, "branch "+name, idx)
+	}
+	if !reflect.DeepEqual(base.dataPostings, NewIndex(base.View()).dataPostings) {
+		t.Fatal("the forked-from generation's postings changed")
+	}
+}
+
+// TestWarmQueriesDoNotAllocatePerPosting bounds a warm query's allocations
+// by a small constant: the result slice and little else — no tally map, and
+// nothing that scales with the anchor's ~1 250 postings.
+func TestWarmQueriesDoNotAllocatePerPosting(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rel := randomRelation(rand.New(rand.NewSource(42)), 5000)
+	idx := NewIndex(rel.View())
+	_, shards := shardedFixture(t)
+	single := Query{Anchor: "cpu:high", K: DefaultK, MinLift: DefaultMinLift}
+	cases := []struct {
+		name  string
+		bound float64
+		run   func() error
+	}{
+		{"TopK", 3, func() error { _, err := idx.TopK(single); return err }},
+		{"TopKMerged", 4, func() error { _, err := TopKMerged(shards, single); return err }},
+	}
+	for _, tc := range cases {
+		if err := tc.run(); err != nil { // warm the tally pool
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := tc.run(); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		})
+		if allocs > tc.bound {
+			t.Errorf("%s: %.1f allocations per warm query, want at most %.0f", tc.name, allocs, tc.bound)
+		}
+	}
+}
+
 func FuzzParseCorrelateQuery(f *testing.F) {
 	f.Add("cpu:high", "10", "1.0")
 	f.Add("", "", "")
@@ -355,7 +562,7 @@ func BenchmarkCorrelateTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkCorrelateIndexBuild is the cost a generation's first query pays.
+// BenchmarkCorrelateIndexBuild is the cost a core's first query pays.
 func BenchmarkCorrelateIndexBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	view := randomRelation(rng, 5000).View()
@@ -363,5 +570,38 @@ func BenchmarkCorrelateIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewIndex(view)
+	}
+}
+
+// BenchmarkCorrelateIndexExtend is the cost a publish pays to carry the
+// index into the next generation of an 8 K-tuple relation: after an
+// annotation batch (+0 tuples: share the postings) and after a tuple batch
+// (+4 tuples: copy the slice headers, append 8 positions). One index grants
+// a single in-place extension, so each iteration re-arms the base index's
+// grant; every iteration then appends the same positions past the same
+// lengths, which is harmless.
+func BenchmarkCorrelateIndexExtend(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	rel := randomRelation(rng, 8000)
+	before := rel.View()
+	base := NewIndex(before)
+	for i := 0; i < 4; i++ {
+		rel.Append(relation.MustTuple(rel.Dictionary(),
+			[]string{fmt.Sprintf("host=h%d", i), "img=i1"}, []string{"cpu:high"}))
+	}
+	after := rel.View()
+	for _, tc := range []struct {
+		name string
+		next *relation.View
+	}{{"plus0", before}, {"plus4", after}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				base.tail.Store(false)
+				if got := base.Extend(tc.next); got.N() != tc.next.Len() {
+					b.Fatalf("extended to n=%d, want %d", got.N(), tc.next.Len())
+				}
+			}
+		})
 	}
 }

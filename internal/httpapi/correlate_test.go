@@ -2,10 +2,15 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
 	"testing"
+
+	"annotadb"
+	"annotadb/internal/relation"
 )
 
 // correlateBody is the decoded /correlate response.
@@ -214,5 +219,31 @@ func TestStatsCorrelateSection(t *testing.T) {
 	}
 	if stats.Correlate.DetectorRunning {
 		t.Fatal("detector reported running without CorrelateOptions.Anomalies")
+	}
+}
+
+// TestCorrelateErrorStatus pins the /correlate failure mapping: a missing
+// anchor is the client's 404, and every other failure — in practice a tuple
+// read failing because an index disagrees with its view — is the server's
+// 500, wrapped or not.
+func TestCorrelateErrorStatus(t *testing.T) {
+	cases := []struct {
+		name       string
+		err        error
+		wantStatus int
+		wantCode   string
+	}{
+		{"unknown anchor", annotadb.ErrUnknownAnchor, http.StatusNotFound, CodeNotFound},
+		{"wrapped unknown anchor", fmt.Errorf("shard 1: %w", annotadb.ErrUnknownAnchor), http.StatusNotFound, CodeNotFound},
+		{"tuple index out of range", fmt.Errorf("%w: 9 (relation has 4 tuples)", relation.ErrTupleIndex), http.StatusInternalServerError, CodeInternal},
+		{"anything else", errors.New("boom"), http.StatusInternalServerError, CodeInternal},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			status, code := correlateErrorStatus(tc.err)
+			if status != tc.wantStatus || code != tc.wantCode {
+				t.Fatalf("correlateErrorStatus(%v) = %d %q, want %d %q", tc.err, status, code, tc.wantStatus, tc.wantCode)
+			}
+		})
 	}
 }

@@ -75,8 +75,8 @@ const (
 	CodeNotFound = "not_found"
 	// CodeTooLarge is a 413: body over the byte budget.
 	CodeTooLarge = "payload_too_large"
-	// CodeInternal is a 500: server-side write failure (e.g. WAL disk);
-	// retryable.
+	// CodeInternal is a 500: server-side failure (e.g. WAL disk on a
+	// write, an inconsistent correlate index on a read); retryable.
 	CodeInternal = "internal"
 	// CodeUnavailable is a 503: shutting down / request canceled.
 	CodeUnavailable = "unavailable"
@@ -454,11 +454,8 @@ func (a *api) correlate(w http.ResponseWriter, r *http.Request) {
 	}
 	ans, seq, err := a.srv.Correlate(cq.Anchor, cq.K, cq.MinLift)
 	if err != nil {
-		if errors.Is(err, annotadb.ErrUnknownAnchor) {
-			writeError(w, http.StatusNotFound, CodeNotFound, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err)
+		status, code := correlateErrorStatus(err)
+		writeError(w, status, code, err)
 		return
 	}
 	body := map[string]any{
@@ -475,6 +472,18 @@ func (a *api) correlate(w http.ResponseWriter, r *http.Request) {
 		body["seq_vector"] = seq.Shards
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// correlateErrorStatus maps a Server.Correlate failure to its response. The
+// request was already validated, so the only client-attributable failure is
+// an anchor the generation does not hold (404). Anything else is a tuple
+// read failing along the anchor's postings — an index out of step with its
+// view, the server's fault — and must surface as a 500, not hide among 4xx.
+func correlateErrorStatus(err error) (status int, code string) {
+	if errors.Is(err, annotadb.ErrUnknownAnchor) {
+		return http.StatusNotFound, CodeNotFound
+	}
+	return http.StatusInternalServerError, CodeInternal
 }
 
 // decodeBody decodes a JSON write body into req. Unknown keys are rejected:

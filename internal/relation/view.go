@@ -202,6 +202,19 @@ func (v *View) Frequency(a itemset.Item) int { return v.st.freq[a] }
 // FrequencyTable returns a copy of the annotation frequency table.
 func (v *View) FrequencyTable() map[itemset.Item]int { return v.st.freqTable() }
 
+// AttachmentTotals folds the frequency table into the two numbers stats
+// report — attachments (annotation occurrences over all tuples) and distinct
+// (annotations present on at least one tuple) — without copying the table.
+func (v *View) AttachmentTotals() (attachments, distinct int) {
+	for _, n := range v.st.freq {
+		if n > 0 {
+			attachments += n
+			distinct++
+		}
+	}
+	return attachments, distinct
+}
+
 // Annotations returns every annotation present on at least one tuple, sorted.
 func (v *View) Annotations() itemset.Itemset { return v.st.annotations() }
 

@@ -773,17 +773,19 @@ func (s *Server) applyGroup(kind opKind, group []*request) result {
 // new immutable snapshot. The engine snapshot pins the relation generation
 // alongside the rule view, so View and Rules always pair; the relation's
 // copy-on-write store makes the capture O(1) and charges the next batch
-// only for the chunks it actually touches.
+// only for the chunks it actually touches. The correlate index, once a query
+// has built it, is carried into the new snapshot extended by the tuples the
+// batch appended; publish runs only on the writer goroutine (and once from
+// New, before it starts), which is the single-successor lineage
+// correlate.Lazy.Next requires.
 func (s *Server) publish() {
 	es := s.eng.Snapshot()
-	attachments, distinct := 0, 0
-	for _, n := range es.Relation.FrequencyTable() {
-		if n > 0 {
-			attachments += n
-			distinct++
-		}
-	}
+	attachments, distinct := es.Relation.AttachmentTotals()
 	prev := s.snap.Load()
+	index := new(correlate.Lazy)
+	if prev != nil {
+		index = prev.Correlate.Next(es.Relation)
+	}
 	snap := &Snapshot{
 		Seq:                 s.seq.Add(1),
 		N:                   es.N,
@@ -796,7 +798,7 @@ func (s *Server) publish() {
 		Compiled:            predict.Compile(es.Rules, s.cfg.Recommend),
 		Attachments:         attachments,
 		DistinctAnnotations: distinct,
-		Correlate:           &correlate.Lazy{},
+		Correlate:           index,
 	}
 	s.snap.Store(snap)
 	if s.cfg.Stream != nil && prev != nil {
