@@ -174,8 +174,9 @@ func (d *Dataset) Write(w io.Writer) error {
 	return storage.WriteDataset(w, d.rel, storage.Options{})
 }
 
-// Save writes the dataset file atomically (temp file + rename), mirroring
-// the paper's application, which rewrites the dataset after every update.
+// Save installs the dataset file durably and atomically, mirroring the
+// paper's application, which rewrites the dataset after every update. The
+// file keeps mode 0644.
 func (d *Dataset) Save(path string) error {
 	return storage.WriteDatasetFile(path, d.rel, storage.Options{})
 }

@@ -2,6 +2,7 @@ package annotadb
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -82,6 +83,29 @@ func TestDatasetSave(t *testing.T) {
 	}
 	if _, err := LoadDataset(filepath.Join(t.TempDir(), "absent.txt")); err == nil {
 		t.Error("loading absent file succeeded")
+	}
+}
+
+// TestDatasetSaveKeepsFileMode pins the install rule's file mode: rewriting
+// a 0644 dataset must not leave it with the 0600 of the temp file the new
+// contents were written to.
+func TestDatasetSaveKeepsFileMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "data.txt")
+	if err := os.WriteFile(path, []byte(sampleDataset), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(path, 0o644); err != nil { // independent of the umask
+		t.Fatal(err)
+	}
+	if err := sampleDS(t).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := info.Mode().Perm(); got != 0o644 {
+		t.Errorf("mode after Save = %v, want -rw-r--r--", got)
 	}
 }
 

@@ -48,7 +48,7 @@ var DefaultLocks = []string{
 
 // DefaultIO are the blocking calls the repository's hot paths must not make
 // under a hot lock: raw file syscalls, the WAL's append/fsync/swap surface,
-// checkpoint serialization, HTTP, and sleeps.
+// checkpoint serialization, the durable file install, HTTP, and sleeps.
 var DefaultIO = []string{
 	"os.File.*",
 	"net/http.*",
@@ -64,6 +64,8 @@ var DefaultIO = []string{
 	"annotadb/internal/wal.SegmentedLog.Close",
 	"annotadb/internal/storage.WriteCheckpointFile",
 	"annotadb/internal/storage.ReadCheckpointFile",
+	"annotadb/internal/storage.InstallFile",
+	"annotadb/internal/storage.SyncDir",
 }
 
 // Default returns the analyzer configured for this repository.

@@ -13,6 +13,10 @@ type Log struct{}
 // Sync fsyncs the log.
 func (l *Log) Sync() error { return nil }
 
+// InstallFile is a package-level blocking call: a durable
+// temp-file-and-rename install.
+func InstallFile(path string) error { return nil }
+
 // Store owns the hot lock mu.
 type Store struct {
 	mu   sync.Mutex
@@ -35,6 +39,14 @@ func (s *Store) WriteFileUnderLock(b []byte) {
 	s.mu.Lock()
 	s.file.Write(b) // want `call to os.File.Write while s.mu is held`
 	s.mu.Unlock()
+}
+
+// InstallUnderLock trips a package-level function key: every mu waiter
+// queues behind two fsyncs and a rename.
+func (s *Store) InstallUnderLock(path string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return InstallFile(path) // want `call to lockuse.InstallFile while s.mu is held`
 }
 
 // SendUnderLock blocks every mu waiter behind a slow receiver.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
 	"annotadb/internal/serve"
+	"annotadb/internal/storage"
 	"annotadb/internal/wal"
 )
 
@@ -63,38 +65,17 @@ func readManifest(dir string) (*manifest, error) {
 	return &m, nil
 }
 
-// writeManifest installs the manifest atomically (temp file + rename +
-// directory sync), so a crash mid-write leaves the previous manifest.
+// writeManifest installs the manifest with storage.InstallFile, so a crash
+// mid-write leaves the previous manifest.
 func writeManifest(dir string, m *manifest) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: encode manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".annotadb-manifest-*")
-	if err != nil {
-		return fmt.Errorf("shard: create temp manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("shard: write temp manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("shard: sync temp manifest: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("shard: chmod temp manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("shard: close temp manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, ManifestPath(dir)); err != nil {
-		return fmt.Errorf("shard: install manifest: %w", err)
-	}
-	return syncDir(dir)
+	return storage.InstallFile(ManifestPath(dir), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	})
 }
 
 // HasDurableState reports whether dir holds a sharded cluster from a
@@ -350,26 +331,14 @@ func writeBootstrapSentinel(dir string) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("shard: close bootstrap sentinel: %w", err)
 	}
-	return syncDir(dir)
+	return storage.SyncDir(dir)
 }
 
 func clearBootstrapSentinel(dir string) error {
 	if err := os.Remove(bootstrapSentinelPath(dir)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("shard: clear bootstrap sentinel: %w", err)
 	}
-	return syncDir(dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("shard: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("shard: sync dir: %w", err)
-	}
-	return nil
+	return storage.SyncDir(dir)
 }
 
 // reconcile restores the equal-length replica invariant after recovery: a

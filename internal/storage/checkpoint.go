@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"annotadb/internal/apriori"
 	"annotadb/internal/itemset"
@@ -201,33 +200,11 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}, nil
 }
 
-// WriteCheckpointFile writes the checkpoint durably: to a temp file in the
-// same directory, fsynced, then renamed over path, then the directory is
-// fsynced so the rename itself survives a crash. A reader therefore sees
-// either the previous checkpoint or the new one, never a torn mixture.
+// WriteCheckpointFile installs the checkpoint at path with InstallFile, so a
+// reader sees either the previous checkpoint or the new one, never a torn
+// mixture.
 func WriteCheckpointFile(path string, ck *Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".annotadb-ckpt-*")
-	if err != nil {
-		return fmt.Errorf("storage: create temp checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if err := WriteCheckpoint(tmp, ck); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: sync temp checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: close temp checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("storage: install checkpoint: %w", err)
-	}
-	return syncDir(dir)
+	return InstallFile(path, func(w io.Writer) error { return WriteCheckpoint(w, ck) })
 }
 
 // ReadCheckpointFile reads a checkpoint file written by WriteCheckpointFile.
@@ -238,19 +215,6 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	}
 	defer f.Close()
 	return ReadCheckpoint(f)
-}
-
-// syncDir fsyncs a directory so a just-renamed file is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("storage: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("storage: sync dir: %w", err)
-	}
-	return nil
 }
 
 // --- encoding helpers ----------------------------------------------------

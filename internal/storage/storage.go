@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"unicode"
@@ -221,29 +220,11 @@ func WriteDataset(w io.Writer, rel *relation.Relation, opts Options) error {
 	return bw.Flush()
 }
 
-// WriteDatasetFile writes the dataset atomically: to a temp file in the same
-// directory, then rename. The paper's application "rewrites the dataset
-// file" after every update; the atomic variant means a crash mid-rewrite
-// cannot destroy the only copy.
+// WriteDatasetFile installs the dataset at path with InstallFile. The
+// paper's application "rewrites the dataset file" after every update; the
+// durable install means a crash mid-rewrite cannot destroy the only copy.
 func WriteDatasetFile(path string, rel *relation.Relation, opts Options) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".annotadb-dataset-*")
-	if err != nil {
-		return fmt.Errorf("storage: create temp dataset: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if err := WriteDataset(tmp, rel, opts); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: close temp dataset: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("storage: replace dataset: %w", err)
-	}
-	return nil
+	return InstallFile(path, func(w io.Writer) error { return WriteDataset(w, rel, opts) })
 }
 
 // UpdateLine is a parsed Figure 14 batch line before annotation interning.

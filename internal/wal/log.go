@@ -1,36 +1,21 @@
 package wal
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"annotadb/internal/storage"
 )
 
 // logMagic opens every log file; the trailing byte is the format version.
-var logMagic = []byte("ADBWAL\x00\x02")
-
-// logHeaderSize is the fixed log file header: the magic followed by a
-// little-endian uint64 epoch. The epoch ties a log to the checkpoint
+// The header's uint64 is the epoch, which ties a log to the checkpoint
 // generation it extends: every checkpoint carries the epoch its successor
 // log will be stamped with, so recovery can tell a log that extends the
 // checkpoint (equal epochs, replay it) from one the checkpoint already
 // covers (older epoch — the artifact of a crash between checkpoint install
 // and log truncation — drop it, replaying would double-apply).
-const logHeaderSize = 8 + 8
-
-// frameHeaderSize is the fixed prefix of every record frame:
-// a little-endian uint32 payload length followed by a little-endian uint32
-// CRC32 (IEEE) of the payload.
-const frameHeaderSize = 8
-
-// maxRecordBytes bounds a single record frame: Append rejects larger
-// payloads, which is what lets Replay classify a larger length prefix as
-// damage (never a legitimate frame or an allocation request).
-const maxRecordBytes = 256 << 20
+var logMagic = []byte("ADBWAL\x00\x02")
 
 // Log is an append-only record log backing one Store. It is not safe for
 // concurrent use: the serving layer's single writer is its only client.
@@ -71,11 +56,12 @@ func OpenLog(path string, epoch uint64) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: read log header: %w", err)
 	}
-	if string(header[:len(logMagic)]) != string(logMagic) {
+	stored, ok := decodeHeader(header, logMagic)
+	if !ok {
 		f.Close()
 		return nil, fmt.Errorf("wal: %s is not a wal log (bad magic)", path)
 	}
-	l.epoch = binary.LittleEndian.Uint64(header[len(logMagic):])
+	l.epoch = stored
 	return l, nil
 }
 
@@ -87,10 +73,7 @@ func (l *Log) reset(epoch uint64) error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate log: %w", err)
 	}
-	header := make([]byte, logHeaderSize)
-	copy(header, logMagic)
-	binary.LittleEndian.PutUint64(header[len(logMagic):], epoch)
-	if _, err := l.f.WriteAt(header, 0); err != nil {
+	if _, err := l.f.WriteAt(encodeHeader(logMagic, epoch), 0); err != nil {
 		return fmt.Errorf("wal: write log header: %w", err)
 	}
 	l.size = logHeaderSize
@@ -108,15 +91,11 @@ type ReplayInfo struct {
 }
 
 // Replay reads the log from the start, calling fn for each intact record in
-// order. A torn final record — a frame that runs past EOF, a zero length
-// prefix (a never-written preallocated region exposed by power loss), or a
-// CRC mismatch on the last frame — ends the replay and is truncated away so
-// appends resume from the last durable record. Damage that cannot be a
-// torn append — a CRC failure with intact bytes following it, or a length
-// prefix larger than any frame Append accepts — is a hard error instead:
-// truncating there would silently discard durable records. fn returning an
-// error aborts the replay with that error. After a successful Replay the
-// log is positioned for Append.
+// order. A torn tail (scanFrames) ends the replay and is truncated away so
+// appends resume from the last durable record; damage is a hard error
+// instead, since truncating there would silently discard durable records.
+// fn returning an error aborts the replay with that error. After a
+// successful Replay the log is positioned for Append.
 func (l *Log) Replay(fn func(Record) error) (ReplayInfo, error) {
 	return l.ReplayFrom(logHeaderSize, fn)
 }
@@ -124,102 +103,56 @@ func (l *Log) Replay(fn func(Record) error) (ReplayInfo, error) {
 // ReplayFrom behaves like Replay but starts at byte offset start, which
 // must be a frame boundary (recovery uses a checkpoint's CoveredBytes, the
 // log size at capture time, which always is). A start at or past the end of
-// the log replays nothing.
+// the log replays nothing. The replayed range is read into memory whole.
 func (l *Log) ReplayFrom(start int64, fn func(Record) error) (ReplayInfo, error) {
 	var info ReplayInfo
-	offset := start
-	if offset < logHeaderSize {
-		offset = logHeaderSize
+	start = min(max(start, logHeaderSize), l.size)
+	data := make([]byte, l.size-start)
+	if _, err := l.f.ReadAt(data, start); err != nil {
+		return info, fmt.Errorf("wal: replay: %w", err)
 	}
-	if offset > l.size {
-		offset = l.size
-	}
-	rd := io.NewSectionReader(l.f, offset, l.size-offset)
-	header := make([]byte, frameHeaderSize)
-	for {
-		if _, err := io.ReadFull(rd, header); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				info.TornTail = true
-				break
-			}
-			return info, fmt.Errorf("wal: replay: %w", err)
+	var decodeErr, fnErr error
+	n, end, err := scanFrames(data, func(payload []byte) bool {
+		rec, derr := decodePayload(payload)
+		if decodeErr = derr; derr != nil {
+			return false
 		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		want := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 {
-			// A zero length is the classic crash artifact of filesystems
-			// that expose never-written (zero-filled) preallocated space
-			// after power loss: torn tail.
-			info.TornTail = true
-			break
+		if fnErr = fn(rec); fnErr != nil {
+			return false
 		}
-		if length > maxRecordBytes {
-			// Append bounds payloads, so no written frame ever carries this
-			// length: the header bytes themselves are damaged mid-log.
-			return info, fmt.Errorf("wal: record %d at offset %d has impossible length %d: mid-log corruption, refusing to drop the tail",
-				info.Records, offset, length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(rd, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				info.TornTail = true
-				break
-			}
-			return info, fmt.Errorf("wal: replay: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			if frameEnd := offset + frameHeaderSize + int64(length); frameEnd < l.size {
-				// The corrupt frame is fully present AND intact bytes follow
-				// it: this cannot be a torn append (appends only ever
-				// shorten the tail), it is mid-log damage. Truncating here
-				// would silently discard the durable records behind it.
-				return info, fmt.Errorf("wal: record %d at offset %d failed its CRC with %d bytes of log following it: mid-log corruption, refusing to drop the tail",
-					info.Records, offset, l.size-frameEnd)
-			}
-			info.TornTail = true
-			break
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			// The frame passed its CRC, so this is not a torn write:
-			// refuse to guess and surface it.
-			return info, fmt.Errorf("wal: replay record %d at offset %d: %w", info.Records, offset, err)
-		}
-		if err := fn(rec); err != nil {
-			return info, err
-		}
-		offset += frameHeaderSize + int64(length)
 		info.Records++
-	}
-	if info.TornTail {
-		if err := l.f.Truncate(offset); err != nil {
+		return true
+	})
+	switch {
+	case decodeErr != nil:
+		// The frame passed its CRC, so this is not a torn write: refuse to
+		// guess and surface it.
+		return info, fmt.Errorf("wal: replay record %d at offset %d: %w", info.Records, start+n, decodeErr)
+	case fnErr != nil:
+		return info, fnErr
+	case end == frameDamage:
+		return info, fmt.Errorf("wal: record %d at offset %d: %v: mid-log corruption, refusing to drop the tail", info.Records, start+n, err)
+	case end != frameClean:
+		info.TornTail = true
+		if err := l.f.Truncate(start + n); err != nil {
 			return info, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
 	}
-	l.size = offset
+	l.size = start + n
 	return info, nil
 }
 
-// Append encodes rec and appends its frame to the log. A record whose
-// payload exceeds maxRecordBytes is rejected up front: Replay would treat
-// its length prefix as garbage, so writing it would ack a record recovery
-// must discard. Durability is the caller's concern: pair with Sync
-// according to the store's sync policy.
+// Append encodes rec and appends its frame to the log. Durability is the
+// caller's concern: pair with Sync according to the store's sync policy.
 func (l *Log) Append(rec Record, enc Encoding) (int64, error) {
 	payload, err := encodePayload(rec, enc)
 	if err != nil {
 		return 0, err
 	}
-	if len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("wal: record payload %d bytes exceeds the %d-byte limit; split the batch", len(payload), maxRecordBytes)
+	frame, err := encodeFrame(payload)
+	if err != nil {
+		return 0, err
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
 	if _, err := l.f.WriteAt(frame, l.size); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -252,67 +185,33 @@ func (l *Log) Truncate(epoch uint64) error {
 // TruncateKeep drops every record before byte offset keepFrom, re-stamps
 // the log with epoch, and keeps the tail [keepFrom, Size()) — the records a
 // background-installed checkpoint does not cover because the writer kept
-// appending while it was serialized. The rewrite goes through a temp file
-// and an atomic rename: a crash mid-truncation leaves either the old log
-// (whose covered prefix recovery skips again via the checkpoint's
-// CoveredBytes) or the new one, never a state that loses tail records.
+// appending while it was serialized. The rewritten log is installed with
+// storage.InstallFile and reopened for appending: a crash mid-truncation
+// leaves either the old log (whose covered prefix recovery skips again via
+// the checkpoint's CoveredBytes) or the new one, never a state that loses
+// tail records.
 func (l *Log) TruncateKeep(epoch uint64, keepFrom int64) error {
-	if keepFrom < logHeaderSize {
-		keepFrom = logHeaderSize
-	}
+	keepFrom = max(keepFrom, logHeaderSize)
 	if keepFrom >= l.size {
 		return l.Truncate(epoch)
 	}
-	tail := make([]byte, l.size-keepFrom)
-	if _, err := l.f.ReadAt(tail, keepFrom); err != nil {
+	rewritten := make([]byte, logHeaderSize+l.size-keepFrom)
+	copy(rewritten, encodeHeader(logMagic, epoch))
+	if _, err := l.f.ReadAt(rewritten[logHeaderSize:], keepFrom); err != nil {
 		return fmt.Errorf("wal: truncate: read surviving tail: %w", err)
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, ".annotadb-wal-*")
+	if err := storage.InstallFile(l.path, func(w io.Writer) error {
+		_, err := w.Write(rewritten)
+		return err
+	}); err != nil {
+		return fmt.Errorf("wal: truncate: %w", err)
+	}
+	f, err := os.OpenFile(l.path, os.O_RDWR, 0)
 	if err != nil {
-		return fmt.Errorf("wal: truncate: create temp log: %w", err)
+		return fmt.Errorf("wal: truncate: reopen rewritten log: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	header := make([]byte, logHeaderSize)
-	copy(header, logMagic)
-	binary.LittleEndian.PutUint64(header[len(logMagic):], epoch)
-	if _, err := tmp.Write(header); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: truncate: write temp log: %w", err)
-	}
-	if _, err := tmp.Write(tail); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: truncate: write temp log: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: truncate: sync temp log: %w", err)
-	}
-	// CreateTemp opens 0600; match OpenLog's 0644 so the log's permissions
-	// do not depend on which truncation path last rewrote it.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: truncate: chmod temp log: %w", err)
-	}
-	if err := os.Rename(tmpName, l.path); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: truncate: install rewritten log: %w", err)
-	}
-	old := l.f
-	l.f = tmp
-	l.size = logHeaderSize + int64(len(tail))
-	l.epoch = epoch
-	old.Close()
-	// Sync the directory so the rename itself survives a crash.
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: truncate: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: truncate: sync dir: %w", err)
-	}
+	l.f.Close()
+	l.f, l.size, l.epoch = f, int64(len(rewritten)), epoch
 	return nil
 }
 

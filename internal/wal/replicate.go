@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -53,7 +51,8 @@ type TailChunk struct {
 // ReadTail reads up to maxBytes (0 means DefaultTailChunkBytes) of record
 // frames starting at byte offset from, trimmed to the last complete frame
 // boundary — except that a single frame larger than maxBytes is returned
-// whole, so progress is always possible. Safe from any goroutine: the read
+// whole, so progress is always possible. Data stops before a damaged frame;
+// a read that starts at one is an error. Safe from any goroutine: the read
 // holds the store's log mutex, which excludes the checkpoint truncation's
 // file swap, and is bounded by the atomically mirrored log size, below
 // which every byte is fully written.
@@ -102,16 +101,21 @@ func (s *Store) ReadTail(from, maxBytes int64) (TailChunk, error) {
 	if err != nil {
 		return ck, err
 	}
-	trimmed, firstFrame := trimFrames(buf)
-	if len(trimmed) == 0 && firstFrame > int64(len(buf)) && from+firstFrame <= size {
+	used, end, ferr := scanFrames(buf, nil)
+	if whole := frameSize(buf); used == 0 && end == frameShort && whole > int64(len(buf)) && from+whole <= size {
 		// The first frame alone exceeds the chunk limit; fetch it whole so
 		// the caller is never wedged behind an oversized batch.
-		if buf, err = s.readTailAt(from, firstFrame); err != nil {
+		if buf, err = s.readTailAt(from, whole); err != nil {
 			return ck, err
 		}
-		trimmed, _ = trimFrames(buf)
+		used, end, ferr = scanFrames(buf, nil)
 	}
-	ck.Data = trimmed
+	// A short end is the chunk limit (or a concurrent truncation) cutting
+	// the read; any other torn end below the mirrored size is damage.
+	if used == 0 && end != frameClean && end != frameShort {
+		return ck, fmt.Errorf("wal: read tail at offset %d: %v", from, ferr)
+	}
+	ck.Data = buf[:used]
 	return ck, nil
 }
 
@@ -129,63 +133,32 @@ func (s *Store) readTailAt(from, n int64) ([]byte, error) {
 	return buf[:read], nil
 }
 
-// trimFrames cuts data to the last complete frame boundary, walking the
-// length prefixes. It also returns the total size of the first frame (header
-// included) when data begins with a frame header whose frame does not fit —
-// 0 otherwise — so ReadTail can extend an undersized read. A zero or
-// impossible length prefix stops the walk (the bytes beyond it are not
-// frames); DecodeFrames reports such damage when the caller applies the
-// chunk.
-func trimFrames(data []byte) (trimmed []byte, firstFrame int64) {
-	off := int64(0)
-	for int64(len(data))-off >= frameHeaderSize {
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		if length == 0 || length > maxRecordBytes {
-			break
-		}
-		end := off + frameHeaderSize + int64(length)
-		if end > int64(len(data)) {
-			if off == 0 {
-				firstFrame = end
-			}
-			break
-		}
-		off = end
-	}
-	return data[:off], firstFrame
-}
-
 // DecodeFrames parses a run of record frames as served by ReadTail. An
 // incomplete trailing frame (a transport cut the chunk short) ends the
 // parse cleanly: the decoded prefix and the number of bytes it consumed are
-// returned, and the caller resumes from there. Damage inside a complete
-// frame — a CRC mismatch, an impossible length, an undecodable payload —
-// is an error; the consumed count then marks the last good frame boundary.
+// returned, and the caller resumes from there. Any other torn or damaged
+// end — a zero or impossible length, a CRC mismatch — and an undecodable
+// payload are errors; the consumed count then marks the last good frame
+// boundary.
 func DecodeFrames(data []byte) ([]Record, int64, error) {
 	var recs []Record
-	off := int64(0)
-	for int64(len(data))-off >= frameHeaderSize {
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length == 0 || length > maxRecordBytes {
-			return recs, off, fmt.Errorf("wal: frame at chunk offset %d has impossible length %d", off, length)
-		}
-		end := off + frameHeaderSize + int64(length)
-		if end > int64(len(data)) {
-			break // incomplete trailing frame; resume from off
-		}
-		payload := data[off+frameHeaderSize : end]
-		if crc32.ChecksumIEEE(payload) != want {
-			return recs, off, fmt.Errorf("wal: frame at chunk offset %d failed its CRC", off)
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return recs, off, fmt.Errorf("wal: frame at chunk offset %d: %w", off, err)
+	var decodeErr error
+	n, end, err := scanFrames(data, func(payload []byte) bool {
+		rec, derr := decodePayload(payload)
+		if decodeErr = derr; derr != nil {
+			return false
 		}
 		recs = append(recs, rec)
-		off = end
+		return true
+	})
+	switch {
+	case decodeErr != nil:
+		return recs, n, fmt.Errorf("wal: frame at chunk offset %d: %w", n, decodeErr)
+	case end == frameClean || end == frameShort:
+		return recs, n, nil
+	default:
+		return recs, n, fmt.Errorf("wal: frame at chunk offset %d: %v", n, err)
 	}
-	return recs, off, nil
 }
 
 // resolveAnnotationItem resolves a logged annotation token against dict.
@@ -242,9 +215,11 @@ func resolveTuples(dict *relation.Dictionary, specs []TupleSpec) ([]relation.Tup
 }
 
 // RestoreEngine rebuilds an incremental engine from a decoded checkpoint,
-// the same construction Open uses when it recovers. The caller owns the
-// fingerprint comparison (see Fingerprint); replication clients compare the
-// checkpoint's fingerprint against their own configuration before
+// the construction Open recovers with. ReadCheckpoint always rebuilds a live
+// relation for the restored engine to own; Checkpoint.Relation is an
+// interface only so that writers can hand in a pinned view. The caller owns
+// the fingerprint comparison (see Fingerprint); replication clients compare
+// the checkpoint's fingerprint against their own configuration before
 // restoring.
 func RestoreEngine(ck *storage.Checkpoint, cfg mining.Config, eopts incremental.Options) (*incremental.Engine, error) {
 	rel, ok := ck.Relation.(*relation.Relation)

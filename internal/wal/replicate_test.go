@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -143,6 +144,40 @@ func TestReadTailChunkLimit(t *testing.T) {
 	}
 	if int64(len(cut.Data)) != frame1 {
 		t.Errorf("mid-frame limit returned %d bytes, want the frame boundary %d", len(cut.Data), frame1)
+	}
+}
+
+// TestReadTailStopsAtDamage pins the primary side of the torn-tail rule for
+// replication chunks: below the log end every frame is whole, so a chunk
+// stops before a damaged frame, and a read that starts at one is an error —
+// not the damaged bytes, and not an empty chunk a follower would re-poll
+// forever.
+func TestReadTailStopsAtDamage(t *testing.T) {
+	s := replicaStore(t)
+	logAnnotation(t, s, 0, "Annot_1")
+	logAnnotation(t, s, 1, "Annot_5")
+	logAnnotation(t, s, 2, "Annot_1")
+	one, err := s.ReadTail(LogHeaderSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame1 := int64(len(one.Data))
+	f, err := os.OpenFile(LogPath(s.Dir()), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a payload byte of the second frame: a CRC failure, bytes follow.
+	if _, err := f.WriteAt([]byte{0xFF}, LogHeaderSize+frame1+frameHeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	ck, err := s.ReadTail(LogHeaderSize, 0)
+	if err != nil || int64(len(ck.Data)) != frame1 {
+		t.Fatalf("read over damage = %d bytes, %v; want the %d bytes before it", len(ck.Data), err, frame1)
+	}
+	if ck, err := s.ReadTail(LogHeaderSize+frame1, 0); err == nil {
+		t.Fatalf("read starting at the damaged frame = %d bytes, no error", len(ck.Data))
 	}
 }
 

@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,12 +13,9 @@ import (
 	"time"
 )
 
-// segMagic opens every segment file; the trailing byte is the format version.
+// segMagic opens every segment file; the trailing byte is the format
+// version. The header's uint64 is the cursor of the segment's first record.
 var segMagic = []byte("ADBSEG\x00\x01")
-
-// segHeaderSize is the fixed segment file header: the magic followed by a
-// little-endian uint64 carrying the cursor of the segment's first record.
-const segHeaderSize = 8 + 8
 
 // SegmentedLog is an append-only record log spread over rotated segment
 // files with a retention policy — the retained-history counterpart of the
@@ -326,21 +320,17 @@ func (l *SegmentedLog) segmentPath(first uint64) string {
 
 // scanSegment validates one segment file and returns its record count and
 // effective size. Only the newest segment (tail) may carry a torn final
-// record, which is truncated away; any other damage is a hard error.
+// record, which is truncated away; in a sealed segment a torn end is
+// damage, and damage anywhere is a hard error.
 func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size int64, err error) {
-	f, err := os.Open(path)
+	name := filepath.Base(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: open segment: %w", err)
+		return 0, 0, fmt.Errorf("wal: read segment: %w", err)
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: stat segment: %w", err)
-	}
-	fileSize := st.Size()
-	if fileSize < segHeaderSize {
+	if len(data) < segHeaderSize {
 		if !tail {
-			return 0, 0, fmt.Errorf("wal: segment %s is shorter than its header", filepath.Base(path))
+			return 0, 0, fmt.Errorf("wal: segment %s is shorter than its header", name)
 		}
 		// A crash tore the very first write: rewrite the header in place.
 		if err := writeSegmentHeader(path, wantFirst); err != nil {
@@ -348,69 +338,29 @@ func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size
 		}
 		return 0, segHeaderSize, nil
 	}
-	header := make([]byte, segHeaderSize)
-	if _, err := f.ReadAt(header, 0); err != nil {
-		return 0, 0, fmt.Errorf("wal: read segment header: %w", err)
+	first, ok := decodeHeader(data, segMagic)
+	if !ok {
+		return 0, 0, fmt.Errorf("wal: %s is not a wal segment (bad magic)", name)
 	}
-	if string(header[:len(segMagic)]) != string(segMagic) {
-		return 0, 0, fmt.Errorf("wal: %s is not a wal segment (bad magic)", filepath.Base(path))
+	if first != wantFirst {
+		return 0, 0, fmt.Errorf("wal: segment %s header says first cursor %d, file name says %d", name, first, wantFirst)
 	}
-	if got := binary.LittleEndian.Uint64(header[len(segMagic):]); got != wantFirst {
-		return 0, 0, fmt.Errorf("wal: segment %s header says first cursor %d, file name says %d", filepath.Base(path), got, wantFirst)
-	}
-	offset := int64(segHeaderSize)
-	frame := make([]byte, frameHeaderSize)
-	torn := false
-	for offset < fileSize {
-		if offset+frameHeaderSize > fileSize {
-			torn = true
-			break
-		}
-		if _, err := f.ReadAt(frame, offset); err != nil {
-			return 0, 0, fmt.Errorf("wal: read segment frame: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 {
-			torn = true // zero-filled preallocated space exposed by power loss
-			break
-		}
-		if length > maxRecordBytes {
-			return 0, 0, fmt.Errorf("wal: segment %s record at offset %d has impossible length %d: mid-segment corruption", filepath.Base(path), offset, length)
-		}
-		end := offset + frameHeaderSize + int64(length)
-		if end > fileSize {
-			torn = true
-			break
-		}
-		payload := make([]byte, length)
-		if _, err := f.ReadAt(payload, offset+frameHeaderSize); err != nil {
-			return 0, 0, fmt.Errorf("wal: read segment payload: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			if end < fileSize {
-				return 0, 0, fmt.Errorf("wal: segment %s record at offset %d failed its CRC with intact bytes following it: mid-segment corruption", filepath.Base(path), offset)
-			}
-			torn = true
-			break
-		}
-		offset = end
+	n, end, ferr := scanFrames(data[segHeaderSize:], func([]byte) bool {
 		records++
-	}
-	if torn {
-		if !tail {
-			return 0, 0, fmt.Errorf("wal: sealed segment %s holds a torn record at offset %d: mid-history corruption", filepath.Base(path), offset)
-		}
-		w, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
+		return true
+	})
+	size = segHeaderSize + n
+	switch {
+	case end == frameDamage:
+		return 0, 0, fmt.Errorf("wal: segment %s record at offset %d: %v: mid-segment corruption", name, size, ferr)
+	case end != frameClean && !tail:
+		return 0, 0, fmt.Errorf("wal: sealed segment %s holds a torn record at offset %d (%v): mid-history corruption", name, size, ferr)
+	case end != frameClean:
+		if err := os.Truncate(path, size); err != nil {
 			return 0, 0, fmt.Errorf("wal: truncate torn segment tail: %w", err)
 		}
-		defer w.Close()
-		if err := w.Truncate(offset); err != nil {
-			return 0, 0, fmt.Errorf("wal: truncate torn segment tail: %w", err)
-		}
 	}
-	return records, offset, nil
+	return records, size, nil
 }
 
 func writeSegmentHeader(path string, first uint64) error {
@@ -422,10 +372,7 @@ func writeSegmentHeader(path string, first uint64) error {
 	if err := f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: reset segment: %w", err)
 	}
-	header := make([]byte, segHeaderSize)
-	copy(header, segMagic)
-	binary.LittleEndian.PutUint64(header[len(segMagic):], first)
-	if _, err := f.WriteAt(header, 0); err != nil {
+	if _, err := f.WriteAt(encodeHeader(segMagic, first), 0); err != nil {
 		return fmt.Errorf("wal: write segment header: %w", err)
 	}
 	return nil
@@ -455,21 +402,15 @@ func (l *SegmentedLog) startSegment() error {
 // pair with Sync, or accept that a crash may drop the newest records (a
 // torn tail is truncated at reopen).
 func (l *SegmentedLog) Append(payload []byte) (uint64, error) {
-	if len(payload) == 0 {
-		return 0, errors.New("wal: empty segment record")
-	}
-	if len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("wal: segment record payload %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
+	frame, err := encodeFrame(payload)
+	if err != nil {
+		return 0, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, errors.New("wal: segmented log closed")
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
 	if _, err := l.active.WriteAt(frame, l.activeSize); err != nil {
 		return 0, fmt.Errorf("wal: segment append: %w", err)
 	}
@@ -618,46 +559,33 @@ func (l *SegmentedLog) ReadFrom(cursor uint64, max int) ([][]byte, error) {
 }
 
 // readSegmentRange reads payloads for cursors [from, from+max) out of one
-// segment file whose first record carries cursor first, never reading a
-// frame that starts at or beyond limit.
+// segment file whose first record carries cursor first. Frames below limit
+// are all whole, so any torn or damaged end there is corruption. The
+// returned payloads share one read buffer.
 func readSegmentRange(path string, first uint64, limit int64, from uint64, max int) ([][]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	offset := int64(segHeaderSize)
-	frame := make([]byte, frameHeaderSize)
+	data := make([]byte, limit-segHeaderSize)
+	if _, err := f.ReadAt(data, segHeaderSize); err != nil {
+		return nil, fmt.Errorf("wal: read segment %s: %w", filepath.Base(path), err)
+	}
 	cur := first
 	var out [][]byte
-	for offset < limit && len(out) < max {
-		if _, err := f.ReadAt(frame, offset); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break
-			}
-			return nil, fmt.Errorf("wal: read segment frame: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxRecordBytes {
-			return nil, fmt.Errorf("wal: segment %s frame at offset %d has length %d mid-read", filepath.Base(path), offset, length)
-		}
-		end := offset + frameHeaderSize + int64(length)
-		if end > limit {
-			break
+	n, end, ferr := scanFrames(data, func(payload []byte) bool {
+		if len(out) == max {
+			return false
 		}
 		if cur >= from {
-			payload := make([]byte, length)
-			if _, err := f.ReadAt(payload, offset+frameHeaderSize); err != nil {
-				return nil, fmt.Errorf("wal: read segment payload: %w", err)
-			}
-			if crc32.ChecksumIEEE(payload) != want {
-				return nil, fmt.Errorf("wal: segment %s record at offset %d failed its CRC on read", filepath.Base(path), offset)
-			}
 			out = append(out, payload)
 		}
 		cur++
-		offset = end
+		return true
+	})
+	if end != frameClean {
+		return nil, fmt.Errorf("wal: segment %s record at offset %d: %v: corruption below the read limit", filepath.Base(path), segHeaderSize+n, ferr)
 	}
 	return out, nil
 }

@@ -196,16 +196,7 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 			return nil, fmt.Errorf("wal: %s was written under a different mining configuration\n  checkpoint: %s\n  running:    %s\nrestart with matching flags, or remove the directory to re-mine under the new ones",
 				opts.Dir, got, want)
 		}
-		// ReadCheckpoint always rebuilds a live relation for the restored
-		// engine to own (Checkpoint.Relation is an interface only so that
-		// writers can hand in a pinned view).
-		eng, rerr := incremental.Restore(ck.Relation.(*relation.Relation), cfg, eopts, incremental.State{
-			Valid:         ck.Valid,
-			Candidates:    ck.Candidates,
-			DataPatterns:  ck.DataPatterns,
-			AnnotPatterns: ck.AnnotPatterns,
-			Stats:         statsFromCounters(ck.Counters),
-		})
+		eng, rerr := RestoreEngine(ck, cfg, eopts)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -712,8 +703,8 @@ func (s *Store) finishInstall(wait bool) error {
 // finishTruncate completes a durably installed checkpoint: the log drops
 // the covered prefix and keeps any tail appended since the capture.
 func (s *Store) finishTruncate(epoch uint64, covered int64, takenAt time.Time) error {
-	// TruncateKeep swaps the log's file handle (copy tail to a temp file,
-	// fsync it, rename); logMu keeps the committer or interval flusher from
+	// TruncateKeep swaps the log's file handle (installs the rewritten log
+	// and reopens it); logMu keeps the committer or interval flusher from
 	// fsyncing the old handle mid-swap. The rewritten tail is durable when
 	// TruncateKeep returns, so whatever was unsynced at that point is
 	// credited — snapshot under the same lock so a concurrent syncLog can't
@@ -806,11 +797,11 @@ func (s *Store) shouldCheckpoint() bool {
 
 // Checkpoint synchronously captures the engine's current state, serializes
 // the pinned relation view without holding any engine or relation lock,
-// installs the file durably (temp file, fsync, atomic rename, directory
-// fsync) under the next epoch, and truncates the log's covered prefix. A
-// background install still in flight is collected first. Belongs to the
-// single writer; the serving core's writer loop guarantees the engine is
-// not mutated concurrently with the capture.
+// installs the file with storage.InstallFile under the next epoch, and
+// truncates the log's covered prefix. A background install still in flight
+// is collected first. Belongs to the single writer; the serving core's
+// writer loop guarantees the engine is not mutated concurrently with the
+// capture.
 func (s *Store) Checkpoint() error {
 	if s.closed {
 		return errors.New("wal: store closed")

@@ -10,11 +10,14 @@
 //	checkpoint.db — a full capture of serving state (relation, dictionary,
 //	                rule tiers, pattern catalogs, lifetime counters) in the
 //	                storage package's binary checkpoint format, installed by
-//	                atomic rename + fsync;
-//	wal.log       — an append-only sequence of length-prefixed, CRC-checked
-//	                mutation records (annotation add/remove batches and
-//	                tuple batches), in either a compact binary or a JSON
-//	                record encoding.
+//	                storage.InstallFile;
+//	wal.log       — an append-only sequence of framed mutation records
+//	                (annotation add/remove batches and tuple batches), in
+//	                either a compact binary or a JSON record encoding.
+//
+// The frame format, the torn-tail rule every reader applies, and the
+// install rule are stated once in ARCHITECTURE.md "On-disk primitives";
+// encodeFrame and scanFrames are their only implementation.
 //
 // The single serving writer appends each coalesced batch to the log before
 // it is applied to the engine (see the serve package's Journal hook), so an
@@ -29,7 +32,7 @@
 // checkpoint; an existing checkpoint restores the engine without mining and
 // replays the log tail through the ordinary incremental update paths. A
 // torn final record — the expected artifact of a crash mid-append — is
-// detected by the length/CRC framing, dropped, and truncated away.
+// dropped and truncated away.
 //
 // Two generations of state are tied together by an epoch: each checkpoint
 // carries the epoch its successor log is stamped with, so a crash between

@@ -344,6 +344,25 @@ func TestStoreBootstrapsEmptyDirAndRecovers(t *testing.T) {
 	}
 }
 
+// TestCheckpointInstallKeepsLogMode pins the install rule's file mode: an
+// installed checkpoint gets the permissions OpenLog gives wal.log, not the
+// 0600 of the temp file it was written to.
+func TestCheckpointInstallKeepsLogMode(t *testing.T) {
+	dir := t.TempDir()
+	openFixtureStore(t, Options{Dir: dir}) // bootstrap installs the first checkpoint
+	logInfo, err := os.Stat(LogPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckInfo, err := os.Stat(CheckpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckInfo.Mode() != logInfo.Mode() {
+		t.Errorf("checkpoint.db mode %v, wal.log mode %v: want equal", ckInfo.Mode(), logInfo.Mode())
+	}
+}
+
 func TestStoreLogsAndReplaysAllMutationKinds(t *testing.T) {
 	opts := Options{Dir: t.TempDir()}
 	s := openFixtureStore(t, opts)
