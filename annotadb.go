@@ -715,11 +715,11 @@ func (e *Engine) AddTuplesWithTrigger(batch []TupleSpec, opts RecommendOptions) 
 func (d *Dataset) Annotations() []AnnotationCount {
 	dict := d.rel.Dictionary()
 	var out []AnnotationCount
-	for it, n := range d.rel.FrequencyTable() {
+	d.rel.EachFrequency(func(it itemset.Item, n int) {
 		if n > 0 {
 			out = append(out, AnnotationCount{Token: dict.Token(it), Count: n, Derived: it.IsDerived()})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Token < out[j].Token })
 	return out
 }

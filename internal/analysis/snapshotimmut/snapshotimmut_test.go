@@ -8,13 +8,14 @@ import (
 )
 
 // TestSnapshotImmut runs the analyzer over a two-package golden tree: snap
-// owns the View and Index snapshot types (its construction-time mutations,
-// Index.Extend's in-place append among them, must pass), consumer mutates
-// published views every way the analyzer flags, including the
-// through-a-method-result write that made PR 3's torn-read bug possible and
-// an append into an index's shared posting array, plus one sanctioned
+// owns the View, Index and by-value Bits snapshot types (its
+// construction-time mutations, Index.Extend's in-place append among them,
+// must pass), consumer mutates published views every way the analyzer
+// flags, including the through-a-method-result write behind an earlier
+// torn-read bug, an append into an index's shared posting array
+// and writes into a bitmap handed out by value, plus one sanctioned
 // suppressed-with-reason mutation.
 func TestSnapshotImmut(t *testing.T) {
-	a := snapshotimmut.New(snapshotimmut.Config{Types: []string{"snap.View", "snap.Index"}})
+	a := snapshotimmut.New(snapshotimmut.Config{Types: []string{"snap.View", "snap.Index", "snap.Bits"}})
 	analysistest.Run(t, analysistest.TestData(), a, "snap", "consumer")
 }

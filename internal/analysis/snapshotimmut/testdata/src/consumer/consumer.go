@@ -21,8 +21,21 @@ func Grow(idx *snap.Index) []int {
 	return append(idx.Postings(0), 7) // want `append on data shared with published snapshot type snap.Index`
 }
 
+// SetBit writes into a by-value bitmap: the struct is a copy, its words
+// are not.
+func SetBit(idx *snap.Index) {
+	b := idx.Bits(3)
+	b.Words[0] |= 1            // want `assignment through published snapshot type snap.Bits`
+	idx.Bits(3).Words[0] = 0   // want `assignment through published snapshot type snap.Bits`
+	clear(b.Words)             // want `clear on data shared with published snapshot type snap.Bits`
+	_ = append(b.Words[:1], 1) // want `append on data shared with published snapshot type snap.Bits`
+}
+
 // Read-only access is fine.
 func Read(v *snap.View) int { return len(v.Items) }
+
+// CountBits reads a by-value bitmap; nothing shared is written.
+func CountBits(idx *snap.Index) int { return idx.Bits(1).Count + len(idx.Bits(1).Words) }
 
 // Rebind replaces a local reference; nothing shared is written.
 func Rebind(v *snap.View) {

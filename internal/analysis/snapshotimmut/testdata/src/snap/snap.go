@@ -1,4 +1,4 @@
-// Package snap owns the published snapshot types View and Index. Mutations
+// Package snap owns the published snapshot types View, Index and Bits. Mutations
 // inside this package are construction-time and sanctioned; the analyzer
 // must not flag them.
 package snap
@@ -42,3 +42,19 @@ func (idx *Index) Extend(key, pos int) *Index {
 
 // Postings returns key's positions, backed by the shared array.
 func (idx *Index) Postings(key int) []int { return idx.postings[key] }
+
+// Bits is a published snapshot handed out by value, in the shape of
+// relation.Postings: copying the struct copies the slice header, not the
+// words, so the copy still shares the snapshot's array.
+type Bits struct {
+	Words []uint64
+	Count int
+}
+
+// Bits returns key's bitmap by value, backed by the shared array.
+func (idx *Index) Bits(key int) Bits {
+	b := Bits{Words: make([]uint64, 1)}
+	b.Words[0] |= 1 << uint(key) // the owner builds it before handing it out
+	b.Count++
+	return b
+}

@@ -153,8 +153,8 @@ type Index struct {
 	view *relation.View
 	n    int
 	// dataPostings holds, at each data value's dense dictionary id, the
-	// ascending tuple positions containing that value, mirroring
-	// View.TuplesWith for annotations. Ids never seen lie past its end.
+	// ascending tuple positions containing that value, the counterpart of
+	// View.Postings for annotations. Ids never seen lie past its end.
 	dataPostings [][]int
 	// tail is shared by every index whose slice headers end where this
 	// one's do (an Extend over an unchanged tuple count shares it); the
@@ -221,23 +221,35 @@ func (idx *Index) View() *relation.View { return idx.view }
 // N returns the tuple count of the indexed generation.
 func (idx *Index) N() int { return idx.n }
 
-// anchorPostings resolves an anchor token to its ascending tuple positions
-// in this generation, or ErrUnknownAnchor.
-func (idx *Index) anchorPostings(token string) ([]int, error) {
+// anchor is an anchor token's tuple positions in one generation, walked in
+// place where they live: a data value's ascending position list from the
+// index, or an annotation's bitmap from the view. No query copies them.
+type anchor struct {
+	list  []int
+	bits  relation.Postings
+	annot bool
+}
+
+// resolveAnchor resolves an anchor token in this generation and counts its
+// positions below n, or returns ErrUnknownAnchor when there are none.
+func (idx *Index) resolveAnchor(token string, n int) (anchor, int, error) {
 	it, ok := idx.view.Dictionary().Lookup(token)
 	if !ok {
-		return nil, ErrUnknownAnchor
+		return anchor{}, 0, ErrUnknownAnchor
 	}
+	var a anchor
+	count := 0
 	if it.IsData() {
-		if p := idx.postings(it); len(p) > 0 {
-			return p, nil
-		}
-		return nil, ErrUnknownAnchor
+		a.list = idx.postings(it)
+		count = sort.SearchInts(a.list, n)
+	} else {
+		a = anchor{bits: idx.view.Postings(it), annot: true}
+		count = a.bits.CountBelow(n)
 	}
-	if p := idx.view.TuplesWith(it); len(p) > 0 {
-		return p, nil
+	if count == 0 {
+		return anchor{}, 0, ErrUnknownAnchor
 	}
-	return nil, ErrUnknownAnchor
+	return a, count, nil
 }
 
 // score computes the association statistics of one candidate against the
@@ -326,19 +338,32 @@ func (t *tally) slot(a itemset.Item) *int {
 	return &(*counts)[id]
 }
 
-// count tallies the annotations of view's tuples at postings.
-func (t *tally) count(view *relation.View, postings []int) error {
-	for _, p := range postings {
-		tu, err := view.Tuple(p)
-		if err != nil {
-			return err
+// count tallies the annotations of view's tuples at the anchor's positions
+// below n. An n past the view's end means the index and the view disagree.
+func (t *tally) count(view *relation.View, anc anchor, n int) error {
+	if n > view.Len() {
+		return fmt.Errorf("correlate: index covers %d tuples: %w: view has %d", n, relation.ErrTupleIndex, view.Len())
+	}
+	visit := func(p int) bool {
+		if p >= n {
+			return false
 		}
-		for _, a := range tu.Annots {
+		for _, a := range view.AnnotationsOf(p) {
 			c := t.slot(a)
 			if *c == 0 {
 				t.seen = append(t.seen, a)
 			}
 			*c++
+		}
+		return true
+	}
+	if anc.annot {
+		anc.bits.Each(visit)
+		return nil
+	}
+	for _, p := range anc.list {
+		if !visit(p) {
+			break
 		}
 	}
 	return nil
@@ -355,13 +380,13 @@ func (t *tally) reset() {
 // annotation co-occurring with the anchor, scored from the frozen
 // frequency and co-occurrence counts, significance-filtered, and ranked.
 func (idx *Index) TopK(q Query) (Answer, error) {
-	postings, err := idx.anchorPostings(q.Anchor)
+	anc, freqA, err := idx.resolveAnchor(q.Anchor, idx.n)
 	if err != nil {
 		return Answer{}, err
 	}
 	counts := borrowTally()
 	defer counts.release()
-	if err := counts.count(idx.view, postings); err != nil {
+	if err := counts.count(idx.view, anc, idx.n); err != nil {
 		return Answer{}, err
 	}
 	dict := idx.view.Dictionary()
@@ -371,13 +396,13 @@ func (idx *Index) TopK(q Query) (Answer, error) {
 		if token == q.Anchor {
 			continue
 		}
-		if r, ok := scoreCandidate(token, *counts.slot(cand), len(postings), idx.view.Frequency(cand), idx.n, q.MinLift); ok {
+		if r, ok := scoreCandidate(token, *counts.slot(cand), freqA, idx.view.Frequency(cand), idx.n, q.MinLift); ok {
 			results = append(results, r)
 		}
 	}
 	return Answer{
 		Anchor:      q.Anchor,
-		AnchorCount: len(postings),
+		AnchorCount: freqA,
 		N:           idx.n,
 		Results:     rank(results, q.K),
 	}, nil
@@ -402,12 +427,6 @@ func scoreCandidate(token string, co, freqA, freqC, n int, minLift float64) (r R
 	}, true
 }
 
-// clampBelow returns the prefix of ascending positions strictly below n.
-func clampBelow(postings []int, n int) []int {
-	i := sort.SearchInts(postings, n)
-	return postings[:i]
-}
-
 // TopKMerged answers an anchor query across per-shard indexes, merging at
 // the generations the indexes were captured at. The sharded store keeps
 // every tuple's data values on every shard in identical positions while
@@ -429,18 +448,15 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 			minN = idx.n
 		}
 	}
-	var postings []int
+	var anc anchor
+	freqA := 0
 	for _, idx := range idxs {
-		p, err := idx.anchorPostings(q.Anchor)
-		if err != nil {
-			continue
-		}
-		if p = clampBelow(p, minN); len(p) > 0 {
-			postings = p
+		if a, n, err := idx.resolveAnchor(q.Anchor, minN); err == nil {
+			anc, freqA = a, n
 			break
 		}
 	}
-	if len(postings) == 0 {
+	if freqA == 0 {
 		return Answer{}, ErrUnknownAnchor
 	}
 	counts := borrowTally()
@@ -448,7 +464,7 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 	var results []Result
 	for _, idx := range idxs {
 		counts.reset()
-		if err := counts.count(idx.view, postings); err != nil {
+		if err := counts.count(idx.view, anc, minN); err != nil {
 			return Answer{}, err
 		}
 		dict := idx.view.Dictionary()
@@ -458,15 +474,15 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 			if token == q.Anchor {
 				continue
 			}
-			freqC := len(clampBelow(idx.view.TuplesWith(cand), minN))
-			if r, ok := scoreCandidate(token, *counts.slot(cand), len(postings), freqC, minN, q.MinLift); ok {
+			freqC := idx.view.Postings(cand).CountBelow(minN)
+			if r, ok := scoreCandidate(token, *counts.slot(cand), freqA, freqC, minN, q.MinLift); ok {
 				results = append(results, r)
 			}
 		}
 	}
 	return Answer{
 		Anchor:      q.Anchor,
-		AnchorCount: len(postings),
+		AnchorCount: freqA,
 		N:           minN,
 		Results:     rank(results, q.K),
 	}, nil

@@ -605,3 +605,41 @@ func BenchmarkCorrelateIndexExtend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCorrelateTopKMerged is a sharded /correlate at the serving
+// corpus scale: an 8 K-tuple relation split by annotation family over two
+// shards, queried for an annotation anchor (its bitmap walked on the shard
+// that owns it) and a data anchor (its position list walked on both).
+func BenchmarkCorrelateTopKMerged(b *testing.B) {
+	full := randomRelation(rand.New(rand.NewSource(42)), 8000)
+	rels := []*relation.Relation{relation.New(), relation.New()}
+	dict := full.Dictionary()
+	full.View().Each(func(_ int, tu relation.Tuple) bool {
+		data := dict.Tokens(tu.Data)
+		annots := make([][]string, len(rels))
+		for _, token := range dict.Tokens(tu.Annots) {
+			s := len(relation.FamilyOf(token)) % len(rels)
+			annots[s] = append(annots[s], token)
+		}
+		for s, rel := range rels {
+			rel.Append(relation.MustTuple(rel.Dictionary(), data, annots[s]))
+		}
+		return true
+	})
+	shards := []*Index{NewIndex(rels[0].View()), NewIndex(rels[1].View())}
+	for _, anchor := range []string{"cpu:high", "img=i1"} {
+		b.Run(anchor, func(b *testing.B) {
+			q := Query{Anchor: anchor, K: DefaultK, MinLift: DefaultMinLift}
+			if _, err := TopKMerged(shards, q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := TopKMerged(shards, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

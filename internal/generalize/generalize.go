@@ -291,7 +291,8 @@ type Result struct {
 // The returned result counts planned attachments; already-present labels are
 // not planned, making the plan — and hence Apply — idempotent.
 func (h *Hierarchy) PlanUpdates(rel *relation.Relation) ([]relation.AnnotationUpdate, *Result, error) {
-	dict := rel.Dictionary()
+	view := rel.View() // one consistent generation for the whole plan
+	dict := view.Dictionary()
 	res := &Result{PerLabel: make(map[string]int)}
 	unknown := make(map[string]bool)
 	var plan []relation.AnnotationUpdate
@@ -326,9 +327,10 @@ func (h *Hierarchy) PlanUpdates(rel *relation.Relation) ([]relation.AnnotationUp
 		positions := make(map[int]bool)
 		for _, src := range sources {
 			// Real attachments, via the annotation index...
-			for _, pos := range rel.TuplesWith(src) {
+			view.Postings(src).Each(func(pos int) bool {
 				positions[pos] = true
-			}
+				return true
+			})
 			// ...and attachments planned earlier in this same plan.
 			if src.IsDerived() {
 				for pos, labels := range overlay {
@@ -347,7 +349,7 @@ func (h *Hierarchy) PlanUpdates(rel *relation.Relation) ([]relation.AnnotationUp
 		}
 		sort.Ints(ordered)
 		for _, pos := range ordered {
-			tu, err := rel.Tuple(pos)
+			tu, err := view.Tuple(pos)
 			if err != nil {
 				return nil, nil, fmt.Errorf("generalize: plan label %q: %w", r.Label, err)
 			}

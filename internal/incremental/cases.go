@@ -301,7 +301,7 @@ func (e *Engine) discoverFromDelta(deltaTxns []itemset.Itemset, oldSlack int, re
 		if n, ok := e.coldAnnot[p.Key()]; ok {
 			return n
 		}
-		return e.rel.CountPattern(p, nil) // defensive; should not be reached
+		return e.rel.CountPattern(p) // defensive; should not be reached
 	}
 
 	// Catalog pure-data newcomers; keep the rest warm in the cold cache.
@@ -522,10 +522,10 @@ func (e *Engine) collectGainedAnnotPatterns(perTuple map[int]itemset.Itemset) (m
 // applyAnnotPatternGains folds the per-pattern gains into the annotation
 // catalog. Cataloged patterns are adjusted in place; cold-cached patterns
 // are adjusted in the cache and promoted when they reach the slack pool;
-// genuinely unknown patterns are counted exactly over the annotation
-// inverted index (the paper's "check all data tuples in the database having
-// this annotation") exactly once, then cached. The freshly cataloged
-// patterns are returned for rule discovery.
+// genuinely unknown patterns are counted exactly along the inverted-index
+// bitmap of their rarest member (the paper's "check all data tuples in the
+// database having this annotation") exactly once, then cached. The freshly
+// cataloged patterns are returned for rule discovery.
 func (e *Engine) applyAnnotPatternGains(gained map[itemset.Key]int) []itemset.Itemset {
 	var fresh []itemset.Itemset
 	for key, gain := range gained {
@@ -556,7 +556,7 @@ func (e *Engine) applyAnnotPatternGains(gained map[itemset.Key]int) []itemset.It
 		if err != nil {
 			panic(fmt.Sprintf("incremental: corrupt gained-pattern key: %v", err))
 		}
-		count := e.countAnnotPatternExact(p)
+		count := e.rel.CountPattern(p)
 		if count >= e.slackCount {
 			e.annotCat.Add(p, count)
 			fresh = append(fresh, p)
@@ -565,26 +565,6 @@ func (e *Engine) applyAnnotPatternGains(gained map[itemset.Key]int) []itemset.It
 		}
 	}
 	return fresh
-}
-
-// countAnnotPatternExact counts a pure-annotation pattern using the
-// inverted index of its rarest member. Singletons come straight from the
-// frequency table.
-func (e *Engine) countAnnotPatternExact(p itemset.Itemset) int {
-	if p.Empty() {
-		return e.n
-	}
-	if p.Len() == 1 {
-		return e.rel.Frequency(p[0])
-	}
-	best := p[0]
-	bestFreq := e.rel.Frequency(best)
-	for _, a := range p[1:] {
-		if f := e.rel.Frequency(a); f < bestFreq {
-			best, bestFreq = a, f
-		}
-	}
-	return e.rel.CountPattern(p, e.rel.TuplesWith(best))
 }
 
 // updateTrackedRulesWithAnnotations is Figure 12: refresh tracked rule
@@ -681,7 +661,6 @@ func (e *Engine) discoverDataRulesFromAnnotations(perTuple map[int]itemset.Items
 		}
 	}
 	for a, tuples := range byAnnot {
-		positions := e.rel.TuplesWith(a)
 		e.dataCat.Each(func(x itemset.Itemset, lhsCount int) bool {
 			hit := false
 			for i := range tuples {
@@ -697,7 +676,8 @@ func (e *Engine) discoverDataRulesFromAnnotations(perTuple map[int]itemset.Items
 			if e.trackedRule(r.ID()) {
 				return true
 			}
-			r.PatternCount = e.rel.CountPattern(r.Pattern(), positions)
+			// The pattern's one annotation is a: counted along a's bitmap.
+			r.PatternCount = e.rel.CountPattern(r.Pattern())
 			if e.fileRule(r) {
 				rep.Discovered++
 				e.stats.Discoveries++
@@ -739,7 +719,7 @@ func (e *Engine) discoverAnnotRulesFromFreshPatterns(fresh []itemset.Itemset, re
 				} else {
 					// count(LHS) ≥ count(P) ≥ slackCount yet unknown:
 					// count it exactly rather than trusting the invariant.
-					lhsCount = e.countAnnotPatternExact(r.LHS)
+					lhsCount = e.rel.CountPattern(r.LHS)
 				}
 			}
 			r.LHSCount = lhsCount

@@ -231,28 +231,27 @@ func (e *Engine) bootstrap() error {
 // counts involving it may have missed gains and must be re-counted fresh on
 // next contact. (Cold rules are exempt — they are updated by exhaustive
 // iteration, never by enumeration.)
+//
+// The frequency table is read in place and relevant is updated in place, so
+// a batch that moves no annotation across the pool allocates nothing here.
 func (e *Engine) refreshRelevance() {
-	fresh := make(map[itemset.Item]bool)
-	for a, freq := range e.rel.FrequencyTable() {
-		if e.cfg.ExcludeDerived && a.IsDerived() {
-			continue
-		}
-		if freq >= e.slackCount {
-			fresh[a] = true
-		}
+	if e.relevant == nil {
+		e.relevant = make(map[itemset.Item]bool)
 	}
 	var crossed []itemset.Item
-	for a := range fresh {
-		if !e.relevant[a] {
-			crossed = append(crossed, a)
+	e.rel.EachFrequency(func(a itemset.Item, freq int) {
+		if e.cfg.ExcludeDerived && a.IsDerived() {
+			return
 		}
-	}
-	for a := range e.relevant {
-		if !fresh[a] {
+		if now := freq >= e.slackCount; now != e.relevant[a] {
 			crossed = append(crossed, a)
+			if now {
+				e.relevant[a] = true
+			} else {
+				delete(e.relevant, a)
+			}
 		}
-	}
-	e.relevant = fresh
+	})
 	if len(crossed) == 0 || len(e.coldAnnot) == 0 {
 		return
 	}
@@ -506,9 +505,9 @@ func (e *Engine) refreshThresholds() {
 // added"). Singletons at or above the slack pool are (re)cataloged for
 // free; the rest stay warm in the cold cache.
 func (e *Engine) syncAnnotationSingletons() {
-	for a, freq := range e.rel.FrequencyTable() {
+	e.rel.EachFrequency(func(a itemset.Item, freq int) {
 		if e.cfg.ExcludeDerived && a.IsDerived() {
-			continue
+			return
 		}
 		single := itemset.New(a)
 		if freq >= e.slackCount {
@@ -518,7 +517,7 @@ func (e *Engine) syncAnnotationSingletons() {
 			e.annotCat.Remove(single)
 			e.coldAnnot[single.Key()] = freq
 		}
-	}
+	})
 }
 
 // allRelevant reports whether every member of a pure-annotation pattern is

@@ -374,11 +374,11 @@ func TestPropertyRuleCountsMatchBruteForce(t *testing.T) {
 		}
 		ok := true
 		check := func(r rules.Rule) bool {
-			if rel.CountPattern(r.Pattern(), nil) != r.PatternCount {
+			if rel.CountPattern(r.Pattern()) != r.PatternCount {
 				ok = false
 				return false
 			}
-			if rel.CountPattern(r.LHS, nil) != r.LHSCount {
+			if rel.CountPattern(r.LHS) != r.LHSCount {
 				ok = false
 				return false
 			}
@@ -426,8 +426,8 @@ func TestPropertyCompletenessSmall(t *testing.T) {
 				// Defs 4.2/4.3: LHS all-data or all-annotation; single-item
 				// LHS is always one or the other.
 				pattern := itemset.New(lhs, rhs)
-				pc := rel.CountPattern(pattern, nil)
-				lc := rel.CountPattern(itemset.New(lhs), nil)
+				pc := rel.CountPattern(pattern)
+				lc := rel.CountPattern(itemset.New(lhs))
 				r := rules.Rule{LHS: itemset.New(lhs), RHS: rhs, PatternCount: pc, LHSCount: lc, N: rel.Len()}
 				if r.Meets(sup, conf) {
 					if _, ok := res.Rules.Get(r.ID()); !ok {

@@ -10,9 +10,10 @@ import (
 
 // Race-detector coverage for the store's concurrency contract: Relation and
 // Dictionary are safe for concurrent use (internal locks), and the values
-// read methods hand out (tuples, itemsets, index slices) stay valid while
-// writers keep mutating, because mutation replaces slices instead of
-// writing into shared backing arrays. Run with -race; without assertions
+// read methods hand out (tuples, itemsets, a view's postings) stay valid
+// while writers keep mutating, because mutation replaces slices and copies
+// shared bitmaps instead of writing into shared backing arrays. Run with
+// -race; without assertions
 // failing, the detector is the oracle.
 
 func TestDictionaryConcurrentInternAndLookup(t *testing.T) {
@@ -95,15 +96,15 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 				case 1:
 					rel.Each(func(_ int, tu Tuple) bool { return !tu.Annotated() })
 				case 2:
-					rel.CountPattern(itemset.New(annots[i%len(annots)]), nil)
+					rel.CountPattern(itemset.New(annots[i%len(annots)]))
 				case 3:
-					rel.TuplesWith(annots[i%len(annots)])
+					rel.View().Postings(annots[i%len(annots)]).Each(func(int) bool { return true })
 					rel.Frequency(annots[i%len(annots)])
 				case 4:
 					rel.Stats()
 					rel.Annotations()
 				default:
-					rel.FrequencyTable()
+					rel.EachFrequency(func(itemset.Item, int) {})
 					rel.Version()
 				}
 			}

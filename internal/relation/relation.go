@@ -3,7 +3,7 @@ package relation
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"annotadb/internal/itemset"
@@ -81,17 +81,19 @@ type AnnotationUpdate struct {
 // Relation is an in-memory annotated relation with the auxiliary structures
 // required by the incremental maintenance engine:
 //
-//   - an inverted annotation index: annotation → sorted tuple positions;
+//   - an inverted annotation index: annotation → bitmap of tuple positions;
 //   - a frequency table counting tuples per annotation (not occurrences —
-//     an annotation appears at most once per tuple);
+//     an annotation appears at most once per tuple), kept beside each bitmap;
 //   - a monotonically increasing version number, bumped on every mutation,
 //     that lets downstream caches detect staleness.
 //
-// Storage is chunked and copy-on-write: View captures the current
-// generation as an immutable *View in O(1), and subsequent mutations copy
-// only the chunks, postings, and map headers they touch, so generations
-// share structure. Mutation cost is O(delta) in the batch size plus an
-// O(chunks + annotations) once-per-generation bookkeeping term.
+// Storage is columnar and copy-on-write: View captures the current
+// generation as an immutable *View in O(1). Appends write the data and
+// annotation columns in place past every view's length; an annotation
+// attach or detach copies only the annotation chunk and the one bitmap it
+// touches (plus, once per generation, the slice headers of the annotation
+// spine and the postings spine), so generations share structure and a
+// mutation costs O(delta).
 //
 // All methods are safe for concurrent use. Read methods hand out internal
 // slices; callers must treat them as read-only.
@@ -106,13 +108,14 @@ type Relation struct {
 	view  *View
 	epoch uint64
 
-	// Ownership generations: a structure may be written in place only when
-	// its generation matches epoch; otherwise it is (or may be) shared with
-	// a captured view and must be copied first.
-	spineGen uint64                  // chunk spine ([][]Tuple header array)
-	mapsGen  uint64                  // index and freq map headers
-	chunkGen []uint64                // per-chunk backing array
-	postGen  map[itemset.Item]uint64 // per-annotation postings backing array
+	// Ownership generations: an annotation chunk, a bitmap or a spine may be
+	// written in place only when its generation matches epoch; otherwise a
+	// captured view may read it and it is copied first. The data column
+	// needs none: it is only ever written past every view's length.
+	annotsGen uint64      // annotation chunk spine
+	chunkGen  []uint64    // per annotation chunk
+	spineGen  [2]uint64   // per postings spine (kindSlot)
+	bitsGen   [2][]uint64 // per bitmap, parallel to the postings spines
 }
 
 // New creates an empty relation backed by a fresh dictionary.
@@ -124,17 +127,7 @@ func NewWithDictionary(dict *Dictionary) *Relation {
 	if dict == nil {
 		dict = NewDictionary()
 	}
-	return &Relation{
-		dict: dict,
-		st: store{
-			index: make(map[itemset.Item][]int),
-			freq:  make(map[itemset.Item]int),
-		},
-		epoch:    1,
-		spineGen: 1,
-		mapsGen:  1,
-		postGen:  make(map[itemset.Item]uint64),
-	}
+	return &Relation{dict: dict, epoch: 1}
 }
 
 // Dictionary returns the token dictionary backing the relation.
@@ -162,10 +155,6 @@ func (r *Relation) Version() uint64 {
 func (r *Relation) View() *View {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.viewLocked()
-}
-
-func (r *Relation) viewLocked() *View {
 	if r.view == nil {
 		r.view = &View{dict: r.dict, st: r.st}
 		r.epoch++
@@ -173,92 +162,76 @@ func (r *Relation) viewLocked() *View {
 	return r.view
 }
 
-// beginMutation invalidates the memoized view and un-shares the structures
-// every mutation touches: the chunk spine and the index/frequency map
-// headers. Individual chunks and postings are un-shared lazily by
-// writableChunk and writablePostings. Callers must hold the write lock.
-func (r *Relation) beginMutation() {
-	r.view = nil
-	if r.spineGen != r.epoch {
-		spine := make([][]Tuple, len(r.st.chunks), len(r.st.chunks)+1)
-		copy(spine, r.st.chunks)
-		r.st.chunks = spine
-		r.spineGen = r.epoch
+// writableAnnots returns annotation chunk c, copied first (with the chunk
+// spine, once per generation) if a captured view may still read it.
+func (r *Relation) writableAnnots(c int) *annotChunk {
+	if r.annotsGen != r.epoch {
+		r.st.annots = slices.Clone(r.st.annots)
+		r.annotsGen = r.epoch
 	}
-	if r.mapsGen != r.epoch {
-		index := make(map[itemset.Item][]int, len(r.st.index))
-		for a, p := range r.st.index {
-			index[a] = p
-		}
-		freq := make(map[itemset.Item]int, len(r.st.freq))
-		for a, n := range r.st.freq {
-			freq[a] = n
-		}
-		r.st.index, r.st.freq = index, freq
-		r.mapsGen = r.epoch
-	}
-}
-
-// writableChunk returns chunk c, copied first if a captured view may still
-// reference its backing array.
-func (r *Relation) writableChunk(c int) []Tuple {
 	if r.chunkGen[c] != r.epoch {
-		old := r.st.chunks[c]
-		fresh := make([]Tuple, len(old), chunkSize)
-		copy(fresh, old)
-		r.st.chunks[c] = fresh
+		fresh := *r.st.annots[c]
+		r.st.annots[c] = &fresh
 		r.chunkGen[c] = r.epoch
 	}
-	return r.st.chunks[c]
+	return r.st.annots[c]
 }
 
-// writablePostings returns the postings slice for a, copied first if a
-// captured view may still reference it. The caller must store the slice
-// back into the index after appending.
-func (r *Relation) writablePostings(a itemset.Item) []int {
-	if r.postGen[a] == r.epoch {
-		return r.st.index[a]
+// writablePostings returns a's index entry ready for a write to bitmap word
+// w: the postings spine (once per generation) and the bitmap are copied
+// first if a captured view may still read them, and the bitmap is long
+// enough to hold w.
+func (r *Relation) writablePostings(a itemset.Item, w int) *Postings {
+	k, id := kindSlot(a), a.ID()
+	if r.spineGen[k] != r.epoch {
+		r.st.postings[k] = slices.Clone(r.st.postings[k])
+		r.spineGen[k] = r.epoch
 	}
-	old := r.st.index[a]
-	fresh := make([]int, len(old), len(old)+4)
-	copy(fresh, old)
-	r.st.index[a] = fresh
-	r.postGen[a] = r.epoch
-	return fresh
+	if id >= len(r.st.postings[k]) {
+		r.st.postings[k] = append(r.st.postings[k], make([]Postings, id+1-len(r.st.postings[k]))...)
+		r.bitsGen[k] = append(r.bitsGen[k], make([]uint64, id+1-len(r.bitsGen[k]))...)
+	}
+	p := &r.st.postings[k][id]
+	switch {
+	case r.bitsGen[k][id] != r.epoch || w >= cap(p.bits):
+		words := max(len(p.bits), w+1)
+		fresh := make([]uint64, words, words+words/4+1)
+		copy(fresh, p.bits)
+		p.bits = fresh
+		r.bitsGen[k][id] = r.epoch
+	case w >= len(p.bits):
+		// Owned since the last capture, so nothing can read the words past
+		// len, and they were never written: still zero.
+		p.bits = p.bits[:w+1]
+	}
+	return p
 }
 
 // attach attaches a to tuple i, maintaining the index and frequency table.
-// The caller has validated the update and called beginMutation.
+// The caller has validated the update and checked a is absent.
 func (r *Relation) attach(i int, a itemset.Item) {
-	ch := r.writableChunk(i >> chunkShift)
-	t := &ch[i&chunkMask]
-	t.Annots = t.Annots.Add(a)
-	p := r.writablePostings(a)
-	at := sort.SearchInts(p, i)
-	p = append(p, 0)
-	copy(p[at+1:], p[at:])
-	p[at] = i
-	r.st.index[a] = p
-	r.st.freq[a]++
+	r.view = nil
+	ch := r.writableAnnots(i >> annotShift)
+	ch[i&annotMask] = ch[i&annotMask].Add(a)
+	r.setBit(i, a)
+}
+
+// setBit records tuple i in a's bitmap and frequency.
+func (r *Relation) setBit(i int, a itemset.Item) {
+	p := r.writablePostings(a, i>>6)
+	p.bits[i>>6] |= 1 << (uint(i) & 63)
+	p.count++
 }
 
 // detach removes a from tuple i, maintaining the index and frequency table.
-// The caller has validated the update and called beginMutation.
+// The caller has validated the update and checked a is present.
 func (r *Relation) detach(i int, a itemset.Item) {
-	ch := r.writableChunk(i >> chunkShift)
-	t := &ch[i&chunkMask]
-	t.Annots = t.Annots.Remove(a)
-	p := r.writablePostings(a)
-	at := sort.SearchInts(p, i)
-	if at < len(p) && p[at] == i {
-		p = append(p[:at], p[at+1:]...)
-		if len(p) == 0 {
-			delete(r.st.index, a)
-		} else {
-			r.st.index[a] = p
-		}
-	}
-	r.st.freq[a]--
+	r.view = nil
+	ch := r.writableAnnots(i >> annotShift)
+	ch[i&annotMask] = ch[i&annotMask].Remove(a)
+	p := r.writablePostings(a, i>>6)
+	p.bits[i>>6] &^= 1 << (uint(i) & 63)
+	p.count--
 }
 
 // Tuple returns the tuple at position i. The returned value shares backing
@@ -287,27 +260,35 @@ func (r *Relation) EachFrom(start int, fn func(i int, t Tuple) bool) {
 
 // Append adds tuples to the end of the relation, maintaining the annotation
 // index and frequency table. It returns the position of the first appended
-// tuple.
+// tuple. Appending nothing is not a mutation: the version and the memoized
+// view stay as they are.
+//
+// Both columns are written in place at positions past every captured view's
+// length, which no view reads; only the bitmaps of the appended tuples'
+// annotations are copied, when a view shares them.
 func (r *Relation) Append(tuples ...Tuple) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.beginMutation()
 	start := r.st.n
+	if len(tuples) == 0 {
+		return start
+	}
+	r.view = nil
 	for _, t := range tuples {
-		pos := r.st.n
-		c := pos >> chunkShift
-		if pos&chunkMask == 0 {
-			r.st.chunks = append(r.st.chunks, make([]Tuple, 0, chunkSize))
+		i := r.st.n
+		if i&dataMask == 0 {
+			r.st.data = append(r.st.data, new(dataChunk))
+		}
+		if i&annotMask == 0 {
+			r.st.annots = append(r.st.annots, new(annotChunk))
 			r.chunkGen = append(r.chunkGen, r.epoch)
 		}
-		ch := r.writableChunk(c)
-		r.st.chunks[c] = append(ch, t)
-		r.st.n++
+		r.st.data[i>>dataShift][i&dataMask] = t.Data
+		r.st.annots[i>>annotShift][i&annotMask] = t.Annots
 		for _, a := range t.Annots {
-			p := r.writablePostings(a)
-			r.st.index[a] = append(p, pos)
-			r.st.freq[a]++
+			r.setBit(i, a)
 		}
+		r.st.n++
 	}
 	r.st.version++
 	return start
@@ -322,14 +303,12 @@ func (r *Relation) AddAnnotation(i int, a itemset.Item) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, err := r.st.tupleChecked(i)
-	if err != nil {
+	if _, err := r.st.tupleChecked(i); err != nil {
 		return err
 	}
-	if t.Annots.Contains(a) {
+	if r.st.postingsOf(a).Contains(i) {
 		return fmt.Errorf("%w: %v on tuple %d", ErrDuplicateAnnotation, a, i)
 	}
-	r.beginMutation()
 	r.attach(i, a)
 	r.st.version++
 	return nil
@@ -339,36 +318,23 @@ func (r *Relation) AddAnnotation(i int, a itemset.Item) error {
 // batch against the current relation before mutating anything, so a batch
 // either applies completely or not at all (duplicate-annotation entries are
 // reported through the returned skipped list rather than failing the batch,
-// because real curation batches legitimately re-send annotations).
+// because real curation batches legitimately re-send annotations). A batch
+// that applies nothing is not a mutation.
 //
 // It returns the updates that were actually applied and the ones skipped as
-// duplicates.
+// duplicates — of an earlier attachment or of an earlier entry of the same
+// batch.
 func (r *Relation) ApplyUpdates(batch []AnnotationUpdate) (applied, skipped []AnnotationUpdate, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, u := range batch {
-		if u.Index < 0 || u.Index >= r.st.n {
-			return nil, nil, fmt.Errorf("%w: %d (relation has %d tuples)", ErrTupleIndex, u.Index, r.st.n)
-		}
-		if !u.Annotation.IsAnnotation() {
-			return nil, nil, fmt.Errorf("relation: item %v in update batch is not an annotation", u.Annotation)
-		}
+	if err := r.validate(batch, "update"); err != nil {
+		return nil, nil, err
 	}
-	r.beginMutation()
-	// Track within-batch duplicates too: the same (tuple, annotation) pair
-	// twice in one batch must apply only once.
-	type pair struct {
-		i int
-		a itemset.Item
-	}
-	seen := make(map[pair]bool, len(batch))
 	for _, u := range batch {
-		p := pair{u.Index, u.Annotation}
-		if seen[p] || r.st.tuple(u.Index).Annots.Contains(u.Annotation) {
+		if r.st.postingsOf(u.Annotation).Contains(u.Index) {
 			skipped = append(skipped, u)
 			continue
 		}
-		seen[p] = true
 		r.attach(u.Index, u.Annotation)
 		applied = append(applied, u)
 	}
@@ -376,6 +342,19 @@ func (r *Relation) ApplyUpdates(batch []AnnotationUpdate) (applied, skipped []An
 		r.st.version++
 	}
 	return applied, skipped, nil
+}
+
+// validate checks every entry of a batch against the current relation.
+func (r *Relation) validate(batch []AnnotationUpdate, what string) error {
+	for _, u := range batch {
+		if u.Index < 0 || u.Index >= r.st.n {
+			return fmt.Errorf("%w: %d (relation has %d tuples)", ErrTupleIndex, u.Index, r.st.n)
+		}
+		if !u.Annotation.IsAnnotation() {
+			return fmt.Errorf("relation: item %v in %s batch is not an annotation", u.Annotation, what)
+		}
+	}
+	return nil
 }
 
 // RemoveAnnotation detaches annotation a from the tuple at position i.
@@ -387,14 +366,12 @@ func (r *Relation) RemoveAnnotation(i int, a itemset.Item) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, err := r.st.tupleChecked(i)
-	if err != nil {
+	if _, err := r.st.tupleChecked(i); err != nil {
 		return err
 	}
-	if !t.Annots.Contains(a) {
+	if !r.st.postingsOf(a).Contains(i) {
 		return fmt.Errorf("%w: %v on tuple %d", ErrAnnotationNotPresent, a, i)
 	}
-	r.beginMutation()
 	r.detach(i, a)
 	r.st.version++
 	return nil
@@ -403,21 +380,16 @@ func (r *Relation) RemoveAnnotation(i int, a itemset.Item) error {
 // ApplyRemovals detaches a batch of annotations, mirroring ApplyUpdates:
 // the whole batch is validated against the current relation first, entries
 // whose annotation is (no longer) present are skipped rather than failing,
-// and within-batch duplicates apply once.
+// within-batch duplicates apply once, and a batch that removes nothing is
+// not a mutation.
 func (r *Relation) ApplyRemovals(batch []AnnotationUpdate) (applied, skipped []AnnotationUpdate, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, u := range batch {
-		if u.Index < 0 || u.Index >= r.st.n {
-			return nil, nil, fmt.Errorf("%w: %d (relation has %d tuples)", ErrTupleIndex, u.Index, r.st.n)
-		}
-		if !u.Annotation.IsAnnotation() {
-			return nil, nil, fmt.Errorf("relation: item %v in removal batch is not an annotation", u.Annotation)
-		}
+	if err := r.validate(batch, "removal"); err != nil {
+		return nil, nil, err
 	}
-	r.beginMutation()
 	for _, u := range batch {
-		if !r.st.tuple(u.Index).Annots.Contains(u.Annotation) {
+		if !r.st.postingsOf(u.Annotation).Contains(u.Index) {
 			skipped = append(skipped, u)
 			continue
 		}
@@ -430,28 +402,22 @@ func (r *Relation) ApplyRemovals(batch []AnnotationUpdate) (applied, skipped []A
 	return applied, skipped, nil
 }
 
-// TuplesWith returns the ascending positions of tuples carrying annotation a.
-// This is the paper's annotation inverted index; the returned slice is shared
-// and must not be mutated.
-func (r *Relation) TuplesWith(a itemset.Item) []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.st.index[a]
-}
-
 // Frequency returns the number of tuples carrying annotation a — the paper's
 // annotation frequency table.
 func (r *Relation) Frequency(a itemset.Item) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.st.freq[a]
+	return r.st.postingsOf(a).count
 }
 
-// FrequencyTable returns a copy of the whole annotation frequency table.
-func (r *Relation) FrequencyTable() map[itemset.Item]int {
+// EachFrequency calls fn with every annotation ever attached to the relation
+// and the number of tuples carrying it now (possibly zero), in item order,
+// reading the frequency table in place under the read lock. fn must not call
+// back into the relation.
+func (r *Relation) EachFrequency(fn func(a itemset.Item, n int)) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.st.freqTable()
+	r.st.eachEntry(func(a itemset.Item, p Postings) { fn(a, p.count) })
 }
 
 // Annotations returns every annotation item that appears on at least one
@@ -462,15 +428,15 @@ func (r *Relation) Annotations() itemset.Itemset {
 	return r.st.annotations()
 }
 
-// CountPattern scans positions (or the whole relation when positions is nil)
-// and counts tuples containing the pattern. The incremental engine uses the
-// positions form with the annotation index to realize the paper's "check all
-// data tuples in the database having this annotation" step without a full
-// scan.
-func (r *Relation) CountPattern(pattern itemset.Itemset, positions []int) int {
+// CountPattern counts the tuples containing pattern. A pattern with
+// annotations is counted along the bitmap of its rarest annotation — the
+// incremental engine's "check all data tuples in the database having this
+// annotation" step without a full scan; a pure-data pattern scans the data
+// column.
+func (r *Relation) CountPattern(pattern itemset.Itemset) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.st.countPattern(pattern, positions)
+	return r.st.countPattern(pattern)
 }
 
 // Clone returns a deep copy of the relation sharing no mutable state with the
@@ -509,72 +475,20 @@ func (r *Relation) Stats() Stats {
 	return r.st.stats()
 }
 
-// CheckInvariants verifies the internal consistency of the chunked storage,
-// index, and frequency table against the tuples. It is called from tests and
-// from the incremental engine's verification mode, never on hot paths.
+// CheckInvariants verifies the internal consistency of the columns, the
+// index, and the frequency table against the tuples, and that every chunk
+// and bitmap has an ownership generation. It is called from tests and from
+// the incremental engine's verification mode, never on hot paths.
 func (r *Relation) CheckInvariants() error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	total := 0
-	for c, ch := range r.st.chunks {
-		if c < len(r.st.chunks)-1 && len(ch) != chunkSize {
-			return fmt.Errorf("relation: interior chunk %d has %d tuples, want %d", c, len(ch), chunkSize)
-		}
-		total += len(ch)
+	if len(r.chunkGen) != len(r.st.annots) {
+		return fmt.Errorf("relation: %d annotation chunks, %d generations", len(r.st.annots), len(r.chunkGen))
 	}
-	if total != r.st.n {
-		return fmt.Errorf("relation: chunks hold %d tuples, store says %d", total, r.st.n)
-	}
-	rebuiltFreq := make(map[itemset.Item]int)
-	rebuiltIdx := make(map[itemset.Item][]int)
-	var werr error
-	r.st.each(0, func(i int, t Tuple) bool {
-		if !t.Data.Wellformed() || !t.Annots.Wellformed() {
-			werr = fmt.Errorf("relation: tuple %d not canonical", i)
-			return false
-		}
-		if t.Data.HasAnnotation() {
-			werr = fmt.Errorf("relation: tuple %d has annotation in data part", i)
-			return false
-		}
-		if !t.Annots.PureAnnotations() {
-			werr = fmt.Errorf("relation: tuple %d has data value in annotation part", i)
-			return false
-		}
-		for _, a := range t.Annots {
-			rebuiltFreq[a]++
-			rebuiltIdx[a] = append(rebuiltIdx[a], i)
-		}
-		return true
-	})
-	if werr != nil {
-		return werr
-	}
-	for a, n := range r.st.freq {
-		if n != rebuiltFreq[a] {
-			return fmt.Errorf("relation: frequency table says %d tuples for %v, actual %d", n, a, rebuiltFreq[a])
+	for k := range r.st.postings {
+		if len(r.bitsGen[k]) != len(r.st.postings[k]) {
+			return fmt.Errorf("relation: postings spine %d has %d entries, %d generations", k, len(r.st.postings[k]), len(r.bitsGen[k]))
 		}
 	}
-	for a, n := range rebuiltFreq {
-		if r.st.freq[a] != n {
-			return fmt.Errorf("relation: frequency table missing %v (actual %d)", a, n)
-		}
-	}
-	for a, positions := range r.st.index {
-		want := rebuiltIdx[a]
-		if len(positions) != len(want) {
-			return fmt.Errorf("relation: index for %v has %d entries, want %d", a, len(positions), len(want))
-		}
-		for i := range positions {
-			if positions[i] != want[i] {
-				return fmt.Errorf("relation: index for %v diverges at entry %d: %d != %d", a, i, positions[i], want[i])
-			}
-		}
-	}
-	for a, want := range rebuiltIdx {
-		if _, ok := r.st.index[a]; !ok && len(want) > 0 {
-			return fmt.Errorf("relation: index missing annotation %v", a)
-		}
-	}
-	return nil
+	return r.st.check()
 }

@@ -201,11 +201,11 @@ func TestRelationIndexAndFrequency(t *testing.T) {
 	a4, _ := d.Lookup("Annot_4")
 	a5, _ := d.Lookup("Annot_5")
 
-	if got := r.TuplesWith(a1); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 4 {
-		t.Errorf("TuplesWith(Annot_1) = %v, want [0 1 4]", got)
+	if got := positions(r.View().Postings(a1)); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 4 {
+		t.Errorf("Postings(Annot_1) = %v, want [0 1 4]", got)
 	}
-	if got := r.TuplesWith(a4); len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("TuplesWith(Annot_4) = %v, want [2 4]", got)
+	if got := positions(r.View().Postings(a4)); len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Errorf("Postings(Annot_4) = %v, want [2 4]", got)
 	}
 	if got := r.Frequency(a5); got != 1 {
 		t.Errorf("Frequency(Annot_5) = %d, want 1", got)
@@ -213,9 +213,10 @@ func TestRelationIndexAndFrequency(t *testing.T) {
 	if got := r.Frequency(itemset.AnnotationItem(999)); got != 0 {
 		t.Errorf("Frequency(unknown) = %d, want 0", got)
 	}
-	ft := r.FrequencyTable()
-	if ft[a1] != 3 || ft[a4] != 2 || ft[a5] != 1 {
-		t.Errorf("FrequencyTable = %v", ft)
+	ft := make(map[itemset.Item]int)
+	r.EachFrequency(func(a itemset.Item, n int) { ft[a] = n })
+	if len(ft) != 3 || ft[a1] != 3 || ft[a4] != 2 || ft[a5] != 1 {
+		t.Errorf("EachFrequency = %v", ft)
 	}
 	if got := r.Annotations(); got.Len() != 3 || !got.Wellformed() {
 		t.Errorf("Annotations = %v", got)
@@ -238,8 +239,8 @@ func TestAddAnnotation(t *testing.T) {
 	if got := r.Frequency(a9); got != 1 {
 		t.Errorf("Frequency after add = %d, want 1", got)
 	}
-	if got := r.TuplesWith(a9); len(got) != 1 || got[0] != 3 {
-		t.Errorf("TuplesWith after add = %v", got)
+	if got := positions(r.View().Postings(a9)); len(got) != 1 || got[0] != 3 {
+		t.Errorf("Postings after add = %v", got)
 	}
 	// Duplicate add fails without mutating.
 	v := r.Version()
@@ -265,7 +266,7 @@ func TestAddAnnotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.TuplesWith(a10); got[0] != 0 || got[1] != 2 || got[2] != 4 {
+	if got := positions(r.View().Postings(a10)); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
 		t.Errorf("index unsorted: %v", got)
 	}
 	if err := r.CheckInvariants(); err != nil {
@@ -349,13 +350,17 @@ func TestCountPattern(t *testing.T) {
 		{"empty pattern matches all", nil, 5},
 	}
 	for _, tc := range tests {
-		if got := r.CountPattern(tc.pattern, nil); got != tc.want {
+		if got := r.CountPattern(tc.pattern); got != tc.want {
 			t.Errorf("%s: CountPattern = %d, want %d", tc.name, got, tc.want)
 		}
 	}
-	// Restricted to the annotation index of Annot_1 (positions 0,1,4).
-	if got := r.CountPattern(itemset.New(v28), r.TuplesWith(a1)); got != 2 {
-		t.Errorf("indexed CountPattern = %d, want 2", got)
+	// Walked along the bitmap of the rarer annotation (Annot_4: 2, 4).
+	a4, _ := d.Lookup("Annot_4")
+	if got := r.CountPattern(itemset.New(v85, a1, a4)); got != 0 {
+		t.Errorf("two-annotation CountPattern = %d, want 0", got)
+	}
+	if got := r.CountPattern(itemset.New(v85, a4)); got != 1 {
+		t.Errorf("indexed CountPattern = %d, want 1", got)
 	}
 }
 
@@ -481,7 +486,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				default:
 				}
 				r.Each(func(i int, tu Tuple) bool { _ = tu.Annotated(); return true })
-				_ = r.FrequencyTable()
+				r.EachFrequency(func(itemset.Item, int) {})
 				_ = r.Stats()
 			}
 		}()
@@ -547,7 +552,7 @@ func TestPropertyIndexMatchesScan(t *testing.T) {
 				}
 				return true
 			})
-			idx := r.TuplesWith(a)
+			idx := positions(r.View().Postings(a))
 			if len(idx) != len(scan) {
 				return false
 			}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -30,7 +31,7 @@ func viewFixture(t testing.TB, n int) *Relation {
 
 func TestViewIsImmutableUnderMutation(t *testing.T) {
 	t.Parallel()
-	r := viewFixture(t, 2*chunkSize+17)
+	r := viewFixture(t, 2*dataChunkSize+17)
 	dict := r.Dictionary()
 	a := MustAnnotation(dict, "Annot_A")
 	b := MustAnnotation(dict, "Annot_B")
@@ -46,7 +47,7 @@ func TestViewIsImmutableUnderMutation(t *testing.T) {
 	if !tu0.HasAnnotation(a) {
 		t.Fatal("fixture: tuple 0 should carry Annot_A")
 	}
-	wantPostings := append([]int(nil), v.TuplesWith(a)...)
+	wantPostings := positions(v.Postings(a))
 
 	// Mutate through every path: attach, detach, append.
 	if err := r.AddAnnotation(1, b); err != nil {
@@ -80,7 +81,7 @@ func TestViewIsImmutableUnderMutation(t *testing.T) {
 	if tu1v.HasAnnotation(b) {
 		t.Error("view tuple 1 gained Annot_B from live attach")
 	}
-	got := v.TuplesWith(a)
+	got := positions(v.Postings(a))
 	if len(got) != len(wantPostings) {
 		t.Fatalf("view postings changed: %v -> %v", wantPostings, got)
 	}
@@ -116,38 +117,121 @@ func TestViewIsMemoizedBetweenMutations(t *testing.T) {
 	}
 }
 
-// TestViewStructuralSharing pins the COW contract: a single-tuple mutation
-// copies only the touched chunk; every other chunk is shared by address
-// between consecutive generations.
+// sameArray reports whether two bitmaps share a backing array.
+func sameArray(x, y []uint64) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] }
+
+// TestViewStructuralSharing pins the COW contract: an annotation write
+// shares every data chunk by address and copies only the annotation chunk
+// and the one bitmap it touches; a tuple append copies no annotation chunk
+// and only the bitmaps of the appended tuple's annotations.
 func TestViewStructuralSharing(t *testing.T) {
 	t.Parallel()
-	r := viewFixture(t, 4*chunkSize)
+	r := viewFixture(t, 4*dataChunkSize)
 	dict := r.Dictionary()
+	a := MustAnnotation(dict, "Annot_A")
 	b := MustAnnotation(dict, "Annot_B")
+	// b's bitmap exists before v1 and already spans every word.
+	if err := r.AddAnnotation(r.Len()-1, b); err != nil {
+		t.Fatal(err)
+	}
 
 	v1 := r.View()
-	if err := r.AddAnnotation(chunkSize+1, b); err != nil { // lives in chunk 1
+	target := dataChunkSize + 1 // data chunk 1
+	if err := r.AddAnnotation(target, b); err != nil {
 		t.Fatal(err)
 	}
 	v2 := r.View()
 
-	if len(v1.st.chunks) != len(v2.st.chunks) {
-		t.Fatalf("chunk counts differ: %d vs %d", len(v1.st.chunks), len(v2.st.chunks))
+	if len(v1.st.data) != len(v2.st.data) || len(v1.st.annots) != len(v2.st.annots) {
+		t.Fatalf("column lengths differ: data %d vs %d, annotations %d vs %d",
+			len(v1.st.data), len(v2.st.data), len(v1.st.annots), len(v2.st.annots))
 	}
-	for c := range v1.st.chunks {
-		shared := &v1.st.chunks[c][0] == &v2.st.chunks[c][0]
-		if c == 1 && shared {
-			t.Error("mutated chunk 1 still shared between generations")
+	for c := range v1.st.data {
+		if v1.st.data[c] != v2.st.data[c] {
+			t.Errorf("annotation write copied data chunk %d", c)
 		}
-		if c != 1 && !shared {
-			t.Errorf("untouched chunk %d was copied", c)
+	}
+	for c := range v1.st.annots {
+		shared := v1.st.annots[c] == v2.st.annots[c]
+		if c == target>>annotShift && shared {
+			t.Errorf("mutated annotation chunk %d still shared between generations", c)
+		}
+		if c != target>>annotShift && !shared {
+			t.Errorf("untouched annotation chunk %d was copied", c)
+		}
+	}
+	if !sameArray(v1.Postings(a).bits, v2.Postings(a).bits) {
+		t.Error("untouched bitmap of Annot_A was copied")
+	}
+	if sameArray(v1.Postings(b).bits, v2.Postings(b).bits) {
+		t.Error("written bitmap of Annot_B still shared between generations")
+	}
+	if v1.Postings(b).Contains(target) || !v2.Postings(b).Contains(target) {
+		t.Error("bitmap copy-on-write leaked the attach into the older generation")
+	}
+
+	// An append writes both columns past v2's length in place.
+	r.Append(MustTuple(dict, []string{"d0"}, []string{"Annot_B"}))
+	v3 := r.View()
+	for c := range v2.st.data {
+		if v2.st.data[c] != v3.st.data[c] {
+			t.Errorf("append copied data chunk %d", c)
+		}
+	}
+	for c := range v2.st.annots {
+		if v2.st.annots[c] != v3.st.annots[c] {
+			t.Errorf("append copied annotation chunk %d", c)
+		}
+	}
+	if !sameArray(v2.Postings(a).bits, v3.Postings(a).bits) {
+		t.Error("append copied the bitmap of Annot_A, which the new tuple does not carry")
+	}
+	if v2.Len() != 4*dataChunkSize || v2.Postings(b).Contains(4*dataChunkSize) {
+		t.Error("append leaked into the older generation")
+	}
+}
+
+// TestNoOpMutationKeepsView pins that a call changing nothing is not a
+// mutation: the memoized view survives (so the next publish shares it and
+// the next real write pays no extra copy) and the version stands still.
+func TestNoOpMutationKeepsView(t *testing.T) {
+	t.Parallel()
+	r := viewFixture(t, 10) // Annot_A on tuples 0, 3, 6, 9
+	dict := r.Dictionary()
+	a := MustAnnotation(dict, "Annot_A")
+	b := MustAnnotation(dict, "Annot_B")
+	v, version := r.View(), r.Version()
+	steps := []struct {
+		name string
+		run  func() (applied int, err error)
+	}{
+		{"all-duplicate batch", func() (int, error) {
+			applied, _, err := r.ApplyUpdates([]AnnotationUpdate{{Index: 0, Annotation: a}, {Index: 3, Annotation: a}})
+			return len(applied), err
+		}},
+		{"all-absent removal", func() (int, error) {
+			applied, _, err := r.ApplyRemovals([]AnnotationUpdate{{Index: 1, Annotation: a}, {Index: 0, Annotation: b}})
+			return len(applied), err
+		}},
+		{"empty append", func() (int, error) { r.Append(); return 0, nil }},
+	}
+	for _, step := range steps {
+		applied, err := step.run()
+		if err != nil || applied != 0 {
+			t.Fatalf("%s: applied %d, err %v", step.name, applied, err)
+		}
+		if got := r.View(); got != v {
+			t.Errorf("%s dropped the memoized view", step.name)
+		}
+		if got := r.Version(); got != version {
+			t.Errorf("%s moved Version %d -> %d", step.name, version, got)
 		}
 	}
 }
 
 func TestViewAgainstLiveRelationReads(t *testing.T) {
 	t.Parallel()
-	r := viewFixture(t, 3*chunkSize+5)
+	r := viewFixture(t, 3*dataChunkSize+5)
 	v := r.View()
 	if v.Len() != r.Len() {
 		t.Fatalf("Len: view %d, live %d", v.Len(), r.Len())
@@ -172,7 +256,7 @@ func TestViewAgainstLiveRelationReads(t *testing.T) {
 		t.Errorf("Annotations: view %v, live %v", got, want)
 	}
 	pattern := itemset.New(MustData(r.Dictionary(), "d0"))
-	if got, want := v.CountPattern(pattern, nil), r.CountPattern(pattern, nil); got != want {
+	if got, want := v.CountPattern(pattern), r.CountPattern(pattern); got != want {
 		t.Errorf("CountPattern: view %d, live %d", got, want)
 	}
 	if _, err := v.Tuple(-1); err == nil {
@@ -188,7 +272,7 @@ func TestViewAgainstLiveRelationReads(t *testing.T) {
 // the relation still writes.
 func TestViewConcurrentReadersUnderWriter(t *testing.T) {
 	t.Parallel()
-	r := viewFixture(t, 2*chunkSize)
+	r := viewFixture(t, 2*dataChunkSize)
 	dict := r.Dictionary()
 	b := MustAnnotation(dict, "Annot_B")
 
@@ -223,7 +307,7 @@ func TestViewConcurrentReadersUnderWriter(t *testing.T) {
 					return true
 				})
 				_ = v.Frequency(b)
-				_ = v.TuplesWith(b)
+				v.Postings(b).Each(func(int) bool { return true })
 			}
 		}()
 	}
@@ -235,7 +319,7 @@ func TestViewConcurrentReadersUnderWriter(t *testing.T) {
 
 func TestCloneViaViewIsDeepAndVersionPreserving(t *testing.T) {
 	t.Parallel()
-	r := viewFixture(t, chunkSize+3)
+	r := viewFixture(t, dataChunkSize+3)
 	dict := r.Dictionary()
 	b := MustAnnotation(dict, "Annot_B")
 	c := r.Clone()
@@ -263,8 +347,10 @@ func TestCloneViaViewIsDeepAndVersionPreserving(t *testing.T) {
 
 // BenchmarkViewCapture measures publishing one generation after a
 // single-annotation delta on relations of growing size: the point of the
-// chunked COW store is that this cost tracks the delta (one chunk copy plus
-// once-per-generation map headers), not the relation.
+// columnar COW store is that this cost tracks the delta (one annotation
+// chunk and one bitmap copy plus once-per-generation spine headers), not the
+// relation. Each pair of iterations attaches and then detaches one tuple's
+// annotation, so every iteration mutates.
 func BenchmarkViewCapture(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -273,12 +359,7 @@ func BenchmarkViewCapture(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx := i % n
-				if i%2 == 0 {
-					_ = r.AddAnnotation(idx, a)
-				} else {
-					_ = r.RemoveAnnotation(idx, a)
-				}
+				toggle(b, r, i, n, a)
 				if v := r.View(); v.Len() != n {
 					b.Fatal("bad view")
 				}
@@ -287,10 +368,24 @@ func BenchmarkViewCapture(b *testing.B) {
 	}
 }
 
+// toggle attaches a to tuple (i/2)%n on even i and detaches it on odd i,
+// failing the benchmark if the call did not mutate.
+func toggle(b *testing.B, r *Relation, i, n int, a itemset.Item) {
+	var err error
+	if idx := (i / 2) % n; i%2 == 0 {
+		err = r.AddAnnotation(idx, a)
+	} else {
+		err = r.RemoveAnnotation(idx, a)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkViewAppend measures the append path with a view captured per
 // batch — the serving writer's shape: append, publish, repeat.
 func BenchmarkViewAppend(b *testing.B) {
-	r := viewFixture(b, chunkSize)
+	r := viewFixture(b, dataChunkSize)
 	dict := r.Dictionary()
 	tu := MustTuple(dict, []string{"dA"}, []string{"Annot_A"})
 	b.ReportAllocs()
@@ -299,6 +394,52 @@ func BenchmarkViewAppend(b *testing.B) {
 		r.Append(tu)
 		if v := r.View(); v.Len() == 0 {
 			b.Fatal("bad view")
+		}
+	}
+}
+
+// BenchmarkApplyAfterView measures the serving writer's real pattern: an
+// annotation batch applied right after a View was captured, so every batch
+// pays the copy-on-write of what it touches. Batches of distinct (tuple,
+// annotation) pairs over an eight-annotation vocabulary alternate between
+// attaching a batch and detaching it again, so every update applies and
+// the relation returns to its seed state.
+func BenchmarkApplyAfterView(b *testing.B) {
+	for _, n := range []int{8 << 10, 32 << 10} {
+		for _, size := range []int{16, 200} {
+			b.Run(fmt.Sprintf("n=%d/updates=%d", n, size), func(b *testing.B) {
+				r := viewFixture(b, n)
+				dict := r.Dictionary()
+				vocab := make([]itemset.Item, 8)
+				for i := range vocab {
+					vocab[i] = MustAnnotation(dict, fmt.Sprintf("Annot_V%d", i))
+				}
+				rng := rand.New(rand.NewSource(1))
+				batches := make([][]AnnotationUpdate, 64)
+				for k := range batches {
+					seen := make(map[AnnotationUpdate]bool, size)
+					for len(batches[k]) < size {
+						u := AnnotationUpdate{Index: rng.Intn(n), Annotation: vocab[rng.Intn(len(vocab))]}
+						if !seen[u] {
+							seen[u] = true
+							batches[k] = append(batches[k], u)
+						}
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.View()
+					apply := r.ApplyUpdates
+					if i%2 == 1 {
+						apply = r.ApplyRemovals
+					}
+					applied, _, err := apply(batches[(i/2)%len(batches)])
+					if err != nil || len(applied) != size {
+						b.Fatalf("applied %d of %d: %v", len(applied), size, err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -313,12 +454,7 @@ func BenchmarkCloneBaseline(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				idx := i % n
-				if i%2 == 0 {
-					_ = r.AddAnnotation(idx, a)
-				} else {
-					_ = r.RemoveAnnotation(idx, a)
-				}
+				toggle(b, r, i, n, a)
 				if c := r.Clone(); c.Len() != n {
 					b.Fatal("bad clone")
 				}
