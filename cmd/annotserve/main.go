@@ -115,7 +115,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		minSupport    = fs.Float64("min-support", 0.4, "minimum rule support α")
 		minConfidence = fs.Float64("min-confidence", 0.8, "minimum rule confidence β")
 		algorithm     = fs.String("algorithm", "apriori", "mining algorithm: apriori or fpgrowth")
-		batchWindow   = fs.Duration("batch-window", time.Millisecond, "how long the writer lingers to coalesce concurrent update batches")
+		batchWindow   = fs.Duration("batch-window", time.Millisecond, "how long a write waits for a slot in a full admission queue before it is shed with 429, and the base of the Retry-After hint; the writer never waits on it")
 		queueDepth    = fs.Int("queue-depth", 0, "bounded admission queue depth per writer; a full queue sheds writes with 429 after one batch window (0 = default)")
 		recMinConf    = fs.Float64("rec-min-confidence", 0, "extra confidence filter on recommendation rules")
 		recMinSup     = fs.Float64("rec-min-support", 0, "extra support filter on recommendation rules")

@@ -884,6 +884,11 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "id: %d\n", ev.Cursor)
 		}
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data)
-		flusher.Flush()
+		// One flush per drained backlog, not per event: a publish delivers
+		// its events together, and each flush is a syscall plus a wake-up
+		// of the client.
+		if len(ch) == 0 {
+			flusher.Flush()
+		}
 	}
 }

@@ -158,8 +158,7 @@ func (e *Engine) updateCatalogsWithDelta(deltaTxns []itemset.Itemset) []itemset.
 // scanning only the new tuples.
 func (e *Engine) updateTrackedRulesWithDelta(deltaTxns []itemset.Itemset) {
 	for _, set := range []*rules.Set{e.valid, e.cands, e.coldRules} {
-		var updated []rules.Rule
-		set.Each(func(r rules.Rule) bool {
+		set.Rewrite(func(r *rules.Rule) bool {
 			for _, t := range deltaTxns {
 				if t.ContainsAll(r.LHS) {
 					r.LHSCount++
@@ -169,12 +168,8 @@ func (e *Engine) updateTrackedRulesWithDelta(deltaTxns []itemset.Itemset) {
 				}
 			}
 			r.N = e.n
-			updated = append(updated, r)
 			return true
 		})
-		for _, r := range updated {
-			set.Add(r)
-		}
 	}
 }
 
@@ -575,66 +570,88 @@ func (e *Engine) applyAnnotPatternGains(gained map[itemset.Key]int) []itemset.It
 // the L.H.S. case) can grow, the latter being what may pull confidence
 // below threshold.
 func (e *Engine) updateTrackedRulesWithAnnotations(perTuple map[int]itemset.Itemset) {
-	type view struct {
-		items     itemset.Itemset
-		newAnnots itemset.Itemset
-	}
-	views := make([]view, 0, len(perTuple))
+	views := make([]annotDeltaView, 0, len(perTuple))
 	for idx, newAnnots := range perTuple {
 		tu, err := e.rel.Tuple(idx)
 		if err != nil {
 			continue
 		}
-		views = append(views, view{items: e.projectTuple(tu), newAnnots: newAnnots})
+		views = append(views, annotDeltaView{items: e.projectTuple(tu), changed: newAnnots})
 	}
-	// Bucket views by added annotation: a rule can only be affected by
-	// views that added one of the rule's own annotations, so each rule
-	// visits a handful of views instead of the whole batch.
+	e.adjustTrackedRules(views, +1)
+}
+
+// annotDeltaView is one tuple an annotation batch touched: its mining view
+// (after an attach, before a detach) and the annotations the batch attached
+// or detached there.
+type annotDeltaView struct {
+	items   itemset.Itemset
+	changed itemset.Itemset
+}
+
+// adjustTrackedRules moves every tracked rule's pattern and LHS counts by
+// sign for each view in which the batch completed (attach, sign +1) or
+// broke (detach, sign -1) the rule's pattern or annotation LHS.
+func (e *Engine) adjustTrackedRules(views []annotDeltaView, sign int) {
+	// Bucket views by changed annotation: a rule can only be affected by
+	// views that changed one of the rule's own annotations, so each rule
+	// visits a handful of views instead of the whole batch, and a rule with
+	// no bucket at all is skipped before anything is allocated for it.
 	buckets := make(map[itemset.Item][]int32)
 	for i, v := range views {
-		for _, a := range v.newAnnots {
+		for _, a := range v.changed {
 			buckets[a] = append(buckets[a], int32(i))
 		}
 	}
 	visited := make([]uint32, len(views))
 	var stamp uint32
 	for _, set := range []*rules.Set{e.valid, e.cands, e.coldRules} {
-		var updated []rules.Rule
-		set.Each(func(r rules.Rule) bool {
+		set.Rewrite(func(r *rules.Rule) bool {
+			if !touchedBy(buckets, r) {
+				return false
+			}
 			pattern := r.Pattern()
-			patternAnnots := pattern.AnnotationPart()
 			lhsAnnot := r.LHS.HasAnnotation()
 			changed := false
 			stamp++
-			for _, a := range patternAnnots {
+			for _, a := range pattern.AnnotationPart() {
 				for _, vi := range buckets[a] {
 					if visited[vi] == stamp {
 						continue
 					}
 					visited[vi] = stamp
 					v := &views[vi]
-					// Pattern completed by this batch: present now, and at
-					// least one of its members was just added.
-					if v.newAnnots.Intersects(pattern) && v.items.ContainsAll(pattern) {
-						r.PatternCount++
+					// Pattern completed (or broken) by this batch: present
+					// after the attach (before the detach), and at least one
+					// of its members changed.
+					if v.changed.Intersects(pattern) && v.items.ContainsAll(pattern) {
+						r.PatternCount += sign
 						changed = true
 					}
-					// LHS completed by this batch (annotation LHS only).
-					if lhsAnnot && v.newAnnots.Intersects(r.LHS) && v.items.ContainsAll(r.LHS) {
-						r.LHSCount++
+					// Likewise the LHS (annotation LHS only).
+					if lhsAnnot && v.changed.Intersects(r.LHS) && v.items.ContainsAll(r.LHS) {
+						r.LHSCount += sign
 						changed = true
 					}
 				}
 			}
-			if changed {
-				updated = append(updated, r)
-			}
-			return true
+			return changed
 		})
-		for _, r := range updated {
-			set.Add(r)
+	}
+}
+
+// touchedBy reports whether any of r's annotations has a bucket, that is,
+// whether the batch changed one of them. It allocates nothing.
+func touchedBy(buckets map[itemset.Item][]int32, r *rules.Rule) bool {
+	if len(buckets[r.RHS]) > 0 {
+		return true
+	}
+	for _, it := range r.LHS {
+		if it.IsAnnotation() && len(buckets[it]) > 0 {
+			return true
 		}
 	}
+	return false
 }
 
 // discoverDataRulesFromAnnotations is Figure 13 Step 1: for each added

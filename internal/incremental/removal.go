@@ -5,7 +5,6 @@ import (
 
 	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
-	"annotadb/internal/rules"
 )
 
 // CaseRemoveAnnotations extends the paper: §6 names "the removal of
@@ -181,62 +180,15 @@ func (e *Engine) applyAnnotPatternLosses(lost map[itemset.Key]int) {
 // maintained rule for each touched tuple whose pre-removal view contained
 // the pattern/LHS that the removal broke.
 func (e *Engine) updateTrackedRulesWithRemovals(pre map[int]preView, perTuple map[int]itemset.Itemset) {
-	type view struct {
-		items   itemset.Itemset
-		removed itemset.Itemset
-	}
-	views := make([]view, 0, len(perTuple))
+	views := make([]annotDeltaView, 0, len(perTuple))
 	for idx, removed := range perTuple {
 		snap, ok := pre[idx]
 		if !ok {
 			continue
 		}
-		views = append(views, view{items: snap.items, removed: removed})
+		views = append(views, annotDeltaView{items: snap.items, changed: removed})
 	}
-	buckets := make(map[itemset.Item][]int32)
-	for i, v := range views {
-		for _, a := range v.removed {
-			buckets[a] = append(buckets[a], int32(i))
-		}
-	}
-	visited := make([]uint32, len(views))
-	var stamp uint32
-	for _, set := range []*rules.Set{e.valid, e.cands, e.coldRules} {
-		var updated []rules.Rule
-		set.Each(func(r rules.Rule) bool {
-			pattern := r.Pattern()
-			patternAnnots := pattern.AnnotationPart()
-			lhsAnnot := r.LHS.HasAnnotation()
-			changed := false
-			stamp++
-			for _, a := range patternAnnots {
-				for _, vi := range buckets[a] {
-					if visited[vi] == stamp {
-						continue
-					}
-					visited[vi] = stamp
-					v := &views[vi]
-					// Pattern broken: it was present before the batch and
-					// lost at least one member.
-					if v.removed.Intersects(pattern) && v.items.ContainsAll(pattern) {
-						r.PatternCount--
-						changed = true
-					}
-					if lhsAnnot && v.removed.Intersects(r.LHS) && v.items.ContainsAll(r.LHS) {
-						r.LHSCount--
-						changed = true
-					}
-				}
-			}
-			if changed {
-				updated = append(updated, r)
-			}
-			return true
-		})
-		for _, r := range updated {
-			set.Add(r)
-		}
-	}
+	e.adjustTrackedRules(views, -1)
 }
 
 // demoteSubSlackCatalogEntries is pruneCatalogs for the removal path: the

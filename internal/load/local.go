@@ -29,7 +29,8 @@ type LocalOptions struct {
 	// Dir; reopening the same Dir recovers instead of re-seeding).
 	Dir string
 	// QueueDepth, BatchWindow, and FlushWindow tune the write path
-	// (admission queue bound, coalescing linger, WAL group commit).
+	// (admission queue bound, admission wait at a full queue, WAL group
+	// commit).
 	QueueDepth  int
 	BatchWindow time.Duration
 	FlushWindow time.Duration

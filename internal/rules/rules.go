@@ -270,6 +270,18 @@ func (s *Set) Update(id RuleID, fn func(Rule) Rule) bool {
 	return true
 }
 
+// Rewrite hands fn a copy of every rule and stores the copy back under the
+// rule's existing identity when fn reports a change. fn may change counts
+// only, never LHS or RHS, which is why no identity is recomputed: a rewrite
+// costs no key building, and a rule fn leaves unchanged is not written.
+func (s *Set) Rewrite(fn func(r *Rule) bool) {
+	for id, r := range s.byID {
+		if fn(&r) {
+			s.byID[id] = r
+		}
+	}
+}
+
 // Sorted returns the rules ordered deterministically: by kind, then LHS,
 // then RHS. Output files and test diffs depend on this order.
 func (s *Set) Sorted() []Rule {

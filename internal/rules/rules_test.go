@@ -199,6 +199,58 @@ func TestSetUpdate(t *testing.T) {
 	}
 }
 
+// TestSetRewrite pins Rewrite's contract: counts change in place, every rule
+// keeps the identity it was stored under, and a rule the callback reports
+// unchanged is not written back even if the callback touched its copy.
+func TestSetRewrite(t *testing.T) {
+	s := NewSet()
+	grow := Rule{LHS: itemset.New(d(1)), RHS: a(1), PatternCount: 5, LHSCount: 6, N: 10}
+	scribble := Rule{LHS: itemset.New(a(2)), RHS: a(1), PatternCount: 3, LHSCount: 5, N: 10}
+	keep := Rule{LHS: itemset.New(d(1), d(2)), RHS: a(3), PatternCount: 2, LHSCount: 2, N: 10}
+	for _, r := range []Rule{grow, scribble, keep} {
+		s.Add(r)
+	}
+	visits := 0
+	s.Rewrite(func(r *Rule) bool {
+		visits++
+		switch r.ID() {
+		case grow.ID():
+			r.PatternCount++
+			r.N = 11
+			return true
+		case scribble.ID():
+			r.PatternCount = 99
+			return false
+		}
+		return false
+	})
+	if visits != 3 {
+		t.Errorf("Rewrite visited %d rules, want 3", visits)
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d after Rewrite, want 3", s.Len())
+	}
+	for id, r := range s.byID {
+		if r.ID() != id {
+			t.Errorf("rule %v stored under %q, its identity is %q", r, id, r.ID())
+		}
+	}
+	want := map[RuleID]Rule{
+		grow.ID():     {LHS: grow.LHS, RHS: grow.RHS, PatternCount: 6, LHSCount: 6, N: 11},
+		scribble.ID(): scribble,
+		keep.ID():     keep,
+	}
+	for id, w := range want {
+		got, ok := s.Get(id)
+		if !ok {
+			t.Fatalf("rule %v lost its identity", w)
+		}
+		if got.PatternCount != w.PatternCount || got.LHSCount != w.LHSCount || got.N != w.N {
+			t.Errorf("after Rewrite %v, want %v", got, w)
+		}
+	}
+}
+
 func TestSetSortedDeterministic(t *testing.T) {
 	s := NewSet()
 	s.Add(Rule{LHS: itemset.New(a(1)), RHS: a(2), PatternCount: 1, LHSCount: 1, N: 10})

@@ -31,7 +31,7 @@ func benchWorld(b *testing.B) (*Server, *incremental.Engine, *relation.Relation)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(eng, Config{BatchWindow: 100_000}) // 100µs window
+	s := New(eng, Config{})
 	b.Cleanup(func() {
 		if err := s.Close(context.Background()); err != nil {
 			b.Error(err)
@@ -207,12 +207,17 @@ func BenchmarkGroupCommit(b *testing.B) {
 
 // BenchmarkWriteThroughput measures coalesced write commits: many
 // goroutines submitting single-update batches that the writer loop merges.
+// batches/request is engine applications and publishes/request snapshot
+// publishes per accepted request: below 1, requests that queued while the
+// writer was busy shared an application or a publish. Attaches and detaches
+// alternate, and only like-kind neighbours share an application.
 func BenchmarkWriteThroughput(b *testing.B) {
 	s, _, rel := benchWorld(b)
 	dict := rel.Dictionary()
 	a := relation.MustAnnotation(dict, "Annot_B")
 	n := rel.Len()
 	ctx := context.Background()
+	b.SetParallelism(4)
 	b.ReportAllocs()
 	var ctr atomic.Uint64
 	b.RunParallel(func(pb *testing.PB) {
@@ -230,4 +235,9 @@ func BenchmarkWriteThroughput(b *testing.B) {
 			}
 		}
 	})
+	b.StopTimer()
+	st := s.Stats()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/sec")
+	b.ReportMetric(float64(st.Batches)/float64(st.Requests), "batches/request")
+	b.ReportMetric(float64(st.Latency.Publish.Count)/float64(st.Requests), "publishes/request")
 }

@@ -93,8 +93,7 @@ func TestOverloadShedsWithExactCounters(t *testing.T) {
 	s, _ := mustServer(t, rel, testCfg(), Config{BatchWindow: window, QueueDepth: 1, Journal: j})
 	ctx := context.Background()
 
-	// First write: the writer collects it (after its linger) and blocks in
-	// the journal append.
+	// First write: the writer collects it and blocks in the journal append.
 	first := make(chan error, 1)
 	go func() {
 		_, err := s.AddAnnotations(ctx, oneUpdate(t, rel, 0))

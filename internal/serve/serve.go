@@ -132,10 +132,11 @@ type LatencyStats struct {
 
 // Config tunes the serving core.
 type Config struct {
-	// BatchWindow is how long the writer waits after the first pending
-	// update for more updates to coalesce before applying the batch.
-	// Zero means DefaultBatchWindow; negative disables waiting (each
-	// application still absorbs everything already queued).
+	// BatchWindow is how long a submit waits for a slot in a full
+	// admission queue before it fails with ErrOverloaded; transports derive
+	// their Retry-After hint from it. Zero means DefaultBatchWindow;
+	// negative sheds at once. The writer never waits on it: a batch is
+	// whatever is already queued when the writer takes the first request.
 	BatchWindow time.Duration
 	// MaxBatch caps the number of individual updates (annotation
 	// attachments or tuples) coalesced into one engine application.
@@ -592,37 +593,20 @@ func (s *Server) deliver(p pendingAck, syncErr error) {
 	}
 }
 
-// collect coalesces requests around first: everything already queued is
-// absorbed immediately, then the writer lingers for the batch window (if
-// any) to absorb stragglers, up to MaxBatch updates.
+// collect coalesces requests around first: everything already queued rides
+// the same batch, up to MaxBatch updates. It never waits for more. The
+// incremental cases make a small batch cheap, so a lone write is applied at
+// once; requests that arrive while this batch applies and fsyncs queue up
+// and ride the next one.
 func (s *Server) collect(first *request) []*request {
 	batch := []*request{first}
 	size := first.size()
-	max := s.cfg.maxBatch()
-	for size < max {
+	for max := s.cfg.maxBatch(); size < max; {
 		select {
 		case r := <-s.reqs:
 			batch = append(batch, r)
 			size += r.size()
-			continue
 		default:
-		}
-		break
-	}
-	window := s.cfg.batchWindow()
-	if window <= 0 || size >= max {
-		return batch
-	}
-	deadline := time.NewTimer(window)
-	defer deadline.Stop()
-	for size < max {
-		select {
-		case r := <-s.reqs:
-			batch = append(batch, r)
-			size += r.size()
-		case <-deadline.C:
-			return batch
-		case <-s.quit:
 			return batch
 		}
 	}

@@ -267,12 +267,28 @@ func TestCloseSemantics(t *testing.T) {
 	}
 }
 
+// TestCoalescingMergesConcurrentWrites pins natural batching: writes that
+// queue while the writer is busy ride its next engine application together.
+// The writer is held in the journal append of a first write while the
+// others queue, then released.
 func TestCoalescingMergesConcurrentWrites(t *testing.T) {
+	j := newGatedJournal()
 	rel := fixture()
 	dict := rel.Dictionary()
-	// Long window: every request submitted below lands in one collect pass.
-	s, eng := mustServer(t, rel, testCfg(), Config{BatchWindow: 500 * time.Millisecond})
+	s, eng := mustServer(t, rel, testCfg(), Config{Journal: j})
 	a1 := relation.MustAnnotation(dict, "Annot_1")
+	ctx := context.Background()
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := s.AddAnnotations(ctx, []relation.AnnotationUpdate{{Index: 0, Annotation: a1}})
+		first <- err
+	}()
+	select {
+	case <-j.gate:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer never reached the journal")
+	}
 
 	const writers = 8
 	targets := []int{5, 6, 7, 8, 9, 5, 6, 7} // overlaps exercise dup-skip
@@ -282,23 +298,35 @@ func TestCoalescingMergesConcurrentWrites(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, errs[w] = s.AddAnnotations(context.Background(), []relation.AnnotationUpdate{
+			_, errs[w] = s.AddAnnotations(ctx, []relation.AnnotationUpdate{
 				{Index: targets[w], Annotation: a1},
 			})
 		}(w)
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.reqs) < writers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d writes queued behind the held writer", len(s.reqs), writers)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(j.release)
 	wg.Wait()
+	if err := <-first; err != nil {
+		t.Fatalf("held write: %v", err)
+	}
 	for w, err := range errs {
 		if err != nil {
 			t.Fatalf("writer %d: %v", w, err)
 		}
 	}
 	st := s.Stats()
-	if st.Requests != writers {
-		t.Errorf("Requests = %d, want %d", st.Requests, writers)
+	if st.Requests != writers+1 {
+		t.Errorf("Requests = %d, want %d", st.Requests, writers+1)
 	}
-	if st.Batches >= writers {
-		t.Errorf("Batches = %d: no coalescing happened across %d concurrent writes", st.Batches, writers)
+	if st.Batches != 2 || st.Coalesced != writers {
+		t.Errorf("Batches = %d, Coalesced = %d: want the held write alone, then all %d queued writes in one application",
+			st.Batches, st.Coalesced, writers)
 	}
 	// Every distinct target must now carry Annot_1.
 	for _, idx := range []int{5, 6, 7, 8, 9} {
@@ -312,6 +340,19 @@ func TestCoalescingMergesConcurrentWrites(t *testing.T) {
 	}
 	if err := eng.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoneWriteDoesNotLinger pins that the writer never waits for company:
+// however long the batch window, a lone write is applied and acknowledged
+// at once.
+func TestLoneWriteDoesNotLinger(t *testing.T) {
+	rel := fixture()
+	s, _ := mustServer(t, rel, testCfg(), Config{BatchWindow: time.Hour})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := s.AddAnnotations(ctx, oneUpdate(t, rel, 5)); err != nil {
+		t.Fatalf("lone write under an hour-long batch window: %v", err)
 	}
 }
 

@@ -303,29 +303,66 @@ func TestRouterLatchesOnReplicaDivergence(t *testing.T) {
 	}
 }
 
-// TestRouterAppendNotSplitByCancel pins that a cancelled client context
-// cannot split an append fan-out: admission is refused up front, and a
-// fan-out that starts completes on every shard.
+// gatedJournal blocks every Log* call until release is closed, pinning a
+// shard writer mid-batch so requests queue behind it deterministically.
+type gatedJournal struct {
+	gate    chan struct{} // receives one token per Log* call entered
+	release chan struct{}
+}
+
+func (j *gatedJournal) block() {
+	j.gate <- struct{}{}
+	<-j.release
+}
+
+func (j *gatedJournal) LogAnnotations([]relation.AnnotationUpdate, bool) error { j.block(); return nil }
+func (j *gatedJournal) LogTuples([]relation.Tuple) error                       { j.block(); return nil }
+func (j *gatedJournal) Committed() error                                       { return nil }
+
 // The append order lock exists to keep several replicas in step. A one-shard
 // router must not take it: held across the commit, it would hand concurrent
-// appends to the writer one at a time — one batch window and one log sync
-// each — where the writer alone coalesces them into a single application.
+// appends to the writer one at a time — one application and one log sync
+// each — where the writer alone coalesces those that queue behind a busy
+// batch into one application. The writer is held in the journal append of
+// a first append while the others are submitted.
 func TestOneShardRouterCoalescesConcurrentAppends(t *testing.T) {
 	t.Parallel()
-	router := mustRouter(t, buildBase(23, 60), 1, Config{Serve: serve.Config{BatchWindow: 200 * time.Millisecond}})
+	j := &gatedJournal{gate: make(chan struct{}, 16), release: make(chan struct{})}
+	router := mustRouter(t, buildBase(23, 60), 1, Config{Journals: []serve.Journal{j}})
 	defer closeRouter(t, router)
 	const appenders = 4
 	before := router.Len()
+	appendOne := func() {
+		if _, err := router.AddTuples(context.Background(), []TupleSpec{{Values: []string{"d1", "d2"}, Annotations: []string{"Annot_q:n1"}}}); err != nil {
+			t.Error(err)
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < appenders; i++ {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		appendOne()
+	}()
+	select {
+	case <-j.gate:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer never reached the journal")
+	}
+	for i := 1; i < appenders; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := router.AddTuples(context.Background(), []TupleSpec{{Values: []string{"d1", "d2"}, Annotations: []string{"Annot_q:n1"}}}); err != nil {
-				t.Error(err)
-			}
+			appendOne()
 		}()
 	}
+	// Wait for the rest to be admitted to the writer's queue. Behind an
+	// append lock they never are: release anyway and let the batch count
+	// below report it.
+	deadline := time.Now().Add(2 * time.Second)
+	for router.Stats().Requests < appenders && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(j.release)
 	wg.Wait()
 	st := router.Stats()
 	if got := router.Len() - before; got != appenders || st.Requests != appenders {
@@ -336,6 +373,9 @@ func TestOneShardRouterCoalescesConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestRouterAppendNotSplitByCancel pins that a cancelled client context
+// cannot split an append fan-out: admission is refused up front, and a
+// fan-out that starts completes on every shard.
 func TestRouterAppendNotSplitByCancel(t *testing.T) {
 	t.Parallel()
 	router := mustRouter(t, buildBase(19, 60), 2, Config{Serve: serve.Config{BatchWindow: -1}})

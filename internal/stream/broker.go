@@ -29,8 +29,10 @@ var ErrClosed = errors.New("stream: broker closed")
 // and strictly increasing from 1; ReadFrom returns payloads for cursors
 // [cursor, cursor+max), and a position the retention policy trimmed away
 // reports an error whose Resume method names the oldest retained cursor.
+// Append writes a batch of records and returns the cursor of the first; the
+// rest follow densely.
 type Log interface {
-	Append(payload []byte) (uint64, error)
+	Append(payloads ...[]byte) (uint64, error)
 	ReadFrom(cursor uint64, max int) ([][]byte, error)
 	FirstCursor() uint64
 	NextCursor() uint64
@@ -235,27 +237,13 @@ func (b *Broker) Publish(shard int, seq uint64, events []Event) error {
 		b.mu.Lock()
 		dead := b.logDead
 		b.mu.Unlock()
-		var logErrs uint64
-		if dead {
-			logErrs = uint64(len(events))
-		}
-		for i := 0; !dead && i < len(events); i++ {
-			payload, err := EncodeEvent(events[i])
-			var at uint64
-			if err == nil {
-				at, err = b.opts.Log.Append(payload)
-			}
-			if err == nil && at != events[i].Cursor {
-				err = fmt.Errorf("stream: log assigned cursor %d to event %d", at, events[i].Cursor)
-			}
-			if err != nil {
-				// The log addresses records by position: skipping one event
-				// would silently shift every later record's cursor at replay
-				// time. Latch the log dead instead — its intact prefix stays
-				// readable, everything after lives in the ring only.
-				dead = true
-				logErrs = uint64(len(events) - i)
-			}
+		// The log addresses records by position: skipping one event would
+		// silently shift every later record's cursor at replay time. A
+		// failed append latches the log dead instead — its intact prefix
+		// stays readable, and this batch and everything after live in the
+		// ring only.
+		if !dead && b.logEvents(events) != nil {
+			dead = true
 		}
 		close(done)
 		b.mu.Lock()
@@ -268,8 +256,31 @@ func (b *Broker) Publish(shard int, seq uint64, events []Event) error {
 			b.oldest = floor
 		}
 		b.mu.Unlock()
-		if logErrs > 0 {
-			b.logErrors.Add(logErrs)
+		if dead {
+			b.logErrors.Add(uint64(len(events)))
+		}
+	}
+	return nil
+}
+
+// logEvents appends one publish's events to the segment log in one write
+// and checks that every frame landed at its event's cursor.
+func (b *Broker) logEvents(events []Event) error {
+	payloads := make([][]byte, len(events))
+	for i, ev := range events {
+		p, err := EncodeEvent(ev)
+		if err != nil {
+			return err
+		}
+		payloads[i] = p
+	}
+	first, err := b.opts.Log.Append(payloads...)
+	if err != nil {
+		return err
+	}
+	for i, ev := range events {
+		if at := first + uint64(i); at != ev.Cursor {
+			return fmt.Errorf("stream: log assigned cursor %d to event %d", at, ev.Cursor)
 		}
 	}
 	return nil

@@ -562,12 +562,12 @@ type flakyLog struct {
 	appends   int
 }
 
-func (f *flakyLog) Append(payload []byte) (uint64, error) {
+func (f *flakyLog) Append(payloads ...[]byte) (uint64, error) {
 	f.appends++
 	if f.appends > f.successes {
 		return 0, errors.New("disk full")
 	}
-	return f.SegmentedLog.Append(payload)
+	return f.SegmentedLog.Append(payloads...)
 }
 
 // TestLogAppendFailureLatchesDeadWithoutCursorSkew is the regression test
@@ -616,5 +616,41 @@ func TestLogAppendFailureLatchesDeadWithoutCursorSkew(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out at cursor %d", want)
 		}
+	}
+}
+
+// TestLogBatchFailureCountsEveryEvent pins the batch form of the dead-log
+// latch: a publish reaches the segment log as one append, a failed append
+// counts every event of its publish as a log error, and no later publish
+// reaches the dead log.
+func TestLogBatchFailureCountsEveryEvent(t *testing.T) {
+	t.Parallel()
+	seg, err := wal.OpenSegmented(wal.SegmentedOptions{Dir: filepath.Join(t.TempDir(), "events")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakyLog{SegmentedLog: seg, successes: 1}
+	b := NewBroker(Options{Log: flaky})
+	defer b.Close()
+	batch := func(n int) []Event {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{Kind: KindAdded, Tier: TierValid, Family: "Annot_x", RHS: "Annot_x:rhs"}
+		}
+		return evs
+	}
+	for i, n := range []int{3, 4, 2} {
+		if err := b.Publish(0, uint64(i+2), batch(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if flaky.appends != 2 {
+		t.Errorf("log received %d appends for three publishes, want 2 (one per publish until the failure)", flaky.appends)
+	}
+	if got := seg.NextCursor(); got != 4 {
+		t.Errorf("log next cursor = %d, want 4 (the first publish only)", got)
+	}
+	if got := b.Stats().LogErrors; got != 4 {
+		t.Errorf("LogErrors = %d, want 4 (every event of the failed publish)", got)
 	}
 }

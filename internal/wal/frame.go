@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Both log formats open with a 16-byte file header: an 8-byte magic whose
@@ -20,7 +21,7 @@ const (
 // CRC32 (IEEE) of the payload.
 const frameHeaderSize = 8
 
-// maxRecordBytes bounds a single frame's payload: encodeFrame rejects larger
+// maxRecordBytes bounds a single frame's payload: appendFrame rejects larger
 // payloads, which is what lets a scan classify a larger length prefix as
 // damage (never a legitimate frame or an allocation request).
 const maxRecordBytes = 256 << 20
@@ -42,19 +43,19 @@ func decodeHeader(b, magic []byte) (uint64, bool) {
 	return binary.LittleEndian.Uint64(b[len(magic):]), true
 }
 
-// encodeFrame frames payload — length, CRC, payload — in one allocation.
+// appendFrame appends the frame of payload — length, CRC, payload — to dst
+// and returns the extended slice; from a nil dst that is one allocation.
 // The payload must be 1..maxRecordBytes long: a scan reads a zero length as
 // torn and a larger one as damage, so writing either would acknowledge a
 // record recovery must discard.
-func encodeFrame(payload []byte) ([]byte, error) {
+func appendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) == 0 || len(payload) > maxRecordBytes {
 		return nil, fmt.Errorf("wal: record payload of %d bytes is outside the 1..%d-byte frame limit", len(payload), maxRecordBytes)
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	return frame, nil
+	dst = slices.Grow(dst, frameHeaderSize+len(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
 }
 
 // frameSize is the whole size of the frame whose header opens b, or 0 when
@@ -93,7 +94,7 @@ const (
 // This is the one torn-tail rule. Appends only ever shorten the tail, so a
 // frame cut short, a zero length, or a bad CRC on the last frame is what a
 // crash mid-append leaves; a bad CRC with bytes after it, or a length
-// encodeFrame never writes, is damage. Each caller decides what a torn end
+// appendFrame never writes, is damage. Each caller decides what a torn end
 // means for its range — see ARCHITECTURE.md "On-disk primitives".
 func scanFrames(data []byte, take func(payload []byte) bool) (int64, frameEnd, error) {
 	var off int64

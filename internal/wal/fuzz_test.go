@@ -15,11 +15,9 @@ func frameChunk(tb testing.TB, enc Encoding, recs []Record) []byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		frame, err := encodeFrame(payload)
-		if err != nil {
+		if chunk, err = appendFrame(chunk, payload); err != nil {
 			tb.Fatal(err)
 		}
-		chunk = append(chunk, frame...)
 	}
 	return chunk
 }

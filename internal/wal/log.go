@@ -149,7 +149,7 @@ func (l *Log) Append(rec Record, enc Encoding) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	frame, err := encodeFrame(payload)
+	frame, err := appendFrame(nil, payload)
 	if err != nil {
 		return 0, err
 	}

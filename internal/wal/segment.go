@@ -395,40 +395,64 @@ func (l *SegmentedLog) startSegment() error {
 	return nil
 }
 
-// Append frames payload, appends it to the active segment, and returns the
-// cursor assigned to the record. Crossing SegmentBytes seals the segment
-// (fsynced, so retained history is durable once sealed) and applies the
-// retention policy. Durability of the active tail is the caller's concern:
-// pair with Sync, or accept that a crash may drop the newest records (a
-// torn tail is truncated at reopen).
-func (l *SegmentedLog) Append(payload []byte) (uint64, error) {
-	frame, err := encodeFrame(payload)
-	if err != nil {
-		return 0, err
+// Append frames payloads, appends them to the active segment, and returns
+// the cursor assigned to the first; the rest follow densely. The frames go
+// out in one write unless they reach SegmentBytes: the segment is then
+// sealed right after the frame that reached it (fsynced, so retained
+// history is durable once sealed), the retention policy runs, and the rest
+// continue in a new segment, exactly where record-by-record appends would
+// have rotated. Durability of the active tail is the caller's concern: pair
+// with Sync, or accept that a crash may drop the newest records (a torn tail
+// is truncated at reopen).
+func (l *SegmentedLog) Append(payloads ...[]byte) (uint64, error) {
+	size := 0
+	for _, p := range payloads {
+		size += frameHeaderSize + len(p)
+	}
+	frames := make([]byte, 0, size)
+	for _, p := range payloads {
+		var err error
+		if frames, err = appendFrame(frames, p); err != nil {
+			return 0, err
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, errors.New("wal: segmented log closed")
 	}
-	if _, err := l.active.WriteAt(frame, l.activeSize); err != nil {
-		return 0, fmt.Errorf("wal: segment append: %w", err)
-	}
-	l.activeSize += int64(len(frame))
-	cursor := l.next
-	l.next++
-	l.appends.Add(1)
-	if l.activeSize >= l.opts.segmentBytes() {
-		if err := l.rotateLocked(); err != nil {
-			return cursor, err
+	first := l.next
+	limit := l.opts.segmentBytes()
+	for len(frames) > 0 {
+		var n int64
+		var records uint64
+		for n < int64(len(frames)) {
+			n += frameSize(frames[n:])
+			records++
+			if l.activeSize+n >= limit {
+				break
+			}
 		}
-	} else if l.dirty != nil {
+		if _, err := l.active.WriteAt(frames[:n], l.activeSize); err != nil {
+			return first, fmt.Errorf("wal: segment append: %w", err)
+		}
+		frames = frames[n:]
+		l.activeSize += n
+		l.next += records
+		l.appends.Add(records)
+		if l.activeSize >= limit {
+			if err := l.rotateLocked(); err != nil {
+				return first, err
+			}
+		}
+	}
+	if l.dirty != nil && l.next > l.activeFirst {
 		select {
 		case l.dirty <- struct{}{}:
 		default: // flusher already poked
 		}
 	}
-	return cursor, nil
+	return first, nil
 }
 
 // rotateLocked seals the active segment and starts a new one, then trims

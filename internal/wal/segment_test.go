@@ -248,3 +248,104 @@ func TestSegmentedConcurrentReadersAndWriter(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentedBatchAppendMatchesSingleAppends pins that a batch append
+// lands byte for byte where record-by-record appends would: the same frames,
+// cursors and rotation points, including for a batch that crosses several
+// segment boundaries and one that starts in an active segment already over
+// SegmentBytes (reopened with a smaller limit).
+func TestSegmentedBatchAppendMatchesSingleAppends(t *testing.T) {
+	t.Parallel()
+	events := func(from, to int) [][]byte {
+		var out [][]byte
+		for i := from; i <= to; i++ {
+			out = append(out, []byte(fmt.Sprintf("event-%d", i)))
+		}
+		return out
+	}
+	// appendBatches appends events 1..len(sizes summed) in batches of the
+	// given sizes, checking each batch's first cursor.
+	appendBatches := func(l *SegmentedLog, next int, sizes []int) {
+		t.Helper()
+		for _, n := range sizes {
+			first, err := l.Append(events(next, next+n-1)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first != uint64(next) {
+				t.Fatalf("batch of %d from event %d assigned cursor %d", n, next, first)
+			}
+			next += n
+		}
+	}
+	closeLog := func(l *SegmentedLog) {
+		t.Helper()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The golden events segments: six 15-byte frames, 64-byte segments.
+	golden := readTree(t, filepath.Join("testdata", "disk", "events"))
+	for _, sizes := range [][]int{{6}, {1, 5}, {4, 2}, {2, 2, 2}} {
+		dir := t.TempDir()
+		l, err := OpenSegmented(SegmentedOptions{Dir: dir, Prefix: "events", SegmentBytes: 64, RetainSegments: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendBatches(l, 1, sizes)
+		closeLog(l)
+		got := readTree(t, dir)
+		if len(got) != len(golden) {
+			t.Fatalf("batches %v wrote %d segments, golden has %d", sizes, len(got), len(golden))
+		}
+		for name, want := range golden {
+			if string(got[name]) != string(want) {
+				t.Errorf("batches %v: %s differs from the golden segment:\n got %x\nwant %x", sizes, name, got[name], want)
+			}
+		}
+	}
+
+	// Five records (91 bytes) in a large segment, reopened with 64-byte
+	// segments, then fifteen more.
+	scenario := func(sizes []int) map[string][]byte {
+		dir := t.TempDir()
+		l, err := OpenSegmented(SegmentedOptions{Dir: dir, RetainSegments: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendBatches(l, 1, []int{5})
+		closeLog(l)
+		l, err = OpenSegmented(SegmentedOptions{Dir: dir, SegmentBytes: 64, RetainSegments: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendBatches(l, 6, sizes)
+		if got := l.Stats().Appends; got != 15 {
+			t.Errorf("batches %v counted %d appended records, want 15", sizes, got)
+		}
+		closeLog(l)
+		return readTree(t, dir)
+	}
+	singles := make([]int, 15)
+	for i := range singles {
+		singles[i] = 1
+	}
+	want := scenario(singles)
+	// The first append after the reopen still lands in the oversize segment,
+	// then seals it.
+	if _, ok := want["seg-0000000000000007.seg"]; !ok {
+		t.Errorf("no segment starts at cursor 7 after the reopen: %d files", len(want))
+	}
+	for _, sizes := range [][]int{{15}, {5, 10}, {1, 14}} {
+		got := scenario(sizes)
+		if len(got) != len(want) {
+			t.Fatalf("batches %v wrote %d segments, single appends %d", sizes, len(got), len(want))
+		}
+		for name, w := range want {
+			if string(got[name]) != string(w) {
+				t.Errorf("batches %v: %s differs from single appends:\n got %x\nwant %x", sizes, name, got[name], w)
+			}
+		}
+	}
+}

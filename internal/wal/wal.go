@@ -17,7 +17,7 @@
 //
 // The frame format, the torn-tail rule every reader applies, and the
 // install rule are stated once in ARCHITECTURE.md "On-disk primitives";
-// encodeFrame and scanFrames are their only implementation.
+// appendFrame and scanFrames are their only implementation.
 //
 // The single serving writer appends each coalesced batch to the log before
 // it is applied to the engine (see the serve package's Journal hook), so an

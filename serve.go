@@ -42,10 +42,12 @@ var ErrOverloaded = serve.ErrOverloaded
 // ServeOptions configure a Server's write coalescing, recommendation
 // filtering, and sharding.
 type ServeOptions struct {
-	// BatchWindow is how long the writer lingers after the first pending
-	// update to coalesce concurrent updates into one maintenance pass.
-	// Zero means the serving default (1ms); negative disables lingering
-	// (already-queued updates still coalesce).
+	// BatchWindow is how long a write waits for a slot in a full admission
+	// queue before it is shed with ErrOverloaded, and the base of the
+	// Retry-After hint transports send with that refusal. Zero means the
+	// serving default (1ms); negative sheds at once. The writer never waits
+	// on it: updates already queued when it starts a maintenance pass
+	// coalesce into that pass, and a lone update is applied at once.
 	BatchWindow time.Duration
 	// MaxBatch caps updates per coalesced maintenance pass (0 = default).
 	MaxBatch int
