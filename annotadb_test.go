@@ -54,6 +54,14 @@ func TestDatasetLifecycle(t *testing.T) {
 	if got := ds.AnnotationFrequency("missing"); got != 0 {
 		t.Errorf("missing frequency = %d", got)
 	}
+	// Data values have postings in the relation, but the frequency table
+	// and the annotation listing stay annotation-only.
+	if got := ds.AnnotationFrequency(values[0]); got != 0 {
+		t.Errorf("frequency of data value %q = %d, want 0", values[0], got)
+	}
+	if got := ds.Annotations(); len(got) != st.DistinctAnnotations {
+		t.Errorf("Annotations = %+v, want the %d annotations only", got, st.DistinctAnnotations)
+	}
 	// Round trip through the file format.
 	var buf bytes.Buffer
 	if err := ds.Write(&buf); err != nil {

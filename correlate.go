@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"annotadb/internal/correlate"
-	"annotadb/internal/serve"
 	"annotadb/internal/shard"
 )
 
@@ -56,13 +55,11 @@ type CorrelateAnswer = correlate.Answer
 // by confidence and lift and filtered by a chi-square significance test,
 // with candidates below minLift dropped. k <= 0 and minLift <= 0 apply the
 // defaults (10 and 1.0). The whole answer comes from one published snapshot
-// generation — identified by the returned ReadSeq — using the correlate
-// index each shard's snapshot carries, so the query takes zero engine locks;
-// the per-shard indexes are merged at the returned seq vector. A shard's
-// index is built once, by the first query to reach that shard, and from then
-// on its writer extends it at every publish by the tuples the batch
-// appended, so only that first query pays an O(N) scan. A follower answers
-// from its replica snapshot and reports the replication watermark.
+// generation — identified by the returned ReadSeq — and from the inverted
+// index each shard's relation view already holds, so the query takes zero
+// engine locks, builds nothing and scans no tuple; the per-shard answers are
+// merged at the returned seq vector. A follower answers from its replica
+// snapshot and reports the replication watermark.
 func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnswer, ReadSeq, error) {
 	q := correlate.Query{Anchor: anchor, K: k, MinLift: minLift}
 	if q.K <= 0 {
@@ -75,39 +72,20 @@ func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnsw
 	snaps := r.Snapshots()
 	idxs := make([]*correlate.Index, len(snaps))
 	for i, sn := range snaps {
-		idxs[i] = s.correlateIndex(sn.Snap)
+		idxs[i] = correlate.NewIndex(sn.Snap.View)
 	}
 	rs := s.readSeq(shard.Seqs(snaps), mark)
 	ans, err := correlate.TopKMerged(idxs, q)
 	return ans, rs, err
 }
 
-// correlateIndex returns the snapshot's correlate index, building it if the
-// shard's writer has none to carry forward yet, and counting full builds vs
-// queries that found the index present.
-func (s *Server) correlateIndex(snap *serve.Snapshot) *correlate.Index {
-	idx, built := snap.Correlate.Get(snap.View)
-	if built {
-		s.correlateBuilds.Add(1)
-	} else {
-		s.correlateHits.Add(1)
-	}
-	return idx
-}
-
 // CorrelateStats reports the correlation subsystem's activity.
 type CorrelateStats struct {
-	// IndexBuilds counts full O(N) correlate index builds; CacheHits
-	// counts queries that found their snapshot's index already present. On
-	// a sharded server both count per shard index. An index is built by
-	// the first query to reach a shard and then extended by that shard's
-	// writer at every publish, which counts as neither — so after warm-up
-	// IndexBuilds stays near the shard count (a few more if cold builds
-	// raced early publishes; it restarts with a reopened or re-bootstrapped
-	// core) while CacheHits grows with the query count. IndexBuilds
-	// growing with the write rate means the carry-forward is not happening.
+	// Deprecated: IndexBuilds is always zero. Anchor queries read the
+	// relation view's own postings and build no index.
 	IndexBuilds uint64
-	CacheHits   uint64
+	// Deprecated: CacheHits is always zero, for the same reason.
+	CacheHits uint64
 	// Anomalies counts churn_anomaly events emitted by the detector;
 	// DetectorRunning reports whether one is running.
 	Anomalies       uint64
@@ -116,10 +94,7 @@ type CorrelateStats struct {
 
 // CorrelateStats returns the correlation subsystem's counters.
 func (s *Server) CorrelateStats() CorrelateStats {
-	cs := CorrelateStats{
-		IndexBuilds: s.correlateBuilds.Load(),
-		CacheHits:   s.correlateHits.Load(),
-	}
+	var cs CorrelateStats
 	if s.detector != nil {
 		cs.Anomalies = s.detector.Anomalies()
 		cs.DetectorRunning = true

@@ -74,16 +74,6 @@ func TestFollowerCorrelateMatchesPrimary(t *testing.T) {
 		t.Fatalf("follower unknown anchor: got %v, want ErrUnknownAnchor", err)
 	}
 
-	// The follower built its own index (replica snapshots are its own
-	// generations) and repeated queries reuse it.
-	if _, _, err := fol.Correlate("Annot_1", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	cs := fol.CorrelateStats()
-	if cs.IndexBuilds == 0 || cs.CacheHits == 0 {
-		t.Fatalf("follower correlate stats = %+v, want builds and cache hits", cs)
-	}
-
 	// Replication stats pair the seq watermark with wall-clock freshness:
 	// a follower that just applied records reports a small non-negative lag.
 	rep := fol.Replication()

@@ -1,5 +1,5 @@
 // Correlation-discovery integration tests at the facade level: sharded
-// merge equality, cached-index-vs-recompute equivalence under live writes,
+// merge equality, bitmap-vs-recompute equivalence under live writes,
 // and churn-anomaly events surviving an SSE-style cursor resume across a
 // clean durable restart.
 package annotadb
@@ -103,20 +103,13 @@ func TestCorrelateShardedMatchesUnsharded(t *testing.T) {
 	writes(ref)
 	writes(srv)
 	compare("after writes")
-
-	cs := srv.CorrelateStats()
-	if cs.IndexBuilds == 0 || cs.CacheHits == 0 {
-		t.Fatalf("sharded correlate stats = %+v, want builds and cache hits", cs)
-	}
 }
 
-// TestCorrelateIndexCarriedAcrossWrites: after the one query that warms a
-// server, rounds of annotation batch, tuple batch, removal and query never
-// build an index again — IndexBuilds ends at the shard count while CacheHits
-// grows every round — and every answer is exact: the unsharded server's
-// against brute force over its own snapshot, the sharded server's against
-// the unsharded server's.
-func TestCorrelateIndexCarriedAcrossWrites(t *testing.T) {
+// TestCorrelateExactAcrossWrites: over rounds of annotation batch, tuple
+// batch (new data values among them), removal and query, every answer is
+// exact: the unsharded server's against brute force over its own snapshot,
+// the sharded server's against the unsharded server's.
+func TestCorrelateExactAcrossWrites(t *testing.T) {
 	eng, err := NewEngine(shardedFixture(t), testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +124,6 @@ func TestCorrelateIndexCarriedAcrossWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeServer(t, three)
-	servers := []struct {
-		srv    *Server
-		shards uint64
-	}{{one, 1}, {three, 3}}
 
 	anchors := []string{"Annot_q:1", "Annot_q:5", "Annot_src:a", "Annot_round:x", "28", "85", "62", "round=1"}
 	query := func(stage string) {
@@ -155,57 +144,38 @@ func TestCorrelateIndexCarriedAcrossWrites(t *testing.T) {
 			}
 		}
 	}
-	// Warm-up: exactly one query per server, reaching every shard.
-	for _, s := range servers {
-		if _, _, err := s.srv.Correlate("28", 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if cs := s.srv.CorrelateStats(); cs.IndexBuilds != s.shards || cs.CacheHits != 0 {
-			t.Fatalf("N=%d after the first query: stats %+v, want %d builds and no hits", s.shards, cs, s.shards)
-		}
-	}
+	query("seed")
 
 	ctx := context.Background()
 	const rounds = 12
 	for round := 1; round <= rounds; round++ {
-		hitsBefore := []uint64{one.CorrelateStats().CacheHits, three.CorrelateStats().CacheHits}
-		for _, s := range servers {
-			if _, err := s.srv.AddAnnotations(ctx, []AnnotationUpdate{
+		for _, srv := range []*Server{one, three} {
+			if _, err := srv.AddAnnotations(ctx, []AnnotationUpdate{
 				{Tuple: round % 10, Annotation: "Annot_round:x"},
 				{Tuple: (round + 3) % 10, Annotation: "Annot_q:1"},
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.srv.AddTuples(ctx, []TupleSpec{
+			if _, err := srv.AddTuples(ctx, []TupleSpec{
 				{Values: []string{"28", "85", fmt.Sprintf("round=%d", round)}, Annotations: []string{"Annot_q:1", "Annot_round:x"}},
 				{Values: []string{"62", fmt.Sprintf("round=%d", round)}, Annotations: []string{"Annot_src:a"}},
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.srv.RemoveAnnotations(ctx, []AnnotationUpdate{{Tuple: (round + 1) % 10, Annotation: "Annot_q:5"}}); err != nil {
+			if _, err := srv.RemoveAnnotations(ctx, []AnnotationUpdate{{Tuple: (round + 1) % 10, Annotation: "Annot_q:5"}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		query(fmt.Sprintf("round %d", round))
-		for i, s := range servers {
-			cs := s.srv.CorrelateStats()
-			if cs.IndexBuilds != s.shards {
-				t.Fatalf("round %d, N=%d: %d index builds, want %d (one per shard, ever)", round, s.shards, cs.IndexBuilds, s.shards)
-			}
-			if cs.CacheHits <= hitsBefore[i] {
-				t.Fatalf("round %d, N=%d: cache hits did not grow (%d -> %d)", round, s.shards, hitsBefore[i], cs.CacheHits)
-			}
-		}
 	}
 }
 
 // TestCorrelateEquivalenceUnderLiveWrites is the acceptance property under
 // concurrency: while writers churn annotations and append tuples carrying
-// the data-value anchors — so the writer keeps extending the index in place
-// past the lengths older generations hold — every reader pins published
-// snapshots and the carried index's answer on each, the current one and
-// older ones re-queried later, must equal the O(N·M) brute-force
-// recomputation over the same frozen view. Run under -race by the CI race
+// the data-value anchors — so the writer keeps setting bits past the lengths
+// older generations hold — every reader pins published snapshots and the
+// bitmap answer on each, the current one and older ones re-queried later,
+// must equal the O(N·M) brute-force recomputation over the same frozen view. Run under -race by the CI race
 // job.
 func TestCorrelateEquivalenceUnderLiveWrites(t *testing.T) {
 	eng, err := NewEngine(shardedFixture(t), testOpts())
@@ -280,14 +250,14 @@ func TestCorrelateEquivalenceUnderLiveWrites(t *testing.T) {
 				pinned = append(pinned, srv.router.Snapshots()[0].Snap)
 				// The newest generation, then one pinned up to 32 reads ago.
 				for _, snap := range []*serve.Snapshot{pinned[i], pinned[max(0, i-1-(r+i)%32)]} {
-					got, gotErr := srv.correlateIndex(snap).TopK(q)
+					got, gotErr := correlate.NewIndex(snap.View).TopK(q)
 					want, wantErr := correlate.BruteForce(snap.View, q)
 					if (gotErr != nil) != (wantErr != nil) {
 						t.Errorf("reader %d seq %d anchor %q: index err %v, brute err %v", r, snap.Seq, q.Anchor, gotErr, wantErr)
 						return
 					}
 					if gotErr == nil && !reflect.DeepEqual(got, want) {
-						t.Errorf("reader %d seq %d anchor %q k=%d: carried index diverged from recompute:\nindex %+v\nbrute %+v",
+						t.Errorf("reader %d seq %d anchor %q k=%d: bitmap answer diverged from recompute:\nindex %+v\nbrute %+v",
 							r, snap.Seq, q.Anchor, q.K, got, want)
 						return
 					}
@@ -298,13 +268,6 @@ func TestCorrelateEquivalenceUnderLiveWrites(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writers.Wait()
-
-	// The carry amortizes: only generations published while no index was
-	// present yet can cost a build, so with 900 reads hits must dominate.
-	cs := srv.CorrelateStats()
-	if cs.IndexBuilds == 0 || cs.CacheHits < cs.IndexBuilds {
-		t.Fatalf("correlate stats = %+v, want cache hits to dominate builds", cs)
-	}
 }
 
 // TestChurnAnomalySSEResumableAcrossRestart: a churn_anomaly event produced

@@ -2,8 +2,8 @@
 // published-snapshot immutability contract: values of the snapshot types the
 // serving layer shares across goroutines without synchronization
 // (rules.View, relation.View, relation.Postings, serve.Snapshot,
-// stream.Event, predict.Compiled, correlate.Index) must never be written
-// through outside the package that owns the type. A
+// stream.Event, predict.Compiled) must never be written through outside the
+// package that owns the type. A
 // reader holding a published snapshot relies on every field, slice, and map
 // reachable from it being frozen; one assignment through a shared view is a
 // data race the type system cannot see.
@@ -37,9 +37,6 @@ var DefaultTypes = []string{
 	"annotadb/internal/serve.Snapshot",
 	"annotadb/internal/stream.Event",
 	"annotadb/internal/predict.Compiled",
-	// Its posting arrays outlive a generation: every later generation's
-	// index shares them (correlate.Index.Extend).
-	"annotadb/internal/correlate.Index",
 	// A View hands its bitmaps out by value; the relation shares each one
 	// with every later generation until a write copies it.
 	"annotadb/internal/relation.Postings",

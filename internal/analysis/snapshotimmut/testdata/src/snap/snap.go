@@ -27,7 +27,7 @@ func New(items []string) *View {
 func (v *View) Sorted() []string { return v.Items }
 
 // Index is a published snapshot whose posting arrays later generations
-// share, in the shape of correlate.Index.
+// share, in the shape of an append-only position-list index.
 type Index struct {
 	postings [][]int
 }

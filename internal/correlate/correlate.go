@@ -9,15 +9,10 @@
 // "Statistically Significant Attribute Association Information") so that
 // high-support noise cannot crowd out genuinely associated annotations. All
 // counts come from one frozen relation.View generation — the paper's §4.3
-// annotation inverted index and frequency table — so a query takes zero
-// engine locks. An Index holds the one derived structure a View lacks, the
-// data-value inverted index. Tuples are append-only and a tuple's data
-// values never change, so that structure is purely append-only: it is built
-// once per serving core, by the first query (Lazy.Get), and from then on the
-// core's writer carries it from each generation to the next (Lazy.Next,
-// Index.Extend) — shared as is across an annotation batch, grown by exactly
-// the appended tuples' values across a tuple batch — so no query after the
-// first scans the relation.
+// inverted index and frequency table, which covers data values as well as
+// annotations — so a query takes zero engine locks, builds nothing and scans
+// no tuple: it walks the anchor's bitmap and reads the annotation column at
+// each position.
 //
 // Churn-anomaly detection (detector.go) watches the rule-churn event stream
 // for per-family spikes against an EWMA baseline and publishes them back
@@ -31,11 +26,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
@@ -135,121 +128,34 @@ type Answer struct {
 	Results []Result `json:"results"`
 }
 
-// Index is the correlate index of one frozen View generation: the
-// data-value inverted index the relation itself does not maintain (the
-// paper's §4.3 index covers annotations only). Everything else a query
-// needs — annotation postings, frequencies, N — is served straight from
-// the View. An Index is immutable once handed out and safe for concurrent
-// queries.
-//
-// Generations of one relation form a lineage of indexes that share posting
-// arrays: Extend derives the next generation's index by appending the new
-// tuples' positions past the lengths this one's slice headers record, so an
-// older index only ever reads the [0:len) prefix it was built with — the
-// persistence argument relation.View makes for its chunk spine. Appending in
-// place is sound for one successor only; tail is the token that grants it.
-// An Index references its own View and nothing of the generations before it.
+// Index is an anchor-query handle on one frozen View generation; building
+// one costs O(1). Everything a query needs — the anchor's postings, the
+// candidates' frequencies, N — is served straight from the View, so an Index
+// is safe for concurrent queries.
 type Index struct {
 	view *relation.View
-	n    int
-	// dataPostings holds, at each data value's dense dictionary id, the
-	// ascending tuple positions containing that value, the counterpart of
-	// View.Postings for annotations. Ids never seen lie past its end.
-	dataPostings [][]int
-	// tail is shared by every index whose slice headers end where this
-	// one's do (an Extend over an unchanged tuple count shares it); the
-	// first Extend that appends claims it and gives its result a fresh one.
-	tail *atomic.Bool
 }
 
-// NewIndex builds the index with one O(N) scan over the view.
-func NewIndex(view *relation.View) *Index {
-	return (&Index{view: view, tail: new(atomic.Bool)}).Extend(view)
-}
+// NewIndex returns the query handle of view.
+func NewIndex(view *relation.View) *Index { return &Index{view: view} }
 
-// Extend returns the index of view, a later generation of the relation this
-// index was built over, without rescanning what is already indexed. With the
-// tuple count unchanged the postings are shared as they are and only the
-// View is swapped; otherwise the slice headers are copied once and the
-// positions of the tuples appended since are appended in place, O(appended)
-// beyond that copy. idx itself is not modified and keeps answering for its
-// own generation.
-//
-// The in-place append happens at most once per set of shared arrays: a
-// second appending Extend from the same lengths (a fork of the lineage), and
-// a view that is not a successor — shorter, or over another dictionary —
-// get a full rebuild instead, never a write into arrays a sibling owns.
-func (idx *Index) Extend(view *relation.View) *Index {
-	switch {
-	case view.Len() < idx.n, idx.n > 0 && view.Dictionary() != idx.view.Dictionary():
-		return NewIndex(view) // not a successor
-	case view.Len() == idx.n:
-		return &Index{view: view, n: idx.n, dataPostings: idx.dataPostings, tail: idx.tail}
-	case !idx.tail.CompareAndSwap(false, true):
-		return NewIndex(view) // a fork: the arrays' one in-place append is taken
-	}
-	next := &Index{
-		view:         view,
-		n:            view.Len(),
-		dataPostings: slices.Clone(idx.dataPostings),
-		tail:         new(atomic.Bool),
-	}
-	view.EachFrom(idx.n, func(i int, t relation.Tuple) bool {
-		for _, it := range t.Data {
-			id := it.ID()
-			if id >= len(next.dataPostings) {
-				next.dataPostings = append(next.dataPostings, make([][]int, id+1-len(next.dataPostings))...)
-			}
-			next.dataPostings[id] = append(next.dataPostings[id], i)
-		}
-		return true
-	})
-	return next
-}
-
-// postings returns the ascending positions of data value it.
-func (idx *Index) postings(it itemset.Item) []int {
-	if id := it.ID(); id < len(idx.dataPostings) {
-		return idx.dataPostings[id]
-	}
-	return nil
-}
-
-// View returns the frozen generation the index was built over.
+// View returns the frozen generation the index answers for.
 func (idx *Index) View() *relation.View { return idx.view }
 
-// N returns the tuple count of the indexed generation.
-func (idx *Index) N() int { return idx.n }
-
-// anchor is an anchor token's tuple positions in one generation, walked in
-// place where they live: a data value's ascending position list from the
-// index, or an annotation's bitmap from the view. No query copies them.
-type anchor struct {
-	list  []int
-	bits  relation.Postings
-	annot bool
-}
-
-// resolveAnchor resolves an anchor token in this generation and counts its
-// positions below n, or returns ErrUnknownAnchor when there are none.
-func (idx *Index) resolveAnchor(token string, n int) (anchor, int, error) {
+// resolveAnchor resolves an anchor token in this generation to its postings
+// and counts its positions below n, or returns ErrUnknownAnchor when there
+// are none.
+func (idx *Index) resolveAnchor(token string, n int) (relation.Postings, int, error) {
 	it, ok := idx.view.Dictionary().Lookup(token)
 	if !ok {
-		return anchor{}, 0, ErrUnknownAnchor
+		return relation.Postings{}, 0, ErrUnknownAnchor
 	}
-	var a anchor
-	count := 0
-	if it.IsData() {
-		a.list = idx.postings(it)
-		count = sort.SearchInts(a.list, n)
-	} else {
-		a = anchor{bits: idx.view.Postings(it), annot: true}
-		count = a.bits.CountBelow(n)
-	}
+	anc := idx.view.Postings(it)
+	count := anc.CountBelow(n)
 	if count == 0 {
-		return anchor{}, 0, ErrUnknownAnchor
+		return relation.Postings{}, 0, ErrUnknownAnchor
 	}
-	return a, count, nil
+	return anc, count, nil
 }
 
 // score computes the association statistics of one candidate against the
@@ -339,12 +245,9 @@ func (t *tally) slot(a itemset.Item) *int {
 }
 
 // count tallies the annotations of view's tuples at the anchor's positions
-// below n. An n past the view's end means the index and the view disagree.
-func (t *tally) count(view *relation.View, anc anchor, n int) error {
-	if n > view.Len() {
-		return fmt.Errorf("correlate: index covers %d tuples: %w: view has %d", n, relation.ErrTupleIndex, view.Len())
-	}
-	visit := func(p int) bool {
+// below n, which must not exceed the view's length.
+func (t *tally) count(view *relation.View, anc relation.Postings, n int) {
+	anc.Each(func(p int) bool {
 		if p >= n {
 			return false
 		}
@@ -356,17 +259,7 @@ func (t *tally) count(view *relation.View, anc anchor, n int) error {
 			*c++
 		}
 		return true
-	}
-	if anc.annot {
-		anc.bits.Each(visit)
-		return nil
-	}
-	for _, p := range anc.list {
-		if !visit(p) {
-			break
-		}
-	}
-	return nil
+	})
 }
 
 func (t *tally) reset() {
@@ -380,15 +273,14 @@ func (t *tally) reset() {
 // annotation co-occurring with the anchor, scored from the frozen
 // frequency and co-occurrence counts, significance-filtered, and ranked.
 func (idx *Index) TopK(q Query) (Answer, error) {
-	anc, freqA, err := idx.resolveAnchor(q.Anchor, idx.n)
+	n := idx.view.Len()
+	anc, freqA, err := idx.resolveAnchor(q.Anchor, n)
 	if err != nil {
 		return Answer{}, err
 	}
 	counts := borrowTally()
 	defer counts.release()
-	if err := counts.count(idx.view, anc, idx.n); err != nil {
-		return Answer{}, err
-	}
+	counts.count(idx.view, anc, n)
 	dict := idx.view.Dictionary()
 	results := make([]Result, 0, len(counts.seen))
 	for _, cand := range counts.seen {
@@ -396,14 +288,14 @@ func (idx *Index) TopK(q Query) (Answer, error) {
 		if token == q.Anchor {
 			continue
 		}
-		if r, ok := scoreCandidate(token, *counts.slot(cand), freqA, idx.view.Frequency(cand), idx.n, q.MinLift); ok {
+		if r, ok := scoreCandidate(token, *counts.slot(cand), freqA, idx.view.Frequency(cand), n, q.MinLift); ok {
 			results = append(results, r)
 		}
 	}
 	return Answer{
 		Anchor:      q.Anchor,
 		AnchorCount: freqA,
-		N:           idx.n,
+		N:           n,
 		Results:     rank(results, q.K),
 	}, nil
 }
@@ -442,13 +334,11 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 	if len(idxs) == 0 {
 		return Answer{}, ErrUnknownAnchor
 	}
-	minN := idxs[0].n
+	minN := idxs[0].view.Len()
 	for _, idx := range idxs[1:] {
-		if idx.n < minN {
-			minN = idx.n
-		}
+		minN = min(minN, idx.view.Len())
 	}
-	var anc anchor
+	var anc relation.Postings
 	freqA := 0
 	for _, idx := range idxs {
 		if a, n, err := idx.resolveAnchor(q.Anchor, minN); err == nil {
@@ -464,9 +354,7 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 	var results []Result
 	for _, idx := range idxs {
 		counts.reset()
-		if err := counts.count(idx.view, anc, minN); err != nil {
-			return Answer{}, err
-		}
+		counts.count(idx.view, anc, minN)
 		dict := idx.view.Dictionary()
 		results = slices.Grow(results, len(counts.seen))
 		for _, cand := range counts.seen {
@@ -489,8 +377,8 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 }
 
 // BruteForce answers an anchor query by O(N·M) recomputation — a full scan
-// per candidate annotation, using no derived structure. It exists as the
-// equivalence oracle for the cached-index path.
+// per candidate annotation, using no postings. It exists as the equivalence
+// oracle for the bitmap path.
 func BruteForce(view *relation.View, q Query) (Answer, error) {
 	dict := view.Dictionary()
 	anchorItem, ok := dict.Lookup(q.Anchor)

@@ -74,8 +74,8 @@ func randomRelation(rng *rand.Rand, n int) *relation.Relation {
 	return rel
 }
 
-// TestTopKMatchesBruteForce is the equivalence property: the cached-index
-// answer equals the O(N·M) no-derived-structure recomputation, for data and
+// TestTopKMatchesBruteForce is the equivalence property: the bitmap answer
+// equals the O(N·M) no-derived-structure recomputation, for data and
 // annotation anchors across random relations, ks, and lift floors.
 func TestTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -302,47 +302,6 @@ func TestTopKMergedClampsRaggedShards(t *testing.T) {
 	}
 }
 
-func TestLazyBuildsOnce(t *testing.T) {
-	view := plantedRelation().View()
-	var l Lazy
-	idx1, built1 := l.Get(view)
-	idx2, built2 := l.Get(view)
-	if !built1 || built2 {
-		t.Fatalf("built flags = %v, %v; want true, false", built1, built2)
-	}
-	if idx1 != idx2 {
-		t.Fatal("Lazy handed out two different indexes for one generation")
-	}
-}
-
-// TestLazyNextCarriesOnlyABuiltIndex: a slot nobody queried hands its
-// successor nothing (the core stays cold and pays no scan), a queried one
-// hands over its index extended to the new view.
-func TestLazyNextCarriesOnlyABuiltIndex(t *testing.T) {
-	rel := plantedRelation()
-	v0 := rel.View()
-	cold := new(Lazy)
-	if _, built := cold.Next(v0).Get(v0); !built {
-		t.Fatal("successor of a never-queried slot was born warm")
-	}
-	base, _ := cold.Get(v0)
-	rel.Append(relation.MustTuple(rel.Dictionary(), []string{"src=a", "row=new"}, []string{"cpu:high"}))
-	v1 := rel.View()
-	idx, built := cold.Next(v1).Get(v1)
-	if built {
-		t.Fatal("successor of a queried slot had to build")
-	}
-	if idx.View() != v1 || idx.N() != v0.Len()+1 {
-		t.Fatalf("carried index covers n=%d of view %p, want n=%d of %p", idx.N(), idx.View(), v0.Len()+1, v1)
-	}
-	if base.View() != v0 || base.N() != v0.Len() {
-		t.Fatal("carrying the index forward modified the generation it came from")
-	}
-	if !reflect.DeepEqual(idx.dataPostings, NewIndex(v1).dataPostings) {
-		t.Fatal("carried index differs from a fresh build over the same view")
-	}
-}
-
 // historyAnnots is the annotation pool of the random histories below: raw
 // annotations across several families, so removals and re-adds hit them all.
 var historyAnnots = []string{
@@ -352,7 +311,8 @@ var historyAnnots = []string{
 
 // historyStep mutates rel by one random batch: a tuple append (repeating
 // data values, so existing postings grow, plus now and then a value never
-// seen, so the spine grows), an annotation attach batch, or a removal batch.
+// seen, so the data spine grows), an annotation attach batch, or a removal
+// batch.
 func historyStep(t *testing.T, rng *rand.Rand, rel *relation.Relation, step int) {
 	t.Helper()
 	dict := rel.Dictionary()
@@ -404,87 +364,28 @@ func checkAgainstBruteForce(t *testing.T, label string, idx *Index) {
 	}
 }
 
-// TestExtendMatchesRebuildOverRandomHistories is the carry-forward oracle:
-// along a random history of tuple appends, annotation adds and removals, the
-// index extended generation by generation equals a fresh build over each
-// view and answers as BruteForce does — and every older generation's index,
-// whose arrays later generations appended into in place, keeps doing so.
-func TestExtendMatchesRebuildOverRandomHistories(t *testing.T) {
+// TestTopKMatchesBruteForceOverRandomHistories is the retained-generation
+// oracle: along a random history of tuple appends (new data values among
+// them), annotation adds and removals, every generation answers as
+// BruteForce over its own view does — when it is captured, and again after
+// later writes set bits past its length and copied the bitmaps it shares.
+func TestTopKMatchesBruteForceOverRandomHistories(t *testing.T) {
 	const generations = 240
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		rel := randomRelation(rng, 40)
-		idx := NewIndex(rel.View())
-		retained := []*Index{idx}
+		retained := []*Index{NewIndex(rel.View())}
 		for step := 1; step <= generations; step++ {
 			historyStep(t, rng, rel, step)
-			view := rel.View()
-			idx = idx.Extend(view)
-			if idx.View() != view || idx.N() != view.Len() {
-				t.Fatalf("seed %d step %d: extended index covers n=%d, view has %d", seed, step, idx.N(), view.Len())
-			}
-			if !reflect.DeepEqual(idx.dataPostings, NewIndex(view).dataPostings) {
-				t.Fatalf("seed %d step %d: extended postings differ from a fresh build", seed, step)
-			}
+			idx := NewIndex(rel.View())
 			checkAgainstBruteForce(t, fmt.Sprintf("seed %d step %d", seed, step), idx)
 			retained = append(retained, idx)
 			old := rng.Intn(len(retained))
 			checkAgainstBruteForce(t, fmt.Sprintf("seed %d step %d, retained generation %d", seed, step, old), retained[old])
 		}
 		for g, old := range retained {
-			if !reflect.DeepEqual(old.dataPostings, NewIndex(old.View()).dataPostings) {
-				t.Fatalf("seed %d: generation %d's postings changed under later in-place appends", seed, g)
-			}
-			if g%16 == 0 {
-				checkAgainstBruteForce(t, fmt.Sprintf("seed %d, generation %d at the end", seed, g), old)
-			}
+			checkAgainstBruteForce(t, fmt.Sprintf("seed %d, generation %d at the end", seed, g), old)
 		}
-	}
-}
-
-// TestExtendForkDoesNotWriteSharedArrays: only one successor may append in
-// place. Two relations diverging from one generation (same dictionary, same
-// prefix, different appended tuples) both extend the same index; so does a
-// second branch taken through an annotation-only generation that shares the
-// first one's arrays. Every branch must equal a fresh build of its own view.
-func TestExtendForkDoesNotWriteSharedArrays(t *testing.T) {
-	rel := randomRelation(rand.New(rand.NewSource(11)), 300)
-	base := NewIndex(rel.View())
-	// Every branch ends with four host=h0 rows, after a different number of
-	// other rows: an unguarded second append would overwrite the positions
-	// the first branch wrote into host=h0's array with different ones.
-	appendRows := func(r *relation.Relation, lead int) *relation.View {
-		for i := 0; i < lead+4; i++ {
-			host := "host=h0"
-			if i < lead {
-				host = "host=h7"
-			}
-			r.Append(relation.MustTuple(r.Dictionary(), []string{host, "img=i0"}, []string{"cpu:high"}))
-		}
-		return r.View()
-	}
-	relA, relB, relC := rel.Clone(), rel.Clone(), rel.Clone()
-	if err := relC.AddAnnotation(0, relation.MustAnnotation(relC.Dictionary(), "fork:only")); err != nil {
-		t.Fatal(err)
-	}
-	sameLen := base.Extend(relC.View())
-	if &sameLen.dataPostings[0] != &base.dataPostings[0] {
-		t.Fatal("an unchanged tuple count must share the postings, not copy them")
-	}
-	branches := map[string]*Index{
-		"first":                 base.Extend(appendRows(relA, 0)),
-		"second":                base.Extend(appendRows(relB, 2)),
-		"through-shared-arrays": sameLen.Extend(appendRows(relC, 4)),
-		"shorter-view":          base.Extend(randomRelation(rand.New(rand.NewSource(12)), 20).View()),
-	}
-	for name, idx := range branches {
-		if !reflect.DeepEqual(idx.dataPostings, NewIndex(idx.View()).dataPostings) {
-			t.Fatalf("branch %q: postings differ from a fresh build of its view", name)
-		}
-		checkAgainstBruteForce(t, "branch "+name, idx)
-	}
-	if !reflect.DeepEqual(base.dataPostings, NewIndex(base.View()).dataPostings) {
-		t.Fatal("the forked-from generation's postings changed")
 	}
 }
 
@@ -562,54 +463,10 @@ func BenchmarkCorrelateTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkCorrelateIndexBuild is the cost a core's first query pays.
-func BenchmarkCorrelateIndexBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	view := randomRelation(rng, 5000).View()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewIndex(view)
-	}
-}
-
-// BenchmarkCorrelateIndexExtend is the cost a publish pays to carry the
-// index into the next generation of an 8 K-tuple relation: after an
-// annotation batch (+0 tuples: share the postings) and after a tuple batch
-// (+4 tuples: copy the slice headers, append 8 positions). One index grants
-// a single in-place extension, so each iteration re-arms the base index's
-// grant; every iteration then appends the same positions past the same
-// lengths, which is harmless.
-func BenchmarkCorrelateIndexExtend(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	rel := randomRelation(rng, 8000)
-	before := rel.View()
-	base := NewIndex(before)
-	for i := 0; i < 4; i++ {
-		rel.Append(relation.MustTuple(rel.Dictionary(),
-			[]string{fmt.Sprintf("host=h%d", i), "img=i1"}, []string{"cpu:high"}))
-	}
-	after := rel.View()
-	for _, tc := range []struct {
-		name string
-		next *relation.View
-	}{{"plus0", before}, {"plus4", after}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				base.tail.Store(false)
-				if got := base.Extend(tc.next); got.N() != tc.next.Len() {
-					b.Fatalf("extended to n=%d, want %d", got.N(), tc.next.Len())
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCorrelateTopKMerged is a sharded /correlate at the serving
 // corpus scale: an 8 K-tuple relation split by annotation family over two
 // shards, queried for an annotation anchor (its bitmap walked on the shard
-// that owns it) and a data anchor (its position list walked on both).
+// that owns it) and a data anchor (held by both, walked on the first).
 func BenchmarkCorrelateTopKMerged(b *testing.B) {
 	full := randomRelation(rand.New(rand.NewSource(42)), 8000)
 	rels := []*relation.Relation{relation.New(), relation.New()}

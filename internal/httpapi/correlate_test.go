@@ -178,9 +178,10 @@ func TestReadGateShedsCorrelate(t *testing.T) {
 	}
 }
 
-// TestStatsCorrelateSection: /stats grows a correlate section once the
-// index has been exercised, with cache hits distinguishing reuse from
-// rebuilds.
+// TestStatsCorrelateSection: anchor queries build nothing and count
+// nothing, so /stats carries a correlate section only while the
+// churn-anomaly detector runs — never for a server that just answered
+// queries.
 func TestStatsCorrelateSection(t *testing.T) {
 	ts := gatedServer(t, 0)
 
@@ -200,32 +201,18 @@ func TestStatsCorrelateSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		Correlate *struct {
-			IndexBuilds     uint64 `json:"index_builds"`
-			CacheHits       uint64 `json:"cache_hits"`
-			Anomalies       uint64 `json:"anomalies"`
-			DetectorRunning bool   `json:"detector_running"`
-		} `json:"correlate"`
-	}
+	var stats map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Correlate == nil {
-		t.Fatal("/stats missing correlate section after queries")
-	}
-	if stats.Correlate.IndexBuilds != 1 || stats.Correlate.CacheHits != 1 {
-		t.Fatalf("correlate stats = %+v, want 1 build + 1 cache hit", stats.Correlate)
-	}
-	if stats.Correlate.DetectorRunning {
-		t.Fatal("detector reported running without CorrelateOptions.Anomalies")
+	if section, ok := stats["correlate"]; ok {
+		t.Fatalf("/stats has a correlate section %s without a detector", section)
 	}
 }
 
 // TestCorrelateErrorStatus pins the /correlate failure mapping: a missing
-// anchor is the client's 404, and every other failure — in practice a tuple
-// read failing because an index disagrees with its view — is the server's
-// 500, wrapped or not.
+// anchor is the client's 404, and every other failure is the server's 500,
+// wrapped or not.
 func TestCorrelateErrorStatus(t *testing.T) {
 	cases := []struct {
 		name       string

@@ -76,7 +76,7 @@ const (
 	// CodeTooLarge is a 413: body over the byte budget.
 	CodeTooLarge = "payload_too_large"
 	// CodeInternal is a 500: server-side failure (e.g. WAL disk on a
-	// write, an inconsistent correlate index on a read); retryable.
+	// write); retryable.
 	CodeInternal = "internal"
 	// CodeUnavailable is a 503: shutting down / request canceled.
 	CodeUnavailable = "unavailable"
@@ -476,9 +476,8 @@ func (a *api) correlate(w http.ResponseWriter, r *http.Request) {
 
 // correlateErrorStatus maps a Server.Correlate failure to its response. The
 // request was already validated, so the only client-attributable failure is
-// an anchor the generation does not hold (404). Anything else is a tuple
-// read failing along the anchor's postings — an index out of step with its
-// view, the server's fault — and must surface as a 500, not hide among 4xx.
+// an anchor the generation does not hold (404). Anything else is the
+// server's fault and must surface as a 500, not hide among 4xx.
 func correlateErrorStatus(err error) (status int, code string) {
 	if errors.Is(err, annotadb.ErrUnknownAnchor) {
 		return http.StatusNotFound, CodeNotFound
@@ -625,12 +624,9 @@ func (a *api) stats(w http.ResponseWriter, r *http.Request) {
 		}
 		body["stream"] = streamBody
 	}
-	if cs := a.srv.CorrelateStats(); cs.IndexBuilds > 0 || cs.CacheHits > 0 || cs.DetectorRunning {
-		// The correlation-discovery subsystem: per-generation index builds
-		// vs cache reuse, and the churn-anomaly detector's emission count.
+	if cs := a.srv.CorrelateStats(); cs.DetectorRunning {
+		// The churn-anomaly detector's emission count.
 		body["correlate"] = map[string]any{
-			"index_builds":     cs.IndexBuilds,
-			"cache_hits":       cs.CacheHits,
 			"anomalies":        cs.Anomalies,
 			"detector_running": cs.DetectorRunning,
 		}

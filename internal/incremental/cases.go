@@ -279,7 +279,13 @@ func (e *Engine) discoverFromDelta(deltaTxns []itemset.Itemset, oldSlack int, re
 	if len(needList) == 0 {
 		return
 	}
-	counts := e.countPatternsInRelation(needList)
+	// The patterns come from projected transactions, so they hold no derived
+	// label when ExcludeDerived is set and the relation's counts are the
+	// projection's.
+	counts := make([]int, len(needList))
+	for i, p := range needList {
+		counts[i] = e.rel.CountPattern(p)
+	}
 	countOf := func(p itemset.Itemset) int {
 		if i, ok := needIdx[p.Key()]; ok {
 			return counts[i]
@@ -517,8 +523,8 @@ func (e *Engine) collectGainedAnnotPatterns(perTuple map[int]itemset.Itemset) (m
 // applyAnnotPatternGains folds the per-pattern gains into the annotation
 // catalog. Cataloged patterns are adjusted in place; cold-cached patterns
 // are adjusted in the cache and promoted when they reach the slack pool;
-// genuinely unknown patterns are counted exactly along the inverted-index
-// bitmap of their rarest member (the paper's "check all data tuples in the
+// genuinely unknown patterns are counted exactly from the inverted-index
+// bitmaps of their members (the paper's "check all data tuples in the
 // database having this annotation") exactly once, then cached. The freshly
 // cataloged patterns are returned for rule discovery.
 func (e *Engine) applyAnnotPatternGains(gained map[itemset.Key]int) []itemset.Itemset {
@@ -693,7 +699,7 @@ func (e *Engine) discoverDataRulesFromAnnotations(perTuple map[int]itemset.Items
 			if e.trackedRule(r.ID()) {
 				return true
 			}
-			// The pattern's one annotation is a: counted along a's bitmap.
+			// Counted from the bitmaps of a and of x's data values.
 			r.PatternCount = e.rel.CountPattern(r.Pattern())
 			if e.fileRule(r) {
 				rep.Discovered++

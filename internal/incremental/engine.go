@@ -547,27 +547,6 @@ func countPatternsInTxns(patterns []itemset.Itemset, txns []itemset.Itemset) []i
 	return counts
 }
 
-// countPatternsInRelation counts each pattern over the whole relation in a
-// single pass. Used by delta discovery for patterns whose historical counts
-// are unknown.
-func (e *Engine) countPatternsInRelation(patterns []itemset.Itemset) []int {
-	counts := make([]int, len(patterns))
-	excl := e.cfg.ExcludeDerived
-	e.rel.Each(func(i int, tu relation.Tuple) bool {
-		items := tu.Items()
-		if excl {
-			items = items.Filter(func(it itemset.Item) bool { return !it.IsDerived() })
-		}
-		for p := range patterns {
-			if items.ContainsAll(patterns[p]) {
-				counts[p]++
-			}
-		}
-		return true
-	})
-	return counts
-}
-
 // projectTuple projects a tuple into a mining transaction, honoring the
 // derived-label exclusion setting.
 func (e *Engine) projectTuple(tu relation.Tuple) itemset.Itemset {

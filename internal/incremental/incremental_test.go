@@ -146,6 +146,36 @@ func TestCase1DiscoverNewRule(t *testing.T) {
 	}
 }
 
+// TestDeltaDiscoveryWithDerivedLabels: delta discovery counts its patterns
+// with CountPattern over the whole relation, derived labels included. Under
+// ExcludeDerived the patterns come from projected transactions and hold no
+// label, so the counts, and the rules, still match a re-mine either way.
+func TestDeltaDiscoveryWithDerivedLabels(t *testing.T) {
+	for _, exclude := range []bool{false, true} {
+		rel := fixture()
+		dict := rel.Dictionary()
+		label, err := dict.InternDerived("Label_9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := defaultCfg()
+		cfg.ExcludeDerived = exclude
+		e := mustEngine(t, rel, cfg)
+		var batch []relation.Tuple
+		for i := 0; i < 10; i++ {
+			batch = append(batch, relation.NewTuple(relation.MustData(dict, "77"), relation.MustAnnotation(dict, "Annot_9"), label))
+		}
+		rep, err := e.AddAnnotatedTuples(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify(t, e, "after a batch carrying a derived label")
+		if rep.Discovered == 0 || rep.Remined {
+			t.Errorf("ExcludeDerived=%v: report %+v, want delta discovery without a re-mine", exclude, rep)
+		}
+	}
+}
+
 func TestCase1EmptyBatch(t *testing.T) {
 	e := mustEngine(t, fixture(), defaultCfg())
 	rep, err := e.AddAnnotatedTuples(nil)

@@ -6,11 +6,11 @@ import (
 	"annotadb/internal/itemset"
 )
 
-// Postings is one annotation's entry in the inverted index (§4.3): a bitmap
-// over tuple positions, bit i set when tuple i carries the annotation, with
-// the annotation's frequency — the population count — kept beside it. The
-// bitmap is as long as the highest position ever set needs, so a rare
-// annotation on early tuples stays small.
+// Postings is one item's entry in the inverted index (§4.3): a bitmap over
+// tuple positions, bit i set when tuple i carries the annotation or data
+// value, with the item's frequency — the population count — kept beside it.
+// The bitmap is as long as the highest position ever set needs, so a rare
+// item on early tuples stays small.
 //
 // A Postings handed out by a View belongs to that frozen generation: the
 // relation copies a bitmap before its first write after a capture and never
@@ -20,8 +20,7 @@ type Postings struct {
 	count int
 }
 
-// Len returns the number of positions in the set — the annotation's
-// frequency.
+// Len returns the number of positions in the set — the item's frequency.
 func (p Postings) Len() int { return p.count }
 
 // Contains reports whether position i is in the set.
@@ -59,12 +58,34 @@ func (p Postings) Each(fn func(i int) bool) {
 	}
 }
 
-// kindSlot is the postings spine an annotation lives on: raw and derived
-// annotation ids are each dense from 1 (Dictionary), so each kind indexes
-// its own slice.
+// The postings spines, one per item kind: raw annotation, derived label and
+// data value ids are each dense from 1 (Dictionary), so each kind indexes its
+// own slice.
+const (
+	rawSlot = iota
+	derivedSlot
+	dataSlot
+	numSlots
+)
+
+// kindSlot is the postings spine item a lives on.
 func kindSlot(a itemset.Item) int {
-	if a.IsDerived() {
-		return 1
+	switch {
+	case a.IsDerived():
+		return derivedSlot
+	case a.IsAnnotation():
+		return rawSlot
 	}
-	return 0
+	return dataSlot
+}
+
+// slotItem is the item at id on spine k, kindSlot's inverse.
+func slotItem(k, id int) itemset.Item {
+	switch k {
+	case derivedSlot:
+		return itemset.DerivedItem(id)
+	case rawSlot:
+		return itemset.AnnotationItem(id)
+	}
+	return itemset.DataItem(id)
 }

@@ -68,17 +68,56 @@ func TestPostingsReads(t *testing.T) {
 	if empty.Len() != 0 || empty.Contains(0) || empty.CountBelow(10) != 0 || positions(empty) != nil {
 		t.Error("zero Postings is not the empty set")
 	}
-	if got := r.View().Postings(MustData(dict, "d")); got.Len() != 0 {
-		t.Errorf("Postings of a data value = %d positions, want none", got.Len())
+	if got := r.View().Postings(MustData(dict, "d")); got.Len() != 200 || positions(got)[199] != 199 {
+		t.Errorf("Postings of a data value on every tuple = %d positions, want 200", got.Len())
+	}
+}
+
+// TestAnnotationOnlyReads guards the frequency-table reads against the data
+// spine: a data value has postings, yet Frequency, EachFrequency,
+// Annotations, AttachmentTotals and Stats' annotation counts see only
+// annotations, on the live relation and on a view.
+func TestAnnotationOnlyReads(t *testing.T) {
+	t.Parallel()
+	r := New()
+	dict := r.Dictionary()
+	r.Append(
+		MustTuple(dict, []string{"d1", "d2"}, []string{"Annot_A"}),
+		MustTuple(dict, []string{"d1"}, nil),
+	)
+	d1, a := MustData(dict, "d1"), MustAnnotation(dict, "Annot_A")
+	v := r.View()
+	if v.Postings(d1).Len() != 2 {
+		t.Fatalf("data postings = %v, want both tuples", positions(v.Postings(d1)))
+	}
+	if r.Frequency(d1) != 0 || v.Frequency(d1) != 0 || r.Frequency(a) != 1 || v.Frequency(a) != 1 {
+		t.Errorf("Frequency: live d1 %d, view d1 %d, live a %d, view a %d; want 0, 0, 1, 1",
+			r.Frequency(d1), v.Frequency(d1), r.Frequency(a), v.Frequency(a))
+	}
+	var seen []itemset.Item
+	r.EachFrequency(func(it itemset.Item, _ int) { seen = append(seen, it) })
+	if !slices.Equal(seen, []itemset.Item{a}) {
+		t.Errorf("EachFrequency visited %v, want only %v", seen, a)
+	}
+	if want := itemset.New(a); !r.Annotations().Equal(want) || !v.Annotations().Equal(want) {
+		t.Errorf("Annotations = %v / %v, want %v", r.Annotations(), v.Annotations(), want)
+	}
+	if att, distinct := v.AttachmentTotals(); att != 1 || distinct != 1 {
+		t.Errorf("AttachmentTotals = %d, %d; want 1, 1", att, distinct)
+	}
+	if s := r.Stats(); s.Annotations != 1 || s.DistinctAnnots != 1 || s.DistinctData != 2 || s.AnnotatedTuples != 1 {
+		t.Errorf("Stats = %+v", s)
 	}
 }
 
 // TestPropertyRetainedViewsMatchScan runs random histories of attach,
 // detach and append batches against a model of the tuples, capturing views
-// at random steps and keeping them. At every step the live store, and at
-// the end every kept view, must agree with the model as of its capture: the
-// postings walk equals the scan-rebuilt sorted position list, frequencies
-// and pattern counts match, and the consistency check passes. A write into
+// at random steps and keeping them. Every tuple carries two or three data
+// values from a small pool. At every step the live store, and at the end
+// every kept view, must agree with the model as of its capture: the postings
+// walk of every annotation and data value equals the scan-rebuilt sorted
+// position list, frequencies and annotation, data and mixed pattern counts
+// match, and the consistency check passes. A write into
 // an array a kept view shares shows up here as a view drifting from its
 // model (and under -race as a race).
 func TestPropertyRetainedViewsMatchScan(t *testing.T) {
@@ -108,6 +147,18 @@ func TestPropertyRetainedViewsMatchScan(t *testing.T) {
 				}
 				return itemset.New(out...)
 			}
+			var values []itemset.Item
+			for i := 0; i < 6; i++ {
+				values = append(values, MustData(dict, fmt.Sprintf("d%d", i)))
+			}
+			randomData := func() itemset.Itemset {
+				perm := rng.Perm(len(values))[:2+rng.Intn(2)]
+				out := make([]itemset.Item, len(perm))
+				for i, k := range perm {
+					out[i] = values[k]
+				}
+				return itemset.New(out...)
+			}
 			randomBatch := func(n int) []AnnotationUpdate {
 				batch := make([]AnnotationUpdate, 1+rng.Intn(24))
 				for i := range batch {
@@ -127,7 +178,7 @@ func TestPropertyRetainedViewsMatchScan(t *testing.T) {
 				case op == 0 || len(model) == 0:
 					batch := make([]Tuple, rng.Intn(90))
 					for i := range batch {
-						batch[i] = Tuple{Data: itemset.New(MustData(dict, fmt.Sprintf("d%d", rng.Intn(9)))), Annots: randomAnnots()}
+						batch[i] = Tuple{Data: randomData(), Annots: randomAnnots()}
 					}
 					r.Append(batch...)
 					model = append(model, batch...)
@@ -167,7 +218,7 @@ func TestPropertyRetainedViewsMatchScan(t *testing.T) {
 				if err := r.CheckInvariants(); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				checkStoreAgainstModel(t, fmt.Sprintf("step %d live", step), &r.st, model, annots)
+				checkStoreAgainstModel(t, fmt.Sprintf("step %d live", step), &r.st, model, annots, values)
 				if rng.Intn(3) == 0 {
 					views = append(views, kept{v: r.View(), model: slices.Clone(model)})
 				}
@@ -176,14 +227,14 @@ func TestPropertyRetainedViewsMatchScan(t *testing.T) {
 				if err := kv.v.st.check(); err != nil {
 					t.Fatalf("kept view %d: %v", k, err)
 				}
-				checkStoreAgainstModel(t, fmt.Sprintf("kept view %d", k), &kv.v.st, kv.model, annots)
+				checkStoreAgainstModel(t, fmt.Sprintf("kept view %d", k), &kv.v.st, kv.model, annots, values)
 			}
 		})
 	}
 }
 
 // checkStoreAgainstModel compares a store with the tuples it should hold.
-func checkStoreAgainstModel(t *testing.T, where string, st *store, model []Tuple, annots []itemset.Item) {
+func checkStoreAgainstModel(t *testing.T, where string, st *store, model []Tuple, annots, values []itemset.Item) {
 	t.Helper()
 	if st.n != len(model) {
 		t.Fatalf("%s: %d tuples, model has %d", where, st.n, len(model))
@@ -193,10 +244,10 @@ func checkStoreAgainstModel(t *testing.T, where string, st *store, model []Tuple
 			t.Fatalf("%s: tuple %d = %v/%v, model %v/%v", where, i, got.Data, got.Annots, want.Data, want.Annots)
 		}
 	}
-	for _, a := range annots {
+	for _, a := range append(slices.Clone(annots), values...) {
 		var scan []int
 		for i, tu := range model {
-			if tu.Annots.Contains(a) {
+			if tu.Contains(itemset.New(a)) {
 				scan = append(scan, i)
 			}
 		}
@@ -207,8 +258,15 @@ func checkStoreAgainstModel(t *testing.T, where string, st *store, model []Tuple
 		if p.Len() != len(scan) {
 			t.Fatalf("%s: frequency of %v = %d, scan %d", where, a, p.Len(), len(scan))
 		}
-		if got := st.countPattern(itemset.New(a, annots[0])); got != countContaining(model, itemset.New(a, annots[0])) {
-			t.Fatalf("%s: CountPattern(%v, %v) = %d", where, a, annots[0], got)
+		for _, pattern := range []itemset.Itemset{
+			itemset.New(a, annots[0]),
+			itemset.New(a, values[0]),
+			itemset.New(a, values[1], annots[1]),
+			itemset.New(a, values[2], values[3]),
+		} {
+			if got, want := st.countPattern(pattern), countContaining(model, pattern); got != want {
+				t.Fatalf("%s: CountPattern(%v) = %d, model %d", where, pattern, got, want)
+			}
 		}
 	}
 }

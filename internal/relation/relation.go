@@ -81,19 +81,20 @@ type AnnotationUpdate struct {
 // Relation is an in-memory annotated relation with the auxiliary structures
 // required by the incremental maintenance engine:
 //
-//   - an inverted annotation index: annotation → bitmap of tuple positions;
-//   - a frequency table counting tuples per annotation (not occurrences —
-//     an annotation appears at most once per tuple), kept beside each bitmap;
+//   - an inverted index: annotation or data value → bitmap of tuple
+//     positions;
+//   - a frequency table counting tuples per item (not occurrences — an item
+//     appears at most once per tuple), kept beside each bitmap;
 //   - a monotonically increasing version number, bumped on every mutation,
 //     that lets downstream caches detect staleness.
 //
 // Storage is columnar and copy-on-write: View captures the current
 // generation as an immutable *View in O(1). Appends write the data and
-// annotation columns in place past every view's length; an annotation
-// attach or detach copies only the annotation chunk and the one bitmap it
-// touches (plus, once per generation, the slice headers of the annotation
-// spine and the postings spine), so generations share structure and a
-// mutation costs O(delta).
+// annotation columns in place past every view's length and copy the bitmaps
+// of the items they set; an annotation attach or detach copies only the
+// annotation chunk and the one bitmap it touches (plus, once per generation,
+// the slice headers of the annotation spine and the postings spine), so
+// generations share structure and a mutation costs O(delta).
 //
 // All methods are safe for concurrent use. Read methods hand out internal
 // slices; callers must treat them as read-only.
@@ -112,10 +113,10 @@ type Relation struct {
 	// written in place only when its generation matches epoch; otherwise a
 	// captured view may read it and it is copied first. The data column
 	// needs none: it is only ever written past every view's length.
-	annotsGen uint64      // annotation chunk spine
-	chunkGen  []uint64    // per annotation chunk
-	spineGen  [2]uint64   // per postings spine (kindSlot)
-	bitsGen   [2][]uint64 // per bitmap, parallel to the postings spines
+	annotsGen uint64             // annotation chunk spine
+	chunkGen  []uint64           // per annotation chunk
+	spineGen  [numSlots]uint64   // per postings spine (kindSlot)
+	bitsGen   [numSlots][]uint64 // per bitmap, parallel to the postings spines
 }
 
 // New creates an empty relation backed by a fresh dictionary.
@@ -179,7 +180,7 @@ func (r *Relation) writableAnnots(c int) *annotChunk {
 
 // writablePostings returns a's index entry ready for a write to bitmap word
 // w: the postings spine (once per generation) and the bitmap are copied
-// first if a captured view may still read them, and the bitmap is long
+// first if a captured view may still read word w, and the bitmap is long
 // enough to hold w.
 func (r *Relation) writablePostings(a itemset.Item, w int) *Postings {
 	k, id := kindSlot(a), a.ID()
@@ -193,16 +194,16 @@ func (r *Relation) writablePostings(a itemset.Item, w int) *Postings {
 	}
 	p := &r.st.postings[k][id]
 	switch {
+	case w >= len(p.bits) && w < cap(p.bits):
+		// No view reads past the length it captured, which is at most len,
+		// and the words past len were never written: still zero.
+		p.bits = p.bits[:w+1]
 	case r.bitsGen[k][id] != r.epoch || w >= cap(p.bits):
 		words := max(len(p.bits), w+1)
 		fresh := make([]uint64, words, words+words/4+1)
 		copy(fresh, p.bits)
 		p.bits = fresh
 		r.bitsGen[k][id] = r.epoch
-	case w >= len(p.bits):
-		// Owned since the last capture, so nothing can read the words past
-		// len, and they were never written: still zero.
-		p.bits = p.bits[:w+1]
 	}
 	return p
 }
@@ -216,7 +217,7 @@ func (r *Relation) attach(i int, a itemset.Item) {
 	r.setBit(i, a)
 }
 
-// setBit records tuple i in a's bitmap and frequency.
+// setBit records tuple i in item a's bitmap and frequency.
 func (r *Relation) setBit(i int, a itemset.Item) {
 	p := r.writablePostings(a, i>>6)
 	p.bits[i>>6] |= 1 << (uint(i) & 63)
@@ -258,14 +259,14 @@ func (r *Relation) EachFrom(start int, fn func(i int, t Tuple) bool) {
 	r.st.each(start, fn)
 }
 
-// Append adds tuples to the end of the relation, maintaining the annotation
-// index and frequency table. It returns the position of the first appended
+// Append adds tuples to the end of the relation, maintaining the index and
+// frequency table. It returns the position of the first appended
 // tuple. Appending nothing is not a mutation: the version and the memoized
 // view stay as they are.
 //
 // Both columns are written in place at positions past every captured view's
 // length, which no view reads; only the bitmaps of the appended tuples'
-// annotations are copied, when a view shares them.
+// items are copied, when a view shares the word a new bit lands in.
 func (r *Relation) Append(tuples ...Tuple) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -285,6 +286,9 @@ func (r *Relation) Append(tuples ...Tuple) int {
 		}
 		r.st.data[i>>dataShift][i&dataMask] = t.Data
 		r.st.annots[i>>annotShift][i&annotMask] = t.Annots
+		for _, d := range t.Data {
+			r.setBit(i, d)
+		}
 		for _, a := range t.Annots {
 			r.setBit(i, a)
 		}
@@ -407,7 +411,7 @@ func (r *Relation) ApplyRemovals(batch []AnnotationUpdate) (applied, skipped []A
 func (r *Relation) Frequency(a itemset.Item) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.st.postingsOf(a).count
+	return r.st.frequency(a)
 }
 
 // EachFrequency calls fn with every annotation ever attached to the relation
@@ -417,7 +421,7 @@ func (r *Relation) Frequency(a itemset.Item) int {
 func (r *Relation) EachFrequency(fn func(a itemset.Item, n int)) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	r.st.eachEntry(func(a itemset.Item, p Postings) { fn(a, p.count) })
+	r.st.eachEntry(annotSpines, func(a itemset.Item, p Postings) { fn(a, p.count) })
 }
 
 // Annotations returns every annotation item that appears on at least one
@@ -428,11 +432,9 @@ func (r *Relation) Annotations() itemset.Itemset {
 	return r.st.annotations()
 }
 
-// CountPattern counts the tuples containing pattern. A pattern with
-// annotations is counted along the bitmap of its rarest annotation — the
-// incremental engine's "check all data tuples in the database having this
-// annotation" step without a full scan; a pure-data pattern scans the data
-// column.
+// CountPattern counts the tuples containing pattern by intersecting its
+// items' bitmaps — the incremental engine's "check all data tuples in the
+// database having this annotation" step without reading a tuple.
 func (r *Relation) CountPattern(pattern itemset.Itemset) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

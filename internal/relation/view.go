@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"annotadb/internal/itemset"
@@ -32,20 +33,19 @@ type (
 )
 
 // store is the columnar representation of an annotated relation: the data
-// column, the annotation column, the inverted annotation index with the
-// frequency table beside it, and the mutation version. It is shared by
-// Relation (which writes it behind a lock) and View (which freezes one
-// generation of it). store methods are pure reads; synchronization is the
+// column, the annotation column, the inverted index over annotations and data
+// values with the frequency table beside it, and the mutation version. It is
+// shared by Relation (which writes it behind a lock) and View (which freezes
+// one generation of it). store methods are pure reads; synchronization is the
 // embedding type's concern.
 type store struct {
 	n       int
 	version uint64
 	data    []*dataChunk
 	annots  []*annotChunk
-	// postings holds each annotation's index entry at its dictionary id, raw
-	// annotations on spine 0 and derived labels on spine 1 (kindSlot). An
-	// entry with a nil bitmap was never attached.
-	postings [2][]Postings
+	// postings holds each item's index entry at its dictionary id, on the
+	// spine of its kind (kindSlot). An entry with a nil bitmap was never set.
+	postings [numSlots][]Postings
 }
 
 func (st *store) tuple(i int) Tuple {
@@ -67,75 +67,77 @@ func (st *store) each(start int, fn func(i int, t Tuple) bool) {
 	}
 }
 
-// postingsOf returns a's index entry; the zero Postings for an item that is
-// not an annotation or was never attached.
+// postingsOf returns item a's index entry; the zero Postings for an item
+// that was never set.
 func (st *store) postingsOf(a itemset.Item) Postings {
-	if !a.IsAnnotation() {
-		return Postings{}
-	}
 	if spine := st.postings[kindSlot(a)]; a.ID() < len(spine) {
 		return spine[a.ID()]
 	}
 	return Postings{}
 }
 
-// eachEntry calls fn for every annotation ever attached, in item order (raw
-// annotations sort before derived labels, each kind by id).
-func (st *store) eachEntry(fn func(a itemset.Item, p Postings)) {
-	for k, spine := range st.postings {
-		for id, p := range spine {
-			if p.bits == nil {
-				continue
+// frequency is the frequency table's entry for a: zero for a data value, so
+// the table stays annotation-only.
+func (st *store) frequency(a itemset.Item) int {
+	if !a.IsAnnotation() {
+		return 0
+	}
+	return st.postingsOf(a).count
+}
+
+// eachEntry calls fn for every item ever set on the given spines, in item
+// order (kindSlot's order on each spine, by id within it).
+func (st *store) eachEntry(spines []int, fn func(a itemset.Item, p Postings)) {
+	for _, k := range spines {
+		for id, p := range st.postings[k] {
+			if p.bits != nil {
+				fn(slotItem(k, id), p)
 			}
-			a := itemset.AnnotationItem(id)
-			if k == 1 {
-				a = itemset.DerivedItem(id)
-			}
-			fn(a, p)
 		}
 	}
 }
 
-// countPattern counts tuples containing pattern. A pattern with annotations
-// walks the bitmap of its rarest annotation — the paper's "check all data
-// tuples in the database having this annotation" — and a pure-data pattern
-// scans the data column.
+// The spines eachEntry walks: the annotation-only reads (the frequency table,
+// Annotations, AttachmentTotals) see the first two, the consistency check all
+// three.
+var (
+	annotSpines = []int{rawSlot, derivedSlot}
+	allSpines   = []int{rawSlot, derivedSlot, dataSlot}
+)
+
+// countPattern counts tuples containing pattern from the bitmaps alone, never
+// reading a tuple — the paper's "check all data tuples in the database having
+// this annotation": the items' bitmaps are ANDed word by word and popcounted.
+// Walking the rarest item's positions and probing the others costs the same
+// when one item is rare and 20× more when all are dense.
 func (st *store) countPattern(pattern itemset.Itemset) int {
-	data, annots := pattern.Split()
-	if len(annots) == 0 {
-		if len(data) == 0 {
-			return st.n
-		}
-		n := 0
-		for i := 0; i < st.n; i++ {
-			if st.data[i>>dataShift][i&dataMask].ContainsAll(data) {
-				n++
-			}
-		}
-		return n
+	switch len(pattern) {
+	case 0:
+		return st.n
+	case 1:
+		return st.postingsOf(pattern[0]).count
 	}
-	rarest := st.postingsOf(annots[0])
-	for _, a := range annots[1:] {
-		if p := st.postingsOf(a); p.count < rarest.count {
-			rarest = p
-		}
-	}
-	if len(annots) == 1 && len(data) == 0 {
-		return rarest.count
+	var buf [8][]uint64
+	bitmaps := buf[:0]
+	words := math.MaxInt
+	for _, it := range pattern {
+		p := st.postingsOf(it)
+		bitmaps = append(bitmaps, p.bits)
+		words = min(words, len(p.bits))
 	}
 	n := 0
-	rarest.Each(func(i int) bool {
-		if st.annots[i>>annotShift][i&annotMask].ContainsAll(annots) && st.data[i>>dataShift][i&dataMask].ContainsAll(data) {
-			n++
+	for w, x := range bitmaps[0][:words] {
+		for _, other := range bitmaps[1:] {
+			x &= other[w]
 		}
-		return true
-	})
+		n += bits.OnesCount64(x)
+	}
 	return n
 }
 
 func (st *store) annotations() itemset.Itemset {
 	var out []itemset.Item
-	st.eachEntry(func(a itemset.Item, p Postings) {
+	st.eachEntry(annotSpines, func(a itemset.Item, p Postings) {
 		if p.count > 0 {
 			out = append(out, a)
 		}
@@ -144,7 +146,7 @@ func (st *store) annotations() itemset.Itemset {
 }
 
 func (st *store) attachmentTotals() (attachments, distinct int) {
-	st.eachEntry(func(_ itemset.Item, p Postings) {
+	st.eachEntry(annotSpines, func(_ itemset.Item, p Postings) {
 		if p.count > 0 {
 			attachments += p.count
 			distinct++
@@ -157,20 +159,14 @@ func (st *store) stats() Stats {
 	var s Stats
 	s.Tuples = st.n
 	s.Annotations, s.DistinctAnnots = st.attachmentTotals()
-	dataSeen := make(map[itemset.Item]struct{})
-	st.each(0, func(_ int, t Tuple) bool {
-		if len(t.Annots) > 0 {
+	st.eachEntry([]int{dataSlot}, func(itemset.Item, Postings) { s.DistinctData++ })
+	for i := 0; i < st.n; i++ {
+		a := st.annots[i>>annotShift][i&annotMask]
+		if len(a) > 0 {
 			s.AnnotatedTuples++
 		}
-		if len(t.Annots) > s.MaxAnnotsPerTuple {
-			s.MaxAnnotsPerTuple = len(t.Annots)
-		}
-		for _, d := range t.Data {
-			dataSeen[d] = struct{}{}
-		}
-		return true
-	})
-	s.DistinctData = len(dataSeen)
+		s.MaxAnnotsPerTuple = max(s.MaxAnnotsPerTuple, len(a))
+	}
 	return s
 }
 
@@ -194,20 +190,20 @@ func (st *store) check() error {
 		case !t.Annots.PureAnnotations():
 			err = fmt.Errorf("relation: tuple %d has data value in annotation part", i)
 		}
-		for _, a := range t.Annots {
-			if err == nil && !st.postingsOf(a).Contains(i) {
-				err = fmt.Errorf("relation: index for %v misses tuple %d", a, i)
+		for _, it := range t.Items() {
+			if err == nil && !st.postingsOf(it).Contains(i) {
+				err = fmt.Errorf("relation: index for %v misses tuple %d", it, i)
 			}
-			scanned[a]++
+			scanned[it]++
 		}
 		return err == nil
 	})
 	if err != nil {
 		return err
 	}
-	// Every tuple's annotations are in the index, so an entry whose count
-	// and population both match the scan holds nothing else.
-	st.eachEntry(func(a itemset.Item, p Postings) {
+	// Every tuple's items are in the index, so an entry whose count and
+	// population both match the scan holds nothing else.
+	st.eachEntry(allSpines, func(a itemset.Item, p Postings) {
 		pop := 0
 		for _, x := range p.bits {
 			pop += bits.OnesCount64(x)
@@ -244,7 +240,7 @@ var (
 )
 
 // View is one immutable generation of a Relation: the tuples, inverted
-// annotation index, and frequency table exactly as they stood when
+// index, and frequency table exactly as they stood when
 // Relation.View captured it. A View is safe for any number of concurrent
 // readers with no synchronization — nothing reachable from it is ever
 // written again — and holding one costs O(1): generations share the data
@@ -294,12 +290,13 @@ func (v *View) AnnotationsOf(i int) itemset.Itemset {
 	return v.st.annots[i>>annotShift][i&annotMask]
 }
 
-// Postings returns the positions of tuples carrying annotation a in this
-// generation, frozen with it.
+// Postings returns the positions of tuples carrying item a — an annotation
+// or a data value — in this generation, frozen with it.
 func (v *View) Postings(a itemset.Item) Postings { return v.st.postingsOf(a) }
 
-// Frequency returns the number of tuples carrying annotation a.
-func (v *View) Frequency(a itemset.Item) int { return v.st.postingsOf(a).count }
+// Frequency returns the number of tuples carrying annotation a; zero for a
+// data value.
+func (v *View) Frequency(a itemset.Item) int { return v.st.frequency(a) }
 
 // AttachmentTotals folds the frequency table into the two numbers stats
 // report — attachments (annotation occurrences over all tuples) and distinct

@@ -441,6 +441,31 @@ func BenchmarkApplyAfterView(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("n=%d/append=4", n), func(b *testing.B) {
+			// Four tuples appended after a captured view, as a /tuples batch
+			// reaches the writer. The relation is rebuilt (untimed) every 256
+			// batches so it stays within 1 K tuples of n.
+			r := viewFixture(b, n)
+			dict := r.Dictionary()
+			seed := make([]Tuple, 0, n)
+			r.Each(func(_ int, t Tuple) bool { seed = append(seed, t); return true })
+			batch := make([]Tuple, 4)
+			for i := range batch {
+				batch[i] = MustTuple(dict, []string{fmt.Sprintf("d%d", i), fmt.Sprintf("d%d", i+3)}, []string{"Annot_A"})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%256 == 255 {
+					b.StopTimer()
+					r = NewWithDictionary(dict)
+					r.Append(seed...)
+					b.StartTimer()
+				}
+				r.View()
+				r.Append(batch...)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"annotadb/internal/correlate"
 	"annotadb/internal/incremental"
 	"annotadb/internal/metrics"
 	"annotadb/internal/predict"
@@ -757,19 +756,11 @@ func (s *Server) applyGroup(kind opKind, group []*request) result {
 // new immutable snapshot. The engine snapshot pins the relation generation
 // alongside the rule view, so View and Rules always pair; the relation's
 // copy-on-write store makes the capture O(1) and charges the next batch
-// only for the chunks it actually touches. The correlate index, once a query
-// has built it, is carried into the new snapshot extended by the tuples the
-// batch appended; publish runs only on the writer goroutine (and once from
-// New, before it starts), which is the single-successor lineage
-// correlate.Lazy.Next requires.
+// only for the chunks it actually touches.
 func (s *Server) publish() {
 	es := s.eng.Snapshot()
 	attachments, distinct := es.Relation.AttachmentTotals()
 	prev := s.snap.Load()
-	index := new(correlate.Lazy)
-	if prev != nil {
-		index = prev.Correlate.Next(es.Relation)
-	}
 	snap := &Snapshot{
 		Seq:                 s.seq.Add(1),
 		N:                   es.N,
@@ -782,7 +773,6 @@ func (s *Server) publish() {
 		Compiled:            predict.Compile(es.Rules, s.cfg.Recommend),
 		Attachments:         attachments,
 		DistinctAnnotations: distinct,
-		Correlate:           index,
 	}
 	s.snap.Store(snap)
 	if s.cfg.Stream != nil && prev != nil {

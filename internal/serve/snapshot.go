@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"annotadb/internal/correlate"
 	"annotadb/internal/incremental"
 	"annotadb/internal/predict"
 	"annotadb/internal/relation"
@@ -47,11 +46,4 @@ type Snapshot struct {
 	// table, folded once at publish so stats polls do no per-call work.
 	Attachments         int
 	DistinctAnnotations int
-	// Correlate is this generation's slot for the correlate index. The
-	// core's first /correlate query builds the index lazily; every publish
-	// after that fills the new snapshot's slot with the previous index
-	// extended by the tuples the batch appended (nothing, for an annotation
-	// batch), so the index lives as long as the core and is never rebuilt.
-	// It pins only this snapshot's View.
-	Correlate *correlate.Lazy
 }

@@ -127,11 +127,8 @@ type Server struct {
 
 	// detector is the churn-anomaly detector (nil unless
 	// CorrelateOptions.Anomalies); closeStream stops it before sealing the
-	// broker it both consumes and publishes to. correlateBuilds and
-	// correlateHits count per-generation correlate index builds vs reuses.
-	detector        *correlate.Detector
-	correlateBuilds atomic.Uint64
-	correlateHits   atomic.Uint64
+	// broker it both consumes and publishes to.
+	detector *correlate.Detector
 
 	// rendered memoizes the public rules of one generation, so that serving
 	// GET /rules-style reads does not re-resolve dictionary tokens (each
