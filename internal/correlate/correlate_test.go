@@ -389,6 +389,121 @@ func TestTopKMatchesBruteForceOverRandomHistories(t *testing.T) {
 	}
 }
 
+// rebuild returns an index over a relation built from scratch out of view's
+// tuples in one Append, so none of its postings were maintained write by
+// write.
+func rebuild(view *relation.View) *Index {
+	rel := relation.NewWithDictionary(view.Dictionary())
+	batch := make([]relation.Tuple, 0, view.Len())
+	view.Each(func(_ int, t relation.Tuple) bool {
+		batch = append(batch, t.Clone())
+		return true
+	})
+	rel.Append(batch...)
+	return NewIndex(rel.View())
+}
+
+// checkAgainstRebuild asserts idx answers every probe anchor exactly as an
+// index over a from-scratch rebuild of idx's view does, and as BruteForce.
+func checkAgainstRebuild(t *testing.T, label string, idx *Index) {
+	t.Helper()
+	fresh := rebuild(idx.View())
+	for _, anchor := range []string{"cpu:high", "mem:low", "plain", "host=h0", "host=h1", "img=i0", "img=i2", "ctr=c7", "fork:only", "never-seen"} {
+		q := Query{Anchor: anchor, K: 20, MinLift: 0}
+		got, gotErr := idx.TopK(q)
+		want, wantErr := fresh.TopK(q)
+		if !errors.Is(gotErr, wantErr) {
+			t.Fatalf("%s anchor %q: TopK err %v, rebuilt err %v", label, anchor, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s anchor %q:\n index:   %+v\n rebuilt: %+v", label, anchor, got, want)
+		}
+	}
+	checkAgainstBruteForce(t, label, idx)
+}
+
+// TestExtendMatchesRebuildOverRandomHistories: the relation extends its
+// postings write by write (tuple appends setting data and annotation bits in
+// place, attaches and removals copying one bitmap), and every generation
+// answers exactly as one built from scratch over the same tuples does — when
+// it is captured, and again at the end, after later writes extended the
+// bitmaps it shares.
+func TestExtendMatchesRebuildOverRandomHistories(t *testing.T) {
+	const generations = 120
+	for _, seed := range []int64{4, 5} {
+		rng := rand.New(rand.NewSource(seed))
+		rel := randomRelation(rng, 40)
+		retained := []*Index{NewIndex(rel.View())}
+		for step := 1; step <= generations; step++ {
+			historyStep(t, rng, rel, step)
+			idx := NewIndex(rel.View())
+			checkAgainstRebuild(t, fmt.Sprintf("seed %d step %d", seed, step), idx)
+			retained = append(retained, idx)
+		}
+		for g, old := range retained {
+			if g%8 == 0 {
+				checkAgainstRebuild(t, fmt.Sprintf("seed %d, generation %d at the end", seed, g), old)
+			}
+		}
+	}
+}
+
+// TestExtendForkDoesNotWriteSharedArrays: branches diverging from one
+// generation never see each other's writes. Two clones append different
+// rows; the original takes an annotation-only generation (sharing the base
+// view's data bitmaps) and then appends rows of its own, written in place
+// past the base view's length. Every branch equals a rebuild of its own view,
+// and the forked-from generation answers exactly as before the forks.
+func TestExtendForkDoesNotWriteSharedArrays(t *testing.T) {
+	rel := randomRelation(rand.New(rand.NewSource(11)), 300)
+	base := NewIndex(rel.View())
+	probes := []string{"host=h0", "host=h7", "img=i0", "cpu:high"}
+	before := make(map[string]Answer, len(probes))
+	for _, anchor := range probes {
+		res, err := base.TopK(Query{Anchor: anchor, K: 20, MinLift: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[anchor] = res
+	}
+	// Every branch ends with four host=h0 rows, after a different number of
+	// other rows, so the branches set different bits of host=h0's bitmap.
+	appendRows := func(r *relation.Relation, lead int) *relation.View {
+		for i := 0; i < lead+4; i++ {
+			host := "host=h0"
+			if i < lead {
+				host = "host=h7"
+			}
+			r.Append(relation.MustTuple(r.Dictionary(), []string{host, "img=i0"}, []string{"cpu:high"}))
+		}
+		return r.View()
+	}
+	relA, relB := rel.Clone(), rel.Clone()
+	if err := rel.AddAnnotation(0, relation.MustAnnotation(rel.Dictionary(), "fork:only")); err != nil {
+		t.Fatal(err)
+	}
+	sameLen := NewIndex(rel.View())
+	branches := map[string]*Index{
+		"first":                 NewIndex(appendRows(relA, 0)),
+		"second":                NewIndex(appendRows(relB, 2)),
+		"through-shared-arrays": NewIndex(appendRows(rel, 4)),
+		"annotation-only":       sameLen,
+		"forked-from":           base,
+	}
+	for name, idx := range branches {
+		checkAgainstRebuild(t, "branch "+name, idx)
+	}
+	for _, anchor := range probes {
+		res, err := base.TopK(Query{Anchor: anchor, K: 20, MinLift: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, before[anchor]) {
+			t.Fatalf("anchor %q: the forked-from generation's answer changed:\n now:    %+v\n before: %+v", anchor, res, before[anchor])
+		}
+	}
+}
+
 // TestWarmQueriesDoNotAllocatePerPosting bounds a warm query's allocations
 // by a small constant: the result slice and little else — no tally map, and
 // nothing that scales with the anchor's ~1 250 postings.
