@@ -215,14 +215,18 @@ type Options struct {
 	// MinSupport α and MinConfidence β (Defs. 4.2/4.3 thresholds).
 	MinSupport    float64
 	MinConfidence float64
-	// Algorithm selects the miner: "apriori" (default) or "fpgrowth".
+	// Algorithm selects the miner: "apriori" (default), which counts every
+	// candidate from the relation's per-item tuple bitmaps, or "fpgrowth",
+	// which projects the tuples into transactions and mines an FP-tree.
+	// Both find the same rules.
 	Algorithm string
 	// CandidateSlack γ keeps near-miss rules down to γ·α·N for cheap
 	// incremental promotion; 0 means the default 0.8, 1 disables the pool.
 	CandidateSlack float64
 	// MaxPatternLen bounds rule pattern size; 0 is unbounded.
 	MaxPatternLen int
-	// Parallelism bounds mining goroutines; 0 uses GOMAXPROCS.
+	// Deprecated: Parallelism is ignored. Mining runs on the calling
+	// goroutine: a candidate's count is one AND-and-popcount over bitmaps.
 	Parallelism int
 	// ExcludeGeneralizations hides derived labels from mining.
 	ExcludeGeneralizations bool
@@ -234,7 +238,6 @@ func (o Options) internal() (mining.Config, error) {
 		MinConfidence:  o.MinConfidence,
 		CandidateSlack: o.CandidateSlack,
 		MaxLen:         o.MaxPatternLen,
-		Parallelism:    o.Parallelism,
 		ExcludeDerived: o.ExcludeGeneralizations,
 	}
 	switch strings.ToLower(o.Algorithm) {

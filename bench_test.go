@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"testing"
 
-	"annotadb/internal/apriori"
 	"annotadb/internal/generalize"
 	"annotadb/internal/incremental"
 	"annotadb/internal/mining"
@@ -331,27 +330,6 @@ func BenchmarkAblationCandidateStore(b *testing.B) {
 				}
 				b.StartTimer()
 				if _, err := eng.AddAnnotations(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCounting compares the classic hash-tree candidate
-// counting of Figure 3 against naive per-candidate scans.
-func BenchmarkAblationCounting(b *testing.B) {
-	_, rel := benchBase(b)
-	for _, tc := range []struct {
-		name     string
-		strategy apriori.CountingStrategy
-	}{{"hashtree", apriori.CountHashTree}, {"naive", apriori.CountNaive}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := mining.Config{MinSupport: 0.2, MinConfidence: benchConf, Strategy: tc.strategy}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mining.Mine(rel, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

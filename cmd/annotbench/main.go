@@ -1,6 +1,7 @@
 // Command annotbench regenerates the paper's evaluation: every figure and
 // results section has a corresponding experiment (E1–E10, plus E11 for the
-// §6 removal extension) whose table it prints.
+// §6 removal extension) whose table it prints. E10 times the two miners,
+// bitmap Apriori and FP-Growth, across the support grid.
 //
 // Usage:
 //

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"annotadb/internal/itemset"
+	"annotadb/internal/relation"
 )
 
 func d(id int) itemset.Item { return itemset.DataItem(id) }
@@ -22,6 +23,12 @@ func txn(ids ...int) itemset.Itemset {
 		}
 	}
 	return itemset.New(items...)
+}
+
+// mine runs Mine over a throwaway relation holding txns, the way a caller
+// with a transaction slice reaches the bitmap counter.
+func mine(txns []itemset.Itemset, cfg Config) *Catalog {
+	return Mine(relation.FromTransactions(txns).View(), cfg)
 }
 
 func TestCatalogBasics(t *testing.T) {
@@ -138,7 +145,7 @@ func exampleTxns() []itemset.Itemset {
 }
 
 func TestMineHandComputed(t *testing.T) {
-	got := Mine(exampleTxns(), Config{MinCount: 3, MaxAnnotations: -1, Parallelism: 1})
+	got := mine(exampleTxns(), Config{MinCount: 3, MaxAnnotations: -1})
 	want := map[string]int{
 		txn(1).String():    4,
 		txn(2).String():    4,
@@ -166,7 +173,7 @@ func TestMineTripleLevel(t *testing.T) {
 	txns := []itemset.Itemset{
 		txn(1, 2, 3), txn(1, 2, 3), txn(1, 2, 3), txn(1, 2), txn(4),
 	}
-	got := Mine(txns, Config{MinCount: 3, MaxAnnotations: -1, Parallelism: 1})
+	got := mine(txns, Config{MinCount: 3, MaxAnnotations: -1})
 	if n, ok := got.Count(txn(1, 2, 3)); !ok || n != 3 {
 		t.Errorf("{1,2,3} = %d, %v; want 3", n, ok)
 	}
@@ -181,13 +188,13 @@ func TestMineAnnotationBudget(t *testing.T) {
 		txn(1, -1, -2), txn(1, -1, -2), txn(1, -1, -2),
 	}
 	// Budget 0: pure data only.
-	pure := Mine(txns, Config{MinCount: 3, MaxAnnotations: 0, Parallelism: 1})
+	pure := mine(txns, Config{MinCount: 3, MaxAnnotations: 0})
 	if pure.Len() != 1 || !pure.Has(txn(1)) {
 		t.Errorf("budget 0 mined %v", pure.Sorted())
 	}
 	// Budget 1: data + at most one annotation; {a1,a2} and {d1,a1,a2}
 	// eliminated early.
-	one := Mine(txns, Config{MinCount: 3, MaxAnnotations: 1, Parallelism: 1})
+	one := mine(txns, Config{MinCount: 3, MaxAnnotations: 1})
 	if !one.Has(txn(1, -1)) || !one.Has(txn(1, -2)) {
 		t.Errorf("budget 1 missing rule patterns: %v", one.Sorted())
 	}
@@ -195,7 +202,7 @@ func TestMineAnnotationBudget(t *testing.T) {
 		t.Errorf("budget 1 kept multi-annotation sets: %v", one.Sorted())
 	}
 	// Unbounded: the full lattice.
-	all := Mine(txns, Config{MinCount: 3, MaxAnnotations: -1, Parallelism: 1})
+	all := mine(txns, Config{MinCount: 3, MaxAnnotations: -1})
 	if !all.Has(txn(1, -1, -2)) {
 		t.Errorf("unbounded missing {d1,a1,a2}: %v", all.Sorted())
 	}
@@ -205,115 +212,45 @@ func TestMineMaxLen(t *testing.T) {
 	txns := []itemset.Itemset{
 		txn(1, 2, 3), txn(1, 2, 3), txn(1, 2, 3),
 	}
-	got := Mine(txns, Config{MinCount: 3, MaxAnnotations: -1, MaxLen: 2, Parallelism: 1})
+	got := mine(txns, Config{MinCount: 3, MaxAnnotations: -1, MaxLen: 2})
 	if got.MaxLen() != 2 {
 		t.Errorf("MaxLen = %d, want 2", got.MaxLen())
 	}
 }
 
 func TestMineEmptyAndDegenerate(t *testing.T) {
-	if got := Mine(nil, Config{MinCount: 1, MaxAnnotations: -1}); got.Len() != 0 {
+	if got := mine(nil, Config{MinCount: 1, MaxAnnotations: -1}); got.Len() != 0 {
 		t.Errorf("empty txns mined %d sets", got.Len())
 	}
 	// MinCount clamps to 1; single transaction.
-	got := Mine([]itemset.Itemset{txn(1)}, Config{MinCount: 0, MaxAnnotations: -1})
+	got := mine([]itemset.Itemset{txn(1)}, Config{MinCount: 0, MaxAnnotations: -1})
 	if n, ok := got.Count(txn(1)); !ok || n != 1 {
 		t.Errorf("singleton count = %d, %v", n, ok)
 	}
 	// Threshold above the database size finds nothing.
-	got = Mine(exampleTxns(), Config{MinCount: 6, MaxAnnotations: -1})
+	got = mine(exampleTxns(), Config{MinCount: 6, MaxAnnotations: -1})
 	if got.Len() != 0 {
 		t.Errorf("impossible threshold mined %d sets", got.Len())
 	}
 }
 
-func TestNaiveAndHashTreeAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := func() bool {
-		txns := randomTxns(rng, 60, 12, 6, 4)
-		minCount := 2 + rng.Intn(6)
-		ht := Mine(txns, Config{MinCount: minCount, MaxAnnotations: -1, Strategy: CountHashTree, Parallelism: 1})
-		nv := Mine(txns, Config{MinCount: minCount, MaxAnnotations: -1, Strategy: CountNaive, Parallelism: 1})
-		return ht.Equal(nv)
+func TestRestrictNarrowsItems(t *testing.T) {
+	txns := []itemset.Itemset{
+		txn(1, -1, -2), txn(1, -1, -2), txn(1, -1, -2),
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	src := Restrict(relation.FromTransactions(txns).View(), itemset.Item.IsAnnotation)
+	got := Mine(src, Config{MinCount: 3, MaxAnnotations: -1})
+	want := []Entry{{txn(-1), 3}, {txn(-2), 3}, {txn(-1, -2), 3}}
+	if sorted := got.Sorted(); len(sorted) != len(want) {
+		t.Fatalf("restricted mine = %v, want %v", sorted, want)
 	}
-}
-
-func TestParallelCountingAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	txns := randomTxns(rng, 400, 15, 8, 5)
-	seq := Mine(txns, Config{MinCount: 10, MaxAnnotations: 1, Parallelism: 1})
-	par := Mine(txns, Config{MinCount: 10, MaxAnnotations: 1, Parallelism: 4})
-	if !seq.Equal(par) {
-		t.Error("parallel counting diverges from sequential")
-	}
-}
-
-func TestHashTreeManyCandidatesSplits(t *testing.T) {
-	// Enough 2-candidates to force leaf splits (fanout 8, leaf size 24).
-	var cands []itemset.Itemset
-	for i := 1; i <= 40; i++ {
-		for j := i + 1; j <= 41; j++ {
-			cands = append(cands, txn(i, j))
+	for _, e := range want {
+		if n, ok := got.Count(e.Set); !ok || n != e.Count {
+			t.Errorf("%v = %d, %v; want %d", e.Set, n, ok, e.Count)
 		}
 	}
-	tree := newHashTree(cands, 2)
-	// One transaction containing items 1..41 contains every candidate.
-	all := make([]int, 0, 41)
-	for i := 1; i <= 41; i++ {
-		all = append(all, i)
-	}
-	counts := tree.count([]itemset.Itemset{txn(all...)})
-	for i, n := range counts {
-		if n != 1 {
-			t.Fatalf("candidate %v counted %d, want 1", cands[i], n)
-		}
-	}
-	// A transaction shorter than k counts nothing.
-	counts = tree.count([]itemset.Itemset{txn(7)})
-	for _, n := range counts {
-		if n != 0 {
-			t.Fatal("short transaction produced counts")
-		}
-	}
-}
-
-func TestHashTreeNoDoubleCounting(t *testing.T) {
-	// Items engineered to collide in the multiplicative hash are hard to
-	// construct by hand; instead brute-force compare against naive counting
-	// over many random candidate/transaction mixes.
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 30; trial++ {
-		txns := randomTxns(rng, 50, 20, 10, 6)
-		// Build candidates from random 2- and 3-subsets of transactions.
-		var cands []itemset.Itemset
-		seen := map[itemset.Key]bool{}
-		for _, tx := range txns {
-			if tx.Len() < 3 {
-				continue
-			}
-			tx.Subsets(2, func(s itemset.Itemset) bool {
-				if !seen[s.Key()] && len(cands) < 120 {
-					seen[s.Key()] = true
-					cands = append(cands, s.Clone())
-				}
-				return true
-			})
-		}
-		if len(cands) == 0 {
-			continue
-		}
-		k := 2
-		tree := newHashTree(cands, k)
-		got := tree.count(txns)
-		want := countNaive(cands, txns)
-		for i := range cands {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: candidate %v hash-tree=%d naive=%d", trial, cands[i], got[i], want[i])
-			}
-		}
+	if got.Total() != 3 {
+		t.Errorf("Total = %d, want 3", got.Total())
 	}
 }
 
@@ -340,22 +277,13 @@ func TestMinCountFor(t *testing.T) {
 	}
 }
 
-func TestStrategyString(t *testing.T) {
-	if CountHashTree.String() != "hash-tree" || CountNaive.String() != "naive" {
-		t.Error("strategy names wrong")
-	}
-	if CountingStrategy(7).String() == "" {
-		t.Error("unknown strategy renders empty")
-	}
-}
-
 // TestPropertyDownwardClosure: every subset of a frequent set is frequent
 // with count at least the superset's.
 func TestPropertyDownwardClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	f := func() bool {
 		txns := randomTxns(rng, 80, 10, 5, 4)
-		cat := Mine(txns, Config{MinCount: 4, MaxAnnotations: -1, Parallelism: 1})
+		cat := mine(txns, Config{MinCount: 4, MaxAnnotations: -1})
 		ok := true
 		cat.Each(func(s itemset.Itemset, n int) bool {
 			if s.Len() < 2 {
@@ -383,7 +311,7 @@ func TestPropertyCountsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	f := func() bool {
 		txns := randomTxns(rng, 60, 10, 5, 4)
-		cat := Mine(txns, Config{MinCount: 3, MaxAnnotations: 1, Parallelism: 2})
+		cat := mine(txns, Config{MinCount: 3, MaxAnnotations: 1})
 		ok := true
 		cat.Each(func(s itemset.Itemset, n int) bool {
 			actual := 0
@@ -412,7 +340,7 @@ func TestPropertyCompleteness(t *testing.T) {
 	f := func() bool {
 		txns := randomTxns(rng, 40, 8, 4, 3)
 		minCount := 3
-		cat := Mine(txns, Config{MinCount: minCount, MaxAnnotations: -1, Parallelism: 1})
+		cat := mine(txns, Config{MinCount: minCount, MaxAnnotations: -1})
 		// Universe of items.
 		universe := map[itemset.Item]bool{}
 		for _, tx := range txns {

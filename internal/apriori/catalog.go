@@ -1,8 +1,16 @@
 // Package apriori implements the level-wise frequent-itemset miner of
-// Agrawal & Srikant (the paper's Figure 3), with the hash-tree candidate
-// counting structure the original algorithm calls for and the annotation
-// constraint the paper adds: "the early elimination of any candidate
-// patterns that didn't include at least one annotation" (§3.1).
+// Agrawal & Srikant (the paper's Figure 3) with the annotation constraint the
+// paper adds: "the early elimination of any candidate patterns that didn't
+// include at least one annotation" (§3.1).
+//
+// Candidates are counted from an inverted index, not by scanning
+// transactions: the miner reads a Source — in practice a relation.View —
+// whose item walk seeds level 1 and whose CountPattern ANDs the candidate's
+// per-item tuple bitmaps and popcounts the result. This is the vertical
+// layout of Zaki ("Scalable Algorithms for Association Mining", TKDE 2000),
+// and it is the same count the paper's §4.3 maintenance takes from its
+// annotation index. A caller holding a transaction slice builds a throwaway
+// relation from it (relation.FromTransactions) and mines its view.
 //
 // The constraint deserves a note, because a literal reading would break the
 // algorithm. Apriori's candidate join builds a k-itemset from two (k-1)-

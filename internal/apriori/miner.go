@@ -1,36 +1,10 @@
 package apriori
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"annotadb/internal/itemset"
 )
-
-// CountingStrategy selects how candidate occurrences are counted each level.
-type CountingStrategy uint8
-
-const (
-	// CountHashTree uses the classic Apriori hash tree (the default).
-	CountHashTree CountingStrategy = iota
-	// CountNaive tests every candidate against every transaction. Kept for
-	// the E10 ablation and as a trivially correct cross-check in tests.
-	CountNaive
-)
-
-// String names the strategy.
-func (s CountingStrategy) String() string {
-	switch s {
-	case CountHashTree:
-		return "hash-tree"
-	case CountNaive:
-		return "naive"
-	default:
-		return fmt.Sprintf("CountingStrategy(%d)", uint8(s))
-	}
-}
 
 // Config parameterizes a mining run.
 type Config struct {
@@ -45,18 +19,6 @@ type Config struct {
 	MaxAnnotations int
 	// MaxLen bounds itemset size; 0 means unbounded.
 	MaxLen int
-	// Strategy selects the counting structure.
-	Strategy CountingStrategy
-	// Parallelism is the number of counting goroutines; 0 means GOMAXPROCS,
-	// 1 forces sequential counting.
-	Parallelism int
-}
-
-func (c Config) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // annotationsAllowed reports whether a set with na annotations is inside the
@@ -65,35 +27,56 @@ func (c Config) annotationsAllowed(na int) bool {
 	return c.MaxAnnotations < 0 || na <= c.MaxAnnotations
 }
 
-// Mine runs the level-wise algorithm over the transactions and returns the
-// catalog of frequent itemsets satisfying the annotation constraint.
+// Source is what the level-wise loop reads: the number of transactions,
+// every item with the number of transactions carrying it, and the count of
+// any candidate. *relation.View satisfies it from its inverted index, so a
+// candidate is counted by ANDing and popcounting its items' bitmaps.
+type Source interface {
+	Len() int
+	EachItem(fn func(it itemset.Item, n int))
+	CountPattern(pattern itemset.Itemset) int
+}
+
+// Restrict narrows src's item walk to the items keep admits. Every candidate
+// is built from walked items, so the catalog Mine returns over the result
+// holds only admitted items; counts still come from src.
+func Restrict(src Source, keep func(itemset.Item) bool) Source {
+	return restricted{src, keep}
+}
+
+type restricted struct {
+	Source
+	keep func(itemset.Item) bool
+}
+
+func (r restricted) EachItem(fn func(it itemset.Item, n int)) {
+	r.Source.EachItem(func(it itemset.Item, n int) {
+		if r.keep(it) {
+			fn(it, n)
+		}
+	})
+}
+
+// Mine runs the level-wise algorithm over src and returns the catalog of
+// frequent itemsets satisfying the annotation constraint.
 //
 // MinCount below 1 is clamped to 1: an itemset that occurs zero times is
 // never frequent, and a zero threshold would enumerate the power set.
-func Mine(txns []itemset.Itemset, cfg Config) *Catalog {
+func Mine(src Source, cfg Config) *Catalog {
 	if cfg.MinCount < 1 {
 		cfg.MinCount = 1
 	}
-	catalog := NewCatalog(len(txns))
+	catalog := NewCatalog(src.Len())
 
-	// L1: count single items.
-	singles := make(map[itemset.Item]int)
-	for _, t := range txns {
-		for _, it := range t {
-			if !cfg.annotationsAllowed(boolToInt(it.IsAnnotation())) {
-				continue
-			}
-			singles[it]++
-		}
-	}
+	// L1: the single items, with their counts from the frequency table.
 	var frontier []itemset.Itemset
-	for it, n := range singles {
-		if n >= cfg.MinCount {
+	src.EachItem(func(it itemset.Item, n int) {
+		if n >= cfg.MinCount && cfg.annotationsAllowed(boolToInt(it.IsAnnotation())) {
 			set := itemset.New(it)
 			catalog.Add(set, n)
 			frontier = append(frontier, set)
 		}
-	}
+	})
 	sortSets(frontier)
 
 	for k := 2; len(frontier) > 1 && (cfg.MaxLen == 0 || k <= cfg.MaxLen); k++ {
@@ -101,11 +84,10 @@ func Mine(txns []itemset.Itemset, cfg Config) *Catalog {
 		if len(cands) == 0 {
 			break
 		}
-		counts := countCandidates(cands, txns, k, cfg)
 		frontier = frontier[:0]
-		for i, cand := range cands {
-			if counts[i] >= cfg.MinCount {
-				catalog.Add(cand, counts[i])
+		for _, cand := range cands {
+			if n := src.CountPattern(cand); n >= cfg.MinCount {
+				catalog.Add(cand, n)
 				frontier = append(frontier, cand)
 			}
 		}
@@ -161,59 +143,6 @@ func prunable(cand itemset.Itemset, catalog *Catalog) bool {
 		}
 	}
 	return false
-}
-
-func countCandidates(cands []itemset.Itemset, txns []itemset.Itemset, k int, cfg Config) []int {
-	switch cfg.Strategy {
-	case CountNaive:
-		return countNaive(cands, txns)
-	default:
-		return countHashTree(cands, txns, k, cfg.workers())
-	}
-}
-
-func countNaive(cands []itemset.Itemset, txns []itemset.Itemset) []int {
-	counts := make([]int, len(cands))
-	for _, t := range txns {
-		for i, cand := range cands {
-			if t.ContainsAll(cand) {
-				counts[i]++
-			}
-		}
-	}
-	return counts
-}
-
-func countHashTree(cands []itemset.Itemset, txns []itemset.Itemset, k, workers int) []int {
-	tree := newHashTree(cands, k)
-	if workers <= 1 || len(txns) < 4*workers {
-		return tree.count(txns)
-	}
-	// Shard transactions; each worker counts into a private slice.
-	shard := (len(txns) + workers - 1) / workers
-	partials := make([][]int, 0, workers)
-	var wg sync.WaitGroup
-	for start := 0; start < len(txns); start += shard {
-		end := start + shard
-		if end > len(txns) {
-			end = len(txns)
-		}
-		p := make([]int, len(cands))
-		partials = append(partials, p)
-		wg.Add(1)
-		go func(part []itemset.Itemset, counts []int) {
-			defer wg.Done()
-			tree.countInto(part, counts)
-		}(txns[start:end], p)
-	}
-	wg.Wait()
-	counts := make([]int, len(cands))
-	for _, p := range partials {
-		for i, n := range p {
-			counts[i] += n
-		}
-	}
-	return counts
 }
 
 // MinCountFor converts a fractional minimum support over n transactions to

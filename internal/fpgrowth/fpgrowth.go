@@ -2,7 +2,7 @@
 // (Han, Pei & Yin). The paper notes that its correlations "can be discovered
 // with any of the state-of-art techniques"; annotadb ships FP-Growth next to
 // Apriori both as that interchangeable second technique and as the
-// comparator for the E10 ablation benchmark.
+// comparator in the E10 benchmark. It mines transactions, not bitmaps.
 //
 // The miner produces the same apriori.Catalog hand-off format, so the rule
 // generator and the incremental engine are indifferent to which algorithm

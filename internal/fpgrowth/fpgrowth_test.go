@@ -7,6 +7,7 @@ import (
 
 	"annotadb/internal/apriori"
 	"annotadb/internal/itemset"
+	"annotadb/internal/relation"
 )
 
 func d(id int) itemset.Item { return itemset.DataItem(id) }
@@ -186,7 +187,7 @@ func TestPropertyAgreesWithApriori(t *testing.T) {
 		txns := randomTxns(rng, 50+rng.Intn(50), 10, 5, 5)
 		minCount := 2 + rng.Intn(5)
 		fp := Mine(txns, Config{MinCount: minCount})
-		ap := apriori.Mine(txns, apriori.Config{MinCount: minCount, MaxAnnotations: -1, Parallelism: 1})
+		ap := apriori.Mine(relation.FromTransactions(txns).View(), apriori.Config{MinCount: minCount, MaxAnnotations: -1})
 		if !fp.Equal(ap) {
 			t.Logf("fp=%d sets, apriori=%d sets at minCount=%d", fp.Len(), ap.Len(), minCount)
 			return false

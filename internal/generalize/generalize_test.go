@@ -348,7 +348,7 @@ func TestGeneralizationRevealsRules(t *testing.T) {
 	annots[3] = []string{"Annot_b"}
 	rel := relation.FromTokens(data, annots)
 
-	cfg := mining.Config{MinSupport: 0.4, MinConfidence: 0.1, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.4, MinConfidence: 0.1}
 	before, err := mining.Mine(rel, cfg)
 	if err != nil {
 		t.Fatal(err)

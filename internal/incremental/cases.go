@@ -192,21 +192,18 @@ func (e *Engine) discoverFromDelta(deltaTxns []itemset.Itemset, oldSlack int, re
 		MinCount:       tDelta,
 		MaxAnnotations: 1,
 		MaxLen:         e.cfg.MaxLen,
-		Parallelism:    1,
 	}
 	if !withAnnotations {
 		acfg.MaxAnnotations = 0
 	}
-	mixedDelta := apriori.Mine(deltaTxns, acfg)
+	// The batch's own bitmaps: a throwaway relation over the projected delta.
+	delta := relation.FromTransactions(deltaTxns).View()
+	mixedDelta := apriori.Mine(delta, acfg)
 
 	var annotDelta *apriori.Catalog
 	if withAnnotations {
-		annotTxns := make([]itemset.Itemset, len(deltaTxns))
-		for i, t := range deltaTxns {
-			annotTxns[i] = t.AnnotationPart()
-		}
 		acfg.MaxAnnotations = -1
-		annotDelta = apriori.Mine(annotTxns, acfg)
+		annotDelta = apriori.Mine(apriori.Restrict(delta, itemset.Item.IsAnnotation), acfg)
 	}
 
 	// Gather patterns whose database-wide counts are unknown.

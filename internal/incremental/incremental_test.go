@@ -12,7 +12,7 @@ import (
 )
 
 func defaultCfg() mining.Config {
-	return mining.Config{MinSupport: 0.4, MinConfidence: 0.8, Parallelism: 1}
+	return mining.Config{MinSupport: 0.4, MinConfidence: 0.8}
 }
 
 // fixture: 10 tuples, {28,85}⇒Annot_1 strong, Annot_5⇒Annot_1 moderate.
@@ -326,7 +326,7 @@ func TestCase3ConfidenceCanDrop(t *testing.T) {
 	// possible it will decrease." Annot_5 ⇒ Annot_1 has conf 3/4; adding
 	// Annot_5 to a tuple without Annot_1 drops it to 3/5.
 	rel := fixture()
-	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.75, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.75}
 	e := mustEngine(t, rel, cfg)
 	dict := rel.Dictionary()
 	a1, _ := dict.Lookup("Annot_1")
@@ -391,7 +391,7 @@ func TestCase3DiscoverAnnotationRule(t *testing.T) {
 	// Annot_5 and the new Annot_8 co-occur heavily after the batch:
 	// Annot_8 ⇒ Annot_5 (and reverse) become discoverable.
 	rel := fixture()
-	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 	e := mustEngine(t, rel, cfg)
 	dict := rel.Dictionary()
 	a8 := relation.MustAnnotation(dict, "Annot_8")
@@ -472,7 +472,7 @@ func TestCandidatePromotionAcrossCases(t *testing.T) {
 	// Annotating tuples 3 and 4 (Annot_1 holders) with Annot_5 lifts it to
 	// 5/5 — the candidate store must promote it without a re-mine.
 	rel := fixture()
-	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 	e := mustEngine(t, rel, cfg)
 	dict := rel.Dictionary()
 	a1, _ := dict.Lookup("Annot_1")
@@ -499,7 +499,7 @@ func TestCandidatePromotionAcrossCases(t *testing.T) {
 
 func TestInterleavedCasesStayExact(t *testing.T) {
 	rel := fixture()
-	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 	e := mustEngine(t, rel, cfg)
 	dict := rel.Dictionary()
 
@@ -533,7 +533,7 @@ func TestInterleavedCasesStayExact(t *testing.T) {
 
 func TestDisableCandidateStore(t *testing.T) {
 	rel := fixture()
-	e, err := New(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1},
+	e, err := New(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7},
 		Options{DisableCandidateStore: true})
 	if err != nil {
 		t.Fatal(err)
@@ -606,7 +606,6 @@ func randomCfg(rng *rand.Rand) mining.Config {
 	return mining.Config{
 		MinSupport:    0.15 + rng.Float64()*0.3,
 		MinConfidence: 0.5 + rng.Float64()*0.4,
-		Parallelism:   1,
 	}
 }
 

@@ -73,7 +73,7 @@ func TestRemoveAnnotationsCanRaiseConfidence(t *testing.T) {
 	// Removing Annot_1 from a tuple WITHOUT Annot_5 (tuple 3) shrinks the
 	// LHS count: 3/4 = 0.75 ≥ 0.7 — the candidate must be promoted.
 	rel := fixture()
-	cfg := mining.Config{MinSupport: 0.25, MinConfidence: 0.7, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.25, MinConfidence: 0.7}
 	e := mustEngine(t, rel, cfg)
 	dict := rel.Dictionary()
 	a1, _ := dict.Lookup("Annot_1")
@@ -132,7 +132,7 @@ func TestRemoveAnnotationsBadIndex(t *testing.T) {
 
 func TestAddThenRemoveIsIdentity(t *testing.T) {
 	rel := fixture()
-	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 	e := mustEngine(t, rel, cfg)
 	before := e.Rules()
 

@@ -496,9 +496,9 @@ func (s Itemset) PrefixJoin(o Itemset) (Itemset, bool) {
 // order. fn must not retain the slice it is handed; it is reused between
 // invocations. If fn returns false, enumeration stops early.
 //
-// The enumeration is the classic lexicographic combination walk and is used
-// both by naive candidate counting (ablation E10) and by the incremental
-// engine when it enumerates annotation patterns inside a single tuple.
+// The enumeration is the classic lexicographic combination walk; the
+// incremental engine uses it to enumerate annotation patterns inside a
+// single tuple.
 func (s Itemset) Subsets(k int, fn func(Itemset) bool) {
 	n := len(s)
 	if k < 0 || k > n {

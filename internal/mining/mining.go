@@ -1,6 +1,6 @@
-// Package mining is the annotation-targeted mining driver: it projects an
-// annotated relation into transactions, runs a frequent-itemset miner
-// (Apriori or FP-Growth), and extracts the two rule families of the paper —
+// Package mining is the annotation-targeted mining driver: it runs a
+// frequent-itemset miner (Apriori or FP-Growth) over one captured generation
+// of an annotated relation and extracts the two rule families of the paper —
 // data-to-annotation (Def. 4.2) and annotation-to-annotation (Def. 4.3) —
 // together with the side products the incremental engine needs:
 //
@@ -10,6 +10,11 @@
 //     minimum support and confidence requirements", §4.3 Results), mined at
 //     a slack-reduced threshold so that later updates can promote them
 //     without touching the full database.
+//
+// Apriori reads the relation's inverted index directly: level 1 comes from
+// the view's item walk and every candidate is counted by ANDing its items'
+// bitmaps, so no tuple is read. FP-Growth needs transactions and projects
+// them from the same view.
 package mining
 
 import (
@@ -71,10 +76,6 @@ type Config struct {
 	Algorithm Algorithm
 	// MaxLen bounds pattern size (0 = unbounded).
 	MaxLen int
-	// Parallelism is passed to the Apriori counting phase.
-	Parallelism int
-	// Strategy is passed to Apriori (hash-tree vs naive, for ablations).
-	Strategy apriori.CountingStrategy
 }
 
 func (c Config) mineData() bool  { return c.MineDataRules || !c.MineAnnotRules }
@@ -123,11 +124,11 @@ type Result struct {
 	SlackCount int
 }
 
-// Transactions projects the relation into mining transactions.
-// When excludeDerived is set, generalization labels are dropped.
-func Transactions(rel *relation.Relation, excludeDerived bool) []itemset.Itemset {
-	txns := make([]itemset.Itemset, 0, rel.Len())
-	rel.Each(func(i int, t relation.Tuple) bool {
+// transactions projects one generation into the transactions FP-Growth
+// mines. When excludeDerived is set, generalization labels are dropped.
+func transactions(src relation.Source, excludeDerived bool) []itemset.Itemset {
+	txns := make([]itemset.Itemset, 0, src.Len())
+	src.Each(func(i int, t relation.Tuple) bool {
 		items := t.Items()
 		if excludeDerived {
 			items = items.Filter(func(it itemset.Item) bool { return !it.IsDerived() })
@@ -138,23 +139,20 @@ func Transactions(rel *relation.Relation, excludeDerived bool) []itemset.Itemset
 	return txns
 }
 
-// Mine runs a full mining pass over the relation.
+// Mine runs a full mining pass over the relation. It captures one View, so
+// both miners read a single generation with no relation lock held for the
+// pass; capturing seals the relation, and its next write copies what it
+// touches.
 func Mine(rel *relation.Relation, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	txns := Transactions(rel, cfg.ExcludeDerived)
-	return MineTransactions(txns, cfg)
+	return mine(rel.View(), cfg), nil
 }
 
-// MineTransactions runs a full mining pass over pre-projected transactions.
-// It is the entry point the benchmarks and the incremental engine's re-mine
-// fallback share with Mine.
-func MineTransactions(txns []itemset.Itemset, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(txns)
+// mine is Mine over a captured generation and a validated configuration.
+func mine(v *relation.View, cfg Config) *Result {
+	n := v.Len()
 	res := &Result{
 		Rules:      rules.NewSet(),
 		Candidates: rules.NewSet(),
@@ -168,43 +166,42 @@ func MineTransactions(txns []itemset.Itemset, cfg Config) (*Result, error) {
 	if n == 0 {
 		res.DataPatterns = apriori.NewCatalog(0)
 		res.AnnotPatterns = apriori.NewCatalog(0)
-		return res, nil
+		return res
 	}
 
 	switch cfg.Algorithm {
 	case AlgorithmFPGrowth:
-		mineFPGrowth(txns, cfg, res)
+		mineFPGrowth(transactions(v, cfg.ExcludeDerived), cfg, res)
 	default:
-		mineApriori(txns, cfg, res)
+		mineApriori(v, cfg, res)
 	}
-	return res, nil
+	return res
 }
 
-// mineApriori mines both families with the constraint-aware Apriori:
-// one pass with an annotation budget of 1 over the full transactions (data
-// patterns + Def. 4.2 rule patterns), one unconstrained pass over the
-// annotation projection (Def. 4.3 patterns).
-func mineApriori(txns []itemset.Itemset, cfg Config, res *Result) {
-	acfg := apriori.Config{
-		MinCount:    res.SlackCount,
-		MaxLen:      cfg.MaxLen,
-		Strategy:    cfg.Strategy,
-		Parallelism: cfg.Parallelism,
-	}
+// mineApriori mines both families with the constraint-aware Apriori over
+// the view's bitmaps: one pass over every item with an annotation budget of
+// 1 (data patterns + Def. 4.2 rule patterns), one unconstrained pass over
+// the annotation items alone (Def. 4.3 patterns). Derived labels are left
+// out of level 1 under ExcludeDerived, and so out of every candidate.
+func mineApriori(v *relation.View, cfg Config, res *Result) {
+	visible := func(it itemset.Item) bool { return !cfg.ExcludeDerived || !it.IsDerived() }
+	acfg := apriori.Config{MinCount: res.SlackCount, MaxLen: cfg.MaxLen}
 
+	all := apriori.Restrict(v, visible)
 	if cfg.mineData() {
 		acfg.MaxAnnotations = 1
-		mixed := apriori.Mine(txns, acfg)
+		mixed := apriori.Mine(all, acfg)
 		res.DataPatterns = extractDataCatalog(mixed, res.N)
 		extractDataRules(mixed, res, cfg)
 	} else {
 		acfg.MaxAnnotations = 0
-		res.DataPatterns = apriori.Mine(txns, acfg)
+		res.DataPatterns = apriori.Mine(all, acfg)
 	}
 
-	annotTxns := annotationProjection(txns)
 	acfg.MaxAnnotations = -1
-	res.AnnotPatterns = apriori.Mine(annotTxns, acfg)
+	res.AnnotPatterns = apriori.Mine(apriori.Restrict(v, func(it itemset.Item) bool {
+		return it.IsAnnotation() && visible(it)
+	}), acfg)
 	if cfg.mineAnnot() {
 		extractAnnotRules(res.AnnotPatterns, res, cfg)
 	}

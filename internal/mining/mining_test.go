@@ -53,7 +53,7 @@ func lookup(t *testing.T, rel *relation.Relation, tok string) itemset.Item {
 
 func TestMineDataToAnnotationRules(t *testing.T) {
 	rel := fixture()
-	res, err := Mine(rel, Config{MinSupport: 0.4, MinConfidence: 0.8, Parallelism: 1})
+	res, err := Mine(rel, Config{MinSupport: 0.4, MinConfidence: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMineDataToAnnotationRules(t *testing.T) {
 
 func TestMineAnnotationToAnnotationRules(t *testing.T) {
 	rel := fixture()
-	res, err := Mine(rel, Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1})
+	res, err := Mine(rel, Config{MinSupport: 0.3, MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMineAnnotationToAnnotationRules(t *testing.T) {
 }
 
 func TestRulesAndCandidatesDisjoint(t *testing.T) {
-	res, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1})
+	res, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRulesAndCandidatesDisjoint(t *testing.T) {
 }
 
 func TestMineNoMixedRules(t *testing.T) {
-	res, err := Mine(fixture(), Config{MinSupport: 0.2, MinConfidence: 0.5, Parallelism: 1})
+	res, err := Mine(fixture(), Config{MinSupport: 0.2, MinConfidence: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestMineNoMixedRules(t *testing.T) {
 }
 
 func TestMineKindSelection(t *testing.T) {
-	onlyData, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.5, MineDataRules: true, Parallelism: 1})
+	onlyData, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.5, MineDataRules: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestMineKindSelection(t *testing.T) {
 		}
 		return true
 	})
-	onlyAnnot, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.5, MineAnnotRules: true, Parallelism: 1})
+	onlyAnnot, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.5, MineAnnotRules: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMineKindSelection(t *testing.T) {
 		t.Error("no annotation rules mined")
 	}
 	// Both flags set mines both.
-	both, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.5, MineDataRules: true, MineAnnotRules: true, Parallelism: 1})
+	both, err := Mine(fixture(), Config{MinSupport: 0.3, MinConfidence: 0.5, MineDataRules: true, MineAnnotRules: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestMineKindSelection(t *testing.T) {
 
 func TestMineCatalogs(t *testing.T) {
 	rel := fixture()
-	res, err := Mine(rel, Config{MinSupport: 0.4, MinConfidence: 0.8, Parallelism: 1})
+	res, err := Mine(rel, Config{MinSupport: 0.4, MinConfidence: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestMineExcludeDerived(t *testing.T) {
 		}
 	}
 	// Included (default): {7} ⇒ Annot_X is minable.
-	res, err := Mine(rel, Config{MinSupport: 0.5, MinConfidence: 0.9, Parallelism: 1})
+	res, err := Mine(rel, Config{MinSupport: 0.5, MinConfidence: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestMineExcludeDerived(t *testing.T) {
 		t.Error("derived-RHS rule missing when derived included")
 	}
 	// Excluded: no rule may mention the derived label.
-	res, err = Mine(rel, Config{MinSupport: 0.5, MinConfidence: 0.9, ExcludeDerived: true, Parallelism: 1})
+	res, err = Mine(rel, Config{MinSupport: 0.5, MinConfidence: 0.9, ExcludeDerived: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMineExcludeDerived(t *testing.T) {
 }
 
 func TestMaxLenBoundsPatterns(t *testing.T) {
-	res, err := Mine(fixture(), Config{MinSupport: 0.2, MinConfidence: 0.5, MaxLen: 2, Parallelism: 1})
+	res, err := Mine(fixture(), Config{MinSupport: 0.2, MinConfidence: 0.5, MaxLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestPropertyAprioriAndFPGrowthDriversAgree(t *testing.T) {
 		rel := randomRelation(rng)
 		sup := 0.15 + rng.Float64()*0.35
 		conf := 0.5 + rng.Float64()*0.4
-		ap, err := Mine(rel, Config{MinSupport: sup, MinConfidence: conf, Algorithm: AlgorithmApriori, Parallelism: 1})
+		ap, err := Mine(rel, Config{MinSupport: sup, MinConfidence: conf, Algorithm: AlgorithmApriori})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestPropertyRuleCountsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	f := func() bool {
 		rel := randomRelation(rng)
-		res, err := Mine(rel, Config{MinSupport: 0.2, MinConfidence: 0.6, Parallelism: 1})
+		res, err := Mine(rel, Config{MinSupport: 0.2, MinConfidence: 0.6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func TestPropertyCompletenessSmall(t *testing.T) {
 	f := func() bool {
 		rel := randomRelation(rng)
 		sup, conf := 0.25, 0.7
-		res, err := Mine(rel, Config{MinSupport: sup, MinConfidence: conf, Parallelism: 1})
+		res, err := Mine(rel, Config{MinSupport: sup, MinConfidence: conf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +455,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestTransactionsProjection(t *testing.T) {
 	rel := fixture()
-	txns := Transactions(rel, false)
+	txns := transactions(rel, false)
 	if len(txns) != rel.Len() {
 		t.Fatalf("projected %d txns, want %d", len(txns), rel.Len())
 	}

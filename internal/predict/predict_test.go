@@ -38,7 +38,7 @@ func fixture() *relation.Relation {
 
 func minedRules(t *testing.T, rel *relation.Relation) *rules.Set {
 	t.Helper()
-	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8, Parallelism: 1})
+	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestExcludeDerived(t *testing.T) {
 func TestRecommendationsAgainstLiveEngine(t *testing.T) {
 	// The recommender must see rule updates flowing through the engine.
 	rel := fixture()
-	eng, err := incremental.New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8, Parallelism: 1}, incremental.Options{})
+	eng, err := incremental.New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8}, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestWithholdAndRecoverEndToEnd(t *testing.T) {
 	}
 	// Withholding 2 of 7 drops {28,85}⇒Annot_1 confidence to 5/7 ≈ 0.714,
 	// so mine at a threshold the degraded rule still clears.
-	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.7, Parallelism: 1})
+	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}

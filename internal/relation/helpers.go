@@ -41,6 +41,20 @@ func MustData(dict *Dictionary, token string) itemset.Item {
 	return it
 }
 
+// FromTransactions builds a relation holding one tuple per transaction, so a
+// caller holding a transaction slice can count patterns over it from the
+// bitmaps. The items are used as they are: none is interned in the relation's
+// fresh dictionary.
+func FromTransactions(txns []itemset.Itemset) *Relation {
+	r := New()
+	tuples := make([]Tuple, len(txns))
+	for i, t := range txns {
+		tuples[i] = NewTuple(t...)
+	}
+	r.Append(tuples...)
+	return r
+}
+
 // FromTokens builds a relation from token matrices: row i carries data
 // values data[i] and annotations annots[i] (annots may be shorter than data;
 // missing rows mean "no annotations"). It is the quickest way to set up

@@ -98,8 +98,8 @@ func (st *store) eachEntry(spines []int, fn func(a itemset.Item, p Postings)) {
 }
 
 // The spines eachEntry walks: the annotation-only reads (the frequency table,
-// Annotations, AttachmentTotals) see the first two, the consistency check all
-// three.
+// Annotations, AttachmentTotals) see the first two, the consistency check and
+// EachItem all three.
 var (
 	annotSpines = []int{rawSlot, derivedSlot}
 	allSpines   = []int{rawSlot, derivedSlot, dataSlot}
@@ -305,6 +305,15 @@ func (v *View) AttachmentTotals() (attachments, distinct int) { return v.st.atta
 
 // Annotations returns every annotation present on at least one tuple, sorted.
 func (v *View) Annotations() itemset.Itemset { return v.st.annotations() }
+
+// EachItem calls fn with every item that has postings in this generation —
+// raw annotations, derived labels and data values — and the number of tuples
+// carrying it (possibly zero), in spine order. It reads the index, not the
+// Dictionary, so an item set on a tuple without being interned is visited
+// too.
+func (v *View) EachItem(fn func(a itemset.Item, n int)) {
+	v.st.eachEntry(allSpines, func(a itemset.Item, p Postings) { fn(a, p.count) })
+}
 
 // CountPattern counts the tuples of this generation containing pattern.
 func (v *View) CountPattern(pattern itemset.Itemset) int { return v.st.countPattern(pattern) }

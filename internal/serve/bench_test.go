@@ -27,7 +27,7 @@ import (
 func benchWorld(b *testing.B) (*Server, *incremental.Engine, *relation.Relation) {
 	b.Helper()
 	rel, _ := buildWorld(11, 400)
-	eng, err := incremental.New(rel, mining.Config{MinSupport: 0.15, MinConfidence: 0.5, Parallelism: 1}, incremental.Options{})
+	eng, err := incremental.New(rel, mining.Config{MinSupport: 0.15, MinConfidence: 0.5}, incremental.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func benchDurableServer(b *testing.B, flushWindow time.Duration) (*Server, *rela
 		Dir:         b.TempDir(),
 		Sync:        wal.SyncAlways,
 		FlushWindow: flushWindow,
-	}, mining.Config{MinSupport: 0.15, MinConfidence: 0.5, Parallelism: 1}, incremental.Options{}, func() (*relation.Relation, error) {
+	}, mining.Config{MinSupport: 0.15, MinConfidence: 0.5}, incremental.Options{}, func() (*relation.Relation, error) {
 		return rel, nil
 	})
 	if err != nil {

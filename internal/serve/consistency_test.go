@@ -40,7 +40,7 @@ func TestGenerationConsistencyUnderHammer(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		rel.Append(relation.MustTuple(dict, []string{"d"}, []string{"Annot_X"}))
 	}
-	mcfg := mining.Config{MinSupport: 0.95, MinConfidence: 0.95, Parallelism: 1}
+	mcfg := mining.Config{MinSupport: 0.95, MinConfidence: 0.95}
 	s, eng := mustServer(t, rel, mcfg, Config{BatchWindow: -1})
 	if s.Snapshot().Rules.Len() == 0 {
 		t.Fatal("fixture mined no rules; the consistency property would be vacuous")

@@ -23,7 +23,7 @@ func Example() {
 			{"Annot_1"}, {"Annot_1"}, {"Annot_1"}, nil, nil,
 		},
 	)
-	eng, err := incremental.New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.7, Parallelism: 1}, incremental.Options{})
+	eng, err := incremental.New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.7}, incremental.Options{})
 	if err != nil {
 		panic(err)
 	}

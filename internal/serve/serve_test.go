@@ -18,7 +18,7 @@ import (
 )
 
 func testCfg() mining.Config {
-	return mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1}
+	return mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 }
 
 // fixture: the incremental package's 10-tuple world — {28,85}⇒Annot_1
@@ -412,7 +412,7 @@ func randomTuple(rng *rand.Rand, annots []itemset.Item) relation.Tuple {
 // sequence numbers never go backwards. After quiescence the final snapshot
 // must equal a from-scratch re-mine.
 func TestStressReadersSeeConsistentSnapshots(t *testing.T) {
-	mcfg := mining.Config{MinSupport: 0.2, MinConfidence: 0.6, Parallelism: 1}
+	mcfg := mining.Config{MinSupport: 0.2, MinConfidence: 0.6}
 	rel, annots := buildWorld(7, 150)
 	baseLen := rel.Len()
 	s, eng := mustServer(t, rel, mcfg, Config{BatchWindow: 200 * time.Microsecond})

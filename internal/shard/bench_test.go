@@ -75,7 +75,7 @@ func benchBase(tb testing.TB, tuples int) *relation.Relation {
 
 func benchRouter(b *testing.B, shards int) *Router {
 	b.Helper()
-	cfg := mining.Config{MinSupport: 0.03, MinConfidence: 0.5, Parallelism: 1}
+	cfg := mining.Config{MinSupport: 0.03, MinConfidence: 0.5}
 	r, err := NewRouter(benchBase(b, benchTuples), func(rel *relation.Relation) (*incremental.Engine, error) {
 		return incremental.New(rel, cfg, incremental.Options{})
 	}, Config{Shards: shards, Serve: serve.Config{BatchWindow: -1}})

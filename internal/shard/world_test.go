@@ -21,7 +21,7 @@ import (
 // every shard count.
 
 func testCfg() mining.Config {
-	return mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1}
+	return mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 }
 
 // worldTokens is the annotation vocabulary: three families, each with

@@ -44,7 +44,7 @@ func checkpointFixture(t *testing.T) *Checkpoint {
 			nil,
 		},
 	)
-	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1})
+	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,7 @@ func fixtureRelation() *relation.Relation {
 }
 
 func testCfg() mining.Config {
-	return mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1}
+	return mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 }
 
 func openFixtureStore(t *testing.T, opts Options) *Store {

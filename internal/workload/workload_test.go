@@ -122,7 +122,7 @@ func TestPlantedRulesAreMinable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7, Parallelism: 1})
+	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
