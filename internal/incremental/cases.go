@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"annotadb/internal/apriori"
@@ -11,7 +12,7 @@ import (
 )
 
 // AddAnnotatedTuples implements Case 1: appending tuples that may carry
-// annotations. Existing rules are updated by scanning only the new tuples;
+// annotations. Existing rules are updated by counting only the new tuples;
 // the candidate store is re-evaluated ("reviewing candidate association
 // rules which previously did not meet the minimum support and confidence
 // requirements"); and genuinely new rules are discovered by delta mining —
@@ -24,28 +25,7 @@ func (e *Engine) AddAnnotatedTuples(tuples []relation.Tuple) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Case: CaseAnnotatedTuples, Applied: len(tuples)}
 	e.stats.Case1++
-	if len(tuples) == 0 {
-		rep.Duration = time.Since(start)
-		return rep, nil
-	}
-	oldSlack := e.slackCount
-	e.rel.Append(tuples...)
-	e.refreshThresholds()
-	e.refreshRelevance()
-
-	deltaTxns := make([]itemset.Itemset, len(tuples))
-	for i, tu := range tuples {
-		deltaTxns[i] = e.projectTuple(tu)
-	}
-
-	promoted := e.updateCatalogsWithDelta(deltaTxns)
-	e.updateTrackedRulesWithDelta(deltaTxns)
-	e.syncAnnotationSingletons()
-	e.discoverAnnotRulesFromFreshPatterns(promoted, rep)
-	e.discoverFromDelta(deltaTxns, oldSlack, rep, true)
-	e.reclassify(rep)
-	e.pruneCatalogs()
-
+	e.addTuples(tuples, rep, true)
 	rep.Duration = time.Since(start)
 	return rep, nil
 }
@@ -62,91 +42,79 @@ func (e *Engine) AddUnannotatedTuples(tuples []relation.Tuple) (*Report, error) 
 	start := time.Now()
 	rep := &Report{Case: CaseUnannotatedTuples, Applied: len(tuples)}
 	e.stats.Case2++
-	if len(tuples) == 0 {
-		rep.Duration = time.Since(start)
-		return rep, nil
-	}
 	for i, tu := range tuples {
 		if tu.Annotated() {
 			return nil, fmt.Errorf("incremental: tuple %d of un-annotated batch carries %d annotations; use AddAnnotatedTuples", i, tu.Annots.Len())
 		}
+	}
+	e.addTuples(tuples, rep, false)
+	rep.Duration = time.Since(start)
+	return rep, nil
+}
+
+// addTuples appends a Case 1 or Case 2 batch and maintains the rules from
+// the batch's own bitmaps: the appended tuples at positions 0..k−1 of e.after.
+// They did not exist before the batch, so the before side is empty and every
+// count over the batch is a gain. Without annotations (Case 2) delta mining
+// looks for data-pattern newcomers only; no rule can be born.
+func (e *Engine) addTuples(tuples []relation.Tuple, rep *Report, withAnnotations bool) {
+	if len(tuples) == 0 {
+		return
 	}
 	oldSlack := e.slackCount
 	e.rel.Append(tuples...)
 	e.refreshThresholds()
 	e.refreshRelevance()
 
-	deltaTxns := make([]itemset.Itemset, len(tuples))
+	e.after.Reset(len(tuples))
 	for i, tu := range tuples {
-		deltaTxns[i] = e.projectTuple(tu)
+		e.after.Add(i, tu.Data)
+		e.after.Add(i, tu.Annots)
 	}
-
-	promoted := e.updateCatalogsWithDelta(deltaTxns)
-	e.updateTrackedRulesWithDelta(deltaTxns)
+	promoted := e.updateCatalogsWithDelta()
+	e.updateTrackedRulesWithDelta()
 	e.syncAnnotationSingletons()
 	e.discoverAnnotRulesFromFreshPatterns(promoted, rep)
-	// Data-pattern newcomers only; no rules can be born without annotations.
-	e.discoverFromDelta(deltaTxns, oldSlack, rep, false)
+	e.discoverFromDelta(oldSlack, rep, withAnnotations)
 	e.reclassify(rep)
 	e.pruneCatalogs()
-
-	rep.Duration = time.Since(start)
-	return rep, nil
 }
 
 // updateCatalogsWithDelta adds each cataloged and cold-cached pattern's
-// occurrences within the new tuples to its stored count. Only the delta is
-// scanned, never the historical database. Cold patterns whose maintained
+// count over the appended tuples to its stored count. Only the delta is
+// counted, never the historical database. Cold patterns whose maintained
 // counts reach the (possibly raised) slack threshold are promoted into the
 // catalogs; promoted annotation patterns are returned so their rules can be
 // derived.
-func (e *Engine) updateCatalogsWithDelta(deltaTxns []itemset.Itemset) []itemset.Itemset {
+func (e *Engine) updateCatalogsWithDelta() []itemset.Itemset {
 	for _, cat := range []*apriori.Catalog{e.dataCat, e.annotCat} {
-		var patterns []itemset.Itemset
-		cat.Each(func(set itemset.Itemset, _ int) bool {
-			patterns = append(patterns, set)
+		// AddDelta rewrites an entry the walk has reached; it adds none.
+		cat.Each(func(p itemset.Itemset, _ int) bool {
+			if g := e.after.CountPattern(p); g > 0 {
+				cat.AddDelta(p, g)
+			}
 			return true
 		})
-		gains := countPatternsInTxns(patterns, deltaTxns)
-		for i, g := range gains {
-			if g > 0 {
-				cat.AddDelta(patterns[i], g)
-			}
-		}
 	}
 	var promotedAnnot []itemset.Itemset
 	for _, tier := range []struct {
-		cold    map[itemset.Key]int
-		isAnnot bool
-	}{{e.coldData, false}, {e.coldAnnot, true}} {
-		if len(tier.cold) == 0 {
-			continue
-		}
-		keys := make([]itemset.Key, 0, len(tier.cold))
-		patterns := make([]itemset.Itemset, 0, len(tier.cold))
-		for k := range tier.cold {
-			p, err := k.Decode()
+		cold map[itemset.Key]int
+		cat  *apriori.Catalog
+	}{{e.coldData, e.dataCat}, {e.coldAnnot, e.annotCat}} {
+		for key, count := range tier.cold {
+			p, err := key.Decode()
 			if err != nil {
 				panic(fmt.Sprintf("incremental: corrupt cold-cache key: %v", err))
 			}
-			keys = append(keys, k)
-			patterns = append(patterns, p)
-		}
-		gains := countPatternsInTxns(patterns, deltaTxns)
-		for i, g := range gains {
-			if g > 0 {
-				tier.cold[keys[i]] += g
+			count += e.after.CountPattern(p)
+			if count < e.slackCount {
+				tier.cold[key] = count
+				continue
 			}
-		}
-		for i, k := range keys {
-			if count := tier.cold[k]; count >= e.slackCount {
-				if tier.isAnnot {
-					e.annotCat.Add(patterns[i], count)
-					promotedAnnot = append(promotedAnnot, patterns[i])
-				} else {
-					e.dataCat.Add(patterns[i], count)
-				}
-				delete(tier.cold, k)
+			tier.cat.Add(p, count)
+			delete(tier.cold, key)
+			if tier.cat == e.annotCat {
+				promotedAnnot = append(promotedAnnot, p)
 			}
 		}
 	}
@@ -155,18 +123,12 @@ func (e *Engine) updateCatalogsWithDelta(deltaTxns []itemset.Itemset) []itemset.
 
 // updateTrackedRulesWithDelta refreshes pattern counts, LHS counts, and the
 // N denominator of every maintained rule — valid, candidate, and cold — by
-// scanning only the new tuples.
-func (e *Engine) updateTrackedRulesWithDelta(deltaTxns []itemset.Itemset) {
+// counting only the appended tuples.
+func (e *Engine) updateTrackedRulesWithDelta() {
 	for _, set := range []*rules.Set{e.valid, e.cands, e.coldRules} {
 		set.Rewrite(func(r *rules.Rule) bool {
-			for _, t := range deltaTxns {
-				if t.ContainsAll(r.LHS) {
-					r.LHSCount++
-					if t.Contains(r.RHS) {
-						r.PatternCount++
-					}
-				}
-			}
+			r.LHSCount += e.after.CountPattern(r.LHS)
+			r.PatternCount += e.after.CountPattern(e.patternOf(r))
 			r.N = e.n
 			return true
 		})
@@ -180,12 +142,12 @@ func (e *Engine) updateTrackedRulesWithDelta(deltaTxns []itemset.Itemset) {
 // When tDelta exceeds the batch size, no newcomer is possible and the whole
 // step is skipped — the common case for small batches, and the reason
 // incremental maintenance wins in Figure 16.
-func (e *Engine) discoverFromDelta(deltaTxns []itemset.Itemset, oldSlack int, rep *Report, withAnnotations bool) {
+func (e *Engine) discoverFromDelta(oldSlack int, rep *Report, withAnnotations bool) {
 	tDelta := e.minCount - oldSlack + 1
 	if tDelta < 1 {
 		tDelta = 1
 	}
-	if tDelta > len(deltaTxns) {
+	if tDelta > e.after.Len() {
 		return
 	}
 	acfg := apriori.Config{
@@ -196,14 +158,17 @@ func (e *Engine) discoverFromDelta(deltaTxns []itemset.Itemset, oldSlack int, re
 	if !withAnnotations {
 		acfg.MaxAnnotations = 0
 	}
-	// The batch's own bitmaps: a throwaway relation over the projected delta.
-	delta := relation.FromTransactions(deltaTxns).View()
-	mixedDelta := apriori.Mine(delta, acfg)
+	// The batch's own bitmaps, with derived labels left out under
+	// ExcludeDerived as mining.Mine leaves them out of a full mine.
+	visible := func(it itemset.Item) bool { return !e.cfg.ExcludeDerived || !it.IsDerived() }
+	mixedDelta := apriori.Mine(apriori.Restrict(&e.after, visible), acfg)
 
 	var annotDelta *apriori.Catalog
 	if withAnnotations {
 		acfg.MaxAnnotations = -1
-		annotDelta = apriori.Mine(apriori.Restrict(delta, itemset.Item.IsAnnotation), acfg)
+		annotDelta = apriori.Mine(apriori.Restrict(&e.after, func(it itemset.Item) bool {
+			return it.IsAnnotation() && visible(it)
+		}), acfg)
 	}
 
 	// Gather patterns whose database-wide counts are unknown.
@@ -276,9 +241,8 @@ func (e *Engine) discoverFromDelta(deltaTxns []itemset.Itemset, oldSlack int, re
 	if len(needList) == 0 {
 		return
 	}
-	// The patterns come from projected transactions, so they hold no derived
-	// label when ExcludeDerived is set and the relation's counts are the
-	// projection's.
+	// The patterns hold no derived label when ExcludeDerived is set, so the
+	// relation's counts are the mining view's.
 	counts := make([]int, len(needList))
 	for i, p := range needList {
 		counts[i] = e.rel.CountPattern(p)
@@ -393,128 +357,198 @@ func (e *Engine) pruneCatalogs() {
 // support denominators are stable; only patterns containing an added
 // annotation can change count.
 //
-// Figure 12 (update): every tracked rule's pattern and LHS counts are
-// refreshed by checking only the updated tuples. Figure 13 (discover): new
+// Figure 12 (update): every tracked rule's pattern and LHS counts move by
+// their change over the updated tuples alone. Figure 13 (discover): new
 // data-to-annotation rules arise from frequent data patterns inside the
 // newly annotated tuples, counted exactly over the annotation's inverted
 // index; new annotation-to-annotation rules arise from annotation patterns
 // completed by the batch, likewise counted over the index. "In all cases,
 // there is no need for full database processing or re-discovering the rules
-// from scratch."
+// from scratch." The pass is shared with RemoveAnnotations; see signedPass.
 func (e *Engine) AddAnnotations(batch []relation.AnnotationUpdate) (*Report, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	start := time.Now()
-	rep := &Report{Case: CaseNewAnnotations}
 	e.stats.Case3++
+	return e.annotationBatch(batch, CaseNewAnnotations)
+}
 
-	applied, skipped, err := e.rel.ApplyUpdates(batch)
-	if err != nil {
+// annotationBatch runs one attach (Case 3) or detach (removal) batch through
+// signedPass and times it.
+func (e *Engine) annotationBatch(batch []relation.AnnotationUpdate, c Case) (*Report, error) {
+	start := time.Now()
+	rep := &Report{Case: c}
+	if err := e.signedPass(batch, rep); err != nil {
 		return nil, err
 	}
-	rep.Applied = len(applied)
-	rep.Skipped = len(skipped)
-	if len(applied) == 0 {
-		rep.Duration = time.Since(start)
-		return rep, nil
-	}
-	// Frequencies grew; annotations may have crossed into the slack pool,
-	// which both widens the enumeration universe and requires purging any
-	// cold counts that were excluded from maintenance while irrelevant.
-	e.refreshRelevance()
-
-	// Group the applied updates per tuple, dropping items the mining view
-	// cannot see (derived labels under ExcludeDerived).
-	perTuple := make(map[int]itemset.Itemset)
-	for _, u := range applied {
-		if e.cfg.ExcludeDerived && u.Annotation.IsDerived() {
-			continue
-		}
-		perTuple[u.Index] = perTuple[u.Index].Add(u.Annotation)
-	}
-	if len(perTuple) == 0 {
-		rep.Duration = time.Since(start)
-		return rep, nil
-	}
-
-	// Phase A: maintain the annotation-pattern catalog. Enumerate, per
-	// updated tuple, the annotation subsets completed by this batch.
-	gained, overBudget := e.collectGainedAnnotPatterns(perTuple)
-	if overBudget {
-		// The tuple's annotation set is too large to enumerate; fall back
-		// to a full re-mine (counted, and visible in benchmarks).
-		if err := e.bootstrap(); err != nil {
-			return nil, err
-		}
-		e.stats.Remines++
-		rep.Remined = true
-		rep.Duration = time.Since(start)
-		return rep, nil
-	}
-	freshAnnot := e.applyAnnotPatternGains(gained)
-
-	// Phase B: Figure 12 — update every tracked rule from the updated
-	// tuples only.
-	e.updateTrackedRulesWithAnnotations(perTuple)
-	e.syncAnnotationSingletons()
-
-	// Phase C: Figure 13 — discover rules born in this batch.
-	e.discoverDataRulesFromAnnotations(perTuple, rep)
-	e.discoverAnnotRulesFromFreshPatterns(freshAnnot, rep)
-
-	e.reclassify(rep)
 	rep.Duration = time.Since(start)
 	return rep, nil
 }
 
-// collectGainedAnnotPatterns enumerates, over the mining view of each
-// updated tuple, every annotation subset that contains at least one
-// newly added annotation, returning per-pattern gains. The enumeration is
-// budgeted; exceeding the budget reports overBudget.
-func (e *Engine) collectGainedAnnotPatterns(perTuple map[int]itemset.Itemset) (map[itemset.Key]int, bool) {
-	gained := make(map[itemset.Key]int)
-	budget := e.opts.subsetBudget()
-	maxLen := e.cfg.MaxLen
-	spent := 0
-	for idx, newAnnots := range perTuple {
-		tu, err := e.rel.Tuple(idx)
-		if err != nil {
-			continue // index validated by ApplyUpdates; defensive only
+// signedPass applies an annotation batch — attaches, or detaches for
+// CaseRemoveAnnotations — and maintains the rules from the tuples the write
+// reported, each with its annotation set before and after the batch. Indexed
+// into e.before and e.after with the data values they keep, those tuples give
+// every count's change as after.CountPattern(p) − before.CountPattern(p):
+// positive for an attach, negative for a detach, and zero for any pattern
+// without a changed annotation.
+func (e *Engine) signedPass(batch []relation.AnnotationUpdate, rep *Report) error {
+	remove := rep.Case == CaseRemoveAnnotations
+	if err := e.rel.ApplyDelta(batch, remove, &e.delta); err != nil {
+		return err
+	}
+	rep.Applied, rep.Skipped = len(e.delta.Applied), len(e.delta.Skipped)
+	if rep.Applied == 0 {
+		return nil
+	}
+	if !remove {
+		// Frequencies grew; annotations may have crossed into the slack
+		// pool, which both widens the enumeration universe and requires
+		// purging any cold counts that were excluded from maintenance while
+		// irrelevant.
+		e.refreshRelevance()
+	}
+	if !e.indexDelta() {
+		return nil // only derived labels the mining view leaves out changed
+	}
+
+	// Phase A: the annotation-pattern catalog and cold cache. A removal
+	// enumerates under the pre-removal relevance, matching what the caches
+	// could contain.
+	changes, ok := e.annotPatternChanges(remove)
+	if !ok {
+		// A tuple's annotation set is too large to enumerate; fall back to
+		// a full re-mine (counted, and visible in benchmarks).
+		if err := e.bootstrap(); err != nil {
+			return err
 		}
-		// Only annotations at slack-pool frequency can appear in a pattern
-		// worth tracking: a pattern's count is at most its rarest member's
-		// frequency. This keeps the enumeration at 2^(few) even when
-		// tuples accumulate many rare annotations.
-		annots := e.projectTuple(tu).AnnotationPart().Filter(func(a itemset.Item) bool {
-			return e.relevant[a]
-		})
-		newAnnots = newAnnots.Filter(func(a itemset.Item) bool { return e.relevant[a] })
-		if newAnnots.Empty() {
-			continue
-		}
-		limit := annots.Len()
-		if maxLen > 0 && maxLen < limit {
-			limit = maxLen
-		}
-		// Worst-case subset count for the budget check.
-		var worst int64
-		for k := 1; k <= limit; k++ {
-			worst += itemset.Binomial(annots.Len(), k)
-			if worst > int64(budget-spent) {
-				return nil, true
-			}
-		}
-		for k := 1; k <= limit; k++ {
-			annots.Subsets(k, func(sub itemset.Itemset) bool {
-				spent++
-				if !sub.Intersect(newAnnots).Empty() {
-					gained[sub.Key()]++
-				}
-				return true
-			})
+		e.stats.Remines++
+		rep.Remined = true
+		return nil
+	}
+	var fresh []itemset.Itemset
+	if remove {
+		e.applyAnnotPatternLosses(changes)
+		// Frequencies fell; relevance can flip downward, which purges cold
+		// entries that the narrowed enumeration would no longer maintain.
+		e.refreshRelevance()
+	} else {
+		fresh = e.applyAnnotPatternGains(changes)
+	}
+
+	// Phase B: Figure 12, signed.
+	e.updateTrackedRules()
+	e.syncAnnotationSingletons()
+
+	// Phase C: Figure 13 — discover rules born in this batch. A detach only
+	// lowers counts, so nothing untracked can reach the support threshold
+	// (invariant I3); its confidence moves are reclassification's.
+	if !remove {
+		e.discoverDataRulesFromAnnotations(rep)
+		e.discoverAnnotRulesFromFreshPatterns(fresh, rep)
+	}
+	e.reclassify(rep)
+	if remove {
+		// The slack threshold is unchanged but counts fell, so catalog
+		// entries can drop out of the pool.
+		e.pruneCatalogs()
+	}
+	return nil
+}
+
+// indexDelta indexes the reported tuples into e.before and e.after and
+// marks, in e.changed and e.changedList, the annotations the batch changed
+// that the mining view can see. It reports whether there was any.
+func (e *Engine) indexDelta() bool {
+	ts := e.delta.Tuples
+	e.before.Reset(len(ts))
+	e.after.Reset(len(ts))
+	for i, t := range ts {
+		e.before.Add(i, t.Data)
+		e.before.Add(i, t.Before)
+		e.after.Add(i, t.Data)
+		e.after.Add(i, t.After)
+	}
+	if e.changed == nil {
+		e.changed = make(map[itemset.Item]bool)
+	}
+	clear(e.changed)
+	e.changedList = e.changedList[:0]
+	for _, u := range e.delta.Applied {
+		if a := u.Annotation; !e.changed[a] && (!e.cfg.ExcludeDerived || !a.IsDerived()) {
+			e.changed[a] = true
+			e.changedList = append(e.changedList, a)
 		}
 	}
-	return gained, false
+	return len(e.changedList) > 0
+}
+
+// annotPatternChanges returns how much the batch moved each annotation
+// pattern it changed, as a magnitude: a gain for an attach, a loss for a
+// detach. Only relevant annotations can appear in a pattern worth tracking —
+// a pattern's count is at most its rarest member's frequency — and a pattern
+// can only move on a tuple where one of its members changed. So the changed
+// side (after an attach, before a detach) of every tuple with a relevant
+// change is indexed over its relevant annotations and mined with Apriori at
+// MinCount 1 and the configured MaxLen; each mined pattern's change is then
+// counted over the batch index.
+//
+// The mining is budgeted: each such tuple is charged the worst case of its
+// subsets, and exceeding SubsetBudget reports false before anything is
+// mined.
+func (e *Engine) annotPatternChanges(remove bool) (map[itemset.Key]int, bool) {
+	budget := int64(e.opts.subsetBudget())
+	var spent int64
+	e.hits = e.hits[:0]
+	for _, t := range e.delta.Tuples {
+		side, other := t.After, t.Before
+		if remove {
+			side, other = t.Before, t.After
+		}
+		n, hit := 0, false
+		for _, a := range side {
+			if e.relevant[a] {
+				n++
+				hit = hit || !other.Contains(a)
+			}
+		}
+		if !hit {
+			continue
+		}
+		limit := n
+		if e.cfg.MaxLen > 0 && e.cfg.MaxLen < limit {
+			limit = e.cfg.MaxLen
+		}
+		for k := 1; k <= limit; k++ {
+			if spent += itemset.Binomial(n, k); spent > budget {
+				return nil, false
+			}
+		}
+		e.hits = append(e.hits, side)
+	}
+	e.mined.Reset(len(e.hits))
+	for j, side := range e.hits {
+		for _, a := range side {
+			if e.relevant[a] {
+				e.mined.Set(j, a)
+			}
+		}
+	}
+	if e.changes == nil {
+		e.changes = make(map[itemset.Key]int)
+	}
+	clear(e.changes)
+	sign := 1
+	if remove {
+		sign = -1
+	}
+	cat := apriori.Mine(&e.mined, apriori.Config{MinCount: 1, MaxAnnotations: -1, MaxLen: e.cfg.MaxLen})
+	cat.Each(func(p itemset.Itemset, _ int) bool {
+		if c := sign * (e.after.CountPattern(p) - e.before.CountPattern(p)); c != 0 {
+			e.changes[p.Key()] = c
+		}
+		return true
+	})
+	return e.changes, true
 }
 
 // applyAnnotPatternGains folds the per-pattern gains into the annotation
@@ -565,146 +599,75 @@ func (e *Engine) applyAnnotPatternGains(gained map[itemset.Key]int) []itemset.It
 	return fresh
 }
 
-// updateTrackedRulesWithAnnotations is Figure 12: refresh tracked rule
-// counts by examining only the updated tuples. For a data-to-annotation
-// rule only the pattern count can grow (the pure-data LHS is untouched by
-// annotation adds); for an annotation-to-annotation rule both the pattern
-// count (annotation in the R.H.S. case) and the LHS count (annotation in
-// the L.H.S. case) can grow, the latter being what may pull confidence
-// below threshold.
-func (e *Engine) updateTrackedRulesWithAnnotations(perTuple map[int]itemset.Itemset) {
-	views := make([]annotDeltaView, 0, len(perTuple))
-	for idx, newAnnots := range perTuple {
-		tu, err := e.rel.Tuple(idx)
-		if err != nil {
-			continue
-		}
-		views = append(views, annotDeltaView{items: e.projectTuple(tu), changed: newAnnots})
-	}
-	e.adjustTrackedRules(views, +1)
-}
-
-// annotDeltaView is one tuple an annotation batch touched: its mining view
-// (after an attach, before a detach) and the annotations the batch attached
-// or detached there.
-type annotDeltaView struct {
-	items   itemset.Itemset
-	changed itemset.Itemset
-}
-
-// adjustTrackedRules moves every tracked rule's pattern and LHS counts by
-// sign for each view in which the batch completed (attach, sign +1) or
-// broke (detach, sign -1) the rule's pattern or annotation LHS.
-func (e *Engine) adjustTrackedRules(views []annotDeltaView, sign int) {
-	// Bucket views by changed annotation: a rule can only be affected by
-	// views that changed one of the rule's own annotations, so each rule
-	// visits a handful of views instead of the whole batch, and a rule with
-	// no bucket at all is skipped before anything is allocated for it.
-	buckets := make(map[itemset.Item][]int32)
-	for i, v := range views {
-		for _, a := range v.changed {
-			buckets[a] = append(buckets[a], int32(i))
-		}
-	}
-	visited := make([]uint32, len(views))
-	var stamp uint32
+// updateTrackedRules is Figure 12, signed: every maintained rule — valid,
+// candidate and cold — that holds an annotation the batch changed moves by
+// the batch's change to its counts. The pattern count always can; the LHS
+// count only for an annotation-to-annotation rule, since annotation writes
+// leave a pure-data LHS alone. An attach raises counts, and a raised LHS
+// count is what may pull confidence below threshold; a detach lowers them,
+// and a lowered LHS count is what may lift a candidate to valid.
+func (e *Engine) updateTrackedRules() {
 	for _, set := range []*rules.Set{e.valid, e.cands, e.coldRules} {
 		set.Rewrite(func(r *rules.Rule) bool {
-			if !touchedBy(buckets, r) {
+			if !e.holdsChanged(r) {
 				return false
 			}
-			pattern := r.Pattern()
-			lhsAnnot := r.LHS.HasAnnotation()
-			changed := false
-			stamp++
-			for _, a := range pattern.AnnotationPart() {
-				for _, vi := range buckets[a] {
-					if visited[vi] == stamp {
-						continue
-					}
-					visited[vi] = stamp
-					v := &views[vi]
-					// Pattern completed (or broken) by this batch: present
-					// after the attach (before the detach), and at least one
-					// of its members changed.
-					if v.changed.Intersects(pattern) && v.items.ContainsAll(pattern) {
-						r.PatternCount += sign
-						changed = true
-					}
-					// Likewise the LHS (annotation LHS only).
-					if lhsAnnot && v.changed.Intersects(r.LHS) && v.items.ContainsAll(r.LHS) {
-						r.LHSCount += sign
-						changed = true
-					}
-				}
+			p := e.patternOf(r)
+			dp := e.after.CountPattern(p) - e.before.CountPattern(p)
+			dl := 0
+			if r.LHS.HasAnnotation() {
+				dl = e.after.CountPattern(r.LHS) - e.before.CountPattern(r.LHS)
 			}
-			return changed
+			r.PatternCount += dp
+			r.LHSCount += dl
+			return dp != 0 || dl != 0
 		})
 	}
 }
 
-// touchedBy reports whether any of r's annotations has a bucket, that is,
-// whether the batch changed one of them. It allocates nothing.
-func touchedBy(buckets map[itemset.Item][]int32, r *rules.Rule) bool {
-	if len(buckets[r.RHS]) > 0 {
+// holdsChanged reports whether r holds an annotation the batch changed: one
+// map probe per annotation, no allocation.
+func (e *Engine) holdsChanged(r *rules.Rule) bool {
+	if e.changed[r.RHS] {
 		return true
 	}
-	for _, it := range r.LHS {
-		if it.IsAnnotation() && len(buckets[it]) > 0 {
+	for i := len(r.LHS) - 1; i >= 0 && r.LHS[i].IsAnnotation(); i-- {
+		if e.changed[r.LHS[i]] {
 			return true
 		}
 	}
 	return false
 }
 
-// discoverDataRulesFromAnnotations is Figure 13 Step 1: for each added
-// annotation a on tuple t, every already-frequent data pattern X ⊆ t may
-// now form a rule X ⇒ a. The pattern count is computed exactly over the
-// tuples carrying a (annotation index); the LHS count ("de-numerator") is
-// already known from the data catalog.
-func (e *Engine) discoverDataRulesFromAnnotations(perTuple map[int]itemset.Itemset, rep *Report) {
-	// Group the updated tuples by added annotation so the data catalog is
-	// walked once per annotation rather than once per update.
-	byAnnot := make(map[itemset.Item][]relation.Tuple)
-	for idx, newAnnots := range perTuple {
-		tu, err := e.rel.Tuple(idx)
-		if err != nil {
-			continue
-		}
-		for _, a := range newAnnots {
-			// Cheap gate from the frequency table (the paper: "First, the
-			// annotation must be a frequent annotation by itself").
-			if e.rel.Frequency(a) < e.slackCount {
+// discoverDataRulesFromAnnotations is Figure 13 Step 1: an annotation a the
+// batch attached to a tuple whose data values contain an already-frequent
+// data pattern X may now form a rule X ⇒ a. The batch put a beside X exactly
+// when it raised count(X ∪ {a}) over the batch index, which reads the data
+// values the write reported. The rule's pattern count is then counted over
+// the relation's bitmaps; its LHS count ("de-numerator") is already known
+// from the data catalog.
+func (e *Engine) discoverDataRulesFromAnnotations(rep *Report) {
+	// The paper: "First, the annotation must be a frequent annotation by
+	// itself." The list is this batch's scratch, so it is filtered in place.
+	frequent := slices.DeleteFunc(e.changedList, func(a itemset.Item) bool { return !e.relevant[a] })
+	if len(frequent) == 0 {
+		return
+	}
+	e.dataCat.Each(func(x itemset.Itemset, lhsCount int) bool {
+		for _, a := range frequent {
+			r := rules.Rule{LHS: x, RHS: a, LHSCount: lhsCount, N: e.n}
+			p := e.patternOf(&r)
+			if e.after.CountPattern(p) == e.before.CountPattern(p) || e.trackedRule(r.ID()) {
 				continue
 			}
-			byAnnot[a] = append(byAnnot[a], tu)
-		}
-	}
-	for a, tuples := range byAnnot {
-		e.dataCat.Each(func(x itemset.Itemset, lhsCount int) bool {
-			hit := false
-			for i := range tuples {
-				if tuples[i].Data.ContainsAll(x) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				return true
-			}
-			r := rules.Rule{LHS: x, RHS: a, LHSCount: lhsCount, N: e.n}
-			if e.trackedRule(r.ID()) {
-				return true
-			}
-			// Counted from the bitmaps of a and of x's data values.
-			r.PatternCount = e.rel.CountPattern(r.Pattern())
+			r.PatternCount = e.rel.CountPattern(p)
 			if e.fileRule(r) {
 				rep.Discovered++
 				e.stats.Discoveries++
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 }
 
 // discoverAnnotRulesFromFreshPatterns is Figure 13 Steps 2 and 3: every

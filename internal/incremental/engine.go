@@ -39,6 +39,7 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -98,8 +99,9 @@ type Report struct {
 
 // Options tune engine internals beyond the mining configuration.
 type Options struct {
-	// SubsetBudget caps the number of annotation subsets Case 3 will
-	// enumerate per batch before falling back to a full re-mine. Zero means
+	// SubsetBudget caps the number of annotation subsets an attach (Case 3)
+	// or detach batch may mine, counted as the worst case over the tuples it
+	// changed, before falling back to a full re-mine. Zero means
 	// DefaultSubsetBudget.
 	SubsetBudget int
 	// DisableCandidateStore drops the slack pool entirely (slack = 1.0);
@@ -107,7 +109,7 @@ type Options struct {
 	DisableCandidateStore bool
 }
 
-// DefaultSubsetBudget bounds Case 3 annotation-subset enumeration.
+// DefaultSubsetBudget bounds annotation-subset enumeration per batch.
 const DefaultSubsetBudget = 1 << 20
 
 func (o Options) subsetBudget() int {
@@ -154,9 +156,25 @@ type Engine struct {
 	// relevant marks annotations whose frequency reaches the slack pool. A
 	// pattern's count is bounded by its rarest member's frequency, so only
 	// patterns over relevant annotations can ever reach the slack pool —
-	// which is what keeps Case 3's per-tuple subset enumeration small even
+	// which is what keeps an annotation batch's pattern mining small even
 	// on heavily annotated tuples. Maintained by refreshRelevance.
 	relevant map[itemset.Item]bool
+
+	// Per-batch scratch, reused so a batch allocates little once it has
+	// grown: the tuples a write reported (delta) and their batch index on
+	// each side of it (before, after; after alone holds a Case 1–2 batch),
+	// the annotations the batch changed, the changed-side annotation sets
+	// of the tuples with a relevant change and their index for pattern
+	// mining (hits, mined), the mined patterns' changes, and a pattern
+	// buffer.
+	delta         relation.Delta
+	before, after relation.BatchIndex
+	changed       map[itemset.Item]bool
+	changedList   []itemset.Item
+	hits          []itemset.Itemset
+	mined         relation.BatchIndex
+	changes       map[itemset.Key]int
+	scratch       itemset.Itemset
 
 	n          int
 	minCount   int
@@ -533,26 +551,10 @@ func (e *Engine) allRelevant(p itemset.Itemset) bool {
 	return true
 }
 
-// countPatternsInTxns counts, for each pattern, how many of the given
-// transactions contain it. Patterns and results align by index.
-func countPatternsInTxns(patterns []itemset.Itemset, txns []itemset.Itemset) []int {
-	counts := make([]int, len(patterns))
-	for _, t := range txns {
-		for i, p := range patterns {
-			if t.ContainsAll(p) {
-				counts[i]++
-			}
-		}
-	}
-	return counts
-}
-
-// projectTuple projects a tuple into a mining transaction, honoring the
-// derived-label exclusion setting.
-func (e *Engine) projectTuple(tu relation.Tuple) itemset.Itemset {
-	items := tu.Items()
-	if e.cfg.ExcludeDerived {
-		items = items.Filter(func(it itemset.Item) bool { return !it.IsDerived() })
-	}
-	return items
+// patternOf returns r's pattern, LHS ∪ {RHS}, built in e.scratch: the
+// callers count it once and keep nothing, so it costs no allocation.
+func (e *Engine) patternOf(r *rules.Rule) itemset.Itemset {
+	i, _ := slices.BinarySearch(r.LHS, r.RHS)
+	e.scratch = append(append(append(e.scratch[:0], r.LHS[:i]...), r.RHS), r.LHS[i:]...)
+	return e.scratch
 }

@@ -148,8 +148,9 @@ func TestCase1DiscoverNewRule(t *testing.T) {
 
 // TestDeltaDiscoveryWithDerivedLabels: delta discovery counts its patterns
 // with CountPattern over the whole relation, derived labels included. Under
-// ExcludeDerived the patterns come from projected transactions and hold no
-// label, so the counts, and the rules, still match a re-mine either way.
+// ExcludeDerived the batch index is mined with the labels restricted away, so
+// the patterns hold none and the counts, and the rules, still match a
+// re-mine either way.
 func TestDeltaDiscoveryWithDerivedLabels(t *testing.T) {
 	for _, exclude := range []bool{false, true} {
 		rel := fixture()

@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,5 +271,128 @@ func TestRemovalStatsAndCaseName(t *testing.T) {
 	}
 	if CaseRemoveAnnotations.String() != "case4-remove-annotations" {
 		t.Errorf("case name = %q", CaseRemoveAnnotations.String())
+	}
+}
+
+func TestRemovalSubsetBudgetFallsBackToRemine(t *testing.T) {
+	// Mirrors TestCase3SubsetBudgetFallsBackToRemine: tuple 0 carries both
+	// frequent fixture annotations, so detaching one of them must mine the
+	// three subsets of its pre-removal set, which a budget of 2 cannot pay.
+	rel := fixture()
+	e, err := New(rel, defaultCfg(), Options{SubsetBudget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, _ := rel.Dictionary().Lookup("Annot_1")
+	rep, err := e.RemoveAnnotations([]relation.AnnotationUpdate{{Index: 0, Annotation: a1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Remined {
+		t.Error("budget exhaustion did not trigger re-mine")
+	}
+	verify(t, e, "after re-mine fallback")
+	if e.Stats().Remines != 1 {
+		t.Errorf("Remines = %d", e.Stats().Remines)
+	}
+}
+
+func TestRemovalRareAnnotationsSkipEnumeration(t *testing.T) {
+	// Mirrors TestCase3RareAnnotationsSkipEnumeration: detaching rare
+	// annotations changes no relevant annotation, so even a minuscule budget
+	// must not force a re-mine — though tuple 0 also carries the two frequent
+	// ones — and the result must still match a full re-mine exactly.
+	rel := fixture()
+	e, err := New(rel, defaultCfg(), Options{SubsetBudget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := rel.Dictionary()
+	rare := []relation.AnnotationUpdate{
+		{Index: 0, Annotation: relation.MustAnnotation(dict, "Annot_X1")},
+		{Index: 0, Annotation: relation.MustAnnotation(dict, "Annot_X2")},
+	}
+	if _, err := e.AddAnnotations(rare); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.RemoveAnnotations(rare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Applied != 2 || rep.Remined {
+		t.Errorf("report %+v, want both removals applied without a re-mine", rep)
+	}
+	if e.Stats().Remines != 0 {
+		t.Errorf("Remines = %d", e.Stats().Remines)
+	}
+	verify(t, e, "after rare-annotation removal")
+}
+
+// TestAnnotationBatchesWithDerivedLabels attaches and then detaches a derived
+// label beside raw annotations, alone and in mixed batches, under both
+// settings of ExcludeDerived. Under ExcludeDerived a batch that changes only
+// the label changes nothing the engine maintains; otherwise the label is an
+// annotation like any other and forms rules with the raw ones.
+func TestAnnotationBatchesWithDerivedLabels(t *testing.T) {
+	for _, exclude := range []bool{false, true} {
+		rel := fixture()
+		dict := rel.Dictionary()
+		label, err := dict.InternDerived("Label_9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a1, _ := dict.Lookup("Annot_1")
+		a5, _ := dict.Lookup("Annot_5")
+		a9 := relation.MustAnnotation(dict, "Annot_9")
+		cfg := defaultCfg()
+		cfg.ExcludeDerived = exclude
+		e := mustEngine(t, rel, cfg)
+
+		var labelOnly, mixed, raw []relation.AnnotationUpdate
+		for i := 0; i < 6; i++ {
+			labelOnly = append(labelOnly, relation.AnnotationUpdate{Index: i, Annotation: label})
+			mixed = append(mixed, relation.AnnotationUpdate{Index: i, Annotation: a9})
+		}
+		mixed = append(mixed, relation.AnnotationUpdate{Index: 7, Annotation: label}, relation.AnnotationUpdate{Index: 8, Annotation: label})
+		raw = []relation.AnnotationUpdate{{Index: 5, Annotation: a1}, {Index: 7, Annotation: a5}, {Index: 8, Annotation: a1}}
+		steps := []struct {
+			name   string
+			remove bool
+			batch  []relation.AnnotationUpdate
+		}{
+			{"attach label", false, labelOnly},
+			{"attach raw beside label", false, mixed},
+			{"attach raw", false, raw},
+			{"detach label", true, labelOnly},
+			{"detach raw and label", true, mixed},
+			{"reattach label", false, labelOnly},
+			{"detach raw", true, raw},
+		}
+		for _, st := range steps {
+			var rep *Report
+			var err error
+			if st.remove {
+				rep, err = e.RemoveAnnotations(st.batch)
+			} else {
+				rep, err = e.AddAnnotations(st.batch)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Applied != len(st.batch) || rep.Remined {
+				t.Errorf("ExcludeDerived=%v, %s: report %+v", exclude, st.name, rep)
+			}
+			verify(t, e, fmt.Sprintf("ExcludeDerived=%v, %s", exclude, st.name))
+		}
+		labelRules := 0
+		e.Rules().Each(func(r rules.Rule) bool {
+			if r.RHS == label || r.LHS.Contains(label) {
+				labelRules++
+			}
+			return true
+		})
+		if exclude != (labelRules == 0) {
+			t.Errorf("ExcludeDerived=%v: %d rules mention the derived label", exclude, labelRules)
+		}
 	}
 }

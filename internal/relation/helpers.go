@@ -42,9 +42,10 @@ func MustData(dict *Dictionary, token string) itemset.Item {
 }
 
 // FromTransactions builds a relation holding one tuple per transaction, so a
-// caller holding a transaction slice can count patterns over it from the
-// bitmaps. The items are used as they are: none is interned in the relation's
-// fresh dictionary.
+// test holding a transaction slice can mine it from the bitmaps; the apriori
+// and fpgrowth tests are its callers. The items are used as they are: none is
+// interned in the relation's fresh dictionary. (A write batch is counted and
+// mined through a BatchIndex, not a throwaway relation.)
 func FromTransactions(txns []itemset.Itemset) *Relation {
 	r := New()
 	tuples := make([]Tuple, len(txns))

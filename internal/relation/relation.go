@@ -329,23 +329,92 @@ func (r *Relation) AddAnnotation(i int, a itemset.Item) error {
 // duplicates — of an earlier attachment or of an earlier entry of the same
 // batch.
 func (r *Relation) ApplyUpdates(batch []AnnotationUpdate) (applied, skipped []AnnotationUpdate, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.validate(batch, "update"); err != nil {
+	var d Delta
+	if err := r.apply(batch, false, &d, false); err != nil {
 		return nil, nil, err
 	}
+	return d.Applied, d.Skipped, nil
+}
+
+// TupleDelta is one tuple an annotation batch changed: its data values and
+// its annotation set before and after the batch. The sets are the relation's
+// own, not copies: attach and detach install a fresh set and nothing edits a
+// set in place, so Before is exactly the set a view captured before the batch
+// still reads. Treat all three as read-only.
+type TupleDelta struct {
+	Index         int
+	Data          itemset.Itemset
+	Before, After itemset.Itemset
+}
+
+// Delta is what one annotation batch did: the entries applied and skipped, in
+// batch order, as ApplyUpdates and ApplyRemovals return them, and every tuple
+// the batch changed, once, in index order.
+type Delta struct {
+	Applied, Skipped []AnnotationUpdate
+	Tuples           []TupleDelta
+
+	// Scratch for grouping the applied entries by tuple: each entry's
+	// index<<32 | position in Applied, and its tuple's set just before it.
+	keys   []uint64
+	before []itemset.Itemset
+}
+
+// ApplyDelta applies an annotation batch — as ApplyUpdates does, or as
+// ApplyRemovals does when remove is set — and reports into d what it did.
+// d's slices are reused, so a caller that keeps one Delta across batches
+// allocates nothing for it once they have grown.
+func (r *Relation) ApplyDelta(batch []AnnotationUpdate, remove bool, d *Delta) error {
+	return r.apply(batch, remove, d, true)
+}
+
+// apply is the one annotation write loop: it validates batch, then attaches
+// (detaches, when remove is set) every entry that changes its tuple and skips
+// the rest, recording both in d. With tuples set it also reports each changed
+// tuple once: every applied entry records its tuple's set just before it, and
+// sorting the entries by (index, batch position) brings each tuple's first
+// entry — whose set predates the batch — to the front of its run.
+func (r *Relation) apply(batch []AnnotationUpdate, remove bool, d *Delta, tuples bool) error {
+	d.Applied, d.Skipped, d.Tuples = d.Applied[:0], d.Skipped[:0], d.Tuples[:0]
+	d.keys, d.before = d.keys[:0], d.before[:0]
+	what := "update"
+	if remove {
+		what = "removal"
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.validate(batch, what); err != nil {
+		return err
+	}
 	for _, u := range batch {
-		if r.st.postingsOf(u.Annotation).Contains(u.Index) {
-			skipped = append(skipped, u)
+		if r.st.postingsOf(u.Annotation).Contains(u.Index) != remove {
+			d.Skipped = append(d.Skipped, u)
 			continue
 		}
-		r.attach(u.Index, u.Annotation)
-		applied = append(applied, u)
+		if tuples {
+			d.keys = append(d.keys, uint64(u.Index)<<32|uint64(len(d.Applied)))
+			d.before = append(d.before, r.st.annotsOf(u.Index))
+		}
+		if remove {
+			r.detach(u.Index, u.Annotation)
+		} else {
+			r.attach(u.Index, u.Annotation)
+		}
+		d.Applied = append(d.Applied, u)
 	}
-	if len(applied) > 0 {
-		r.st.version++
+	if len(d.Applied) == 0 {
+		return nil
 	}
-	return applied, skipped, nil
+	r.st.version++
+	slices.Sort(d.keys)
+	for _, k := range d.keys {
+		i := int(k >> 32)
+		if n := len(d.Tuples); n > 0 && d.Tuples[n-1].Index == i {
+			continue
+		}
+		d.Tuples = append(d.Tuples, TupleDelta{Index: i, Data: r.st.dataOf(i), Before: d.before[uint32(k)], After: r.st.annotsOf(i)})
+	}
+	return nil
 }
 
 // validate checks every entry of a batch against the current relation.
@@ -387,23 +456,11 @@ func (r *Relation) RemoveAnnotation(i int, a itemset.Item) error {
 // within-batch duplicates apply once, and a batch that removes nothing is
 // not a mutation.
 func (r *Relation) ApplyRemovals(batch []AnnotationUpdate) (applied, skipped []AnnotationUpdate, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.validate(batch, "removal"); err != nil {
+	var d Delta
+	if err := r.apply(batch, true, &d, false); err != nil {
 		return nil, nil, err
 	}
-	for _, u := range batch {
-		if !r.st.postingsOf(u.Annotation).Contains(u.Index) {
-			skipped = append(skipped, u)
-			continue
-		}
-		r.detach(u.Index, u.Annotation)
-		applied = append(applied, u)
-	}
-	if len(applied) > 0 {
-		r.st.version++
-	}
-	return applied, skipped, nil
+	return d.Applied, d.Skipped, nil
 }
 
 // Frequency returns the number of tuples carrying annotation a — the paper's

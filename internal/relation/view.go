@@ -49,8 +49,11 @@ type store struct {
 }
 
 func (st *store) tuple(i int) Tuple {
-	return Tuple{Data: st.data[i>>dataShift][i&dataMask], Annots: st.annots[i>>annotShift][i&annotMask]}
+	return Tuple{Data: st.dataOf(i), Annots: st.annotsOf(i)}
 }
+
+func (st *store) dataOf(i int) itemset.Itemset   { return st.data[i>>dataShift][i&dataMask] }
+func (st *store) annotsOf(i int) itemset.Itemset { return st.annots[i>>annotShift][i&annotMask] }
 
 func (st *store) tupleChecked(i int) (Tuple, error) {
 	if i < 0 || i >= st.n {
@@ -107,9 +110,7 @@ var (
 
 // countPattern counts tuples containing pattern from the bitmaps alone, never
 // reading a tuple — the paper's "check all data tuples in the database having
-// this annotation": the items' bitmaps are ANDed word by word and popcounted.
-// Walking the rarest item's positions and probing the others costs the same
-// when one item is rare and 20× more when all are dense.
+// this annotation".
 func (st *store) countPattern(pattern itemset.Itemset) int {
 	switch len(pattern) {
 	case 0:
@@ -119,11 +120,21 @@ func (st *store) countPattern(pattern itemset.Itemset) int {
 	}
 	var buf [8][]uint64
 	bitmaps := buf[:0]
-	words := math.MaxInt
 	for _, it := range pattern {
-		p := st.postingsOf(it)
-		bitmaps = append(bitmaps, p.bits)
-		words = min(words, len(p.bits))
+		bitmaps = append(bitmaps, st.postingsOf(it).bits)
+	}
+	return countBitmaps(bitmaps)
+}
+
+// countBitmaps is the one counting kernel, shared by the relation and
+// BatchIndex: the number of positions set in every one of bitmaps, ANDed
+// word by word and popcounted. Walking the rarest item's positions and
+// probing the others costs the same when one item is rare and 20× more when
+// all are dense.
+func countBitmaps(bitmaps [][]uint64) int {
+	words := math.MaxInt
+	for _, b := range bitmaps {
+		words = min(words, len(b))
 	}
 	n := 0
 	for w, x := range bitmaps[0][:words] {
@@ -161,7 +172,7 @@ func (st *store) stats() Stats {
 	s.Annotations, s.DistinctAnnots = st.attachmentTotals()
 	st.eachEntry([]int{dataSlot}, func(itemset.Item, Postings) { s.DistinctData++ })
 	for i := 0; i < st.n; i++ {
-		a := st.annots[i>>annotShift][i&annotMask]
+		a := st.annotsOf(i)
 		if len(a) > 0 {
 			s.AnnotatedTuples++
 		}
@@ -287,7 +298,7 @@ func (v *View) AnnotationsOf(i int) itemset.Itemset {
 	if i < 0 || i >= v.st.n {
 		panic(fmt.Sprintf("relation: tuple index %d out of range (view has %d tuples)", i, v.st.n))
 	}
-	return v.st.annots[i>>annotShift][i&annotMask]
+	return v.st.annotsOf(i)
 }
 
 // Postings returns the positions of tuples carrying item a — an annotation
