@@ -10,9 +10,9 @@
 // high-support noise cannot crowd out genuinely associated annotations. All
 // counts come from one frozen relation.View generation — the paper's §4.3
 // inverted index and frequency table, which covers data values as well as
-// annotations — so a query takes zero engine locks, builds nothing and scans
-// no tuple: it walks the anchor's bitmap and reads the annotation column at
-// each position.
+// annotations — so a query takes zero engine locks, builds nothing and reads
+// no tuple: each candidate's co-occurrence count is one AND-popcount of its
+// bitmap with the anchor's.
 //
 // Churn-anomaly detection (detector.go) watches the rule-churn event stream
 // for per-family spikes against an EWMA baseline and publishes them back
@@ -28,7 +28,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
@@ -129,9 +128,10 @@ type Answer struct {
 }
 
 // Index is an anchor-query handle on one frozen View generation; building
-// one costs O(1). Everything a query needs — the anchor's postings, the
-// candidates' frequencies, N — is served straight from the View, so an Index
-// is safe for concurrent queries.
+// one costs O(1). Everything a query needs — the anchor's postings, each
+// candidate's co-occurrence count and frequency, N — is counted straight from
+// the View's bitmaps (View.EachCooccurrence), so a query holds no state of
+// its own and an Index is safe for concurrent queries.
 type Index struct {
 	view *relation.View
 }
@@ -210,65 +210,6 @@ func rank(results []Result, k int) []Result {
 	return results
 }
 
-// tally counts annotation co-occurrences along an anchor's postings. Raw and
-// derived annotation ids are dense from 1 per kind (relation.Dictionary), so
-// the counters are two flat slices indexed by id, grown on demand, plus the
-// candidates in first-seen order — which is also what reset walks, so a
-// query costs O(candidates), not O(dictionary), to clean up after. Ids mean
-// something only within one dictionary: reset before counting another
-// shard's tuples.
-type tally struct {
-	raw, derived []int
-	seen         []itemset.Item
-}
-
-// tallies recycles tally buffers across queries; a pooled tally is reset.
-var tallies = sync.Pool{New: func() any { return new(tally) }}
-
-func borrowTally() *tally { return tallies.Get().(*tally) }
-
-func (t *tally) release() {
-	t.reset()
-	tallies.Put(t)
-}
-
-func (t *tally) slot(a itemset.Item) *int {
-	counts := &t.raw
-	if a.IsDerived() {
-		counts = &t.derived
-	}
-	id := a.ID()
-	if id >= len(*counts) {
-		*counts = append(*counts, make([]int, id+1-len(*counts))...)
-	}
-	return &(*counts)[id]
-}
-
-// count tallies the annotations of view's tuples at the anchor's positions
-// below n, which must not exceed the view's length.
-func (t *tally) count(view *relation.View, anc relation.Postings, n int) {
-	anc.Each(func(p int) bool {
-		if p >= n {
-			return false
-		}
-		for _, a := range view.AnnotationsOf(p) {
-			c := t.slot(a)
-			if *c == 0 {
-				t.seen = append(t.seen, a)
-			}
-			*c++
-		}
-		return true
-	})
-}
-
-func (t *tally) reset() {
-	for _, a := range t.seen {
-		*t.slot(a) = 0
-	}
-	t.seen = t.seen[:0]
-}
-
 // TopK answers an anchor query from this index: candidates are every
 // annotation co-occurring with the anchor, scored from the frozen
 // frequency and co-occurrence counts, significance-filtered, and ranked.
@@ -278,26 +219,29 @@ func (idx *Index) TopK(q Query) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
-	counts := borrowTally()
-	defer counts.release()
-	counts.count(idx.view, anc, n)
-	dict := idx.view.Dictionary()
-	results := make([]Result, 0, len(counts.seen))
-	for _, cand := range counts.seen {
-		token := dict.Token(cand)
-		if token == q.Anchor {
-			continue
-		}
-		if r, ok := scoreCandidate(token, *counts.slot(cand), freqA, idx.view.Frequency(cand), n, q.MinLift); ok {
-			results = append(results, r)
-		}
-	}
 	return Answer{
 		Anchor:      q.Anchor,
 		AnchorCount: freqA,
 		N:           n,
-		Results:     rank(results, q.K),
+		Results:     rank(idx.candidates(nil, anc, freqA, n, q), q.K),
 	}, nil
+}
+
+// candidates appends to results every annotation of this index's view that
+// co-occurs with the anchor below n and passes the significance and lift
+// filters, scored from one AND-popcount per candidate.
+func (idx *Index) candidates(results []Result, anc relation.Postings, freqA, n int, q Query) []Result {
+	dict := idx.view.Dictionary()
+	idx.view.EachCooccurrence(anc, n, func(cand itemset.Item, co, freqC int) {
+		token := dict.Token(cand)
+		if token == q.Anchor {
+			return
+		}
+		if r, ok := scoreCandidate(token, co, freqA, freqC, n, q.MinLift); ok {
+			results = append(results, r)
+		}
+	})
+	return results
 }
 
 // scoreCandidate scores one candidate and applies the significance and
@@ -324,9 +268,10 @@ func scoreCandidate(token string, co, freqA, freqC, n int, minLift float64) (r R
 // every tuple's data values on every shard in identical positions while
 // each annotation family lives on exactly one shard, so the merge is
 // position-aligned: the anchor's postings resolve on whichever shard knows
-// the token, every shard counts its own annotations along those positions,
-// and all counts are clamped to the shortest shard's tuple count so the
-// statistics describe one consistent prefix.
+// the token, every shard ANDs them with its own annotations' bitmaps, and
+// every count — the anchor's, each candidate's and each co-occurrence — is
+// cut at the shortest shard's tuple count, even where that count falls
+// inside a bitmap word, so the statistics describe one consistent prefix.
 func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 	if len(idxs) == 1 {
 		return idxs[0].TopK(q)
@@ -349,24 +294,9 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 	if freqA == 0 {
 		return Answer{}, ErrUnknownAnchor
 	}
-	counts := borrowTally()
-	defer counts.release()
 	var results []Result
 	for _, idx := range idxs {
-		counts.reset()
-		counts.count(idx.view, anc, minN)
-		dict := idx.view.Dictionary()
-		results = slices.Grow(results, len(counts.seen))
-		for _, cand := range counts.seen {
-			token := dict.Token(cand)
-			if token == q.Anchor {
-				continue
-			}
-			freqC := idx.view.Postings(cand).CountBelow(minN)
-			if r, ok := scoreCandidate(token, *counts.slot(cand), freqA, freqC, minN, q.MinLift); ok {
-				results = append(results, r)
-			}
-		}
+		results = idx.candidates(results, anc, freqA, minN, q)
 	}
 	return Answer{
 		Anchor:      q.Anchor,

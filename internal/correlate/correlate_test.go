@@ -266,25 +266,22 @@ func TestTopKMergedMatchesUnsharded(t *testing.T) {
 // matching an unsharded relation truncated to that length.
 func TestTopKMergedClampsRaggedShards(t *testing.T) {
 	_, shards := shardedFixture(t)
-	// Extend shard 0 by 40 tuples the other shard has not seen yet.
-	longer := relation.New()
-	shards[0].View().Each(func(_ int, tu relation.Tuple) bool {
-		dict := shards[0].View().Dictionary()
-		var data, annots []string
-		for _, it := range tu.Data {
-			data = append(data, dict.Token(it))
+	// grow copies a shard and appends rows up to position to, each with
+	// data value src=a and the given annotations.
+	grow := func(view *relation.View, to int, annots ...string) *Index {
+		rel := relation.New()
+		dict := view.Dictionary()
+		view.Each(func(_ int, tu relation.Tuple) bool {
+			rel.Append(relation.MustTuple(rel.Dictionary(), dict.Tokens(tu.Data), dict.Tokens(tu.Annots)))
+			return true
+		})
+		for i := view.Len(); i < to; i++ {
+			rel.Append(relation.MustTuple(rel.Dictionary(), []string{"src=a", fmt.Sprintf("extra=%d", i)}, annots))
 		}
-		for _, a := range tu.Annots {
-			annots = append(annots, dict.Token(a))
-		}
-		longer.Append(relation.MustTuple(longer.Dictionary(), data, annots))
-		return true
-	})
-	for i := 0; i < 40; i++ {
-		longer.Append(relation.MustTuple(longer.Dictionary(),
-			[]string{"src=a", fmt.Sprintf("extra=%d", i)}, []string{"cpu:high", "net:sat"}))
+		return NewIndex(rel.View())
 	}
-	ragged := []*Index{NewIndex(longer.View()), shards[1]}
+	// Extend shard 0 by 40 tuples the other shard has not seen yet.
+	ragged := []*Index{grow(shards[0].View(), 540, "cpu:high", "net:sat"), shards[1]}
 	q := Query{Anchor: "cpu:high", K: 20, MinLift: 0}
 	got, err := TopKMerged(ragged, q)
 	if err != nil {
@@ -299,6 +296,37 @@ func TestTopKMergedClampsRaggedShards(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ragged merge diverged from aligned merge:\n ragged:  %+v\n aligned: %+v", got, want)
+	}
+
+	// A data anchor lives on both shards and resolves on the longer one, so
+	// its own bits past the edge must not count either; and an edge on a
+	// word boundary (both shards grown to 512 tuples, shard 0 by 40 more)
+	// must clamp as exactly as one inside a word.
+	aligned512 := []*Index{grow(shards[0].View(), 512, "cpu:high"), grow(shards[1].View(), 512, "sched:throttle")}
+	edges := []struct {
+		name            string
+		ragged, aligned []*Index
+		n               int
+	}{
+		{"mid-word edge", ragged, shards, 500},
+		{"word-boundary edge", []*Index{grow(aligned512[0].View(), 552, "cpu:high", "net:sat"), aligned512[1]}, aligned512, 512},
+	}
+	for _, edge := range edges {
+		for _, anchor := range []string{"cpu:high", "src=a"} {
+			q := Query{Anchor: anchor, K: 20, MinLift: 0}
+			got, err := TopKMerged(edge.ragged, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := TopKMerged(edge.aligned, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.N != edge.n || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, anchor %q: ragged merge diverged from aligned merge at n %d:\n ragged:  %+v\n aligned: %+v",
+					edge.name, anchor, edge.n, got, want)
+			}
+		}
 	}
 }
 
@@ -505,12 +533,9 @@ func TestExtendForkDoesNotWriteSharedArrays(t *testing.T) {
 }
 
 // TestWarmQueriesDoNotAllocatePerPosting bounds a warm query's allocations
-// by a small constant: the result slice and little else — no tally map, and
-// nothing that scales with the anchor's ~1 250 postings.
+// by a small constant: the result slice and little else — no per-candidate
+// counters, and nothing that scales with the anchor's ~1 250 postings.
 func TestWarmQueriesDoNotAllocatePerPosting(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	rel := randomRelation(rand.New(rand.NewSource(42)), 5000)
 	idx := NewIndex(rel.View())
 	_, shards := shardedFixture(t)
@@ -524,7 +549,7 @@ func TestWarmQueriesDoNotAllocatePerPosting(t *testing.T) {
 		{"TopKMerged", 4, func() error { _, err := TopKMerged(shards, single); return err }},
 	}
 	for _, tc := range cases {
-		if err := tc.run(); err != nil { // warm the tally pool
+		if err := tc.run(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
@@ -561,20 +586,51 @@ func FuzzParseCorrelateQuery(f *testing.F) {
 	})
 }
 
+// BenchmarkCorrelateTopK is an unsharded /correlate over 5 000 tuples: a
+// dense annotation anchor on ten annotations, and the two cases where walking
+// the anchor's positions would be cheaper than ANDing every candidate's
+// bitmap — a data anchor on eight late tuples, whose bitmap is long and
+// almost all zero words, and a 256-annotation dictionary.
 func BenchmarkCorrelateTopK(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	rel := randomRelation(rng, 5000)
-	idx := NewIndex(rel.View())
-	q := Query{Anchor: "cpu:high", K: DefaultK, MinLift: DefaultMinLift}
-	if _, err := idx.TopK(q); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.TopK(q); err != nil {
-			b.Fatal(err)
+	rare := randomRelation(rand.New(rand.NewSource(42)), 5000)
+	for i := 0; i < 8; i++ {
+		rare.Append(relation.MustTuple(rare.Dictionary(), []string{"host=rare"}, historyAnnots[i:i+3]))
+		for k := 0; k < 60; k++ {
+			rare.Append(relation.MustTuple(rare.Dictionary(), []string{"host=h0"}, nil))
 		}
+	}
+	rng := rand.New(rand.NewSource(42))
+	wide := relation.New()
+	for i := 0; i < 5000; i++ {
+		attach := []string{fmt.Sprintf("f%d:x", rng.Intn(255)), fmt.Sprintf("f%d:x", rng.Intn(255))}
+		if rng.Intn(4) == 0 {
+			attach = append(attach, "cpu:high")
+		}
+		wide.Append(relation.MustTuple(wide.Dictionary(), []string{fmt.Sprintf("host=h%d", rng.Intn(8))}, attach))
+	}
+	cases := []struct {
+		name, anchor string
+		rel          *relation.Relation
+	}{
+		{"cpu:high", "cpu:high", randomRelation(rand.New(rand.NewSource(42)), 5000)},
+		{"rare-late-data-anchor", "host=rare", rare},
+		{"256-annotations", "cpu:high", wide},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			idx := NewIndex(tc.rel.View())
+			q := Query{Anchor: tc.anchor, K: DefaultK, MinLift: DefaultMinLift}
+			if _, err := idx.TopK(q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := idx.TopK(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
 	"annotadb/internal/rules"
+	"annotadb/internal/workload"
 )
 
 func TestRemoveAnnotationsBasic(t *testing.T) {
@@ -256,6 +257,98 @@ func TestPropertyFullLifecycleEquivalentToRemine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyLowSupportLifecycleEquivalentToRemine runs the lifecycle where
+// the rule tiers are large: the paper corpus at 3 000 tuples under low
+// support, through a seeded mix of Case 1, 2 and 3 and removal batches, with
+// the incremental rules checked against a full re-mine after every batch.
+// At these thresholds the valid tier holds hundreds of rules and batches
+// promote and demote some of them, which the small random worlds above
+// never reach.
+func TestPropertyLowSupportLifecycleEquivalentToRemine(t *testing.T) {
+	const (
+		tuples  = 3000
+		batches = 12
+	)
+	for _, c := range []struct {
+		minSupport float64
+		seed       int64
+	}{{0.05, 1}, {0.05, 2}, {0.02, 3}, {0.02, 4}} {
+		minSupport := c.minSupport
+		t.Run(fmt.Sprintf("support=%v/seed=%d", minSupport, c.seed), func(t *testing.T) {
+			stream, err := workload.NewStream("paper", c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := workload.BuildRelation(stream.Base(tuples))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := mustEngine(t, rel, mining.Config{MinSupport: minSupport, MinConfidence: 0.5})
+			dict := rel.Dictionary()
+			rng := rand.New(rand.NewSource(c.seed))
+			minValid := e.Rules().Len()
+			var order []int
+			for b := 0; b < batches; b++ {
+				if b%4 == 0 {
+					order = rng.Perm(4) // each round of four runs every kind of batch once
+				}
+				var err error
+				switch op := order[b%4]; op {
+				case 0, 1:
+					var batch []relation.Tuple
+					for _, tu := range stream.Tuples(20 + rng.Intn(60)) {
+						var annots []string
+						if op == 0 {
+							annots = tu.Annotations
+						}
+						batch = append(batch, relation.MustTuple(dict, tu.Values, annots))
+					}
+					if op == 0 {
+						_, err = e.AddAnnotatedTuples(batch)
+					} else {
+						_, err = e.AddUnannotatedTuples(batch)
+					}
+				case 2:
+					var batch []relation.AnnotationUpdate
+					for _, u := range stream.Annotations(50+rng.Intn(150), rel.Len()) {
+						batch = append(batch, relation.AnnotationUpdate{Index: u.Tuple, Annotation: relation.MustAnnotation(dict, u.Annotation)})
+					}
+					_, err = e.AddAnnotations(batch)
+				default:
+					var batch []relation.AnnotationUpdate
+					for len(batch) < 50+rng.Intn(150) {
+						i := rng.Intn(rel.Len())
+						tu, terr := rel.Tuple(i)
+						if terr != nil {
+							t.Fatal(terr)
+						}
+						if len(tu.Annots) > 0 {
+							batch = append(batch, relation.AnnotationUpdate{Index: i, Annotation: tu.Annots[rng.Intn(len(tu.Annots))]})
+						}
+					}
+					_, err = e.RemoveAnnotations(batch)
+				}
+				if err != nil {
+					t.Fatalf("batch %d: %v", b, err)
+				}
+				verify(t, e, fmt.Sprintf("batch %d", b))
+				minValid = min(minValid, e.Rules().Len())
+			}
+			st := e.Stats()
+			t.Logf("valid rules ≥ %d, stats %+v", minValid, st)
+			if minValid < 200 {
+				t.Errorf("valid tier fell to %d rules, want hundreds", minValid)
+			}
+			if st.Promotions == 0 || st.Demotions == 0 {
+				t.Errorf("%d promotions and %d demotions, want at least one of each", st.Promotions, st.Demotions)
+			}
+			if st.Remines != 0 {
+				t.Errorf("%d batches fell back to a full re-mine, want every batch maintained incrementally", st.Remines)
+			}
+		})
 	}
 }
 

@@ -156,9 +156,16 @@ func TestApplyDeltaBeforeIsTheViewsSet(t *testing.T) {
 		batch = append(batch, AnnotationUpdate{Index: i, Annotation: a})
 	}
 	batch = append(batch, AnnotationUpdate{Index: 7, Annotation: b}, AnnotationUpdate{Index: 14, Annotation: b})
+	annotsOf := func(i int) itemset.Itemset {
+		tu, err := v.Tuple(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tu.Annots
+	}
 	old := make(map[int]itemset.Itemset)
 	for _, u := range batch {
-		old[u.Index] = v.AnnotationsOf(u.Index).Clone()
+		old[u.Index] = annotsOf(u.Index).Clone()
 	}
 	var d Delta
 	if err := r.ApplyDelta(batch, false, &d); err != nil {
@@ -168,7 +175,7 @@ func TestApplyDeltaBeforeIsTheViewsSet(t *testing.T) {
 		t.Fatalf("reported %d tuples, batch touched %d", len(d.Tuples), len(old))
 	}
 	for _, tu := range d.Tuples {
-		seen := v.AnnotationsOf(tu.Index)
+		seen := annotsOf(tu.Index)
 		if !tu.Before.Equal(old[tu.Index]) || !seen.Equal(old[tu.Index]) {
 			t.Errorf("tuple %d: before %v, view reads %v, want %v", tu.Index, tu.Before, seen, old[tu.Index])
 		}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -279,4 +280,101 @@ func countContaining(model []Tuple, pattern itemset.Itemset) int {
 		}
 	}
 	return n
+}
+
+// TestEachCooccurrenceMatchesScan checks the anchor-query kernel against a
+// scan of the tuples at every kind of cut n: none, inside the first word, on
+// word boundaries (64 and 512), mid-word with set bits on both sides of the
+// cut, and past every bitmap. Anchors and candidates pair short bitmaps with
+// long ones both ways round; one candidate is interned but never set, one
+// was set and cleared again, and one anchor comes from a longer relation
+// whose positions past the view's length are set.
+func TestEachCooccurrenceMatchesScan(t *testing.T) {
+	t.Parallel()
+	const size = 600
+	r := New()
+	dict := r.Dictionary()
+	MustAnnotation(dict, "never:set")
+	rng := rand.New(rand.NewSource(5))
+	row := func(i int) Tuple {
+		data := []string{fmt.Sprintf("mod=%d", i%3)}
+		if i >= 500 {
+			data = append(data, "d=late")
+		}
+		if i < 70 {
+			data = append(data, "d=early")
+		}
+		var annots []string
+		if i < 100 {
+			annots = append(annots, "early:x")
+		}
+		if i >= 450 {
+			annots = append(annots, "late:x")
+		}
+		if i%2 == 0 {
+			annots = append(annots, "even:x")
+		}
+		if rng.Intn(4) == 0 {
+			annots = append(annots, "some:x")
+		}
+		return MustTuple(dict, data, annots)
+	}
+	for i := 0; i < size; i++ {
+		r.Append(row(i))
+	}
+	gone := MustAnnotation(dict, "gone:x")
+	if err := r.AddAnnotation(3, gone); err != nil {
+		t.Fatal(err)
+	}
+	longer := r.Clone()
+	if err := r.RemoveAnnotation(3, gone); err != nil {
+		t.Fatal(err)
+	}
+	for i := size; i < size+40; i++ {
+		longer.Append(row(i))
+	}
+	v := r.View()
+	var tuples []Tuple
+	v.Each(func(_ int, tu Tuple) bool {
+		tuples = append(tuples, tu)
+		return true
+	})
+	type counts struct{ co, freq int }
+	scan := func(anchor Postings, n int) map[itemset.Item]counts {
+		out := make(map[itemset.Item]counts)
+		for _, a := range dict.AnnotationItems() {
+			var c counts
+			for i := 0; i < min(n, size); i++ {
+				if tuples[i].Annots.Contains(a) {
+					c.freq++
+					if anchor.Contains(i) {
+						c.co++
+					}
+				}
+			}
+			if c.co > 0 {
+				out[a] = c
+			}
+		}
+		return out
+	}
+	anchors := map[string]Postings{"longer relation's even:x": longer.View().Postings(MustAnnotation(dict, "even:x"))}
+	for _, token := range []string{"early:x", "late:x", "even:x", "some:x", "d=early", "d=late", "mod=1"} {
+		it, _ := dict.Lookup(token)
+		anchors[token] = v.Postings(it)
+	}
+	for name, anchor := range anchors {
+		for _, n := range []int{0, 1, 37, 63, 64, 65, 100, 127, 128, 300, 511, 512, 513, 599, 600, 601, 1 << 20} {
+			got := make(map[itemset.Item]counts)
+			v.EachCooccurrence(anchor, n, func(a itemset.Item, co, freq int) {
+				if _, dup := got[a]; dup {
+					t.Errorf("anchor %s n %d: %v visited twice", name, n, a)
+				}
+				got[a] = counts{co, freq}
+			})
+			if want := scan(anchor, n); !maps.Equal(got, want) {
+				t.Errorf("anchor %s n %d: got %v, want %v", name, n, got, want)
+			}
+		}
+	}
 }

@@ -126,9 +126,9 @@ func (st *store) countPattern(pattern itemset.Itemset) int {
 	return countBitmaps(bitmaps)
 }
 
-// countBitmaps is the one counting kernel, shared by the relation and
-// BatchIndex: the number of positions set in every one of bitmaps, ANDed
-// word by word and popcounted. Walking the rarest item's positions and
+// countBitmaps is the one counting kernel, shared by the relation, BatchIndex
+// and anchor queries: the number of positions set in every one of bitmaps,
+// ANDed word by word and popcounted. Walking the rarest item's positions and
 // probing the others costs the same when one item is rare and 20× more when
 // all are dense.
 func countBitmaps(bitmaps [][]uint64) int {
@@ -137,6 +137,17 @@ func countBitmaps(bitmaps [][]uint64) int {
 		words = min(words, len(b))
 	}
 	n := 0
+	if len(bitmaps) == 2 {
+		// An anchor and a candidate, or a 2-itemset: without the loop over
+		// the other bitmaps a word costs about half as much, which keeps an
+		// anchor query on a 256-annotation dictionary or a rare anchor no
+		// slower than walking the anchor's positions.
+		first, second := bitmaps[0][:words], bitmaps[1][:words]
+		for w, x := range first {
+			n += bits.OnesCount64(x & second[w])
+		}
+		return n
+	}
 	for w, x := range bitmaps[0][:words] {
 		for _, other := range bitmaps[1:] {
 			x &= other[w]
@@ -291,16 +302,6 @@ func (v *View) Each(fn func(i int, t Tuple) bool) { v.st.each(0, fn) }
 // EachFrom behaves like Each but starts at position start.
 func (v *View) EachFrom(start int, fn func(i int, t Tuple) bool) { v.st.each(start, fn) }
 
-// AnnotationsOf returns the annotations of the tuple at position i from the
-// annotation column alone — the one read a co-occurrence tally makes per
-// position. It panics when i is out of range, like a slice index.
-func (v *View) AnnotationsOf(i int) itemset.Itemset {
-	if i < 0 || i >= v.st.n {
-		panic(fmt.Sprintf("relation: tuple index %d out of range (view has %d tuples)", i, v.st.n))
-	}
-	return v.st.annotsOf(i)
-}
-
 // Postings returns the positions of tuples carrying item a — an annotation
 // or a data value — in this generation, frozen with it.
 func (v *View) Postings(a itemset.Item) Postings { return v.st.postingsOf(a) }
@@ -328,6 +329,42 @@ func (v *View) EachItem(fn func(a itemset.Item, n int)) {
 
 // CountPattern counts the tuples of this generation containing pattern.
 func (v *View) CountPattern(pattern itemset.Itemset) int { return v.st.countPattern(pattern) }
+
+// EachCooccurrence calls fn with every annotation of this generation that
+// shares a position below n with anchor, the number co of such positions and
+// the annotation's own count freq below n, in spine order. anchor may be
+// another generation's or another shard's postings over the same positions:
+// only its positions below n count. Every count is one AND-popcount over the
+// bitmaps; no tuple is read.
+func (v *View) EachCooccurrence(anchor Postings, n int, fn func(a itemset.Item, co, freq int)) {
+	// No bit of the view's is set at or past its length, so a candidate's
+	// count below n is its whole count unless n cuts the view short.
+	if n = min(n, v.st.n); n <= 0 {
+		return
+	}
+	// The anchor's whole words below n go through the kernel; the word n
+	// falls inside, masked to the positions below n, is ANDed on its own.
+	whole, cut := anchor.bits, n>>6
+	var partial uint64
+	if cut < len(whole) {
+		whole, partial = whole[:cut], whole[cut]&(1<<(uint(n)&63)-1)
+	}
+	pair := [2][]uint64{whole}
+	v.st.eachEntry(annotSpines, func(a itemset.Item, p Postings) {
+		pair[1] = p.bits
+		co := countBitmaps(pair[:])
+		if partial != 0 && cut < len(p.bits) {
+			co += bits.OnesCount64(partial & p.bits[cut])
+		}
+		if co > 0 {
+			freq := p.count
+			if n < v.st.n {
+				freq = p.CountBelow(n)
+			}
+			fn(a, co, freq)
+		}
+	})
+}
 
 // Stats computes summary statistics for this generation in one pass.
 func (v *View) Stats() Stats { return v.st.stats() }
