@@ -76,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -131,7 +132,7 @@ func (d *Dataset) Len() int { return d.rel.Len() }
 // Annotation tokens must carry the Annot_ prefix if the dataset is to be
 // written back in the paper's file format.
 func (d *Dataset) AddTuple(values []string, annotations []string) (int, error) {
-	tu, err := buildTuple(d.rel.Dictionary(), values, annotations)
+	tu, err := d.rel.Dictionary().ResolveTuple(values, annotations)
 	if err != nil {
 		return 0, err
 	}
@@ -189,25 +190,6 @@ func (d *Dataset) AnnotationFrequency(token string) int {
 		return 0
 	}
 	return d.rel.Frequency(it)
-}
-
-func buildTuple(dict *relation.Dictionary, values, annotations []string) (relation.Tuple, error) {
-	items := make([]itemset.Item, 0, len(values)+len(annotations))
-	for _, tok := range values {
-		it, err := dict.InternData(tok)
-		if err != nil {
-			return relation.Tuple{}, err
-		}
-		items = append(items, it)
-	}
-	for _, tok := range annotations {
-		it, err := dict.InternAnnotation(tok)
-		if err != nil {
-			return relation.Tuple{}, err
-		}
-		items = append(items, it)
-	}
-	return relation.NewTuple(items...), nil
 }
 
 // Options configure mining and maintenance.
@@ -382,13 +364,6 @@ type Engine struct {
 // engine; wrap the engine in NewServer and write through the Server.
 var ErrShardedEngine = errors.New("annotadb: sharded engine: route reads and writes through NewServer")
 
-// incrementalOptions maps public Options to engine internals.
-func incrementalOptions(opts Options) incremental.Options {
-	return incremental.Options{
-		DisableCandidateStore: opts.CandidateSlack >= 1,
-	}
-}
-
 // NewEngine mines the dataset once and returns an engine that keeps the
 // result exact under updates. The engine is purely in-memory; use
 // OpenDurable for one whose serving state survives restarts.
@@ -397,7 +372,7 @@ func NewEngine(d *Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := incremental.New(d.rel, cfg, incrementalOptions(opts))
+	eng, err := incremental.New(d.rel, cfg, incremental.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -432,24 +407,12 @@ func (e *Engine) AddTuples(batch []TupleSpec) (UpdateReport, error) {
 	if e.eng == nil {
 		return UpdateReport{}, ErrShardedEngine
 	}
-	dict := e.ds.rel.Dictionary()
-	tuples := make([]relation.Tuple, 0, len(batch))
-	annotated := false
-	for i, spec := range batch {
-		tu, err := buildTuple(dict, spec.Values, spec.Annotations)
-		if err != nil {
-			return UpdateReport{}, fmt.Errorf("annotadb: tuple %d: %w", i, err)
-		}
-		if tu.Annotated() {
-			annotated = true
-		}
-		tuples = append(tuples, tu)
+	tuples, err := e.ds.rel.Dictionary().ResolveTuples(batch)
+	if err != nil {
+		return UpdateReport{}, fmt.Errorf("annotadb: %w", err)
 	}
-	var (
-		rep *incremental.Report
-		err error
-	)
-	if annotated {
+	var rep *incremental.Report
+	if slices.ContainsFunc(tuples, relation.Tuple.Annotated) {
 		rep, err = e.eng.AddAnnotatedTuples(tuples)
 	} else {
 		rep, err = e.eng.AddUnannotatedTuples(tuples)
@@ -467,14 +430,9 @@ func (e *Engine) AddAnnotations(batch []AnnotationUpdate) (UpdateReport, error) 
 	if e.eng == nil {
 		return UpdateReport{}, ErrShardedEngine
 	}
-	dict := e.ds.rel.Dictionary()
-	updates := make([]relation.AnnotationUpdate, 0, len(batch))
-	for i, u := range batch {
-		it, err := dict.InternAnnotation(u.Annotation)
-		if err != nil {
-			return UpdateReport{}, fmt.Errorf("annotadb: update %d: %w", i, err)
-		}
-		updates = append(updates, relation.AnnotationUpdate{Index: u.Tuple, Annotation: it})
+	updates, err := e.ds.rel.Dictionary().ResolveUpdates(batch)
+	if err != nil {
+		return UpdateReport{}, fmt.Errorf("annotadb: %w", err)
 	}
 	rep, err := e.eng.AddAnnotations(updates)
 	if err != nil {
@@ -492,16 +450,14 @@ func (e *Engine) RemoveAnnotations(batch []AnnotationUpdate) (UpdateReport, erro
 		return UpdateReport{}, ErrShardedEngine
 	}
 	dict := e.ds.rel.Dictionary()
-	updates := make([]relation.AnnotationUpdate, 0, len(batch))
 	for i, u := range batch {
-		it, ok := dict.Lookup(u.Annotation)
-		if !ok {
+		if _, ok := dict.Lookup(u.Annotation); !ok {
 			return UpdateReport{}, fmt.Errorf("annotadb: removal %d: annotation %q unknown to this dataset", i, u.Annotation)
 		}
-		if !it.IsAnnotation() {
-			return UpdateReport{}, fmt.Errorf("annotadb: removal %d: token %q is a data value", i, u.Annotation)
-		}
-		updates = append(updates, relation.AnnotationUpdate{Index: u.Tuple, Annotation: it})
+	}
+	updates, err := dict.ResolveUpdates(batch)
+	if err != nil {
+		return UpdateReport{}, fmt.Errorf("annotadb: removal: %w", err)
 	}
 	rep, err := e.eng.RemoveAnnotations(updates)
 	if err != nil {
@@ -686,7 +642,7 @@ func (e *Engine) RecommendForTuple(spec TupleSpec, opts RecommendOptions) ([]Rec
 	if e.eng == nil {
 		return nil, ErrShardedEngine
 	}
-	tu, err := buildTuple(e.ds.rel.Dictionary(), spec.Values, spec.Annotations)
+	tu, err := e.ds.rel.Dictionary().ResolveTuple(spec.Values, spec.Annotations)
 	if err != nil {
 		return nil, err
 	}

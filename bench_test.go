@@ -318,7 +318,10 @@ func BenchmarkAblationCandidateStore(b *testing.B) {
 		disabled bool
 	}{{"on", false}, {"off", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			c := newAnnotationCycler(b, 200, incremental.Options{DisableCandidateStore: tc.disabled})
+			c := newAnnotationCycler(b, 200, incremental.Options{})
+			if tc.disabled {
+				c.cfg.CandidateSlack = 1
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package annotadb
 import (
 	"time"
 
+	"annotadb/internal/incremental"
 	"annotadb/internal/relation"
 	"annotadb/internal/shard"
 	"annotadb/internal/storage"
@@ -230,7 +231,7 @@ func openDurable(opts Options, dopts DurabilityOptions, bootstrap func() (*relat
 		Dir:    dopts.Dir,
 		Shards: dopts.Shards,
 		Wal:    wopts,
-	}, cfg, incrementalOptions(opts), bootstrap)
+	}, cfg, incremental.Options{}, bootstrap)
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}

@@ -94,19 +94,17 @@ func Follow(opts Options, sopts ServeOptions, fopts FollowOptions) (*Server, err
 	if err != nil {
 		return nil, err
 	}
-	eopts := incrementalOptions(opts)
 	broker, _, err := newStream(sopts.Stream, "", 1)
 	if err != nil {
 		return nil, err
 	}
 	f, err := replica.Start(replica.Options{
-		Primary:       fopts.Primary,
-		Client:        fopts.Client,
-		Poll:          fopts.Poll,
-		MaxBackoff:    fopts.MaxBackoff,
-		ChunkBytes:    fopts.ChunkBytes,
-		Config:        cfg,
-		EngineOptions: eopts,
+		Primary:    fopts.Primary,
+		Client:     fopts.Client,
+		Poll:       fopts.Poll,
+		MaxBackoff: fopts.MaxBackoff,
+		ChunkBytes: fopts.ChunkBytes,
+		Config:     cfg,
 		NewRouter: func(eng *incremental.Engine) (*shard.Router, error) {
 			return shard.FromEngines([]*incremental.Engine{eng}, shard.Config{Serve: sopts.internal(), Stream: broker})
 		},

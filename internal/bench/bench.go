@@ -790,7 +790,11 @@ func runE9(p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := incremental.New(rel.Clone(), cfg, incremental.Options{DisableCandidateStore: disabled})
+		vcfg := cfg
+		if disabled {
+			vcfg.CandidateSlack = 1
+		}
+		eng, err := incremental.New(rel.Clone(), vcfg, incremental.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -104,9 +104,6 @@ type Options struct {
 	// changed, before falling back to a full re-mine. Zero means
 	// DefaultSubsetBudget.
 	SubsetBudget int
-	// DisableCandidateStore drops the slack pool entirely (slack = 1.0);
-	// kept for the E9 ablation.
-	DisableCandidateStore bool
 }
 
 // DefaultSubsetBudget bounds annotation-subset enumeration per batch.
@@ -205,9 +202,6 @@ type Stats struct {
 func New(rel *relation.Relation, cfg mining.Config, opts Options) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.DisableCandidateStore {
-		cfg.CandidateSlack = 1.0
 	}
 	e := &Engine{rel: rel, cfg: cfg, opts: opts}
 	if err := e.bootstrap(); err != nil {

@@ -534,8 +534,8 @@ func TestInterleavedCasesStayExact(t *testing.T) {
 
 func TestDisableCandidateStore(t *testing.T) {
 	rel := fixture()
-	e, err := New(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7},
-		Options{DisableCandidateStore: true})
+	e, err := New(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7, CandidateSlack: 1},
+		Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,6 @@ func Restore(rel *relation.Relation, cfg mining.Config, opts Options, st State) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.DisableCandidateStore {
-		cfg.CandidateSlack = 1.0
-	}
 	if st.Valid == nil || st.Candidates == nil || st.DataPatterns == nil || st.AnnotPatterns == nil {
 		return nil, fmt.Errorf("incremental: restore: incomplete state (nil rule set or catalog)")
 	}

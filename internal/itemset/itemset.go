@@ -262,42 +262,6 @@ func (s Itemset) Union(o Itemset) Itemset {
 	return out
 }
 
-// Intersect returns s ∩ o as a new canonical set.
-func (s Itemset) Intersect(o Itemset) Itemset {
-	var out Itemset
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] < o[j]:
-			i++
-		case s[i] > o[j]:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Intersects reports whether s and o share at least one member, without
-// allocating. It is the hot-path form of !s.Intersect(o).Empty().
-func (s Itemset) Intersects(o Itemset) bool {
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] < o[j]:
-			i++
-		case s[i] > o[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 // Subtract returns s \ o as a new canonical set.
 func (s Itemset) Subtract(o Itemset) Itemset {
 	var out Itemset
@@ -490,64 +454,6 @@ func (s Itemset) PrefixJoin(o Itemset) (Itemset, bool) {
 	copy(out, s)
 	out[k] = o[k-1]
 	return out, true
-}
-
-// Subsets invokes fn with every subset of s of size k, in lexicographic
-// order. fn must not retain the slice it is handed; it is reused between
-// invocations. If fn returns false, enumeration stops early.
-//
-// The enumeration is the classic lexicographic combination walk; the
-// incremental engine uses it to enumerate annotation patterns inside a
-// single tuple.
-func (s Itemset) Subsets(k int, fn func(Itemset) bool) {
-	n := len(s)
-	if k < 0 || k > n {
-		return
-	}
-	if k == 0 {
-		fn(Itemset{})
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	buf := make(Itemset, k)
-	for {
-		for i, j := range idx {
-			buf[i] = s[j]
-		}
-		if !fn(buf) {
-			return
-		}
-		// Advance the combination indexes.
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
-}
-
-// AllSubsets invokes fn with every non-empty subset of s, smallest first.
-// fn must not retain the slice; returning false stops enumeration.
-func (s Itemset) AllSubsets(fn func(Itemset) bool) {
-	stop := false
-	for k := 1; k <= len(s) && !stop; k++ {
-		s.Subsets(k, func(sub Itemset) bool {
-			if !fn(sub) {
-				stop = true
-				return false
-			}
-			return true
-		})
-	}
 }
 
 // Binomial returns C(n, k) saturating at math.MaxInt64 to guard the

@@ -3,7 +3,6 @@ package itemset
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -167,9 +166,6 @@ func TestSetAlgebra(t *testing.T) {
 	if got, want := a.Union(b), New(DataItem(1), DataItem(2), DataItem(3), DataItem(4)); !got.Equal(want) {
 		t.Errorf("Union = %v, want %v", got, want)
 	}
-	if got, want := a.Intersect(b), New(DataItem(2), DataItem(3)); !got.Equal(want) {
-		t.Errorf("Intersect = %v, want %v", got, want)
-	}
 	if got, want := a.Subtract(b), New(DataItem(1)); !got.Equal(want) {
 		t.Errorf("Subtract = %v, want %v", got, want)
 	}
@@ -178,9 +174,6 @@ func TestSetAlgebra(t *testing.T) {
 	}
 	if got := Itemset(nil).Union(a); !got.Equal(a) {
 		t.Errorf("nil.Union(a) = %v, want %v", got, a)
-	}
-	if got := a.Intersect(nil); !got.Empty() {
-		t.Errorf("Intersect(nil) = %v, want empty", got)
 	}
 	if got := a.Subtract(a); !got.Empty() {
 		t.Errorf("Subtract(self) = %v, want empty", got)
@@ -378,79 +371,6 @@ func TestPrefixJoin(t *testing.T) {
 	}
 }
 
-func TestSubsets(t *testing.T) {
-	t.Parallel()
-	s := New(DataItem(1), DataItem(2), DataItem(3), DataItem(4))
-	var got []Itemset
-	s.Subsets(2, func(sub Itemset) bool {
-		got = append(got, sub.Clone())
-		return true
-	})
-	if len(got) != 6 {
-		t.Fatalf("Subsets(2) yielded %d sets, want 6", len(got))
-	}
-	// Lexicographic order and wellformedness.
-	for i, sub := range got {
-		if !sub.Wellformed() {
-			t.Errorf("subset %v not wellformed", sub)
-		}
-		if i > 0 && got[i-1].Compare(sub) >= 0 {
-			t.Errorf("subsets out of order: %v before %v", got[i-1], sub)
-		}
-		if !sub.IsSubsetOf(s) {
-			t.Errorf("%v not a subset of %v", sub, s)
-		}
-	}
-}
-
-func TestSubsetsEdgeCases(t *testing.T) {
-	t.Parallel()
-	s := New(DataItem(1), DataItem(2))
-	count := 0
-	s.Subsets(0, func(sub Itemset) bool { count++; return sub.Empty() })
-	if count != 1 {
-		t.Errorf("Subsets(0) yielded %d, want 1 (the empty set)", count)
-	}
-	count = 0
-	s.Subsets(3, func(Itemset) bool { count++; return true })
-	if count != 0 {
-		t.Errorf("Subsets(k>len) yielded %d, want 0", count)
-	}
-	count = 0
-	s.Subsets(-1, func(Itemset) bool { count++; return true })
-	if count != 0 {
-		t.Errorf("Subsets(-1) yielded %d, want 0", count)
-	}
-	// Early stop.
-	count = 0
-	s.Subsets(1, func(Itemset) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("early stop yielded %d calls, want 1", count)
-	}
-}
-
-func TestAllSubsets(t *testing.T) {
-	t.Parallel()
-	s := New(DataItem(1), DataItem(2), DataItem(3))
-	count := 0
-	s.AllSubsets(func(sub Itemset) bool {
-		if sub.Empty() {
-			t.Error("AllSubsets yielded the empty set")
-		}
-		count++
-		return true
-	})
-	if count != 7 { // 2^3 - 1
-		t.Errorf("AllSubsets yielded %d, want 7", count)
-	}
-	// Early stop halts the whole enumeration, not just one size class.
-	count = 0
-	s.AllSubsets(func(Itemset) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("early stop yielded %d calls, want 2", count)
-	}
-}
-
 func TestBinomial(t *testing.T) {
 	t.Parallel()
 	tests := []struct {
@@ -506,11 +426,11 @@ func TestPropertySubtractIntersectPartition(t *testing.T) {
 	f := func() bool {
 		a, b := randomSet(r, 10, 15), randomSet(r, 10, 15)
 		// (a\b) ∪ (a∩b) == a, and the two parts are disjoint.
-		diff, inter := a.Subtract(b), a.Intersect(b)
+		diff, inter := a.Subtract(b), a.Filter(b.Contains)
 		if !diff.Union(inter).Equal(a) {
 			return false
 		}
-		return diff.Intersect(inter).Empty()
+		return diff.Filter(inter.Contains).Empty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -528,28 +448,6 @@ func TestPropertyKeyInjective(t *testing.T) {
 		return a.Key() != b.Key()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertySubsetEnumerationComplete(t *testing.T) {
-	t.Parallel()
-	r := rand.New(rand.NewSource(4))
-	f := func() bool {
-		s := randomSet(r, 7, 30)
-		for k := 0; k <= s.Len(); k++ {
-			var n int64
-			s.Subsets(k, func(sub Itemset) bool {
-				n++
-				return true
-			})
-			if n != Binomial(s.Len(), k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
@@ -580,11 +478,10 @@ func TestPropertyPrefixJoinProducesValidCandidates(t *testing.T) {
 		}
 		// Build all (k-1)-subsets, join each ordered pair, and check every
 		// join result is a k-set containing both parents.
-		var subs []Itemset
-		s.Subsets(s.Len()-1, func(sub Itemset) bool {
-			subs = append(subs, sub.Clone())
-			return true
-		})
+		subs := make([]Itemset, s.Len())
+		for i := range subs {
+			subs[i] = s.WithoutIndex(i)
+		}
 		for _, a := range subs {
 			for _, b := range subs {
 				joined, ok := a.PrefixJoin(b)
@@ -667,37 +564,5 @@ func TestWellformedDetectsViolations(t *testing.T) {
 	dup := Itemset{DataItem(1), DataItem(1)}
 	if dup.Wellformed() {
 		t.Error("duplicated set reported wellformed")
-	}
-}
-
-func TestSubsetsMatchesSortPackageExpectations(t *testing.T) {
-	t.Parallel()
-	// Cross-check the combination walk against an independent filter-based
-	// enumeration on a small universe.
-	s := New(DataItem(1), DataItem(2), DataItem(3), DataItem(4), DataItem(5))
-	want := map[Key]bool{}
-	for mask := 1; mask < 1<<5; mask++ {
-		var sub Itemset
-		for b := 0; b < 5; b++ {
-			if mask&(1<<b) != 0 {
-				sub = append(sub, s[b])
-			}
-		}
-		sort.Slice(sub, func(i, j int) bool { return sub[i] < sub[j] })
-		want[sub.Key()] = true
-	}
-	got := map[Key]bool{}
-	s.AllSubsets(func(sub Itemset) bool {
-		got[sub.Key()] = true
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("AllSubsets found %d subsets, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			dec, _ := k.Decode()
-			t.Errorf("missing subset %v", dec)
-		}
 	}
 }

@@ -71,12 +71,18 @@ func scanMine(rel *relation.Relation, cfg Config) *Result {
 		if cfg.ExcludeDerived {
 			items = items.Filter(func(it itemset.Item) bool { return !it.IsDerived() })
 		}
-		items.AllSubsets(func(s itemset.Itemset) bool {
+		// Every non-empty subset, by bitmask over the tuple's few items.
+		for mask := 1; mask < 1<<items.Len(); mask++ {
+			var s itemset.Itemset
+			for b, it := range items {
+				if mask&(1<<b) != 0 {
+					s = append(s, it)
+				}
+			}
 			if cfg.MaxLen == 0 || s.Len() <= cfg.MaxLen {
 				counts[s.Key()]++
 			}
-			return true
-		})
+		}
 		return true
 	})
 	for key, c := range counts {

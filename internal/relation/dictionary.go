@@ -70,9 +70,8 @@ func (d *Dictionary) intern(token string, kind Kind) (itemset.Item, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if it, ok := d.byToken[token]; ok {
-		if kindOf(it) != kind {
-			return itemset.None, fmt.Errorf("relation: token %q already interned as %s, cannot re-intern as %s",
-				token, kindOf(it), kind)
+		if have := kindOf(it); have != kind {
+			return itemset.None, &KindError{Token: token, Have: have, Want: kind}
 		}
 		return it, nil
 	}

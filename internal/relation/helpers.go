@@ -2,25 +2,15 @@ package relation
 
 import "annotadb/internal/itemset"
 
-// MustTuple interns the given tokens and builds a tuple. It panics on intern
-// failure and exists for tests and examples where the tokens are literals.
+// MustTuple resolves the given tokens into a tuple (Dictionary.ResolveTuple)
+// and panics on failure. It exists for tests and examples where the tokens
+// are literals.
 func MustTuple(dict *Dictionary, data []string, annots []string) Tuple {
-	items := make([]itemset.Item, 0, len(data)+len(annots))
-	for _, tok := range data {
-		it, err := dict.InternData(tok)
-		if err != nil {
-			panic(err)
-		}
-		items = append(items, it)
+	tu, err := dict.ResolveTuple(data, annots)
+	if err != nil {
+		panic(err)
 	}
-	for _, tok := range annots {
-		it, err := dict.InternAnnotation(tok)
-		if err != nil {
-			panic(err)
-		}
-		items = append(items, it)
-	}
-	return NewTuple(items...)
+	return tu
 }
 
 // MustAnnotation interns token as a raw annotation, panicking on failure.

@@ -155,8 +155,6 @@ type Options struct {
 	// Config is the follower's mining configuration; its fingerprint must
 	// match the primary's checkpoints.
 	Config mining.Config
-	// EngineOptions mirror the primary's incremental engine options.
-	EngineOptions incremental.Options
 	// Tag is the configuration fingerprint tag (must match the primary's).
 	Tag string
 	// NewRouter builds a one-shard router over a freshly restored engine;
@@ -248,7 +246,7 @@ func Start(opts Options) (*Follower, error) {
 	f := &Follower{
 		opts:   opts,
 		client: NewClient(opts.Primary, opts.Client),
-		fp:     wal.Fingerprint(opts.Config, opts.EngineOptions, opts.Tag),
+		fp:     wal.Fingerprint(opts.Config, opts.Tag),
 		seqCh:  make(chan struct{}),
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 		ctx:    ctx,
@@ -277,7 +275,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if ck.ConfigFingerprint != f.fp {
 		return fmt.Errorf("replica: primary checkpoint fingerprint %q does not match follower configuration %q", ck.ConfigFingerprint, f.fp)
 	}
-	eng, err := wal.RestoreEngine(ck, f.opts.Config, f.opts.EngineOptions)
+	eng, err := wal.RestoreEngine(ck, f.opts.Config, incremental.Options{})
 	if err != nil {
 		return fmt.Errorf("replica: restore checkpoint: %w", err)
 	}

@@ -186,7 +186,7 @@ func TestSourceTailTranslatesAcrossPendingTruncation(t *testing.T) {
 	ck := &storage.Checkpoint{
 		Epoch:             epoch + 1,
 		CoveredBytes:      uint64(base.Size),
-		ConfigFingerprint: wal.Fingerprint(testCfg, incremental.Options{}, ""),
+		ConfigFingerprint: wal.Fingerprint(testCfg, ""),
 		Relation:          st.Relation,
 		Valid:             st.Valid,
 		Candidates:        st.Candidates,
@@ -236,7 +236,7 @@ func TestOpenCheckpointCapturesOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("streamed checkpoint does not fully decode: %v", err)
 	}
-	if ck.Epoch != meta.Epoch || ck.ConfigFingerprint != wal.Fingerprint(testCfg, incremental.Options{}, "") {
+	if ck.Epoch != meta.Epoch || ck.ConfigFingerprint != wal.Fingerprint(testCfg, "") {
 		t.Errorf("checkpoint head = epoch %d fp %q", ck.Epoch, ck.ConfigFingerprint)
 	}
 

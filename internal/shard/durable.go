@@ -376,7 +376,7 @@ func (c *Cluster) reconcile() error {
 				if !ok {
 					return fmt.Errorf("shard: reconcile: donor item %v has no token", it)
 				}
-				v, err := dict.InternData(tok)
+				v, err := dict.Import(tok, it)
 				if err != nil {
 					return err
 				}

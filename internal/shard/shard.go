@@ -251,61 +251,83 @@ func FromEngines(engines []*incremental.Engine, cfg Config) (*Router, error) {
 }
 
 // ProjectAll builds every shard's replica of src in a single pass: shard s
-// receives each tuple's data values plus the annotations whose family
-// hashes to s, in src's tuple order, under fresh per-shard dictionaries.
+// receives each tuple's data values plus the annotations, raw or derived,
+// whose family hashes to s, in src's tuple order, under fresh per-shard
+// dictionaries that keep each item's kind (relation.Dictionary.Import).
 func ProjectAll(src relation.Source, n int) ([]*relation.Relation, error) {
+	return project(src, n, -1)
+}
+
+// Project builds shard s's replica of src alone — ProjectAll's s-th
+// relation. The durable open path uses it to project each shard
+// independently (and concurrently).
+func Project(src relation.Source, s, n int) (*relation.Relation, error) {
+	rels, err := project(src, n, s)
+	if err != nil {
+		return nil, err
+	}
+	return rels[s], nil
+}
+
+// project builds the replicas of src in one pass: every shard's when only
+// is negative, else shard only's (the other entries stay nil).
+func project(src relation.Source, n, only int) ([]*relation.Relation, error) {
 	srcDict := src.Dictionary()
 	rels := make([]*relation.Relation, n)
 	dicts := make([]*relation.Dictionary, n)
-	batches := make([][]relation.Tuple, n)
-	for s := 0; s < n; s++ {
-		rels[s] = relation.New()
-		dicts[s] = rels[s].Dictionary()
+	var targets []int
+	for s := range rels {
+		if only < 0 || s == only {
+			rels[s] = relation.New()
+			dicts[s] = rels[s].Dictionary()
+			targets = append(targets, s)
+		}
 	}
-	var buildErr error
+	batches := make([][]relation.Tuple, n)
 	items := make([][]itemset.Item, n)
+	var buildErr error
+	// put copies src's item it into shard s's replica of the tuple.
+	put := func(s int, tok string, it itemset.Item) bool {
+		v, err := dicts[s].Import(tok, it)
+		if err != nil {
+			buildErr = err
+			return false
+		}
+		items[s] = append(items[s], v)
+		return true
+	}
+	tokenOf := func(it itemset.Item) (string, bool) {
+		tok, ok := srcDict.TokenOK(it)
+		if !ok {
+			buildErr = fmt.Errorf("shard: project: item %v has no token", it)
+		}
+		return tok, ok
+	}
 	src.Each(func(_ int, tu relation.Tuple) bool {
-		for s := range items {
+		for _, s := range targets {
 			items[s] = items[s][:0]
 		}
 		for _, it := range tu.Data {
-			tok, ok := srcDict.TokenOK(it)
+			tok, ok := tokenOf(it)
 			if !ok {
-				buildErr = fmt.Errorf("shard: project: data item %v has no token", it)
 				return false
 			}
-			for s := 0; s < n; s++ {
-				v, err := dicts[s].InternData(tok)
-				if err != nil {
-					buildErr = err
+			for _, s := range targets {
+				if !put(s, tok, it) {
 					return false
 				}
-				items[s] = append(items[s], v)
 			}
 		}
 		for _, it := range tu.Annots {
-			tok, ok := srcDict.TokenOK(it)
+			tok, ok := tokenOf(it)
 			if !ok {
-				buildErr = fmt.Errorf("shard: project: annotation item %v has no token", it)
 				return false
 			}
-			s := ShardOf(tok, n)
-			var (
-				v   itemset.Item
-				err error
-			)
-			if it.IsDerived() {
-				v, err = dicts[s].InternDerived(tok)
-			} else {
-				v, err = dicts[s].InternAnnotation(tok)
-			}
-			if err != nil {
-				buildErr = err
+			if s := ShardOf(tok, n); dicts[s] != nil && !put(s, tok, it) {
 				return false
 			}
-			items[s] = append(items[s], v)
 		}
-		for s := 0; s < n; s++ {
+		for _, s := range targets {
 			batches[s] = append(batches[s], relation.NewTuple(items[s]...))
 		}
 		return true
@@ -313,70 +335,10 @@ func ProjectAll(src relation.Source, n int) ([]*relation.Relation, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	for s := 0; s < n; s++ {
+	for _, s := range targets {
 		rels[s].Append(batches[s]...)
 	}
 	return rels, nil
-}
-
-// Project builds shard s's replica of src: every tuple's data values and
-// derived labels routed to s, plus the raw annotations whose family hashes
-// to s, in src's tuple order, under a fresh dictionary. The durable open
-// path uses it to project each shard independently (and concurrently);
-// ProjectAll builds all shards in one pass.
-func Project(src relation.Source, s, n int) (*relation.Relation, error) {
-	srcDict := src.Dictionary()
-	rel := relation.New()
-	dict := rel.Dictionary()
-	var batch []relation.Tuple
-	var buildErr error
-	src.Each(func(_ int, tu relation.Tuple) bool {
-		items := make([]itemset.Item, 0, len(tu.Data)+len(tu.Annots))
-		for _, it := range tu.Data {
-			tok, ok := srcDict.TokenOK(it)
-			if !ok {
-				buildErr = fmt.Errorf("shard: project: data item %v has no token", it)
-				return false
-			}
-			v, err := dict.InternData(tok)
-			if err != nil {
-				buildErr = err
-				return false
-			}
-			items = append(items, v)
-		}
-		for _, it := range tu.Annots {
-			tok, ok := srcDict.TokenOK(it)
-			if !ok {
-				buildErr = fmt.Errorf("shard: project: annotation item %v has no token", it)
-				return false
-			}
-			if ShardOf(tok, n) != s {
-				continue
-			}
-			var (
-				v   itemset.Item
-				err error
-			)
-			if it.IsDerived() {
-				v, err = dict.InternDerived(tok)
-			} else {
-				v, err = dict.InternAnnotation(tok)
-			}
-			if err != nil {
-				buildErr = err
-				return false
-			}
-			items = append(items, v)
-		}
-		batch = append(batch, relation.NewTuple(items...))
-		return true
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	rel.Append(batch...)
-	return rel, nil
 }
 
 // Shards returns the shard count.
@@ -538,32 +500,21 @@ func (r *Router) annotate(ctx context.Context, updates []Update, remove, replay 
 	}
 	n := len(r.shards)
 	perShard := make([][]relation.AnnotationUpdate, n)
+	what := "update"
+	if remove {
+		what = "removal"
+	}
 	for i, u := range updates {
 		s := ShardOf(u.Annotation, n)
 		dict := r.shards[s].dict
-		var (
-			it  itemset.Item
-			err error
-		)
-		if remove {
-			var ok bool
-			it, ok = dict.Lookup(u.Annotation)
-			switch {
-			case ok && !it.IsAnnotation():
-				return nil, fmt.Errorf("removal %d: token %q is a data value", i, u.Annotation)
-			case ok:
-			case !replay:
+		if remove && !replay {
+			if _, ok := dict.Lookup(u.Annotation); !ok {
 				return nil, fmt.Errorf("removal %d: annotation %q unknown to this dataset", i, u.Annotation)
-			default:
-				if it, err = dict.InternAnnotation(u.Annotation); err != nil {
-					return nil, fmt.Errorf("removal %d: %w", i, err)
-				}
 			}
-		} else {
-			it, err = dict.InternAnnotation(u.Annotation)
-			if err != nil {
-				return nil, fmt.Errorf("update %d: %w", i, err)
-			}
+		}
+		it, err := dict.ResolveAnnotation(u.Annotation)
+		if err != nil {
+			return nil, fmt.Errorf("%s %d: %w", what, i, err)
 		}
 		perShard[s] = append(perShard[s], relation.AnnotationUpdate{Index: u.Tuple, Annotation: it})
 	}
@@ -614,47 +565,41 @@ func (r *Router) AddTuples(ctx context.Context, tuples []TupleSpec) (*incrementa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// One pass over the batch: every replica gets each tuple's values, and
+	// each annotation goes to the one shard its family hashes to. items
+	// holds the tuple under construction per shard and is reused.
 	n := len(r.shards)
 	annotated := false
-	// Resolve each annotation token's owning shard once per batch, not once
-	// per (shard, token) pair: the fan-out below would otherwise re-hash
-	// every family n times.
-	owners := make([][]int, len(tuples))
-	for i, spec := range tuples {
-		if len(spec.Annotations) == 0 {
-			continue
-		}
-		annotated = true
-		owners[i] = make([]int, len(spec.Annotations))
-		for j, tok := range spec.Annotations {
-			owners[i][j] = ShardOf(tok, n)
-		}
-	}
 	perShard := make([][]relation.Tuple, n)
-	for s := 0; s < n; s++ {
-		batch := make([]relation.Tuple, 0, len(tuples))
-		for i, spec := range tuples {
-			items := make([]itemset.Item, 0, len(spec.Values)+len(spec.Annotations))
-			for _, tok := range spec.Values {
-				it, err := r.shards[s].dict.InternData(tok)
-				if err != nil {
-					return nil, fmt.Errorf("tuple %d: %w", i, err)
-				}
-				items = append(items, it)
-			}
-			for j, tok := range spec.Annotations {
-				if owners[i][j] != s {
-					continue
-				}
-				it, err := r.shards[s].dict.InternAnnotation(tok)
-				if err != nil {
-					return nil, fmt.Errorf("tuple %d: %w", i, err)
-				}
-				items = append(items, it)
-			}
-			batch = append(batch, relation.NewTuple(items...))
+	items := make([][]itemset.Item, n)
+	for s := range perShard {
+		perShard[s] = make([]relation.Tuple, 0, len(tuples))
+	}
+	for i, spec := range tuples {
+		annotated = annotated || len(spec.Annotations) > 0
+		for s := range items {
+			items[s] = items[s][:0]
 		}
-		perShard[s] = batch
+		for _, tok := range spec.Values {
+			for s, sh := range r.shards {
+				it, err := sh.dict.InternData(tok)
+				if err != nil {
+					return nil, fmt.Errorf("tuple %d: %w", i, err)
+				}
+				items[s] = append(items[s], it)
+			}
+		}
+		for _, tok := range spec.Annotations {
+			s := ShardOf(tok, n)
+			it, err := r.shards[s].dict.ResolveAnnotation(tok)
+			if err != nil {
+				return nil, fmt.Errorf("tuple %d: %w", i, err)
+			}
+			items[s] = append(items[s], it)
+		}
+		for s := range perShard {
+			perShard[s] = append(perShard[s], relation.NewTuple(items[s]...))
+		}
 	}
 	c := incremental.CaseUnannotatedTuples
 	if annotated {

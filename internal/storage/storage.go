@@ -22,7 +22,6 @@ import (
 	"strings"
 	"unicode"
 
-	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
 )
 
@@ -138,7 +137,7 @@ func AppendDataset(rel *relation.Relation, r io.Reader, opts Options, path strin
 		if len(data) == 0 && !opts.AllowEmptyTuples {
 			return &ParseError{Path: path, Line: lineNo, Msg: "tuple has no data values"}
 		}
-		tu, err := buildTuple(dict, data, annots)
+		tu, err := dict.ResolveTuple(data, annots)
 		if err != nil {
 			return &ParseError{Path: path, Line: lineNo, Msg: err.Error()}
 		}
@@ -149,28 +148,6 @@ func AppendDataset(rel *relation.Relation, r io.Reader, opts Options, path strin
 	}
 	rel.Append(pending...)
 	return nil
-}
-
-// buildTuple interns tokens with explicit kinds. MustTuple would panic on a
-// kind conflict (a token used both as value and annotation); a parser must
-// surface that as an error instead.
-func buildTuple(dict *relation.Dictionary, data, annots []string) (relation.Tuple, error) {
-	items := make([]itemset.Item, 0, len(data)+len(annots))
-	for _, tok := range data {
-		it, err := dict.InternData(tok)
-		if err != nil {
-			return relation.Tuple{}, err
-		}
-		items = append(items, it)
-	}
-	for _, tok := range annots {
-		it, err := dict.InternAnnotation(tok)
-		if err != nil {
-			return relation.Tuple{}, err
-		}
-		items = append(items, it)
-	}
-	return relation.NewTuple(items...), nil
 }
 
 // WriteDataset writes the relation in Figure 4 format: data tokens first,
@@ -307,13 +284,14 @@ func WriteUpdateBatch(w io.Writer, lines []UpdateLine) error {
 	return bw.Flush()
 }
 
-// ResolveUpdates interns batch tokens into the relation's dictionary and
-// produces relation.AnnotationUpdate values ready for Relation.ApplyUpdates.
+// ResolveUpdates resolves batch tokens against the relation's dictionary
+// (Dictionary.ResolveAnnotation) and produces relation.AnnotationUpdate
+// values ready for Relation.ApplyUpdates.
 func ResolveUpdates(rel *relation.Relation, lines []UpdateLine) ([]relation.AnnotationUpdate, error) {
 	dict := rel.Dictionary()
 	out := make([]relation.AnnotationUpdate, 0, len(lines))
 	for _, u := range lines {
-		it, err := dict.InternAnnotation(u.Token)
+		it, err := dict.ResolveAnnotation(u.Token)
 		if err != nil {
 			return nil, fmt.Errorf("storage: resolve update %d:%s: %w", u.Index+1, u.Token, err)
 		}

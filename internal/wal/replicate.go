@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"annotadb/internal/incremental"
-	"annotadb/internal/itemset"
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
 	"annotadb/internal/storage"
@@ -161,59 +160,6 @@ func DecodeFrames(data []byte) ([]Record, int64, error) {
 	}
 }
 
-// resolveAnnotationItem resolves a logged annotation token against dict.
-// Lookup-first matters: a derived generalization label is a legal annotation
-// in an update batch but is interned under a different kind, so blindly
-// re-interning it as a raw annotation would fail replay forever.
-func resolveAnnotationItem(dict *relation.Dictionary, token string) (itemset.Item, error) {
-	if it, ok := dict.Lookup(token); ok {
-		if !it.IsAnnotation() {
-			return itemset.None, badRecord("token %q is a data value, not an annotation", token)
-		}
-		return it, nil
-	}
-	return dict.InternAnnotation(token)
-}
-
-// resolveAnnotations converts a logged annotation batch back into engine
-// updates against dict, re-interning tokens in log order.
-func resolveAnnotations(dict *relation.Dictionary, updates []Update) ([]relation.AnnotationUpdate, error) {
-	out := make([]relation.AnnotationUpdate, 0, len(updates))
-	for _, u := range updates {
-		it, err := resolveAnnotationItem(dict, u.Annotation)
-		if err != nil {
-			return nil, fmt.Errorf("wal: replay annotation %q: %w", u.Annotation, err)
-		}
-		out = append(out, relation.AnnotationUpdate{Index: u.Tuple, Annotation: it})
-	}
-	return out, nil
-}
-
-// resolveTuples converts a logged tuple batch back into relation tuples
-// against dict, re-interning tokens in log order.
-func resolveTuples(dict *relation.Dictionary, specs []TupleSpec) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, 0, len(specs))
-	for _, spec := range specs {
-		items := make([]itemset.Item, 0, len(spec.Values)+len(spec.Annotations))
-		for _, tok := range spec.Values {
-			it, err := dict.InternData(tok)
-			if err != nil {
-				return nil, fmt.Errorf("wal: replay tuple value %q: %w", tok, err)
-			}
-			items = append(items, it)
-		}
-		for _, tok := range spec.Annotations {
-			it, err := resolveAnnotationItem(dict, tok)
-			if err != nil {
-				return nil, fmt.Errorf("wal: replay tuple annotation %q: %w", tok, err)
-			}
-			items = append(items, it)
-		}
-		out = append(out, relation.NewTuple(items...))
-	}
-	return out, nil
-}
-
 // RestoreEngine rebuilds an incremental engine from a decoded checkpoint,
 // the construction Open recovers with. ReadCheckpoint always rebuilds a live
 // relation for the restored engine to own; Checkpoint.Relation is an
@@ -239,8 +185,8 @@ func RestoreEngine(ck *storage.Checkpoint, cfg mining.Config, eopts incremental.
 // configuration facets — the string checkpoints record and Open compares.
 // Exported so a replication follower can refuse a primary checkpoint mined
 // under different thresholds exactly as a local recovery would.
-func Fingerprint(cfg mining.Config, eopts incremental.Options, tag string) string {
-	return configFingerprint(cfg, eopts, tag)
+func Fingerprint(cfg mining.Config, tag string) string {
+	return configFingerprint(cfg, tag)
 }
 
 // FlushWindow reports the store's group-commit linger window (0 when group

@@ -44,7 +44,7 @@ func replicaStore(t *testing.T) *Store {
 // log (journal only; the engine is not consulted by ReadTail).
 func logAnnotation(t *testing.T, s *Store, tuple int, token string) {
 	t.Helper()
-	it, err := resolveAnnotationItem(s.Engine().Relation().Dictionary(), token)
+	it, err := s.Engine().Relation().Dictionary().ResolveAnnotation(token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,51 +217,5 @@ func TestDecodeFramesDamage(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[frame1:frame1+4], 0)
 	if _, consumed, err := DecodeFrames(bad); err == nil || consumed != frame1 {
 		t.Errorf("zero length: consumed %d, err %v; want %d, error", consumed, err, frame1)
-	}
-}
-
-func TestResolveTokensAgainstDictionary(t *testing.T) {
-	s := replicaStore(t)
-	dict := s.Engine().Relation().Dictionary()
-
-	want, ok := dict.Lookup("Annot_1")
-	if !ok {
-		t.Fatal("fixture annotation missing from dictionary")
-	}
-	got, err := resolveAnnotations(dict, []Update{{Tuple: 3, Annotation: "Annot_1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Index != 3 || got[0].Annotation != want {
-		t.Errorf("existing annotation resolved to %+v, want index 3 item %v", got[0], want)
-	}
-
-	// An unseen annotation token interns fresh, exactly as recovery would.
-	got, err = resolveAnnotations(dict, []Update{{Tuple: 0, Annotation: "Annot_new"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it, ok := dict.Lookup("Annot_new"); !ok || it != got[0].Annotation || !it.IsAnnotation() {
-		t.Errorf("fresh annotation interned as %v (dict %v, ok %v)", got[0].Annotation, it, ok)
-	}
-
-	// A data value posing as an annotation is rejected, never re-interned.
-	if _, err := resolveAnnotations(dict, []Update{{Tuple: 0, Annotation: "28"}}); err == nil {
-		t.Error("data token resolved as an annotation")
-	}
-
-	tuples, err := resolveTuples(dict, []TupleSpec{{Values: []string{"28", "777"}, Annotations: []string{"Annot_1"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != 1 {
-		t.Fatalf("resolved %d tuples, want 1", len(tuples))
-	}
-	if _, ok := dict.Lookup("777"); !ok {
-		t.Error("new data value was not interned")
-	}
-	annots, err := tokensOf(dict, tuples[0].Annots)
-	if err != nil || len(annots) != 1 || annots[0] != "Annot_1" {
-		t.Errorf("tuple annotations = %v (%v), want [Annot_1]", annots, err)
 	}
 }

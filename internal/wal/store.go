@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,11 +37,11 @@ func HasCheckpoint(dir string) bool {
 // running config against state tracked under the old one), so Open refuses
 // the mismatch. Algorithm choice, parallelism, and counting strategy are
 // excluded: they change how the state is computed, never what it is.
-func configFingerprint(cfg mining.Config, eopts incremental.Options, tag string) string {
-	slack := cfg.CandidateSlack
-	if eopts.DisableCandidateStore {
-		slack = 1.0
-	}
+//
+// A slack of 1 or more prints as 1, the value that keeps no near-miss pool;
+// 0 prints as 0, unresolved to the default it stands for.
+func configFingerprint(cfg mining.Config, tag string) string {
+	slack := min(cfg.CandidateSlack, 1)
 	fp := fmt.Sprintf("v1 support=%g confidence=%g slack=%g maxlen=%d excludeDerived=%t dataRules=%t annotRules=%t",
 		cfg.MinSupport, cfg.MinConfidence, slack, cfg.MaxLen,
 		cfg.ExcludeDerived, cfg.MineDataRules, cfg.MineAnnotRules)
@@ -175,7 +176,7 @@ type Store struct {
 // must produce the initial relation, a full mine runs, and the first
 // checkpoint is written immediately so the next Open skips the mine.
 //
-// cfg and eopts must match across runs of the same directory; the checkpoint
+// cfg must match across runs of the same directory; the checkpoint
 // records a fingerprint of the state-determining facets and Open refuses a
 // mismatch rather than silently serving rules mined under other thresholds.
 func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap func() (*relation.Relation, error)) (*Store, error) {
@@ -192,7 +193,7 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 	ck, err := storage.ReadCheckpointFile(CheckpointPath(opts.Dir))
 	switch {
 	case err == nil:
-		if want, got := configFingerprint(cfg, eopts, opts.Tag), ck.ConfigFingerprint; got != want {
+		if want, got := configFingerprint(cfg, opts.Tag), ck.ConfigFingerprint; got != want {
 			return nil, fmt.Errorf("wal: %s was written under a different mining configuration\n  checkpoint: %s\n  running:    %s\nrestart with matching flags, or remove the directory to re-mine under the new ones",
 				opts.Dir, got, want)
 		}
@@ -664,7 +665,7 @@ func (s *Store) capture() *storage.Checkpoint {
 	return &storage.Checkpoint{
 		Epoch:             s.log.Epoch() + 1,
 		CoveredBytes:      uint64(s.log.Size()),
-		ConfigFingerprint: configFingerprint(s.cfg, s.eopts, s.opts.Tag),
+		ConfigFingerprint: configFingerprint(s.cfg, s.opts.Tag),
 		Relation:          st.Relation,
 		Valid:             st.Valid,
 		Candidates:        st.Candidates,
@@ -841,15 +842,17 @@ func (s *Store) Close() error {
 }
 
 // applyRecord replays one log record through the engine's ordinary
-// incremental update paths, re-interning tokens (replay order matches the
-// original append order, so interning is deterministic).
+// incremental update paths, resolving its tokens under the write-path rule
+// (relation.Dictionary.ResolveUpdates and ResolveTuples) in log order, so
+// interning is deterministic. A token of the wrong kind means the record
+// itself is corrupt.
 func (s *Store) applyRecord(rec Record) error {
 	dict := s.eng.Relation().Dictionary()
 	switch rec.Kind {
 	case KindAddAnnotations, KindRemoveAnnotations:
-		updates, err := resolveAnnotations(dict, rec.Updates)
+		updates, err := dict.ResolveUpdates(rec.Updates)
 		if err != nil {
-			return err
+			return replayError(err)
 		}
 		if rec.Kind == KindAddAnnotations {
 			_, err = s.eng.AddAnnotations(updates)
@@ -858,20 +861,13 @@ func (s *Store) applyRecord(rec Record) error {
 		}
 		return err
 	case KindAddTuples:
-		tuples, err := resolveTuples(dict, rec.Tuples)
+		tuples, err := dict.ResolveTuples(rec.Tuples)
 		if err != nil {
-			return err
+			return replayError(err)
 		}
 		// Route exactly as the serving writer does: any annotated tuple in
 		// the batch selects the Case 1 path.
-		annotated := false
-		for _, tu := range tuples {
-			if tu.Annotated() {
-				annotated = true
-				break
-			}
-		}
-		if annotated {
+		if slices.ContainsFunc(tuples, relation.Tuple.Annotated) {
 			_, err = s.eng.AddAnnotatedTuples(tuples)
 		} else {
 			_, err = s.eng.AddUnannotatedTuples(tuples)
@@ -880,6 +876,16 @@ func (s *Store) applyRecord(rec Record) error {
 	default:
 		return badRecord("unknown kind %v", rec.Kind)
 	}
+}
+
+// replayError gives a record's resolution failure its replay context; a
+// token logged in the wrong kind's role is an *ErrRecordCorrupt.
+func replayError(err error) error {
+	var ke *relation.KindError
+	if errors.As(err, &ke) {
+		err = badRecord("%v", err)
+	}
+	return fmt.Errorf("wal: replay: %w", err)
 }
 
 // countersFromStats flattens engine lifetime counters into the checkpoint's

@@ -34,6 +34,17 @@
 // torn final record — the expected artifact of a crash mid-append — is
 // dropped and truncated away.
 //
+// Records carry tokens, not item codes. Replay resolves them in log order
+// under the relation package's write-path rule (Dictionary.ResolveUpdates
+// and ResolveTuples), the one every live write also uses: an interned
+// annotation, raw or derived, resolves to itself, so a derived
+// generalization label in a record is never re-interned as raw; an unknown
+// annotation token is interned as raw, so item codes come back as they
+// were. A token in the wrong kind's role — a data value logged as an
+// annotation — makes the record an *ErrRecordCorrupt. Replay's one
+// leniency over a live write is a removal of a token the dictionary has
+// never held: it is interned and skipped, where a client's is refused.
+//
 // Two generations of state are tied together by an epoch: each checkpoint
 // carries the epoch its successor log is stamped with, so a crash between
 // checkpoint install and log truncation (checkpoint newer than the log)

@@ -598,6 +598,58 @@ func TestStoreRefusesConfigMismatch(t *testing.T) {
 	s2.Close()
 }
 
+// TestFingerprintSlack pins the slack facet of the fingerprint: a slack of
+// 1 or more, which keeps no near-miss pool, prints as 1, and 0 prints
+// unresolved. The bytes are those checkpoints have always recorded, so a
+// directory written at slack 1 reopens under the same configuration.
+func TestFingerprintSlack(t *testing.T) {
+	for _, tc := range []struct {
+		slack float64
+		want  string
+	}{{0, " slack=0 "}, {0.5, " slack=0.5 "}, {1, " slack=1 "}, {1.5, " slack=1 "}} {
+		cfg := testCfg()
+		cfg.CandidateSlack = tc.slack
+		if fp := Fingerprint(cfg, ""); !strings.Contains(fp, tc.want) {
+			t.Errorf("slack %g: fingerprint %q lacks %q", tc.slack, fp, tc.want)
+		}
+	}
+	cfg := testCfg()
+	cfg.CandidateSlack = 1
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir}, cfg, incremental.Options{}, func() (*relation.Relation, error) {
+		return fixtureRelation(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(Options{Dir: dir}, cfg, incremental.Options{}, nil)
+	if err != nil {
+		t.Fatalf("reopen at slack 1: %v", err)
+	}
+	s.Close()
+}
+
+// TestReplayRefusesWrongKindToken pins how replay reports a logged token in
+// the wrong kind's role: the record is corrupt, in its replay context.
+func TestReplayRefusesWrongKindToken(t *testing.T) {
+	s := openFixtureStore(t, Options{Dir: t.TempDir()})
+	for _, rec := range []Record{
+		{Kind: KindAddAnnotations, Updates: []Update{{Tuple: 0, Annotation: "28"}}},
+		{Kind: KindRemoveAnnotations, Updates: []Update{{Tuple: 0, Annotation: "28"}}},
+		{Kind: KindAddTuples, Tuples: []TupleSpec{{Values: []string{"85"}, Annotations: []string{"28"}}}},
+		{Kind: KindAddTuples, Tuples: []TupleSpec{{Values: []string{"Annot_1"}}}},
+	} {
+		err := s.applyRecord(rec)
+		var corrupt *ErrRecordCorrupt
+		if !errors.As(err, &corrupt) || !strings.HasPrefix(err.Error(), "wal: replay") {
+			t.Errorf("%v record: err = %v, want a *ErrRecordCorrupt in replay context", rec.Kind, err)
+		}
+	}
+}
+
 // TestLogMidCorruptionIsHardError pins the boundary between a torn tail
 // (last record, truncate and continue) and mid-log damage (intact records
 // follow the bad frame; truncating would discard durable acknowledged

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
 )
 
@@ -60,28 +59,12 @@ func NewStream(corpus string, seed int64) (Stream, error) {
 	}
 }
 
-// BuildRelation interns token tuples into a fresh relation, in order.
+// BuildRelation resolves token tuples into a fresh relation, in order.
 func BuildRelation(tuples []TokenTuple) (*relation.Relation, error) {
 	rel := relation.New()
-	dict := rel.Dictionary()
-	batch := make([]relation.Tuple, 0, len(tuples))
-	for i, t := range tuples {
-		items := make([]itemset.Item, 0, len(t.Values)+len(t.Annotations))
-		for _, tok := range t.Values {
-			it, err := dict.InternData(tok)
-			if err != nil {
-				return nil, fmt.Errorf("workload: tuple %d: %w", i, err)
-			}
-			items = append(items, it)
-		}
-		for _, tok := range t.Annotations {
-			it, err := dict.InternAnnotation(tok)
-			if err != nil {
-				return nil, fmt.Errorf("workload: tuple %d: %w", i, err)
-			}
-			items = append(items, it)
-		}
-		batch = append(batch, relation.NewTuple(items...))
+	batch, err := rel.Dictionary().ResolveTuples(tuples)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 	rel.Append(batch...)
 	return rel, nil

@@ -197,10 +197,9 @@ func NewShardedServer(d *Dataset, opts Options, sopts ServeOptions) (*Server, er
 }
 
 func newShardedInMemory(d *Dataset, cfg mining.Config, sopts ServeOptions) (*Server, error) {
-	eopts := incremental.Options{DisableCandidateStore: cfg.CandidateSlack >= 1}
 	return newPrimary(nil, nil, sopts, sopts.Shards, func(rcfg shard.Config) (*shard.Router, error) {
 		return shard.NewRouter(d.rel, func(rel *relation.Relation) (*incremental.Engine, error) {
-			return incremental.New(rel, cfg, eopts)
+			return incremental.New(rel, cfg, incremental.Options{})
 		}, rcfg)
 	})
 }
