@@ -9,8 +9,9 @@
 // per-item tuple bitmaps and popcounts the result. This is the vertical
 // layout of Zaki ("Scalable Algorithms for Association Mining", TKDE 2000),
 // and it is the same count the paper's §4.3 maintenance takes from its
-// annotation index. The incremental engine mines a relation.BatchIndex — the
-// same bitmaps and kernel over one write batch's tuples — the same way.
+// annotation index. The incremental engine mines a side of a
+// relation.BatchIndex — the same bitmaps and kernel over one write batch's
+// tuples — the same way.
 //
 // The constraint deserves a note, because a literal reading would break the
 // algorithm. Apriori's candidate join builds a k-itemset from two (k-1)-

@@ -9,23 +9,46 @@ import (
 )
 
 // BenchmarkAnnotationBatch is one attach batch and its matching detach on the
-// paper corpus at 32K tuples under the paper's thresholds (0.4 / 0.8): the
-// incremental batch of the benchmark's paper_maintain workload, without the
-// facade. Each iteration attaches 200 generated updates and then detaches
-// the ones that applied, so every iteration starts from the same relation.
+// paper corpus: the incremental batch of the benchmark's paper_maintain
+// workload, without the facade. Each iteration attaches 200 generated
+// updates and then detaches the ones that applied, so every iteration starts
+// from the same relation.
+//
+// The n= cases grow the relation at the paper's thresholds (0.4 / 0.8);
+// n=32K is paper_maintain's shape. The sup= cases lower the support at 32K
+// tuples, which grows the data catalog Figure 13 walks and the rule tiers
+// Figure 12 rewrites.
 //
 //	go test -run '^$' -bench AnnotationBatch -benchmem ./internal/incremental
 func BenchmarkAnnotationBatch(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		tuples  int
+		support float64
+	}{
+		{"n=8K", 8000, 0.4},
+		{"n=32K", 32000, 0.4},
+		{"n=128K", 128000, 0.4},
+		{"sup=0.2", 32000, 0.2},
+		{"sup=0.1", 32000, 0.1},
+		{"sup=0.05", 32000, 0.05},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			benchAnnotationBatch(b, bc.tuples, mining.Config{MinSupport: bc.support, MinConfidence: 0.8})
+		})
+	}
+}
+
+func benchAnnotationBatch(b *testing.B, tuples int, cfg mining.Config) {
 	stream, err := workload.NewStream("paper", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const tuples = 32000
 	rel, err := workload.BuildRelation(stream.Base(tuples))
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8}, Options{})
+	e, err := New(rel, cfg, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,4 +77,6 @@ func BenchmarkAnnotationBatch(b *testing.B) {
 	if err := e.Verify(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(e.dataCat.Len()), "data-patterns")
+	b.ReportMetric(float64(e.valid.Len()+e.cands.Len()+e.coldRules.Len()), "tracked-rules")
 }

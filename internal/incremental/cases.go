@@ -53,10 +53,11 @@ func (e *Engine) AddUnannotatedTuples(tuples []relation.Tuple) (*Report, error) 
 }
 
 // addTuples appends a Case 1 or Case 2 batch and maintains the rules from
-// the batch's own bitmaps: the appended tuples at positions 0..k−1 of e.after.
-// They did not exist before the batch, so the before side is empty and every
-// count over the batch is a gain. Without annotations (Case 2) delta mining
-// looks for data-pattern newcomers only; no rule can be born.
+// the batch's own bitmaps: the appended tuples at positions 0..k−1 of
+// e.batch's after side. They did not exist before the batch, so every count
+// over that side is a gain; the before side is not read. Without annotations
+// (Case 2) delta mining looks for data-pattern newcomers only; no rule can be
+// born.
 func (e *Engine) addTuples(tuples []relation.Tuple, rep *Report, withAnnotations bool) {
 	if len(tuples) == 0 {
 		return
@@ -66,10 +67,9 @@ func (e *Engine) addTuples(tuples []relation.Tuple, rep *Report, withAnnotations
 	e.refreshThresholds()
 	e.refreshRelevance()
 
-	e.after.Reset(len(tuples))
+	e.batch.Reset(len(tuples))
 	for i, tu := range tuples {
-		e.after.Add(i, tu.Data)
-		e.after.Add(i, tu.Annots)
+		e.batch.Add(i, tu.Data, nil, tu.Annots)
 	}
 	promoted := e.updateCatalogsWithDelta()
 	e.updateTrackedRulesWithDelta()
@@ -87,10 +87,11 @@ func (e *Engine) addTuples(tuples []relation.Tuple, rep *Report, withAnnotations
 // catalogs; promoted annotation patterns are returned so their rules can be
 // derived.
 func (e *Engine) updateCatalogsWithDelta() []itemset.Itemset {
+	after := e.batch.After()
 	for _, cat := range []*apriori.Catalog{e.dataCat, e.annotCat} {
 		// AddDelta rewrites an entry the walk has reached; it adds none.
 		cat.Each(func(p itemset.Itemset, _ int) bool {
-			if g := e.after.CountPattern(p); g > 0 {
+			if g := after.CountPattern(p); g > 0 {
 				cat.AddDelta(p, g)
 			}
 			return true
@@ -106,7 +107,7 @@ func (e *Engine) updateCatalogsWithDelta() []itemset.Itemset {
 			if err != nil {
 				panic(fmt.Sprintf("incremental: corrupt cold-cache key: %v", err))
 			}
-			count += e.after.CountPattern(p)
+			count += after.CountPattern(p)
 			if count < e.slackCount {
 				tier.cold[key] = count
 				continue
@@ -125,10 +126,11 @@ func (e *Engine) updateCatalogsWithDelta() []itemset.Itemset {
 // N denominator of every maintained rule — valid, candidate, and cold — by
 // counting only the appended tuples.
 func (e *Engine) updateTrackedRulesWithDelta() {
+	after := e.batch.After()
 	for _, set := range []*rules.Set{e.valid, e.cands, e.coldRules} {
 		set.Rewrite(func(r *rules.Rule) bool {
-			r.LHSCount += e.after.CountPattern(r.LHS)
-			r.PatternCount += e.after.CountPattern(e.patternOf(r))
+			r.LHSCount += after.CountPattern(r.LHS)
+			r.PatternCount += after.CountPattern(e.patternOf(r))
 			r.N = e.n
 			return true
 		})
@@ -147,7 +149,7 @@ func (e *Engine) discoverFromDelta(oldSlack int, rep *Report, withAnnotations bo
 	if tDelta < 1 {
 		tDelta = 1
 	}
-	if tDelta > e.after.Len() {
+	if tDelta > e.batch.Len() {
 		return
 	}
 	acfg := apriori.Config{
@@ -161,12 +163,13 @@ func (e *Engine) discoverFromDelta(oldSlack int, rep *Report, withAnnotations bo
 	// The batch's own bitmaps, with derived labels left out under
 	// ExcludeDerived as mining.Mine leaves them out of a full mine.
 	visible := func(it itemset.Item) bool { return !e.cfg.ExcludeDerived || !it.IsDerived() }
-	mixedDelta := apriori.Mine(apriori.Restrict(&e.after, visible), acfg)
+	after := e.batch.After()
+	mixedDelta := apriori.Mine(apriori.Restrict(after, visible), acfg)
 
 	var annotDelta *apriori.Catalog
 	if withAnnotations {
 		acfg.MaxAnnotations = -1
-		annotDelta = apriori.Mine(apriori.Restrict(&e.after, func(it itemset.Item) bool {
+		annotDelta = apriori.Mine(apriori.Restrict(after, func(it itemset.Item) bool {
 			return it.IsAnnotation() && visible(it)
 		}), acfg)
 	}
@@ -205,8 +208,8 @@ func (e *Engine) discoverFromDelta(oldSlack int, rep *Report, withAnnotations bo
 		if x.Empty() {
 			return true
 		}
-		r := rules.Rule{LHS: x.Clone(), RHS: annots[0]}
-		if e.trackedRule(r.ID()) {
+		r := rules.Rule{LHS: x, RHS: annots[0]}
+		if e.tracked(&r) {
 			return true // already updated exactly
 		}
 		need(p.Clone())
@@ -297,7 +300,7 @@ func (e *Engine) discoverFromDelta(oldSlack int, rep *Report, withAnnotations bo
 				PatternCount: c,
 				N:            e.n,
 			}
-			if e.trackedRule(r.ID()) {
+			if e.tracked(&r) {
 				continue
 			}
 			r.LHSCount = countOf(r.LHS)
@@ -387,8 +390,8 @@ func (e *Engine) annotationBatch(batch []relation.AnnotationUpdate, c Case) (*Re
 // signedPass applies an annotation batch — attaches, or detaches for
 // CaseRemoveAnnotations — and maintains the rules from the tuples the write
 // reported, each with its annotation set before and after the batch. Indexed
-// into e.before and e.after with the data values they keep, those tuples give
-// every count's change as after.CountPattern(p) − before.CountPattern(p):
+// into e.batch with the data values they keep, which both sides share, those
+// tuples give every count's change as e.batch.Change(p), after − before:
 // positive for an attach, negative for a detach, and zero for any pattern
 // without a changed annotation.
 func (e *Engine) signedPass(batch []relation.AnnotationUpdate, rep *Report) error {
@@ -437,7 +440,7 @@ func (e *Engine) signedPass(batch []relation.AnnotationUpdate, rep *Report) erro
 
 	// Phase B: Figure 12, signed.
 	e.updateTrackedRules()
-	e.syncAnnotationSingletons()
+	e.syncChangedSingletons()
 
 	// Phase C: Figure 13 — discover rules born in this batch. A detach only
 	// lowers counts, so nothing untracked can reach the support threshold
@@ -455,27 +458,23 @@ func (e *Engine) signedPass(batch []relation.AnnotationUpdate, rep *Report) erro
 	return nil
 }
 
-// indexDelta indexes the reported tuples into e.before and e.after and
-// marks, in e.changed and e.changedList, the annotations the batch changed
-// that the mining view can see. It reports whether there was any.
+// indexDelta indexes the reported tuples into e.batch, each tuple's data
+// values once, and marks, in e.changed and e.changedList, the annotations
+// the batch changed that the mining view can see. It reports whether there
+// was any.
 func (e *Engine) indexDelta() bool {
 	ts := e.delta.Tuples
-	e.before.Reset(len(ts))
-	e.after.Reset(len(ts))
+	e.batch.Reset(len(ts))
 	for i, t := range ts {
-		e.before.Add(i, t.Data)
-		e.before.Add(i, t.Before)
-		e.after.Add(i, t.Data)
-		e.after.Add(i, t.After)
+		e.batch.Add(i, t.Data, t.Before, t.After)
 	}
-	if e.changed == nil {
-		e.changed = make(map[itemset.Item]bool)
+	for _, a := range e.changedList {
+		e.changed.set(a, false)
 	}
-	clear(e.changed)
 	e.changedList = e.changedList[:0]
 	for _, u := range e.delta.Applied {
-		if a := u.Annotation; !e.changed[a] && (!e.cfg.ExcludeDerived || !a.IsDerived()) {
-			e.changed[a] = true
+		if a := u.Annotation; !e.changed.has(a) && (!e.cfg.ExcludeDerived || !a.IsDerived()) {
+			e.changed.set(a, true)
 			e.changedList = append(e.changedList, a)
 		}
 	}
@@ -506,7 +505,7 @@ func (e *Engine) annotPatternChanges(remove bool) (map[itemset.Key]int, bool) {
 		}
 		n, hit := 0, false
 		for _, a := range side {
-			if e.relevant[a] {
+			if e.relevant.has(a) {
 				n++
 				hit = hit || !other.Contains(a)
 			}
@@ -527,11 +526,13 @@ func (e *Engine) annotPatternChanges(remove bool) (map[itemset.Key]int, bool) {
 	}
 	e.mined.Reset(len(e.hits))
 	for j, side := range e.hits {
+		e.scratch = e.scratch[:0]
 		for _, a := range side {
-			if e.relevant[a] {
-				e.mined.Set(j, a)
+			if e.relevant.has(a) {
+				e.scratch = append(e.scratch, a)
 			}
 		}
+		e.mined.Add(j, nil, nil, e.scratch)
 	}
 	if e.changes == nil {
 		e.changes = make(map[itemset.Key]int)
@@ -541,9 +542,9 @@ func (e *Engine) annotPatternChanges(remove bool) (map[itemset.Key]int, bool) {
 	if remove {
 		sign = -1
 	}
-	cat := apriori.Mine(&e.mined, apriori.Config{MinCount: 1, MaxAnnotations: -1, MaxLen: e.cfg.MaxLen})
+	cat := apriori.Mine(e.mined.After(), apriori.Config{MinCount: 1, MaxAnnotations: -1, MaxLen: e.cfg.MaxLen})
 	cat.Each(func(p itemset.Itemset, _ int) bool {
-		if c := sign * (e.after.CountPattern(p) - e.before.CountPattern(p)); c != 0 {
+		if c := sign * e.batch.Change(p); c != 0 {
 			e.changes[p.Key()] = c
 		}
 		return true
@@ -612,12 +613,8 @@ func (e *Engine) updateTrackedRules() {
 			if !e.holdsChanged(r) {
 				return false
 			}
-			p := e.patternOf(r)
-			dp := e.after.CountPattern(p) - e.before.CountPattern(p)
-			dl := 0
-			if r.LHS.HasAnnotation() {
-				dl = e.after.CountPattern(r.LHS) - e.before.CountPattern(r.LHS)
-			}
+			dp := e.batch.Change(e.patternOf(r))
+			dl := e.batch.Change(r.LHS) // zero for a pure-data LHS
 			r.PatternCount += dp
 			r.LHSCount += dl
 			return dp != 0 || dl != 0
@@ -626,13 +623,13 @@ func (e *Engine) updateTrackedRules() {
 }
 
 // holdsChanged reports whether r holds an annotation the batch changed: one
-// map probe per annotation, no allocation.
+// flag read per annotation, no allocation.
 func (e *Engine) holdsChanged(r *rules.Rule) bool {
-	if e.changed[r.RHS] {
+	if e.changed.has(r.RHS) {
 		return true
 	}
 	for i := len(r.LHS) - 1; i >= 0 && r.LHS[i].IsAnnotation(); i-- {
-		if e.changed[r.LHS[i]] {
+		if e.changed.has(r.LHS[i]) {
 			return true
 		}
 	}
@@ -641,29 +638,55 @@ func (e *Engine) holdsChanged(r *rules.Rule) bool {
 
 // discoverDataRulesFromAnnotations is Figure 13 Step 1: an annotation a the
 // batch attached to a tuple whose data values contain an already-frequent
-// data pattern X may now form a rule X ⇒ a. The batch put a beside X exactly
-// when it raised count(X ∪ {a}) over the batch index, which reads the data
-// values the write reported. The rule's pattern count is then counted over
-// the relation's bitmaps; its LHS count ("de-numerator") is already known
-// from the data catalog.
+// data pattern X may now form a rule X ⇒ a. The rule's pattern count is then
+// counted over the relation's bitmaps; its LHS count ("de-numerator") is
+// already known from the data catalog.
 func (e *Engine) discoverDataRulesFromAnnotations(rep *Report) {
-	// The paper: "First, the annotation must be a frequent annotation by
-	// itself." The list is this batch's scratch, so it is filtered in place.
-	frequent := slices.DeleteFunc(e.changedList, func(a itemset.Item) bool { return !e.relevant[a] })
-	if len(frequent) == 0 {
+	e.eachRaisedDataRule(func(r *rules.Rule) {
+		if e.tracked(r) {
+			return
+		}
+		r.PatternCount = e.rel.CountPattern(e.patternOf(r))
+		if e.fileRule(*r) {
+			rep.Discovered++
+			e.stats.Discoveries++
+		}
+	})
+}
+
+// eachRaisedDataRule calls fn with the rule X ⇒ a, its LHS count and N
+// filled in, for every data-catalog entry X and frequent annotation a ("the
+// annotation must be a frequent annotation by itself") whose count(X ∪ {a})
+// the attach raised. That is Figure 13 over the increment only, Eclat's
+// tid-list intersection: the positions where the batch attached a are
+// computed once, and each X costs one AND-popcount of its shared data
+// bitmaps with them, which is count_after(X ∪ {a}) − count_before(X ∪ {a}).
+// fn must not keep r.
+func (e *Engine) eachRaisedDataRule(fn func(r *rules.Rule)) {
+	e.frequent = e.frequent[:0]
+	for _, a := range e.changedList {
+		if e.relevant.has(a) {
+			e.frequent = append(e.frequent, a)
+		}
+	}
+	if len(e.frequent) == 0 {
 		return
 	}
+	n := len(e.frequent)
+	// Growing within capacity keeps the old bitmaps, whose memory Changed
+	// reuses.
+	e.moved = slices.Grow(e.moved[:0], n)[:n]
+	e.gains = slices.Grow(e.gains[:0], n)[:n]
+	for k, a := range e.frequent {
+		e.moved[k] = e.batch.Changed(a, e.moved[k])
+	}
+	var r rules.Rule
 	e.dataCat.Each(func(x itemset.Itemset, lhsCount int) bool {
-		for _, a := range frequent {
-			r := rules.Rule{LHS: x, RHS: a, LHSCount: lhsCount, N: e.n}
-			p := e.patternOf(&r)
-			if e.after.CountPattern(p) == e.before.CountPattern(p) || e.trackedRule(r.ID()) {
-				continue
-			}
-			r.PatternCount = e.rel.CountPattern(p)
-			if e.fileRule(r) {
-				rep.Discovered++
-				e.stats.Discoveries++
+		e.batch.CountWith(x, e.moved, e.gains)
+		for k, g := range e.gains {
+			if g != 0 {
+				r = rules.Rule{LHS: x, RHS: e.frequent[k], LHSCount: lhsCount, N: e.n}
+				fn(&r)
 			}
 		}
 		return true
@@ -691,8 +714,7 @@ func (e *Engine) discoverAnnotRulesFromFreshPatterns(fresh []itemset.Itemset, re
 				PatternCount: count,
 				N:            e.n,
 			}
-			id := r.ID()
-			if e.trackedRule(id) {
+			if e.tracked(&r) {
 				continue
 			}
 			lhsCount, ok := e.annotCat.Count(r.LHS)

@@ -155,23 +155,28 @@ type Engine struct {
 	// patterns over relevant annotations can ever reach the slack pool —
 	// which is what keeps an annotation batch's pattern mining small even
 	// on heavily annotated tuples. Maintained by refreshRelevance.
-	relevant map[itemset.Item]bool
+	relevant annotFlags
 
 	// Per-batch scratch, reused so a batch allocates little once it has
-	// grown: the tuples a write reported (delta) and their batch index on
-	// each side of it (before, after; after alone holds a Case 1–2 batch),
-	// the annotations the batch changed, the changed-side annotation sets
-	// of the tuples with a relevant change and their index for pattern
-	// mining (hits, mined), the mined patterns' changes, and a pattern
-	// buffer.
-	delta         relation.Delta
-	before, after relation.BatchIndex
-	changed       map[itemset.Item]bool
-	changedList   []itemset.Item
-	hits          []itemset.Itemset
-	mined         relation.BatchIndex
-	changes       map[itemset.Key]int
-	scratch       itemset.Itemset
+	// grown: the tuples a write reported (delta) and their batch index
+	// (batch; its after side alone holds a Case 1–2 batch), the annotations
+	// the batch changed (changed, changedList) and the relevant ones among
+	// them with the positions each changed at (frequent, moved, gains), the
+	// changed-side annotation sets of the tuples with a relevant change and
+	// their index for pattern mining (hits, mined), the mined patterns'
+	// changes, and pattern and rule-identity buffers.
+	delta       relation.Delta
+	batch       relation.BatchIndex
+	changed     annotFlags
+	changedList []itemset.Item
+	frequent    []itemset.Item
+	moved       []relation.Postings
+	gains       []int
+	hits        []itemset.Itemset
+	mined       relation.BatchIndex
+	changes     map[itemset.Key]int
+	scratch     itemset.Itemset
+	id          []byte
 
 	n          int
 	minCount   int
@@ -227,7 +232,7 @@ func (e *Engine) bootstrap() error {
 	e.n = res.N
 	e.minCount = res.MinCount
 	e.slackCount = res.SlackCount
-	e.relevant = nil
+	e.relevant = annotFlags{}
 	e.view = nil
 	e.candsView = nil
 	e.refreshRelevance()
@@ -247,21 +252,14 @@ func (e *Engine) bootstrap() error {
 // The frequency table is read in place and relevant is updated in place, so
 // a batch that moves no annotation across the pool allocates nothing here.
 func (e *Engine) refreshRelevance() {
-	if e.relevant == nil {
-		e.relevant = make(map[itemset.Item]bool)
-	}
 	var crossed []itemset.Item
 	e.rel.EachFrequency(func(a itemset.Item, freq int) {
 		if e.cfg.ExcludeDerived && a.IsDerived() {
 			return
 		}
-		if now := freq >= e.slackCount; now != e.relevant[a] {
+		if now := freq >= e.slackCount; now != e.relevant.has(a) {
 			crossed = append(crossed, a)
-			if now {
-				e.relevant[a] = true
-			} else {
-				delete(e.relevant, a)
-			}
+			e.relevant.set(a, now)
 		}
 	})
 	if len(crossed) == 0 || len(e.coldAnnot) == 0 {
@@ -390,11 +388,13 @@ func (e *Engine) Verify() error {
 	return nil
 }
 
-// trackedRule reports whether a rule identity is maintained in any tier —
-// valid, candidate, or cold. Maintained rules have exact counts and must
-// not be re-derived by discovery.
-func (e *Engine) trackedRule(id rules.RuleID) bool {
-	return e.valid.Has(id) || e.cands.Has(id) || e.coldRules.Has(id)
+// tracked reports whether r's identity is maintained in any tier — valid,
+// candidate, or cold. Maintained rules have exact counts and must not be
+// re-derived by discovery. The identity is built in e.id, so a probe
+// allocates nothing.
+func (e *Engine) tracked(r *rules.Rule) bool {
+	e.id = r.AppendID(e.id[:0])
+	return e.valid.HasID(e.id) || e.cands.HasID(e.id) || e.coldRules.HasID(e.id)
 }
 
 // fileRule routes a rule into the valid set or candidate store by its
@@ -521,15 +521,28 @@ func (e *Engine) syncAnnotationSingletons() {
 		if e.cfg.ExcludeDerived && a.IsDerived() {
 			return
 		}
-		single := itemset.New(a)
-		if freq >= e.slackCount {
-			e.annotCat.Add(single, freq)
-			delete(e.coldAnnot, single.Key())
-		} else {
-			e.annotCat.Remove(single)
-			e.coldAnnot[single.Key()] = freq
-		}
+		e.syncSingleton(a, freq)
 	})
+}
+
+// syncChangedSingletons is syncAnnotationSingletons for an annotation batch:
+// the relation size and so the slack pool stay put, and only the changed
+// annotations' frequencies moved.
+func (e *Engine) syncChangedSingletons() {
+	for _, a := range e.changedList {
+		e.syncSingleton(a, e.rel.Frequency(a))
+	}
+}
+
+func (e *Engine) syncSingleton(a itemset.Item, freq int) {
+	single := itemset.Itemset{a}
+	if freq >= e.slackCount {
+		e.annotCat.Add(single, freq)
+		delete(e.coldAnnot, single.Key())
+	} else {
+		e.annotCat.Remove(single)
+		e.coldAnnot[single.Key()] = freq
+	}
 }
 
 // allRelevant reports whether every member of a pure-annotation pattern is
@@ -538,11 +551,39 @@ func (e *Engine) syncAnnotationSingletons() {
 // pattern containing one would silently miss gains.
 func (e *Engine) allRelevant(p itemset.Itemset) bool {
 	for _, a := range p {
-		if !e.relevant[a] {
+		if !e.relevant.has(a) {
 			return false
 		}
 	}
 	return true
+}
+
+// annotFlags is a flag per annotation, dense by item id on each annotation
+// kind's spine (raw and derived ids are each dense from 1), so a probe is
+// two slice reads and never hashes.
+type annotFlags [2][]bool
+
+func (f *annotFlags) has(a itemset.Item) bool {
+	s := f[flagSpine(a)]
+	return a.ID() < len(s) && s[a.ID()]
+}
+
+func (f *annotFlags) set(a itemset.Item, on bool) {
+	k, id := flagSpine(a), a.ID()
+	if id >= len(f[k]) {
+		if !on {
+			return
+		}
+		f[k] = append(f[k], make([]bool, id+1-len(f[k]))...)
+	}
+	f[k][id] = on
+}
+
+func flagSpine(a itemset.Item) int {
+	if a.IsDerived() {
+		return 1
+	}
+	return 0
 }
 
 // patternOf returns r's pattern, LHS ∪ {RHS}, built in e.scratch: the

@@ -1,7 +1,10 @@
 package incremental
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -694,6 +697,74 @@ func TestPropertyCase3EquivalentToRemine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyFigure13VisitsExactlyRaisedPairs checks Figure 13 Step 1 over
+// the increment against a brute-force scan: over random attach batches, the
+// (X, a) pairs eachRaisedDataRule visits must be exactly the data-catalog
+// entries X and relevant changed annotations a whose count(X ∪ {a}) over the
+// relation the batch changed. Each batch is applied, checked and undone, then
+// applied for real through AddAnnotations, so the engine stays exact.
+func TestPropertyFigure13VisitsExactlyRaisedPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	pairs := 0
+	for world := 0; world < 12; world++ {
+		w := newRandomWorld(rng, 40+rng.Intn(80))
+		e := mustEngine(t, w.rel, mining.Config{MinSupport: 0.1 + rng.Float64()*0.2, MinConfidence: 0.5})
+		for round := 0; round < 6; round++ {
+			var batch []relation.AnnotationUpdate
+			for i := 0; i < 1+rng.Intn(20); i++ {
+				batch = append(batch, relation.AnnotationUpdate{
+					Index:      rng.Intn(w.rel.Len()),
+					Annotation: w.annots[rng.Intn(len(w.annots))],
+				})
+			}
+			prev := w.rel.View()
+			if err := e.rel.ApplyDelta(batch, false, &e.delta); err != nil {
+				t.Fatal(err)
+			}
+			applied := slices.Clone(e.delta.Applied)
+			e.refreshRelevance()
+			got := map[string]bool{}
+			if e.indexDelta() {
+				e.eachRaisedDataRule(func(r *rules.Rule) {
+					if n, ok := e.dataCat.Count(r.LHS); !ok || n != r.LHSCount || r.N != e.n {
+						t.Fatalf("world %d round %d: visited %v with LHS count %d of %d, catalog holds %d (%v)", world, round, r, r.LHSCount, r.N, n, ok)
+					}
+					got[fmt.Sprint(r.LHS, r.RHS)] = true
+				})
+			}
+			want := map[string]bool{}
+			e.dataCat.Each(func(x itemset.Itemset, _ int) bool {
+				for _, a := range w.annots {
+					if !e.relevant.has(a) || !slices.ContainsFunc(applied, func(u relation.AnnotationUpdate) bool { return u.Annotation == a }) {
+						continue
+					}
+					if p := x.Add(a); w.rel.CountPattern(p) != prev.CountPattern(p) {
+						want[fmt.Sprint(x, a)] = true
+					}
+				}
+				return true
+			})
+			if !maps.Equal(got, want) {
+				t.Fatalf("world %d round %d: Figure 13 visited %v, the scan raised %v", world, round, got, want)
+			}
+			pairs += len(want)
+
+			if err := e.rel.ApplyDelta(applied, true, &e.delta); err != nil {
+				t.Fatal(err)
+			}
+			e.refreshRelevance()
+			if _, err := e.AddAnnotations(batch); err != nil {
+				t.Fatal(err)
+			}
+			verify(t, e, fmt.Sprintf("world %d round %d", world, round))
+		}
+	}
+	t.Logf("%d raised pairs", pairs)
+	if pairs < 100 {
+		t.Errorf("only %d raised pairs over all batches; the property is too weak", pairs)
 	}
 }
 

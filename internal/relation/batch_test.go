@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -189,10 +190,16 @@ func TestApplyDeltaBeforeIsTheViewsSet(t *testing.T) {
 }
 
 // TestPropertyBatchIndexMatchesScan applies random attach and detach batches
-// to random relations and indexes each batch's reported tuples on both sides.
-// For random data, annotation, mixed and derived patterns, after − before
-// over the batch index must equal the change of the pattern's count over the
-// whole relation, and a scan of the touched tuples' model.
+// to random relations and indexes each batch's reported tuples on both sides,
+// with one data half the sides share. For random data, annotation, mixed and
+// derived patterns:
+//   - each side must count as an independent index of that side alone;
+//   - Change, after − before, must equal the change of the pattern's count
+//     over the whole relation and a scan of the touched tuples' model, and be
+//     zero for a pure-data pattern;
+//   - a data pattern counted with the positions where an annotation changed
+//     must give the change of the pattern with the annotation, which is how
+//     Figure 13 counts it.
 func TestPropertyBatchIndexMatchesScan(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -232,7 +239,7 @@ func TestPropertyBatchIndexMatchesScan(t *testing.T) {
 			model = slices.Clone(model)
 
 			var d Delta
-			var before, after BatchIndex
+			var shared, before, after BatchIndex
 			for step := 0; step < 60; step++ {
 				remove := rng.Intn(2) == 1
 				batch := make([]AnnotationUpdate, 1+rng.Intn(40))
@@ -251,15 +258,42 @@ func TestPropertyBatchIndexMatchesScan(t *testing.T) {
 						tu.Annots = tu.Annots.Add(u.Annotation)
 					}
 				}
+				shared.Reset(len(d.Tuples))
 				before.Reset(len(d.Tuples))
 				after.Reset(len(d.Tuples))
 				var touched []int
 				for i, tu := range d.Tuples {
-					before.Add(i, tu.Data)
-					before.Add(i, tu.Before)
-					after.Add(i, tu.Data)
-					after.Add(i, tu.After)
+					shared.Add(i, tu.Data, tu.Before, tu.After)
+					before.Add(i, tu.Data, nil, tu.Before)
+					after.Add(i, tu.Data, nil, tu.After)
 					touched = append(touched, tu.Index)
+				}
+				sign := 1
+				if remove {
+					sign = -1
+				}
+				for _, a := range annots {
+					moved := shared.Changed(a, Postings{})
+					var want []int
+					for k, i := range touched {
+						if model[i].Annots.Contains(a) != old[i].Annots.Contains(a) {
+							want = append(want, k)
+						}
+					}
+					if got := positions(moved); !slices.Equal(got, want) || moved.Len() != len(want) {
+						t.Fatalf("step %d: %v changed at %v (len %d), want %v", step, a, got, moved.Len(), want)
+					}
+					for k := 0; k < 4; k++ {
+						x := itemset.New(pick(values, 3)...)
+						if x.Empty() {
+							continue
+						}
+						var got [1]int
+						shared.CountWith(x, []Postings{moved}, got[:])
+						if want := sign * shared.Change(x.Add(a)); got[0] != want {
+							t.Fatalf("step %d: %v with the positions %v changed at = %d, change of the pattern with it %d", step, x, a, got[0], want)
+						}
+					}
 				}
 				for k := 0; k < 40; k++ {
 					var pattern itemset.Itemset
@@ -273,7 +307,20 @@ func TestPropertyBatchIndexMatchesScan(t *testing.T) {
 					default: // with a derived label
 						pattern = itemset.New(append(pick(annots, 4), annots[6+rng.Intn(2)])...)
 					}
-					got := after.CountPattern(pattern) - before.CountPattern(pattern)
+					for _, side := range []struct {
+						shared, alone BatchSide
+					}{{shared.Before(), before.After()}, {shared.After(), after.After()}} {
+						if got, want := side.shared.CountPattern(pattern), side.alone.CountPattern(pattern); got != want {
+							t.Fatalf("step %d: %v counts %d on a side of the shared index, %d on an index of that side alone", step, pattern, got, want)
+						}
+					}
+					got := shared.Change(pattern)
+					if diff := shared.After().CountPattern(pattern) - shared.Before().CountPattern(pattern); got != diff {
+						t.Fatalf("step %d: Change(%v) = %d, after − before = %d", step, pattern, got, diff)
+					}
+					if pattern.PureData() && got != 0 {
+						t.Fatalf("step %d: pure-data %v changed by %d", step, pattern, got)
+					}
 					if whole := r.CountPattern(pattern) - prev.CountPattern(pattern); got != whole {
 						t.Fatalf("step %d: change of %v over the batch index = %d, over the relation %d", step, pattern, got, whole)
 					}
@@ -302,37 +349,58 @@ func TestBatchIndexReads(t *testing.T) {
 	a1, g1 := itemset.AnnotationItem(1), itemset.DerivedItem(1)
 	for round := 0; round < 2; round++ { // the second round reuses the memory
 		b.Reset(130)
-		b.Add(0, itemset.New(d1, a1))
-		b.Add(64, itemset.New(d1, d2, a1, g1))
-		b.Add(129, itemset.New(d2, g1))
-		b.Set(129, g1) // setting a set position again changes nothing
-		if b.Len() != 130 {
+		b.Add(0, itemset.New(d1), nil, itemset.New(a1))
+		b.Add(64, itemset.New(d1, d2), itemset.New(a1), itemset.New(a1, g1))
+		b.Add(129, itemset.New(d2), itemset.New(g1), itemset.New(g1))
+		if b.Len() != 130 || b.Before().Len() != 130 || b.After().Len() != 130 {
 			t.Fatalf("Len = %d", b.Len())
 		}
 		for _, tc := range []struct {
-			pattern itemset.Itemset
-			want    int
+			pattern       itemset.Itemset
+			before, after int
 		}{
-			{nil, 130},
-			{itemset.New(d1), 2},
-			{itemset.New(g1), 2},
-			{itemset.New(d2, g1), 2},
-			{itemset.New(d1, a1), 2},
-			{itemset.New(d1, d2, a1, g1), 1},
-			{itemset.New(itemset.AnnotationItem(2)), 0},
-			{itemset.New(d1, itemset.AnnotationItem(2)), 0},
+			{nil, 130, 130},
+			{itemset.New(d1), 2, 2},
+			{itemset.New(d2), 2, 2},
+			{itemset.New(g1), 1, 2},
+			{itemset.New(d2, g1), 1, 2},
+			{itemset.New(d1, a1), 1, 2},
+			{itemset.New(d1, d2, a1, g1), 0, 1},
+			{itemset.New(itemset.AnnotationItem(2)), 0, 0},
+			{itemset.New(d1, itemset.AnnotationItem(2)), 0, 0},
 		} {
-			if got := b.CountPattern(tc.pattern); got != tc.want {
-				t.Errorf("round %d: CountPattern(%v) = %d, want %d", round, tc.pattern, got, tc.want)
+			before, after := b.Before().CountPattern(tc.pattern), b.After().CountPattern(tc.pattern)
+			if before != tc.before || after != tc.after {
+				t.Errorf("round %d: CountPattern(%v) = %d → %d, want %d → %d", round, tc.pattern, before, after, tc.before, tc.after)
+			}
+			if got, want := b.Change(tc.pattern), tc.after-tc.before; got != want {
+				t.Errorf("round %d: Change(%v) = %d, want %d", round, tc.pattern, got, want)
 			}
 		}
-		if got := positions(b.Postings(g1)); !slices.Equal(got, []int{64, 129}) {
+		if got := positions(b.After().Postings(g1)); !slices.Equal(got, []int{64, 129}) {
 			t.Errorf("round %d: postings of %v = %v", round, g1, got)
 		}
-		seen := map[itemset.Item]int{}
-		b.EachItem(func(a itemset.Item, n int) { seen[a] = n })
-		if len(seen) != 4 || seen[d1] != 2 || seen[d2] != 2 || seen[a1] != 2 || seen[g1] != 2 {
-			t.Errorf("round %d: EachItem = %v", round, seen)
+		if got := positions(b.Changed(a1, Postings{})); !slices.Equal(got, []int{0}) {
+			t.Errorf("round %d: %v changed at %v", round, a1, got)
+		}
+		counts := []int{-1, -1}
+		b.CountWith(itemset.New(d1), []Postings{b.Changed(a1, Postings{}), b.Changed(g1, Postings{})}, counts)
+		if !slices.Equal(counts, []int{1, 1}) {
+			t.Errorf("round %d: CountWith = %v", round, counts)
+		}
+		for _, side := range []struct {
+			name string
+			s    BatchSide
+			want map[itemset.Item]int
+		}{
+			{"before", b.Before(), map[itemset.Item]int{d1: 2, d2: 2, a1: 1, g1: 1}},
+			{"after", b.After(), map[itemset.Item]int{d1: 2, d2: 2, a1: 2, g1: 2}},
+		} {
+			seen := map[itemset.Item]int{}
+			side.s.EachItem(func(a itemset.Item, n int) { seen[a] = n })
+			if !maps.Equal(seen, side.want) {
+				t.Errorf("round %d: %s EachItem = %v, want %v", round, side.name, seen, side.want)
+			}
 		}
 	}
 }

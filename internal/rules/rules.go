@@ -143,9 +143,28 @@ func (r Rule) Validate() error {
 }
 
 // ID returns a canonical identity key for the rule: LHS plus RHS. Two rules
-// with the same ID describe the same implication regardless of counts.
+// with the same ID describe the same implication regardless of counts. It
+// costs one allocation, the string; AppendID builds the same bytes into a
+// caller's buffer.
 func (r Rule) ID() RuleID {
-	return RuleID(r.LHS.Key()) + RuleID(itemset.New(r.RHS).Key())
+	var buf [64]byte
+	return RuleID(r.AppendID(buf[:0]))
+}
+
+// AppendID appends the bytes of r.ID() to b and returns the extended buffer:
+// the LHS's itemset.Key followed by the RHS's, each item four bytes
+// big-endian. With a reused buffer and Set.HasID, a rule is looked up
+// without allocating.
+func (r Rule) AppendID(b []byte) []byte {
+	for _, it := range r.LHS {
+		b = appendItem(b, it)
+	}
+	return appendItem(b, r.RHS)
+}
+
+func appendItem(b []byte, it itemset.Item) []byte {
+	v := uint32(it)
+	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // RuleID identifies a rule by its itemsets; see Rule.ID.
@@ -247,6 +266,13 @@ func (s *Set) Get(id RuleID) (Rule, bool) {
 // Has reports whether a rule with r's identity is present.
 func (s *Set) Has(id RuleID) bool {
 	_, ok := s.byID[id]
+	return ok
+}
+
+// HasID is Has for an identity in AppendID's bytes. The map probe converts
+// the bytes without copying them, so it does not allocate.
+func (s *Set) HasID(id []byte) bool {
+	_, ok := s.byID[RuleID(id)]
 	return ok
 }
 

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -142,6 +143,94 @@ func TestRuleIDIdentity(t *testing.T) {
 	if r5.ID() == r6.ID() {
 		t.Error("prefix LHS collision")
 	}
+}
+
+// randomRule draws a rule with a data or annotation LHS of one to four items
+// and ids wide enough to use every byte of the encoding.
+func randomRule(rng *rand.Rand) Rule {
+	id := func() int { return 1 + rng.Intn(1<<20) }
+	var lhs []itemset.Item
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		switch rng.Intn(3) {
+		case 0:
+			lhs = append(lhs, d(id()))
+		case 1:
+			lhs = append(lhs, a(id()))
+		default:
+			lhs = append(lhs, itemset.DerivedItem(id()))
+		}
+	}
+	rhs := a(id())
+	if rng.Intn(4) == 0 {
+		rhs = itemset.DerivedItem(id())
+	}
+	return Rule{LHS: itemset.New(lhs...).Remove(rhs), RHS: rhs, PatternCount: rng.Intn(9), LHSCount: 9, N: 20}
+}
+
+// TestAppendIDMatchesID pins the identity bytes: AppendID writes exactly
+// ID's bytes, which are the LHS's itemset key followed by the RHS's, after
+// whatever the buffer already holds.
+func TestAppendIDMatchesID(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := []byte("prefix")
+	for i := 0; i < 500; i++ {
+		r := randomRule(rng)
+		id := r.ID()
+		if got := r.AppendID(nil); string(got) != string(id) {
+			t.Fatalf("%v: AppendID(nil) = %x, ID = %x", r, got, id)
+		}
+		if want := string(r.LHS.Key()) + string(itemset.New(r.RHS).Key()); string(id) != want {
+			t.Fatalf("%v: ID = %x, want LHS key + RHS key %x", r, id, want)
+		}
+		if got := r.AppendID(buf[:6]); string(got) != "prefix"+string(id) {
+			t.Fatalf("%v: AppendID after a prefix = %x", r, got)
+		}
+	}
+}
+
+// TestHasIDAgreesWithHas probes random sets with rules in and out of them.
+func TestHasIDAgreesWithHas(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for round := 0; round < 20; round++ {
+		s := NewSet()
+		var probes []Rule
+		for i := 0; i < 50; i++ {
+			r := randomRule(rng)
+			if rng.Intn(2) == 0 {
+				s.Add(r)
+			}
+			probes = append(probes, r)
+		}
+		var buf []byte
+		for _, r := range probes {
+			buf = r.AppendID(buf[:0])
+			if got, want := s.HasID(buf), s.Has(r.ID()); got != want {
+				t.Fatalf("round %d: HasID(%v) = %v, Has = %v", round, r, got, want)
+			}
+		}
+	}
+}
+
+// TestRuleIdentityAllocations: a probe through a reused buffer allocates
+// nothing, and ID allocates its string only.
+func TestRuleIdentityAllocations(t *testing.T) {
+	s := NewSet()
+	r := sampleRule()
+	s.Add(r)
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = r.AppendID(buf[:0])
+		if !s.HasID(buf) {
+			t.Fatal("rule missing")
+		}
+	}); n != 0 {
+		t.Errorf("AppendID + HasID: %v allocations, want 0", n)
+	}
+	var id RuleID
+	if n := testing.AllocsPerRun(100, func() { id = r.ID() }); n != 1 {
+		t.Errorf("ID: %v allocations, want 1", n)
+	}
+	_ = id
 }
 
 func TestSetBasics(t *testing.T) {
