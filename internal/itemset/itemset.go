@@ -18,6 +18,7 @@ package itemset
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -126,18 +127,9 @@ func New(items ...Item) Itemset {
 	if len(items) == 0 {
 		return nil
 	}
-	s := make(Itemset, len(items))
-	copy(s, items)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Deduplicate in place.
-	w := 1
-	for r := 1; r < len(s); r++ {
-		if s[r] != s[r-1] {
-			s[w] = s[r]
-			w++
-		}
-	}
-	return s[:w]
+	s := slices.Clone(items)
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // FromSorted wraps a slice the caller guarantees is already sorted and

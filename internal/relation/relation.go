@@ -21,10 +21,19 @@ type Tuple struct {
 
 // NewTuple canonicalizes and partitions items into a tuple. Items carry
 // their own kind tags, so a single mixed slice is sufficient.
-func NewTuple(items ...itemset.Item) Tuple {
-	all := itemset.New(items...)
-	data, annots := all.Split()
-	return Tuple{Data: data.Clone(), Annots: annots.Clone()}
+func NewTuple(items ...itemset.Item) Tuple { return tupleOf(slices.Clone(items)) }
+
+// tupleOf sorts and deduplicates items in place and splits them into a
+// tuple, so building a tuple costs one allocation: the two sets share items'
+// backing array, the data set capped so that no append to it reaches the
+// annotations. No items gives two nil sets, any item two non-nil ones.
+func tupleOf(items []itemset.Item) Tuple {
+	if len(items) == 0 {
+		return Tuple{}
+	}
+	slices.Sort(items)
+	data, annots := itemset.Itemset(slices.Compact(items)).Split()
+	return Tuple{Data: data[:len(data):len(data)], Annots: annots}
 }
 
 // Items returns the merged itemset of data values and annotations.
@@ -266,7 +275,14 @@ func (r *Relation) EachFrom(start int, fn func(i int, t Tuple) bool) {
 //
 // Both columns are written in place at positions past every captured view's
 // length, which no view reads; only the bitmaps of the appended tuples'
-// items are copied, when a view shares the word a new bit lands in.
+// items are copied, when a view shares the word a new bit lands in. Each
+// bitmap the batch touches is grown at most once per call, to the highest
+// position the batch sets in it, so a bulk load does not regrow it in 25 %
+// steps.
+//
+// The relation keeps the tuples' sets as they are, uncopied. A data set is
+// read-only from then on (see TupleDelta): other tuples and other relations
+// may share it, and the caller must not write it either.
 func (r *Relation) Append(tuples ...Tuple) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -286,13 +302,17 @@ func (r *Relation) Append(tuples ...Tuple) int {
 		}
 		r.st.data[i>>dataShift][i&dataMask] = t.Data
 		r.st.annots[i>>annotShift][i&annotMask] = t.Annots
-		for _, d := range t.Data {
-			r.setBit(i, d)
-		}
-		for _, a := range t.Annots {
-			r.setBit(i, a)
-		}
 		r.st.n++
+	}
+	// The index is written backwards: each item's highest position comes
+	// first, so writablePostings grows its bitmap once, for all of them.
+	for k := len(tuples) - 1; k >= 0; k-- {
+		for _, d := range tuples[k].Data {
+			r.setBit(start+k, d)
+		}
+		for _, a := range tuples[k].Annots {
+			r.setBit(start+k, a)
+		}
 	}
 	r.st.version++
 	return start
@@ -340,7 +360,9 @@ func (r *Relation) ApplyUpdates(batch []AnnotationUpdate) (applied, skipped []An
 // its annotation set before and after the batch. The sets are the relation's
 // own, not copies: attach and detach install a fresh set and nothing edits a
 // set in place, so Before is exactly the set a view captured before the batch
-// still reads. Treat all three as read-only.
+// still reads. A data set is not even replaced: it is read-only from Append
+// on, which is what lets a shard projection share its source's data sets.
+// Treat all three as read-only.
 type TupleDelta struct {
 	Index         int
 	Data          itemset.Itemset

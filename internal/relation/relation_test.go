@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -598,5 +599,86 @@ func TestFamilyOf(t *testing.T) {
 		if got := FamilyOf(c.token); got != c.want {
 			t.Errorf("FamilyOf(%q) = %q, want %q", c.token, got, c.want)
 		}
+	}
+}
+
+// TestTupleBuildersAllocateOnlyTheSets pins what building a tuple costs:
+// NewTuple and ResolveTuple (over interned tokens) allocate the one array
+// both sets share and nothing else, and keep the nil-versus-empty shape —
+// no items gives two nil sets, any item two non-nil ones.
+func TestTupleBuildersAllocateOnlyTheSets(t *testing.T) {
+	d := NewDictionary()
+	values, annots := []string{"5", "3", "5", "9"}, []string{"A2", "A1", "A2"}
+	want := MustTuple(d, values, annots)
+	if !want.Data.Wellformed() || want.Data.Len() != 3 || !want.Annots.Wellformed() || want.Annots.Len() != 2 {
+		t.Fatalf("ResolveTuple = %v %v, want 3 sorted values and 2 sorted annotations", want.Data, want.Annots)
+	}
+	items := append(slices.Clone(want.Annots), want.Data[2], want.Data[0], want.Annots[0], want.Data[1])
+	if got := NewTuple(items...); !got.Data.Equal(want.Data) || !got.Annots.Equal(want.Annots) {
+		t.Fatalf("NewTuple = %v %v, want %v %v", got.Data, got.Annots, want.Data, want.Annots)
+	}
+	if n := testing.AllocsPerRun(100, func() { NewTuple(items...) }); n > 1 {
+		t.Errorf("NewTuple allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := d.ResolveTuple(values, annots); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("ResolveTuple allocates %v times, want 1", n)
+	}
+	if tu := NewTuple(items...); cap(tu.Data) != len(tu.Data) {
+		t.Errorf("NewTuple data set has capacity %d past its %d items: an append would write the annotations", cap(tu.Data), len(tu.Data))
+	}
+
+	shape := func(what string, tu Tuple, nilData, nilAnnots bool) {
+		t.Helper()
+		if (tu.Data == nil) != nilData || (tu.Annots == nil) != nilAnnots {
+			t.Errorf("%s: Data nil = %v, Annots nil = %v; want %v, %v", what, tu.Data == nil, tu.Annots == nil, nilData, nilAnnots)
+		}
+	}
+	resolve := func(values, annots []string) Tuple {
+		t.Helper()
+		tu, err := d.ResolveTuple(values, annots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tu
+	}
+	shape("NewTuple()", NewTuple(), true, true)
+	shape("NewTuple(data)", NewTuple(want.Data...), false, false)
+	shape("NewTuple(annotations)", NewTuple(want.Annots...), false, false)
+	shape("ResolveTuple(nil, nil)", resolve(nil, nil), true, true)
+	shape("ResolveTuple(values, nil)", resolve(values, nil), false, false)
+	shape("ResolveTuple(nil, annotations)", resolve(nil, annots), false, false)
+}
+
+// TestAppendSizesEachBitmapOnce checks that a bulk Append grows each
+// bitmap it touches once, to the highest position it sets plus the 25 %
+// headroom, and that a one-tuple append past a captured view copies the
+// bitmap to the same shape.
+func TestAppendSizesEachBitmapOnce(t *testing.T) {
+	r := New()
+	v, a := MustData(r.Dictionary(), "v"), MustAnnotation(r.Dictionary(), "A")
+	batch := make([]Tuple, 1000)
+	for i := range batch {
+		batch[i] = NewTuple(v, a)
+	}
+	r.Append(batch...)
+	headroom := func(words int) int { return words + words/4 + 1 }
+	for _, it := range []itemset.Item{v, a} {
+		p := r.st.postingsOf(it)
+		if words := 1000/64 + 1; len(p.bits) != words || cap(p.bits) != headroom(words) {
+			t.Errorf("%v after a 1000-tuple append: %d words, capacity %d; want %d, %d", it, len(p.bits), cap(p.bits), words, headroom(words))
+		}
+	}
+	old := r.View().Postings(v)
+	r.Append(NewTuple(v))
+	p := r.st.postingsOf(v)
+	if words := 1001/64 + 1; &p.bits[0] == &old.bits[0] || len(p.bits) != words || cap(p.bits) != headroom(words) {
+		t.Errorf("one-tuple append past a view: %d words, capacity %d, copied %v; want %d, %d, true", len(p.bits), cap(p.bits), &p.bits[0] != &old.bits[0], words, headroom(words))
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

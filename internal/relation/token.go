@@ -89,7 +89,8 @@ func (d *Dictionary) ResolveAnnotation(token string) (itemset.Item, error) {
 }
 
 // ResolveTuple builds the tuple of value and annotation tokens under the
-// write-path rule.
+// write-path rule, resolving straight into the tuple's one backing array
+// (see NewTuple).
 func (d *Dictionary) ResolveTuple(values, annotations []string) (Tuple, error) {
 	items := make([]itemset.Item, 0, len(values)+len(annotations))
 	for _, tok := range values {
@@ -106,7 +107,7 @@ func (d *Dictionary) ResolveTuple(values, annotations []string) (Tuple, error) {
 		}
 		items = append(items, it)
 	}
-	return NewTuple(items...), nil
+	return tupleOf(items), nil
 }
 
 // ResolveTuples resolves a token-form tuple batch in order; an error names

@@ -12,6 +12,7 @@ import (
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
 	"annotadb/internal/serve"
+	"annotadb/internal/workload"
 )
 
 // The headline benchmark of the sharded write path: the same 8K-tuple
@@ -141,6 +142,34 @@ func BenchmarkShardedWriters(b *testing.B) {
 					if err := eng.Verify(); err != nil {
 						b.Fatalf("shard %d diverged under benchmark load: %v", s, err)
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkProjectAll measures the per-shard data cost of a sharded start:
+// partitioning the 8K-tuple metrics corpus (the mixed_sharded benchmark
+// workload's seed) into every shard's relation at 1, 2, 4 and 8 shards.
+// One op is one ProjectAll; B/op and allocs/op are what the shards' copies
+// of the data cost on top of the source. Run with
+//
+//	go test -run '^$' -bench ProjectAll -benchmem ./internal/shard
+func BenchmarkProjectAll(b *testing.B) {
+	stream, err := workload.NewStream("metrics", benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := workload.BuildRelation(stream.Base(benchTuples))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ProjectAll(src, n); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

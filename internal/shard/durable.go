@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"annotadb/internal/incremental"
-	"annotadb/internal/itemset"
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
 	"annotadb/internal/serve"
@@ -355,34 +354,25 @@ func (c *Cluster) reconcile() error {
 		}
 	}
 	donorRel := c.stores[donor].Engine().Relation()
-	donorDict := donorRel.Dictionary()
-	for _, st := range c.stores {
+	for s, st := range c.stores {
 		eng := st.Engine()
 		rel := eng.Relation()
 		short := rel.Len()
 		if short == maxLen {
 			continue
 		}
-		dict := rel.Dictionary()
+		// The donor's annotations belong to the donor's families: a pad
+		// carries only the data values, translated into this shard alone.
+		dicts := make([]*relation.Dictionary, len(c.stores))
+		dicts[s] = rel.Dictionary()
+		tr := newTranslator(donorRel.Dictionary(), dicts)
 		pad := make([]relation.Tuple, 0, maxLen-short)
-		for i := short; i < maxLen; i++ {
-			tu, err := donorRel.Tuple(i)
-			if err != nil {
-				return fmt.Errorf("shard: reconcile: donor tuple %d: %w", i, err)
-			}
-			items := make([]itemset.Item, 0, len(tu.Data))
-			for _, it := range tu.Data {
-				tok, ok := donorDict.TokenOK(it)
-				if !ok {
-					return fmt.Errorf("shard: reconcile: donor item %v has no token", it)
-				}
-				v, err := dict.Import(tok, it)
-				if err != nil {
-					return err
-				}
-				items = append(items, v)
-			}
-			pad = append(pad, relation.NewTuple(items...))
+		donorRel.EachFrom(short, func(_ int, tu relation.Tuple) bool {
+			pad = append(pad, relation.Tuple{Data: tr.dataSet(tu.Data)})
+			return tr.err == nil
+		})
+		if tr.err != nil {
+			return fmt.Errorf("shard: reconcile: donor shard %d: %w", donor, tr.err)
 		}
 		if err := st.LogTuples(pad); err != nil {
 			return fmt.Errorf("shard: reconcile: log padded tuples: %w", err)

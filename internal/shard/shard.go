@@ -250,97 +250,6 @@ func FromEngines(engines []*incremental.Engine, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// ProjectAll builds every shard's replica of src in a single pass: shard s
-// receives each tuple's data values plus the annotations, raw or derived,
-// whose family hashes to s, in src's tuple order, under fresh per-shard
-// dictionaries that keep each item's kind (relation.Dictionary.Import).
-func ProjectAll(src relation.Source, n int) ([]*relation.Relation, error) {
-	return project(src, n, -1)
-}
-
-// Project builds shard s's replica of src alone — ProjectAll's s-th
-// relation. The durable open path uses it to project each shard
-// independently (and concurrently).
-func Project(src relation.Source, s, n int) (*relation.Relation, error) {
-	rels, err := project(src, n, s)
-	if err != nil {
-		return nil, err
-	}
-	return rels[s], nil
-}
-
-// project builds the replicas of src in one pass: every shard's when only
-// is negative, else shard only's (the other entries stay nil).
-func project(src relation.Source, n, only int) ([]*relation.Relation, error) {
-	srcDict := src.Dictionary()
-	rels := make([]*relation.Relation, n)
-	dicts := make([]*relation.Dictionary, n)
-	var targets []int
-	for s := range rels {
-		if only < 0 || s == only {
-			rels[s] = relation.New()
-			dicts[s] = rels[s].Dictionary()
-			targets = append(targets, s)
-		}
-	}
-	batches := make([][]relation.Tuple, n)
-	items := make([][]itemset.Item, n)
-	var buildErr error
-	// put copies src's item it into shard s's replica of the tuple.
-	put := func(s int, tok string, it itemset.Item) bool {
-		v, err := dicts[s].Import(tok, it)
-		if err != nil {
-			buildErr = err
-			return false
-		}
-		items[s] = append(items[s], v)
-		return true
-	}
-	tokenOf := func(it itemset.Item) (string, bool) {
-		tok, ok := srcDict.TokenOK(it)
-		if !ok {
-			buildErr = fmt.Errorf("shard: project: item %v has no token", it)
-		}
-		return tok, ok
-	}
-	src.Each(func(_ int, tu relation.Tuple) bool {
-		for _, s := range targets {
-			items[s] = items[s][:0]
-		}
-		for _, it := range tu.Data {
-			tok, ok := tokenOf(it)
-			if !ok {
-				return false
-			}
-			for _, s := range targets {
-				if !put(s, tok, it) {
-					return false
-				}
-			}
-		}
-		for _, it := range tu.Annots {
-			tok, ok := tokenOf(it)
-			if !ok {
-				return false
-			}
-			if s := ShardOf(tok, n); dicts[s] != nil && !put(s, tok, it) {
-				return false
-			}
-		}
-		for _, s := range targets {
-			batches[s] = append(batches[s], relation.NewTuple(items[s]...))
-		}
-		return true
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	for _, s := range targets {
-		rels[s].Append(batches[s]...)
-	}
-	return rels, nil
-}
-
 // Shards returns the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
 
