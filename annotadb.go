@@ -79,6 +79,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"annotadb/internal/generalize"
 	"annotadb/internal/incremental"
@@ -207,9 +208,6 @@ type Options struct {
 	CandidateSlack float64
 	// MaxPatternLen bounds rule pattern size; 0 is unbounded.
 	MaxPatternLen int
-	// Deprecated: Parallelism is ignored. Mining runs on the calling
-	// goroutine: a candidate's count is one AND-and-popcount over bitmaps.
-	Parallelism int
 	// ExcludeGeneralizations hides derived labels from mining.
 	ExcludeGeneralizations bool
 }
@@ -356,8 +354,11 @@ type Engine struct {
 	eng *incremental.Engine
 	// cluster is the durable backing store when the engine came from
 	// OpenDurable (one store per shard); NewServer wires its stores into
-	// the shard writers' journals.
-	cluster *shard.Cluster
+	// the shard writers' journals. flushWindow is the store's
+	// DurabilityOptions.FlushWindow as given, which NewServer's durable
+	// event log flushes under too.
+	cluster     *shard.Cluster
+	flushWindow time.Duration
 }
 
 // ErrShardedEngine is returned by direct Engine mutations on a sharded

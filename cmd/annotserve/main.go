@@ -12,8 +12,7 @@
 //	annotserve -data dataset.txt [-addr :8080] [-min-support 0.4]
 //	           [-min-confidence 0.8] [-algorithm apriori]
 //	           [-batch-window 1ms] [-queue-depth 256] [-shards 4]
-//	           [-data-dir ./annotdata] [-fsync always]
-//	           [-flush-window 1ms] [-max-group-bytes 1048576]
+//	           [-data-dir ./annotdata] [-fsync always] [-flush-window 1ms]
 //	           [-checkpoint-bytes 4194304] [-checkpoint-age 0]
 //	           [-correlate] [-anomaly-window 5s] [-anomaly-threshold 4]
 //	annotserve -follow http://primary:8080 [-addr :8081]
@@ -125,8 +124,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		shards        = fs.Int("shards", 1, "partition the write path into this many annotation-family shards (parallel writers; pinned by the durable manifest)")
 		fsyncPolicy   = fs.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 		fsyncInterval = fs.Duration("fsync-interval", 0, "fsync cadence under -fsync interval (0 = 100ms)")
-		flushWindow   = fs.Duration("flush-window", 0, "WAL group-commit window under -fsync always: one fsync covers every batch in the window; acks still wait for it (0 = off, negative = group commit without linger); also the durable event log's background flush cadence")
-		maxGroupBytes = fs.Int64("max-group-bytes", 0, "force the group-commit fsync once this many unsynced bytes accumulate (0 = 1MiB, negative uncaps)")
+		flushWindow   = fs.Duration("flush-window", 0, "the durable store's flush window: under -fsync always one fsync covers every batch in the window and acks still wait for it (cut short at 1MiB unsynced); under every -fsync policy the durable event log is fsynced within it (0 = off, negative = flush without linger)")
 		ckptBytes     = fs.Int64("checkpoint-bytes", 0, "checkpoint when the WAL reaches this size (0 = 4MiB, negative disables)")
 		ckptAge       = fs.Duration("checkpoint-age", 0, "checkpoint when the oldest un-checkpointed record is this old (0 disables)")
 		walEncoding   = fs.String("wal-encoding", "binary", "WAL record encoding: binary or json")
@@ -182,7 +180,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Ring:           *eventRing,
 			SegmentBytes:   *eventSegBytes,
 			RetainSegments: *eventRetain,
-			FlushWindow:    *flushWindow,
 		},
 		Correlate: annotadb.CorrelateOptions{
 			Anomalies:        *correlateFlag,
@@ -218,7 +215,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Fsync:           *fsyncPolicy,
 			FsyncInterval:   *fsyncInterval,
 			FlushWindow:     *flushWindow,
-			MaxGroupBytes:   *maxGroupBytes,
 			CheckpointBytes: *ckptBytes,
 			CheckpointAge:   *ckptAge,
 			Encoding:        *walEncoding,

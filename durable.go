@@ -28,18 +28,19 @@ type DurabilityOptions struct {
 	Fsync string
 	// FsyncInterval is the cadence under Fsync "interval" (0 = 100ms).
 	FsyncInterval time.Duration
-	// FlushWindow enables group commit under Fsync "always": appends skip
-	// their inline fsync and one committer fsync covers every batch that
-	// arrived while the previous fsync was in flight — acknowledgements
-	// still wait for the covering fsync, so the durability contract is
-	// unchanged. Zero keeps the per-batch fsync (the default); positive
-	// lets the committer linger that long to absorb more batches per fsync;
-	// negative group-commits with no linger. Sharded stores run one
-	// committer per shard under the same policy.
+	// FlushWindow is the durable server's one flush window. Under Fsync
+	// "always" it enables group commit: appends skip their inline fsync and
+	// one background fsync covers every batch that arrived while the
+	// previous fsync was in flight — acknowledgements still wait for the
+	// covering fsync, so the durability contract is unchanged. Under every
+	// Fsync policy it also bounds how long a churn event may sit unsynced
+	// in the durable event log. Zero keeps the per-batch fsync and leaves
+	// the event log's active tail to rotation and shutdown (the default);
+	// positive lingers that long to absorb more batches (or events) per
+	// fsync, unless 1 MiB of log is already unsynced; negative syncs with
+	// no linger. Sharded stores run one group commit per shard under the
+	// same window.
 	FlushWindow time.Duration
-	// MaxGroupBytes caps the unsynced bytes a lingering commit group may
-	// accumulate before its fsync is forced (0 = 1 MiB, negative uncaps).
-	MaxGroupBytes int64
 	// CheckpointBytes checkpoints when the log reaches this size
 	// (0 = 4 MiB, negative disables the size policy). Sharded stores apply
 	// the policy per shard.
@@ -66,7 +67,6 @@ func (d DurabilityOptions) internal() (wal.Options, error) {
 		Sync:            sync,
 		SyncEvery:       d.FsyncInterval,
 		FlushWindow:     d.FlushWindow,
-		MaxGroupBytes:   d.MaxGroupBytes,
 		Encoding:        enc,
 		CheckpointBytes: d.CheckpointBytes,
 		CheckpointAge:   d.CheckpointAge,
@@ -235,7 +235,7 @@ func openDurable(opts Options, dopts DurabilityOptions, bootstrap func() (*relat
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	eng := &Engine{cluster: cluster}
+	eng := &Engine{cluster: cluster, flushWindow: dopts.FlushWindow}
 	if engines := cluster.Engines(); len(engines) == 1 {
 		// The single-store layout has one underlying engine, so the handle
 		// supports direct Engine reads like an in-memory one.

@@ -94,7 +94,7 @@ func Follow(opts Options, sopts ServeOptions, fopts FollowOptions) (*Server, err
 	if err != nil {
 		return nil, err
 	}
-	broker, _, err := newStream(sopts.Stream, "", 1)
+	broker, _, err := newStream(sopts.Stream, "", 0, 1)
 	if err != nil {
 		return nil, err
 	}

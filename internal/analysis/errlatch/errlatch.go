@@ -3,7 +3,7 @@
 // with errors.Is (the WAL wraps its sentinels with context as they cross
 // layer boundaries, so ==/!= silently stops matching), error text must not
 // be string-matched, and the results of the durability-contract methods —
-// Journal.Committed, GroupJournal.Seal, Router.Err — must not be dropped,
+// Journal.Committed, Journal.Seal, Router.Err — must not be dropped,
 // because dropping them is exactly the silent-loss bug class PR 6 fixed.
 //
 // Three checks:
@@ -36,7 +36,7 @@ type Config struct {
 // returns the only evidence that writes actually reached disk.
 var DefaultMustUse = []string{
 	"annotadb/internal/serve.Journal.Committed",
-	"annotadb/internal/serve.GroupJournal.Seal",
+	"annotadb/internal/serve.Journal.Seal",
 	"annotadb/internal/wal.Store.Committed",
 	"annotadb/internal/wal.Store.Seal",
 	"annotadb/internal/shard.Router.Err",

@@ -11,9 +11,12 @@ import (
 // with context.
 var ErrGone = errors.New("latch: record gone")
 
-// Journal is the durability contract: Committed's result is the only
-// evidence that writes reached disk.
+// Journal is the durability contract: the results of Seal and Committed
+// are the only evidence that writes reached disk.
 type Journal struct{}
+
+// Seal returns the ticket an acknowledgement must wait on.
+func (j *Journal) Seal() <-chan error { return nil }
 
 // Committed reports the first durability error.
 func (j *Journal) Committed() error { return nil }
@@ -53,6 +56,11 @@ func DropCommitted(j *Journal) {
 // BlankCommitted drops the signal through a blank assignment.
 func BlankCommitted(j *Journal) {
 	_ = j.Committed() // want `result of latch.Journal.Committed assigned to blank`
+}
+
+// DropSeal acknowledges without the covering fsync it was told to wait on.
+func DropSeal(j *Journal) {
+	j.Seal() // want `result of latch.Journal.Seal discarded`
 }
 
 // GoCommitted drops the signal by spawning the call.

@@ -29,8 +29,10 @@ type LocalOptions struct {
 	// Dir; reopening the same Dir recovers instead of re-seeding).
 	Dir string
 	// QueueDepth, BatchWindow, and FlushWindow tune the write path
-	// (admission queue bound, admission wait at a full queue, WAL group
-	// commit).
+	// (admission queue bound, admission wait at a full queue, and the
+	// durable store's flush window: WAL group commit and the event log's
+	// background fsync, annotadb.DurabilityOptions.FlushWindow). FlushWindow
+	// only matters with Dir or Followers.
 	QueueDepth  int
 	BatchWindow time.Duration
 	FlushWindow time.Duration
@@ -137,7 +139,6 @@ func StartLocal(o LocalOptions) (*Local, error) {
 		Stream: annotadb.StreamOptions{
 			Disabled:       !o.Events,
 			RetainSegments: retain,
-			FlushWindow:    o.FlushWindow,
 		},
 		Correlate: annotadb.CorrelateOptions{
 			Anomalies:        o.Correlate && o.Events,

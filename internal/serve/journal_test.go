@@ -83,6 +83,8 @@ func (j *recordingJournal) LogTuples(tuples []relation.Tuple) error {
 	return nil
 }
 
+func (j *recordingJournal) Seal() <-chan error { return nil }
+
 func (j *recordingJournal) Committed() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -34,6 +34,7 @@ func (j *gatedJournal) LogAnnotations([]relation.AnnotationUpdate, bool) error {
 	return nil
 }
 func (j *gatedJournal) LogTuples([]relation.Tuple) error { j.block(); return nil }
+func (j *gatedJournal) Seal() <-chan error               { return nil }
 func (j *gatedJournal) Committed() error                 { return nil }
 
 // failCommittedJournal fails Committed while armed and succeeds otherwise.
@@ -50,14 +51,15 @@ func (j *failCommittedJournal) arm(err error) {
 
 func (j *failCommittedJournal) LogAnnotations([]relation.AnnotationUpdate, bool) error { return nil }
 func (j *failCommittedJournal) LogTuples([]relation.Tuple) error                       { return nil }
+func (j *failCommittedJournal) Seal() <-chan error                                     { return nil }
 func (j *failCommittedJournal) Committed() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
 }
 
-// manualGroupJournal is a GroupJournal whose seal tickets the test resolves
-// by hand, exposing the ack-gating contract directly.
+// manualGroupJournal is a Journal whose seal tickets the test resolves by
+// hand, exposing the ack-gating contract directly.
 type manualGroupJournal struct {
 	sealed chan chan error
 }
@@ -283,9 +285,9 @@ func TestShutdownDrainsAdmittedWrites(t *testing.T) {
 }
 
 // TestGroupJournalGatesAcksOnSeal pins the group-commit ack contract: a
-// batch applied against a GroupJournal is not acknowledged until its seal
-// ticket resolves, a nil resolution acks the batch's own results, and an
-// error resolution overrides them with ErrJournal.
+// batch applied against a Journal that hands out seal tickets is not
+// acknowledged until its ticket resolves, a nil resolution acks the batch's
+// own results, and an error resolution overrides them with ErrJournal.
 func TestGroupJournalGatesAcksOnSeal(t *testing.T) {
 	t.Parallel()
 	j := &manualGroupJournal{sealed: make(chan chan error, 4)}

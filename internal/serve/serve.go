@@ -56,45 +56,36 @@ const (
 // the wal package's Store). The contract mirrors a classic write-ahead
 // log: for every coalesced group the writer first calls LogAnnotations or
 // LogTuples — an error fails the whole group before the engine is touched,
-// so the durable log never lags an acknowledged write — and after the
-// batch is applied, the fresh snapshot published, and the waiters
-// acknowledged it calls Committed, which is the journal's moment to run
-// its checkpoint policy. All three methods are called from the single
-// writer goroutine only.
+// so the durable log never lags an acknowledged write. After the batch is
+// applied and the fresh snapshot published it calls Seal, and once the
+// waiters are acknowledged, Committed, which is the journal's moment to run
+// its checkpoint policy. Every method is called from the single writer
+// goroutine only.
 type Journal interface {
 	// LogAnnotations records an annotation batch; remove distinguishes
 	// detachment from attachment.
 	LogAnnotations(updates []relation.AnnotationUpdate, remove bool) error
 	// LogTuples records a tuple batch.
 	LogTuples(tuples []relation.Tuple) error
+	// Seal asks for the records logged so far to be made durable, for a
+	// journal whose appends may defer their fsync to a group commit:
+	//
+	//   - nil means they are already as durable as the journal's policy
+	//     promises (group commit off, or a sync policy that never gates
+	//     acks on fsync): the writer acknowledges waiters inline;
+	//   - a non-nil ticket resolves with one value once a single covering
+	//     fsync has made every record logged before the call durable (nil),
+	//     or with the sync error that latched the journal. The writer hands
+	//     the batch's acknowledgements to its acker goroutine keyed on the
+	//     ticket and immediately starts collecting the next batch, so the
+	//     fsync of batch n overlaps the application of batch n+1 — the
+	//     group-commit pipeline.
+	Seal() <-chan error
 	// Committed reports that every record logged so far is applied,
 	// published, and acknowledged — the journal's moment to checkpoint
 	// without holding up any waiter. Errors are counted
 	// (Stats.JournalErrors), not fatal.
 	Committed() error
-}
-
-// GroupJournal is a Journal whose appends may defer their fsync to a group
-// committer (the wal package's Store with a flush window configured). After
-// applying and publishing a coalesced batch the writer calls Seal instead of
-// assuming the appends are already durable:
-//
-//   - a nil return means every record logged so far is durable at return
-//     (group commit off, or a sync policy that never gates acks on fsync) —
-//     the writer acknowledges waiters inline, exactly as with a plain
-//     Journal;
-//   - a non-nil ticket resolves with one value once a single covering fsync
-//     has made every record logged before the Seal call durable (nil), or
-//     with the sync error that latched the journal. The writer hands the
-//     batch's acknowledgements to its acker goroutine keyed on the ticket
-//     and immediately starts collecting the next batch, so the fsync of
-//     batch n overlaps the application of batch n+1 — the group-commit
-//     pipeline.
-//
-// Seal is called from the single writer goroutine only.
-type GroupJournal interface {
-	Journal
-	Seal() <-chan error
 }
 
 // Latency aggregates the write path's per-stage latency histograms: queue
@@ -657,8 +648,8 @@ func (s *Server) apply(batch []*request) {
 	// fsync was in flight. A nil ticket means the appends are already as
 	// durable as the policy promises: ack inline, exactly as before.
 	var ticket <-chan error
-	if gj, ok := s.cfg.Journal.(GroupJournal); ok {
-		ticket = gj.Seal()
+	if s.cfg.Journal != nil {
+		ticket = s.cfg.Journal.Seal()
 	}
 	if ticket == nil {
 		s.deliver(pendingAck{groups: groups, results: results}, nil)

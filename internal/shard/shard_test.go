@@ -317,6 +317,7 @@ func (j *gatedJournal) block() {
 
 func (j *gatedJournal) LogAnnotations([]relation.AnnotationUpdate, bool) error { j.block(); return nil }
 func (j *gatedJournal) LogTuples([]relation.Tuple) error                       { j.block(); return nil }
+func (j *gatedJournal) Seal() <-chan error                                     { return nil }
 func (j *gatedJournal) Committed() error                                       { return nil }
 
 // The append order lock exists to keep several replicas in step. A one-shard

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +106,82 @@ func TestSealNoopWithoutGroupCommit(t *testing.T) {
 	}
 }
 
+func TestGroupCommitByteCapCutsLingerShort(t *testing.T) {
+	t.Parallel()
+	const window = 10 * time.Second
+	s := openFixtureStore(t, Options{Dir: t.TempDir(), Sync: SyncAlways, FlushWindow: window})
+	a1, _ := s.Engine().Relation().Dictionary().Lookup("Annot_1")
+	batch := make([]relation.AnnotationUpdate, 4096)
+	for i := range batch {
+		batch[i] = relation.AnnotationUpdate{Index: i % 5, Annotation: a1}
+	}
+	for s.Stats().UnsyncedBytes <= maxGroupBytes {
+		if err := s.LogAnnotations(batch, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	ticket := s.Seal()
+	if ticket == nil {
+		t.Fatal("Seal returned nil with unsynced records under group commit")
+	}
+	select {
+	case err := <-ticket:
+		if err != nil {
+			t.Fatalf("seal ticket resolved with error: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("seal ticket still pending after 2s with %d unsynced bytes: the byte cap did not cut the %v linger short",
+			s.Stats().UnsyncedBytes, window)
+	}
+	if took := time.Since(start); took >= window/2 {
+		t.Fatalf("covering fsync took %v, want well under the %v window", took, window)
+	}
+	if st := s.Stats(); st.UnsyncedRecords != 0 {
+		t.Fatalf("UnsyncedRecords = %d after the covering fsync, want 0", st.UnsyncedRecords)
+	}
+}
+
+// TestSealTicketsResolvedWhenLoopStops pins the teardown rule of the sync
+// loop: tickets still queued at stop get one final sync's result instead of
+// leaving their waiters blocked.
+func TestSealTicketsResolvedWhenLoopStops(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	var syncs atomic.Int32
+	l := startSyncLoop(0, nil, func() error {
+		if syncs.Add(1) == 1 {
+			<-release // hold the first sync so later tickets queue behind it
+		}
+		return nil
+	})
+	first := l.ticket()
+	for syncs.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	queued := []<-chan error{l.ticket(), l.ticket(), l.ticket()}
+	stopped := make(chan struct{})
+	go func() {
+		l.stop()
+		close(stopped)
+	}()
+	close(release)
+	<-stopped
+	for i, t2 := range append(queued, first) {
+		select {
+		case err := <-t2:
+			if err != nil {
+				t.Fatalf("ticket %d resolved with %v", i, err)
+			}
+		default:
+			t.Fatalf("ticket %d still pending after stop", i)
+		}
+	}
+	if n := syncs.Load(); n != 2 {
+		t.Fatalf("%d syncs, want 2: the held one, then one covering every queued ticket", n)
+	}
+}
+
 func TestUnsyncedCountersUnderSyncNever(t *testing.T) {
 	t.Parallel()
 	s := openFixtureStore(t, Options{Dir: t.TempDir(), Sync: SyncNever})
@@ -128,9 +205,8 @@ func TestUnsyncedCountersUnderSyncNever(t *testing.T) {
 func TestIntervalFlusherBoundsCrashWindow(t *testing.T) {
 	t.Parallel()
 	s := openFixtureStore(t, Options{Dir: t.TempDir(), Sync: SyncInterval, SyncEvery: 10 * time.Millisecond})
-	// The first append syncs inline (the cadence clock starts at zero);
-	// the second lands inside the cadence and stays unsynced — previously
-	// forever if no further append arrived.
+	// Neither append syncs inline: each only wakes the background loop,
+	// which syncs one cadence later even though no further append arrives.
 	appendFixtureBatch(t, s, 0)
 	appendFixtureBatch(t, s, 1)
 	deadline := time.Now().Add(5 * time.Second)

@@ -57,13 +57,10 @@ type SegmentedLog struct {
 	trimmedBytes atomic.Int64
 	syncs        atomic.Uint64
 
-	// Background flush plumbing (FlushWindow != 0): Append pokes dirty
-	// (capacity 1, non-blocking) and the flusher goroutine syncs after the
-	// linger window. Nil/unused when the flusher is off.
-	dirty  chan struct{}
-	flQuit chan struct{}
-	flDone chan struct{}
-	flRuns bool
+	// flusher is the background fsync loop (FlushWindow != 0): Append
+	// pokes it and it syncs the active segment within the window. Nil when
+	// off, and from Close on.
+	flusher *syncLoop
 }
 
 // segmentInfo describes one sealed (immutable) segment.
@@ -95,6 +92,9 @@ type SegmentedOptions struct {
 	// one fsync covers a burst, then syncs. Zero disables the flusher (the
 	// default: the active tail is only fsynced at rotation, explicit Sync,
 	// and Close, so a crash may drop it); negative flushes with no linger.
+	// A failed background fsync is not latched: the tail was never promised
+	// durable mid-segment, and rotation or Close retries the fsync and
+	// surfaces a persistent error.
 	FlushWindow time.Duration
 }
 
@@ -199,22 +199,32 @@ func OpenSegmented(opts SegmentedOptions) (*SegmentedLog, error) {
 	sort.Slice(infos, func(i, j int) bool { return infos[i].first < infos[j].first })
 	if len(infos) == 0 {
 		l.first, l.next = 1, 1
-		if err := l.startSegment(); err != nil {
-			return nil, err
-		}
-		l.startFlusher()
-		return l, nil
+		err = l.startSegment()
+	} else {
+		err = l.adopt(infos)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if opts.FlushWindow != 0 {
+		l.flusher = startSyncLoop(opts.FlushWindow, nil, l.Sync)
+	}
+	return l, nil
+}
+
+// adopt validates the existing segments, oldest first, and reopens the
+// newest one as the active segment.
+func (l *SegmentedLog) adopt(infos []segmentInfo) error {
 	for i := range infos {
 		last := i == len(infos)-1
 		records, size, err := scanSegment(infos[i].path, infos[i].first, last)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		infos[i].records = records
 		infos[i].size = size
 		if !last && infos[i+1].first != infos[i].first+records {
-			return nil, fmt.Errorf("wal: segment %s holds cursors %d..%d but %s starts at %d: retained history is not contiguous",
+			return fmt.Errorf("wal: segment %s holds cursors %d..%d but %s starts at %d: retained history is not contiguous",
 				filepath.Base(infos[i].path), infos[i].first, infos[i].first+records-1,
 				filepath.Base(infos[i+1].path), infos[i+1].first)
 		}
@@ -225,74 +235,11 @@ func OpenSegmented(opts SegmentedOptions) (*SegmentedLog, error) {
 	l.next = tail.first + tail.records
 	f, err := os.OpenFile(tail.path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("wal: open active segment: %w", err)
+		return fmt.Errorf("wal: open active segment: %w", err)
 	}
 	l.active = f
 	l.activeFirst = tail.first
 	l.activeSize = tail.size
-	l.startFlusher()
-	return l, nil
-}
-
-// startFlusher launches the background flusher when the options ask for one.
-// Called once at the end of OpenSegmented.
-func (l *SegmentedLog) startFlusher() {
-	if l.opts.FlushWindow == 0 {
-		return
-	}
-	l.dirty = make(chan struct{}, 1)
-	l.flQuit = make(chan struct{})
-	l.flDone = make(chan struct{})
-	l.flRuns = true
-	go l.flusher()
-}
-
-// flusher syncs the active segment within FlushWindow of the first append
-// after the previous sync, so one fsync covers a whole burst of events
-// instead of none of them surviving until rotation.
-func (l *SegmentedLog) flusher() {
-	defer close(l.flDone)
-	window := l.opts.FlushWindow
-	for {
-		select {
-		case <-l.flQuit:
-			return
-		case <-l.dirty:
-			if window > 0 {
-				linger := time.NewTimer(window)
-				select {
-				case <-linger.C:
-				case <-l.flQuit:
-					linger.Stop()
-					return // Close syncs the tail itself
-				}
-			}
-			// Collapse notifications that raced in during the linger: the
-			// sync below covers their appends too.
-			select {
-			case <-l.dirty:
-			default:
-			}
-			// A failure here is not latched: the tail was never promised
-			// durable mid-segment, and rotation or Close will retry the
-			// fsync and surface a persistent error.
-			_ = l.syncActive()
-		}
-	}
-}
-
-// syncActive is Sync minus the closed error (the flusher may lose the race
-// with Close, which syncs the tail itself).
-func (l *SegmentedLog) syncActive() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	if err := l.active.Sync(); err != nil {
-		return fmt.Errorf("wal: segment sync: %w", err)
-	}
-	l.syncs.Add(1)
 	return nil
 }
 
@@ -446,11 +393,8 @@ func (l *SegmentedLog) Append(payloads ...[]byte) (uint64, error) {
 			}
 		}
 	}
-	if l.dirty != nil && l.next > l.activeFirst {
-		select {
-		case l.dirty <- struct{}{}:
-		default: // flusher already poked
-		}
+	if l.flusher != nil && l.next > l.activeFirst {
+		l.flusher.poke()
 	}
 	return first, nil
 }
@@ -643,13 +587,12 @@ func (l *SegmentedLog) Stats() SegmentedStats {
 // reopen with OpenSegmented. Idempotent.
 func (l *SegmentedLog) Close() error {
 	l.mu.Lock()
-	stopFlusher := l.flRuns
-	l.flRuns = false
+	flusher := l.flusher
+	l.flusher = nil
 	l.mu.Unlock()
-	if stopFlusher {
-		close(l.flQuit)
-		<-l.flDone // flusher takes mu, so wait before re-locking below
-	}
+	// The flusher syncs through Sync, which takes mu and fails once the log
+	// is closed: stop it before re-locking below.
+	flusher.stop()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

@@ -105,11 +105,11 @@ type Stats struct {
 // Checkpoint) are not safe for concurrent use — they belong to the serving
 // layer's single writer. Stats and Recovery may be read from any goroutine.
 //
-// With Options.FlushWindow set (group commit), Store also satisfies the
-// serve package's GroupJournal interface: the serving writer calls Seal
-// after applying a batch and withholds acknowledgements until the returned
-// ticket resolves, so one committer fsync covers every batch that arrived
-// while the previous fsync was in flight.
+// With Options.FlushWindow set under SyncAlways (group commit), Seal hands
+// out tickets: the serving writer calls it after applying a batch and
+// withholds acknowledgements until the ticket resolves, so one background
+// fsync covers every batch that arrived while the previous fsync was in
+// flight.
 type Store struct {
 	opts  Options
 	cfg   mining.Config
@@ -133,21 +133,16 @@ type Store struct {
 	unsyncedRecords atomic.Int64
 	unsyncedBytes   atomic.Int64
 
-	// logMu serializes every fsync issued off the writer goroutine (the
-	// group committer, the interval flusher) against TruncateKeep, which
-	// swaps the log's file handle: an fsync concurrent with the swap could
-	// target a closed fd. The writer's own appends never race these — the
-	// log is only appended from the writer goroutine.
+	// logMu serializes every fsync issued off the writer goroutine (by
+	// syncer) against TruncateKeep, which swaps the log's file handle: an
+	// fsync concurrent with the swap could target a closed fd. The writer's
+	// own appends never race these — the log is only appended from the
+	// writer goroutine.
 	logMu sync.Mutex
 
-	// Group-commit plumbing: Seal hands tickets to the committer via
-	// sealCh; bgQuit/bgDone bound the committer's (or the interval
-	// flusher's) lifetime. Nil/unused when no background syncer runs.
-	sealCh        chan chan error
-	bgQuit        chan struct{}
-	bgDone        chan struct{}
-	bgRuns        bool
-	lastSync      time.Time // writer-only
+	// syncer is the background fsync loop the sync policy calls for (see
+	// startSyncer); nil when every fsync is inline or left to the OS.
+	syncer        *syncLoop
 	oldestPending time.Time // writer-only: append time of the oldest un-checkpointed record
 	closed        bool
 	// inflight tracks a checkpoint being serialized and installed by the
@@ -293,39 +288,31 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 		s.oldestPending = time.Now()
 	}
 	s.logBytes.Store(log.Size())
-	s.startBackground()
+	s.syncer = s.startSyncer()
 	s.recovery.Duration = time.Since(start)
 	return s, nil
 }
 
-// startBackground launches the sync goroutine the options call for: the
-// group committer (SyncAlways with a flush window) or the interval flusher
-// (SyncInterval, so the crash window stays bounded by the cadence even when
-// appends pause). Called once at the end of Open.
-func (s *Store) startBackground() {
+// startSyncer starts the background fsync loop the options call for, once,
+// at the end of Open:
+//
+//   - group commit (SyncAlways with a flush window): Seal takes a ticket,
+//     and the loop lingers up to the window unless maxGroupBytes of log
+//     are already unsynced;
+//   - SyncInterval: append pokes the loop, which lingers one cadence and
+//     syncs, so an acknowledged record waits at most one interval for its
+//     fsync even when appends pause.
+//
+// A failed sync latches the store (syncLog).
+func (s *Store) startSyncer() *syncLoop {
 	switch {
 	case s.opts.groupCommit():
-		s.sealCh = make(chan chan error, 256)
-		s.bgQuit = make(chan struct{})
-		s.bgDone = make(chan struct{})
-		s.bgRuns = true
-		go s.committer()
+		full := func() bool { return s.unsyncedBytes.Load() >= maxGroupBytes }
+		return startSyncLoop(s.opts.flushWindow(), full, s.syncLog)
 	case s.opts.Sync == SyncInterval:
-		s.bgQuit = make(chan struct{})
-		s.bgDone = make(chan struct{})
-		s.bgRuns = true
-		go s.intervalFlusher()
+		return startSyncLoop(s.opts.syncEvery(), nil, s.syncLog)
 	}
-}
-
-// stopBackground stops the committer or flusher and waits it out. Writer-only.
-func (s *Store) stopBackground() {
-	if !s.bgRuns {
-		return
-	}
-	s.bgRuns = false
-	close(s.bgQuit)
-	<-s.bgDone
+	return nil
 }
 
 // HasPendingRecords reports whether the log holds records not yet covered
@@ -348,8 +335,7 @@ func (s *Store) Failed() error {
 }
 
 // latch records the first unrecoverable failure. Safe from any goroutine
-// (the writer, the group committer, the interval flusher): CAS keeps the
-// first failure.
+// (the writer, the background sync loop): CAS keeps the first failure.
 func (s *Store) latch(err error) {
 	s.failed.CompareAndSwap(nil, &err)
 }
@@ -463,47 +449,40 @@ func (s *Store) append(rec Record) error {
 	s.logBytes.Store(s.log.Size())
 	s.unsyncedRecords.Add(1)
 	s.unsyncedBytes.Add(frameLen)
-	switch s.opts.Sync {
-	case SyncAlways:
-		if s.opts.groupCommit() {
-			// The committer's covering fsync makes the record durable before
-			// the serving writer acknowledges it (Seal); syncing here too
-			// would reintroduce the per-batch fsync group commit removes.
-			break
-		}
-		if err := s.syncLog(); err != nil {
-			// The record is in the file but the batch will be failed: later
-			// appends would land after a phantom record that recovery
-			// replays, silently shifting every subsequent tuple index.
-			// Latch instead; a restart replays a consistent prefix.
-			s.latch(err)
-			return err
-		}
-		s.lastSync = time.Now()
-	case SyncInterval:
-		if time.Since(s.lastSync) >= s.opts.syncEvery() {
-			if err := s.syncLog(); err != nil {
-				s.latch(err)
-				return err
-			}
-			s.lastSync = time.Now()
-		}
-	case SyncNever:
+	switch {
+	case s.opts.Sync == SyncInterval:
+		s.syncer.poke()
+	case s.opts.Sync == SyncAlways && s.syncer == nil:
+		// Group commit off: the record is fsynced before its batch can be
+		// acknowledged. Under group commit Seal's covering fsync does that.
+		return s.syncLog()
 	}
 	return nil
 }
 
-// syncLog fsyncs the log under logMu and credits the unsynced counters with
-// what was pending when the fsync began. Records appended while the fsync
-// is in flight stay counted (conservative: the counters never claim
-// durability a crash could disprove). Safe from the writer, the committer,
-// and the interval flusher; logMu also keeps the fsync from racing
-// TruncateKeep's file swap.
+// syncLog fsyncs the log under logMu, unless nothing is unsynced, and
+// credits the unsynced counters with what was pending when the fsync began.
+// Records appended while the fsync is in flight stay counted (conservative:
+// the counters never claim durability a crash could disprove). Safe from
+// the writer and the background sync loop; logMu also keeps the fsync from
+// racing TruncateKeep's file swap.
+//
+// A failed fsync latches the store: the record is in the file but its batch
+// will be failed, so later appends would land after a phantom record that
+// recovery replays, silently shifting every subsequent tuple index. A
+// restart replays a consistent prefix instead.
 func (s *Store) syncLog() error {
+	if err := s.Failed(); err != nil {
+		return err
+	}
 	s.logMu.Lock()
 	recs := s.unsyncedRecords.Load()
 	bytes := s.unsyncedBytes.Load()
-	//annotlint:ignore lockio the fsync must hold logMu: it orders against TruncateKeep's file-handle swap, and the committer batches so only one fsync is ever in flight
+	if recs == 0 {
+		s.logMu.Unlock()
+		return nil
+	}
+	//annotlint:ignore lockio the fsync must hold logMu: it orders against TruncateKeep's file-handle swap, and the sync loop batches so only one fsync is ever in flight
 	err := s.log.Sync()
 	if err == nil {
 		s.unsyncedRecords.Add(-recs)
@@ -511,137 +490,27 @@ func (s *Store) syncLog() error {
 	}
 	s.logMu.Unlock()
 	if err != nil {
+		s.latch(err)
 		return err
 	}
 	s.syncs.Add(1)
 	return nil
 }
 
-// Seal implements the serve package's GroupJournal contract: it returns a
-// ticket that resolves once one committer fsync covers every record
+// Seal implements the serve package's Journal contract: it returns a
+// ticket that resolves once one background fsync covers every record
 // appended before the call, or nil when those records are already as
 // durable as the sync policy promises (group commit off, nothing unsynced,
 // or a policy that never gates acknowledgements on fsync). Writer-only,
 // like the Log* methods.
 func (s *Store) Seal() <-chan error {
-	if !s.opts.groupCommit() {
+	if !s.opts.groupCommit() || s.unsyncedRecords.Load() == 0 {
+		// Nothing to wait for: group commit off, or nothing appended since
+		// the last covering fsync (e.g. every group in the batch failed
+		// validation before reaching the log).
 		return nil
 	}
-	if s.unsyncedRecords.Load() == 0 {
-		// Nothing appended since the last covering fsync (e.g. every group
-		// in the batch failed validation before reaching the log).
-		return nil
-	}
-	t := make(chan error, 1)
-	s.sealCh <- t
-	return t
-}
-
-// committer is the group-commit loop: it collects seal tickets, optionally
-// lingers up to the flush window (cut short once MaxGroupBytes of unsynced
-// appends accumulate), then issues one fsync and resolves every collected
-// ticket with its outcome. Tickets that arrive while an fsync is in flight
-// simply queue in sealCh and ride the next fsync — that overlap, not the
-// linger, is where group commit's throughput comes from.
-func (s *Store) committer() {
-	defer close(s.bgDone)
-	window := s.opts.flushWindow()
-	maxBytes := s.opts.maxGroupBytes()
-	for {
-		select {
-		case <-s.bgQuit:
-			s.drainTickets()
-			return
-		case t := <-s.sealCh:
-			pending := []chan error{t}
-			if window > 0 && s.unsyncedBytes.Load() < maxBytes {
-				deadline := time.NewTimer(window)
-			linger:
-				for {
-					select {
-					case t2 := <-s.sealCh:
-						pending = append(pending, t2)
-						if s.unsyncedBytes.Load() >= maxBytes {
-							break linger
-						}
-					case <-deadline.C:
-						break linger
-					case <-s.bgQuit:
-						break linger
-					}
-				}
-				deadline.Stop()
-			} else {
-				// No linger: absorb whatever is already queued so one fsync
-				// covers it all, but never wait.
-				for {
-					select {
-					case t2 := <-s.sealCh:
-						pending = append(pending, t2)
-						continue
-					default:
-					}
-					break
-				}
-			}
-			err := s.commitGroup()
-			for _, p := range pending {
-				p <- err
-			}
-		}
-	}
-}
-
-// commitGroup issues one covering fsync, latching the store on failure so
-// later appends refuse instead of extending a log whose tail may be phantom.
-func (s *Store) commitGroup() error {
-	if err := s.Failed(); err != nil {
-		return err
-	}
-	if err := s.syncLog(); err != nil {
-		s.latch(err)
-		return err
-	}
-	return nil
-}
-
-// drainTickets resolves tickets still queued at shutdown with a final
-// commit. In the supported teardown order (serving core first, then the
-// store) the queue is already empty; this keeps a misordered caller from
-// deadlocking its acker instead of getting an error.
-func (s *Store) drainTickets() {
-	for {
-		select {
-		case t := <-s.sealCh:
-			t <- s.commitGroup()
-		default:
-			return
-		}
-	}
-}
-
-// intervalFlusher bounds the SyncInterval crash window: appends only fsync
-// when one lands after the cadence expires, so a burst followed by silence
-// used to leave its tail unsynced (and acknowledged) indefinitely. The
-// flusher syncs any pending tail once per cadence regardless of append
-// traffic.
-func (s *Store) intervalFlusher() {
-	defer close(s.bgDone)
-	tick := time.NewTicker(s.opts.syncEvery())
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.bgQuit:
-			return
-		case <-tick.C:
-			if s.unsyncedRecords.Load() == 0 || s.Failed() != nil {
-				continue
-			}
-			if err := s.syncLog(); err != nil {
-				s.latch(err)
-			}
-		}
-	}
+	return s.syncer.ticket()
 }
 
 // pendingInstall is one background checkpoint install: the epoch and log
@@ -705,15 +574,15 @@ func (s *Store) finishInstall(wait bool) error {
 // the covered prefix and keeps any tail appended since the capture.
 func (s *Store) finishTruncate(epoch uint64, covered int64, takenAt time.Time) error {
 	// TruncateKeep swaps the log's file handle (installs the rewritten log
-	// and reopens it); logMu keeps the committer or interval flusher from
-	// fsyncing the old handle mid-swap. The rewritten tail is durable when
+	// and reopens it); logMu keeps the background sync loop from fsyncing
+	// the old handle mid-swap. The rewritten tail is durable when
 	// TruncateKeep returns, so whatever was unsynced at that point is
 	// credited — snapshot under the same lock so a concurrent syncLog can't
 	// double-subtract.
 	s.logMu.Lock()
 	recs := s.unsyncedRecords.Load()
 	bytes := s.unsyncedBytes.Load()
-	//annotlint:ignore lockio the file-handle swap must hold logMu so no committer fsyncs the old handle mid-swap; truncation is rare (one per checkpoint) and appends already queue behind it
+	//annotlint:ignore lockio the file-handle swap must hold logMu so no background sync targets the old handle mid-swap; truncation is rare (one per checkpoint) and appends already queue behind it
 	err := s.log.TruncateKeep(epoch, covered)
 	if err == nil {
 		s.unsyncedRecords.Add(-recs)
@@ -833,10 +702,10 @@ func (s *Store) Close() error {
 	// A failed install is safe to drop: the old checkpoint plus the full
 	// log still recover everything acknowledged.
 	_ = s.finishInstall(true)
-	// Stop the committer/flusher before closing the log so no background
-	// fsync targets a closed handle. Outstanding seal tickets (a misordered
-	// caller's) are resolved with a final commit on the way out.
-	s.stopBackground()
+	// Stop the sync loop before closing the log so no background fsync
+	// targets a closed handle. Outstanding seal tickets (a misordered
+	// caller's) are resolved with a final sync on the way out.
+	s.syncer.stop()
 	s.closed = true
 	return s.log.Close()
 }

@@ -67,10 +67,12 @@ const (
 	DefaultCheckpointBytes = 4 << 20
 	// DefaultSyncEvery is the fsync cadence under SyncInterval.
 	DefaultSyncEvery = 100 * time.Millisecond
-	// DefaultMaxGroupBytes caps how many appended-but-unsynced bytes a
-	// lingering commit group may accumulate before its fsync is issued.
-	DefaultMaxGroupBytes = 1 << 20
 )
+
+// maxGroupBytes caps how many appended-but-unsynced bytes a lingering
+// commit group may accumulate: reaching it cuts the linger short and issues
+// the fsync at once.
+const maxGroupBytes = 1 << 20
 
 // SyncPolicy says when the log file is fsynced.
 type SyncPolicy uint8
@@ -132,24 +134,19 @@ type Options struct {
 	// DefaultSyncEvery).
 	SyncEvery time.Duration
 	// FlushWindow enables group commit under SyncAlways: appends skip
-	// their inline fsync and a committer goroutine issues one fsync per
+	// their inline fsync and a background goroutine issues one fsync per
 	// commit group, covering every record appended (and sealed via Seal)
 	// while the previous fsync was in flight — the durability contract is
 	// unchanged (an acknowledged write survives an OS crash) because the
 	// serving writer withholds acknowledgements until the covering fsync
 	// completes. Zero disables group commit (the default: every append
 	// fsyncs inline before it returns); a positive window additionally
-	// lets the committer linger that long after a seal to absorb more
-	// groups into the same fsync; negative enables group commit with no
-	// linger (the fsync is issued as soon as the committer is free).
-	// Under SyncInterval and SyncNever the knob only affects the event
-	// log's flush cadence wiring, never the ack path.
+	// lets the goroutine linger that long after a seal to absorb more
+	// groups into the same fsync, unless 1 MiB of log is already unsynced;
+	// negative enables group commit with no linger (the fsync is issued as
+	// soon as the goroutine is free). Under SyncInterval and SyncNever it
+	// never touches the ack path.
 	FlushWindow time.Duration
-	// MaxGroupBytes caps the appended-but-unsynced bytes a lingering
-	// commit group may accumulate: reaching it cuts the linger short and
-	// issues the fsync immediately. Zero means DefaultMaxGroupBytes;
-	// negative removes the cap.
-	MaxGroupBytes int64
 	// Encoding selects the record encoding for appended records. Recovery
 	// always accepts both encodings regardless of this setting.
 	Encoding Encoding
@@ -175,7 +172,7 @@ func (o Options) syncEvery() time.Duration {
 	return o.SyncEvery
 }
 
-// groupCommit reports whether acknowledgements are gated on a committer
+// groupCommit reports whether acknowledgements are gated on a background
 // fsync instead of an inline one.
 func (o Options) groupCommit() bool {
 	return o.FlushWindow != 0 && o.Sync == SyncAlways
@@ -186,14 +183,4 @@ func (o Options) flushWindow() time.Duration {
 		return 0
 	}
 	return o.FlushWindow
-}
-
-func (o Options) maxGroupBytes() int64 {
-	if o.MaxGroupBytes == 0 {
-		return DefaultMaxGroupBytes
-	}
-	if o.MaxGroupBytes < 0 {
-		return 1 << 62 // effectively uncapped
-	}
-	return o.MaxGroupBytes
 }

@@ -169,7 +169,7 @@ func NewServer(e *Engine, opts ServeOptions) (*Server, error) {
 	case opts.Shards > 1:
 		return newShardedInMemory(e.ds, e.eng.Config(), opts)
 	}
-	return newPrimary(e.ds, e.cluster, opts, len(engines), func(cfg shard.Config) (*shard.Router, error) {
+	return newPrimary(e, opts, len(engines), func(cfg shard.Config) (*shard.Router, error) {
 		return shard.FromEngines(engines, cfg)
 	})
 }
@@ -197,7 +197,7 @@ func NewShardedServer(d *Dataset, opts Options, sopts ServeOptions) (*Server, er
 }
 
 func newShardedInMemory(d *Dataset, cfg mining.Config, sopts ServeOptions) (*Server, error) {
-	return newPrimary(nil, nil, sopts, sopts.Shards, func(rcfg shard.Config) (*shard.Router, error) {
+	return newPrimary(&Engine{}, sopts, sopts.Shards, func(rcfg shard.Config) (*shard.Router, error) {
 		return shard.NewRouter(d.rel, func(rel *relation.Relation) (*incremental.Engine, error) {
 			return incremental.New(rel, cfg, incremental.Options{})
 		}, rcfg)
@@ -206,19 +206,20 @@ func newShardedInMemory(d *Dataset, cfg mining.Config, sopts ServeOptions) (*Ser
 
 // newPrimary assembles a writable server around the router build returns:
 // the event stream (durable under the cluster's directory), the per-shard
-// journals, the replication feed and the anomaly detector. ds is the live
-// dataset of a one-shard server (nil otherwise), cluster its durable store
+// journals, the replication feed and the anomaly detector. e brings the
+// live dataset of a one-shard server (nil otherwise) and the durable store
 // (nil in memory).
-func newPrimary(ds *Dataset, cluster *shard.Cluster, opts ServeOptions, shards int, build func(shard.Config) (*shard.Router, error)) (*Server, error) {
+func newPrimary(e *Engine, opts ServeOptions, shards int, build func(shard.Config) (*shard.Router, error)) (*Server, error) {
+	ds, cluster := e.ds, e.cluster
 	cfg := shard.Config{Shards: shards, Serve: opts.internal()}
 	dir := ""
-	var flushWindow time.Duration
+	var groupWindow time.Duration
 	if cluster != nil {
 		cfg.Journals = cluster.Journals()
 		dir = cluster.Dir()
-		flushWindow = cluster.Stores()[0].FlushWindow() // one policy for every shard
+		groupWindow = cluster.Stores()[0].FlushWindow() // one policy for every shard
 	}
-	broker, eventLog, err := newStream(opts.Stream, dir, shards)
+	broker, eventLog, err := newStream(opts.Stream, dir, e.flushWindow, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +236,7 @@ func newPrimary(ds *Dataset, cluster *shard.Cluster, opts ServeOptions, shards i
 		router:   router,
 		stream:   broker,
 		eventLog: eventLog,
-		retry:    retryHint(opts.BatchWindow, flushWindow),
+		retry:    retryHint(opts.BatchWindow, groupWindow),
 	}
 	// seqFn stamps anomaly events with the serving generation. It stays nil
 	// (stamping 0) on a sharded broker, whose seq vector only shard

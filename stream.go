@@ -105,15 +105,9 @@ type StreamOptions struct {
 	SegmentBytes int64
 	// RetainSegments is how many sealed event segments are retained after a
 	// rotation (0 = 8, negative retains everything). Sealed segments beyond
-	// it are deleted; cursors inside them become a gap on resume.
+	// it are deleted; cursors inside them become a gap on resume. The
+	// durable event log flushes under DurabilityOptions.FlushWindow.
 	RetainSegments int
-	// FlushWindow bounds how long an appended event may sit in the active
-	// segment before a background fsync covers it, so a crash loses at most
-	// a window's worth of events instead of the whole active tail. Zero
-	// disables the flusher (the default: the active tail is only fsynced at
-	// rotation and shutdown); negative flushes with no linger. Durable
-	// servers only.
-	FlushWindow time.Duration
 }
 
 // ErrStreamDisabled is returned by Subscribe when the server was built with
@@ -121,9 +115,10 @@ type StreamOptions struct {
 var ErrStreamDisabled = fmt.Errorf("annotadb: event stream disabled (ServeOptions.Stream.Disabled)")
 
 // newStream builds the broker (and, when dir is non-empty, the durable
-// event segment log under dir/events) for a server with the given shard
-// count. Returns a nil broker when streaming is disabled.
-func newStream(opts StreamOptions, dir string, shards int) (*stream.Broker, *wal.SegmentedLog, error) {
+// event segment log under dir/events, flushed under the durable store's
+// window) for a server with the given shard count. Returns a nil broker
+// when streaming is disabled.
+func newStream(opts StreamOptions, dir string, flush time.Duration, shards int) (*stream.Broker, *wal.SegmentedLog, error) {
 	if opts.Disabled {
 		return nil, nil, nil
 	}
@@ -135,7 +130,7 @@ func newStream(opts StreamOptions, dir string, shards int) (*stream.Broker, *wal
 			Prefix:         "events",
 			SegmentBytes:   opts.SegmentBytes,
 			RetainSegments: opts.RetainSegments,
-			FlushWindow:    opts.FlushWindow,
+			FlushWindow:    flush,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("annotadb: open event log: %w", err)

@@ -347,3 +347,56 @@ func TestStreamDisabledAndSubscribeValidation(t *testing.T) {
 		t.Error("disabled server reports an enabled stream")
 	}
 }
+
+// TestDurableEventLogFollowsFlushWindow: the durable event log flushes
+// under DurabilityOptions.FlushWindow, the durable store's one flush window,
+// whatever the Fsync policy. A non-zero window fsyncs the active segment in
+// the background after a write, without Close; a zero window leaves the
+// tail to rotation and Close.
+func TestDurableEventLogFollowsFlushWindow(t *testing.T) {
+	for _, fsync := range []string{"always", "interval"} {
+		for _, window := range []time.Duration{time.Millisecond, -1, 0} {
+			fsync, window := fsync, window
+			t.Run(fmt.Sprintf("fsync=%s/window=%v", fsync, window), func(t *testing.T) {
+				t.Parallel()
+				eng, _, err := OpenDurableDataset(shardedFixture(t), testOpts(), DurabilityOptions{
+					Dir:         t.TempDir(),
+					Fsync:       fsync,
+					FlushWindow: window,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv, err := NewServer(eng, ServeOptions{BatchWindow: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer closeServer(t, srv)
+				// Raises 28 85 → Annot_q:5 to confidence 4/5: a promotion.
+				if _, err := srv.AddAnnotations(context.Background(), []AnnotationUpdate{{Tuple: 3, Annotation: "Annot_q:5"}}); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for srv.Durability().Events.Appends == 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("the write appended no event to the durable log")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if window == 0 {
+					time.Sleep(100 * time.Millisecond)
+					if ev := srv.Durability().Events; ev.Syncs != 0 {
+						t.Fatalf("window 0 fsynced the event log %d times before Close, want 0", ev.Syncs)
+					}
+					return
+				}
+				for srv.Durability().Events.Syncs == 0 {
+					if time.Now().After(deadline) {
+						t.Fatalf("window %v never fsynced the event log's tail before Close", window)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
+	}
+}
