@@ -1,9 +1,11 @@
 // Microbenchmarks regenerating the paper's evaluation, one benchmark (or
-// sub-benchmark family) per table/figure. The table-shaped counterparts live
-// in internal/bench and are rendered by cmd/annotbench. Figures 3, 12, and 13
-// are algorithms (their reproduction is the implementation plus its
-// equivalence tests), and Figure 11 is a direction matrix checked by property
-// tests and experiment E6, so they have no timing benchmark here.
+// sub-benchmark family) per table/figure; TestPaperEvaluationOnGeneratorCorpus
+// checks the same experiments' exactness and recovery claims. Figures 3, 12,
+// and 13 are algorithms (their reproduction is the implementation plus its
+// equivalence tests), and Figure 11 is a direction matrix checked by
+// TestPropertyFigure11Monotonicity in internal/incremental, so they have no
+// timing benchmark here. Figure 16's speedup over corpus size and support is
+// BenchmarkAnnotationBatch against BenchmarkRemine in internal/incremental.
 package annotadb
 
 import (

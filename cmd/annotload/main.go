@@ -12,24 +12,23 @@
 //
 //	annotload -target http://127.0.0.1:8080            # one closed-loop run
 //	annotload -local -mode open -rate 500 -subscribers 4
-//	annotload -local -experiments experiments.json -csv grid.csv -json grid.json
 //
 // With -local the harness boots an in-process server (the production
 // serving stack behind the production HTTP handler on a loopback
-// listener) instead of requiring a running annotserve; the grid runner
-// then gives every cell a fresh server so cells cannot contaminate each
-// other. A single run prints its report as JSON to stdout (or -json); a
-// grid run writes one CSV row per cell plus a JSON summary.
+// listener) instead of requiring a running annotserve. The flags whose
+// usage starts with "-local:" configure that server and are refused
+// together with -target. A run prints its report as JSON to stdout (or
+// -json).
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"annotadb/internal/load"
@@ -45,11 +44,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("annotload", flag.ContinueOnError)
 	var (
-		target      = fs.String("target", "", "base URL of a running server (e.g. http://127.0.0.1:8080)")
-		local       = fs.Bool("local", false, "boot an in-process server instead of using -target")
-		experiments = fs.String("experiments", "", "experiments.json grid file; runs the grid instead of one scenario")
-		csvPath     = fs.String("csv", "", "write grid results as CSV here (default stdout)")
-		jsonPath    = fs.String("json", "", "write the JSON report/summary here (default stdout)")
+		target   = fs.String("target", "", "base URL of a running server (e.g. http://127.0.0.1:8080)")
+		local    = fs.Bool("local", false, "boot an in-process server instead of using -target")
+		jsonPath = fs.String("json", "", "write the JSON report here (default stdout)")
 
 		name        = fs.String("name", "adhoc", "scenario name")
 		mode        = fs.String("mode", "closed", `"closed" (fixed workers) or "open" (fixed arrival rate)`)
@@ -88,29 +85,45 @@ func run(args []string) error {
 	if (*target == "") == !*local {
 		return fmt.Errorf("exactly one of -target or -local is required")
 	}
+	if *target != "" {
+		var localOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Usage, "-local:") {
+				localOnly = append(localOnly, "-"+f.Name)
+			}
+		})
+		if len(localOnly) > 0 {
+			return fmt.Errorf("-local server flags cannot be used with -target: %s", strings.Join(localOnly, ", "))
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	localOpts := load.LocalOptions{
-		Corpus:           *corpus,
-		Tuples:           *tuples,
-		Seed:             *seed,
-		Shards:           *shards,
-		Dir:              *dir,
-		Followers:        *followers,
-		ReadRate:         *readRate,
-		QueueDepth:       *queueDepth,
-		Events:           *localEvents,
-		Correlate:        *correlate,
-		AnomalyWindow:    *anomWindow,
-		AnomalyThreshold: *anomThresh,
-		MinSupport:       *minSupport,
-		MinConfidence:    *minConf,
-	}
-
-	if *experiments != "" {
-		return runGrid(ctx, *experiments, *target, localOpts, *csvPath, *jsonPath)
+	tgt := load.Target{BaseURL: *target}
+	var l *load.Local
+	if *local {
+		var err error
+		l, err = load.StartLocal(load.LocalOptions{
+			Corpus:           *corpus,
+			Tuples:           *tuples,
+			Seed:             *seed,
+			Shards:           *shards,
+			Dir:              *dir,
+			Followers:        *followers,
+			ReadRate:         *readRate,
+			QueueDepth:       *queueDepth,
+			Events:           *localEvents,
+			Correlate:        *correlate,
+			AnomalyWindow:    *anomWindow,
+			AnomalyThreshold: *anomThresh,
+			MinSupport:       *minSupport,
+			MinConfidence:    *minConf,
+		})
+		if err != nil {
+			return err
+		}
+		tgt = load.Target{BaseURL: l.URL, ReadURLs: l.ReadURLs}
 	}
 
 	sc := load.Scenario{
@@ -130,17 +143,11 @@ func run(args []string) error {
 		TupleBatchSize:             *tupleBatch,
 		MaxRetries:                 *retries,
 		MaxBackoffSeconds:          *backoff,
-		Followers:                  *followers,
-		ReadRate:                   *readRate,
 		Seed:                       *seed,
 	}
-	tgt, cleanup, err := makeTarget(*target, localOpts)
-	if err != nil {
-		return err
-	}
 	rep, runErr := load.Run(ctx, tgt, sc)
-	if cleanup != nil {
-		if err := cleanup(); err != nil && runErr == nil {
+	if l != nil {
+		if err := l.Close(context.Background()); err != nil && runErr == nil {
 			runErr = err
 		}
 	}
@@ -150,75 +157,6 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "annotload: %s %s %.1fs — %d completed (%.1f req/s achieved, %.1f offered), %d shed, %d seq regressions\n",
 		sc.Name, rep.Scenario.Mode, rep.DurationSeconds, rep.Completed, rep.AchievedRPS, rep.OfferedRPS, rep.TotalShed(), rep.SeqRegressions)
 	return writeJSON(*jsonPath, rep)
-}
-
-// makeTarget resolves the run's target: the given base URL, or a freshly
-// booted in-process server (with its teardown).
-func makeTarget(target string, localOpts load.LocalOptions) (load.Target, func() error, error) {
-	if target != "" {
-		return load.Target{BaseURL: target}, nil, nil
-	}
-	l, err := load.StartLocal(localOpts)
-	if err != nil {
-		return load.Target{}, nil, err
-	}
-	cleanup := func() error { return l.Close(context.Background()) }
-	return load.Target{BaseURL: l.URL, ReadURLs: l.ReadURLs}, cleanup, nil
-}
-
-// runGrid executes an experiments.json grid: every cell against a fresh
-// local server (or, with -target, sequentially against the one server —
-// noisier, but usable against a deployment).
-func runGrid(ctx context.Context, path, target string, localOpts load.LocalOptions, csvPath, jsonPath string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var exp load.Experiments
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&exp); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	cells, err := exp.Cells()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "annotload: grid %s — %d cells\n", path, len(cells))
-	newTarget := func(c load.Cell) (load.Target, func() error, error) {
-		opts := localOpts
-		opts.Corpus = c.Scenario.Corpus
-		opts.Seed = c.Scenario.Seed
-		opts.Followers = c.Scenario.Followers
-		opts.ReadRate = c.Scenario.ReadRate
-		return makeTarget(target, opts)
-	}
-	progress := func(c load.Cell) {
-		fmt.Fprintf(os.Stderr, "annotload: cell %s repeat %d (%s, %.0fs)\n", c.Name, c.Repeat, c.Scenario.Mode, c.Scenario.DurationSeconds)
-	}
-	results, err := load.RunCells(ctx, cells, newTarget, progress)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV(csvPath, results); err != nil {
-		return err
-	}
-	return writeJSON(jsonPath, load.Summarize(results))
-}
-
-func writeCSV(path string, results []load.CellResult) error {
-	if path == "" {
-		return load.WriteCSV(os.Stdout, results)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := load.WriteCSV(f, results); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeJSON(path string, v any) error {

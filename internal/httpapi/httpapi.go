@@ -1,9 +1,9 @@
 // Package httpapi exposes an annotadb Server over HTTP/JSON: the transport
-// layer shared by cmd/annotserve (the daemon), cmd/annotload's self-serve
-// mode, and the in-process integration suites (macro soak, overload
-// accounting). Keeping the handler here rather than inside the daemon means
-// a load test exercises byte-for-byte the same routing, status mapping, and
-// SSE framing production traffic sees.
+// layer shared by cmd/annotserve, internal/load's in-process server
+// (annotload -local; the soak, replica and overload-accounting suites), the
+// root mode-matrix and follower tests, and the benchmark/ harness. Keeping
+// the handler out of the daemon means a load test exercises byte-for-byte
+// the same routing, status mapping, and SSE framing production traffic sees.
 //
 // Endpoints (see cmd/annotserve/README.md for curl examples):
 //

@@ -1,9 +1,7 @@
 package load
 
 import (
-	"bytes"
 	"context"
-	"strings"
 	"testing"
 	"time"
 )
@@ -79,78 +77,6 @@ func TestRunValidates(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Target{BaseURL: "http://127.0.0.1:0"}, Scenario{Corpus: "nope"}); err == nil {
 		t.Fatal("bad corpus accepted")
-	}
-}
-
-// TestExperimentsCells checks grid expansion: full cross product in
-// sorted-key order, per-repeat seed bumps, standalone scenarios appended,
-// and strict rejection of unknown grid keys.
-func TestExperimentsCells(t *testing.T) {
-	exp := Experiments{
-		Base: Scenario{Name: "g", Seed: 10, Corpus: "metrics"},
-		Grid: map[string][]any{
-			"mode": []any{"closed", "open"},
-			"rate": []any{100.0, 400.0},
-		},
-		Repeats:   2,
-		Scenarios: []Scenario{{Name: "extra", Corpus: "paper"}},
-	}
-	cells, err := exp.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2*2*2 + 2; len(cells) != want {
-		t.Fatalf("got %d cells, want %d", len(cells), want)
-	}
-	if cells[0].Name != "g/mode=closed/rate=100" {
-		t.Fatalf("unexpected first cell name %q", cells[0].Name)
-	}
-	if cells[0].Scenario.Seed == cells[1].Scenario.Seed {
-		t.Fatal("repeats share a seed")
-	}
-	if cells[0].Scenario.Rate != 100 || cells[2].Scenario.Rate != 400 {
-		t.Fatalf("rate override not applied: %v, %v", cells[0].Scenario.Rate, cells[2].Scenario.Rate)
-	}
-	if got := cells[len(cells)-1].Name; got != "extra" {
-		t.Fatalf("standalone scenario missing from tail: %q", got)
-	}
-
-	bad := Experiments{Base: exp.Base, Grid: map[string][]any{"warp_factor": []any{9}}}
-	if _, err := bad.Cells(); err == nil {
-		t.Fatal("unknown grid key accepted")
-	}
-	badType := Experiments{Base: exp.Base, Grid: map[string][]any{"rate": []any{"fast"}}}
-	if _, err := badType.Cells(); err == nil {
-		t.Fatal("mistyped grid value accepted")
-	}
-}
-
-// TestWriteCSV checks the CSV rendering: one row per result, parameter
-// columns present, parseable floats.
-func TestWriteCSV(t *testing.T) {
-	results := []CellResult{{
-		Cell: Cell{Name: "c", Params: map[string]any{"rate": 100.0}, Repeat: 0,
-			Scenario: Scenario{Mode: "open", Corpus: "paper", Seed: 3}},
-		Report: &Report{
-			Scenario:    Scenario{Mode: "open", Corpus: "paper", Seed: 3},
-			Completed:   10,
-			AchievedRPS: 5,
-			Recommend:   EndpointReport{Requests: 10, P50Millis: 1.25},
-		},
-	}}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d CSV lines, want header + 1 row", len(lines))
-	}
-	if !strings.Contains(lines[0], "param_rate") {
-		t.Fatalf("header lacks the swept parameter column: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "1.250") {
-		t.Fatalf("row lacks the p50 value: %q", lines[1])
 	}
 }
 

@@ -10,8 +10,7 @@
 // SSE gap/resume counts, and read-your-writes violations (a /recommend
 // answer whose seq is below the largest write-acked seq observed before
 // the read was issued). Traffic content comes from internal/workload
-// corpus streams, so a run is deterministic in (corpus, seed) — the grid
-// runner in grid.go leans on that for reproducible experiments.
+// corpus streams, so a run is deterministic in (corpus, seed).
 //
 // The same machinery doubles as a test fixture: StartLocal boots a real
 // in-process server behind the production internal/httpapi handler, which
@@ -40,7 +39,7 @@ import (
 // Scenario configures one load run. The zero value is not runnable; see
 // WithDefaults for the fallbacks applied to unset fields.
 type Scenario struct {
-	// Name labels the run in reports and CSV rows.
+	// Name labels the run in reports.
 	Name string `json:"name"`
 	// Mode is "closed" (Concurrency workers, each issuing its next
 	// request after the previous response — throughput adapts to the
@@ -83,18 +82,6 @@ type Scenario struct {
 	// MaxBackoffSeconds caps the Retry-After honored per backoff sleep
 	// (the jittered sleep is uniform in [0.5, 1.5) × the capped hint).
 	MaxBackoffSeconds float64 `json:"max_backoff_seconds"`
-	// Followers asks the local boot (StartLocal, annotload -local) for this
-	// many read replicas behind the primary; the target's reads then
-	// round-robin across the primary and its followers while writes stay on
-	// the primary. Against a remote target the field is advisory —
-	// Target.ReadURLs carries the actual read endpoints.
-	Followers int `json:"followers"`
-	// ReadRate asks the local boot for a per-instance read admission cap
-	// (reads per second on each of primary and followers; 0 = unlimited).
-	// With it set, aggregate 2xx read throughput measures admitted
-	// capacity — which grows with the follower count — instead of
-	// whatever a shared-CPU loopback happens to sustain.
-	ReadRate float64 `json:"read_rate"`
 	// Seed makes the run's traffic deterministic.
 	Seed int64 `json:"seed"`
 }
@@ -149,12 +136,6 @@ func (s Scenario) Validate() error {
 	}
 	if s.Subscribers < 0 {
 		return errors.New("load: negative subscriber count")
-	}
-	if s.Followers < 0 {
-		return errors.New("load: negative follower count")
-	}
-	if s.ReadRate < 0 {
-		return errors.New("load: negative read rate")
 	}
 	if _, err := workload.NewStream(s.Corpus, s.Seed); err != nil {
 		return err

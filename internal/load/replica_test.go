@@ -9,7 +9,7 @@ import (
 
 // replicatedLocal boots a durable primary with n followers on the metrics
 // corpus (its planted correlations keep the rule set non-trivial at low
-// thresholds). Every cell is durable — including n = 0 — so follower
+// thresholds). Every boot is durable — including n = 0 — so follower
 // counts compare against the same primary construction.
 func replicatedLocal(t testing.TB, n int) *Local {
 	t.Helper()
@@ -54,7 +54,6 @@ func TestReplicatedLocalServesBarrierReads(t *testing.T) {
 		AnnotateFraction: 0.2,
 		TupleFraction:    0.1,
 		MaxRetries:       2,
-		Followers:        1,
 		Seed:             7,
 	})
 	if err != nil {
@@ -112,8 +111,6 @@ func BenchmarkReplicaReadScaling(b *testing.B) {
 				DurationSeconds: 1,
 				Concurrency:     16,
 				ReadFraction:    1,
-				Followers:       followers,
-				ReadRate:        perInstanceRate,
 				Seed:            1,
 			}
 			tgt := Target{BaseURL: l.URL, ReadURLs: l.ReadURLs}

@@ -25,7 +25,7 @@ import (
 //	go test -bench ShardedWriters -benchtime 2s ./internal/shard
 //
 // and read throughput scaling off the ns/op column (lower = more batches
-// per second); CI uploads the series into BENCH_serve.json.
+// per second). CI runs it once per change as a smoke.
 
 const (
 	benchFamilies = 8
