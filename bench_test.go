@@ -21,9 +21,8 @@ import (
 )
 
 const (
-	benchTuples = 8000 // the paper's ≈8000-entry dataset
-	benchSup    = 0.4  // the paper's conservative thresholds (§4.3)
-	benchConf   = 0.8
+	benchSup  = 0.4 // the paper's conservative thresholds (§4.3)
+	benchConf = 0.8
 )
 
 func benchBase(b *testing.B) (*workload.Generator, *relation.Relation) {

@@ -83,13 +83,13 @@ func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnsw
 type CorrelateStats struct {
 	// Deprecated: IndexBuilds is always zero. Anchor queries read the
 	// relation view's own postings and build no index.
-	IndexBuilds uint64
+	IndexBuilds uint64 `json:"-"`
 	// Deprecated: CacheHits is always zero, for the same reason.
-	CacheHits uint64
+	CacheHits uint64 `json:"-"`
 	// Anomalies counts churn_anomaly events emitted by the detector;
 	// DetectorRunning reports whether one is running.
-	Anomalies       uint64
-	DetectorRunning bool
+	Anomalies       uint64 `json:"anomalies"`
+	DetectorRunning bool   `json:"detector_running"`
 }
 
 // CorrelateStats returns the correlation subsystem's counters.

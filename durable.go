@@ -1,6 +1,7 @@
 package annotadb
 
 import (
+	"encoding/json"
 	"time"
 
 	"annotadb/internal/incremental"
@@ -83,43 +84,45 @@ func HasDurableState(dir string) bool {
 	return wal.HasCheckpoint(dir) || shard.HasDurableState(dir)
 }
 
-// RecoveryReport says how OpenDurable brought the store up.
+// RecoveryReport says how OpenDurable brought the store up. On /stats its
+// fields sit flat in the durability section.
 type RecoveryReport struct {
 	// FromCheckpoint is true when the engine was restored from a checkpoint
 	// (for sharded stores: every shard restored) instead of bootstrapped
 	// with a full mine.
-	FromCheckpoint bool
+	FromCheckpoint bool `json:"recovered"`
 	// RecordsReplayed is the number of log records replayed after the
 	// checkpoint, summed across shards.
-	RecordsReplayed int
+	RecordsReplayed int `json:"records_replayed"`
 	// TornTail reports that a torn final log record (crash artifact) was
 	// dropped, in any shard.
-	TornTail bool
+	TornTail bool `json:"torn_tail"`
 	// Shards is the shard count of the recovered store (0 when unsharded).
-	Shards int
+	Shards int `json:"-"`
 	// PaddedTuples counts tuples re-appended into shard replicas that a
 	// crash mid-append-fanout left behind (data values only; the padded
-	// appends were never acknowledged). Always 0 for unsharded stores.
-	PaddedTuples int
+	// appends were never acknowledged). Always 0 for unsharded stores,
+	// whose /stats leave it out.
+	PaddedTuples int `json:"-"`
 	// DurationSeconds is the wall time of recovery or bootstrap.
-	DurationSeconds float64
+	DurationSeconds float64 `json:"recovery_seconds"`
 }
 
 // ShardDurabilityStats is one shard's write-ahead log and checkpoint
 // activity inside DurabilityStats.
 type ShardDurabilityStats struct {
 	// Shard is the shard index.
-	Shard int
+	Shard int `json:"shard"`
 	// RecordsAppended, LogBytes, Syncs, UnsyncedRecords, UnsyncedBytes,
 	// Checkpoints, and CheckpointErrors mirror the top-level counters for
 	// this shard alone.
-	RecordsAppended  uint64
-	LogBytes         int64
-	Syncs            uint64
-	UnsyncedRecords  int64
-	UnsyncedBytes    int64
-	Checkpoints      uint64
-	CheckpointErrors uint64
+	RecordsAppended  uint64 `json:"records_appended"`
+	LogBytes         int64  `json:"log_bytes"`
+	Syncs            uint64 `json:"syncs"`
+	UnsyncedRecords  int64  `json:"unsynced_records"`
+	UnsyncedBytes    int64  `json:"unsynced_bytes"`
+	Checkpoints      uint64 `json:"checkpoints"`
+	CheckpointErrors uint64 `json:"checkpoint_errors"`
 }
 
 // DurabilityStats reports write-ahead log and checkpoint activity for a
@@ -128,8 +131,8 @@ type ShardDurabilityStats struct {
 type DurabilityStats struct {
 	// RecordsAppended counts log records written since the store opened;
 	// LogBytes is the current log size (checkpoints truncate it).
-	RecordsAppended uint64
-	LogBytes        int64
+	RecordsAppended uint64 `json:"records_appended"`
+	LogBytes        int64  `json:"log_bytes"`
 	// Syncs counts explicit log fsyncs. UnsyncedRecords and UnsyncedBytes
 	// measure the current crash window: appended records whose covering
 	// fsync has not completed yet (conservative — a record appended while a
@@ -137,49 +140,47 @@ type DurabilityStats struct {
 	// "always" they are transiently non-zero only while a group commit is
 	// in flight and never cover an acknowledged write; under "interval" and
 	// "never" they bound what a crash right now could lose.
-	Syncs           uint64
-	UnsyncedRecords int64
-	UnsyncedBytes   int64
+	Syncs           uint64 `json:"syncs"`
+	UnsyncedRecords int64  `json:"unsynced_records"`
+	UnsyncedBytes   int64  `json:"unsynced_bytes"`
 	// Checkpoints and CheckpointErrors count checkpoint attempts since the
 	// store opened; LastCheckpointUnixNano is the newest one's wall time
 	// (0 = none this run).
-	Checkpoints            uint64
-	CheckpointErrors       uint64
-	LastCheckpointUnixNano int64
+	Checkpoints            uint64 `json:"checkpoints"`
+	CheckpointErrors       uint64 `json:"checkpoint_errors"`
+	LastCheckpointUnixNano int64  `json:"-"`
 	// Recovery echoes how the store came up.
-	Recovery RecoveryReport
+	Recovery RecoveryReport `json:"-"`
 	// PerShard carries each shard's counters (nil when unsharded).
-	PerShard []ShardDurabilityStats
+	PerShard []ShardDurabilityStats `json:"per_shard,omitempty"`
 	// Events reports the durable rule-churn event log (one per server —
 	// sharded streams merge into a single cursor order, so the segments
 	// live beside the cluster manifest, not inside the shard directories).
 	// Nil when the stream is disabled.
-	Events *EventLogStats
+	Events *EventLogStats `json:"events,omitempty"`
+}
+
+// MarshalJSON renders the /stats durability section: the counters, the
+// recovery report flat beside them (padded_tuples only when sharded), and
+// the newest checkpoint's wall time in Unix seconds.
+func (d DurabilityStats) MarshalJSON() ([]byte, error) {
+	type counters DurabilityStats // without this method
+	var padded *int
+	if d.PerShard != nil {
+		padded = &d.Recovery.PaddedTuples
+	}
+	return json.Marshal(struct {
+		counters
+		RecoveryReport
+		PaddedTuples       *int    `json:"padded_tuples,omitempty"`
+		LastCheckpointUnix float64 `json:"last_checkpoint_unix"`
+	}{counters(d), d.Recovery, padded, float64(d.LastCheckpointUnixNano) / float64(time.Second)})
 }
 
 // EventLogStats reports the rotated-segment event log behind the rule-churn
 // stream: how much retained history cursors can resume from, and the
 // rotation/retention churn since the server started.
-type EventLogStats struct {
-	// Segments is the retained segment count (sealed + active);
-	// FirstCursor and NextCursor bound the resumable history.
-	Segments    int
-	FirstCursor uint64
-	NextCursor  uint64
-	// RetainedBytes is the on-disk size of the retained segments.
-	RetainedBytes int64
-	// Appends counts events appended since open, Syncs explicit fsyncs of
-	// the active segment (sealing a segment syncs it).
-	Appends uint64
-	Syncs   uint64
-	// Rotations and RotatedBytes count segments sealed since open and their
-	// size at sealing; RetentionTrims and TrimmedBytes count sealed
-	// segments the retention policy deleted.
-	Rotations      uint64
-	RotatedBytes   int64
-	RetentionTrims uint64
-	TrimmedBytes   int64
-}
+type EventLogStats = wal.SegmentedStats
 
 // OpenDurable opens (or creates) the durable serving store in opts Dir and
 // returns an engine backed by it.
@@ -264,9 +265,10 @@ func (s *Server) Durability() *DurabilityStats {
 	if s.cluster == nil {
 		return nil
 	}
-	out := &DurabilityStats{
-		Recovery: publicRecovery(s.cluster),
-		Events:   s.eventLogStats(),
+	out := &DurabilityStats{Recovery: publicRecovery(s.cluster)}
+	if s.eventLog != nil {
+		ev := s.eventLog.Stats()
+		out.Events = &ev
 	}
 	stats := s.cluster.Stats()
 	for i, st := range stats {
@@ -295,25 +297,4 @@ func (s *Server) Durability() *DurabilityStats {
 		})
 	}
 	return out
-}
-
-// eventLogStats snapshots the durable event log's counters, nil when the
-// server streams in memory only (or not at all).
-func (s *Server) eventLogStats() *EventLogStats {
-	if s.eventLog == nil {
-		return nil
-	}
-	st := s.eventLog.Stats()
-	return &EventLogStats{
-		Segments:       st.Segments,
-		FirstCursor:    st.FirstCursor,
-		NextCursor:     st.NextCursor,
-		RetainedBytes:  st.RetainedBytes,
-		Appends:        st.Appends,
-		Syncs:          st.Syncs,
-		Rotations:      st.Rotations,
-		RotatedBytes:   st.RotatedBytes,
-		RetentionTrims: st.RetentionTrims,
-		TrimmedBytes:   st.TrimmedBytes,
-	}
 }

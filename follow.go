@@ -2,6 +2,7 @@ package annotadb
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -43,30 +44,40 @@ type FollowOptions struct {
 // see ServerStats.Replication.
 type ReplicationStats struct {
 	// Primary is the primary's base URL.
-	Primary string
+	Primary string `json:"primary"`
 	// RunID identifies the primary process run the watermark belongs to.
-	RunID string
+	RunID string `json:"run_id"`
 	// Epoch is the checkpoint generation the follower's world bootstrapped
 	// from.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Seq is the read-your-writes watermark: every primary write
 	// acknowledged with seq ≤ Seq (during run RunID) is visible here.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Applied counts log records applied since the follower started.
-	Applied uint64
+	Applied uint64 `json:"applied_records"`
 	// Bootstraps counts checkpoint bootstraps (1 after a clean start);
 	// Conflicts counts the epoch-change re-bootstrap triggers among them.
-	Bootstraps uint64
-	Conflicts  uint64
+	Bootstraps uint64 `json:"bootstraps"`
+	Conflicts  uint64 `json:"conflicts"`
 	// TailErrors counts transient tail failures (primary unreachable, …).
-	TailErrors uint64
+	TailErrors uint64 `json:"tail_errors"`
 	// LagMillis is the wall-clock freshness estimate: milliseconds since
 	// the follower last confirmed the primary's position (applied a frame,
 	// or polled the log and found itself caught up). A caught-up idle
 	// follower stays near its poll interval; a follower cut off from its
 	// primary grows without bound — the number operators alarm on without
 	// decoding seq deltas.
-	LagMillis int64
+	LagMillis int64 `json:"lag_ms"`
+}
+
+// MarshalJSON renders the /stats replication section: the fields above
+// under their tags, after "role":"follower".
+func (r ReplicationStats) MarshalJSON() ([]byte, error) {
+	type fields ReplicationStats // without this method
+	return json.Marshal(struct {
+		Role string `json:"role"`
+		fields
+	}{"follower", fields(r)})
 }
 
 // Follow starts a read replica of the primary named in fopts: it bootstraps

@@ -62,6 +62,7 @@ import (
 	"annotadb"
 	"annotadb/internal/correlate"
 	"annotadb/internal/replica"
+	"annotadb/internal/stream"
 )
 
 // Error codes of the structured error schema. Every non-2xx response has
@@ -548,165 +549,11 @@ func (a *api) tuples(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
+// stats encodes the facade's ServerStats by its JSON tags. The relation
+// figures describe the published snapshot's generation, read from its frozen
+// frequency table, so polling /stats never stalls the writer.
 func (a *api) stats(w http.ResponseWriter, r *http.Request) {
-	st := a.srv.Stats()
-	// The relation section (tuples, attachments, distinct annotations)
-	// describes the published snapshot's generation, computed from its
-	// frozen frequency table: polling /stats never takes the relation lock
-	// for more than the single live-version read, so it cannot stall the
-	// writer. staleness is how many relation mutations the live store is
-	// ahead of the generation reads are currently served from.
-	body := map[string]any{
-		"snapshot_seq":         st.SnapshotSeq,
-		"tuples":               st.Tuples,
-		"rule_count":           st.RuleCount,
-		"rel_version":          st.RelVersion,
-		"live_rel_version":     st.LiveRelVersion,
-		"staleness":            st.LiveRelVersion - st.RelVersion,
-		"requests":             st.Requests,
-		"batches":              st.Batches,
-		"coalesced":            st.Coalesced,
-		"reads":                st.Reads,
-		"shed":                 st.Shed,
-		"remines":              st.Remines,
-		"attachments":          st.Attachments,
-		"distinct_annotations": st.DistinctAnnotations,
-		// Per-stage write latency digests: queue wait (admission to apply),
-		// engine apply, covering group-commit fsync wait (zero counts unless
-		// -flush-window group commit is on), and snapshot publish.
-		"latency": map[string]any{
-			"queue":   stageJSON(st.Latency.Queue),
-			"apply":   stageJSON(st.Latency.Apply),
-			"fsync":   stageJSON(st.Latency.Fsync),
-			"publish": stageJSON(st.Latency.Publish),
-		},
-	}
-	if st.Shards > 0 {
-		// Sharded: the merged generation's identity plus a per-shard
-		// breakdown, so operators can see the write-load balance across
-		// family shards and each shard's snapshot staleness.
-		body["shards"] = st.Shards
-		body["seq_vector"] = st.SeqVector
-		perShard := make([]map[string]any, len(st.PerShard))
-		for i, ss := range st.PerShard {
-			perShard[i] = map[string]any{
-				"shard":                ss.Shard,
-				"seq":                  ss.SnapshotSeq,
-				"tuples":               ss.Tuples,
-				"rule_count":           ss.RuleCount,
-				"rel_version":          ss.RelVersion,
-				"live_rel_version":     ss.LiveRelVersion,
-				"staleness":            ss.LiveRelVersion - ss.RelVersion,
-				"attachments":          ss.Attachments,
-				"distinct_annotations": ss.DistinctAnnotations,
-				"requests":             ss.Requests,
-				"batches":              ss.Batches,
-				"coalesced":            ss.Coalesced,
-				"reads":                ss.Reads,
-				"shed":                 ss.Shed,
-				"remines":              ss.Remines,
-			}
-		}
-		body["per_shard"] = perShard
-	}
-	if ss := a.srv.StreamStats(); ss.Enabled {
-		// The churn stream: event volume, live subscribers, and the cursor
-		// range a client can still resume from.
-		streamBody := map[string]any{
-			"events_published": ss.EventsPublished,
-			"subscribers":      ss.Subscribers,
-			"gap_events":       ss.GapEvents,
-			"first_cursor":     ss.FirstCursor,
-			"next_cursor":      ss.NextCursor,
-		}
-		if len(ss.PerShard) > 1 {
-			streamBody["per_shard_events"] = ss.PerShard
-		}
-		body["stream"] = streamBody
-	}
-	if cs := a.srv.CorrelateStats(); cs.DetectorRunning {
-		// The churn-anomaly detector's emission count.
-		body["correlate"] = map[string]any{
-			"anomalies":        cs.Anomalies,
-			"detector_running": cs.DetectorRunning,
-		}
-	}
-	if d := a.srv.Durability(); d != nil {
-		durability := map[string]any{
-			"records_appended":     d.RecordsAppended,
-			"log_bytes":            d.LogBytes,
-			"syncs":                d.Syncs,
-			"unsynced_records":     d.UnsyncedRecords,
-			"unsynced_bytes":       d.UnsyncedBytes,
-			"checkpoints":          d.Checkpoints,
-			"checkpoint_errors":    d.CheckpointErrors,
-			"recovered":            d.Recovery.FromCheckpoint,
-			"records_replayed":     d.Recovery.RecordsReplayed,
-			"torn_tail":            d.Recovery.TornTail,
-			"recovery_seconds":     d.Recovery.DurationSeconds,
-			"last_checkpoint_unix": float64(0),
-		}
-		if d.LastCheckpointUnixNano != 0 {
-			durability["last_checkpoint_unix"] = float64(d.LastCheckpointUnixNano) / float64(time.Second)
-		}
-		if d.PerShard != nil {
-			durability["padded_tuples"] = d.Recovery.PaddedTuples
-			per := make([]map[string]any, len(d.PerShard))
-			for i, ss := range d.PerShard {
-				per[i] = map[string]any{
-					"shard":             ss.Shard,
-					"records_appended":  ss.RecordsAppended,
-					"log_bytes":         ss.LogBytes,
-					"syncs":             ss.Syncs,
-					"unsynced_records":  ss.UnsyncedRecords,
-					"unsynced_bytes":    ss.UnsyncedBytes,
-					"checkpoints":       ss.Checkpoints,
-					"checkpoint_errors": ss.CheckpointErrors,
-				}
-			}
-			durability["per_shard"] = per
-		}
-		if ev := d.Events; ev != nil {
-			// The rotated-segment event log behind /events: one per server
-			// (sharded streams merge into a single cursor order beside the
-			// cluster manifest), so these counters are cluster-level.
-			durability["events"] = map[string]any{
-				"segments":        ev.Segments,
-				"first_cursor":    ev.FirstCursor,
-				"next_cursor":     ev.NextCursor,
-				"retained_bytes":  ev.RetainedBytes,
-				"appends":         ev.Appends,
-				"syncs":           ev.Syncs,
-				"rotations":       ev.Rotations,
-				"rotated_bytes":   ev.RotatedBytes,
-				"retention_trims": ev.RetentionTrims,
-				"trimmed_bytes":   ev.TrimmedBytes,
-			}
-		}
-		body["durability"] = durability
-	}
-	if rs := st.Replication; rs != nil {
-		// Follower: snapshot_seq above is the LOCAL apply generation (it
-		// restarts at every re-bootstrap) and staleness measures the local
-		// apply loop; replication.seq is the primary-sequence watermark
-		// clients should reason about. No durability section appears here —
-		// a follower keeps nothing on disk.
-		body["replication"] = map[string]any{
-			"role":            "follower",
-			"primary":         rs.Primary,
-			"run_id":          rs.RunID,
-			"epoch":           rs.Epoch,
-			"seq":             rs.Seq,
-			"applied_records": rs.Applied,
-			"bootstraps":      rs.Bootstraps,
-			"conflicts":       rs.Conflicts,
-			"tail_errors":     rs.TailErrors,
-			// Wall-clock milliseconds since the primary's position was last
-			// confirmed — the freshness number operators alarm on.
-			"lag_ms": rs.LagMillis,
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, a.srv.Stats())
 }
 
 // replicationCheckpoint streams the primary's latest checkpoint file to a
@@ -782,18 +629,6 @@ func (a *api) replicationLog(w http.ResponseWriter, r *http.Request) {
 	w.Write(ch.Data) //nolint:errcheck
 }
 
-// stageJSON renders one pipeline stage's latency digest (seconds, like the
-// other duration fields in /stats).
-func stageJSON(s annotadb.StageLatency) map[string]any {
-	return map[string]any{
-		"count":        s.Count,
-		"mean_seconds": s.Mean.Seconds(),
-		"p50_seconds":  s.P50.Seconds(),
-		"p99_seconds":  s.P99.Seconds(),
-		"max_seconds":  s.Max.Seconds(),
-	}
-}
-
 // healthz reports liveness and write-path health: 200 {"status":"ok"}
 // while writes can proceed, 503 {"status":"degraded","reason":...} once
 // the server latched an unrecoverable failure (diverged shard replicas, a
@@ -827,7 +662,7 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 		Tier:     q.Get("tier"),
 	}
 	if v := q.Get("from"); v != "" {
-		from, err := strconv.ParseUint(v, 10, 64)
+		from, err := stream.ParseCursor(v)
 		if err != nil || from == 0 {
 			writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Errorf("bad from cursor %q (cursors start at 1)", v))
 			return
@@ -840,7 +675,7 @@ func (a *api) events(w http.ResponseWriter, r *http.Request) {
 		// therefore ignored (live tail), never a 400: rejecting it would
 		// wedge the browser's reconnect loop forever, since every retry
 		// carries the same header.
-		if last, err := strconv.ParseUint(strings.TrimSpace(lei), 10, 64); err == nil {
+		if last, err := stream.ParseCursor(lei); err == nil {
 			opts.FromSeq = last + 1
 		}
 	}

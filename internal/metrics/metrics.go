@@ -17,6 +17,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -88,6 +89,19 @@ type Summary struct {
 	P99 time.Duration
 	// Max is the exact largest observation.
 	Max time.Duration
+}
+
+// MarshalJSON renders the digest with its durations in seconds, the unit of
+// every duration on /stats: count, mean_seconds, p50_seconds, p99_seconds
+// and max_seconds.
+func (s Summary) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Count       uint64  `json:"count"`
+		MeanSeconds float64 `json:"mean_seconds"`
+		P50Seconds  float64 `json:"p50_seconds"`
+		P99Seconds  float64 `json:"p99_seconds"`
+		MaxSeconds  float64 `json:"max_seconds"`
+	}{s.Count, s.Mean.Seconds(), s.P50.Seconds(), s.P99.Seconds(), s.Max.Seconds()})
 }
 
 // Summary digests the histogram's current contents. Concurrent Observes

@@ -112,12 +112,15 @@ func (l *Latency) Stats() LatencyStats {
 }
 
 // LatencyStats is a point-in-time digest of Latency, one summary per
-// pipeline stage.
+// pipeline stage: Queue is admission-to-apply wait, Apply the engine
+// maintenance pass, Fsync the wait for the covering group-commit fsync
+// (zero observations unless the journal group-commits), and Publish the
+// snapshot publication.
 type LatencyStats struct {
-	Queue   metrics.Summary
-	Apply   metrics.Summary
-	Fsync   metrics.Summary
-	Publish metrics.Summary
+	Queue   metrics.Summary `json:"queue"`
+	Apply   metrics.Summary `json:"apply"`
+	Fsync   metrics.Summary `json:"fsync"`
+	Publish metrics.Summary `json:"publish"`
 }
 
 // Config tunes the serving core.

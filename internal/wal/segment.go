@@ -129,22 +129,22 @@ func (o SegmentedOptions) prefix() string {
 type SegmentedStats struct {
 	// Segments is the retained segment count (sealed + active); FirstCursor
 	// and NextCursor bound the retained history: [FirstCursor, NextCursor).
-	Segments    int
-	FirstCursor uint64
-	NextCursor  uint64
+	Segments    int    `json:"segments"`
+	FirstCursor uint64 `json:"first_cursor"`
+	NextCursor  uint64 `json:"next_cursor"`
 	// RetainedBytes is the byte size of every retained segment.
-	RetainedBytes int64
+	RetainedBytes int64 `json:"retained_bytes"`
 	// Appends counts records appended since open; Syncs explicit fsyncs.
-	Appends uint64
-	Syncs   uint64
+	Appends uint64 `json:"appends"`
+	Syncs   uint64 `json:"syncs"`
 	// Rotations counts sealed segments and RotatedBytes their total size at
 	// sealing time (both lifetime-since-open).
-	Rotations    uint64
-	RotatedBytes int64
+	Rotations    uint64 `json:"rotations"`
+	RotatedBytes int64  `json:"rotated_bytes"`
 	// RetentionTrims counts segments deleted by the retention policy since
 	// open, TrimmedBytes their total size.
-	RetentionTrims uint64
-	TrimmedBytes   int64
+	RetentionTrims uint64 `json:"retention_trims"`
+	TrimmedBytes   int64  `json:"trimmed_bytes"`
 }
 
 // ErrCursorTrimmed reports a read positioned before the oldest retained

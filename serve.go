@@ -49,8 +49,6 @@ type ServeOptions struct {
 	// on it: updates already queued when it starts a maintenance pass
 	// coalesce into that pass, and a lone update is applied at once.
 	BatchWindow time.Duration
-	// MaxBatch caps updates per coalesced maintenance pass (0 = default).
-	MaxBatch int
 	// QueueDepth bounds pending write requests (0 = default). The queue is
 	// an admission control: a submission that finds it full waits at most
 	// one batch window for a slot and is then shed with ErrOverloaded
@@ -285,7 +283,6 @@ func (s *Server) startDetector(opts CorrelateOptions, seqFn func() uint64) error
 func (o ServeOptions) internal() serve.Config {
 	return serve.Config{
 		BatchWindow: o.BatchWindow,
-		MaxBatch:    o.MaxBatch,
 		QueueDepth:  o.QueueDepth,
 		Recommend:   o.Recommend.internal(),
 	}
@@ -568,125 +565,112 @@ func (s *Server) ApplyUpdateFile(ctx context.Context, r io.Reader) (UpdateReport
 // ShardServerStats is one shard's serving statistics inside ServerStats.
 type ShardServerStats struct {
 	// Shard is the shard index.
-	Shard int
+	Shard int `json:"shard"`
 	// SnapshotSeq, Tuples, and RuleCount identify the shard's published
 	// snapshot.
-	SnapshotSeq uint64
-	Tuples      int
-	RuleCount   int
+	SnapshotSeq uint64 `json:"seq"`
+	Tuples      int    `json:"tuples"`
+	RuleCount   int    `json:"rule_count"`
 	// RelVersion and LiveRelVersion measure the shard's snapshot staleness
-	// in replica mutations.
-	RelVersion     uint64
-	LiveRelVersion uint64
+	// in replica mutations; Staleness is their difference.
+	RelVersion     uint64 `json:"rel_version"`
+	LiveRelVersion uint64 `json:"live_rel_version"`
+	Staleness      uint64 `json:"staleness"`
 	// Attachments and DistinctAnnotations describe the shard's share of the
 	// annotation load (its families only).
-	Attachments         int
-	DistinctAnnotations int
+	Attachments         int `json:"attachments"`
+	DistinctAnnotations int `json:"distinct_annotations"`
 	// Requests, Batches, Coalesced, and Reads are the shard's serving
 	// counters; Shed counts writes this shard refused with ErrOverloaded.
-	Requests  uint64
-	Batches   uint64
-	Coalesced uint64
-	Reads     uint64
-	Shed      uint64
+	Requests  uint64 `json:"requests"`
+	Batches   uint64 `json:"batches"`
+	Coalesced uint64 `json:"coalesced"`
+	Reads     uint64 `json:"reads"`
+	Shed      uint64 `json:"shed"`
 	// Remines counts the shard engine's full re-mine fallbacks.
-	Remines int
+	Remines int `json:"remines"`
 }
 
 // StageLatency is one write-pipeline stage's latency digest: observation
 // count, mean, tail quantiles (bucket-resolution estimates, never below the
-// true quantile's bucket), and the exact maximum.
-type StageLatency struct {
-	Count uint64
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
+// true quantile's bucket), and the exact maximum. It encodes its durations
+// in seconds.
+type StageLatency = metrics.Summary
 
 // WriteLatencyStats breaks write latency down by pipeline stage: Queue is
 // admission-to-apply wait, Apply the engine maintenance pass, Fsync the
 // wait for the covering group-commit fsync (zero observations unless the
 // journal group-commits), and Publish the snapshot publication. Sharded
 // servers share one recorder across shards, so the digests are aggregates.
-type WriteLatencyStats struct {
-	Queue   StageLatency
-	Apply   StageLatency
-	Fsync   StageLatency
-	Publish StageLatency
-}
+type WriteLatencyStats = serve.LatencyStats
 
-func stageLatency(s metrics.Summary) StageLatency {
-	return StageLatency{Count: s.Count, Mean: s.Mean, P50: s.P50, P99: s.P99, Max: s.Max}
-}
-
-func writeLatencyStats(l serve.LatencyStats) WriteLatencyStats {
-	return WriteLatencyStats{
-		Queue:   stageLatency(l.Queue),
-		Apply:   stageLatency(l.Apply),
-		Fsync:   stageLatency(l.Fsync),
-		Publish: stageLatency(l.Publish),
-	}
-}
-
-// ServerStats reports serving activity and the published snapshot.
+// ServerStats reports serving activity and the published snapshot. It is
+// the body of GET /stats, encoded by its JSON tags.
 type ServerStats struct {
 	// SnapshotSeq identifies the current snapshot: the publish sequence for
 	// an unsharded server, the sum of the per-shard sequence vector for a
 	// sharded one (a staleness indicator; SeqVector is the authoritative
 	// generation identity).
-	SnapshotSeq uint64
+	SnapshotSeq uint64 `json:"snapshot_seq"`
 	// Tuples is the relation size the snapshot's rules refer to (for a
 	// sharded server, the merged generation: the minimum per-shard
 	// snapshot size).
-	Tuples int
+	Tuples int `json:"tuples"`
 	// RuleCount is the number of valid rules in the snapshot (summed
 	// across shards; per-shard rule sets are disjoint).
-	RuleCount int
+	RuleCount int `json:"rule_count"`
 	// RelVersion is the relation mutation counter the snapshot was
-	// published at; LiveRelVersion is the counter now. Their difference is
-	// the snapshot's staleness in relation mutations (0 when idle). For a
-	// sharded server both are summed across shards, so the difference is
-	// the aggregate staleness.
-	RelVersion     uint64
-	LiveRelVersion uint64
+	// published at; LiveRelVersion is the counter now. Staleness, their
+	// difference, is the snapshot's staleness in relation mutations (0 when
+	// idle). For a sharded server both are summed across shards, so the
+	// difference is the aggregate staleness.
+	RelVersion     uint64 `json:"rel_version"`
+	LiveRelVersion uint64 `json:"live_rel_version"`
+	Staleness      uint64 `json:"staleness"`
 	// Attachments and DistinctAnnotations describe the snapshot's relation
 	// generation: total (tuple, annotation) pairs and annotations present
 	// on at least one tuple. Both come from the frozen frequency tables, so
 	// polling them never blocks any writer.
-	Attachments         int
-	DistinctAnnotations int
+	Attachments         int `json:"attachments"`
+	DistinctAnnotations int `json:"distinct_annotations"`
 	// Requests, Batches, Coalesced, Reads are serving counters: write
 	// requests accepted, engine applications after coalescing, requests
 	// that shared an application, and snapshot reads served. Shed counts
 	// writes refused with ErrOverloaded by the bounded admission queue
 	// (not included in Requests).
-	Requests  uint64
-	Batches   uint64
-	Coalesced uint64
-	Reads     uint64
-	Shed      uint64
+	Requests  uint64 `json:"requests"`
+	Batches   uint64 `json:"batches"`
+	Coalesced uint64 `json:"coalesced"`
+	Reads     uint64 `json:"reads"`
+	Shed      uint64 `json:"shed"`
 	// Latency breaks accepted writes down by pipeline stage.
-	Latency WriteLatencyStats
+	Latency WriteLatencyStats `json:"latency"`
 	// Remines counts fallbacks to a full re-mine over the server's life.
-	Remines int
+	Remines int `json:"remines"`
 	// Shards is the shard count (0 for an unsharded server) and SeqVector
 	// the per-shard snapshot sequence vector (nil when unsharded).
-	Shards    int
-	SeqVector []uint64
+	Shards    int      `json:"shards,omitempty"`
+	SeqVector []uint64 `json:"seq_vector,omitempty"`
 	// PerShard carries each shard's serving statistics (nil when
 	// unsharded).
-	PerShard []ShardServerStats
+	PerShard []ShardServerStats `json:"per_shard,omitempty"`
+	// Stream, Correlate and Durability are the churn stream's, the anomaly
+	// detector's and the durable store's counters: nil while the stream is
+	// disabled, no detector runs, or the server keeps nothing on disk.
+	Stream     *StreamStats     `json:"stream,omitempty"`
+	Correlate  *CorrelateStats  `json:"correlate,omitempty"`
+	Durability *DurabilityStats `json:"durability,omitempty"`
 	// Replication is the follower's position relative to its primary (nil
 	// on a primary). On a follower, SnapshotSeq above is the LOCAL apply
 	// generation (it restarts at every re-bootstrap); Replication.Seq is
 	// the primary-sequence watermark clients should reason about, and the
 	// RelVersion/LiveRelVersion staleness measures the local apply loop,
 	// not distance from the primary.
-	Replication *ReplicationStats
+	Replication *ReplicationStats `json:"replication,omitempty"`
 }
 
-// Stats returns current serving statistics.
+// Stats returns current serving statistics, with the stream, detector
+// and durability sections of StreamStats, CorrelateStats and Durability.
 func (s *Server) Stats() ServerStats {
 	r, _ := s.serving()
 	st := r.Stats()
@@ -703,7 +687,7 @@ func (s *Server) Stats() ServerStats {
 		Coalesced:           st.Coalesced,
 		Reads:               st.Reads,
 		Shed:                st.Shed,
-		Latency:             writeLatencyStats(st.Latency),
+		Latency:             st.Latency,
 		Remines:             st.Remines,
 		Shards:              publicShards(st.Shards),
 		SeqVector:           rs.Shards,
@@ -721,6 +705,7 @@ func (s *Server) Stats() ServerStats {
 			RuleCount:           ss.RuleCount,
 			RelVersion:          ss.RelVersion,
 			LiveRelVersion:      ss.LiveRelVersion,
+			Staleness:           ss.LiveRelVersion - ss.RelVersion,
 			Attachments:         ss.Attachments,
 			DistinctAnnotations: ss.DistinctAnnotations,
 			Requests:            ss.Requests,
@@ -731,5 +716,13 @@ func (s *Server) Stats() ServerStats {
 			Remines:             ss.Engine.Remines,
 		})
 	}
+	out.Staleness = out.LiveRelVersion - out.RelVersion
+	if ss := s.StreamStats(); ss.Enabled {
+		out.Stream = &ss
+	}
+	if cs := s.CorrelateStats(); cs.DetectorRunning {
+		out.Correlate = &cs
+	}
+	out.Durability = s.Durability()
 	return out
 }

@@ -184,18 +184,18 @@ func (s *Server) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan E
 type StreamStats struct {
 	// Enabled is false when the stream was disabled at construction (all
 	// other fields are then zero).
-	Enabled bool
+	Enabled bool `json:"-"`
 	// EventsPublished counts events appended since the server started;
-	// PerShard breaks them down by emitting shard (len 1 unsharded).
-	EventsPublished uint64
-	PerShard        []uint64
+	// PerShard breaks them down by emitting shard (nil when unsharded).
+	EventsPublished uint64   `json:"events_published"`
+	PerShard        []uint64 `json:"per_shard_events,omitempty"`
 	// Subscribers is the number of live subscriptions; GapEvents counts
 	// synthetic gaps delivered to consumers that fell behind retention.
-	Subscribers int
-	GapEvents   uint64
+	Subscribers int    `json:"subscribers"`
+	GapEvents   uint64 `json:"gap_events"`
 	// FirstCursor and NextCursor bound the retained history.
-	FirstCursor uint64
-	NextCursor  uint64
+	FirstCursor uint64 `json:"first_cursor"`
+	NextCursor  uint64 `json:"next_cursor"`
 }
 
 // StreamStats returns current churn-stream counters.
@@ -204,15 +204,18 @@ func (s *Server) StreamStats() StreamStats {
 		return StreamStats{}
 	}
 	st := s.stream.Stats()
-	return StreamStats{
+	out := StreamStats{
 		Enabled:         true,
 		EventsPublished: st.Published,
-		PerShard:        st.PerShard,
 		Subscribers:     st.Subscribers,
 		GapEvents:       st.Gaps,
 		FirstCursor:     st.FirstCursor,
 		NextCursor:      st.NextCursor,
 	}
+	if len(st.PerShard) > 1 {
+		out.PerShard = st.PerShard
+	}
+	return out
 }
 
 // Health reports whether the server can still accept writes: nil while

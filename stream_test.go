@@ -348,6 +348,44 @@ func TestStreamDisabledAndSubscribeValidation(t *testing.T) {
 	}
 }
 
+// TestStreamStatsPerShard: StreamStats.PerShard is nil on an unsharded
+// server, like ServerStats.PerShard, and on a sharded one has an entry per
+// shard that sums to EventsPublished; ServerStats carries the same section.
+func TestStreamStatsPerShard(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, err := NewShardedServer(shardedFixture(t), testOpts(), ServeOptions{BatchWindow: -1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeServer(t, srv)
+			for i := 0; i < 4; i++ {
+				churnRound(t, srv, i)
+			}
+			st := srv.StreamStats()
+			if !st.Enabled || st.EventsPublished == 0 {
+				t.Fatalf("churn published nothing: %+v", st)
+			}
+			if shards == 1 {
+				if st.PerShard != nil {
+					t.Errorf("unsharded PerShard = %v, want nil", st.PerShard)
+				}
+			} else {
+				var sum uint64
+				for _, n := range st.PerShard {
+					sum += n
+				}
+				if len(st.PerShard) != shards || sum != st.EventsPublished {
+					t.Errorf("PerShard = %v, want %d entries summing to %d", st.PerShard, shards, st.EventsPublished)
+				}
+			}
+			if got := srv.Stats().Stream; got == nil || !reflect.DeepEqual(*got, st) {
+				t.Errorf("ServerStats.Stream = %+v, want %+v", got, st)
+			}
+		})
+	}
+}
+
 // TestDurableEventLogFollowsFlushWindow: the durable event log flushes
 // under DurabilityOptions.FlushWindow, the durable store's one flush window,
 // whatever the Fsync policy. A non-zero window fsyncs the active segment in
