@@ -112,10 +112,7 @@ func (l *Latency) Stats() LatencyStats {
 }
 
 // LatencyStats is a point-in-time digest of Latency, one summary per
-// pipeline stage: Queue is admission-to-apply wait, Apply the engine
-// maintenance pass, Fsync the wait for the covering group-commit fsync
-// (zero observations unless the journal group-commits), and Publish the
-// snapshot publication.
+// pipeline stage.
 type LatencyStats struct {
 	Queue   metrics.Summary `json:"queue"`
 	Apply   metrics.Summary `json:"apply"`
