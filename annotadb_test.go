@@ -209,7 +209,7 @@ func TestWriteRulesFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "min support 0.4000") {
+	if !strings.HasPrefix(out, "# association rules (min support 0.4000, min confidence 0.8000)\n") {
 		t.Errorf("header missing: %q", out)
 	}
 	if !strings.Contains(out, "-> Annot_1 (confidence:") {

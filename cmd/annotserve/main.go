@@ -127,7 +127,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		flushWindow   = fs.Duration("flush-window", 0, "the durable store's flush window: under -fsync always one fsync covers every batch in the window and acks still wait for it (cut short at 1MiB unsynced); under every -fsync policy the durable event log is fsynced within it (0 = off, negative = flush without linger)")
 		ckptBytes     = fs.Int64("checkpoint-bytes", 0, "checkpoint when the WAL reaches this size (0 = 4MiB, negative disables)")
 		ckptAge       = fs.Duration("checkpoint-age", 0, "checkpoint when the oldest un-checkpointed record is this old (0 disables)")
-		walEncoding   = fs.String("wal-encoding", "binary", "WAL record encoding: binary or json")
 		events        = fs.Bool("events", true, "serve the rule-churn event stream on GET /events")
 		eventRing     = fs.Int("event-ring", 0, "in-memory churn-event ring capacity (0 = 1024)")
 		eventSegBytes = fs.Int64("event-segment-bytes", 0, "rotate the durable event log at this segment size (0 = 1MiB)")
@@ -217,7 +216,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			FlushWindow:     *flushWindow,
 			CheckpointBytes: *ckptBytes,
 			CheckpointAge:   *ckptAge,
-			Encoding:        *walEncoding,
 		})
 		if err != nil {
 			return err

@@ -49,17 +49,10 @@ type DurabilityOptions struct {
 	// CheckpointAge checkpoints when the oldest un-checkpointed record is
 	// at least this old (0 disables the age policy).
 	CheckpointAge time.Duration
-	// Encoding selects the log record encoding: "binary" (default) or
-	// "json". Recovery reads both regardless.
-	Encoding string
 }
 
 func (d DurabilityOptions) internal() (wal.Options, error) {
 	sync, err := wal.ParseSyncPolicy(d.Fsync)
-	if err != nil {
-		return wal.Options{}, err
-	}
-	enc, err := wal.ParseEncoding(d.Encoding)
 	if err != nil {
 		return wal.Options{}, err
 	}
@@ -68,7 +61,6 @@ func (d DurabilityOptions) internal() (wal.Options, error) {
 		Sync:            sync,
 		SyncEvery:       d.FsyncInterval,
 		FlushWindow:     d.FlushWindow,
-		Encoding:        enc,
 		CheckpointBytes: d.CheckpointBytes,
 		CheckpointAge:   d.CheckpointAge,
 	}, nil
@@ -130,7 +122,8 @@ type ShardDurabilityStats struct {
 // counters are summed across shards and PerShard carries the breakdown.
 type DurabilityStats struct {
 	// RecordsAppended counts log records written since the store opened;
-	// LogBytes is the current log size (checkpoints truncate it).
+	// LogBytes is the size of the retained log segments (checkpoints trim
+	// them).
 	RecordsAppended uint64 `json:"records_appended"`
 	LogBytes        int64  `json:"log_bytes"`
 	// Syncs counts explicit log fsyncs. UnsyncedRecords and UnsyncedBytes

@@ -56,7 +56,8 @@ type ReplicationStats struct {
 	// Applied counts log records applied since the follower started.
 	Applied uint64 `json:"applied_records"`
 	// Bootstraps counts checkpoint bootstraps (1 after a clean start);
-	// Conflicts counts the epoch-change re-bootstrap triggers among them.
+	// Conflicts counts the re-bootstraps a conflict triggered among them: a
+	// trimmed or lost log cursor, or a restarted primary.
 	Bootstraps uint64 `json:"bootstraps"`
 	Conflicts  uint64 `json:"conflicts"`
 	// TailErrors counts transient tail failures (primary unreachable, …).

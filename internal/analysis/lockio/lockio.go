@@ -1,7 +1,7 @@
 // Package lockio implements the annotlint analyzer enforcing the hot-lock
-// contract: while one of the configured hot mutexes is held (the WAL
-// store's logMu, the incremental engine's lock, the stream broker's lock,
-// the shard router's append lock), no blocking I/O may run — no os.File
+// contract: while one of the configured hot mutexes is held (the
+// incremental engine's lock, the stream broker's lock, the shard router's
+// append lock), no blocking I/O may run — no os.File
 // writes or fsyncs, no WAL appends, no HTTP calls, no channel sends, no
 // sleeps — because every reader, writer, or health probe that needs the
 // same lock would stall behind the disk or the network. The analyzer also
@@ -12,9 +12,8 @@
 // merged by intersection (a lock released on either arm is treated as
 // released), goroutine bodies and function literals are analyzed as
 // independent functions (code inside `go func(){...}()` does not run under
-// the spawner's locks), and designed exceptions — the WAL's syncLog, whose
-// entire purpose is to order an fsync against a file-handle swap — carry
-// //annotlint:ignore markers stating the reason.
+// the spawner's locks), and designed exceptions carry //annotlint:ignore
+// markers stating the reason.
 package lockio
 
 import (
@@ -40,26 +39,21 @@ type Config struct {
 // DefaultLocks are the repository's hot locks: every one of them sits on a
 // path that readers, health probes, or all writers share.
 var DefaultLocks = []string{
-	"annotadb/internal/wal.Store.logMu",
 	"annotadb/internal/incremental.Engine.mu",
 	"annotadb/internal/stream.Broker.mu",
 	"annotadb/internal/shard.Router.appendMu",
 }
 
 // DefaultIO are the blocking calls the repository's hot paths must not make
-// under a hot lock: raw file syscalls, the WAL's append/fsync/swap surface,
+// under a hot lock: raw file syscalls, the WAL's append/fsync/trim surface,
 // checkpoint serialization, the durable file install, HTTP, and sleeps.
 var DefaultIO = []string{
 	"os.File.*",
 	"net/http.*",
 	"time.Sleep",
-	"annotadb/internal/wal.Log.Append",
-	"annotadb/internal/wal.Log.Sync",
-	"annotadb/internal/wal.Log.Truncate",
-	"annotadb/internal/wal.Log.TruncateKeep",
-	"annotadb/internal/wal.Log.Close",
 	"annotadb/internal/wal.SegmentedLog.Append",
 	"annotadb/internal/wal.SegmentedLog.Sync",
+	"annotadb/internal/wal.SegmentedLog.TrimBelow",
 	"annotadb/internal/wal.SegmentedLog.ReadFrom",
 	"annotadb/internal/wal.SegmentedLog.Close",
 	"annotadb/internal/storage.WriteCheckpointFile",
@@ -112,8 +106,8 @@ func run(pass *analysis.Pass, locks, io map[string]bool) error {
 
 // heldLock is one hot lock currently held on the path being walked.
 type heldLock struct {
-	key      string // config key, e.g. "pkg.Store.logMu"
-	expr     string // source text of the lock expression, e.g. "s.logMu"
+	key      string // config key, e.g. "pkg.Router.appendMu"
+	expr     string // source text of the lock expression, e.g. "r.appendMu"
 	pos      token.Pos
 	deferred bool // an Unlock is deferred on this path
 }

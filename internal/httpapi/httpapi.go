@@ -581,9 +581,9 @@ func (a *api) replicationCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 // replicationLog pages WAL frames to a tailing follower. 200 carries zero
-// or more whole frames plus the generation, conservative primary seq, and
-// log size headers; 409 tells the follower its position's generation is
-// gone and it must re-bootstrap from the checkpoint.
+// or more whole frames plus the next cursor, conservative primary seq, and
+// log end headers; 409 tells the follower its cursor is gone (trimmed by a
+// checkpoint, or past the end) and it must re-bootstrap from the checkpoint.
 func (a *api) replicationLog(w http.ResponseWriter, r *http.Request) {
 	src, err := a.srv.ReplicationSource()
 	if err != nil {
@@ -591,14 +591,9 @@ func (a *api) replicationLog(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	epoch, err := strconv.ParseUint(q.Get("epoch"), 10, 64)
+	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Errorf("bad epoch %q", q.Get("epoch")))
-		return
-	}
-	from, err := strconv.ParseInt(q.Get("from"), 10, 64)
-	if err != nil || from < 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Errorf("bad from offset %q", q.Get("from")))
+		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Errorf("bad from cursor %q", q.Get("from")))
 		return
 	}
 	var maxBytes int64
@@ -608,11 +603,10 @@ func (a *api) replicationLog(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ch, err := src.Tail(epoch, from, maxBytes)
+	ch, err := src.Tail(from, maxBytes)
 	h := w.Header()
 	h.Set(replica.HeaderRunID, src.RunID())
 	if errors.Is(err, replica.ErrConflict) {
-		h.Set(replica.HeaderEpoch, strconv.FormatUint(ch.Epoch, 10))
 		writeError(w, http.StatusConflict, CodeConflict, err)
 		return
 	}
@@ -621,10 +615,9 @@ func (a *api) replicationLog(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set(replica.HeaderEpoch, strconv.FormatUint(ch.Epoch, 10))
+	h.Set(replica.HeaderNext, strconv.FormatUint(ch.Next, 10))
 	h.Set(replica.HeaderSeq, strconv.FormatUint(ch.Seq, 10))
-	h.Set(replica.HeaderSize, strconv.FormatInt(ch.Size, 10))
-	h.Set(replica.HeaderNext, strconv.FormatInt(ch.From+int64(len(ch.Data)), 10))
+	h.Set(replica.HeaderEnd, strconv.FormatUint(ch.End, 10))
 	w.WriteHeader(http.StatusOK)
 	w.Write(ch.Data) //nolint:errcheck
 }

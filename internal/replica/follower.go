@@ -66,11 +66,11 @@ func (c *Client) FetchCheckpoint(ctx context.Context) (*storage.Checkpoint, stri
 	return ck, resp.Header.Get(HeaderRunID), nil
 }
 
-// FetchChunk requests the log tail at (epoch, from), returning the chunk and
-// the primary's run id. ErrConflict reports a 409 (the position's generation
-// is gone; re-bootstrap).
-func (c *Client) FetchChunk(ctx context.Context, epoch uint64, from, maxBytes int64) (Chunk, string, error) {
-	u := fmt.Sprintf("%s/replication/log?epoch=%d&from=%d&max_bytes=%d", c.base, epoch, from, maxBytes)
+// FetchChunk requests the log tail at cursor from, returning the chunk and
+// the primary's run id. ErrConflict reports a 409 (the cursor is gone;
+// re-bootstrap).
+func (c *Client) FetchChunk(ctx context.Context, from uint64, maxBytes int64) (Chunk, string, error) {
+	u := fmt.Sprintf("%s/replication/log?from=%d&max_bytes=%d", c.base, from, maxBytes)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return Chunk{}, "", err
@@ -88,17 +88,14 @@ func (c *Client) FetchChunk(ctx context.Context, epoch uint64, from, maxBytes in
 		return Chunk{}, runID, httpError("log chunk", resp)
 	}
 	ch := Chunk{From: from}
-	if ch.Epoch, err = headerUint(resp, HeaderEpoch); err != nil {
-		return Chunk{}, runID, err
+	for _, h := range []struct {
+		name string
+		v    *uint64
+	}{{HeaderNext, &ch.Next}, {HeaderSeq, &ch.Seq}, {HeaderEnd, &ch.End}} {
+		if *h.v, err = headerUint(resp, h.name); err != nil {
+			return Chunk{}, runID, err
+		}
 	}
-	if ch.Seq, err = headerUint(resp, HeaderSeq); err != nil {
-		return Chunk{}, runID, err
-	}
-	size, err := headerUint(resp, HeaderSize)
-	if err != nil {
-		return Chunk{}, runID, err
-	}
-	ch.Size = int64(size)
 	if ch.Data, err = io.ReadAll(resp.Body); err != nil {
 		return Chunk{}, runID, fmt.Errorf("replica: read log chunk: %w", err)
 	}
@@ -150,7 +147,8 @@ type Options struct {
 	Poll time.Duration
 	// MaxBackoff caps the jittered retry interval (0: DefaultMaxBackoff).
 	MaxBackoff time.Duration
-	// ChunkBytes bounds one log chunk (0: the source's default).
+	// ChunkBytes bounds one log chunk in frame bytes (0: the source's
+	// default).
 	ChunkBytes int64
 	// Config is the follower's mining configuration; its fingerprint must
 	// match the primary's checkpoints.
@@ -187,7 +185,8 @@ type Stats struct {
 	Applied uint64
 	// Bootstraps counts checkpoint bootstraps (1 after a clean Start).
 	Bootstraps uint64
-	// Conflicts counts 409 re-bootstrap triggers.
+	// Conflicts counts re-bootstrap triggers: a 409 (trimmed or lost
+	// cursor) or a changed primary run id.
 	Conflicts uint64
 	// TailErrors counts transient tail-loop failures.
 	TailErrors uint64
@@ -221,10 +220,9 @@ type Follower struct {
 	tailErrs   atomic.Uint64
 
 	// Tail-loop state; touched only by Start (before the loop exists) and
-	// the loop goroutine.
-	epoch uint64
-	from  int64
-	rng   *rand.Rand
+	// the loop goroutine. from is the cursor of the next record to apply.
+	from uint64
+	rng  *rand.Rand
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -263,8 +261,8 @@ func Start(opts Options) (*Follower, error) {
 }
 
 // bootstrap fetches and restores the primary's current checkpoint into a new
-// world, swaps it in, and resets the tail position to the new generation's
-// origin. The old world (if any) closes after the swap; its writer is idle —
+// world, swaps it in, and moves the tail position to the checkpoint's
+// covered cursor, the first record it does not hold. The old world (if any) closes after the swap; its writer is idle —
 // applies only ever run from the goroutine calling us — so the close drains
 // nothing and publishes no churn.
 func (f *Follower) bootstrap(ctx context.Context) error {
@@ -285,8 +283,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	}
 	f.bootstraps.Add(1)
 	old := f.world.Swap(&World{Router: router, Epoch: ck.Epoch})
-	f.epoch = ck.Epoch
-	f.from = wal.LogHeaderSize
+	f.from = ck.CoveredCursor
 	f.noteContact()
 	f.noteRunID(runID)
 	if old != nil {
@@ -335,18 +332,23 @@ func (f *Follower) run() {
 }
 
 // step fetches and applies one chunk. caughtUp reports that the follower
-// reached the size observed with the chunk (and advanced the watermark).
+// reached the end observed with the chunk (and advanced the watermark). A
+// chunk from another primary run is a conflict: that run may have reused
+// the cursors of a tail the follower applied and the primary lost.
 func (f *Follower) step() (caughtUp bool, err error) {
-	ch, runID, err := f.client.FetchChunk(f.ctx, f.epoch, f.from, f.opts.ChunkBytes)
+	ch, runID, err := f.client.FetchChunk(f.ctx, f.from, f.opts.ChunkBytes)
 	if err != nil {
 		return false, err
 	}
-	if ch.Epoch != f.epoch {
+	f.mu.Lock()
+	known := f.runID
+	f.mu.Unlock()
+	if runID != known {
 		return false, ErrConflict
 	}
-	recs, consumed, err := wal.DecodeFrames(ch.Data)
+	recs, _, err := wal.DecodeFrames(ch.Data)
 	// Apply the intact prefix even when the tail of the chunk is damaged:
-	// the next fetch re-reads from the last good boundary, and transient
+	// the next fetch re-reads from the last good record, and transient
 	// transport truncation heals for free.
 	for _, rec := range recs {
 		if aerr := f.apply(rec); aerr != nil {
@@ -354,11 +356,11 @@ func (f *Follower) step() (caughtUp bool, err error) {
 		}
 	}
 	f.applied.Add(uint64(len(recs)))
-	f.from += consumed
+	f.from += uint64(len(recs))
 	if err != nil {
 		return false, err
 	}
-	if f.from >= ch.Size {
+	if f.from >= ch.End {
 		f.advance(ch.Seq, runID)
 		return true, nil
 	}

@@ -7,30 +7,33 @@
 //
 // # Protocol
 //
-// A follower's position is (epoch, offset): the checkpoint generation it
-// bootstrapped from and the byte offset of the next log frame in that
-// generation's offset space (the log header occupies [0, LogHeaderSize)).
-// The source serves three answers to a tail request:
+// A follower's position is one log cursor: the cursor of the next record it
+// needs. It bootstraps from the primary's checkpoint and starts at the
+// checkpoint's covered cursor, the first record the checkpoint does not
+// hold. Cursors never change meaning within one primary run, so a follower
+// keeps tailing across the primary's checkpoints for as long as its cursor
+// is retained. The source serves two answers to a tail request:
 //
-//   - Matching generation: the frames at [offset, size), plus the log size
-//     and a conservative primary snapshot sequence (sampled before the size,
-//     so a follower that applies through size may advertise it — see the
-//     watermark contract below).
-//   - One generation ahead of the log (the primary has installed a
-//     checkpoint but not yet truncated the covered prefix): offsets are
-//     translated through the checkpoint's CoveredBytes and served from the
-//     old log's uncovered tail.
-//   - Anything else: ErrConflict. The follower discards its state for this
-//     generation and re-bootstraps from the current checkpoint.
+//   - A retained cursor: the frames of the records from it on, plus the
+//     log's end cursor and a conservative primary snapshot sequence
+//     (sampled before the end, so a follower that applies through the end
+//     may advertise it — see the watermark contract below).
+//   - A cursor the primary trimmed (a checkpoint covered it) or one past
+//     the end: ErrConflict. The follower discards its state and
+//     re-bootstraps from the current checkpoint.
+//
+// The follower also treats a changed run id as a conflict: a restarted
+// primary may reuse the cursors of an unsynced tail it lost, so a cursor
+// from the previous run names no record of this one.
 //
 // # Watermark contract
 //
-// The sequence a tail response carries is sampled before the log size it
+// The sequence a tail response carries is sampled before the log end it
 // carries. Every acknowledged primary write publishes its snapshot (in seq
 // order) before the ack, and appends its log record before that publish; so
 // any write acknowledged with seq ≤ the sample already had its record below
-// the sampled size. A follower that has applied every record below that
-// size therefore reflects every write acknowledged at or before the sample,
+// the sampled end. A follower that has applied every record below that
+// end therefore reflects every write acknowledged at or before the sample,
 // and may serve the sample as its read-your-writes watermark. Sequences
 // restart when the primary process does; the run id ties a watermark to one
 // primary run, and a follower adopts a new run id by resetting its
@@ -51,40 +54,37 @@ import (
 
 // Transport header names of the replication endpoints.
 const (
-	// HeaderEpoch carries the generation of a checkpoint or chunk.
+	// HeaderEpoch carries the generation of a checkpoint.
 	HeaderEpoch = "X-Annotadb-Epoch"
-	// HeaderRunID identifies one primary process run; followers reset their
-	// watermark when it changes.
+	// HeaderRunID identifies one primary process run; a follower treats a
+	// change as a conflict.
 	HeaderRunID = "X-Annotadb-Run-Id"
 	// HeaderSeq is the conservative primary snapshot sequence of a chunk.
 	HeaderSeq = "X-Annotadb-Seq"
-	// HeaderNext is the offset after a chunk's last frame.
+	// HeaderNext is the cursor after a chunk's last record.
 	HeaderNext = "X-Annotadb-Next"
-	// HeaderSize is the log size observed with a chunk.
-	HeaderSize = "X-Annotadb-Size"
+	// HeaderEnd is the log's end cursor observed with a chunk.
+	HeaderEnd = "X-Annotadb-End"
 )
 
-// ErrConflict reports a tail position the source cannot serve: the log
-// moved to a generation the position does not belong to (a checkpoint
-// truncation, a primary restart that lost an unsynced tail, or a stale
-// follower from another history). The follower's only correct move is to
+// ErrConflict reports a tail position the source cannot serve: a checkpoint
+// trimmed the cursor, a primary restart lost the records it names, or it
+// comes from another history. The follower's only correct move is to
 // re-bootstrap from the current checkpoint.
-var ErrConflict = errors.New("replica: log generation conflict; re-bootstrap from the checkpoint")
+var ErrConflict = errors.New("replica: log position conflict; re-bootstrap from the checkpoint")
 
-// Chunk is one tail page: frames plus the generation, watermark, and log
-// end they were read against.
+// Chunk is one tail page: frames plus the watermark and log end they were
+// read against.
 type Chunk struct {
-	// Epoch is the generation the chunk belongs to (the requested one).
-	Epoch uint64
-	// From is the offset Data starts at.
-	From int64
+	// From is the cursor of Data's first record; Next the cursor after its
+	// last.
+	From, Next uint64
 	// Seq is the conservative primary snapshot sequence: sampled before
-	// Size, so it is a valid watermark once the follower has applied
-	// through Size.
+	// End, so it is a valid watermark once the follower has applied every
+	// record below End.
 	Seq uint64
-	// Size is the log end observed with the read, in the chunk's offset
-	// space.
-	Size int64
+	// End is the log's end cursor observed with the read.
+	End uint64
 	// Data holds zero or more complete frames.
 	Data []byte
 }
@@ -157,59 +157,21 @@ func (s *Source) OpenCheckpoint() (*os.File, storage.CheckpointMeta, error) {
 	return f, meta, nil
 }
 
-// Tail reads one chunk of log frames for a follower at (epoch, from).
-// Returns ErrConflict when the position's generation cannot be served (the
+// Tail reads one chunk of log frames for a follower at cursor from.
+// Returns ErrConflict when the cursor was trimmed or lies past the end (the
 // follower must re-bootstrap); other errors are transient (retry after
 // backoff).
-func (s *Source) Tail(epoch uint64, from, maxBytes int64) (Chunk, error) {
-	// Sample the primary sequence BEFORE any log size is read: the
-	// watermark contract (package doc) depends on this order.
+func (s *Source) Tail(from uint64, maxBytes int64) (Chunk, error) {
+	// Sample the primary sequence BEFORE the log end is read: the watermark
+	// contract (package doc) depends on this order.
 	p := s.seq()
-	// Two attempts: a translated read can discover that the pending
-	// truncation completed between the meta peek and the read, in which
-	// case the position serves directly on the second pass.
-	for attempt := 0; attempt < 2; attempt++ {
-		tc, err := s.store.ReadTail(from, maxBytes)
-		if err != nil && !errors.Is(err, wal.ErrTailOutOfRange) {
-			return Chunk{}, err
-		}
-		if tc.Epoch == epoch {
-			if err != nil {
-				// The follower knows about bytes this log does not hold: a
-				// primary restart lost an unsynced (but served) tail.
-				return Chunk{Epoch: tc.Epoch, Seq: p}, ErrConflict
-			}
-			return Chunk{Epoch: epoch, From: from, Seq: p, Size: tc.Size, Data: tc.Data}, nil
-		}
-		if epoch != tc.Epoch+1 {
-			return Chunk{Epoch: tc.Epoch, Seq: p}, ErrConflict
-		}
-		// The follower is one generation ahead of the log: it bootstrapped
-		// from a checkpoint whose covered-prefix truncation is still
-		// pending. Its offsets translate into the old log past the
-		// checkpoint's coverage.
-		_, meta, merr := s.Checkpoint()
-		if merr != nil || meta.Epoch != epoch {
-			return Chunk{Epoch: tc.Epoch, Seq: p}, ErrConflict
-		}
-		phys := int64(meta.CoveredBytes) + (from - wal.LogHeaderSize)
-		tc2, err2 := s.store.ReadTail(phys, maxBytes)
-		if err2 != nil && !errors.Is(err2, wal.ErrTailOutOfRange) {
-			return Chunk{}, err2
-		}
-		if tc2.Epoch == epoch {
-			continue // truncation completed underneath; serve directly
-		}
-		if tc2.Epoch != epoch-1 || err2 != nil || tc2.Size < int64(meta.CoveredBytes) {
-			return Chunk{Epoch: tc2.Epoch, Seq: p}, ErrConflict
-		}
-		return Chunk{
-			Epoch: epoch,
-			From:  from,
-			Seq:   p,
-			Size:  wal.LogHeaderSize + (tc2.Size - int64(meta.CoveredBytes)),
-			Data:  tc2.Data,
-		}, nil
+	tc, err := s.store.ReadTail(from, maxBytes)
+	var trimmed *wal.ErrCursorTrimmed
+	if errors.Is(err, wal.ErrTailOutOfRange) || errors.As(err, &trimmed) {
+		return Chunk{Seq: p}, ErrConflict
 	}
-	return Chunk{}, errors.New("replica: log generation moved during read; retry")
+	if err != nil {
+		return Chunk{}, err
+	}
+	return Chunk{From: from, Next: from + uint64(tc.Records), Seq: p, End: tc.End, Data: tc.Data}, nil
 }

@@ -65,73 +65,83 @@ func newTestSource(t *testing.T, s *wal.Store, seq uint64) *Source {
 	return src
 }
 
+// origin is the cursor a follower bootstrapped from the store's current
+// checkpoint starts tailing at.
+func origin(t *testing.T, src *Source) uint64 {
+	t.Helper()
+	_, meta, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta.CoveredCursor
+}
+
 func TestSourceTailMatchingGeneration(t *testing.T) {
 	s := sourceStore(t)
 	src := newTestSource(t, s, 42)
 	if src.RunID() == "" {
 		t.Fatal("source has no run id")
 	}
-	epoch := s.Epoch()
+	from := origin(t, src)
 
-	ch, err := src.Tail(epoch, wal.LogHeaderSize, 0)
+	ch, err := src.Tail(from, 0)
 	if err != nil {
 		t.Fatalf("caught-up tail: %v", err)
 	}
-	if len(ch.Data) != 0 || ch.Size != wal.LogHeaderSize || ch.Seq != 42 {
-		t.Fatalf("caught-up tail = %+v, want empty at origin with seq 42", ch)
+	if len(ch.Data) != 0 || ch.End != from || ch.Next != from || ch.Seq != 42 {
+		t.Fatalf("caught-up tail = %+v, want empty at cursor %d with seq 42", ch, from)
 	}
 
 	logAnnotation(t, s, 1, "Annot_1")
-	ch, err = src.Tail(epoch, wal.LogHeaderSize, 0)
+	ch, err = src.Tail(from, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs, consumed, err := wal.DecodeFrames(ch.Data)
-	if err != nil || len(recs) != 1 {
+	if err != nil || len(recs) != 1 || consumed != int64(len(ch.Data)) {
 		t.Fatalf("decoded %d records (%v), want 1", len(recs), err)
 	}
-	if ch.Epoch != epoch || ch.Seq != 42 || ch.From+consumed != ch.Size {
-		t.Errorf("chunk = %+v (consumed %d)", ch, consumed)
+	if ch.From != from || ch.Next != from+1 || ch.End != from+1 || ch.Seq != 42 {
+		t.Errorf("chunk = %+v", ch)
 	}
 }
 
 func TestSourceTailConflicts(t *testing.T) {
 	s := sourceStore(t)
 	src := newTestSource(t, s, 1)
-	epoch := s.Epoch()
+	from := origin(t, src)
 
-	// Generations the log can neither serve nor translate.
-	for _, e := range []uint64{epoch + 2, epoch + 7} {
-		if _, err := src.Tail(e, wal.LogHeaderSize, 0); !errors.Is(err, ErrConflict) {
-			t.Errorf("tail at foreign epoch %d = %v, want ErrConflict", e, err)
-		}
-	}
-
-	// One generation ahead without an installed checkpoint for it: the
-	// translation has nothing to translate through.
-	if _, err := src.Tail(epoch+1, wal.LogHeaderSize, 0); !errors.Is(err, ErrConflict) {
-		t.Errorf("tail one epoch ahead without a pending checkpoint = %v, want ErrConflict", err)
-	}
-
-	// A position beyond the log end in the right generation means the
-	// follower knows bytes this log lost (a primary restart dropped an
-	// unsynced tail): re-bootstrap, not retry.
+	// A cursor beyond the log end means the follower knows records this log
+	// lost (a primary restart dropped an unsynced tail): re-bootstrap, not
+	// retry.
 	logAnnotation(t, s, 0, "Annot_1")
-	ch, err := src.Tail(epoch, wal.LogHeaderSize, 0)
+	ch, err := src.Tail(from, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Tail(epoch, ch.Size+8, 0); !errors.Is(err, ErrConflict) {
+	if _, err := src.Tail(ch.End+1, 0); !errors.Is(err, ErrConflict) {
 		t.Errorf("tail beyond the end = %v, want ErrConflict", err)
+	}
+
+	// A cursor a checkpoint trimmed is gone.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Tail(from, 0); !errors.Is(err, ErrConflict) {
+		t.Errorf("tail at a trimmed cursor = %v, want ErrConflict", err)
 	}
 }
 
-func TestSourceEpochBumpOnCheckpoint(t *testing.T) {
+// TestSourceTailAcrossCheckpoint pins that a checkpoint does not move a
+// caught-up follower's position: the epoch advances, and the follower's
+// cursor stays served.
+func TestSourceTailAcrossCheckpoint(t *testing.T) {
 	s := sourceStore(t)
 	src := newTestSource(t, s, 7)
 	epoch := s.Epoch()
+	from := origin(t, src)
 	logAnnotation(t, s, 2, "Annot_5")
-	before, err := src.Tail(epoch, wal.LogHeaderSize, 0)
+	before, err := src.Tail(from, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,22 +149,17 @@ func TestSourceEpochBumpOnCheckpoint(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != epoch+1 {
-		t.Fatalf("epoch after checkpoint = %d, want %d", s.Epoch(), epoch+1)
+	if s.Epoch() != epoch+1 || origin(t, src) != before.End {
+		t.Fatalf("after checkpoint: epoch %d, covered cursor %d; want %d, %d", s.Epoch(), origin(t, src), epoch+1, before.End)
 	}
 
-	// The old generation is gone; its positions conflict.
-	if _, err := src.Tail(epoch, before.Size, 0); !errors.Is(err, ErrConflict) {
-		t.Errorf("tail at the truncated generation = %v, want ErrConflict", err)
-	}
-
-	// The new generation serves from its origin.
-	ch, err := src.Tail(epoch+1, wal.LogHeaderSize, 0)
-	if err != nil || len(ch.Data) != 0 || ch.Size != wal.LogHeaderSize {
-		t.Fatalf("new generation origin = %+v, %v; want caught up", ch, err)
+	// The caught-up position is still served, and so is what follows it.
+	ch, err := src.Tail(before.End, 0)
+	if err != nil || len(ch.Data) != 0 || ch.End != before.End {
+		t.Fatalf("caught-up position after checkpoint = %+v, %v; want caught up", ch, err)
 	}
 	logAnnotation(t, s, 3, "Annot_9")
-	ch, err = src.Tail(epoch+1, wal.LogHeaderSize, 0)
+	ch, err = src.Tail(before.End, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,29 +168,26 @@ func TestSourceEpochBumpOnCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSourceTailTranslatesAcrossPendingTruncation pins the window a
-// background checkpoint install leaves open: the checkpoint for the next
-// generation is durably on disk but the covered log prefix is not yet
-// truncated. A follower bootstrapped from that checkpoint tails the next
-// generation, and the source serves it by translating offsets through the
-// checkpoint's coverage into the old log's tail.
-func TestSourceTailTranslatesAcrossPendingTruncation(t *testing.T) {
+// TestSourceTailBeforeTrim pins the window a background checkpoint install
+// leaves open: the checkpoint is durably on disk but the segments it covers
+// are not trimmed yet. A follower bootstrapped from that checkpoint tails
+// from its covered cursor, which the log serves as it serves any other.
+func TestSourceTailBeforeTrim(t *testing.T) {
 	s := sourceStore(t)
 	src := newTestSource(t, s, 9)
-	epoch := s.Epoch()
+	from := origin(t, src)
 	logAnnotation(t, s, 0, "Annot_1")
-	base, err := src.Tail(epoch, wal.LogHeaderSize, 0)
+	base, err := src.Tail(from, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Install the next generation's checkpoint without truncating the log —
-	// exactly what WriteCheckpointFile does before the writer's truncation
-	// catches up.
+	// Install the next generation's checkpoint without trimming the log —
+	// exactly what WriteCheckpointFile does before the writer's trim.
 	st := s.Engine().State()
 	ck := &storage.Checkpoint{
-		Epoch:             epoch + 1,
-		CoveredBytes:      uint64(base.Size),
+		Epoch:             s.Epoch() + 1,
+		CoveredCursor:     base.End,
 		ConfigFingerprint: wal.Fingerprint(testCfg, ""),
 		Relation:          st.Relation,
 		Valid:             st.Valid,
@@ -196,26 +198,32 @@ func TestSourceTailTranslatesAcrossPendingTruncation(t *testing.T) {
 	if err := storage.WriteCheckpointFile(wal.CheckpointPath(s.Dir()), ck); err != nil {
 		t.Fatal(err)
 	}
-
-	// Caught up at the new generation's origin: everything below the
-	// coverage is the checkpoint's.
-	ch, err := src.Tail(epoch+1, wal.LogHeaderSize, 0)
-	if err != nil || len(ch.Data) != 0 || ch.Size != wal.LogHeaderSize {
-		t.Fatalf("translated origin = %+v, %v; want caught up", ch, err)
+	covered := origin(t, src)
+	if covered != base.End {
+		t.Fatalf("installed checkpoint covers through %d, want %d", covered, base.End)
 	}
 
-	// Appends past the coverage serve translated into the new offset space.
+	// Caught up at the covered cursor; the covered record stays readable.
+	ch, err := src.Tail(covered, 0)
+	if err != nil || len(ch.Data) != 0 || ch.End != covered {
+		t.Fatalf("covered cursor = %+v, %v; want caught up", ch, err)
+	}
+	if _, err := src.Tail(from, 0); err != nil {
+		t.Errorf("untrimmed cursor below the coverage = %v, want served", err)
+	}
+
+	// Appends past the coverage serve from the covered cursor.
 	logAnnotation(t, s, 4, "Annot_5")
-	ch, err = src.Tail(epoch+1, wal.LogHeaderSize, 0)
+	ch, err = src.Tail(covered, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, consumed, err := wal.DecodeFrames(ch.Data)
+	recs, _, err := wal.DecodeFrames(ch.Data)
 	if err != nil || len(recs) != 1 || recs[0].Updates[0].Annotation != "Annot_5" {
-		t.Fatalf("translated decode = %+v, %v", recs, err)
+		t.Fatalf("decode past the coverage = %+v, %v", recs, err)
 	}
-	if ch.Epoch != epoch+1 || ch.From != wal.LogHeaderSize || ch.From+consumed != ch.Size {
-		t.Errorf("translated chunk = %+v (consumed %d)", ch, consumed)
+	if ch.From != covered || ch.Next != covered+1 || ch.End != covered+1 {
+		t.Errorf("chunk = %+v", ch)
 	}
 }
 

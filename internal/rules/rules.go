@@ -9,9 +9,7 @@
 package rules
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -388,19 +386,4 @@ func Diff(got, want *Set, dict *relation.Dictionary) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Write emits the set in Figure 7 format, deterministically ordered, with a
-// header comment identifying the thresholds used.
-func Write(w io.Writer, s *Set, dict *relation.Dictionary, minSupport, minConfidence float64) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# association rules (min support %.4f, min confidence %.4f)\n", minSupport, minConfidence); err != nil {
-		return fmt.Errorf("rules: write header: %w", err)
-	}
-	for _, r := range s.Sorted() {
-		if _, err := fmt.Fprintln(bw, r.Format(dict)); err != nil {
-			return fmt.Errorf("rules: write rule: %w", err)
-		}
-	}
-	return bw.Flush()
 }

@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -443,7 +442,7 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestFormatAndWrite(t *testing.T) {
+func TestRuleFormat(t *testing.T) {
 	dict := relation.NewDictionary()
 	v28 := relation.MustData(dict, "28")
 	v85 := relation.MustData(dict, "85")
@@ -460,19 +459,6 @@ func TestFormatAndWrite(t *testing.T) {
 		t.Errorf("Format = %q", line)
 	}
 
-	s := NewSet()
-	s.Add(r)
-	var buf bytes.Buffer
-	if err := Write(&buf, s, dict, 0.4, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "# association rules (min support 0.4000, min confidence 0.8000)\n") {
-		t.Errorf("header missing: %q", out)
-	}
-	if !strings.Contains(out, "28, 85 -> Annot_1") {
-		t.Errorf("rule line missing: %q", out)
-	}
 }
 
 func TestRuleStringForm(t *testing.T) {

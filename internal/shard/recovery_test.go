@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,11 +94,16 @@ func (k *clusterStack) verifyAll(t testing.TB) {
 	}
 }
 
-// tearLogTail shears a few bytes off one shard's log, as a crash mid-append
-// would. Returns false when that shard's log holds no records to tear.
+// tearLogTail shears a few bytes off one shard's newest log segment, as a
+// crash mid-append would. Returns false when that segment holds no records
+// to tear.
 func tearLogTail(t testing.TB, dir string, s int) bool {
 	t.Helper()
-	path := wal.LogPath(ShardDir(dir, s))
+	segs, err := filepath.Glob(filepath.Join(wal.SegmentDir(ShardDir(dir, s)), "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("shard %d has no log segments (%v)", s, err)
+	}
+	path := segs[len(segs)-1] // names sort by first cursor
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -15,9 +16,15 @@ import (
 )
 
 // checkpointMagic opens every checkpoint stream; the trailing byte is the
-// format version. Version 2 added CoveredBytes and is not readable by (or
-// from) version 1.
-var checkpointMagic = []byte("ADBCKPT\x02")
+// format version. Version 3 replaced version 2's CoveredBytes (an offset
+// into a byte-addressed log) with CoveredCursor. The two share a layout, so
+// version 2 is still read — as a checkpoint that covers no record of the
+// cursor-addressed log (see Checkpoint.CoveredCursor) — and version 1 is
+// refused.
+var checkpointMagic = []byte("ADBCKPT\x03")
+
+// legacyCheckpointMagic is version 2, read for the upgrade path only.
+var legacyCheckpointMagic = []byte("ADBCKPT\x02")
 
 // Checkpoint is a full capture of serving state: the relation (with its
 // dictionary, preserving item codes exactly), the engine's rule tiers and
@@ -25,18 +32,17 @@ var checkpointMagic = []byte("ADBCKPT\x02")
 // statistics. Together with a write-ahead log tail it is sufficient to
 // restore an engine without re-mining; see the wal package.
 type Checkpoint struct {
-	// Epoch is the checkpoint generation: it names the log epoch that
-	// extends this checkpoint. Recovery replays only the uncovered tail of
-	// a log whose epoch is one older (the artifact of a crash between
-	// checkpoint install and log truncation) and rejects one that is newer.
+	// Epoch is the checkpoint generation, one more than its predecessor's.
+	// A sharded manifest records each shard's epoch as a floor, so a shard
+	// directory restored from an older backup is refused.
 	Epoch uint64
-	// CoveredBytes is the log size (header included) at the moment the
-	// checkpoint's state was captured: every log record before this offset
-	// is folded into the checkpoint, every record at or after it is not.
-	// Checkpoints are written in the background while the writer keeps
-	// appending, so the log can legitimately outgrow this offset before it
-	// is truncated.
-	CoveredBytes uint64
+	// CoveredCursor is the log's next cursor at the moment the checkpoint's
+	// state was captured: every log record below it is folded into the
+	// checkpoint, every record at or after it is not. Checkpoints are
+	// written in the background while the writer keeps appending, so the
+	// log can legitimately run past it. A version 2 checkpoint reads as 1:
+	// it predates the cursor-addressed log, which starts at cursor 1.
+	CoveredCursor uint64
 	// ConfigFingerprint identifies the mining configuration the state was
 	// produced under. Recovery refuses a checkpoint whose fingerprint does
 	// not match the running configuration: restoring mined state under
@@ -86,7 +92,7 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	var buf bytes.Buffer
 	buf.Write(checkpointMagic)
 	writeUvarint(&buf, ck.Epoch)
-	writeUvarint(&buf, ck.CoveredBytes)
+	writeUvarint(&buf, ck.CoveredCursor)
 	writeUvarint(&buf, uint64(len(ck.ConfigFingerprint)))
 	buf.WriteString(ck.ConfigFingerprint)
 	if err := writeDictionary(&buf, ck.Relation.Dictionary()); err != nil {
@@ -121,11 +127,17 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: read checkpoint: %w", err)
 	}
+	return decodeCheckpoint(raw)
+}
+
+// decodeCheckpoint parses a whole checkpoint stream held in raw.
+func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if len(raw) < len(checkpointMagic)+4 {
 		return nil, corrupt("truncated: %d bytes", len(raw))
 	}
-	if !bytes.Equal(raw[:len(checkpointMagic)], checkpointMagic) {
-		return nil, corrupt("bad magic")
+	legacy, err := readMagic(raw)
+	if err != nil {
+		return nil, err
 	}
 	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
@@ -136,7 +148,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	covered, err := d.uvarint("covered bytes")
+	covered, err := d.coveredCursor(legacy)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +201,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	return &Checkpoint{
 		Epoch:             epoch,
-		CoveredBytes:      covered,
+		CoveredCursor:     covered,
 		ConfigFingerprint: string(fp),
 		Relation:          rel,
 		Valid:             valid,
@@ -208,13 +220,17 @@ func WriteCheckpointFile(path string, ck *Checkpoint) error {
 }
 
 // ReadCheckpointFile reads a checkpoint file written by WriteCheckpointFile.
+// The file is read in one buffer sized by its length, not grown as a stream
+// is. os.ErrNotExist passes through.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("storage: read checkpoint: %w", err)
 	}
-	defer f.Close()
-	return ReadCheckpoint(f)
+	return decodeCheckpoint(raw)
 }
 
 // --- encoding helpers ----------------------------------------------------
@@ -298,6 +314,31 @@ func writeCatalog(buf *bytes.Buffer, cat *apriori.Catalog) {
 // decoder consumes the CRC-verified checkpoint body.
 type decoder struct {
 	buf []byte
+}
+
+// readMagic checks the head of a checkpoint stream and reports whether it
+// is the legacy version 2.
+func readMagic(head []byte) (legacy bool, err error) {
+	if len(head) < len(checkpointMagic) {
+		return false, corrupt("bad magic")
+	}
+	switch string(head[:len(checkpointMagic)]) {
+	case string(checkpointMagic):
+		return false, nil
+	case string(legacyCheckpointMagic):
+		return true, nil
+	}
+	return false, corrupt("bad magic")
+}
+
+// coveredCursor decodes the field after the epoch: the covered cursor, or
+// in a legacy checkpoint a byte offset that maps to cursor 1.
+func (d *decoder) coveredCursor(legacy bool) (uint64, error) {
+	v, err := d.uvarint("covered cursor")
+	if legacy {
+		v = 1
+	}
+	return v, err
 }
 
 func (d *decoder) uvarint(what string) (uint64, error) {

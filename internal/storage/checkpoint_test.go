@@ -167,7 +167,7 @@ func TestCheckpointFromPinnedView(t *testing.T) {
 	ck := *want
 	ck.Relation = pinned
 	ck.Epoch = 3
-	ck.CoveredBytes = 12345
+	ck.CoveredCursor = 12345
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, &ck); err != nil {
 		t.Fatal(err)
@@ -176,8 +176,8 @@ func TestCheckpointFromPinnedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 3 || got.CoveredBytes != 12345 {
-		t.Errorf("epoch/covered = %d/%d, want 3/12345", got.Epoch, got.CoveredBytes)
+	if got.Epoch != 3 || got.CoveredCursor != 12345 {
+		t.Errorf("epoch/covered = %d/%d, want 3/12345", got.Epoch, got.CoveredCursor)
 	}
 	if g := tuplesAsTokens(t, got.Relation); !reflect.DeepEqual(g, wantTokens) {
 		t.Errorf("view checkpoint restored wrong tuples:\ngot  %v\nwant %v", g, wantTokens)

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -10,17 +9,16 @@ import (
 
 // CheckpointMeta is the cheap head of a checkpoint file: the generation
 // identity and log coverage, read without decoding (or CRC-verifying) the
-// state sections. The writer-side replication source peeks it to translate
-// follower offsets across an epoch boundary; since the process wrote the
-// file itself, skipping the full-body CRC is safe — a follower that
-// bootstraps from the file still runs the complete ReadCheckpoint
-// validation.
+// state sections. The replication source peeks it to label the checkpoint
+// it streams; since the process wrote the file itself, skipping the
+// full-body CRC is safe — a follower that bootstraps from the file still
+// runs the complete ReadCheckpoint validation.
 type CheckpointMeta struct {
-	// Epoch is the checkpoint generation (the epoch of its successor log).
+	// Epoch is the checkpoint generation.
 	Epoch uint64
-	// CoveredBytes is the predecessor log's size at capture: the physical
-	// offset this checkpoint's state reaches.
-	CoveredBytes uint64
+	// CoveredCursor is the first log cursor the checkpoint's state does not
+	// hold; see Checkpoint.CoveredCursor.
+	CoveredCursor uint64
 	// ConfigFingerprint identifies the mining configuration; see
 	// Checkpoint.ConfigFingerprint.
 	ConfigFingerprint string
@@ -53,15 +51,16 @@ func ReadCheckpointMetaFrom(r io.Reader) (CheckpointMeta, error) {
 		return CheckpointMeta{}, fmt.Errorf("storage: read checkpoint meta: %w", err)
 	}
 	head = head[:n]
-	if len(head) < len(checkpointMagic) || !bytes.Equal(head[:len(checkpointMagic)], checkpointMagic) {
-		return CheckpointMeta{}, corrupt("bad magic")
+	legacy, err := readMagic(head)
+	if err != nil {
+		return CheckpointMeta{}, err
 	}
 	d := &decoder{buf: head[len(checkpointMagic):]}
 	epoch, err := d.uvarint("epoch")
 	if err != nil {
 		return CheckpointMeta{}, err
 	}
-	covered, err := d.uvarint("covered bytes")
+	covered, err := d.coveredCursor(legacy)
 	if err != nil {
 		return CheckpointMeta{}, err
 	}
@@ -73,5 +72,5 @@ func ReadCheckpointMetaFrom(r io.Reader) (CheckpointMeta, error) {
 	if err != nil {
 		return CheckpointMeta{}, err
 	}
-	return CheckpointMeta{Epoch: epoch, CoveredBytes: covered, ConfigFingerprint: string(fp)}, nil
+	return CheckpointMeta{Epoch: epoch, CoveredCursor: covered, ConfigFingerprint: string(fp)}, nil
 }

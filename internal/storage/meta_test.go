@@ -10,7 +10,7 @@ import (
 func TestReadCheckpointMetaMatchesFullDecode(t *testing.T) {
 	ck := checkpointFixture(t)
 	ck.Epoch = 7
-	ck.CoveredBytes = 12345
+	ck.CoveredCursor = 12345
 	path := filepath.Join(t.TempDir(), "checkpoint.db")
 	if err := WriteCheckpointFile(path, ck); err != nil {
 		t.Fatal(err)
@@ -20,8 +20,8 @@ func TestReadCheckpointMetaMatchesFullDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Epoch != ck.Epoch || meta.CoveredBytes != ck.CoveredBytes || meta.ConfigFingerprint != ck.ConfigFingerprint {
-		t.Errorf("meta = %+v, want epoch %d covered %d fp %q", meta, ck.Epoch, ck.CoveredBytes, ck.ConfigFingerprint)
+	if meta.Epoch != ck.Epoch || meta.CoveredCursor != ck.CoveredCursor || meta.ConfigFingerprint != ck.ConfigFingerprint {
+		t.Errorf("meta = %+v, want epoch %d covered %d fp %q", meta, ck.Epoch, ck.CoveredCursor, ck.ConfigFingerprint)
 	}
 
 	// The reader variant sees the same head through an open descriptor.

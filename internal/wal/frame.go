@@ -8,13 +8,10 @@ import (
 	"slices"
 )
 
-// Both log formats open with a 16-byte file header: an 8-byte magic whose
-// last byte is the format version, then a little-endian uint64 — the epoch
-// of a Log, the first cursor of a SegmentedLog segment.
-const (
-	logHeaderSize = 8 + 8
-	segHeaderSize = logHeaderSize
-)
+// Every segment file opens with a 16-byte header: an 8-byte magic whose
+// last byte is the format version, then the little-endian uint64 cursor of
+// the segment's first record.
+const segHeaderSize = 8 + 8
 
 // frameHeaderSize is the fixed prefix of every record frame: a
 // little-endian uint32 payload length followed by a little-endian uint32
@@ -28,7 +25,7 @@ const maxRecordBytes = 256 << 20
 
 // encodeHeader renders a file header: magic, then v.
 func encodeHeader(magic []byte, v uint64) []byte {
-	h := make([]byte, logHeaderSize)
+	h := make([]byte, segHeaderSize)
 	copy(h, magic)
 	binary.LittleEndian.PutUint64(h[len(magic):], v)
 	return h
@@ -37,7 +34,7 @@ func encodeHeader(magic []byte, v uint64) []byte {
 // decodeHeader returns the value a file header carries, or false when b does
 // not open with a full header stamped with magic.
 func decodeHeader(b, magic []byte) (uint64, bool) {
-	if len(b) < logHeaderSize || string(b[:len(magic)]) != string(magic) {
+	if len(b) < segHeaderSize || string(b[:len(magic)]) != string(magic) {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(b[len(magic):]), true

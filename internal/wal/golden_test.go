@@ -14,44 +14,28 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/disk from
 
 // TestDiskFormatGolden writes a fixed sequence through the log writers and
 // compares every file it leaves, byte for byte, with testdata/disk: a
-// wal.log with its header and three frames once per record encoding, a log
-// rewritten by TruncateKeep, and one sealed plus one active events segment.
-// It uses only long-standing API, so it also runs against older builds —
-// the check that a refactor did not move the on-disk formats. After an
-// intended format change rewrite the files with -update-golden and review
-// the diff.
+// write-ahead log segment set whose oldest segment a checkpoint's trim
+// deleted, and one sealed plus one active events segment — the check that
+// a refactor did not move the on-disk formats. After an intended format
+// change rewrite the files with -update-golden and review the diff.
 func TestDiskFormatGolden(t *testing.T) {
 	dir := t.TempDir()
-	for _, enc := range []Encoding{EncodingBinary, EncodingJSON} {
-		l, err := OpenLog(filepath.Join(dir, "wal-"+enc.String()+".log"), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range testRecords() {
-			if _, err := l.Append(rec, enc); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Epoch 7 with three records, rewritten as epoch 8 keeping the last two.
-	l, err := OpenLog(filepath.Join(dir, "wal-truncated.log"), 7)
+	// 48-byte segments: the first two records fill the first segment, the
+	// third a second, and a trim below cursor 3 deletes the first.
+	l, err := OpenSegmented(SegmentedOptions{Dir: filepath.Join(dir, "wal"), Prefix: "wal", SegmentBytes: 48, RetainSegments: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keepFrom int64
-	for i, rec := range testRecords() {
-		if _, err := l.Append(rec, EncodingBinary); err != nil {
+	for _, rec := range testRecords() {
+		payload, err := encodePayload(rec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			keepFrom = l.Size()
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := l.TruncateKeep(8, keepFrom); err != nil {
+	if err := l.TrimBelow(3); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

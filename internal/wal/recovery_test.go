@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"annotadb/internal/mining"
 	"annotadb/internal/relation"
 	"annotadb/internal/serve"
+	"annotadb/internal/storage"
 	"annotadb/internal/workload"
 )
 
@@ -246,11 +249,12 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 				if torn {
 					// Shear a few bytes off the final record, as a crash
 					// mid-append would.
-					fi, err := os.Stat(LogPath(dir))
+					seg := newestSegment(t, dir)
+					fi, err := os.Stat(seg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := os.Truncate(LogPath(dir), fi.Size()-3); err != nil {
+					if err := os.Truncate(seg, fi.Size()-3); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -329,6 +333,257 @@ func TestRecoveryEquivalenceAcrossCheckpoints(t *testing.T) {
 		t.Errorf("final rules diverge from uninterrupted run:\ngot  %v\nwant %v", got, want)
 	}
 	k.crash(t)
+}
+
+// --- segment trim crash windows ------------------------------------------
+
+// newestSegment returns the path of the newest write-ahead log segment of
+// the data dir.
+func newestSegment(t testing.TB, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(SegmentDir(dir), "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (%v)", SegmentDir(dir), err)
+	}
+	return segs[len(segs)-1] // names sort by first cursor
+}
+
+// readSegments maps each segment file name of the data dir to its bytes.
+func readSegments(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	segs, err := filepath.Glob(filepath.Join(SegmentDir(dir), "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range segs {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = b
+	}
+	return out
+}
+
+// writerStore is a store driven the way the serving writer drives it —
+// append the record, then apply it — without a serving core, so a test may
+// capture and checkpoint between steps. Its log rotates every segBytes, so
+// a handful of steps spans several segments (the size is not on disk; a
+// reopen may pick another).
+func writerStore(t testing.TB, dir string, seed int64, segBytes int64) *Store {
+	t.Helper()
+	k := openStack(t, dir, seed, Options{CheckpointBytes: -1})
+	if err := k.srv.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s := k.store
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := OpenSegmentedFrom(SegmentedOptions{Dir: SegmentDir(dir), Prefix: "wal", SegmentBytes: segBytes, RetainSegments: -1}, s.covered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.log = log
+	return s
+}
+
+// write appends and applies one workload step, as the serving writer would.
+func write(t testing.TB, s *Store, st step) {
+	t.Helper()
+	rec := Record{Kind: KindAddAnnotations, Updates: st.updates, Tuples: st.tuples}
+	switch st.kind {
+	case stepRemoveAnnotations:
+		rec.Kind = KindRemoveAnnotations
+	case stepAddTuples:
+		rec.Kind = KindAddTuples
+	}
+	if err := s.append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.applyRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// referenceRules is the rule view of the uninterrupted run of steps.
+func referenceRules(t *testing.T, seed int64, steps []step) []string {
+	t.Helper()
+	ref := writerStore(t, t.TempDir(), seed, 0)
+	for _, st := range steps {
+		write(t, ref, st)
+	}
+	defer ref.Close()
+	return renderedRules(ref.Engine())
+}
+
+// TestRecoveryCrashAfterInstallBeforeTrim crashes after a background
+// checkpoint is installed and before the writer trims the segments it
+// covers, while later records sit in the same and newer segments. The
+// reopen replays exactly the records at or past the covered cursor, and the
+// result equals the uninterrupted run's.
+func TestRecoveryCrashAfterInstallBeforeTrim(t *testing.T) {
+	const seed, steps = 11, 12
+	workloadSteps := generateSteps(t, seed, steps)
+	want := referenceRules(t, seed, workloadSteps)
+
+	dir := t.TempDir()
+	s := writerStore(t, dir, seed, 256)
+	for _, st := range workloadSteps[:steps/2] {
+		write(t, s, st)
+	}
+	ck, _ := s.capture() // what the background installer serializes
+	for _, st := range workloadSteps[steps/2:] {
+		write(t, s, st)
+	}
+	if n := s.log.Stats().Segments; n < 3 {
+		t.Fatalf("the workload filled %d segments, want several", n)
+	}
+	if err := storage.WriteCheckpointFile(CheckpointPath(dir), ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil { // the crash: the trim never ran
+		t.Fatal(err)
+	}
+
+	s2 := writerStore(t, dir, seed, 256)
+	defer s2.Close()
+	if rec := s2.Recovery(); !rec.FromCheckpoint || rec.Records != steps-steps/2 {
+		t.Fatalf("recovery = %+v, want %d records replayed from the checkpoint", rec, steps-steps/2)
+	}
+	for _, seg := range s2.log.sealed {
+		if seg.first+seg.records <= ck.CoveredCursor {
+			t.Errorf("segment %s lies wholly below covered cursor %d but survived the open", filepath.Base(seg.path), ck.CoveredCursor)
+		}
+	}
+	if got := renderedRules(s2.Engine()); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered rules diverge from the uninterrupted run:\ngot  %v\nwant %v", got, want)
+	}
+	if err := s2.Engine().Verify(); err != nil {
+		t.Errorf("recovered state fails re-mine verification: %v", err)
+	}
+}
+
+// TestRecoveryTrimCutShort puts back segments a finished trim deleted, as a
+// crash part way through the deletions leaves them — including a lower
+// segment with a gap below it, which deletions that reached the disk out of
+// order leave. Open must finish the trim and succeed.
+func TestRecoveryTrimCutShort(t *testing.T) {
+	const seed, steps = 13, 10
+	workloadSteps := generateSteps(t, seed, steps)
+	want := referenceRules(t, seed, workloadSteps)
+
+	dir := t.TempDir()
+	s := writerStore(t, dir, seed, 256)
+	for _, st := range workloadSteps {
+		write(t, s, st)
+	}
+	before := readSegments(t, dir)
+	if len(before) < 4 {
+		t.Fatalf("the workload filled %d segments, want at least 4", len(before))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := readSegments(t, dir)
+	if len(after) != 1 {
+		t.Fatalf("checkpoint left %d segments, want the one empty active segment", len(after))
+	}
+	// Restore every trimmed segment but the oldest and the third: a lower
+	// segment survives with a gap below it.
+	names := make([]string, 0, len(before))
+	for name := range before {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		if i == 0 || i == 2 {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(SegmentDir(dir), name), before[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2 := writerStore(t, dir, seed, 256)
+	defer s2.Close()
+	if rec := s2.Recovery(); !rec.FromCheckpoint || rec.Records != 0 {
+		t.Fatalf("recovery = %+v, want from-checkpoint with nothing to replay", rec)
+	}
+	if got := readSegments(t, dir); !reflect.DeepEqual(got, after) {
+		t.Errorf("open left segments %v, want the finished trim's %v", keys(got), keys(after))
+	}
+	if got := renderedRules(s2.Engine()); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered rules diverge from the uninterrupted run:\ngot  %v\nwant %v", got, want)
+	}
+}
+
+// TestRecoveryLogEndsBelowCoveredCursor reopens a directory whose
+// checkpoint covers records the surviving log lost (an unsynced tail gone
+// with the crash, before the trim). The log's next cursor is raised to the
+// covered cursor, so a new record is not mistaken for a covered one at the
+// next open.
+func TestRecoveryLogEndsBelowCoveredCursor(t *testing.T) {
+	const seed, steps = 17, 9
+	workloadSteps := generateSteps(t, seed, steps+1)
+	want := referenceRules(t, seed, workloadSteps)
+
+	dir := t.TempDir()
+	s := writerStore(t, dir, seed, 0)
+	for _, st := range workloadSteps[:steps/2] {
+		write(t, s, st)
+	}
+	lost := readSegments(t, dir) // the segment as the disk kept it
+	for _, st := range workloadSteps[steps/2 : steps] {
+		write(t, s, st)
+	}
+	covered := s.log.NextCursor()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name := range readSegments(t, dir) {
+		if err := os.Remove(filepath.Join(SegmentDir(dir), name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, b := range lost {
+		if err := os.WriteFile(filepath.Join(SegmentDir(dir), name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2 := writerStore(t, dir, seed, 0)
+	if rec := s2.Recovery(); rec.Records != 0 || s2.log.NextCursor() != covered || s2.HasPendingRecords() {
+		t.Fatalf("recovery = %+v, next cursor %d: want nothing replayed and the next cursor raised to %d", rec, s2.log.NextCursor(), covered)
+	}
+	write(t, s2, workloadSteps[steps])
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := writerStore(t, dir, seed, 0)
+	defer s3.Close()
+	if rec := s3.Recovery(); rec.Records != 1 {
+		t.Fatalf("reopen replayed %d records, want the 1 written after the raise", rec.Records)
+	}
+	if got := renderedRules(s3.Engine()); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered rules diverge from the uninterrupted run:\ngot  %v\nwant %v", got, want)
+	}
+}
+
+func keys(m map[string][]byte) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // --- recovery benchmark --------------------------------------------------
@@ -454,7 +709,7 @@ func BenchmarkCheckpointWriterPause(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			toggle(b, s, i)
-			if ck := s.capture(); ck.Relation.Len() == 0 {
+			if ck, _ := s.capture(); ck.Relation.Len() == 0 {
 				b.Fatal("empty capture")
 			}
 		}

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"annotadb/internal/incremental"
@@ -12,124 +11,66 @@ import (
 	"annotadb/internal/storage"
 )
 
-// LogHeaderSize is the byte offset of the first record frame in a log file
-// (the fixed magic + epoch header). It is the origin of the offset space
-// ReadTail serves: a follower that has applied nothing starts tailing at
-// LogHeaderSize.
-const LogHeaderSize = logHeaderSize
-
 // DefaultTailChunkBytes bounds one ReadTail chunk when the caller passes no
 // limit.
 const DefaultTailChunkBytes = 1 << 20
 
-// ErrTailOutOfRange is returned by ReadTail when the requested offset lies
-// beyond the current log end. Within one epoch that means the caller knows
-// about bytes this log does not hold (a primary restart lost an unsynced
-// tail); replication clients respond by re-bootstrapping from the
-// checkpoint.
-var ErrTailOutOfRange = errors.New("wal: tail offset beyond log end")
+// ErrTailOutOfRange is returned by ReadTail when the requested cursor lies
+// beyond the log's end. The caller knows about records this log does not
+// hold (a primary restart lost an unsynced tail); replication clients
+// respond by re-bootstrapping from the checkpoint.
+var ErrTailOutOfRange = errors.New("wal: tail cursor beyond log end")
 
-// TailChunk is one ReadTail result: a run of whole record frames starting at
-// From, plus the log identity (epoch) and end (Size) observed atomically
-// with the read.
+// TailChunk is one ReadTail result: the frames of the records From,
+// From+1, …, plus the log end observed before the read.
 type TailChunk struct {
-	// Epoch is the checkpoint generation the log extended at read time. A
-	// caller that requested a different epoch must not apply Data.
-	Epoch uint64
-	// From is the byte offset Data starts at (header-relative log offset,
-	// i.e. LogHeaderSize is the first record).
-	From int64
-	// Data holds zero or more complete frames; it never ends mid-frame.
+	// From is the cursor of Data's first record.
+	From uint64
+	// Data holds zero or more whole record frames; it never ends mid-frame.
 	Data []byte
-	// Size is the log size observed by the read: the offset a caller that
-	// keeps consuming will eventually reach. From+len(Data) may fall short
-	// of Size when the chunk limit cut the read.
-	Size int64
+	// Records is the number of frames in Data.
+	Records int
+	// End is the log's next cursor, observed before the read: a caller that
+	// has consumed every record below End has caught up with the log as of
+	// the read. From+Records falls short of End when the chunk limit cut
+	// the read.
+	End uint64
 }
 
-// ReadTail reads up to maxBytes (0 means DefaultTailChunkBytes) of record
-// frames starting at byte offset from, trimmed to the last complete frame
-// boundary — except that a single frame larger than maxBytes is returned
-// whole, so progress is always possible. Data stops before a damaged frame;
-// a read that starts at one is an error. Safe from any goroutine: the read
-// holds the store's log mutex, which excludes the checkpoint truncation's
-// file swap, and is bounded by the atomically mirrored log size, below
-// which every byte is fully written.
-//
-// The returned chunk's Epoch identifies the generation the bytes belong to.
-// Callers tailing a different generation must discard Data and resolve the
-// epoch change (see internal/replica). A from beyond the log end returns
-// ErrTailOutOfRange alongside the observed epoch and size.
-func (s *Store) ReadTail(from, maxBytes int64) (TailChunk, error) {
+// ReadTail reads the frames of the records from cursor from on, up to
+// maxBytes of them (0 means DefaultTailChunkBytes) but always at least one,
+// so an oversized record never wedges the reader. A cursor below the oldest
+// retained record returns *ErrCursorTrimmed, one past the end
+// ErrTailOutOfRange. Safe from any goroutine: it reads through
+// SegmentedLog.ReadFrom, which runs beside the writer's appends and trims.
+func (s *Store) ReadTail(from uint64, maxBytes int64) (TailChunk, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultTailChunkBytes
 	}
-	if maxBytes < frameHeaderSize {
-		// A read too short for even one frame header could never report the
-		// first frame's size, wedging the extend-to-whole-frame path.
-		maxBytes = frameHeaderSize
-	}
-	if from < logHeaderSize {
-		from = logHeaderSize
-	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	// The epoch only changes under logMu (TruncateKeep via finishTruncate),
-	// so it is stable for the duration of the read and names the file the
-	// bytes come from. The size bound must come from the atomic mirror, not
-	// Log.Size(): the writer mutates the latter without any lock, while the
-	// mirror is stored after each fully written append — every byte below
-	// it is on the file.
-	ck := TailChunk{Epoch: s.log.Epoch(), From: from}
-	size := s.logBytes.Load()
-	if size < logHeaderSize {
-		size = logHeaderSize
-	}
-	ck.Size = size
-	if from > size {
+	ck := TailChunk{From: from, End: s.log.NextCursor()}
+	switch {
+	case from > ck.End:
 		return ck, ErrTailOutOfRange
-	}
-	if from == size {
+	case from == ck.End:
 		return ck, nil // caught up
 	}
-	n := size - from
-	if n > maxBytes {
-		n = maxBytes
-	}
-	buf, err := s.readTailAt(from, n)
+	// Every frame takes more than frameHeaderSize+1 bytes, which bounds how
+	// many records the limit can let through; none past End are read.
+	limit := min(ck.End-from, uint64(maxBytes/(frameHeaderSize+2))+1)
+	payloads, err := s.log.ReadFrom(from, int(limit))
 	if err != nil {
 		return ck, err
 	}
-	used, end, ferr := scanFrames(buf, nil)
-	if whole := frameSize(buf); used == 0 && end == frameShort && whole > int64(len(buf)) && from+whole <= size {
-		// The first frame alone exceeds the chunk limit; fetch it whole so
-		// the caller is never wedged behind an oversized batch.
-		if buf, err = s.readTailAt(from, whole); err != nil {
+	for _, p := range payloads {
+		if ck.Records > 0 && int64(len(ck.Data)+frameHeaderSize+len(p)) > maxBytes {
+			break
+		}
+		if ck.Data, err = appendFrame(ck.Data, p); err != nil {
 			return ck, err
 		}
-		used, end, ferr = scanFrames(buf, nil)
+		ck.Records++
 	}
-	// A short end is the chunk limit (or a concurrent truncation) cutting
-	// the read; any other torn end below the mirrored size is damage.
-	if used == 0 && end != frameClean && end != frameShort {
-		return ck, fmt.Errorf("wal: read tail at offset %d: %v", from, ferr)
-	}
-	ck.Data = buf[:used]
 	return ck, nil
-}
-
-// readTailAt reads exactly [from, from+n) from the log file. Caller holds
-// logMu and has bounded n by the mirrored size, so a short read means the
-// file shrank underneath a stale mirror (a truncation completing
-// concurrently); the short result is still frame-consistent for the epoch
-// reported alongside it.
-func (s *Store) readTailAt(from, n int64) ([]byte, error) {
-	buf := make([]byte, n)
-	read, err := s.log.f.ReadAt(buf, from)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("wal: read tail: %w", err)
-	}
-	return buf[:read], nil
 }
 
 // DecodeFrames parses a run of record frames as served by ReadTail. An

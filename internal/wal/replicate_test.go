@@ -55,20 +55,19 @@ func logAnnotation(t *testing.T, s *Store, tuple int, token string) {
 
 func TestReadTailRoundTrip(t *testing.T) {
 	s := replicaStore(t)
-	epoch := s.Epoch()
+	origin := s.log.NextCursor()
 
-	tc, err := s.ReadTail(LogHeaderSize, 0)
+	tc, err := s.ReadTail(origin, 0)
 	if err != nil {
-		t.Fatalf("caught-up read: %v", err)
+		t.Fatal(err)
 	}
-	if len(tc.Data) != 0 || tc.Size != LogHeaderSize || tc.Epoch != epoch {
-		t.Fatalf("caught-up read = %+v, want empty at size %d epoch %d", tc, LogHeaderSize, epoch)
+	if len(tc.Data) != 0 || tc.Records != 0 || tc.End != origin {
+		t.Fatalf("caught-up read = %+v, want empty at end %d", tc, origin)
 	}
 
-	logAnnotation(t, s, 5, "Annot_1")
-	logAnnotation(t, s, 8, "Annot_9")
-
-	tc, err = s.ReadTail(LogHeaderSize, 0)
+	logAnnotation(t, s, 1, "Annot_1")
+	logAnnotation(t, s, 2, "Annot_5")
+	tc, err = s.ReadTail(origin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,130 +75,112 @@ func TestReadTailRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if consumed != int64(len(tc.Data)) || tc.From+consumed != tc.Size {
-		t.Fatalf("decode consumed %d of %d bytes, size %d", consumed, len(tc.Data), tc.Size)
+	if len(recs) != 2 || tc.Records != 2 || consumed != int64(len(tc.Data)) || tc.End != origin+2 {
+		t.Fatalf("read = %d records (chunk says %d), consumed %d of %d, end %d", len(recs), tc.Records, consumed, len(tc.Data), tc.End)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("decoded %d records, want 2", len(recs))
-	}
-	if recs[0].Kind != KindAddAnnotations || recs[0].Updates[0].Tuple != 5 || recs[0].Updates[0].Annotation != "Annot_1" {
-		t.Errorf("record 0 = %+v", recs[0])
-	}
-	if recs[1].Updates[0].Annotation != "Annot_9" {
-		t.Errorf("record 1 = %+v", recs[1])
+	if recs[0].Kind != KindAddAnnotations || recs[0].Updates[0] != (Update{Tuple: 1, Annotation: "Annot_1"}) {
+		t.Errorf("first record = %+v", recs[0])
 	}
 
-	// A resume from the first frame boundary yields exactly the second
-	// record (the undersized limit below pins the boundary).
-	one, err := s.ReadTail(LogHeaderSize, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest, err := s.ReadTail(LogHeaderSize+int64(len(one.Data)), 0)
+	// Resuming at the second record's cursor returns only the second.
+	rest, err := s.ReadTail(origin+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restRecs, _, err := DecodeFrames(rest.Data)
-	if err != nil || len(restRecs) != 1 || restRecs[0].Updates[0].Annotation != "Annot_9" {
-		t.Fatalf("resume decode = %+v, %v", restRecs, err)
+	if err != nil || len(restRecs) != 1 || restRecs[0].Updates[0].Annotation != "Annot_5" {
+		t.Fatalf("resumed read = %+v, %v", restRecs, err)
 	}
 
-	if _, err := s.ReadTail(tc.Size+1, 0); !errors.Is(err, ErrTailOutOfRange) {
+	if _, err := s.ReadTail(tc.End+1, 0); !errors.Is(err, ErrTailOutOfRange) {
 		t.Fatalf("read beyond the end = %v, want ErrTailOutOfRange", err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var trimmed *ErrCursorTrimmed
+	if _, err := s.ReadTail(origin, 0); !errors.As(err, &trimmed) {
+		t.Fatalf("read of a trimmed cursor = %v, want *ErrCursorTrimmed", err)
 	}
 }
 
 func TestReadTailChunkLimit(t *testing.T) {
 	s := replicaStore(t)
-	logAnnotation(t, s, 0, "Annot_1")
-	logAnnotation(t, s, 1, "Annot_5")
-
-	full, err := s.ReadTail(LogHeaderSize, 0)
+	origin := s.log.NextCursor()
+	logAnnotation(t, s, 1, "Annot_1")
+	logAnnotation(t, s, 2, "Annot_5")
+	full, err := s.ReadTail(origin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame1 := frameSize(full.Data)
 
-	// A limit below even one frame still returns the first frame whole:
-	// progress must always be possible behind an oversized batch.
-	one, err := s.ReadTail(LogHeaderSize, 1)
+	// A limit below one frame still returns that whole frame: an oversized
+	// record never wedges the reader.
+	one, err := s.ReadTail(origin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneRecs, consumed, err := DecodeFrames(one.Data)
-	if err != nil || len(oneRecs) != 1 {
-		t.Fatalf("undersized read decoded %d records (%v), want 1", len(oneRecs), err)
-	}
-	if consumed != int64(len(one.Data)) {
-		t.Fatalf("undersized read carries %d bytes beyond its frame", int64(len(one.Data))-consumed)
-	}
-	if one.Size != full.Size {
-		t.Errorf("undersized read reports size %d, want the log end %d", one.Size, full.Size)
+	if one.Records != 1 || int64(len(one.Data)) != frame1 || one.End != full.End {
+		t.Fatalf("1-byte limit = %d records, %d bytes, end %d; want 1, %d, %d", one.Records, len(one.Data), one.End, frame1, full.End)
 	}
 
-	// A limit that cuts into the second frame trims to the first boundary.
-	frame1 := int64(len(one.Data))
-	cut, err := s.ReadTail(LogHeaderSize, frame1+3)
+	// A limit that ends inside the second frame stops before it.
+	cut, err := s.ReadTail(origin, frame1+3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(cut.Data)) != frame1 {
-		t.Errorf("mid-frame limit returned %d bytes, want the frame boundary %d", len(cut.Data), frame1)
+	if cut.Records != 1 || int64(len(cut.Data)) != frame1 {
+		t.Fatalf("mid-frame limit = %d records, %d bytes; want 1 whole frame of %d", cut.Records, len(cut.Data), frame1)
 	}
 }
 
 // TestReadTailStopsAtDamage pins the primary side of the torn-tail rule for
-// replication chunks: below the log end every frame is whole, so a chunk
-// stops before a damaged frame, and a read that starts at one is an error —
-// not the damaged bytes, and not an empty chunk a follower would re-poll
-// forever.
+// replication: below the log end every frame is whole, so a record damaged
+// on disk is corruption, and a read that reaches it is an error — not the
+// damaged bytes, and not an empty chunk a follower would re-poll forever.
 func TestReadTailStopsAtDamage(t *testing.T) {
 	s := replicaStore(t)
-	logAnnotation(t, s, 0, "Annot_1")
-	logAnnotation(t, s, 1, "Annot_5")
-	logAnnotation(t, s, 2, "Annot_1")
-	one, err := s.ReadTail(LogHeaderSize, 1)
+	origin := s.log.NextCursor()
+	logAnnotation(t, s, 1, "Annot_1")
+	logAnnotation(t, s, 2, "Annot_5")
+	one, err := s.ReadTail(origin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame1 := int64(len(one.Data))
-	f, err := os.OpenFile(LogPath(s.Dir()), os.O_RDWR, 0)
+	f, err := os.OpenFile(newestSegment(t, s.Dir()), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte of the second frame: a CRC failure, bytes follow.
-	if _, err := f.WriteAt([]byte{0xFF}, LogHeaderSize+frame1+frameHeaderSize); err != nil {
+	// Flip the second frame's first payload byte: its CRC now fails.
+	if _, err := f.WriteAt([]byte{0xFF}, segHeaderSize+frame1+frameHeaderSize); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-
-	ck, err := s.ReadTail(LogHeaderSize, 0)
-	if err != nil || int64(len(ck.Data)) != frame1 {
-		t.Fatalf("read over damage = %d bytes, %v; want the %d bytes before it", len(ck.Data), err, frame1)
-	}
-	if ck, err := s.ReadTail(LogHeaderSize+frame1, 0); err == nil {
-		t.Fatalf("read starting at the damaged frame = %d bytes, no error", len(ck.Data))
+	for _, from := range []uint64{origin, origin + 1} {
+		if ck, err := s.ReadTail(from, 0); err == nil {
+			t.Fatalf("read from cursor %d over a damaged record = %d bytes, no error", from, len(ck.Data))
+		}
 	}
 }
 
 func TestDecodeFramesDamage(t *testing.T) {
 	s := replicaStore(t)
-	logAnnotation(t, s, 0, "Annot_1")
-	logAnnotation(t, s, 1, "Annot_5")
-	full, err := s.ReadTail(LogHeaderSize, 0)
+	origin := s.log.NextCursor()
+	logAnnotation(t, s, 1, "Annot_1")
+	logAnnotation(t, s, 2, "Annot_5")
+	full, err := s.ReadTail(origin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := s.ReadTail(LogHeaderSize, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame1 := int64(len(one.Data))
+	frame1 := frameSize(full.Data)
 
 	// An incomplete trailing frame ends the parse cleanly at the boundary.
 	for _, cut := range []int64{frame1 + 2, frame1 + frameHeaderSize + 1} {
 		recs, consumed, err := DecodeFrames(full.Data[:cut])
 		if err != nil || len(recs) != 1 || consumed != frame1 {
-			t.Errorf("cut %d: decode = %d recs, consumed %d, err %v; want 1, %d, nil", cut, len(recs), consumed, frame1, err)
+			t.Errorf("cut at %d: %d records, consumed %d, err %v; want 1, %d, nil", cut, len(recs), consumed, err, frame1)
 		}
 	}
 
@@ -209,7 +190,7 @@ func TestDecodeFramesDamage(t *testing.T) {
 	bad[frame1+frameHeaderSize] ^= 0xFF
 	recs, consumed, err := DecodeFrames(bad)
 	if err == nil || len(recs) != 1 || consumed != frame1 {
-		t.Errorf("crc damage: decode = %d recs, consumed %d, err %v; want 1, %d, error", len(recs), consumed, frame1, err)
+		t.Errorf("CRC damage: %d records, consumed %d, err %v; want 1, %d, error", len(recs), consumed, err, frame1)
 	}
 
 	// An impossible length prefix is an error, not an infinite loop.

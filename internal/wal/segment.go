@@ -1,16 +1,19 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"annotadb/internal/storage"
 )
 
 // segMagic opens every segment file; the trailing byte is the format
@@ -18,18 +21,18 @@ import (
 var segMagic = []byte("ADBSEG\x00\x01")
 
 // SegmentedLog is an append-only record log spread over rotated segment
-// files with a retention policy — the retained-history counterpart of the
-// truncate-only Log. Every appended record is assigned a cursor (a dense,
-// strictly increasing uint64 starting at 1) that stays valid across
-// rotation, retention trimming, and process restarts, so a reader can
-// resume from any retained cursor. The serving layer's event stream is its
-// first client; delta checkpoints are the intended second.
+// files. Every appended record is assigned a cursor (a dense, strictly
+// increasing uint64) that stays valid across rotation, trimming, and
+// process restarts, so a reader can resume from any retained cursor. It is
+// the package's one log type: the Store's write-ahead log (every segment
+// retained until a checkpoint covers it, see TrimBelow) and the serving
+// layer's event stream (a retention policy) are both one of these.
 //
 // Layout: a directory of files named <prefix>-<firstCursor:016x>.seg, each
-// holding a header (magic + first cursor) followed by CRC-framed records in
-// the Log's frame format. The highest-numbered segment is active (appended
-// to); when it exceeds SegmentBytes it is sealed and a new one started, and
-// the oldest sealed segments beyond RetainSegments are deleted.
+// holding a header (magic + first cursor) followed by CRC-framed records.
+// The highest-numbered segment is active (appended to); when it exceeds
+// SegmentBytes it is sealed and a new one started, and the oldest sealed
+// segments beyond RetainSegments are deleted.
 //
 // Appends and reads are safe for concurrent use: one writer may append
 // while any number of readers page through ReadFrom.
@@ -49,6 +52,8 @@ type SegmentedLog struct {
 	first       uint64
 	sealed      []segmentInfo
 	closed      bool
+	// tornTail reports that open dropped a torn final record.
+	tornTail bool
 
 	appends      atomic.Uint64
 	rotations    atomic.Uint64
@@ -148,8 +153,9 @@ type SegmentedStats struct {
 }
 
 // ErrCursorTrimmed reports a read positioned before the oldest retained
-// cursor: the records were deleted by the retention policy. The caller
-// should surface a gap and resume from the reported FirstCursor.
+// cursor: the records were deleted by the retention policy or by TrimBelow.
+// The caller should surface a gap and resume from the reported FirstCursor,
+// or, when it needs every record, start over from a checkpoint.
 type ErrCursorTrimmed struct {
 	// Cursor is the requested position, FirstCursor the oldest retained one.
 	Cursor      uint64
@@ -158,7 +164,7 @@ type ErrCursorTrimmed struct {
 
 // Error describes the trimmed range.
 func (e *ErrCursorTrimmed) Error() string {
-	return fmt.Sprintf("wal: cursors %d..%d were trimmed by the retention policy; history starts at %d", e.Cursor, e.FirstCursor-1, e.FirstCursor)
+	return fmt.Sprintf("wal: cursors %d..%d were trimmed; history starts at %d", e.Cursor, e.FirstCursor-1, e.FirstCursor)
 }
 
 // Resume returns the oldest retained cursor — where a reader that hit this
@@ -174,6 +180,18 @@ func (e *ErrCursorTrimmed) Resume() uint64 { return e.FirstCursor }
 // segment becomes the active one regardless of size; the next append may
 // immediately seal it.
 func OpenSegmented(opts SegmentedOptions) (*SegmentedLog, error) {
+	return OpenSegmentedFrom(opts, 1)
+}
+
+// OpenSegmentedFrom is OpenSegmented for a client that needs no record
+// below floor, such as a store whose checkpoint covers them. It first
+// deletes the segments whose records all lie below floor — known from the
+// names alone, since a segment ends where the next one starts — so a trim
+// that a crash interrupted, or whose deletions reached the disk out of
+// order, is finished before the rest is validated. It then runs
+// TrimBelow(floor), which raises the next cursor to floor when the
+// surviving log ends below it.
+func OpenSegmentedFrom(opts SegmentedOptions, floor uint64) (*SegmentedLog, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: SegmentedOptions.Dir is required")
 	}
@@ -181,29 +199,38 @@ func OpenSegmented(opts SegmentedOptions) (*SegmentedLog, error) {
 		return nil, fmt.Errorf("wal: create segment dir: %w", err)
 	}
 	l := &SegmentedLog{dir: opts.Dir, prefix: opts.prefix(), opts: opts}
-	entries, err := os.ReadDir(opts.Dir)
+	names, err := readDirNames(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: read segment dir: %w", err)
 	}
 	var infos []segmentInfo
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		first, ok := l.parseSegmentName(e.Name())
+	for _, name := range names {
+		first, ok := l.parseSegmentName(name)
 		if !ok {
 			continue
 		}
-		infos = append(infos, segmentInfo{path: filepath.Join(opts.Dir, e.Name()), first: first})
+		infos = append(infos, segmentInfo{path: filepath.Join(opts.Dir, name), first: first})
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].first < infos[j].first })
+	slices.SortFunc(infos, func(a, b segmentInfo) int { return cmp.Compare(a.first, b.first) })
+	for len(infos) > 1 && infos[1].first <= floor {
+		if err := os.Remove(infos[0].path); err != nil {
+			return nil, fmt.Errorf("wal: trim segment below cursor %d: %w", floor, err)
+		}
+		infos = infos[1:]
+	}
 	if len(infos) == 0 {
 		l.first, l.next = 1, 1
 		err = l.startSegment()
 	} else {
 		err = l.adopt(infos)
 	}
+	if err == nil {
+		err = l.TrimBelow(floor)
+	}
 	if err != nil {
+		if l.active != nil {
+			l.active.Close()
+		}
 		return nil, err
 	}
 	if opts.FlushWindow != 0 {
@@ -212,15 +239,26 @@ func OpenSegmented(opts SegmentedOptions) (*SegmentedLog, error) {
 	return l, nil
 }
 
+// readDirNames lists the names in dir, unsorted.
+func readDirNames(dir string) ([]string, error) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	return d.Readdirnames(-1)
+}
+
 // adopt validates the existing segments, oldest first, and reopens the
 // newest one as the active segment.
 func (l *SegmentedLog) adopt(infos []segmentInfo) error {
 	for i := range infos {
 		last := i == len(infos)-1
-		records, size, err := scanSegment(infos[i].path, infos[i].first, last)
+		records, size, torn, err := scanSegment(infos[i].path, infos[i].first, last)
 		if err != nil {
 			return err
 		}
+		l.tornTail = l.tornTail || torn
 		infos[i].records = records
 		infos[i].size = size
 		if !last && infos[i+1].first != infos[i].first+records {
@@ -267,30 +305,30 @@ func (l *SegmentedLog) segmentPath(first uint64) string {
 
 // scanSegment validates one segment file and returns its record count and
 // effective size. Only the newest segment (tail) may carry a torn final
-// record, which is truncated away; in a sealed segment a torn end is
-// damage, and damage anywhere is a hard error.
-func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size int64, err error) {
+// record, which is truncated away (torn reports it); in a sealed segment a
+// torn end is damage, and damage anywhere is a hard error.
+func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size int64, torn bool, err error) {
 	name := filepath.Base(path)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: read segment: %w", err)
+		return 0, 0, false, fmt.Errorf("wal: read segment: %w", err)
 	}
 	if len(data) < segHeaderSize {
 		if !tail {
-			return 0, 0, fmt.Errorf("wal: segment %s is shorter than its header", name)
+			return 0, 0, false, fmt.Errorf("wal: segment %s is shorter than its header", name)
 		}
 		// A crash tore the very first write: rewrite the header in place.
 		if err := writeSegmentHeader(path, wantFirst); err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
-		return 0, segHeaderSize, nil
+		return 0, segHeaderSize, false, nil
 	}
 	first, ok := decodeHeader(data, segMagic)
 	if !ok {
-		return 0, 0, fmt.Errorf("wal: %s is not a wal segment (bad magic)", name)
+		return 0, 0, false, fmt.Errorf("wal: %s is not a wal segment (bad magic)", name)
 	}
 	if first != wantFirst {
-		return 0, 0, fmt.Errorf("wal: segment %s header says first cursor %d, file name says %d", name, first, wantFirst)
+		return 0, 0, false, fmt.Errorf("wal: segment %s header says first cursor %d, file name says %d", name, first, wantFirst)
 	}
 	n, end, ferr := scanFrames(data[segHeaderSize:], func([]byte) bool {
 		records++
@@ -299,15 +337,16 @@ func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size
 	size = segHeaderSize + n
 	switch {
 	case end == frameDamage:
-		return 0, 0, fmt.Errorf("wal: segment %s record at offset %d: %v: mid-segment corruption", name, size, ferr)
+		return 0, 0, false, fmt.Errorf("wal: segment %s record at offset %d: %v: mid-segment corruption", name, size, ferr)
 	case end != frameClean && !tail:
-		return 0, 0, fmt.Errorf("wal: sealed segment %s holds a torn record at offset %d (%v): mid-history corruption", name, size, ferr)
+		return 0, 0, false, fmt.Errorf("wal: sealed segment %s holds a torn record at offset %d (%v): mid-history corruption", name, size, ferr)
 	case end != frameClean:
 		if err := os.Truncate(path, size); err != nil {
-			return 0, 0, fmt.Errorf("wal: truncate torn segment tail: %w", err)
+			return 0, 0, false, fmt.Errorf("wal: truncate torn segment tail: %w", err)
 		}
+		torn = true
 	}
-	return records, size, nil
+	return records, size, torn, nil
 }
 
 func writeSegmentHeader(path string, first uint64) error {
@@ -326,11 +365,16 @@ func writeSegmentHeader(path string, first uint64) error {
 }
 
 // startSegment opens a fresh active segment whose first record will carry
-// cursor l.next. Caller holds l.mu (or the log is unpublished).
+// cursor l.next, and fsyncs the directory so the new file's entry — and
+// with it every record a later Sync makes durable — survives a power loss.
+// Caller holds l.mu (or the log is unpublished).
 func (l *SegmentedLog) startSegment() error {
 	path := l.segmentPath(l.next)
 	if err := writeSegmentHeader(path, l.next); err != nil {
 		return err
+	}
+	if err := storage.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: new segment: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -436,19 +480,78 @@ func (l *SegmentedLog) rotateLocked() error {
 	return nil
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync flushes every record appended before the call to stable storage.
+// The fsync runs outside the append mutex, so appends continue while it is
+// in flight (group commit depends on that). It is ordered against a
+// rotation by the active file itself: a segment is closed only after an
+// fsync (rotateLocked, Close) or once a checkpoint covers every record in
+// it (TrimBelow), so an fsync that finds its file closed has nothing left
+// to do. Go's file handle defers the close until an fsync already in flight
+// returns, so the fsync never targets a reused descriptor.
 func (l *SegmentedLog) Sync() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return errors.New("wal: segmented log closed")
 	}
-	if err := l.active.Sync(); err != nil {
+	f := l.active
+	l.mu.Unlock()
+	if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
 		return fmt.Errorf("wal: segment sync: %w", err)
 	}
 	l.syncs.Add(1)
 	return nil
 }
+
+// TrimBelow deletes the segments whose records all lie below cursor — the
+// Store calls it once a checkpoint covering them is installed. The active
+// segment is replaced by a new empty one when every record in it lies below
+// cursor, so a checkpoint that covers the whole log leaves one empty
+// segment. A cursor past the end raises the next cursor to it: the records
+// between were lost with an unsynced tail but are covered, and reusing
+// their cursors would make the next open skip new records as covered.
+func (l *SegmentedLog) TrimBelow(cursor uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return errors.New("wal: segmented log closed")
+	}
+	if l.activeFirst < cursor && l.next <= cursor {
+		old := segmentInfo{path: l.active.Name(), first: l.activeFirst, records: l.next - l.activeFirst, size: l.activeSize}
+		l.next = cursor
+		prev := l.active
+		if err := l.startSegment(); err != nil {
+			// Keep the old segment active and drop the new file, which
+			// would otherwise break the chain of first cursors. The Store
+			// latches on this error, so no record follows; should the
+			// removal fail too, the next open deletes the old, wholly
+			// covered segment as it finishes the trim.
+			_ = os.Remove(l.segmentPath(cursor))
+			l.next = old.first + old.records
+			return err
+		}
+		prev.Close() // every record in it is covered; it is deleted below
+		l.sealed = append(l.sealed, old)
+	}
+	for len(l.sealed) > 0 && l.sealed[0].first+l.sealed[0].records <= cursor {
+		victim := l.sealed[0]
+		if err := os.Remove(victim.path); err != nil {
+			return fmt.Errorf("wal: trim below cursor %d: %w", cursor, err)
+		}
+		l.sealed = l.sealed[1:]
+		l.trims.Add(1)
+		l.trimmedBytes.Add(victim.size)
+	}
+	l.first = l.activeFirst
+	if len(l.sealed) > 0 {
+		l.first = l.sealed[0].first
+	}
+	return nil
+}
+
+// TornTail reports whether open dropped a torn final record from the
+// newest segment.
+func (l *SegmentedLog) TornTail() bool { return l.tornTail }
 
 // FirstCursor returns the oldest retained cursor. Equal to NextCursor when
 // the log holds no records.

@@ -3,10 +3,11 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,8 +21,17 @@ import (
 // CheckpointPath returns the checkpoint file location inside a data dir.
 func CheckpointPath(dir string) string { return filepath.Join(dir, "checkpoint.db") }
 
-// LogPath returns the log file location inside a data dir.
-func LogPath(dir string) string { return filepath.Join(dir, "wal.log") }
+// SegmentDir returns the directory of the write-ahead log's segments inside
+// a data dir.
+func SegmentDir(dir string) string { return filepath.Join(dir, "wal") }
+
+// legacyLogMagic opened wal.log, the one byte-addressed log file of builds
+// before the segmented WAL: a 16-byte header (the magic, an epoch), then
+// record frames.
+const (
+	legacyLogMagic      = "ADBWAL\x00\x02"
+	legacyLogHeaderSize = 16
+)
 
 // HasCheckpoint reports whether dir holds a checkpoint file — i.e. whether
 // Open would recover instead of bootstrapping. It does not validate the
@@ -60,11 +70,6 @@ type Recovery struct {
 	Records int
 	// TornTail reports that a torn final record was dropped and truncated.
 	TornTail bool
-	// StaleLogDropped reports that the log predated the checkpoint (the
-	// artifact of a crash between checkpoint install and log truncation)
-	// and was discarded whole: every record in it was already folded into
-	// the checkpoint, so replaying would double-apply.
-	StaleLogDropped bool
 	// Duration is the wall time of the whole Open, mine or recovery included.
 	Duration time.Duration
 }
@@ -72,7 +77,7 @@ type Recovery struct {
 // Stats reports durability activity since Open.
 type Stats struct {
 	// Records and LogBytes describe the appended log: records written since
-	// Open and the current log file size (truncated by checkpoints).
+	// Open and the bytes of every retained segment (checkpoints trim them).
 	Records  uint64
 	LogBytes int64
 	// Syncs counts explicit fsyncs of the log.
@@ -115,51 +120,55 @@ type Store struct {
 	cfg   mining.Config
 	eopts incremental.Options
 	eng   *incremental.Engine
-	log   *Log
+	log   *SegmentedLog
 
 	recovery Recovery
 
+	// epoch is the generation of the newest installed checkpoint. Only the
+	// writer stores it; Epoch reads it from any goroutine.
+	epoch atomic.Uint64
+	// covered is that checkpoint's CoveredCursor, and pendingBytes the frame
+	// bytes of the records at or past it — what the size policy measures.
+	// Writer-only.
+	covered      uint64
+	pendingBytes int64
+
 	records          atomic.Uint64
-	logBytes         atomic.Int64
 	syncs            atomic.Uint64
 	checkpoints      atomic.Uint64
 	checkpointErrors atomic.Uint64
 	lastCheckpoint   atomic.Int64
 
-	// unsyncedRecords and unsyncedBytes track appended records whose
-	// covering fsync has not completed: the writer adds on append, syncLog
-	// subtracts (under logMu) what it observed before fsyncing. Safe to
-	// read from any goroutine.
-	unsyncedRecords atomic.Int64
-	unsyncedBytes   atomic.Int64
-
-	// logMu serializes every fsync issued off the writer goroutine (by
-	// syncer) against TruncateKeep, which swaps the log's file handle: an
-	// fsync concurrent with the swap could target a closed fd. The writer's
-	// own appends never race these — the log is only appended from the
-	// writer goroutine.
-	logMu sync.Mutex
+	// records and appendedBytes count what the writer appended since Open;
+	// syncedRecords and syncedBytes how much of it is known durable — the
+	// marks a completed fsync observed before it began, or an installed
+	// checkpoint captured. The marks only rise, and the differences are
+	// the crash window (see unsynced). Safe from any goroutine.
+	appendedBytes atomic.Uint64
+	syncedRecords atomic.Uint64
+	syncedBytes   atomic.Uint64
 
 	// syncer is the background fsync loop the sync policy calls for (see
-	// startSyncer); nil when every fsync is inline or left to the OS.
+	// startSyncer); nil when every fsync is inline or left to the OS. The
+	// writer's inline fsyncs and the syncer's are never both in use, so
+	// syncLog has one caller at a time.
 	syncer        *syncLoop
 	oldestPending time.Time // writer-only: append time of the oldest un-checkpointed record
 	closed        bool
 	// inflight tracks a checkpoint being serialized and installed by the
 	// background installer goroutine. The writer launches at most one at a
-	// time (from Committed), keeps appending while it runs, and finishes the
-	// log truncation itself once the install completes — the log is
+	// time (from Committed), keeps appending while it runs, and trims the
+	// covered segments itself once the install completes — the log is
 	// writer-owned, so the installer never touches it.
 	inflight *pendingInstall
 	// failed latches when the log and the in-memory/acknowledged state can
-	// no longer be reconciled by this process: a checkpoint installed but
-	// the log could not be truncated to the new epoch (appends would be
-	// discarded by the next recovery), or an append landed in the file but
-	// its fsync failed (later appends would follow a phantom record that
-	// recovery replays). The store refuses further appends — clients get
+	// no longer be reconciled by this process: an append or its fsync
+	// failed (later appends would follow a phantom record that recovery
+	// replays), or a checkpoint installed but its covered segments could
+	// not be trimmed. The store refuses further appends — clients get
 	// errors instead of silent divergence — until a restart recovers. Only
-	// the writer sets it; health probes read it from any goroutine (Failed),
-	// hence the atomic.
+	// the writer and the sync loop set it; health probes read it from any
+	// goroutine (Failed), hence the atomic.
 	failed atomic.Pointer[error]
 }
 
@@ -182,9 +191,11 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create data dir: %w", err)
 	}
-	s := &Store{opts: opts, cfg: cfg, eopts: eopts}
-	ckEpoch := uint64(0)
-	ckCovered := uint64(0)
+	legacy, err := checkLegacyLog(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{opts: opts, cfg: cfg, eopts: eopts, covered: 1}
 	ck, err := storage.ReadCheckpointFile(CheckpointPath(opts.Dir))
 	switch {
 	case err == nil:
@@ -198,14 +209,14 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 		}
 		s.eng = eng
 		s.recovery.FromCheckpoint = true
-		ckEpoch = ck.Epoch
-		ckCovered = ck.CoveredBytes
+		s.epoch.Store(ck.Epoch)
+		s.covered = max(ck.CoveredCursor, 1)
 	case os.IsNotExist(err):
 		// A log with no checkpoint cannot happen under this package's write
 		// ordering (the first checkpoint precedes the first append); if one
 		// shows up the directory was tampered with and a silent bootstrap
 		// would drop its records.
-		if fi, statErr := os.Stat(LogPath(opts.Dir)); statErr == nil && fi.Size() > logHeaderSize {
+		if holdsRecords(SegmentDir(opts.Dir)) {
 			return nil, fmt.Errorf("wal: %s holds a log but no checkpoint; refusing to bootstrap over it", opts.Dir)
 		}
 		if bootstrap == nil {
@@ -223,57 +234,17 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 	default:
 		return nil, err
 	}
-	log, err := OpenLog(LogPath(opts.Dir), ckEpoch)
+	// Segments wholly below the covered cursor are deleted first: that
+	// finishes a trim a crash interrupted after the checkpoint install.
+	log, err := OpenSegmentedFrom(SegmentedOptions{Dir: SegmentDir(opts.Dir), Prefix: "wal", RetainSegments: -1}, s.covered)
 	if err != nil {
 		return nil, err
 	}
 	s.log = log
-	switch {
-	case log.Epoch() == ckEpoch:
-		info, rerr := log.Replay(s.applyRecord)
-		if rerr != nil {
-			log.Close()
-			return nil, rerr
-		}
-		s.recovery.Records = info.Records
-		s.recovery.TornTail = info.TornTail
-	case log.Epoch()+1 == ckEpoch:
-		// Crash between checkpoint install and log truncation. The
-		// checkpoint covers the log exactly up to its CoveredBytes (the log
-		// size at capture); records after that offset were appended while
-		// the checkpoint was serialized in the background and are NOT
-		// folded in. Skip the covered prefix (replaying it would
-		// double-apply), replay the tail, then finish the interrupted
-		// truncation so the tail survives under the checkpoint's epoch.
-		covered := int64(ckCovered)
-		if covered < logHeaderSize {
-			covered = logHeaderSize
-		}
-		if covered > log.Size() {
-			// The surviving file is shorter than the capture saw (unsynced
-			// appends lost with the crash): everything on disk is covered.
-			covered = log.Size()
-		}
-		info, rerr := log.ReplayFrom(covered, s.applyRecord)
-		if rerr != nil {
-			log.Close()
-			return nil, rerr
-		}
-		s.recovery.Records = info.Records
-		s.recovery.TornTail = info.TornTail
-		s.recovery.StaleLogDropped = covered > logHeaderSize
-		if terr := log.TruncateKeep(ckEpoch, covered); terr != nil {
-			log.Close()
-			return nil, terr
-		}
-	case log.Epoch() > ckEpoch:
+	s.recovery.TornTail = log.TornTail()
+	if err := s.replay(); err != nil {
 		log.Close()
-		return nil, fmt.Errorf("wal: %s log epoch %d is ahead of checkpoint epoch %d (checkpoint rolled back?)",
-			opts.Dir, log.Epoch(), ckEpoch)
-	default:
-		log.Close()
-		return nil, fmt.Errorf("wal: %s log epoch %d is more than one generation behind checkpoint epoch %d (log rolled back?)",
-			opts.Dir, log.Epoch(), ckEpoch)
+		return nil, err
 	}
 	if !s.recovery.FromCheckpoint {
 		// First run on this directory: install the initial checkpoint so the
@@ -282,15 +253,90 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 			log.Close()
 			return nil, cerr
 		}
-	} else if log.Size() > logHeaderSize {
+	} else if s.pendingBytes > 0 {
 		// Replayed records are still only covered by the log; age them from
 		// now so the age policy eventually folds them into a checkpoint.
 		s.oldestPending = time.Now()
 	}
-	s.logBytes.Store(log.Size())
+	if legacy {
+		// The directory is converted: the checkpoint and the segments hold
+		// everything, and the header-only legacy log is dropped. A crash
+		// before the removal leaves it to the next open.
+		if err := os.Remove(filepath.Join(opts.Dir, "wal.log")); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("wal: remove converted wal.log: %w", err)
+		}
+	}
 	s.syncer = s.startSyncer()
 	s.recovery.Duration = time.Since(start)
 	return s, nil
+}
+
+// checkLegacyLog inspects the wal.log of a directory written before the
+// segmented WAL, reporting whether one is present. A clean close left it at
+// its 16-byte header (checkpointed and emptied), and such a directory is
+// converted. One that still holds records is refused before anything in
+// the directory changes: its records are addressed by byte offsets this
+// build does not read.
+func checkLegacyLog(dir string) (bool, error) {
+	path := filepath.Join(dir, "wal.log")
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("wal: open legacy log: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("wal: stat legacy log: %w", err)
+	}
+	head := make([]byte, len(legacyLogMagic))
+	n, _ := io.ReadFull(f, head)
+	if n > 0 && string(head[:n]) != legacyLogMagic[:n] {
+		return false, fmt.Errorf("wal: %s is not a wal log (bad magic)", path)
+	}
+	if st.Size() > legacyLogHeaderSize {
+		return false, fmt.Errorf("wal: %s holds log records written by a build before the segmented WAL; close the directory cleanly with that build first (a clean close checkpoints and empties wal.log), then open it with this one", path)
+	}
+	return true, nil
+}
+
+// holdsRecords reports whether a segment directory holds a segment longer
+// than its header.
+func holdsRecords(dir string) bool {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil && info.Mode().IsRegular() && info.Size() > segHeaderSize {
+			return true
+		}
+	}
+	return false
+}
+
+// replay applies every record at or past the covered cursor through the
+// engine's ordinary incremental update paths: the log tail the checkpoint
+// does not hold.
+func (s *Store) replay() error {
+	payloads, err := s.log.ReadFrom(s.covered, math.MaxInt)
+	if err != nil {
+		return fmt.Errorf("wal: replay: %w", err)
+	}
+	for i, p := range payloads {
+		rec, err := decodePayload(p)
+		if err != nil {
+			// The frame passed its CRC, so this is not a torn write: refuse
+			// to guess and surface it.
+			return fmt.Errorf("wal: replay record at cursor %d: %w", s.covered+uint64(i), err)
+		}
+		if err := s.applyRecord(rec); err != nil {
+			return err
+		}
+		s.pendingBytes += frameHeaderSize + int64(len(p))
+	}
+	s.recovery.Records = len(payloads)
+	return nil
 }
 
 // startSyncer starts the background fsync loop the options call for, once,
@@ -307,7 +353,7 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 func (s *Store) startSyncer() *syncLoop {
 	switch {
 	case s.opts.groupCommit():
-		full := func() bool { return s.unsyncedBytes.Load() >= maxGroupBytes }
+		full := func() bool { _, bytes := s.unsynced(); return bytes >= maxGroupBytes }
 		return startSyncLoop(s.opts.flushWindow(), full, s.syncLog)
 	case s.opts.Sync == SyncInterval:
 		return startSyncLoop(s.opts.syncEvery(), nil, s.syncLog)
@@ -317,13 +363,13 @@ func (s *Store) startSyncer() *syncLoop {
 
 // HasPendingRecords reports whether the log holds records not yet covered
 // by a checkpoint. Belongs to the single writer, like the mutating methods.
-func (s *Store) HasPendingRecords() bool { return s.log.Size() > logHeaderSize }
+func (s *Store) HasPendingRecords() bool { return s.log.NextCursor() > s.covered }
 
 // Dir returns the store's data directory.
 func (s *Store) Dir() string { return s.opts.Dir }
 
 // Failed reports the latched unrecoverable-in-process failure (an append
-// fsync failure or a post-checkpoint truncation failure), or nil while the
+// or fsync failure, or a post-checkpoint trim failure), or nil while the
 // store is healthy. Once non-nil it stays non-nil: appends are refused and
 // the process should be restarted so recovery replays a consistent prefix.
 // Safe from any goroutine; health endpoints surface it.
@@ -340,12 +386,12 @@ func (s *Store) latch(err error) {
 	s.failed.CompareAndSwap(nil, &err)
 }
 
-// Epoch returns the checkpoint generation the log currently extends. It
+// Epoch returns the generation of the newest installed checkpoint. It
 // advances with every installed checkpoint; a sharded deployment records
 // the per-shard epoch vector in its manifest so a shard directory restored
 // from an older backup is detected at open instead of silently serving a
-// rolled-back generation.
-func (s *Store) Epoch() uint64 { return s.log.Epoch() }
+// rolled-back generation. Safe from any goroutine.
+func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // Engine returns the recovered (or freshly bootstrapped) engine. The serving
 // layer takes ownership of it via serve.New.
@@ -356,12 +402,13 @@ func (s *Store) Recovery() Recovery { return s.recovery }
 
 // Stats returns current durability counters. Safe from any goroutine.
 func (s *Store) Stats() Stats {
+	unsyncedRecords, unsyncedBytes := s.unsynced()
 	return Stats{
 		Records:                s.records.Load(),
-		LogBytes:               s.logBytes.Load(),
+		LogBytes:               s.log.Stats().RetainedBytes,
 		Syncs:                  s.syncs.Load(),
-		UnsyncedRecords:        s.unsyncedRecords.Load(),
-		UnsyncedBytes:          s.unsyncedBytes.Load(),
+		UnsyncedRecords:        unsyncedRecords,
+		UnsyncedBytes:          unsyncedBytes,
 		Checkpoints:            s.checkpoints.Load(),
 		CheckpointErrors:       s.checkpointErrors.Load(),
 		LastCheckpointUnixNano: s.lastCheckpoint.Load(),
@@ -438,17 +485,25 @@ func (s *Store) append(rec Record) error {
 	if err := s.Failed(); err != nil {
 		return fmt.Errorf("wal: store failed, refusing append (restart to recover): %w", err)
 	}
-	if s.oldestPending.IsZero() {
-		s.oldestPending = time.Now()
-	}
-	frameLen, err := s.log.Append(rec, s.opts.Encoding)
+	payload, err := encodePayload(rec)
 	if err != nil {
 		return err
 	}
+	if s.oldestPending.IsZero() {
+		s.oldestPending = time.Now()
+	}
+	if cursor, err := s.log.Append(payload); err != nil {
+		if s.log.NextCursor() > cursor {
+			// The record landed but a rotation after it failed, and its
+			// batch will be failed: a later record must not follow it.
+			s.latch(err)
+		}
+		return err
+	}
+	frameLen := frameHeaderSize + len(payload)
+	s.pendingBytes += int64(frameLen)
+	s.appendedBytes.Add(uint64(frameLen))
 	s.records.Add(1)
-	s.logBytes.Store(s.log.Size())
-	s.unsyncedRecords.Add(1)
-	s.unsyncedBytes.Add(frameLen)
 	switch {
 	case s.opts.Sync == SyncInterval:
 		s.syncer.poke()
@@ -460,12 +515,11 @@ func (s *Store) append(rec Record) error {
 	return nil
 }
 
-// syncLog fsyncs the log under logMu, unless nothing is unsynced, and
-// credits the unsynced counters with what was pending when the fsync began.
-// Records appended while the fsync is in flight stay counted (conservative:
-// the counters never claim durability a crash could disprove). Safe from
-// the writer and the background sync loop; logMu also keeps the fsync from
-// racing TruncateKeep's file swap.
+// syncLog fsyncs the log, unless nothing is unsynced, and raises the
+// synced marks to what was appended when the fsync began. Records appended
+// while the fsync is in flight stay unsynced (conservative: the counters
+// never claim durability a crash could disprove). Called by the writer when
+// every fsync is inline, otherwise by the sync loop alone.
 //
 // A failed fsync latches the store: the record is in the file but its batch
 // will be failed, so later appends would land after a phantom record that
@@ -475,26 +529,37 @@ func (s *Store) syncLog() error {
 	if err := s.Failed(); err != nil {
 		return err
 	}
-	s.logMu.Lock()
-	recs := s.unsyncedRecords.Load()
-	bytes := s.unsyncedBytes.Load()
-	if recs == 0 {
-		s.logMu.Unlock()
+	recs, bytes := s.records.Load(), s.appendedBytes.Load()
+	if recs == s.syncedRecords.Load() {
 		return nil
 	}
-	//annotlint:ignore lockio the fsync must hold logMu: it orders against TruncateKeep's file-handle swap, and the sync loop batches so only one fsync is ever in flight
-	err := s.log.Sync()
-	if err == nil {
-		s.unsyncedRecords.Add(-recs)
-		s.unsyncedBytes.Add(-bytes)
-	}
-	s.logMu.Unlock()
-	if err != nil {
+	if err := s.log.Sync(); err != nil {
 		s.latch(err)
 		return err
 	}
+	s.markSynced(recs, bytes)
 	s.syncs.Add(1)
 	return nil
+}
+
+// markSynced raises the synced marks to records and bytes.
+func (s *Store) markSynced(records, bytes uint64) {
+	raise(&s.syncedRecords, records)
+	raise(&s.syncedBytes, bytes)
+}
+
+// raise lifts an only-rising mark to v.
+func raise(mark *atomic.Uint64, v uint64) {
+	for cur := mark.Load(); cur < v && !mark.CompareAndSwap(cur, v); cur = mark.Load() {
+	}
+}
+
+// unsynced measures the crash window: the records and frame bytes appended
+// whose durability is not known yet. The marks are read before the counts,
+// which are never below them, so neither difference is negative.
+func (s *Store) unsynced() (records, bytes int64) {
+	sr, sb := s.syncedRecords.Load(), s.syncedBytes.Load()
+	return int64(s.records.Load() - sr), int64(s.appendedBytes.Load() - sb)
 }
 
 // Seal implements the serve package's Journal contract: it returns a
@@ -504,7 +569,7 @@ func (s *Store) syncLog() error {
 // or a policy that never gates acknowledgements on fsync). Writer-only,
 // like the Log* methods.
 func (s *Store) Seal() <-chan error {
-	if !s.opts.groupCommit() || s.unsyncedRecords.Load() == 0 {
+	if recs, _ := s.unsynced(); !s.opts.groupCommit() || recs == 0 {
 		// Nothing to wait for: group commit off, or nothing appended since
 		// the last covering fsync (e.g. every group in the batch failed
 		// validation before reaching the log).
@@ -518,22 +583,28 @@ func (s *Store) Seal() <-chan error {
 // its WriteCheckpointFile result on.
 type pendingInstall struct {
 	epoch   uint64
-	covered int64
-	takenAt time.Time
-	done    chan error
+	covered uint64
+	// bytes is the frame bytes below covered that were still pending at
+	// capture: what the install takes off pendingBytes. appendedRecords and
+	// appendedBytes are the append counts at capture, which the installed
+	// checkpoint makes durable.
+	bytes                          int64
+	appendedRecords, appendedBytes uint64
+	takenAt                        time.Time
+	done                           chan error
 }
 
 // capture pins the state a checkpoint will serialize: the engine state with
 // its relation view (one engine lock acquisition, O(rules) — the relation is
-// pinned copy-on-write, not copied), the next epoch, and how much of the
-// log the capture covers. Everything in the result is immutable or private,
-// so serialization may proceed off the writer goroutine while the engine
-// keeps applying updates.
-func (s *Store) capture() *storage.Checkpoint {
+// pinned copy-on-write, not copied), the next epoch, and the log's next
+// cursor, below which the capture holds every record. Everything in the
+// result is immutable or private, so serialization may proceed off the
+// writer goroutine while the engine keeps applying updates.
+func (s *Store) capture() (*storage.Checkpoint, *pendingInstall) {
 	st := s.eng.State()
-	return &storage.Checkpoint{
-		Epoch:             s.log.Epoch() + 1,
-		CoveredBytes:      uint64(s.log.Size()),
+	ck := &storage.Checkpoint{
+		Epoch:             s.epoch.Load() + 1,
+		CoveredCursor:     s.log.NextCursor(),
 		ConfigFingerprint: configFingerprint(s.cfg, s.opts.Tag),
 		Relation:          st.Relation,
 		Valid:             st.Valid,
@@ -542,12 +613,21 @@ func (s *Store) capture() *storage.Checkpoint {
 		AnnotPatterns:     st.AnnotPatterns,
 		Counters:          countersFromStats(st.Stats),
 	}
+	return ck, &pendingInstall{
+		epoch:           ck.Epoch,
+		covered:         ck.CoveredCursor,
+		bytes:           s.pendingBytes,
+		appendedRecords: s.records.Load(),
+		appendedBytes:   s.appendedBytes.Load(),
+		takenAt:         time.Now(),
+		done:            make(chan error, 1),
+	}
 }
 
-// finishInstall collects a completed background install, truncating the log
-// up to the covered offset (records appended after the capture survive into
-// the new epoch). With wait set it blocks until the install completes;
-// otherwise an install still in flight is left alone. Writer-only.
+// finishInstall collects a completed background install and trims the
+// segments it covers (records appended after the capture stay). With wait
+// set it blocks until the install completes; otherwise an install still in
+// flight is left alone. Writer-only.
 func (s *Store) finishInstall(wait bool) error {
 	in := s.inflight
 	if in == nil {
@@ -567,44 +647,30 @@ func (s *Store) finishInstall(wait bool) error {
 	if err != nil {
 		return err // counted by the installer; policy will retry
 	}
-	return s.finishTruncate(in.epoch, in.covered, in.takenAt)
+	return s.finishTrim(in)
 }
 
-// finishTruncate completes a durably installed checkpoint: the log drops
-// the covered prefix and keeps any tail appended since the capture.
-func (s *Store) finishTruncate(epoch uint64, covered int64, takenAt time.Time) error {
-	// TruncateKeep swaps the log's file handle (installs the rewritten log
-	// and reopens it); logMu keeps the background sync loop from fsyncing
-	// the old handle mid-swap. The rewritten tail is durable when
-	// TruncateKeep returns, so whatever was unsynced at that point is
-	// credited — snapshot under the same lock so a concurrent syncLog can't
-	// double-subtract.
-	s.logMu.Lock()
-	recs := s.unsyncedRecords.Load()
-	bytes := s.unsyncedBytes.Load()
-	//annotlint:ignore lockio the file-handle swap must hold logMu so no background sync targets the old handle mid-swap; truncation is rare (one per checkpoint) and appends already queue behind it
-	err := s.log.TruncateKeep(epoch, covered)
-	if err == nil {
-		s.unsyncedRecords.Add(-recs)
-		s.unsyncedBytes.Add(-bytes)
-	}
-	s.logMu.Unlock()
-	if err != nil {
-		// The checkpoint is installed but the log still carries the old
-		// epoch: recovery would re-skip the covered prefix, but this
-		// process can no longer prove what an append covers. Latch so
+// finishTrim completes a durably installed checkpoint: the store adopts its
+// epoch and coverage, and the log deletes the segments it covers.
+func (s *Store) finishTrim(in *pendingInstall) error {
+	s.epoch.Store(in.epoch)
+	s.covered = in.covered
+	s.pendingBytes -= in.bytes
+	if err := s.log.TrimBelow(in.covered); err != nil {
+		// The checkpoint is installed and recovery would finish the trim,
+		// but this process no longer knows the shape of its log. Latch so
 		// appends refuse instead of risking acknowledged writes.
 		s.latch(err)
 		s.checkpointErrors.Add(1)
 		return err
 	}
+	s.markSynced(in.appendedRecords, in.appendedBytes)
 	s.checkpoints.Add(1)
 	s.lastCheckpoint.Store(time.Now().UnixNano())
-	s.logBytes.Store(s.log.Size())
-	if s.log.Size() > logHeaderSize {
+	if s.pendingBytes > 0 {
 		// Records appended while the install ran are still uncovered; age
 		// them from the capture, the latest moment they all existed after.
-		s.oldestPending = takenAt
+		s.oldestPending = in.takenAt
 	} else {
 		s.oldestPending = time.Time{}
 	}
@@ -621,7 +687,7 @@ func (s *Store) finishTruncate(epoch uint64, covered int64, takenAt time.Time) e
 // serialization, fsync, and the atomic install to an installer goroutine,
 // so the writer keeps applying batches at full speed while the checkpoint
 // is written. The next Committed (or Checkpoint, or Close) collects the
-// result and truncates the log's covered prefix.
+// result and trims the segments it covers.
 func (s *Store) Committed() error {
 	if err := s.finishInstall(false); err != nil {
 		return err
@@ -632,13 +698,7 @@ func (s *Store) Committed() error {
 	if err := s.Failed(); err != nil {
 		return fmt.Errorf("wal: store failed (restart to recover): %w", err)
 	}
-	ck := s.capture()
-	in := &pendingInstall{
-		epoch:   ck.Epoch,
-		covered: int64(ck.CoveredBytes),
-		takenAt: time.Now(),
-		done:    make(chan error, 1),
-	}
+	ck, in := s.capture()
 	s.inflight = in
 	path := CheckpointPath(s.opts.Dir)
 	go func() {
@@ -652,7 +712,7 @@ func (s *Store) Committed() error {
 }
 
 func (s *Store) shouldCheckpoint() bool {
-	pending := s.log.Size() - logHeaderSize
+	pending := s.pendingBytes
 	if pending <= 0 {
 		return false
 	}
@@ -668,7 +728,7 @@ func (s *Store) shouldCheckpoint() bool {
 // Checkpoint synchronously captures the engine's current state, serializes
 // the pinned relation view without holding any engine or relation lock,
 // installs the file with storage.InstallFile under the next epoch, and
-// truncates the log's covered prefix. A background install still in flight
+// trims the segments it covers. A background install still in flight
 // is collected first. Belongs to the single writer; the serving core's
 // writer loop guarantees the engine is not mutated concurrently with the
 // capture.
@@ -682,13 +742,12 @@ func (s *Store) Checkpoint() error {
 	if err := s.Failed(); err != nil {
 		return fmt.Errorf("wal: store failed (restart to recover): %w", err)
 	}
-	ck := s.capture()
-	takenAt := time.Now()
+	ck, in := s.capture()
 	if err := storage.WriteCheckpointFile(CheckpointPath(s.opts.Dir), ck); err != nil {
 		s.checkpointErrors.Add(1)
 		return err
 	}
-	return s.finishTruncate(ck.Epoch, int64(ck.CoveredBytes), takenAt)
+	return s.finishTrim(in)
 }
 
 // Close collects any in-flight background checkpoint, then syncs and closes

@@ -5,15 +5,15 @@
 //
 // # On-disk layout
 //
-// A Store owns one directory holding two files:
+// A Store owns one directory holding:
 //
 //	checkpoint.db — a full capture of serving state (relation, dictionary,
 //	                rule tiers, pattern catalogs, lifetime counters) in the
 //	                storage package's binary checkpoint format, installed by
 //	                storage.InstallFile;
-//	wal.log       — an append-only sequence of framed mutation records
-//	                (annotation add/remove batches and tuple batches), in
-//	                either a compact binary or a JSON record encoding.
+//	wal/          — the write-ahead log, a SegmentedLog of framed mutation
+//	                records (annotation add/remove batches and tuple
+//	                batches), each addressed by a cursor that never changes.
 //
 // The frame format, the torn-tail rule every reader applies, and the
 // install rule are stated once in ARCHITECTURE.md "On-disk primitives";
@@ -22,17 +22,21 @@
 // The single serving writer appends each coalesced batch to the log before
 // it is applied to the engine (see the serve package's Journal hook), so an
 // acknowledged write is always either in the durable log or covered by a
-// newer checkpoint. After a checkpoint is durably installed the log is
-// truncated: recovery is always "load checkpoint, replay tail".
+// newer checkpoint. Each checkpoint records its covered cursor, the first
+// record it does not hold; once it is durably installed the segments wholly
+// below that cursor are deleted. Recovery is always "load checkpoint,
+// replay from its covered cursor".
 //
 // # Recovery
 //
 // Open recovers whatever state the directory holds. A missing directory or
 // an empty one bootstraps from scratch (full mine) and writes the first
 // checkpoint; an existing checkpoint restores the engine without mining and
-// replays the log tail through the ordinary incremental update paths. A
-// torn final record — the expected artifact of a crash mid-append — is
-// dropped and truncated away.
+// replays the log from the checkpoint's covered cursor through the ordinary
+// incremental update paths. A torn final record — the expected artifact of
+// a crash mid-append — is dropped and truncated away. Segments a crash
+// left below the covered cursor are deleted first, and a log that ends
+// below it restarts there.
 //
 // Records carry tokens, not item codes. Replay resolves them in log order
 // under the relation package's write-path rule (Dictionary.ResolveUpdates
@@ -45,15 +49,12 @@
 // leniency over a live write is a removal of a token the dictionary has
 // never held: it is interned and skipped, where a client's is refused.
 //
-// Two generations of state are tied together by an epoch: each checkpoint
-// carries the epoch its successor log is stamped with, so a crash between
-// checkpoint install and log truncation (checkpoint newer than the log)
-// recovers by discarding the already-covered log instead of double-applying
-// it. Checkpoints also carry a fingerprint of the state-determining mining
+// Checkpoints also carry an epoch, a generation counter a sharded manifest
+// keeps as a floor, and a fingerprint of the state-determining mining
 // configuration; Open refuses a mismatch. Anything else that fails
-// validation (bad magic, mid-log corruption, checkpoint trailing garbage,
-// a log with no checkpoint or a future epoch) is a hard error rather than
-// silent data loss.
+// validation (bad magic, mid-log corruption, checkpoint trailing garbage, a
+// log with no checkpoint, a wal.log of an older build that still holds
+// records) is a hard error rather than silent data loss.
 package wal
 
 import (
@@ -147,9 +148,6 @@ type Options struct {
 	// soon as the goroutine is free). Under SyncInterval and SyncNever it
 	// never touches the ack path.
 	FlushWindow time.Duration
-	// Encoding selects the record encoding for appended records. Recovery
-	// always accepts both encodings regardless of this setting.
-	Encoding Encoding
 	// CheckpointBytes triggers a checkpoint when the log reaches this size.
 	// Zero means DefaultCheckpointBytes; negative disables the size policy.
 	CheckpointBytes int64

@@ -3,6 +3,7 @@ package wal
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,53 +28,45 @@ func testRecords() []Record {
 	}
 }
 
-func TestRecordRoundTripBothEncodings(t *testing.T) {
-	for _, enc := range []Encoding{EncodingBinary, EncodingJSON} {
-		for i, want := range testRecords() {
-			payload, err := encodePayload(want, enc)
-			if err != nil {
-				t.Fatalf("%v record %d: encode: %v", enc, i, err)
-			}
-			got, err := decodePayload(payload)
-			if err != nil {
-				t.Fatalf("%v record %d: decode: %v", enc, i, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v record %d: round trip = %+v, want %+v", enc, i, got, want)
-			}
+func TestRecordRoundTrip(t *testing.T) {
+	for i, want := range testRecords() {
+		payload, err := encodePayload(want)
+		if err != nil {
+			t.Fatalf("record %d: encode: %v", i, err)
+		}
+		got, err := decodePayload(payload)
+		if err != nil {
+			t.Fatalf("record %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("record %d: round trip = %+v, want %+v", i, got, want)
 		}
 	}
 }
 
-// TestRecordGoldenBytes pins the frame payloads of both encodings. The
-// record's Update and TupleSpec are the relation package's token-form types,
-// whose JSON tags also name the HTTP request body keys: a wire rename there
-// would silently change the JSON log format, and this is the test that
-// notices. The bytes were captured before the types were shared.
+// TestRecordGoldenBytes pins the frame payloads of the record encoding: the
+// body-encoding byte, the kind byte, then the varint body.
 func TestRecordGoldenBytes(t *testing.T) {
 	annotations := Record{Kind: KindAddAnnotations, Updates: []Update{{Tuple: 150, Annotation: "Annot_3"}, {Tuple: 0, Annotation: "Annot_src:db1"}}}
 	tuples := Record{Kind: KindAddTuples, Tuples: []TupleSpec{{Values: []string{"28", "85"}, Annotations: []string{"Annot_1"}}, {Values: []string{"99"}}}}
 	cases := []struct {
 		rec  Record
-		enc  Encoding
 		want string
 	}{
-		{annotations, EncodingBinary, "\x00\x01\x02\x96\x01\aAnnot_3\x00\rAnnot_src:db1\x00"},
-		{annotations, EncodingJSON, "\x01\x01" + `{"updates":[{"tuple":150,"annotation":"Annot_3"},{"tuple":0,"annotation":"Annot_src:db1"}]}`},
-		{tuples, EncodingBinary, "\x00\x03\x00\x02\x02\x0228\x0285\x01\aAnnot_1\x01\x0299\x00"},
-		{tuples, EncodingJSON, "\x01\x03" + `{"tuples":[{"values":["28","85"],"annotations":["Annot_1"]},{"values":["99"]}]}`},
+		{annotations, "\x00\x01\x02\x96\x01\aAnnot_3\x00\rAnnot_src:db1\x00"},
+		{tuples, "\x00\x03\x00\x02\x02\x0228\x0285\x01\aAnnot_1\x01\x0299\x00"},
 	}
 	for _, c := range cases {
-		got, err := encodePayload(c.rec, c.enc)
+		got, err := encodePayload(c.rec)
 		if err != nil {
-			t.Fatalf("%v %v: %v", c.rec.Kind, c.enc, err)
+			t.Fatalf("%v: %v", c.rec.Kind, err)
 		}
 		if string(got) != c.want {
-			t.Errorf("%v %v payload = %q, want %q", c.rec.Kind, c.enc, got, c.want)
+			t.Errorf("%v payload = %q, want %q", c.rec.Kind, got, c.want)
 		}
 		back, err := decodePayload([]byte(c.want))
 		if err != nil || !reflect.DeepEqual(back, c.rec) {
-			t.Errorf("%v %v golden payload decodes to %+v (%v), want %+v", c.rec.Kind, c.enc, back, err, c.rec)
+			t.Errorf("%v golden payload decodes to %+v (%v), want %+v", c.rec.Kind, back, err, c.rec)
 		}
 	}
 }
@@ -81,10 +74,10 @@ func TestRecordGoldenBytes(t *testing.T) {
 func TestRecordRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty payload":    {},
-		"unknown kind":     {byte(EncodingBinary), 99},
+		"unknown kind":     {bodyBinary, 99},
 		"unknown encoding": {42, byte(KindAddTuples)},
-		"truncated body":   {byte(EncodingBinary), byte(KindAddAnnotations), 5},
-		"bad JSON":         {byte(EncodingJSON), byte(KindAddTuples), '{'},
+		"truncated body":   {bodyBinary, byte(KindAddAnnotations), 5},
+		"JSON body":        {1, byte(KindAddTuples), '{'},
 	}
 	for name, payload := range cases {
 		if _, err := decodePayload(payload); err == nil {
@@ -93,132 +86,127 @@ func TestRecordRejectsGarbage(t *testing.T) {
 	}
 }
 
-func replayAll(t *testing.T, l *Log) ([]Record, ReplayInfo) {
+// openWAL opens the write-ahead log segment set in dir as Open does, with
+// segments of segBytes (0: the default).
+func openWAL(t *testing.T, dir string, segBytes int64) *SegmentedLog {
 	t.Helper()
-	var got []Record
-	info, err := l.Replay(func(r Record) error {
-		got = append(got, r)
-		return nil
-	})
+	l, err := OpenSegmented(SegmentedOptions{Dir: dir, Prefix: "wal", SegmentBytes: segBytes, RetainSegments: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, info
+	return l
 }
 
+// appendRecords encodes and appends recs, returning each frame's size.
+func appendRecords(t *testing.T, l *SegmentedLog, recs []Record) []int64 {
+	t.Helper()
+	var sizes []int64
+	for _, rec := range recs {
+		payload, err := encodePayload(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, int64(frameHeaderSize+len(payload)))
+	}
+	return sizes
+}
+
+// replayAll decodes every retained record of l, oldest first.
+func replayAll(t *testing.T, l *SegmentedLog) []Record {
+	t.Helper()
+	payloads, err := l.ReadFrom(l.FirstCursor(), math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	for _, p := range payloads {
+		rec, err := decodePayload(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rec)
+	}
+	return got
+}
+
+// TestLogAppendReplay round-trips records through the write-ahead log
+// across a reopen, with segments small enough that they span several.
 func TestLogAppendReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	for _, enc := range []Encoding{EncodingBinary, EncodingJSON} {
-		l, err := OpenLog(path, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, info := replayAll(t, l); info.Records != 0 || info.TornTail {
-			t.Fatalf("%v: fresh log replay = %+v, want empty", enc, info)
-		}
-		want := testRecords()
-		for _, rec := range want {
-			if _, err := l.Append(rec, enc); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		l, err = OpenLog(path, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, info := replayAll(t, l)
-		if info.TornTail {
-			t.Errorf("%v: clean log reported torn tail", enc)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: replay = %+v, want %+v", enc, got, want)
-		}
-		if err := l.Truncate(1); err != nil { // reset for the next encoding
-			t.Fatal(err)
-		}
-		l.Close()
+	dir := t.TempDir()
+	l := openWAL(t, dir, 64)
+	if got := replayAll(t, l); len(got) != 0 || l.TornTail() {
+		t.Fatalf("fresh log replay = %+v (torn %v), want empty", got, l.TornTail())
+	}
+	want := testRecords()
+	appendRecords(t, l, want)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = openWAL(t, dir, 64)
+	defer l.Close()
+	if l.TornTail() {
+		t.Error("clean log reported torn tail")
+	}
+	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay = %+v, want %+v", got, want)
+	}
+	if n := l.Stats().Segments; n < 2 {
+		t.Errorf("records fill %d segment, want several", n)
 	}
 }
 
-// TestLogTornTail truncates the log at every byte offset inside the final
-// record and checks recovery: all fully-written records replay, the torn
-// tail is dropped and truncated away, and appends resume cleanly.
+// TestLogTornTail truncates the newest segment at every byte offset inside
+// the final record and checks recovery: all fully-written records replay,
+// the torn tail is dropped and truncated away, and appends resume cleanly.
 func TestLogTornTail(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	l, err := OpenLog(path, 1)
+	l := openWAL(t, dir, 0)
+	records := testRecords()
+	sizes := appendRecords(t, l, records)
+	path := l.segmentPath(1)
+	l.Close()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := testRecords()
-	var sizes []int64
-	for _, rec := range records {
-		n, err := l.Append(rec, EncodingBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, n)
-	}
-	full := l.Size()
-	l.Close()
+	full := int64(len(raw))
 	lastStart := full - sizes[len(sizes)-1]
 	// A cut exactly on the record boundary is indistinguishable from a
 	// clean log with one fewer record; torn detection starts one byte in.
 	for cut := lastStart + 1; cut < full; cut++ {
-		raw, err := os.ReadFile(path)
-		if err != nil {
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		tornPath := filepath.Join(dir, "torn.log")
-		if err := os.WriteFile(tornPath, raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		tl, err := OpenLog(tornPath, 1)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		got, info := replayAll(t, tl)
-		if !info.TornTail {
+		tl := openWAL(t, dir, 0)
+		if !tl.TornTail() {
 			t.Errorf("cut %d: torn tail not detected", cut)
 		}
-		if len(got) != len(records)-1 {
+		if got := replayAll(t, tl); len(got) != len(records)-1 {
 			t.Errorf("cut %d: replayed %d records, want %d", cut, len(got), len(records)-1)
 		}
-		if tl.Size() != lastStart {
-			t.Errorf("cut %d: size after truncation %d, want %d", cut, tl.Size(), lastStart)
+		if st := tl.Stats(); st.RetainedBytes != lastStart {
+			t.Errorf("cut %d: size after truncation %d, want %d", cut, st.RetainedBytes, lastStart)
 		}
 		// The log must accept appends again and replay them next open.
-		if _, err := tl.Append(records[len(records)-1], EncodingBinary); err != nil {
-			t.Fatalf("cut %d: append after truncation: %v", cut, err)
-		}
+		appendRecords(t, tl, records[len(records)-1:])
 		tl.Close()
-		tl, err = OpenLog(tornPath, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, info = replayAll(t, tl)
-		if info.TornTail || len(got) != len(records) {
-			t.Errorf("cut %d: after repair replay = %d records (torn %v), want %d", cut, len(got), info.TornTail, len(records))
+		tl = openWAL(t, dir, 0)
+		if got := replayAll(t, tl); tl.TornTail() || len(got) != len(records) {
+			t.Errorf("cut %d: after repair replay = %d records (torn %v), want %d", cut, len(got), tl.TornTail(), len(records))
 		}
 		tl.Close()
 	}
 }
 
 func TestLogCorruptTailDropped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenLog(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	l := openWAL(t, dir, 0)
 	records := testRecords()
-	for _, rec := range records {
-		if _, err := l.Append(rec, EncodingBinary); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRecords(t, l, records)
+	path := l.segmentPath(1)
 	l.Close()
 	// Flip a byte in the last record's payload: the CRC catches it and the
 	// record is dropped as a torn tail.
@@ -230,40 +218,50 @@ func TestLogCorruptTailDropped(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err = OpenLog(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l = openWAL(t, dir, 0)
 	defer l.Close()
-	got, info := replayAll(t, l)
-	if !info.TornTail || len(got) != len(records)-1 {
-		t.Errorf("corrupt tail: replay = %d records (torn %v), want %d records, torn", len(got), info.TornTail, len(records)-1)
+	if got := replayAll(t, l); !l.TornTail() || len(got) != len(records)-1 {
+		t.Errorf("corrupt tail: replay = %d records (torn %v), want %d records, torn", len(got), l.TornTail(), len(records)-1)
 	}
 }
 
+// TestOpenLogRejectsForeignFile pins that neither log file a data dir can
+// hold is guessed at: a foreign wal.log (where builds before the segmented
+// WAL kept their log) and a foreign segment both fail the open.
 func TestOpenLogRejectsForeignFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "notawal.log")
-	if err := os.WriteFile(path, []byte("definitely not a wal file"), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("definitely not a wal file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLog(path, 1); err == nil {
-		t.Fatal("OpenLog accepted a foreign file")
+	if _, err := Open(Options{Dir: dir}, testCfg(), incremental.Options{}, func() (*relation.Relation, error) {
+		return fixtureRelation(), nil
+	}); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("Open over a foreign wal.log = %v, want a bad-magic error", err)
+	}
+	segs := t.TempDir()
+	if err := os.WriteFile(filepath.Join(segs, "wal-0000000000000001.seg"), []byte("definitely not a wal segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSegmented(SegmentedOptions{Dir: segs, Prefix: "wal"}); err == nil {
+		t.Fatal("OpenSegmented accepted a foreign segment")
 	}
 }
 
+// TestReplayPropagatesCallbackError pins that a record the engine refuses
+// at replay fails the whole Open with the engine's error.
 func TestReplayPropagatesCallbackError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenLog(path, 1)
-	if err != nil {
+	dir := t.TempDir()
+	s := openFixtureStore(t, Options{Dir: dir})
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if _, err := l.Append(testRecords()[0], EncodingBinary); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	if _, err := l.Replay(func(Record) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("replay error = %v, want %v", err, boom)
+	l := openWAL(t, SegmentDir(dir), 0)
+	appendRecords(t, l, []Record{{Kind: KindAddAnnotations, Updates: []Update{{Tuple: 0, Annotation: "28"}}}})
+	l.Close()
+	_, err := Open(Options{Dir: dir}, testCfg(), incremental.Options{}, nil)
+	var corrupt *ErrRecordCorrupt
+	if !errors.As(err, &corrupt) {
+		t.Errorf("Open over a record replay refuses = %v, want the *ErrRecordCorrupt", err)
 	}
 }
 
@@ -345,12 +343,12 @@ func TestStoreBootstrapsEmptyDirAndRecovers(t *testing.T) {
 }
 
 // TestCheckpointInstallKeepsLogMode pins the install rule's file mode: an
-// installed checkpoint gets the permissions OpenLog gives wal.log, not the
-// 0600 of the temp file it was written to.
+// installed checkpoint gets the permissions the log gives its segments, not
+// the 0600 of the temp file it was written to.
 func TestCheckpointInstallKeepsLogMode(t *testing.T) {
 	dir := t.TempDir()
-	openFixtureStore(t, Options{Dir: dir}) // bootstrap installs the first checkpoint
-	logInfo, err := os.Stat(LogPath(dir))
+	s := openFixtureStore(t, Options{Dir: dir}) // bootstrap installs the first checkpoint
+	logInfo, err := os.Stat(s.log.segmentPath(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +357,7 @@ func TestCheckpointInstallKeepsLogMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ckInfo.Mode() != logInfo.Mode() {
-		t.Errorf("checkpoint.db mode %v, wal.log mode %v: want equal", ckInfo.Mode(), logInfo.Mode())
+		t.Errorf("checkpoint.db mode %v, segment mode %v: want equal", ckInfo.Mode(), logInfo.Mode())
 	}
 }
 
@@ -436,7 +434,7 @@ func TestStoreCheckpointPolicyTruncatesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Policy checkpoints install in the background; the writer collects the
-	// result (and truncates the covered log prefix) on a later Committed,
+	// result (and trims the covered segments) on a later Committed,
 	// Checkpoint, or Close. Collect it deterministically here.
 	if err := s.finishInstall(true); err != nil {
 		t.Fatal(err)
@@ -445,8 +443,8 @@ func TestStoreCheckpointPolicyTruncatesLog(t *testing.T) {
 	if st.Checkpoints != 2 { // initial + policy-triggered
 		t.Errorf("checkpoints = %d, want 2", st.Checkpoints)
 	}
-	if st.LogBytes != int64(logHeaderSize) {
-		t.Errorf("log bytes after checkpoint = %d, want %d (empty)", st.LogBytes, logHeaderSize)
+	if st.LogBytes != segHeaderSize {
+		t.Errorf("log bytes after checkpoint = %d, want %d (one empty segment)", st.LogBytes, segHeaderSize)
 	}
 	if st.LastCheckpointUnixNano == 0 {
 		t.Error("LastCheckpointUnixNano not stamped")
@@ -519,9 +517,9 @@ func renderedRules(eng *incremental.Engine) []string {
 }
 
 // TestStoreDropsStaleLogAfterCheckpointTruncateCrash simulates the crash
-// window between checkpoint install and log truncation: the checkpoint
-// already folds in every logged record, so recovery must discard the log
-// (older epoch) instead of double-applying it.
+// window between checkpoint install and the trim: the checkpoint already
+// folds in every logged record, so recovery must drop the covered segment
+// instead of double-applying it.
 func TestStoreDropsStaleLogAfterCheckpointTruncateCrash(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, CheckpointBytes: -1}
@@ -536,32 +534,36 @@ func TestStoreDropsStaleLogAfterCheckpointTruncateCrash(t *testing.T) {
 	if _, err := s.Engine().AddAnnotatedTuples([]relation.Tuple{tu.Clone()}); err != nil {
 		t.Fatal(err)
 	}
-	staleLog, err := os.ReadFile(LogPath(dir))
+	segPath := s.log.segmentPath(1)
+	staleSeg, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantTuples := s.Engine().Relation().Len()
 	wantRules := renderedRules(s.Engine())
 
-	// Checkpoint (install + truncate), then put the pre-truncation log
-	// back: exactly the state a crash in the window leaves behind.
+	// Checkpoint (install + trim), then put the trimmed segment back:
+	// exactly the state a crash in the window leaves behind.
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(LogPath(dir), staleLog, 0o644); err != nil {
+	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
+		t.Fatalf("covered segment survived the checkpoint: %v", err)
+	}
+	if err := os.WriteFile(segPath, staleSeg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := openFixtureStore(t, opts)
 	rec := s2.Recovery()
-	if !rec.FromCheckpoint || !rec.StaleLogDropped || rec.Records != 0 {
-		t.Fatalf("recovery = %+v, want from-checkpoint with stale log dropped and 0 replayed", rec)
+	if !rec.FromCheckpoint || rec.Records != 0 {
+		t.Fatalf("recovery = %+v, want from-checkpoint with 0 replayed", rec)
 	}
 	if got := s2.Engine().Relation().Len(); got != wantTuples {
-		t.Errorf("recovered %d tuples, want %d (stale log double-applied?)", got, wantTuples)
+		t.Errorf("recovered %d tuples, want %d (covered record double-applied?)", got, wantTuples)
 	}
 	if got := renderedRules(s2.Engine()); !reflect.DeepEqual(got, wantRules) {
 		t.Errorf("recovered rules:\n%v\nwant:\n%v", got, wantRules)
@@ -569,9 +571,11 @@ func TestStoreDropsStaleLogAfterCheckpointTruncateCrash(t *testing.T) {
 	if err := s2.Engine().Verify(); err != nil {
 		t.Errorf("recovered state fails re-mine verification: %v", err)
 	}
-	// The log must now carry the checkpoint's epoch and accept new records.
 	if s2.HasPendingRecords() {
-		t.Error("dropped log still reports pending records")
+		t.Error("dropped segment still reports pending records")
+	}
+	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
+		t.Errorf("open did not finish the trim: %v", err)
 	}
 }
 
@@ -653,51 +657,34 @@ func TestReplayRefusesWrongKindToken(t *testing.T) {
 // TestLogMidCorruptionIsHardError pins the boundary between a torn tail
 // (last record, truncate and continue) and mid-log damage (intact records
 // follow the bad frame; truncating would discard durable acknowledged
-// records, so Replay must refuse).
+// records, so the open must refuse).
 func TestLogMidCorruptionIsHardError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenLog(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := testRecords()
-	var offsets []int64
-	at := l.Size()
-	for _, rec := range records {
-		n, err := l.Append(rec, EncodingBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		offsets = append(offsets, at)
-		at += n
-	}
+	dir := t.TempDir()
+	l := openWAL(t, dir, 0)
+	appendRecords(t, l, testRecords())
+	path := l.segmentPath(1)
 	l.Close()
 	// Flip a payload byte of the FIRST record: two intact records follow.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[offsets[0]+frameHeaderSize] ^= 0xFF
+	raw[segHeaderSize+frameHeaderSize] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err = OpenLog(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	_, err = l.Replay(func(Record) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "mid-log corruption") {
-		t.Fatalf("replay over mid-log damage = %v, want hard mid-log corruption error", err)
+	if _, err := OpenSegmented(SegmentedOptions{Dir: dir, Prefix: "wal", RetainSegments: -1}); err == nil || !strings.Contains(err.Error(), "mid-segment corruption") {
+		t.Fatalf("open over mid-log damage = %v, want hard mid-segment corruption error", err)
 	}
 }
 
 // TestStoreReplaysUncoveredTailAfterInstallCrash simulates the crash window
 // background checkpointing opens: a checkpoint is captured and installed
-// while the writer keeps appending, and the process dies before the log is
-// truncated. The checkpoint's CoveredBytes then splits the log — the prefix
-// is folded in (replaying it would double-apply), the tail is not (dropping
-// it would lose acknowledged writes). Recovery must replay exactly the tail.
+// while the writer keeps appending, and the process dies before the trim.
+// The checkpoint's CoveredCursor then splits the log — the records below it
+// are folded in (replaying them would double-apply), the rest are not
+// (dropping them would lose acknowledged writes). Recovery must replay
+// exactly the rest.
 func TestStoreReplaysUncoveredTailAfterInstallCrash(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, CheckpointBytes: -1}
@@ -714,7 +701,7 @@ func TestStoreReplaysUncoveredTailAfterInstallCrash(t *testing.T) {
 	if _, err := s.Engine().AddAnnotations(batchA); err != nil {
 		t.Fatal(err)
 	}
-	ck := s.capture() // what the background installer would serialize
+	ck, _ := s.capture() // what the background installer would serialize
 
 	// Batch B: appended while the install is "in flight".
 	batchB := []relation.AnnotationUpdate{{Index: 7, Annotation: a5}}
@@ -727,7 +714,7 @@ func TestStoreReplaysUncoveredTailAfterInstallCrash(t *testing.T) {
 	wantRules := renderedRules(s.Engine())
 	wantTuples := s.Engine().Relation().Len()
 
-	// Install the checkpoint durably, then "crash" before the truncation.
+	// Install the checkpoint durably, then "crash" before the trim.
 	if err := storage.WriteCheckpointFile(CheckpointPath(dir), ck); err != nil {
 		t.Fatal(err)
 	}
@@ -739,9 +726,6 @@ func TestStoreReplaysUncoveredTailAfterInstallCrash(t *testing.T) {
 	rec := s2.Recovery()
 	if !rec.FromCheckpoint {
 		t.Fatal("reopen did not recover from the installed checkpoint")
-	}
-	if !rec.StaleLogDropped {
-		t.Error("covered log prefix not reported as dropped")
 	}
 	if rec.Records != 1 {
 		t.Fatalf("replayed %d records, want 1 (batch B only — batch A is covered)", rec.Records)
@@ -755,19 +739,18 @@ func TestStoreReplaysUncoveredTailAfterInstallCrash(t *testing.T) {
 	if err := s2.Engine().Verify(); err != nil {
 		t.Errorf("recovered state fails re-mine verification: %v", err)
 	}
-	// The finished truncation re-stamped the log with the checkpoint's epoch
-	// and kept batch B as its (only) pending record.
+	// Batch B stays the (only) pending record.
 	if !s2.HasPendingRecords() {
-		t.Error("uncovered tail did not survive the finished truncation")
+		t.Error("uncovered tail did not survive the reopen")
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A third open replays the tail again off the equal-epoch log.
+	// A third open replays the same tail again.
 	s3 := openFixtureStore(t, opts)
-	if rec := s3.Recovery(); rec.Records != 1 || rec.StaleLogDropped {
-		t.Fatalf("third open recovery = %+v, want 1 replayed record from the equal-epoch log", rec)
+	if rec := s3.Recovery(); rec.Records != 1 {
+		t.Fatalf("third open recovery = %+v, want 1 replayed record", rec)
 	}
 	if err := s3.Engine().Verify(); err != nil {
 		t.Errorf("third open fails re-mine verification: %v", err)
@@ -827,7 +810,7 @@ func TestStoreBackgroundCheckpointsUnderServingLoad(t *testing.T) {
 // TestStoreFailedLatchRefusesWrites pins the health-probe contract of the
 // failure latch: a cleanly failed append (the write itself errored, nothing
 // durable is ambiguous) does NOT latch, while a latched store — the state
-// the fsync-failure and truncation-failure paths enter via latch() —
+// the fsync-failure and trim-failure paths enter via latch() —
 // reports the cause through Failed() from any goroutine and refuses every
 // later append and checkpoint with that cause.
 func TestStoreFailedLatchRefusesWrites(t *testing.T) {
@@ -840,16 +823,16 @@ func TestStoreFailedLatchRefusesWrites(t *testing.T) {
 
 	// A write that fails outright (broken descriptor) is a clean failure:
 	// nothing reached the file, so the store must NOT latch.
-	good := s.log.f
-	s.log.f, _ = os.Open(s.log.path) // read-only: WriteAt fails, nothing lands
+	good := s.log.active
+	s.log.active, _ = os.Open(good.Name()) // read-only: WriteAt fails, nothing lands
 	if err := s.LogAnnotations([]relation.AnnotationUpdate{{Index: 5, Annotation: a1}}, false); err == nil {
 		t.Fatal("append through a read-only descriptor succeeded")
 	}
 	if err := s.Failed(); err != nil {
 		t.Fatalf("clean append failure latched the store: %v", err)
 	}
-	s.log.f.Close()
-	s.log.f = good
+	s.log.active.Close()
+	s.log.active = good
 
 	// Now latch, exactly as the fsync-failure path does, and check the
 	// probe surface: Failed reports the cause, appends and checkpoints are
