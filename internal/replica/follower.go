@@ -88,13 +88,14 @@ func (c *Client) FetchChunk(ctx context.Context, from uint64, maxBytes int64) (C
 		return Chunk{}, runID, httpError("log chunk", resp)
 	}
 	ch := Chunk{From: from}
-	for _, h := range []struct {
-		name string
-		v    *uint64
-	}{{HeaderNext, &ch.Next}, {HeaderSeq, &ch.Seq}, {HeaderEnd, &ch.End}} {
-		if *h.v, err = headerUint(resp, h.name); err != nil {
-			return Chunk{}, runID, err
-		}
+	if ch.Next, err = headerUint(resp, HeaderNext); err != nil {
+		return Chunk{}, runID, err
+	}
+	if ch.Seq, err = headerUint(resp, HeaderSeq); err != nil {
+		return Chunk{}, runID, err
+	}
+	if ch.End, err = headerUint(resp, HeaderEnd); err != nil {
+		return Chunk{}, runID, err
 	}
 	if ch.Data, err = io.ReadAll(resp.Body); err != nil {
 		return Chunk{}, runID, fmt.Errorf("replica: read log chunk: %w", err)
@@ -262,9 +263,10 @@ func Start(opts Options) (*Follower, error) {
 
 // bootstrap fetches and restores the primary's current checkpoint into a new
 // world, swaps it in, and moves the tail position to the checkpoint's
-// covered cursor, the first record it does not hold. The old world (if any) closes after the swap; its writer is idle —
-// applies only ever run from the goroutine calling us — so the close drains
-// nothing and publishes no churn.
+// covered cursor, the first record it does not hold. The old world (if any)
+// closes after the swap; its writer is idle — applies only ever run from
+// the goroutine calling us — so the close drains nothing and publishes no
+// churn.
 func (f *Follower) bootstrap(ctx context.Context) error {
 	ck, runID, err := f.client.FetchCheckpoint(ctx)
 	if err != nil {

@@ -195,13 +195,13 @@ func OpenSegmentedFrom(opts SegmentedOptions, floor uint64) (*SegmentedLog, erro
 	if opts.Dir == "" {
 		return nil, errors.New("wal: SegmentedOptions.Dir is required")
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: create segment dir: %w", err)
-	}
 	l := &SegmentedLog{dir: opts.Dir, prefix: opts.prefix(), opts: opts}
 	names, err := readDirNames(opts.Dir)
+	if os.IsNotExist(err) {
+		err = os.MkdirAll(opts.Dir, 0o755)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("wal: read segment dir: %w", err)
+		return nil, fmt.Errorf("wal: open segment dir: %w", err)
 	}
 	var infos []segmentInfo
 	for _, name := range names {
@@ -254,9 +254,23 @@ func readDirNames(dir string) ([]string, error) {
 func (l *SegmentedLog) adopt(infos []segmentInfo) error {
 	for i := range infos {
 		last := i == len(infos)-1
-		records, size, torn, err := scanSegment(infos[i].path, infos[i].first, last)
+		flag := os.O_RDONLY
+		if last {
+			flag = os.O_RDWR
+		}
+		f, err := os.OpenFile(infos[i].path, flag, 0)
+		if err != nil {
+			return fmt.Errorf("wal: open segment: %w", err)
+		}
+		records, size, torn, err := scanSegment(f, infos[i].first, last)
+		if err != nil || !last {
+			f.Close()
+		}
 		if err != nil {
 			return err
+		}
+		if last {
+			l.active = f
 		}
 		l.tornTail = l.tornTail || torn
 		infos[i].records = records
@@ -271,11 +285,6 @@ func (l *SegmentedLog) adopt(infos []segmentInfo) error {
 	tail := infos[len(infos)-1]
 	l.sealed = infos[:len(infos)-1]
 	l.next = tail.first + tail.records
-	f, err := os.OpenFile(tail.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: open active segment: %w", err)
-	}
-	l.active = f
 	l.activeFirst = tail.first
 	l.activeSize = tail.size
 	return nil
@@ -307,10 +316,14 @@ func (l *SegmentedLog) segmentPath(first uint64) string {
 // effective size. Only the newest segment (tail) may carry a torn final
 // record, which is truncated away (torn reports it); in a sealed segment a
 // torn end is damage, and damage anywhere is a hard error.
-func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size int64, torn bool, err error) {
-	name := filepath.Base(path)
-	data, err := os.ReadFile(path)
+func scanSegment(f *os.File, wantFirst uint64, tail bool) (records uint64, size int64, torn bool, err error) {
+	name := filepath.Base(f.Name())
+	st, err := f.Stat()
 	if err != nil {
+		return 0, 0, false, fmt.Errorf("wal: stat segment: %w", err)
+	}
+	data := make([]byte, st.Size())
+	if _, err := f.ReadAt(data, 0); err != nil {
 		return 0, 0, false, fmt.Errorf("wal: read segment: %w", err)
 	}
 	if len(data) < segHeaderSize {
@@ -318,7 +331,7 @@ func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size
 			return 0, 0, false, fmt.Errorf("wal: segment %s is shorter than its header", name)
 		}
 		// A crash tore the very first write: rewrite the header in place.
-		if err := writeSegmentHeader(path, wantFirst); err != nil {
+		if err := writeSegmentHeader(f.Name(), wantFirst); err != nil {
 			return 0, 0, false, err
 		}
 		return 0, segHeaderSize, false, nil
@@ -341,7 +354,7 @@ func scanSegment(path string, wantFirst uint64, tail bool) (records uint64, size
 	case end != frameClean && !tail:
 		return 0, 0, false, fmt.Errorf("wal: sealed segment %s holds a torn record at offset %d (%v): mid-history corruption", name, size, ferr)
 	case end != frameClean:
-		if err := os.Truncate(path, size); err != nil {
+		if err := f.Truncate(size); err != nil {
 			return 0, 0, false, fmt.Errorf("wal: truncate torn segment tail: %w", err)
 		}
 		torn = true
