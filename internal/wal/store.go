@@ -210,7 +210,7 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 		s.eng = eng
 		s.recovery.FromCheckpoint = true
 		s.epoch.Store(ck.Epoch)
-		s.covered = max(ck.CoveredCursor, 1)
+		s.covered = ck.CoveredCursor
 	case os.IsNotExist(err):
 		// A log with no checkpoint cannot happen under this package's write
 		// ordering (the first checkpoint precedes the first append); if one
