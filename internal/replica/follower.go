@@ -284,10 +284,12 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return err
 	}
 	f.bootstraps.Add(1)
+	// Adopt the run before the swap, so no barrier is checked against the
+	// old run's watermark while the new run's world serves.
+	f.adoptRun(runID)
 	old := f.world.Swap(&World{Router: router, Epoch: ck.Epoch})
 	f.from = ck.CoveredCursor
 	f.noteContact()
-	f.noteRunID(runID)
 	if old != nil {
 		closeCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -335,18 +337,25 @@ func (f *Follower) run() {
 
 // step fetches and applies one chunk. caughtUp reports that the follower
 // reached the end observed with the chunk (and advanced the watermark). A
-// chunk from another primary run is a conflict: that run may have reused
-// the cursors of a tail the follower applied and the primary lost.
+// reply from another primary run is a conflict: that run may have reused
+// the cursors of a tail the follower applied and the primary lost. The
+// watermark drops to 0 at once, since it counts the old run's writes.
 func (f *Follower) step() (caughtUp bool, err error) {
 	ch, runID, err := f.client.FetchChunk(f.ctx, f.from, f.opts.ChunkBytes)
-	if err != nil {
+	if err != nil && runID == "" {
 		return false, err
 	}
 	f.mu.Lock()
-	known := f.runID
+	changed := runID != f.runID
+	if changed {
+		f.lowerWatermark()
+	}
 	f.mu.Unlock()
-	if runID != known {
+	if changed {
 		return false, ErrConflict
+	}
+	if err != nil {
+		return false, err
 	}
 	recs, _, err := wal.DecodeFrames(ch.Data)
 	// Apply the intact prefix even when the tail of the chunk is damaged:
@@ -363,7 +372,7 @@ func (f *Follower) step() (caughtUp bool, err error) {
 		return false, err
 	}
 	if f.from >= ch.End {
-		f.advance(ch.Seq, runID)
+		f.advance(ch.Seq)
 		return true, nil
 	}
 	return false, nil
@@ -376,15 +385,31 @@ func (f *Follower) apply(rec wal.Record) error {
 	return f.world.Load().Router.Replay(f.ctx, rec)
 }
 
-// noteRunID records the primary run id without touching the watermark; the
-// reset happens at the next advance, when a fresh sample exists.
-func (f *Follower) noteRunID(runID string) {
+// adoptRun records the primary run the follower now bootstraps from. A
+// changed run resets the watermark to 0: the new run numbers its writes
+// from scratch, so the old run's higher seq would let a barrier for a write
+// the new run acknowledged pass before the write is applied. The next
+// advance raises it to the new run's seq.
+func (f *Follower) adoptRun(runID string) {
 	if runID == "" {
 		return
 	}
 	f.mu.Lock()
-	f.runID = runID
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if runID != f.runID {
+		f.runID = runID
+		f.lowerWatermark()
+	}
+}
+
+// lowerWatermark resets the watermark to 0; f.mu must be held.
+func (f *Follower) lowerWatermark() {
+	if f.seq == 0 {
+		return
+	}
+	f.seq = 0
+	close(f.seqCh)
+	f.seqCh = make(chan struct{})
 }
 
 // noteContact stamps the freshness clock: the follower just confirmed the
@@ -395,24 +420,18 @@ func (f *Follower) noteContact() {
 	f.mu.Unlock()
 }
 
-// advance publishes a new watermark. Within one primary run it is a
-// monotonic max; a run id change (primary restart) resets it unconditionally
-// — the new run's sequences restarted from scratch. Even a seq-unchanged
-// call stamps the freshness clock: the primary was reached and its position
-// confirmed, whether or not it moved.
-func (f *Follower) advance(seq uint64, runID string) {
+// advance publishes a new watermark, a monotonic max within one primary
+// run (a run change goes through a conflict and adoptRun first). Even a
+// seq-unchanged call stamps the freshness clock: the primary was reached
+// and its position confirmed, whether or not it moved.
+func (f *Follower) advance(seq uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.lastContact = time.Now()
-	switch {
-	case runID != "" && runID != f.runID:
-		f.runID = runID
-		f.seq = seq
-	case seq > f.seq:
-		f.seq = seq
-	default:
+	if seq <= f.seq {
 		return
 	}
+	f.seq = seq
 	close(f.seqCh)
 	f.seqCh = make(chan struct{})
 }

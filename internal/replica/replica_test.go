@@ -17,7 +17,14 @@ var testCfg = mining.Config{MinSupport: 0.3, MinConfidence: 0.7}
 
 func sourceStore(t *testing.T) *wal.Store {
 	t.Helper()
-	s, err := wal.Open(wal.Options{Dir: t.TempDir()}, testCfg, incremental.Options{}, func() (*relation.Relation, error) {
+	return openSourceStore(t, t.TempDir())
+}
+
+// openSourceStore opens (or reopens) the store in dir, seeding a fresh one
+// with a small relation; the test's cleanup closes it.
+func openSourceStore(t *testing.T, dir string) *wal.Store {
+	t.Helper()
+	s, err := wal.Open(wal.Options{Dir: dir}, testCfg, incremental.Options{}, func() (*relation.Relation, error) {
 		return storage.ReadDataset(strings.NewReader(`28 85 99 Annot_1 Annot_5
 28 85 12 Annot_1 Annot_5
 28 85 40 Annot_1 Annot_5
@@ -58,7 +65,12 @@ func logAnnotation(t *testing.T, s *wal.Store, tuple int, token string) {
 
 func newTestSource(t *testing.T, s *wal.Store, seq uint64) *Source {
 	t.Helper()
-	src, err := NewSource(s, func() uint64 { return seq })
+	return newProbedSource(t, s, func() uint64 { return seq })
+}
+
+func newProbedSource(t *testing.T, s *wal.Store, seq func() uint64) *Source {
+	t.Helper()
+	src, err := NewSource(s, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
