@@ -1,7 +1,7 @@
 // Package lockio implements the annotlint analyzer enforcing the hot-lock
-// contract: while one of the configured hot mutexes is held (the
-// incremental engine's lock, the stream broker's lock, the shard router's
-// append lock), no blocking I/O may run — no os.File
+// contract: while one of the configured hot mutexes is held (the segmented
+// log's append lock, the incremental engine's lock, the stream broker's
+// lock, the shard router's append lock), no blocking I/O may run — no os.File
 // writes or fsyncs, no WAL appends, no HTTP calls, no channel sends, no
 // sleeps — because every reader, writer, or health probe that needs the
 // same lock would stall behind the disk or the network. The analyzer also
@@ -39,6 +39,7 @@ type Config struct {
 // DefaultLocks are the repository's hot locks: every one of them sits on a
 // path that readers, health probes, or all writers share.
 var DefaultLocks = []string{
+	"annotadb/internal/wal.SegmentedLog.mu",
 	"annotadb/internal/incremental.Engine.mu",
 	"annotadb/internal/stream.Broker.mu",
 	"annotadb/internal/shard.Router.appendMu",

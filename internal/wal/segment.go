@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,6 +49,7 @@ type SegmentedLog struct {
 	// gets; first the oldest retained cursor (1 when nothing was trimmed).
 	activeFirst uint64
 	activeSize  int64
+	activeMarks []mark
 	next        uint64
 	first       uint64
 	sealed      []segmentInfo
@@ -74,6 +76,52 @@ type segmentInfo struct {
 	first   uint64 // cursor of the first record
 	records uint64 // record count
 	size    int64  // file size, header included
+	marks   []mark
+}
+
+// readStride spaces a segment's marks. A read starts at the last mark at or
+// below its first cursor and stops at the first mark past the records it
+// wants, so it reads at most about two strides beyond them wherever they lie
+// in the segment: a caught-up reader polling the active segment does not
+// re-read its whole prefix.
+const readStride = 64 << 10
+
+// mark is a frame boundary of a segment: the record with cursor starts at
+// byte offset off (header included). Every segment's marks open with its
+// first record at segHeaderSize and then follow one per readStride bytes.
+type mark struct {
+	cursor uint64
+	off    int64
+}
+
+// markFrames extends marks over the whole frames in b, the first of which
+// carries cursor c and starts at segment offset off.
+func markFrames(marks []mark, b []byte, c uint64, off int64) []mark {
+	if off+int64(len(b)) <= marks[len(marks)-1].off+readStride {
+		return marks // no frame in b starts a stride past the last mark
+	}
+	for len(b) > 0 {
+		if off >= marks[len(marks)-1].off+readStride {
+			marks = append(marks, mark{cursor: c, off: off})
+		}
+		n := frameSize(b)
+		b, off, c = b[n:], off+n, c+1
+	}
+	return marks
+}
+
+// window returns the byte range [from, to) of a segment holding the records
+// cursor .. cursor+n-1, widened out to the nearest marks (or to limit, the
+// end of its whole frames), and the cursor of the record at from.
+func window(marks []mark, limit int64, cursor uint64, n int) (startCursor uint64, from, to int64) {
+	i := sort.Search(len(marks), func(i int) bool { return marks[i].cursor > cursor }) - 1
+	end := cursor + uint64(n)
+	j := sort.Search(len(marks), func(i int) bool { return marks[i].cursor >= end })
+	to = limit
+	if j < len(marks) && end > cursor {
+		to = min(marks[j].off, limit)
+	}
+	return marks[i].cursor, marks[i].off, to
 }
 
 // SegmentedOptions tune a SegmentedLog.
@@ -262,7 +310,7 @@ func (l *SegmentedLog) adopt(infos []segmentInfo) error {
 		if err != nil {
 			return fmt.Errorf("wal: open segment: %w", err)
 		}
-		records, size, torn, err := scanSegment(f, infos[i].first, last)
+		records, size, marks, torn, err := scanSegment(f, infos[i].first, last)
 		if err != nil || !last {
 			f.Close()
 		}
@@ -275,6 +323,7 @@ func (l *SegmentedLog) adopt(infos []segmentInfo) error {
 		l.tornTail = l.tornTail || torn
 		infos[i].records = records
 		infos[i].size = size
+		infos[i].marks = marks
 		if !last && infos[i+1].first != infos[i].first+records {
 			return fmt.Errorf("wal: segment %s holds cursors %d..%d but %s starts at %d: retained history is not contiguous",
 				filepath.Base(infos[i].path), infos[i].first, infos[i].first+records-1,
@@ -287,6 +336,7 @@ func (l *SegmentedLog) adopt(infos []segmentInfo) error {
 	l.next = tail.first + tail.records
 	l.activeFirst = tail.first
 	l.activeSize = tail.size
+	l.activeMarks = tail.marks
 	return nil
 }
 
@@ -312,36 +362,37 @@ func (l *SegmentedLog) segmentPath(first uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%s-%016x.seg", l.prefix, first))
 }
 
-// scanSegment validates one segment file and returns its record count and
-// effective size. Only the newest segment (tail) may carry a torn final
-// record, which is truncated away (torn reports it); in a sealed segment a
-// torn end is damage, and damage anywhere is a hard error.
-func scanSegment(f *os.File, wantFirst uint64, tail bool) (records uint64, size int64, torn bool, err error) {
+// scanSegment validates one segment file and returns its record count,
+// effective size and marks. Only the newest segment (tail) may carry a torn
+// final record, which is truncated away (torn reports it); in a sealed
+// segment a torn end is damage, and damage anywhere is a hard error.
+func scanSegment(f *os.File, wantFirst uint64, tail bool) (records uint64, size int64, marks []mark, torn bool, err error) {
 	name := filepath.Base(f.Name())
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: stat segment: %w", err)
+		return 0, 0, nil, false, fmt.Errorf("wal: stat segment: %w", err)
 	}
 	data := make([]byte, st.Size())
 	if _, err := f.ReadAt(data, 0); err != nil {
-		return 0, 0, false, fmt.Errorf("wal: read segment: %w", err)
+		return 0, 0, nil, false, fmt.Errorf("wal: read segment: %w", err)
 	}
+	marks = []mark{{cursor: wantFirst, off: segHeaderSize}}
 	if len(data) < segHeaderSize {
 		if !tail {
-			return 0, 0, false, fmt.Errorf("wal: segment %s is shorter than its header", name)
+			return 0, 0, nil, false, fmt.Errorf("wal: segment %s is shorter than its header", name)
 		}
 		// A crash tore the very first write: rewrite the header in place.
 		if err := writeSegmentHeader(f.Name(), wantFirst); err != nil {
-			return 0, 0, false, err
+			return 0, 0, nil, false, err
 		}
-		return 0, segHeaderSize, false, nil
+		return 0, segHeaderSize, marks, false, nil
 	}
 	first, ok := decodeHeader(data, segMagic)
 	if !ok {
-		return 0, 0, false, fmt.Errorf("wal: %s is not a wal segment (bad magic)", name)
+		return 0, 0, nil, false, fmt.Errorf("wal: %s is not a wal segment (bad magic)", name)
 	}
 	if first != wantFirst {
-		return 0, 0, false, fmt.Errorf("wal: segment %s header says first cursor %d, file name says %d", name, first, wantFirst)
+		return 0, 0, nil, false, fmt.Errorf("wal: segment %s header says first cursor %d, file name says %d", name, first, wantFirst)
 	}
 	n, end, ferr := scanFrames(data[segHeaderSize:], func([]byte) bool {
 		records++
@@ -350,16 +401,16 @@ func scanSegment(f *os.File, wantFirst uint64, tail bool) (records uint64, size 
 	size = segHeaderSize + n
 	switch {
 	case end == frameDamage:
-		return 0, 0, false, fmt.Errorf("wal: segment %s record at offset %d: %v: mid-segment corruption", name, size, ferr)
+		return 0, 0, nil, false, fmt.Errorf("wal: segment %s record at offset %d: %v: mid-segment corruption", name, size, ferr)
 	case end != frameClean && !tail:
-		return 0, 0, false, fmt.Errorf("wal: sealed segment %s holds a torn record at offset %d (%v): mid-history corruption", name, size, ferr)
+		return 0, 0, nil, false, fmt.Errorf("wal: sealed segment %s holds a torn record at offset %d (%v): mid-history corruption", name, size, ferr)
 	case end != frameClean:
 		if err := f.Truncate(size); err != nil {
-			return 0, 0, false, fmt.Errorf("wal: truncate torn segment tail: %w", err)
+			return 0, 0, nil, false, fmt.Errorf("wal: truncate torn segment tail: %w", err)
 		}
 		torn = true
 	}
-	return records, size, torn, nil
+	return records, size, markFrames(marks, data[segHeaderSize:size], wantFirst, segHeaderSize), torn, nil
 }
 
 func writeSegmentHeader(path string, first uint64) error {
@@ -396,6 +447,8 @@ func (l *SegmentedLog) startSegment() error {
 	l.active = f
 	l.activeFirst = l.next
 	l.activeSize = segHeaderSize
+	l.activeMarks = make([]mark, 1, l.opts.segmentBytes()/readStride+1)
+	l.activeMarks[0] = mark{cursor: l.next, off: segHeaderSize}
 	return nil
 }
 
@@ -437,9 +490,11 @@ func (l *SegmentedLog) Append(payloads ...[]byte) (uint64, error) {
 				break
 			}
 		}
+		//annotlint:ignore lockio mu orders appends and assigns their cursors; this is a page-cache write, and the fsync that makes it durable runs outside mu (Sync)
 		if _, err := l.active.WriteAt(frames[:n], l.activeSize); err != nil {
 			return first, fmt.Errorf("wal: segment append: %w", err)
 		}
+		l.activeMarks = markFrames(l.activeMarks, frames[:n], l.next, l.activeSize)
 		frames = frames[n:]
 		l.activeSize += n
 		l.next += records
@@ -457,21 +512,24 @@ func (l *SegmentedLog) Append(payloads ...[]byte) (uint64, error) {
 }
 
 // rotateLocked seals the active segment and starts a new one, then trims
-// sealed segments beyond the retention policy. Caller holds l.mu.
+// sealed segments beyond the retention policy. Caller holds l.mu, so
+// appends wait out the seal's fsync and the new segment's directory fsync:
+// once per SegmentBytes, the price of a sealed segment being durable before
+// any record lands in the next.
 func (l *SegmentedLog) rotateLocked() error {
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("wal: seal segment: %w", err)
 	}
 	l.syncs.Add(1)
-	path := l.active.Name()
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: seal segment: %w", err)
 	}
 	l.sealed = append(l.sealed, segmentInfo{
-		path:    path,
+		path:    l.segmentPath(l.activeFirst),
 		first:   l.activeFirst,
 		records: l.next - l.activeFirst,
 		size:    l.activeSize,
+		marks:   l.activeMarks,
 	})
 	l.rotations.Add(1)
 	l.rotatedBytes.Add(l.activeSize)
@@ -524,15 +582,21 @@ func (l *SegmentedLog) Sync() error {
 // between were lost with an unsynced tail but are covered, and reusing
 // their cursors would make the next open skip new records as covered.
 func (l *SegmentedLog) TrimBelow(cursor uint64) error {
+	var prev *os.File // the replaced active segment, closed once mu is free
+	defer func() {
+		if prev != nil {
+			prev.Close() // every record in it is covered; it is deleted below
+		}
+	}()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("wal: segmented log closed")
 	}
 	if l.activeFirst < cursor && l.next <= cursor {
-		old := segmentInfo{path: l.active.Name(), first: l.activeFirst, records: l.next - l.activeFirst, size: l.activeSize}
+		old := segmentInfo{path: l.segmentPath(l.activeFirst), first: l.activeFirst, records: l.next - l.activeFirst, size: l.activeSize, marks: l.activeMarks}
 		l.next = cursor
-		prev := l.active
+		active := l.active
 		if err := l.startSegment(); err != nil {
 			// Keep the old segment active and drop the new file, which
 			// would otherwise break the chain of first cursors. The Store
@@ -543,7 +607,7 @@ func (l *SegmentedLog) TrimBelow(cursor uint64) error {
 			l.next = old.first + old.records
 			return err
 		}
-		prev.Close() // every record in it is covered; it is deleted below
+		prev = active
 		l.sealed = append(l.sealed, old)
 	}
 	for len(l.sealed) > 0 && l.sealed[0].first+l.sealed[0].records <= cursor {
@@ -607,25 +671,20 @@ func (l *SegmentedLog) ReadFrom(cursor uint64, max int) ([][]byte, error) {
 	// sealed, and the active file is only ever appended to beyond the
 	// snapshotted size, so reading outside the lock is safe. A retention
 	// trim racing this read can only delete segments we re-check below.
-	type span struct {
-		path    string
-		first   uint64
-		records uint64
-		limit   int64 // read no frames past this offset
-	}
-	var spans []span
-	for _, s := range l.sealed {
-		spans = append(spans, span{path: s.path, first: s.first, records: s.records, limit: s.size})
-	}
-	spans = append(spans, span{path: l.active.Name(), first: l.activeFirst, records: l.next - l.activeFirst, limit: l.activeSize})
+	// Append extends the active marks in place, past the snapshotted length
+	// only, so the snapshot stays valid.
+	i := sort.Search(len(l.sealed), func(i int) bool { return l.sealed[i].first+l.sealed[i].records > cursor })
+	spans := append([]segmentInfo(nil), l.sealed[i:]...)
+	spans = append(spans, segmentInfo{first: l.activeFirst, records: l.next - l.activeFirst, size: l.activeSize, marks: l.activeMarks})
 	l.mu.Unlock()
+	spans[len(spans)-1].path = l.segmentPath(spans[len(spans)-1].first)
 
 	var out [][]byte
 	for _, s := range spans {
 		if cursor >= s.first+s.records {
 			continue
 		}
-		payloads, err := readSegmentRange(s.path, s.first, s.limit, cursor, max-len(out))
+		payloads, err := readSegmentRange(s, cursor, max-len(out))
 		if err != nil {
 			if os.IsNotExist(err) {
 				// Trimmed while we read: report the gap with a fresh floor.
@@ -643,22 +702,22 @@ func (l *SegmentedLog) ReadFrom(cursor uint64, max int) ([][]byte, error) {
 }
 
 // readSegmentRange reads payloads for cursors [from, from+max) out of one
-// segment file whose first record carries cursor first. Frames below limit
-// are all whole, so any torn or damaged end there is corruption. The
-// returned payloads share one read buffer.
-func readSegmentRange(path string, first uint64, limit int64, from uint64, max int) ([][]byte, error) {
-	f, err := os.Open(path)
+// segment, reading only the window its marks give. Frames below the
+// segment's size are all whole, so any torn or damaged end there is
+// corruption. The returned payloads share one read buffer.
+func readSegmentRange(seg segmentInfo, from uint64, max int) ([][]byte, error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	data := make([]byte, limit-segHeaderSize)
-	if _, err := f.ReadAt(data, segHeaderSize); err != nil {
-		return nil, fmt.Errorf("wal: read segment %s: %w", filepath.Base(path), err)
+	cur, start, end := window(seg.marks, seg.size, from, max)
+	data := make([]byte, end-start)
+	if _, err := f.ReadAt(data, start); err != nil {
+		return nil, fmt.Errorf("wal: read segment %s: %w", filepath.Base(seg.path), err)
 	}
-	cur := first
 	var out [][]byte
-	n, end, ferr := scanFrames(data, func(payload []byte) bool {
+	n, frames, ferr := scanFrames(data, func(payload []byte) bool {
 		if len(out) == max {
 			return false
 		}
@@ -668,8 +727,8 @@ func readSegmentRange(path string, first uint64, limit int64, from uint64, max i
 		cur++
 		return true
 	})
-	if end != frameClean {
-		return nil, fmt.Errorf("wal: segment %s record at offset %d: %v: corruption below the read limit", filepath.Base(path), segHeaderSize+n, ferr)
+	if frames != frameClean {
+		return nil, fmt.Errorf("wal: segment %s record at offset %d: %v: corruption below the read limit", filepath.Base(seg.path), start+n, ferr)
 	}
 	return out, nil
 }
@@ -707,16 +766,20 @@ func (l *SegmentedLog) Close() error {
 	l.flusher = nil
 	l.mu.Unlock()
 	// The flusher syncs through Sync, which takes mu and fails once the log
-	// is closed: stop it before re-locking below.
+	// is closed: stop it before closing below.
 	flusher.stop()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	syncErr := l.active.Sync()
-	closeErr := l.active.Close()
+	f := l.active
+	l.mu.Unlock()
+	// Closed, the log takes no more appends, so the final fsync runs outside
+	// mu; an in-flight Sync that finds the file closed has nothing to do.
+	syncErr := f.Sync()
+	closeErr := f.Close()
 	if syncErr != nil {
 		return fmt.Errorf("wal: close segmented log: %w", syncErr)
 	}

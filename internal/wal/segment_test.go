@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -346,6 +347,106 @@ func TestSegmentedBatchAppendMatchesSingleAppends(t *testing.T) {
 			if string(got[name]) != string(w) {
 				t.Errorf("batches %v: %s differs from single appends:\n got %x\nwant %x", sizes, name, got[name], w)
 			}
+		}
+	}
+}
+
+// TestSegmentedReadWindow pins the read marks: a read at any cursor returns
+// the right records while reading only a window around them, and a reopen
+// rebuilds the same marks from the files that appends kept in memory.
+func TestSegmentedReadWindow(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	opts := SegmentedOptions{Dir: dir, SegmentBytes: 256 << 10, RetainSegments: -1}
+	l, err := OpenSegmented(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxPayload = 3000
+	var want [][]byte
+	for i := 0; len(want) < 600; i++ {
+		batch := make([][]byte, 1+i%3)
+		for j := range batch {
+			p := make([]byte, 100+(len(want)*131)%(maxPayload-100))
+			copy(p, fmt.Sprintf("record-%04d", len(want)))
+			batch[j] = p
+			want = append(want, p)
+		}
+		if _, err := l.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(l.sealed) == 0 {
+		t.Fatal("no rotation; the test wants sealed and active marks")
+	}
+	check := func(l *SegmentedLog) {
+		t.Helper()
+		segs := append(append([]segmentInfo(nil), l.sealed...), segmentInfo{first: l.activeFirst, records: l.next - l.activeFirst, size: l.activeSize, marks: l.activeMarks})
+		for _, seg := range segs {
+			for c := seg.first; c < seg.first+seg.records; c++ {
+				_, from, to := window(seg.marks, seg.size, c, 3)
+				if bound := int64(2*(readStride+frameHeaderSize+maxPayload) + 3*(frameHeaderSize+maxPayload)); to-from > bound {
+					t.Fatalf("read of cursor %d spans bytes %d..%d, more than %d", c, from, to, bound)
+				}
+			}
+		}
+		for c := uint64(1); c <= uint64(len(want)); c++ {
+			got, err := l.ReadFrom(c, 3)
+			if err != nil {
+				t.Fatalf("ReadFrom(%d): %v", c, err)
+			}
+			n := min(3, len(want)-int(c)+1)
+			if len(got) != n {
+				t.Fatalf("ReadFrom(%d) returned %d records, want %d", c, len(got), n)
+			}
+			for i, p := range got {
+				if string(p) != string(want[int(c)-1+i]) {
+					t.Fatalf("ReadFrom(%d) record %d is %.11q, want %.11q", c, i, p, want[int(c)-1+i])
+				}
+			}
+		}
+	}
+	check(l)
+	sealed, active := l.sealed, l.activeMarks
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = openSeg(t, opts)
+	for i := range sealed {
+		if !slices.Equal(l.sealed[i].marks, sealed[i].marks) {
+			t.Errorf("segment %d marks after reopen %v, appends kept %v", i, l.sealed[i].marks, sealed[i].marks)
+		}
+	}
+	if !slices.Equal(l.activeMarks, active) {
+		t.Errorf("active marks after reopen %v, appends kept %v", l.activeMarks, active)
+	}
+	check(l)
+}
+
+// BenchmarkSegmentedTailRead is a caught-up reader of a 1 MiB active
+// segment: each iteration appends one record and reads it back, the
+// follower's poll against a primary under steady writes.
+func BenchmarkSegmentedTailRead(b *testing.B) {
+	l, err := OpenSegmented(SegmentedOptions{Dir: b.TempDir(), SegmentBytes: 4 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	payload := make([]byte, 200)
+	for l.Stats().RetainedBytes < 1<<20 {
+		if _, err := l.Append(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := l.Append(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got, err := l.ReadFrom(c, 256); err != nil || len(got) != 1 {
+			b.Fatalf("ReadFrom(%d) = %d records, %v", c, len(got), err)
 		}
 	}
 }
