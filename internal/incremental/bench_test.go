@@ -63,6 +63,63 @@ func BenchmarkRemine(b *testing.B) {
 	}
 }
 
+// BenchmarkAnnotationStream is paper_maintain's annotation traffic at n=32K
+// and 0.4 / 0.8: a rolling sequence of fresh 200-update attach batches, each
+// detached 32 batches later, with a relation view captured every 50 batches
+// as the workload's re-mine does. An iteration is one attach batch and one
+// detach batch. Unlike BenchmarkAnnotationBatch, which repeats one
+// cache-warm batch over a never-sealed relation, every batch here lands on
+// other tuples, and the views make writes pay their copy-on-write copies.
+//
+//	go test -run '^$' -bench AnnotationStream -benchmem ./internal/incremental
+func BenchmarkAnnotationStream(b *testing.B) {
+	const (
+		tuples  = 32000
+		updates = 200
+		window  = 32 // batches an attach stays before its detach
+		viewGap = 50 // batches between view captures
+	)
+	stream, rel := paperRelation(b, tuples)
+	e, err := New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dict := rel.Dictionary()
+	batches := make([][]relation.AnnotationUpdate, window+b.N)
+	for k := range batches {
+		for _, u := range stream.Annotations(updates, tuples) {
+			batches[k] = append(batches[k], relation.AnnotationUpdate{Index: u.Tuple, Annotation: relation.MustAnnotation(dict, u.Annotation)})
+		}
+	}
+	// attached[k%window] holds what batch k attached until its detach.
+	attached := make([][]relation.AnnotationUpdate, window)
+	attach := func(k int) {
+		if _, err := e.AddAnnotations(batches[k]); err != nil {
+			b.Fatal(err)
+		}
+		attached[k%window] = append(attached[k%window][:0], e.delta.Applied...)
+		if k%viewGap == 0 {
+			rel.View()
+		}
+	}
+	for k := 0; k < window; k++ {
+		attach(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := window + i
+		if _, err := e.RemoveAnnotations(attached[k%window]); err != nil {
+			b.Fatal(err)
+		}
+		attach(k)
+	}
+	b.StopTimer()
+	if err := e.Verify(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // paperRelation builds the first tuples of the paper corpus at seed 1 and
 // returns the stream that continues it.
 func paperRelation(b *testing.B, tuples int) (workload.Stream, *relation.Relation) {

@@ -390,10 +390,10 @@ func (e *Engine) annotationBatch(batch []relation.AnnotationUpdate, c Case) (*Re
 // signedPass applies an annotation batch — attaches, or detaches for
 // CaseRemoveAnnotations — and maintains the rules from the tuples the write
 // reported, each with its annotation set before and after the batch. Indexed
-// into e.batch with the data values they keep, which both sides share, those
-// tuples give every count's change as e.batch.Change(p), after − before:
-// positive for an attach, negative for a detach, and zero for any pattern
-// without a changed annotation.
+// into e.batch, whose data half both sides share and reads from the
+// relation's index at those tuples, they give every count's change as
+// e.batch.Change(p), after − before: positive for an attach, negative for a
+// detach, and zero for any pattern without a changed annotation.
 func (e *Engine) signedPass(batch []relation.AnnotationUpdate, rep *Report) error {
 	remove := rep.Case == CaseRemoveAnnotations
 	if err := e.rel.ApplyDelta(batch, remove, &e.delta); err != nil {
@@ -458,16 +458,11 @@ func (e *Engine) signedPass(batch []relation.AnnotationUpdate, rep *Report) erro
 	return nil
 }
 
-// indexDelta indexes the reported tuples into e.batch, each tuple's data
-// values once, and marks, in e.changed and e.changedList, the annotations
-// the batch changed that the mining view can see. It reports whether there
-// was any.
+// indexDelta indexes the reported tuples into e.batch and marks, in
+// e.changed and e.changedList, the annotations the batch changed that the
+// mining view can see. It reports whether there was any.
 func (e *Engine) indexDelta() bool {
-	ts := e.delta.Tuples
-	e.batch.Reset(len(ts))
-	for i, t := range ts {
-		e.batch.Add(i, t.Data, t.Before, t.After)
-	}
+	e.batch.IndexDelta(&e.delta)
 	for _, a := range e.changedList {
 		e.changed.set(a, false)
 	}
@@ -481,38 +476,41 @@ func (e *Engine) indexDelta() bool {
 	return len(e.changedList) > 0
 }
 
-// annotPatternChanges returns how much the batch moved each annotation
-// pattern it changed, as a magnitude: a gain for an attach, a loss for a
-// detach. Only relevant annotations can appear in a pattern worth tracking —
-// a pattern's count is at most its rarest member's frequency — and a pattern
-// can only move on a tuple where one of its members changed. So the changed
-// side (after an attach, before a detach) of every tuple with a relevant
-// change is indexed over its relevant annotations and mined with Apriori at
-// MinCount 1 and the configured MaxLen; each mined pattern's change is then
-// counted over the batch index.
+// annotPatternChanges returns every annotation pattern the batch moved and
+// by how much, as a magnitude: a gain for an attach, a loss for a detach.
+// Only relevant annotations can appear in a pattern worth tracking — a
+// pattern's count is at most its rarest member's frequency — and an attach
+// only adds to a tuple (a detach only takes away), so a pattern over them
+// moves on a tuple exactly when it lies in the tuple's changed side (after
+// an attach, before a detach) and holds an annotation the batch changed
+// there. Each changed tuple's such subsets, up to MaxLen items, are counted
+// directly (subsetCounter); nothing is mined.
 //
-// The mining is budgeted: each such tuple is charged the worst case of its
-// subsets, and exceeding SubsetBudget reports false before anything is
-// mined.
-func (e *Engine) annotPatternChanges(remove bool) (map[itemset.Key]int, bool) {
+// The counting is budgeted: each tuple with a relevant change is charged
+// the worst case of its subsets, and exceeding SubsetBudget reports false.
+func (e *Engine) annotPatternChanges(remove bool) ([]patternChange, bool) {
 	budget := int64(e.opts.subsetBudget())
 	var spent int64
-	e.hits = e.hits[:0]
+	c := &e.subsets
+	c.reset()
 	for _, t := range e.delta.Tuples {
 		side, other := t.After, t.Before
 		if remove {
 			side, other = t.Before, t.After
 		}
-		n, hit := 0, false
+		c.beginTuple()
+		hit := false
 		for _, a := range side {
 			if e.relevant.has(a) {
-				n++
-				hit = hit || !other.Contains(a)
+				moved := !other.Contains(a)
+				c.add(a, moved)
+				hit = hit || moved
 			}
 		}
 		if !hit {
 			continue
 		}
+		n := len(c.side)
 		limit := n
 		if e.cfg.MaxLen > 0 && e.cfg.MaxLen < limit {
 			limit = e.cfg.MaxLen
@@ -522,33 +520,9 @@ func (e *Engine) annotPatternChanges(remove bool) (map[itemset.Key]int, bool) {
 				return nil, false
 			}
 		}
-		e.hits = append(e.hits, side)
+		c.countTuple(limit)
 	}
-	e.mined.Reset(len(e.hits))
-	for j, side := range e.hits {
-		e.scratch = e.scratch[:0]
-		for _, a := range side {
-			if e.relevant.has(a) {
-				e.scratch = append(e.scratch, a)
-			}
-		}
-		e.mined.Add(j, nil, nil, e.scratch)
-	}
-	if e.changes == nil {
-		e.changes = make(map[itemset.Key]int)
-	}
-	clear(e.changes)
-	sign := 1
-	if remove {
-		sign = -1
-	}
-	cat := apriori.Mine(e.mined.After(), apriori.Config{MinCount: 1, MaxAnnotations: -1, MaxLen: e.cfg.MaxLen})
-	cat.Each(func(p itemset.Itemset, _ int) bool {
-		if c := sign * e.batch.Change(p); c != 0 {
-			e.changes[p.Key()] = c
-		}
-		return true
-	})
+	e.changes = c.appendChanges(e.changes[:0])
 	return e.changes, true
 }
 
@@ -558,43 +532,32 @@ func (e *Engine) annotPatternChanges(remove bool) (map[itemset.Key]int, bool) {
 // genuinely unknown patterns are counted exactly from the inverted-index
 // bitmaps of their members (the paper's "check all data tuples in the
 // database having this annotation") exactly once, then cached. The freshly
-// cataloged patterns are returned for rule discovery.
-func (e *Engine) applyAnnotPatternGains(gained map[itemset.Key]int) []itemset.Itemset {
+// cataloged patterns are returned for rule discovery; they share the
+// counter's memory and last until the next batch.
+func (e *Engine) applyAnnotPatternGains(gained []patternChange) []itemset.Itemset {
 	var fresh []itemset.Itemset
-	for key, gain := range gained {
-		if _, ok := e.annotCat.CountKey(key); ok {
-			p, err := key.Decode()
-			if err != nil {
-				panic(fmt.Sprintf("incremental: corrupt gained-pattern key: %v", err))
-			}
-			e.annotCat.AddDelta(p, gain)
+	for _, g := range gained {
+		if _, ok := e.annotCat.CountKey(g.key); ok {
+			e.annotCat.AddDelta(g.set, g.n)
 			continue
 		}
-		if c, ok := e.coldAnnot[key]; ok {
-			c += gain
+		if c, ok := e.coldAnnot[g.key]; ok {
+			c += g.n
 			if c < e.slackCount {
-				e.coldAnnot[key] = c
+				e.coldAnnot[g.key] = c
 				continue
 			}
-			p, err := key.Decode()
-			if err != nil {
-				panic(fmt.Sprintf("incremental: corrupt cold-cache key: %v", err))
-			}
-			delete(e.coldAnnot, key)
-			e.annotCat.Add(p, c)
-			fresh = append(fresh, p)
+			delete(e.coldAnnot, g.key)
+			e.annotCat.Add(g.set, c)
+			fresh = append(fresh, g.set)
 			continue
 		}
-		p, err := key.Decode()
-		if err != nil {
-			panic(fmt.Sprintf("incremental: corrupt gained-pattern key: %v", err))
-		}
-		count := e.rel.CountPattern(p)
+		count := e.rel.CountPattern(g.set)
 		if count >= e.slackCount {
-			e.annotCat.Add(p, count)
-			fresh = append(fresh, p)
+			e.annotCat.Add(g.set, count)
+			fresh = append(fresh, g.set)
 		} else {
-			e.coldAnnot[key] = count
+			e.coldAnnot[g.key] = count
 		}
 	}
 	return fresh

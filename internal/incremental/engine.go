@@ -162,9 +162,8 @@ type Engine struct {
 	// (batch; its after side alone holds a Case 1–2 batch), the annotations
 	// the batch changed (changed, changedList) and the relevant ones among
 	// them with the positions each changed at (frequent, moved, gains), the
-	// changed-side annotation sets of the tuples with a relevant change and
-	// their index for pattern mining (hits, mined), the mined patterns'
-	// changes, and pattern and rule-identity buffers.
+	// annotation patterns the batch moved and their counter (changes,
+	// subsets), and pattern and rule-identity buffers.
 	delta       relation.Delta
 	batch       relation.BatchIndex
 	changed     annotFlags
@@ -172,9 +171,8 @@ type Engine struct {
 	frequent    []itemset.Item
 	moved       []relation.Postings
 	gains       []int
-	hits        []itemset.Itemset
-	mined       relation.BatchIndex
-	changes     map[itemset.Key]int
+	changes     []patternChange
+	subsets     subsetCounter
 	scratch     itemset.Itemset
 	id          []byte
 

@@ -1,9 +1,6 @@
 package incremental
 
-import (
-	"annotadb/internal/itemset"
-	"annotadb/internal/relation"
-)
+import "annotadb/internal/relation"
 
 // CaseRemoveAnnotations extends the paper: §6 names "the removal of
 // annotations and data records from the dataset" as future work and
@@ -37,18 +34,14 @@ func (e *Engine) RemoveAnnotations(batch []relation.AnnotationUpdate) (*Report, 
 // cache. Unknown patterns need no action: their counts were never tracked
 // and only matter if they later rise, at which point they are exact-counted
 // fresh.
-func (e *Engine) applyAnnotPatternLosses(lost map[itemset.Key]int) {
-	for key, loss := range lost {
-		if _, ok := e.annotCat.CountKey(key); ok {
-			p, err := key.Decode()
-			if err != nil {
-				panic("incremental: corrupt lost-pattern key: " + err.Error())
-			}
-			e.annotCat.AddDelta(p, -loss)
+func (e *Engine) applyAnnotPatternLosses(lost []patternChange) {
+	for _, l := range lost {
+		if _, ok := e.annotCat.CountKey(l.key); ok {
+			e.annotCat.AddDelta(l.set, -l.n)
 			continue
 		}
-		if c, ok := e.coldAnnot[key]; ok {
-			e.coldAnnot[key] = c - loss
+		if c, ok := e.coldAnnot[l.key]; ok {
+			e.coldAnnot[l.key] = c - l.n
 		}
 	}
 }

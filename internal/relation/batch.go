@@ -11,12 +11,18 @@ import "annotadb/internal/itemset"
 //
 // An annotation write never changes data values, so the two sides share one
 // data half: a data value has one bitmap that both sides read, and an
-// annotation has a bitmap per side. A tuple's data values are indexed once,
-// and a pure-data pattern's change is zero without counting. An appended
-// batch (Cases 1–2) fills the after side only; its before side holds no
-// annotation.
+// annotation has a bitmap per side. A pure-data pattern's change is zero
+// without counting. An appended batch (Cases 1–2) is indexed tuple by tuple
+// with Add, data values included, and fills the after side only; its before
+// side holds no annotation. An annotation write is indexed from its Delta
+// (IndexDelta): the changed tuples' annotation sets up front, and a data
+// value's bitmap only when a read first asks for it, probed from the
+// relation's own bitmap at the changed tuples. So a batch reads only the data
+// values its patterns name, and a pattern whose data value is on no changed
+// tuple counts zero once that bitmap comes out empty.
 //
-// The zero value is an empty index. Reset empties it for reuse and keeps its
+// Reads may build bitmaps, so an index serves one goroutine at a time. The
+// zero value is an empty index. Reset empties it for reuse and keeps its
 // memory, so an index rebuilt per batch allocates only while it grows.
 type BatchIndex struct {
 	n       int
@@ -29,6 +35,12 @@ type BatchIndex struct {
 	// older gen are stale, so Reset clears nothing (but once in 2³²).
 	slot [numSlots][]uint64
 	gen  uint32
+
+	// The data half of an index built by IndexDelta: the relation's data
+	// postings as the write left them and the tuple at each position.
+	lazy bool
+	data []Postings
+	rows []int
 }
 
 // batchEntry is one item of a BatchIndex: where its bitmap on each side
@@ -50,6 +62,7 @@ const (
 func (b *BatchIndex) Reset(n int) {
 	b.n, b.words = n, (n+63)>>6
 	b.entries, b.bits = b.entries[:0], b.bits[:0]
+	b.lazy, b.data, b.rows = false, nil, b.rows[:0]
 	if b.gen++; b.gen == 0 {
 		for k := range b.slot {
 			clear(b.slot[k])
@@ -73,23 +86,33 @@ func (b *BatchIndex) Add(i int, data, before, after itemset.Itemset) {
 	}
 }
 
+// IndexDelta empties the index and indexes the tuples an annotation write
+// reported into d, the tuple d.Tuples[k] at position k: its annotation sets
+// before and after the write now, and its data values as reads ask for them.
+// Those reads probe the relation's data postings without its lock, which is
+// sound because the bits they probe, below the relation's length, never
+// change; the caller must not append to the relation while it reads the
+// index.
+func (b *BatchIndex) IndexDelta(d *Delta) {
+	b.Reset(len(d.Tuples))
+	b.lazy, b.data = true, d.data
+	for i, t := range d.Tuples {
+		b.rows = append(b.rows, t.Index)
+		for _, a := range t.Before {
+			b.set(beforeSide, i, a)
+		}
+		for _, a := range t.After {
+			b.set(afterSide, i, a)
+		}
+	}
+}
+
 // set records that position i carries item a on side s, and on both sides
 // when a is a data value.
 func (b *BatchIndex) set(s, i int, a itemset.Item) {
 	j := b.find(a)
 	if j < 0 {
-		k, id := kindSlot(a), a.ID()
-		if id >= len(b.slot[k]) {
-			b.slot[k] = append(b.slot[k], make([]uint64, id+1-len(b.slot[k]))...)
-		}
-		j = len(b.entries)
-		b.slot[k][id] = uint64(b.gen)<<32 | uint64(j)
-		en := batchEntry{item: a, off: [2]int{len(b.bits), len(b.bits)}}
-		if a.IsAnnotation() {
-			en.off[afterSide] += b.words
-		}
-		b.entries = append(b.entries, en)
-		b.bits = append(b.bits, make([]uint64, en.off[afterSide]+b.words-len(b.bits))...)
+		j = b.add(a)
 	}
 	en := &b.entries[j]
 	w, bit := en.off[s]+i>>6, uint64(1)<<(uint(i)&63)
@@ -105,6 +128,23 @@ func (b *BatchIndex) set(s, i int, a itemset.Item) {
 	}
 }
 
+// add makes an empty entry for a, which has none, and returns its place.
+func (b *BatchIndex) add(a itemset.Item) int {
+	k, id := kindSlot(a), a.ID()
+	if id >= len(b.slot[k]) {
+		b.slot[k] = append(b.slot[k], make([]uint64, id+1-len(b.slot[k]))...)
+	}
+	j := len(b.entries)
+	b.slot[k][id] = uint64(b.gen)<<32 | uint64(j)
+	en := batchEntry{item: a, off: [2]int{len(b.bits), len(b.bits)}}
+	if a.IsAnnotation() {
+		en.off[afterSide] += b.words
+	}
+	b.entries = append(b.entries, en)
+	b.bits = append(b.bits, make([]uint64, en.off[afterSide]+b.words-len(b.bits))...)
+	return j
+}
+
 // find returns a's place in entries, or -1.
 func (b *BatchIndex) find(a itemset.Item) int {
 	if spine := b.slot[kindSlot(a)]; a.ID() < len(spine) {
@@ -115,14 +155,62 @@ func (b *BatchIndex) find(a itemset.Item) int {
 	return -1
 }
 
+// entry returns a's place in entries, or -1 when a is on no position. In an
+// index built by IndexDelta a data value's entry is built on the first ask,
+// by probing the value's bitmap in the relation at each position's tuple,
+// and kept even when it comes out empty.
+func (b *BatchIndex) entry(a itemset.Item) int {
+	j := b.find(a)
+	if j >= 0 || !b.lazy || a.IsAnnotation() {
+		return j
+	}
+	j = b.add(a)
+	if a.ID() >= len(b.data) {
+		return j
+	}
+	src, n := b.data[a.ID()].bits, 0
+	dst := b.side(j, afterSide)
+	for k, i := range b.rows {
+		// Without a branch on the bit: a frequent value's bits are as
+		// likely set as not.
+		if w := i >> 6; w < len(src) {
+			x := src[w] >> (uint(i) & 63) & 1
+			dst[k>>6] |= x << (uint(k) & 63)
+			n += int(x)
+		}
+	}
+	b.entries[j].count = [2]int{n, n}
+	return j
+}
+
+// lookup appends the entry of every item of pattern to js, last item first:
+// annotations sort last, so an annotation the batch did not touch ends the
+// lookup before a data bitmap is built. It reports false, and the pattern
+// counts zero on both sides, when an item is on no position.
+func (b *BatchIndex) lookup(pattern itemset.Itemset, js []int) ([]int, bool) {
+	for k := len(pattern) - 1; k >= 0; k-- {
+		j := b.entry(pattern[k])
+		if j < 0 || b.entries[j].count == [2]int{} {
+			return js, false
+		}
+		js = append(js, j)
+	}
+	return js, true
+}
+
+// side returns entry j's bitmap on side s.
+func (b *BatchIndex) side(j, s int) []uint64 {
+	off := b.entries[j].off[s]
+	return b.bits[off : off+b.words : off+b.words]
+}
+
 // postings returns the positions carrying a on side s.
 func (b *BatchIndex) postings(s int, a itemset.Item) Postings {
-	j := b.find(a)
+	j := b.entry(a)
 	if j < 0 {
 		return Postings{}
 	}
-	en := &b.entries[j]
-	return Postings{bits: b.bits[en.off[s] : en.off[s]+b.words : en.off[s]+b.words], count: en.count[s]}
+	return Postings{bits: b.side(j, s), count: b.entries[j].count[s]}
 }
 
 // Len returns the number of positions.
@@ -143,19 +231,20 @@ func (b *BatchIndex) Change(pattern itemset.Itemset) int {
 	if !pattern.HasAnnotation() {
 		return 0
 	}
+	var buf [8]int
+	js, ok := b.lookup(pattern, buf[:0])
+	if !ok {
+		return 0
+	}
+	if len(js) == 1 {
+		en := &b.entries[js[0]]
+		return en.count[afterSide] - en.count[beforeSide]
+	}
 	var before, after [8][]uint64
 	bb, ab := before[:0], after[:0]
-	for _, it := range pattern {
-		j := b.find(it)
-		if j < 0 {
-			return 0
-		}
-		en := &b.entries[j]
-		if len(pattern) == 1 {
-			return en.count[afterSide] - en.count[beforeSide]
-		}
-		bb = append(bb, b.bits[en.off[beforeSide]:en.off[beforeSide]+b.words])
-		ab = append(ab, b.bits[en.off[afterSide]:en.off[afterSide]+b.words])
+	for _, j := range js {
+		bb = append(bb, b.side(j, beforeSide))
+		ab = append(ab, b.side(j, afterSide))
 	}
 	return countBitmaps(ab) - countBitmaps(bb)
 }
@@ -166,9 +255,8 @@ func (b *BatchIndex) Change(pattern itemset.Itemset) int {
 func (b *BatchIndex) Changed(a itemset.Item, reuse Postings) Postings {
 	out := Postings{bits: append(reuse.bits[:0], make([]uint64, b.words)...)}
 	if j := b.find(a); j >= 0 {
-		en := &b.entries[j]
-		before := b.bits[en.off[beforeSide] : en.off[beforeSide]+b.words]
-		for w, x := range b.bits[en.off[afterSide] : en.off[afterSide]+b.words] {
+		before := b.side(j, beforeSide)
+		for w, x := range b.side(j, afterSide) {
 			out.bits[w] = x ^ before[w]
 		}
 		out.count = countBitmaps([][]uint64{out.bits})
@@ -182,15 +270,15 @@ func (b *BatchIndex) Changed(a itemset.Item, reuse Postings) Postings {
 // counts as long as with.
 func (b *BatchIndex) CountWith(x itemset.Itemset, with []Postings, counts []int) {
 	clear(counts)
-	var buf [8][]uint64
-	bitmaps := buf[:0]
-	for _, it := range x {
-		j := b.find(it)
-		if j < 0 {
-			return // an item of x is on no position of the batch
-		}
-		en := &b.entries[j]
-		bitmaps = append(bitmaps, b.bits[en.off[afterSide]:en.off[afterSide]+b.words])
+	var buf [8]int
+	js, ok := b.lookup(x, buf[:0])
+	if !ok {
+		return // a value of x is on no position of the batch
+	}
+	var bitmapBuf [8][]uint64
+	bitmaps := bitmapBuf[:0]
+	for _, j := range js {
+		bitmaps = append(bitmaps, b.side(j, afterSide))
 	}
 	bitmaps = append(bitmaps, nil)
 	for k, p := range with {
@@ -216,8 +304,16 @@ func (s BatchSide) Postings(a itemset.Item) Postings { return s.b.postings(s.sid
 
 // EachItem calls fn with every item set at some position on this side and
 // the number of positions carrying it, in the order the items were first
-// set.
+// set. On an index built by IndexDelta it first builds every data value's
+// bitmap.
 func (s BatchSide) EachItem(fn func(a itemset.Item, n int)) {
+	if s.b.lazy {
+		for id, p := range s.b.data {
+			if p.count > 0 {
+				s.b.entry(slotItem(dataSlot, id))
+			}
+		}
+	}
 	for _, en := range s.b.entries {
 		if n := en.count[s.side]; n > 0 {
 			fn(en.item, n)
@@ -228,16 +324,21 @@ func (s BatchSide) EachItem(fn func(a itemset.Item, n int)) {
 // CountPattern counts the positions carrying every item of pattern on this
 // side, as store.countPattern does for the relation and with its kernel.
 func (s BatchSide) CountPattern(pattern itemset.Itemset) int {
-	switch len(pattern) {
-	case 0:
+	if len(pattern) == 0 {
 		return s.b.n
-	case 1:
-		return s.Postings(pattern[0]).count
 	}
-	var buf [8][]uint64
-	bitmaps := buf[:0]
-	for _, it := range pattern {
-		bitmaps = append(bitmaps, s.Postings(it).bits)
+	var buf [8]int
+	js, ok := s.b.lookup(pattern, buf[:0])
+	if !ok {
+		return 0
+	}
+	if len(js) == 1 {
+		return s.b.entries[js[0]].count[s.side]
+	}
+	var bitmapBuf [8][]uint64
+	bitmaps := bitmapBuf[:0]
+	for _, j := range js {
+		bitmaps = append(bitmaps, s.b.side(j, s.side))
 	}
 	return countBitmaps(bitmaps)
 }

@@ -18,8 +18,9 @@ type wantDelta struct {
 }
 
 // checkTouched compares a reported delta with the expected tuples: each
-// touched tuple once, in index order, with its data values and its exact
-// annotation sets before and after the batch.
+// touched tuple once, matched by index (a delta lists them in the order the
+// batch first changed them), with its exact annotation sets before and after
+// the batch.
 func checkTouched(t *testing.T, r *Relation, got []TupleDelta, want []wantDelta) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -34,17 +35,24 @@ func checkTouched(t *testing.T, r *Relation, got []TupleDelta, want []wantDelta)
 		return itemset.New(items...)
 	}
 	for k, w := range want {
-		g := got[k]
+		at := slices.IndexFunc(got, func(g TupleDelta) bool { return g.Index == w.index })
+		if at < 0 {
+			t.Errorf("want[%d]: tuple %d not reported in %v", k, w.index, got)
+			continue
+		}
+		if slices.ContainsFunc(got[at+1:], func(g TupleDelta) bool { return g.Index == w.index }) {
+			t.Errorf("want[%d]: tuple %d reported more than once in %v", k, w.index, got)
+		}
+		g := got[at]
 		tu, err := r.Tuple(w.index)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Index != w.index || !g.Data.Equal(tu.Data) || !g.Before.Equal(set(w.before)) || !g.After.Equal(set(w.after)) {
-			t.Errorf("touched[%d] = %d %v %v→%v, want %d %v %v→%v", k, g.Index, g.Data, g.Before, g.After,
-				w.index, tu.Data, set(w.before), set(w.after))
+		if !g.Before.Equal(set(w.before)) || !g.After.Equal(set(w.after)) {
+			t.Errorf("tuple %d: %v→%v, want %v→%v", w.index, g.Before, g.After, set(w.before), set(w.after))
 		}
 		if !g.After.Equal(tu.Annots) {
-			t.Errorf("touched[%d].After = %v, relation holds %v", k, g.After, tu.Annots)
+			t.Errorf("tuple %d: After = %v, relation holds %v", w.index, g.After, tu.Annots)
 		}
 	}
 }
@@ -190,9 +198,10 @@ func TestApplyDeltaBeforeIsTheViewsSet(t *testing.T) {
 }
 
 // TestPropertyBatchIndexMatchesScan applies random attach and detach batches
-// to random relations and indexes each batch's reported tuples on both sides,
-// with one data half the sides share. For random data, annotation, mixed and
-// derived patterns:
+// to random relations and indexes each batch's Delta on both sides, with one
+// data half the sides share, built as reads ask for it. For random data,
+// annotation, mixed and derived patterns, and mixed patterns with a data
+// value on no changed tuple:
 //   - each side must count as an independent index of that side alone;
 //   - Change, after − before, must equal the change of the pattern's count
 //     over the whole relation and a scan of the touched tuples' model, and be
@@ -221,6 +230,8 @@ func TestPropertyBatchIndexMatchesScan(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				values = append(values, MustData(dict, fmt.Sprintf("d%d", i)))
 			}
+			// Interned, and set on no tuple.
+			unset := MustData(dict, "d_unset")
 			pick := func(from []itemset.Item, p int) []itemset.Item {
 				var out []itemset.Item
 				for _, it := range from {
@@ -258,15 +269,21 @@ func TestPropertyBatchIndexMatchesScan(t *testing.T) {
 						tu.Annots = tu.Annots.Add(u.Annotation)
 					}
 				}
-				shared.Reset(len(d.Tuples))
+				shared.IndexDelta(&d)
 				before.Reset(len(d.Tuples))
 				after.Reset(len(d.Tuples))
 				var touched []int
 				for i, tu := range d.Tuples {
-					shared.Add(i, tu.Data, tu.Before, tu.After)
-					before.Add(i, tu.Data, nil, tu.Before)
-					after.Add(i, tu.Data, nil, tu.After)
+					before.Add(i, model[tu.Index].Data, nil, tu.Before)
+					after.Add(i, model[tu.Index].Data, nil, tu.After)
 					touched = append(touched, tu.Index)
+				}
+				// The data values on no changed tuple, and one on no tuple.
+				absent := []itemset.Item{unset}
+				for _, v := range values {
+					if !slices.ContainsFunc(touched, func(i int) bool { return model[i].Data.Contains(v) }) {
+						absent = append(absent, v)
+					}
 				}
 				sign := 1
 				if remove {
@@ -295,17 +312,19 @@ func TestPropertyBatchIndexMatchesScan(t *testing.T) {
 						}
 					}
 				}
-				for k := 0; k < 40; k++ {
+				for k := 0; k < 50; k++ {
 					var pattern itemset.Itemset
-					switch k % 4 {
+					switch k % 5 {
 					case 0: // data
 						pattern = itemset.New(pick(values, 3)...)
 					case 1: // annotation
 						pattern = itemset.New(pick(annots[:6], 3)...)
 					case 2: // mixed
 						pattern = itemset.New(append(pick(values, 4), pick(annots, 4)...)...)
-					default: // with a derived label
+					case 3: // with a derived label
 						pattern = itemset.New(append(pick(annots, 4), annots[6+rng.Intn(2)])...)
+					default: // mixed, with a data value on no changed tuple
+						pattern = itemset.New(append(append(pick(values, 4), pick(annots, 2)...), absent[rng.Intn(len(absent))])...)
 					}
 					for _, side := range []struct {
 						shared, alone BatchSide

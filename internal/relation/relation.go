@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -281,8 +282,8 @@ func (r *Relation) EachFrom(start int, fn func(i int, t Tuple) bool) {
 // steps.
 //
 // The relation keeps the tuples' sets as they are, uncopied. A data set is
-// read-only from then on (see TupleDelta): other tuples and other relations
-// may share it, and the caller must not write it either.
+// read-only from then on: other tuples and other relations may share it, and
+// the caller must not write it either.
 func (r *Relation) Append(tuples ...Tuple) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -356,30 +357,48 @@ func (r *Relation) ApplyUpdates(batch []AnnotationUpdate) (applied, skipped []An
 	return d.Applied, d.Skipped, nil
 }
 
-// TupleDelta is one tuple an annotation batch changed: its data values and
-// its annotation set before and after the batch. The sets are the relation's
-// own, not copies: attach and detach install a fresh set and nothing edits a
-// set in place, so Before is exactly the set a view captured before the batch
-// still reads. A data set is not even replaced: it is read-only from Append
-// on, which is what lets a shard projection share its source's data sets.
-// Treat all three as read-only.
+// TupleDelta is one tuple an annotation batch changed: its annotation set
+// before and after the batch. The sets are the relation's own, not copies:
+// attach and detach install a fresh set and nothing edits a set in place, so
+// Before is exactly the set a view captured before the batch still reads.
+// Treat both as read-only. The tuple's data values did not change; a
+// BatchIndex built from the Delta reads them from the relation's index.
 type TupleDelta struct {
 	Index         int
-	Data          itemset.Itemset
 	Before, After itemset.Itemset
 }
 
 // Delta is what one annotation batch did: the entries applied and skipped, in
 // batch order, as ApplyUpdates and ApplyRemovals return them, and every tuple
-// the batch changed, once, in index order.
+// the batch changed, once, in the order the batch first changed it.
 type Delta struct {
 	Applied, Skipped []AnnotationUpdate
 	Tuples           []TupleDelta
 
-	// Scratch for grouping the applied entries by tuple: each entry's
-	// index<<32 | position in Applied, and its tuple's set just before it.
-	keys   []uint64
-	before []itemset.Itemset
+	// slots groups the applied entries by tuple: an open-addressed table
+	// keyed by tuple index whose entries hold 1 + the tuple's place in
+	// Tuples, 0 for an empty slot. It is sized and cleared per batch.
+	slots []int32
+	// data is the relation's data-value postings spine as the write left
+	// it. Data bits below the relation's length never change, so a
+	// BatchIndex can probe it at the changed tuples after the lock is gone.
+	data []Postings
+}
+
+// touch records that the batch is about to change tuple i of st: on i's
+// first change it joins Tuples with its set as it stands as its Before.
+func (d *Delta) touch(i int, st *store) {
+	mask := len(d.slots) - 1
+	for h := int(uint64(i)*0x9E3779B97F4A7C15>>32) & mask; ; h = (h + 1) & mask {
+		switch k := d.slots[h]; {
+		case k == 0:
+			d.Tuples = append(d.Tuples, TupleDelta{Index: i, Before: st.annotsOf(i)})
+			d.slots[h] = int32(len(d.Tuples))
+			return
+		case d.Tuples[k-1].Index == i:
+			return
+		}
+	}
 }
 
 // ApplyDelta applies an annotation batch — as ApplyUpdates does, or as
@@ -393,12 +412,15 @@ func (r *Relation) ApplyDelta(batch []AnnotationUpdate, remove bool, d *Delta) e
 // apply is the one annotation write loop: it validates batch, then attaches
 // (detaches, when remove is set) every entry that changes its tuple and skips
 // the rest, recording both in d. With tuples set it also reports each changed
-// tuple once: every applied entry records its tuple's set just before it, and
-// sorting the entries by (index, batch position) brings each tuple's first
-// entry — whose set predates the batch — to the front of its run.
+// tuple once: its set is read before its first change and after the batch.
 func (r *Relation) apply(batch []AnnotationUpdate, remove bool, d *Delta, tuples bool) error {
-	d.Applied, d.Skipped, d.Tuples = d.Applied[:0], d.Skipped[:0], d.Tuples[:0]
-	d.keys, d.before = d.keys[:0], d.before[:0]
+	d.Applied, d.Skipped, d.Tuples, d.data = d.Applied[:0], d.Skipped[:0], d.Tuples[:0], nil
+	if tuples {
+		// At most half full: a batch changes at most len(batch) tuples.
+		size := 1 << bits.Len(uint(2*len(batch)))
+		d.slots = slices.Grow(d.slots[:0], size)[:size]
+		clear(d.slots)
+	}
 	what := "update"
 	if remove {
 		what = "removal"
@@ -414,8 +436,7 @@ func (r *Relation) apply(batch []AnnotationUpdate, remove bool, d *Delta, tuples
 			continue
 		}
 		if tuples {
-			d.keys = append(d.keys, uint64(u.Index)<<32|uint64(len(d.Applied)))
-			d.before = append(d.before, r.st.annotsOf(u.Index))
+			d.touch(u.Index, &r.st)
 		}
 		if remove {
 			r.detach(u.Index, u.Annotation)
@@ -428,13 +449,11 @@ func (r *Relation) apply(batch []AnnotationUpdate, remove bool, d *Delta, tuples
 		return nil
 	}
 	r.st.version++
-	slices.Sort(d.keys)
-	for _, k := range d.keys {
-		i := int(k >> 32)
-		if n := len(d.Tuples); n > 0 && d.Tuples[n-1].Index == i {
-			continue
-		}
-		d.Tuples = append(d.Tuples, TupleDelta{Index: i, Data: r.st.dataOf(i), Before: d.before[uint32(k)], After: r.st.annotsOf(i)})
+	for k := range d.Tuples {
+		d.Tuples[k].After = r.st.annotsOf(d.Tuples[k].Index)
+	}
+	if tuples {
+		d.data = r.st.postings[dataSlot]
 	}
 	return nil
 }

@@ -129,19 +129,13 @@ func (s *Source) Checkpoint() (string, storage.CheckpointMeta, error) {
 // OpenCheckpoint opens the current checkpoint for streaming to a follower,
 // returning the open file alongside its head metadata — both read through
 // one descriptor, so a checkpoint installing concurrently cannot desync
-// them (the rename leaves the open descriptor on the old file). A primary
-// that has never captured a checkpoint captures one on demand: a follower
-// cannot bootstrap from nothing. The caller owns closing the file; its read
-// offset is rewound to the start.
+// them (the rename leaves the open descriptor on the old file). wal.Open
+// always installs a checkpoint, so a missing one is an error, which the
+// caller reports and a follower retries; capturing one here would run the
+// serving writer's checkpoint from a reader's goroutine. The caller owns
+// closing the file; its read offset is rewound to the start.
 func (s *Source) OpenCheckpoint() (*os.File, storage.CheckpointMeta, error) {
-	path := wal.CheckpointPath(s.store.Dir())
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if cerr := s.store.Checkpoint(); cerr != nil {
-			return nil, storage.CheckpointMeta{}, fmt.Errorf("replica: capture bootstrap checkpoint: %w", cerr)
-		}
-		f, err = os.Open(path)
-	}
+	f, err := os.Open(wal.CheckpointPath(s.store.Dir()))
 	if err != nil {
 		return nil, storage.CheckpointMeta{}, err
 	}

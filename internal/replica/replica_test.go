@@ -239,7 +239,7 @@ func TestSourceTailBeforeTrim(t *testing.T) {
 	}
 }
 
-func TestOpenCheckpointCapturesOnDemand(t *testing.T) {
+func TestOpenCheckpointStreamsTheInstalledOne(t *testing.T) {
 	s := sourceStore(t)
 	src := newTestSource(t, s, 3)
 
@@ -260,20 +260,34 @@ func TestOpenCheckpointCapturesOnDemand(t *testing.T) {
 		t.Errorf("checkpoint head = epoch %d fp %q", ck.Epoch, ck.ConfigFingerprint)
 	}
 
-	// With no checkpoint on disk a fresh one is captured on demand: a
-	// follower can always bootstrap.
+	// With no checkpoint on disk the open fails and captures nothing: a
+	// checkpoint is the serving writer's to take, and the handler reports
+	// the error for the follower to retry. A record past the checkpoint
+	// shows whether one was taken: it would cover the record.
+	logAnnotation(t, s, 5, "Annot_5")
+	end := func() uint64 {
+		t.Helper()
+		tc, err := s.ReadTail(meta.CoveredCursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tc.End
+	}
+	epoch, next, checkpoints := s.Epoch(), end(), s.Stats().Checkpoints
 	if err := os.Remove(wal.CheckpointPath(s.Dir())); err != nil {
 		t.Fatal(err)
 	}
-	f, meta, err = src.OpenCheckpoint()
-	if err != nil {
-		t.Fatal(err)
+	if f, _, err := src.OpenCheckpoint(); !errors.Is(err, os.ErrNotExist) {
+		if f != nil {
+			f.Close()
+		}
+		t.Fatalf("OpenCheckpoint without a checkpoint: err = %v, want os.ErrNotExist", err)
 	}
-	defer f.Close()
-	if meta.Epoch != s.Epoch() {
-		t.Errorf("on-demand checkpoint epoch = %d, want %d", meta.Epoch, s.Epoch())
+	if s.Epoch() != epoch || end() != next || s.Stats().Checkpoints != checkpoints || !s.HasPendingRecords() {
+		t.Errorf("the failed open moved the store: epoch %d → %d, next cursor %d → %d, checkpoints %d → %d",
+			epoch, s.Epoch(), next, end(), checkpoints, s.Stats().Checkpoints)
 	}
-	if _, err := storage.ReadCheckpoint(f); err != nil {
-		t.Errorf("on-demand checkpoint does not decode: %v", err)
+	if _, err := os.Stat(wal.CheckpointPath(s.Dir())); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a checkpoint file appeared: %v", err)
 	}
 }
