@@ -451,14 +451,21 @@ func (e *Engine) RemoveAnnotations(batch []AnnotationUpdate) (UpdateReport, erro
 		return UpdateReport{}, ErrShardedEngine
 	}
 	dict := e.ds.rel.Dictionary()
+	updates := make([]relation.AnnotationUpdate, len(batch))
+	var kindErr error
 	for i, u := range batch {
-		if _, ok := dict.Lookup(u.Annotation); !ok {
+		it, ok, err := dict.LookupAnnotation(u.Annotation)
+		if !ok {
 			return UpdateReport{}, fmt.Errorf("annotadb: removal %d: annotation %q unknown to this dataset", i, u.Annotation)
 		}
+		if err != nil && kindErr == nil {
+			// An unknown token anywhere in the batch is reported first.
+			kindErr = fmt.Errorf("annotadb: removal: update %d: %w", i, err)
+		}
+		updates[i] = relation.AnnotationUpdate{Index: u.Tuple, Annotation: it}
 	}
-	updates, err := dict.ResolveUpdates(batch)
-	if err != nil {
-		return UpdateReport{}, fmt.Errorf("annotadb: removal: %w", err)
+	if kindErr != nil {
+		return UpdateReport{}, kindErr
 	}
 	rep, err := e.eng.RemoveAnnotations(updates)
 	if err != nil {

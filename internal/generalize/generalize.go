@@ -290,8 +290,15 @@ type Result struct {
 //
 // The returned result counts planned attachments; already-present labels are
 // not planned, making the plan — and hence Apply — idempotent.
-func (h *Hierarchy) PlanUpdates(rel *relation.Relation) ([]relation.AnnotationUpdate, *Result, error) {
-	view := rel.View() // one consistent generation for the whole plan
+func (h *Hierarchy) PlanUpdates(rel *relation.Relation) (plan []relation.AnnotationUpdate, res *Result, err error) {
+	// One consistent generation for the whole plan; the plan keeps none of
+	// its memory, so a scoped read leaves the relation unsealed.
+	rel.Read(func(view *relation.View) { plan, res, err = h.plan(view) })
+	return plan, res, err
+}
+
+// plan is PlanUpdates over one captured generation.
+func (h *Hierarchy) plan(view *relation.View) ([]relation.AnnotationUpdate, *Result, error) {
 	dict := view.Dictionary()
 	res := &Result{PerLabel: make(map[string]int)}
 	unknown := make(map[string]bool)

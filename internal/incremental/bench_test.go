@@ -66,18 +66,39 @@ func BenchmarkRemine(b *testing.B) {
 // BenchmarkAnnotationStream is paper_maintain's annotation traffic at n=32K
 // and 0.4 / 0.8: a rolling sequence of fresh 200-update attach batches, each
 // detached 32 batches later, with a relation view captured every 50 batches
-// as the workload's re-mine does. An iteration is one attach batch and one
+// as a serving publish does. An iteration is one attach batch and one
 // detach batch. Unlike BenchmarkAnnotationBatch, which repeats one
 // cache-warm batch over a never-sealed relation, every batch here lands on
 // other tuples, and the views make writes pay their copy-on-write copies.
 //
 //	go test -run '^$' -bench AnnotationStream -benchmem ./internal/incremental
 func BenchmarkAnnotationStream(b *testing.B) {
+	benchAnnotationStream(b, func(rel *relation.Relation) { rel.View() })
+}
+
+// BenchmarkAnnotationStreamRemine is the same stream with paper_maintain's
+// own periodic capture: a full re-mine (mining.Mine) every 50 batches. The
+// mine is not timed; what is timed is what it leaves the batches after it to
+// copy.
+func BenchmarkAnnotationStreamRemine(b *testing.B) {
+	cfg := mining.Config{MinSupport: 0.4, MinConfidence: 0.8}
+	benchAnnotationStream(b, func(rel *relation.Relation) {
+		b.StopTimer()
+		if _, err := mining.Mine(rel, cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	})
+}
+
+// benchAnnotationStream runs the annotation stream, calling capture every 50
+// batches.
+func benchAnnotationStream(b *testing.B, capture func(*relation.Relation)) {
 	const (
 		tuples  = 32000
 		updates = 200
 		window  = 32 // batches an attach stays before its detach
-		viewGap = 50 // batches between view captures
+		viewGap = 50 // batches between captures
 	)
 	stream, rel := paperRelation(b, tuples)
 	e, err := New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8}, Options{})
@@ -99,7 +120,7 @@ func BenchmarkAnnotationStream(b *testing.B) {
 		}
 		attached[k%window] = append(attached[k%window][:0], e.delta.Applied...)
 		if k%viewGap == 0 {
-			rel.View()
+			capture(rel)
 		}
 	}
 	for k := 0; k < window; k++ {

@@ -139,15 +139,18 @@ func transactions(src relation.Source, excludeDerived bool) []itemset.Itemset {
 	return txns
 }
 
-// Mine runs a full mining pass over the relation. It captures one View, so
-// both miners read a single generation with no relation lock held for the
-// pass; capturing seals the relation, and its next write copies what it
-// touches.
+// Mine runs a full mining pass over the relation. It mines a scoped view
+// (relation.Read), so both miners read a single generation with no relation
+// lock held for the pass. A Result holds counts and rule sets, never view
+// memory, so the view dies with the pass and the relation's next writes
+// copy nothing on its account.
 func Mine(rel *relation.Relation, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return mine(rel.View(), cfg), nil
+	var res *Result
+	rel.Read(func(v *relation.View) { res = mine(v, cfg) })
+	return res, nil
 }
 
 // mine is Mine over a captured generation and a validated configuration.

@@ -464,3 +464,45 @@ func TestTransactionsProjection(t *testing.T) {
 		t.Errorf("txn 0 = %v, want %v", txns[0], tu.Items())
 	}
 }
+
+// TestMineScopedReadLeavesWritesInPlace pins that a full mine does not seal
+// the relation: after Mine, attaching an annotation to a tuple in a fresh
+// annotation chunk allocates exactly what it allocates on a relation nothing
+// captured (the tuple's new set), while after a retained View it also copies
+// the chunk.
+func TestMineScopedReadLeavesWritesInPlace(t *testing.T) {
+	perWrite := func(capture func(*relation.Relation)) float64 {
+		data := make([][]string, 600)
+		for i := range data {
+			data[i] = []string{"28", "85"}
+		}
+		rel := relation.FromTokens(data, nil)
+		a := relation.MustAnnotation(rel.Dictionary(), "Annot_1")
+		if err := rel.AddAnnotation(0, a); err != nil {
+			t.Fatal(err)
+		}
+		capture(rel)
+		i := 0
+		return testing.AllocsPerRun(30, func() {
+			i += 16 // the next annotation chunk
+			if err := rel.AddAnnotation(i, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	none := perWrite(func(*relation.Relation) {})
+	mined := perWrite(func(rel *relation.Relation) {
+		for _, alg := range []Algorithm{AlgorithmApriori, AlgorithmFPGrowth} {
+			if _, err := Mine(rel, Config{MinSupport: 0.2, MinConfidence: 0.6, Algorithm: alg}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	sealed := perWrite(func(rel *relation.Relation) { rel.View() })
+	if mined != none {
+		t.Errorf("a write after Mine allocates %.1f times, %.1f with no capture: the mine sealed the relation", mined, none)
+	}
+	if sealed <= none {
+		t.Errorf("a write after a View allocates %.1f times, %.1f with no capture: the check cannot see a seal", sealed, none)
+	}
+}

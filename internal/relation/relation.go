@@ -99,30 +99,35 @@ type AnnotationUpdate struct {
 //     that lets downstream caches detect staleness.
 //
 // Storage is columnar and copy-on-write: View captures the current
-// generation as an immutable *View in O(1). Appends write the data and
-// annotation columns in place past every view's length and copy the bitmaps
-// of the items they set; an annotation attach or detach copies only the
-// annotation chunk and the one bitmap it touches (plus, once per generation,
-// the slice headers of the annotation spine and the postings spine), so
-// generations share structure and a mutation costs O(delta).
+// generation as an immutable *View in O(1), and Read lends one to a reader
+// for as long as it runs. Appends write the data and annotation columns in
+// place past every view's length and copy the bitmaps of the items they set;
+// an annotation attach or detach copies only the annotation chunk and the
+// one bitmap it touches (plus, once per generation, the slice headers of the
+// annotation spine and the postings spine), and only while a live view may
+// read them, so generations share structure and a mutation costs O(delta).
 //
-// All methods are safe for concurrent use. Read methods hand out internal
-// slices; callers must treat them as read-only.
+// All methods are safe for concurrent use. The reading methods hand out
+// internal slices; callers must treat them as read-only.
 type Relation struct {
 	mu   sync.RWMutex
 	dict *Dictionary
 	st   store
 
-	// view memoizes the current generation between mutations; capturing it
-	// seals the store (epoch bump), and the next mutation copies what it
-	// touches instead of writing memory the view can reach.
-	view  *View
-	epoch uint64
+	// view memoizes the current generation between mutations. A capture
+	// seals the store: sealed becomes the current epoch and epoch moves on,
+	// so the next mutation copies what it touches instead of writing memory
+	// the view can reach. sealed is the epoch of the newest capture that may
+	// still be live; a scoped capture (Read) puts it back when it ends.
+	view   *View
+	epoch  uint64
+	sealed uint64
 
 	// Ownership generations: an annotation chunk, a bitmap or a spine may be
-	// written in place only when its generation matches epoch; otherwise a
-	// captured view may read it and it is copied first. The data column
-	// needs none: it is only ever written past every view's length.
+	// written in place only when its generation is past sealed; otherwise a
+	// live view may read it and it is copied first, and the copy takes the
+	// current epoch. The data column needs none: it is only ever written
+	// past every view's length.
 	annotsGen uint64             // annotation chunk spine
 	chunkGen  []uint64           // per annotation chunk
 	spineGen  [numSlots]uint64   // per postings spine (kindSlot)
@@ -160,27 +165,64 @@ func (r *Relation) Version() uint64 {
 
 // View captures the current generation as an immutable View in O(1). The
 // view is memoized: between mutations, repeated calls return the same
-// pointer. Capturing seals the live store — the next mutation pays a
-// copy-on-write of whatever it touches — so views are cheap to take per
-// batch but not free to take per tuple.
+// pointer. Capturing seals the live store for good — the next mutation pays
+// a copy-on-write of whatever it touches — so views are cheap to take per
+// batch but not free to take per tuple. A reader that keeps no view memory
+// after it returns should use Read, which unseals when it ends.
 func (r *Relation) View() *View {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.view == nil {
-		r.view = &View{dict: r.dict, st: r.st}
-		r.epoch++
+		r.view = r.captureLocked()
 	}
 	return r.view
+}
+
+// Read calls fn with an immutable view of the current generation, for a
+// reader that keeps no view memory after fn returns. It reuses the memoized
+// view when there is one. Otherwise it captures an unmemoized view, sealing
+// the store as View does, and when fn returns it puts the seal back in O(1)
+// — unless a View was captured meanwhile — so the writes after a scoped
+// read copy only what a live view still shares. fn runs with no lock held
+// and may write the relation; a view fn captures with View stays sealed. A
+// panic in fn leaves the store sealed.
+func (r *Relation) Read(fn func(*View)) {
+	r.mu.Lock()
+	if v := r.view; v != nil {
+		r.mu.Unlock()
+		fn(v)
+		return
+	}
+	prev := r.sealed
+	v := r.captureLocked()
+	own := r.sealed
+	r.mu.Unlock()
+	fn(v)
+	r.mu.Lock()
+	// Every capture moves sealed to a fresh, higher epoch, and every other
+	// scoped read puts back only its own: sealed still at own means no
+	// capture since this one, so nothing live reads past prev.
+	if r.sealed == own {
+		r.sealed = prev
+	}
+	r.mu.Unlock()
+}
+
+// captureLocked captures the current generation and seals the store under it.
+func (r *Relation) captureLocked() *View {
+	r.sealed = r.epoch
+	r.epoch++
+	return &View{dict: r.dict, st: r.st}
 }
 
 // writableAnnots returns annotation chunk c, copied first (with the chunk
 // spine, once per generation) if a captured view may still read it.
 func (r *Relation) writableAnnots(c int) *annotChunk {
-	if r.annotsGen != r.epoch {
+	if r.annotsGen <= r.sealed {
 		r.st.annots = slices.Clone(r.st.annots)
 		r.annotsGen = r.epoch
 	}
-	if r.chunkGen[c] != r.epoch {
+	if r.chunkGen[c] <= r.sealed {
 		fresh := *r.st.annots[c]
 		r.st.annots[c] = &fresh
 		r.chunkGen[c] = r.epoch
@@ -194,7 +236,7 @@ func (r *Relation) writableAnnots(c int) *annotChunk {
 // enough to hold w.
 func (r *Relation) writablePostings(a itemset.Item, w int) *Postings {
 	k, id := kindSlot(a), a.ID()
-	if r.spineGen[k] != r.epoch {
+	if r.spineGen[k] <= r.sealed {
 		r.st.postings[k] = slices.Clone(r.st.postings[k])
 		r.spineGen[k] = r.epoch
 	}
@@ -208,7 +250,7 @@ func (r *Relation) writablePostings(a itemset.Item, w int) *Postings {
 		// No view reads past the length it captured, which is at most len,
 		// and the words past len were never written: still zero.
 		p.bits = p.bits[:w+1]
-	case r.bitsGen[k][id] != r.epoch || w >= cap(p.bits):
+	case r.bitsGen[k][id] <= r.sealed || w >= cap(p.bits):
 		words := max(len(p.bits), w+1)
 		fresh := make([]uint64, words, words+words/4+1)
 		copy(fresh, p.bits)
@@ -543,18 +585,20 @@ func (r *Relation) CountPattern(pattern itemset.Itemset) int {
 // original. The dictionary is shared: token→item mappings are append-only,
 // so sharing is safe and keeps clones comparable.
 //
-// Clone pins a View (O(1) under the lock) and copies from it afterwards, so
-// no reader or writer ever waits behind the O(n) copy.
+// Clone copies from a scoped view (Read, O(1) under the lock), so no reader
+// or writer ever waits behind the O(n) copy, and the original's next writes
+// copy nothing on the clone's account.
 func (r *Relation) Clone() *Relation {
-	v := r.View()
 	c := NewWithDictionary(r.dict)
-	batch := make([]Tuple, 0, v.Len())
-	v.Each(func(_ int, t Tuple) bool {
-		batch = append(batch, t.Clone())
-		return true
+	r.Read(func(v *View) {
+		batch := make([]Tuple, 0, v.Len())
+		v.Each(func(_ int, t Tuple) bool {
+			batch = append(batch, t.Clone())
+			return true
+		})
+		c.Append(batch...)
+		c.st.version = v.Version()
 	})
-	c.Append(batch...)
-	c.st.version = v.Version()
 	return c
 }
 

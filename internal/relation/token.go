@@ -79,13 +79,20 @@ func (e *KindError) Error() string {
 // write-path rule. The lookup comes first, so a hit takes only the read
 // lock.
 func (d *Dictionary) ResolveAnnotation(token string) (itemset.Item, error) {
-	if it, ok := d.Lookup(token); ok {
-		if !it.IsAnnotation() {
-			return itemset.None, &KindError{Token: token, Have: KindData, Want: KindAnnotation}
-		}
-		return it, nil
+	if it, ok, err := d.LookupAnnotation(token); ok {
+		return it, err
 	}
 	return d.intern(token, KindAnnotation)
+}
+
+// LookupAnnotation is ResolveAnnotation without the intern, for a client's
+// removal, which must not grow the dictionary: ok reports whether token is
+// interned, and an interned token of another kind is a *KindError.
+func (d *Dictionary) LookupAnnotation(token string) (it itemset.Item, ok bool, err error) {
+	if it, ok = d.Lookup(token); ok && !it.IsAnnotation() {
+		return itemset.None, true, &KindError{Token: token, Have: KindData, Want: KindAnnotation}
+	}
+	return it, ok, nil
 }
 
 // ResolveTuple builds the tuple of value and annotation tokens under the

@@ -416,12 +416,13 @@ func (r *Router) annotate(ctx context.Context, updates []Update, remove, replay 
 	for i, u := range updates {
 		s := ShardOf(u.Annotation, n)
 		dict := r.shards[s].dict
-		if remove && !replay {
-			if _, ok := dict.Lookup(u.Annotation); !ok {
-				return nil, fmt.Errorf("removal %d: annotation %q unknown to this dataset", i, u.Annotation)
-			}
+		it, ok, err := dict.LookupAnnotation(u.Annotation)
+		switch {
+		case !ok && remove && !replay:
+			return nil, fmt.Errorf("removal %d: annotation %q unknown to this dataset", i, u.Annotation)
+		case !ok:
+			it, err = dict.ResolveAnnotation(u.Annotation)
 		}
-		it, err := dict.ResolveAnnotation(u.Annotation)
 		if err != nil {
 			return nil, fmt.Errorf("%s %d: %w", what, i, err)
 		}
