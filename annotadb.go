@@ -389,7 +389,7 @@ func (e *Engine) Rules() []Rule {
 	if e.eng == nil {
 		return nil
 	}
-	return rules.RenderAll(e.ds.rel.Dictionary(), e.eng.Rules().Sorted())
+	return rules.RenderAll(e.ds.rel.Dictionary(), e.eng.RulesView().Sorted())
 }
 
 // Candidates returns the near-miss candidate store (rules slightly below
@@ -627,11 +627,7 @@ func (o RecommendOptions) internal() predict.Options {
 // RecommendAll scans the whole dataset for missing annotations (§5 case 1).
 // Nil for a sharded engine.
 func (e *Engine) RecommendAll(opts RecommendOptions) []Recommendation {
-	if e.eng == nil {
-		return nil
-	}
-	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	return predict.Render(e.ds.rel.Dictionary(), rc.ScanAll())
+	return e.RecommendRange(0, e.ds.Len(), opts)
 }
 
 // RecommendRange scans tuple positions [start, end). Nil for a sharded
@@ -640,8 +636,8 @@ func (e *Engine) RecommendRange(start, end int, opts RecommendOptions) []Recomme
 	if e.eng == nil {
 		return nil
 	}
-	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	return predict.Render(e.ds.rel.Dictionary(), rc.ScanRange(start, end))
+	c := predict.Compile(e.eng.RulesView(), opts.internal())
+	return predict.Render(e.ds.rel.Dictionary(), c.ScanRange(e.ds.rel, start, end))
 }
 
 // RecommendForTuple evaluates a tuple before insertion (§5 case 2, the
@@ -654,8 +650,8 @@ func (e *Engine) RecommendForTuple(spec TupleSpec, opts RecommendOptions) ([]Rec
 	if err != nil {
 		return nil, err
 	}
-	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	return predict.Render(e.ds.rel.Dictionary(), rc.ForTuple(tu)), nil
+	c := predict.Compile(e.eng.RulesView(), opts.internal())
+	return predict.Render(e.ds.rel.Dictionary(), c.ForTuple(tu)), nil
 }
 
 // AddTuplesWithTrigger appends a batch and immediately returns trigger
@@ -672,9 +668,7 @@ func (e *Engine) AddTuplesWithTrigger(batch []TupleSpec, opts RecommendOptions) 
 	if err != nil {
 		return UpdateReport{}, nil, err
 	}
-	rc := predict.NewRecommender(e.ds.rel, e.eng, opts.internal())
-	recs := predict.Render(e.ds.rel.Dictionary(), rc.OnInsert(start))
-	return rep, recs, nil
+	return rep, e.RecommendRange(start, e.ds.Len(), opts), nil
 }
 
 // Annotations lists every annotation token present in the dataset with its

@@ -246,11 +246,11 @@ func BenchmarkRecommendScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rc := predict.NewRecommender(rel, predict.StaticRules{Set: res.Rules}, predict.Options{})
+	view := res.Rules.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if recs := rc.ScanAll(); len(recs) == 0 {
+		if recs := predict.Compile(view, predict.Options{}).ScanRange(rel, 0, rel.Len()); len(recs) == 0 {
 			b.Fatal("no recommendations; workload regression")
 		}
 	}
@@ -264,7 +264,7 @@ func BenchmarkTriggerOnInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rc := predict.NewRecommender(rel, predict.StaticRules{Set: res.Rules}, predict.Options{})
+	view := res.Rules.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,7 +275,7 @@ func BenchmarkTriggerOnInsert(b *testing.B) {
 		}
 		start := rel.Append(batch...)
 		b.StartTimer()
-		_ = rc.OnInsert(start)
+		_ = predict.Compile(view, predict.Options{}).ScanRange(rel, start, rel.Len())
 	}
 }
 

@@ -1,74 +1,33 @@
 package predict
 
 import (
-	"sort"
+	"slices"
 
-	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
 	"annotadb/internal/rules"
 )
 
-// RuleIter is the minimal read interface a rule collection must offer to
-// back recommendations: visit every rule, stopping early when fn returns
-// false. *rules.Set (via an adapter) and *rules.View both satisfy it, which
-// lets the serving layer recommend from an immutable snapshot without ever
-// touching the maintenance engine's lock.
-type RuleIter interface {
-	EachRule(fn func(rules.Rule) bool)
-}
-
-// setIter adapts a *rules.Set to RuleIter.
-type setIter struct{ set *rules.Set }
-
-func (s setIter) EachRule(fn func(rules.Rule) bool) {
-	if s.set == nil {
-		return
-	}
-	s.set.Each(fn)
-}
-
-// Compiled is an immutable recommendation evaluator: the eligible rules of
-// one rule collection, filtered by Options and pre-sorted into deterministic
-// evaluation order. Compiling once and evaluating many times moves the
-// filter/sort cost off the per-request path; a Compiled value is safe for
-// concurrent use.
+// Compiled is an immutable recommendation evaluator: the rules of one rule
+// view that Options allow, filtered once and kept in the view's order. The
+// rule backing each recommendation is chosen by outranks, a total order, so
+// the order rules are visited in never changes an answer. Compiling once and
+// evaluating many times moves the filter off the per-request path; a
+// Compiled value is safe for concurrent use.
 type Compiled struct {
 	opts     Options
 	eligible []rules.Rule
 }
 
-// Compile filters and orders the rules of src under opts.
-func Compile(src RuleIter, opts Options) *Compiled {
-	var eligible []rules.Rule
-	src.EachRule(func(r rules.Rule) bool {
+// Compile keeps the rules of v that opts allows.
+func Compile(v *rules.View, opts Options) *Compiled {
+	eligible := make([]rules.Rule, 0, v.Len())
+	for _, r := range v.Sorted() {
 		if opts.ruleAllowed(r) {
 			eligible = append(eligible, r)
 		}
-		return true
-	})
-	// Deterministic evaluation order keeps tie-breaking stable: best rule
-	// first, identity as the final tie-break.
-	sort.Slice(eligible, func(i, j int) bool {
-		if betterRule(eligible[i], eligible[j]) {
-			return true
-		}
-		if betterRule(eligible[j], eligible[i]) {
-			return false
-		}
-		if c := eligible[i].LHS.Compare(eligible[j].LHS); c != 0 {
-			return c < 0
-		}
-		return eligible[i].RHS < eligible[j].RHS
-	})
+	}
 	return &Compiled{opts: opts, eligible: eligible}
 }
-
-// Len returns the number of eligible rules.
-func (c *Compiled) Len() int { return len(c.eligible) }
-
-// Rules returns the eligible rules in evaluation order. The slice is shared;
-// callers must not modify it.
-func (c *Compiled) Rules() []rules.Rule { return c.eligible }
 
 // ForTuple evaluates a free-standing tuple; returned recommendations use
 // TupleIndex -1. See ForTupleAt for tuples that live in a relation.
@@ -76,76 +35,75 @@ func (c *Compiled) ForTuple(tu relation.Tuple) []Recommendation {
 	return c.ForTupleAt(tu, -1)
 }
 
-// ForTupleAt evaluates one tuple, stamping idx into the recommendations.
-// For each missing annotation the best supporting rule wins (highest
-// confidence, then support, then the more general LHS).
+// ForTupleAt evaluates one tuple, stamping idx into the recommendations,
+// which are ordered by annotation.
 func (c *Compiled) ForTupleAt(tu relation.Tuple, idx int) []Recommendation {
-	bestByAnnot := make(map[itemset.Item]rules.Rule)
-	for _, r := range c.eligible {
-		if tu.Annots.Contains(r.RHS) || !tu.Contains(r.LHS) {
-			continue
-		}
-		if cur, ok := bestByAnnot[r.RHS]; ok && !betterRule(r, cur) {
-			continue
-		}
-		bestByAnnot[r.RHS] = r
-	}
-	out := make([]Recommendation, 0, len(bestByAnnot))
-	for a, r := range bestByAnnot {
-		out = append(out, Recommendation{TupleIndex: idx, Annotation: a, Rule: r})
-	}
-	sortRecommendations(out)
-	if c.opts.Limit > 0 && len(out) > c.opts.Limit {
-		out = out[:c.opts.Limit]
-	}
-	return out
+	return c.limit(c.appendTuple(nil, tu, idx))
 }
 
 // ScanRange scans tuple positions [start, end) of src against the compiled
-// rules, mirroring Recommender.ScanRange. src is any read-only relation
+// rules: the paper's missing-annotation scan over the whole relation, and
+// its insert trigger over a freshly appended batch. Recommendations are
+// ordered by tuple position, then annotation. src is any read-only relation
 // face: the live *relation.Relation (locked reads) or an immutable
 // *relation.View (lock-free reads from a published generation).
 func (c *Compiled) ScanRange(src relation.Source, start, end int) []Recommendation {
-	if start < 0 {
-		start = 0
-	}
-	if n := src.Len(); end > n {
-		end = n
-	}
+	start, end = max(start, 0), min(end, src.Len())
 	if start >= end {
 		return nil
 	}
-	type key struct {
-		idx int
-		a   itemset.Item
-	}
-	best := make(map[key]rules.Rule)
+	var out []Recommendation
 	src.EachFrom(start, func(i int, tu relation.Tuple) bool {
 		if i >= end {
 			return false
 		}
-		for _, r := range c.eligible {
-			if tu.Annots.Contains(r.RHS) {
-				continue
-			}
-			if !tu.Contains(r.LHS) {
-				continue
-			}
-			k := key{i, r.RHS}
-			if cur, ok := best[k]; ok && !betterRule(r, cur) {
-				continue
-			}
-			best[k] = r
-		}
-		return true
+		out = c.appendTuple(out, tu, i)
+		return c.opts.Limit <= 0 || len(out) < c.opts.Limit
 	})
-	out := make([]Recommendation, 0, len(best))
-	for k, r := range best {
-		out = append(out, Recommendation{TupleIndex: k.idx, Annotation: k.a, Rule: r})
-	}
-	sortRecommendations(out)
-	if c.opts.Limit > 0 && len(out) > c.opts.Limit {
-		out = out[:c.opts.Limit]
+	return c.limit(out)
+}
+
+// appendTuple appends tu's recommendations to out, ordered by annotation:
+// one for each annotation tu lacks whose rules' LHS tu contains, backed by
+// the rule that outranks the others.
+func (c *Compiled) appendTuple(out []Recommendation, tu relation.Tuple, idx int) []Recommendation {
+	base := len(out)
+	for _, r := range c.eligible {
+		if tu.Annots.Contains(r.RHS) || !tu.Contains(r.LHS) {
+			continue
+		}
+		j := base
+		for j < len(out) && out[j].Annotation < r.RHS {
+			j++
+		}
+		if j < len(out) && out[j].Annotation == r.RHS {
+			if outranks(r, out[j].Rule) {
+				out[j].Rule = r
+			}
+			continue
+		}
+		out = slices.Insert(out, j, Recommendation{TupleIndex: idx, Annotation: r.RHS, Rule: r})
 	}
 	return out
+}
+
+func (c *Compiled) limit(recs []Recommendation) []Recommendation {
+	if c.opts.Limit > 0 && len(recs) > c.opts.Limit {
+		return recs[:c.opts.Limit]
+	}
+	return recs
+}
+
+// outranks reports whether a should back a recommendation rather than b,
+// two rules with one RHS: higher confidence wins, then higher support, then
+// the shorter (more general) LHS, then the smaller LHS. Distinct rules with
+// one RHS differ in LHS, so this is a total order.
+func outranks(a, b rules.Rule) bool {
+	if a.Confidence() != b.Confidence() {
+		return a.Confidence() > b.Confidence()
+	}
+	if a.Support() != b.Support() {
+		return a.Support() > b.Support()
+	}
+	return a.LHS.Compare(b.LHS) < 0 // by length first, then by item
 }

@@ -10,7 +10,6 @@ package predict
 
 import (
 	"fmt"
-	"sort"
 
 	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
@@ -104,85 +103,6 @@ func (o Options) ruleAllowed(r rules.Rule) bool {
 		return false
 	}
 	return true
-}
-
-// RuleSource supplies the current valid rule set; *incremental.Engine and
-// static rule sets both satisfy it.
-type RuleSource interface {
-	Rules() *rules.Set
-}
-
-// StaticRules adapts a fixed rule set to the RuleSource interface.
-type StaticRules struct{ Set *rules.Set }
-
-// Rules returns the wrapped set.
-func (s StaticRules) Rules() *rules.Set { return s.Set }
-
-// Recommender scans a relation against a rule source.
-type Recommender struct {
-	rel  relation.Source
-	src  RuleSource
-	opts Options
-}
-
-// NewRecommender builds a recommender over rel and src. rel may be the live
-// *relation.Relation or an immutable *relation.View.
-func NewRecommender(rel relation.Source, src RuleSource, opts Options) *Recommender {
-	return &Recommender{rel: rel, src: src, opts: opts}
-}
-
-// ScanAll is exploitation case (1): compare every tuple with the valid
-// rules and recommend each R.H.S. annotation whose L.H.S. pattern is present
-// while the annotation itself is missing.
-func (rc *Recommender) ScanAll() []Recommendation {
-	return rc.ScanRange(0, rc.rel.Len())
-}
-
-// ScanRange scans tuple positions [start, end).
-func (rc *Recommender) ScanRange(start, end int) []Recommendation {
-	return rc.compile().ScanRange(rc.rel, start, end)
-}
-
-// OnInsert is exploitation case (2): "when a patch of new tuples is added to
-// the database, the system automatically compares these tuples to the
-// association rules". Call it with the starting position of the freshly
-// appended batch.
-func (rc *Recommender) OnInsert(start int) []Recommendation {
-	return rc.ScanRange(start, rc.rel.Len())
-}
-
-// ForTuple evaluates a free-standing tuple (e.g. before insertion). The
-// returned recommendations use TupleIndex -1.
-func (rc *Recommender) ForTuple(tu relation.Tuple) []Recommendation {
-	return rc.compile().ForTuple(tu)
-}
-
-// compile snapshots the source's current rules into an evaluator. The
-// Recommender re-compiles per call because its RuleSource is live; callers
-// holding an immutable rule view should use Compile directly and reuse it.
-func (rc *Recommender) compile() *Compiled {
-	return Compile(setIter{rc.src.Rules()}, rc.opts)
-}
-
-// betterRule orders supporting rules: higher confidence wins, then higher
-// support, then the shorter (more general) LHS.
-func betterRule(a, b rules.Rule) bool {
-	if a.Confidence() != b.Confidence() {
-		return a.Confidence() > b.Confidence()
-	}
-	if a.Support() != b.Support() {
-		return a.Support() > b.Support()
-	}
-	return a.LHS.Len() < b.LHS.Len()
-}
-
-func sortRecommendations(recs []Recommendation) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].TupleIndex != recs[j].TupleIndex {
-			return recs[i].TupleIndex < recs[j].TupleIndex
-		}
-		return recs[i].Annotation < recs[j].Annotation
-	})
 }
 
 // Evaluation scores recommendations against ground truth (experiment E7:

@@ -45,11 +45,19 @@ func minedRules(t *testing.T, rel *relation.Relation) *rules.Set {
 	return res.Rules
 }
 
+// compile evaluates a fixed rule set under opts.
+func compile(set *rules.Set, opts Options) *Compiled { return Compile(set.Freeze(), opts) }
+
+// scanAll is the paper's scan of the whole relation for missing annotations.
+func scanAll(c *Compiled, rel relation.Source) []Recommendation {
+	return c.ScanRange(rel, 0, rel.Len())
+}
+
 func TestScanAllRecommendsMissingAnnotation(t *testing.T) {
 	rel := fixture()
 	set := minedRules(t, rel)
-	rc := NewRecommender(rel, StaticRules{set}, Options{})
-	recs := rc.ScanAll()
+	c := compile(set, Options{})
+	recs := scanAll(c, rel)
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
 	}
@@ -85,8 +93,8 @@ func TestScanDeduplicatesToBestRule(t *testing.T) {
 	// Both {28}⇒Annot_1, {85}⇒Annot_1 and {28,85}⇒Annot_1 may fire on
 	// tuple 5; exactly one recommendation must come back, backed by the
 	// highest-confidence rule.
-	rc := NewRecommender(rel, StaticRules{set}, Options{})
-	recs := rc.ScanRange(5, 6)
+	c := compile(set, Options{})
+	recs := c.ScanRange(rel, 5, 6)
 	if len(recs) != 1 {
 		t.Fatalf("got %d recommendations for tuple 5, want 1 (deduplicated): %v", len(recs), recs)
 	}
@@ -105,13 +113,13 @@ func TestScanDeduplicatesToBestRule(t *testing.T) {
 func TestOnInsertTrigger(t *testing.T) {
 	rel := fixture()
 	set := minedRules(t, rel)
-	rc := NewRecommender(rel, StaticRules{set}, Options{})
+	c := compile(set, Options{})
 	// Insert a batch; the trigger scans only the new tuples.
 	start := rel.Append(
 		relation.MustTuple(rel.Dictionary(), []string{"28", "85", "77"}, nil),
 		relation.MustTuple(rel.Dictionary(), []string{"99"}, nil),
 	)
-	recs := rc.OnInsert(start)
+	recs := c.ScanRange(rel, start, rel.Len())
 	if len(recs) != 1 {
 		t.Fatalf("trigger produced %d recommendations, want 1: %v", len(recs), recs)
 	}
@@ -123,15 +131,15 @@ func TestOnInsertTrigger(t *testing.T) {
 func TestForTuple(t *testing.T) {
 	rel := fixture()
 	set := minedRules(t, rel)
-	rc := NewRecommender(rel, StaticRules{set}, Options{})
+	c := compile(set, Options{})
 	tu := relation.MustTuple(rel.Dictionary(), []string{"28", "85"}, nil)
-	recs := rc.ForTuple(tu)
+	recs := c.ForTuple(tu)
 	if len(recs) != 1 || recs[0].TupleIndex != -1 {
 		t.Fatalf("ForTuple = %v", recs)
 	}
 	// A tuple already carrying the annotation gets nothing.
 	tu2 := relation.MustTuple(rel.Dictionary(), []string{"28", "85"}, []string{"Annot_1"})
-	if recs := rc.ForTuple(tu2); len(recs) != 0 {
+	if recs := c.ForTuple(tu2); len(recs) != 0 {
 		t.Errorf("annotated tuple got %v", recs)
 	}
 }
@@ -141,18 +149,18 @@ func TestOptionsFilters(t *testing.T) {
 	set := minedRules(t, rel)
 
 	// Confidence filter above every rule's confidence → nothing.
-	rc := NewRecommender(rel, StaticRules{set}, Options{MinConfidence: 1.01})
-	if recs := rc.ScanAll(); len(recs) != 0 {
+	c := compile(set, Options{MinConfidence: 1.01})
+	if recs := scanAll(c, rel); len(recs) != 0 {
 		t.Errorf("MinConfidence filter leaked: %v", recs)
 	}
 	// Kind filter: only annotation-to-annotation rules (none here).
-	rc = NewRecommender(rel, StaticRules{set}, Options{Kinds: []rules.Kind{rules.AnnotationToAnnotation}})
-	if recs := rc.ScanAll(); len(recs) != 0 {
+	c = compile(set, Options{Kinds: []rules.Kind{rules.AnnotationToAnnotation}})
+	if recs := scanAll(c, rel); len(recs) != 0 {
 		t.Errorf("kind filter leaked: %v", recs)
 	}
 	// Limit.
-	rc = NewRecommender(rel, StaticRules{set}, Options{Limit: 1})
-	if recs := rc.ScanAll(); len(recs) > 1 {
+	c = compile(set, Options{Limit: 1})
+	if recs := scanAll(c, rel); len(recs) > 1 {
 		t.Errorf("limit exceeded: %v", recs)
 	}
 }
@@ -170,16 +178,16 @@ func TestExcludeDerived(t *testing.T) {
 		}
 	}
 	set := minedRules(t, rel)
-	rc := NewRecommender(rel, StaticRules{set}, Options{ExcludeDerived: true})
-	for _, r := range rc.ScanAll() {
+	c := compile(set, Options{ExcludeDerived: true})
+	for _, r := range scanAll(c, rel) {
 		if r.Annotation.IsDerived() {
 			t.Errorf("derived label recommended despite ExcludeDerived: %+v", r)
 		}
 	}
 	// Included by default.
-	rc = NewRecommender(rel, StaticRules{set}, Options{})
+	c = compile(set, Options{})
 	foundDerived := false
-	for _, r := range rc.ScanAll() {
+	for _, r := range scanAll(c, rel) {
 		if r.Annotation.IsDerived() {
 			foundDerived = true
 		}
@@ -190,14 +198,13 @@ func TestExcludeDerived(t *testing.T) {
 }
 
 func TestRecommendationsAgainstLiveEngine(t *testing.T) {
-	// The recommender must see rule updates flowing through the engine.
+	// Recompiling from the engine's rule view must see rule updates.
 	rel := fixture()
 	eng, err := incremental.New(rel, mining.Config{MinSupport: 0.4, MinConfidence: 0.8}, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewRecommender(rel, eng, Options{})
-	before := rc.ScanAll()
+	before := scanAll(Compile(eng.RulesView(), Options{}), rel)
 	if len(before) == 0 {
 		t.Fatal("no recommendations before update")
 	}
@@ -206,7 +213,7 @@ func TestRecommendationsAgainstLiveEngine(t *testing.T) {
 	if _, err := eng.AddAnnotations([]relation.AnnotationUpdate{{Index: 5, Annotation: a1}}); err != nil {
 		t.Fatal(err)
 	}
-	after := rc.ScanAll()
+	after := scanAll(Compile(eng.RulesView(), Options{}), rel)
 	for _, r := range after {
 		if r.TupleIndex == 5 && r.Annotation == a1 {
 			t.Error("already-accepted recommendation still offered")
@@ -271,8 +278,8 @@ func TestWithholdAndRecoverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewRecommender(rel, StaticRules{res.Rules}, Options{})
-	ev := Evaluate(rc.ScanAll(), truth)
+	c := compile(res.Rules, Options{})
+	ev := Evaluate(scanAll(c, rel), truth)
 	if ev.Recall() != 1.0 {
 		t.Errorf("recall = %v, want 1.0 (%+v)", ev.Recall(), ev)
 	}
@@ -284,8 +291,8 @@ func TestWithholdAndRecoverEndToEnd(t *testing.T) {
 func TestRecommendationFormat(t *testing.T) {
 	rel := fixture()
 	set := minedRules(t, rel)
-	rc := NewRecommender(rel, StaticRules{set}, Options{})
-	recs := rc.ScanAll()
+	c := compile(set, Options{})
+	recs := scanAll(c, rel)
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
 	}
@@ -302,14 +309,14 @@ func TestRecommendationFormat(t *testing.T) {
 func TestScanRangeBounds(t *testing.T) {
 	rel := fixture()
 	set := minedRules(t, rel)
-	rc := NewRecommender(rel, StaticRules{set}, Options{})
-	if recs := rc.ScanRange(-5, 100); len(recs) == 0 {
+	c := compile(set, Options{})
+	if recs := c.ScanRange(rel, -5, 100); len(recs) == 0 {
 		t.Error("clamped range found nothing")
 	}
-	if recs := rc.ScanRange(5, 5); len(recs) != 0 {
+	if recs := c.ScanRange(rel, 5, 5); len(recs) != 0 {
 		t.Errorf("empty range returned %v", recs)
 	}
-	if recs := rc.ScanRange(6, 2); len(recs) != 0 {
+	if recs := c.ScanRange(rel, 6, 2); len(recs) != 0 {
 		t.Errorf("inverted range returned %v", recs)
 	}
 }

@@ -49,8 +49,7 @@ func (v *View) Has(id RuleID) bool {
 }
 
 // EachRule visits rules in the deterministic Sorted order; fn returning
-// false stops the walk. The signature satisfies the predict package's
-// RuleIter, so a View can back a recommender directly.
+// false stops the walk.
 func (v *View) EachRule(fn func(Rule) bool) {
 	for _, r := range v.sorted {
 		if !fn(r) {

@@ -140,8 +140,8 @@ func recoverWithheld(t *testing.T, gen *workload.Generator, cfg mining.Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := predict.NewRecommender(rel, predict.StaticRules{Set: out.Rules}, predict.Options{})
-		if ev := predict.Evaluate(rc.ScanAll(), truth); ev.Recall() <= 0 {
+		recs := predict.Compile(out.Rules.Freeze(), predict.Options{}).ScanRange(rel, 0, rel.Len())
+		if ev := predict.Evaluate(recs, truth); ev.Recall() <= 0 {
 			t.Errorf("withholding %.0f%% at %v / %v: recovered no withheld annotation (%+v)",
 				withhold*100, cfg.MinSupport, cfg.MinConfidence, ev)
 		}
