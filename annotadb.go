@@ -76,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -627,7 +628,7 @@ func (o RecommendOptions) internal() predict.Options {
 // RecommendAll scans the whole dataset for missing annotations (§5 case 1).
 // Nil for a sharded engine.
 func (e *Engine) RecommendAll(opts RecommendOptions) []Recommendation {
-	return e.RecommendRange(0, e.ds.Len(), opts)
+	return e.RecommendRange(0, math.MaxInt, opts)
 }
 
 // RecommendRange scans tuple positions [start, end). Nil for a sharded

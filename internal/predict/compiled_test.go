@@ -217,9 +217,15 @@ func others(items []itemset.Item, drop itemset.Item) []itemset.Item {
 // TestPropertyCompiledMatchesSortedEvaluator: ranking rules by outranks
 // without sorting them gives exactly the answers of the sorted, first match
 // wins evaluator, for whole, clamped, empty and inverted scans and for
-// single tuples, under the default options, a limit and a kind filter.
+// single tuples, under the default options, a limit and two kind filters,
+// one of which admits mixed LHSs.
 func TestPropertyCompiledMatchesSortedEvaluator(t *testing.T) {
-	optionCases := []Options{{}, {Limit: 3}, {Kinds: []rules.Kind{rules.AnnotationToAnnotation}}}
+	optionCases := []Options{
+		{},
+		{Limit: 3},
+		{Kinds: []rules.Kind{rules.AnnotationToAnnotation}},
+		{Kinds: []rules.Kind{rules.AnnotationToAnnotation, rules.MixedKind}},
+	}
 	same := func(got, want []Recommendation) bool {
 		return len(got) == 0 && len(want) == 0 || reflect.DeepEqual(got, want)
 	}

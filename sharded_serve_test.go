@@ -162,6 +162,9 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 	if got := eng.Rules(); got != nil {
 		t.Errorf("direct sharded Engine read returned %d rules, want nil", len(got))
 	}
+	if got := eng.RecommendAll(RecommendOptions{}); got != nil {
+		t.Errorf("direct sharded Engine RecommendAll returned %d recommendations, want nil", len(got))
+	}
 	if err := eng.Verify(); err != nil {
 		t.Errorf("sharded Engine.Verify: %v", err)
 	}
