@@ -77,7 +77,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -253,8 +252,12 @@ const (
 // a /recommend entry are this struct encoded as is.
 type Rule = rules.TokenRule
 
-// Mine runs a one-shot mining pass and returns the valid rules, ordered
-// deterministically (data-to-annotation first, then lexicographically).
+// Mine runs a one-shot mining pass and returns the valid rules in the
+// dataset's rule order: by kind (data-to-annotation, then
+// annotation-to-annotation), then by LHS length, then by LHS items and
+// finally RHS, comparing items by their interned ids — the order the
+// dataset first saw each token, not the tokens' spelling. (Server.Rules
+// orders by kind, then LHS tokens, then RHS token instead.)
 func Mine(d *Dataset, opts Options) ([]Rule, error) {
 	cfg, err := opts.internal()
 	if err != nil {
@@ -384,8 +387,9 @@ func NewEngine(d *Dataset, opts Options) (*Engine, error) {
 // Dataset returns the engine's dataset (treat as read-only).
 func (e *Engine) Dataset() *Dataset { return e.ds }
 
-// Rules returns the current valid rules, deterministically ordered, or nil
-// for a sharded engine (read through the Server instead).
+// Rules returns the current valid rules, or nil for a sharded engine (read
+// through the Server instead). They are in Mine's order: by kind, then LHS
+// length, then LHS items and RHS by interned id.
 func (e *Engine) Rules() []Rule {
 	if e.eng == nil {
 		return nil
@@ -394,7 +398,9 @@ func (e *Engine) Rules() []Rule {
 }
 
 // Candidates returns the near-miss candidate store (rules slightly below
-// the thresholds, retained for cheap promotion). Nil for a sharded engine.
+// the thresholds, retained for cheap promotion) in Mine's order: by kind,
+// then LHS length, then LHS items and RHS by interned id. Nil for a sharded
+// engine.
 func (e *Engine) Candidates() []Rule {
 	if e.eng == nil {
 		return nil
@@ -413,12 +419,7 @@ func (e *Engine) AddTuples(batch []TupleSpec) (UpdateReport, error) {
 	if err != nil {
 		return UpdateReport{}, fmt.Errorf("annotadb: %w", err)
 	}
-	var rep *incremental.Report
-	if slices.ContainsFunc(tuples, relation.Tuple.Annotated) {
-		rep, err = e.eng.AddAnnotatedTuples(tuples)
-	} else {
-		rep, err = e.eng.AddUnannotatedTuples(tuples)
-	}
+	rep, err := e.eng.AddTuples(tuples)
 	if err != nil {
 		return UpdateReport{}, err
 	}

@@ -222,10 +222,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		if rec.FromCheckpoint {
 			fmt.Fprintf(stdout, "annotserve: recovered %s in %.3fs (%d log records replayed, torn tail: %v)\n",
-				*dataDir, rec.DurationSeconds, rec.RecordsReplayed, rec.TornTail)
+				*dataDir, rec.Duration.Seconds(), rec.Records, rec.TornTail)
 		} else {
 			fmt.Fprintf(stdout, "annotserve: bootstrapped %s in %.3fs (first checkpoint written)\n",
-				*dataDir, rec.DurationSeconds)
+				*dataDir, rec.Duration.Seconds())
 		}
 		srv, err = annotadb.NewServer(eng, sopts)
 		if err != nil {

@@ -1,7 +1,6 @@
 package annotadb
 
 import (
-	"encoding/json"
 	"time"
 
 	"annotadb/internal/incremental"
@@ -76,99 +75,40 @@ func HasDurableState(dir string) bool {
 	return wal.HasCheckpoint(dir) || shard.HasDurableState(dir)
 }
 
-// RecoveryReport says how OpenDurable brought the store up. On /stats its
-// fields sit flat in the durability section.
-type RecoveryReport struct {
-	// FromCheckpoint is true when the engine was restored from a checkpoint
-	// (for sharded stores: every shard restored) instead of bootstrapped
-	// with a full mine.
-	FromCheckpoint bool `json:"recovered"`
-	// RecordsReplayed is the number of log records replayed after the
-	// checkpoint, summed across shards.
-	RecordsReplayed int `json:"records_replayed"`
-	// TornTail reports that a torn final log record (crash artifact) was
-	// dropped, in any shard.
-	TornTail bool `json:"torn_tail"`
-	// Shards is the shard count of the recovered store (0 when unsharded).
-	Shards int `json:"-"`
-	// PaddedTuples counts tuples re-appended into shard replicas that a
-	// crash mid-append-fanout left behind (data values only; the padded
-	// appends were never acknowledged). Always 0 for unsharded stores,
-	// whose /stats leave it out.
-	PaddedTuples int `json:"-"`
-	// DurationSeconds is the wall time of recovery or bootstrap.
-	DurationSeconds float64 `json:"recovery_seconds"`
-}
+// RecoveryReport says how OpenDurable brought the store up: FromCheckpoint
+// is true when the engine was restored from a checkpoint (for sharded
+// stores: every shard restored) instead of bootstrapped with a full mine;
+// Records is the number of log records replayed after the checkpoint,
+// summed across shards; TornTail reports that a torn final log record
+// (crash artifact) was dropped, in any shard; Duration is the wall time of
+// recovery or bootstrap; Shards is the shard count of the recovered store
+// (0 when unsharded); PaddedTuples counts tuples re-appended into shard
+// replicas that a crash mid-append-fanout left behind (data values only;
+// the padded appends were never acknowledged), always 0 when unsharded. On
+// /stats its fields sit flat in the durability section.
+type RecoveryReport = shard.Recovery
 
 // ShardDurabilityStats is one shard's write-ahead log and checkpoint
-// activity inside DurabilityStats.
-type ShardDurabilityStats struct {
-	// Shard is the shard index.
-	Shard int `json:"shard"`
-	// RecordsAppended, LogBytes, Syncs, UnsyncedRecords, UnsyncedBytes,
-	// Checkpoints, and CheckpointErrors mirror the top-level counters for
-	// this shard alone.
-	RecordsAppended  uint64 `json:"records_appended"`
-	LogBytes         int64  `json:"log_bytes"`
-	Syncs            uint64 `json:"syncs"`
-	UnsyncedRecords  int64  `json:"unsynced_records"`
-	UnsyncedBytes    int64  `json:"unsynced_bytes"`
-	Checkpoints      uint64 `json:"checkpoints"`
-	CheckpointErrors uint64 `json:"checkpoint_errors"`
-}
+// activity inside DurabilityStats: the top-level counters for this shard
+// alone.
+type ShardDurabilityStats = shard.ShardDurability
 
 // DurabilityStats reports write-ahead log and checkpoint activity for a
-// durable server; see Server.Durability. For a sharded server the top-level
-// counters are summed across shards and PerShard carries the breakdown.
-type DurabilityStats struct {
-	// RecordsAppended counts log records written since the store opened;
-	// LogBytes is the size of the retained log segments (checkpoints trim
-	// them).
-	RecordsAppended uint64 `json:"records_appended"`
-	LogBytes        int64  `json:"log_bytes"`
-	// Syncs counts explicit log fsyncs. UnsyncedRecords and UnsyncedBytes
-	// measure the current crash window: appended records whose covering
-	// fsync has not completed yet (conservative — a record appended while a
-	// sync is in flight stays counted until the next one). Under Fsync
-	// "always" they are transiently non-zero only while a group commit is
-	// in flight and never cover an acknowledged write; under "interval" and
-	// "never" they bound what a crash right now could lose.
-	Syncs           uint64 `json:"syncs"`
-	UnsyncedRecords int64  `json:"unsynced_records"`
-	UnsyncedBytes   int64  `json:"unsynced_bytes"`
-	// Checkpoints and CheckpointErrors count checkpoint attempts since the
-	// store opened; LastCheckpointUnixNano is the newest one's wall time
-	// (0 = none this run).
-	Checkpoints            uint64 `json:"checkpoints"`
-	CheckpointErrors       uint64 `json:"checkpoint_errors"`
-	LastCheckpointUnixNano int64  `json:"-"`
-	// Recovery echoes how the store came up.
-	Recovery RecoveryReport `json:"-"`
-	// PerShard carries each shard's counters (nil when unsharded).
-	PerShard []ShardDurabilityStats `json:"per_shard,omitempty"`
-	// Events reports the durable rule-churn event log (one per server —
-	// sharded streams merge into a single cursor order, so the segments
-	// live beside the cluster manifest, not inside the shard directories).
-	// Nil when the stream is disabled.
-	Events *EventLogStats `json:"events,omitempty"`
-}
-
-// MarshalJSON renders the /stats durability section: the counters, the
-// recovery report flat beside them (padded_tuples only when sharded), and
-// the newest checkpoint's wall time in Unix seconds.
-func (d DurabilityStats) MarshalJSON() ([]byte, error) {
-	type counters DurabilityStats // without this method
-	var padded *int
-	if d.PerShard != nil {
-		padded = &d.Recovery.PaddedTuples
-	}
-	return json.Marshal(struct {
-		counters
-		RecoveryReport
-		PaddedTuples       *int    `json:"padded_tuples,omitempty"`
-		LastCheckpointUnix float64 `json:"last_checkpoint_unix"`
-	}{counters(d), d.Recovery, padded, float64(d.LastCheckpointUnixNano) / float64(time.Second)})
-}
+// durable server; see Server.Durability. RecordsAppended counts log records
+// written since the store opened and LogBytes is the size of the retained
+// log segments (checkpoints trim them). Syncs counts explicit log fsyncs.
+// UnsyncedRecords and UnsyncedBytes measure the current crash window:
+// appended records whose covering fsync has not completed yet. Under Fsync
+// "always" they are transiently non-zero only while a group commit is in
+// flight and never cover an acknowledged write; under "interval" and
+// "never" they bound what a crash right now could lose. Checkpoints and
+// CheckpointErrors count checkpoint attempts since the store opened, and
+// LastCheckpointUnixNano is the newest one's wall time (0 = none this run).
+// Recovery echoes how the store came up. For a sharded server the counters
+// are summed across shards and PerShard carries the breakdown. Events
+// reports the durable rule-churn event log; nil when the stream is
+// disabled.
+type DurabilityStats = shard.DurabilityStats
 
 // EventLogStats reports the rotated-segment event log behind the rule-churn
 // stream: how much retained history cursors can resume from, and the
@@ -236,19 +176,7 @@ func openDurable(opts Options, dopts DurabilityOptions, bootstrap func() (*relat
 		eng.eng = engines[0]
 		eng.ds = &Dataset{rel: eng.eng.Relation()}
 	}
-	return eng, publicRecovery(cluster), nil
-}
-
-func publicRecovery(c *shard.Cluster) RecoveryReport {
-	r := c.Recovery()
-	return RecoveryReport{
-		FromCheckpoint:  r.FromCheckpoint,
-		RecordsReplayed: r.Records,
-		TornTail:        r.TornTail,
-		Shards:          publicShards(len(c.Stores())),
-		PaddedTuples:    r.PaddedTuples,
-		DurationSeconds: r.Duration.Seconds(),
-	}
+	return eng, cluster.Recovery(), nil
 }
 
 // Durability returns write-ahead log and checkpoint statistics, or nil for
@@ -258,36 +186,10 @@ func (s *Server) Durability() *DurabilityStats {
 	if s.cluster == nil {
 		return nil
 	}
-	out := &DurabilityStats{Recovery: publicRecovery(s.cluster)}
+	out := s.cluster.Stats()
 	if s.eventLog != nil {
 		ev := s.eventLog.Stats()
 		out.Events = &ev
 	}
-	stats := s.cluster.Stats()
-	for i, st := range stats {
-		out.RecordsAppended += st.Records
-		out.LogBytes += st.LogBytes
-		out.Syncs += st.Syncs
-		out.UnsyncedRecords += st.UnsyncedRecords
-		out.UnsyncedBytes += st.UnsyncedBytes
-		out.Checkpoints += st.Checkpoints
-		out.CheckpointErrors += st.CheckpointErrors
-		if st.LastCheckpointUnixNano > out.LastCheckpointUnixNano {
-			out.LastCheckpointUnixNano = st.LastCheckpointUnixNano
-		}
-		if len(stats) == 1 {
-			continue // the totals above are the one store's
-		}
-		out.PerShard = append(out.PerShard, ShardDurabilityStats{
-			Shard:            i,
-			RecordsAppended:  st.Records,
-			LogBytes:         st.LogBytes,
-			Syncs:            st.Syncs,
-			UnsyncedRecords:  st.UnsyncedRecords,
-			UnsyncedBytes:    st.UnsyncedBytes,
-			Checkpoints:      st.Checkpoints,
-			CheckpointErrors: st.CheckpointErrors,
-		})
-	}
-	return out
+	return &out
 }

@@ -2,7 +2,6 @@ package annotadb
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -41,45 +40,19 @@ type FollowOptions struct {
 }
 
 // ReplicationStats reports a follower's position relative to its primary;
-// see ServerStats.Replication.
-type ReplicationStats struct {
-	// Primary is the primary's base URL.
-	Primary string `json:"primary"`
-	// RunID identifies the primary process run the watermark belongs to.
-	RunID string `json:"run_id"`
-	// Epoch is the checkpoint generation the follower's world bootstrapped
-	// from.
-	Epoch uint64 `json:"epoch"`
-	// Seq is the read-your-writes watermark: every primary write
-	// acknowledged with seq ≤ Seq (during run RunID) is visible here.
-	Seq uint64 `json:"seq"`
-	// Applied counts log records applied since the follower started.
-	Applied uint64 `json:"applied_records"`
-	// Bootstraps counts checkpoint bootstraps (1 after a clean start);
-	// Conflicts counts the re-bootstraps a conflict triggered among them: a
-	// trimmed or lost log cursor, or a restarted primary.
-	Bootstraps uint64 `json:"bootstraps"`
-	Conflicts  uint64 `json:"conflicts"`
-	// TailErrors counts transient tail failures (primary unreachable, …).
-	TailErrors uint64 `json:"tail_errors"`
-	// LagMillis is the wall-clock freshness estimate: milliseconds since
-	// the follower last confirmed the primary's position (applied a frame,
-	// or polled the log and found itself caught up). A caught-up idle
-	// follower stays near its poll interval; a follower cut off from its
-	// primary grows without bound — the number operators alarm on without
-	// decoding seq deltas.
-	LagMillis int64 `json:"lag_ms"`
-}
-
-// MarshalJSON renders the /stats replication section: the fields above
-// under their tags, after "role":"follower".
-func (r ReplicationStats) MarshalJSON() ([]byte, error) {
-	type fields ReplicationStats // without this method
-	return json.Marshal(struct {
-		Role string `json:"role"`
-		fields
-	}{"follower", fields(r)})
-}
+// see ServerStats.Replication. Primary is the primary's base URL and RunID
+// the primary process run the watermark belongs to; Epoch is the
+// checkpoint generation the follower's world bootstrapped from; Seq is the
+// read-your-writes watermark: every primary write acknowledged with
+// seq ≤ Seq (during run RunID) is visible here. Applied counts log records
+// applied since the follower started, Bootstraps checkpoint bootstraps (1
+// after a clean start), Conflicts the re-bootstraps a trimmed or lost log
+// cursor or a restarted primary triggered, and TailErrors transient tail
+// failures. LagMillis is the wall-clock freshness estimate: milliseconds
+// since the follower last confirmed the primary's position; a caught-up
+// idle follower stays near its poll interval, one cut off from its primary
+// grows without bound. On /stats it is encoded after "role":"follower".
+type ReplicationStats = replica.Stats
 
 // Follow starts a read replica of the primary named in fopts: it bootstraps
 // from the primary's current checkpoint, tails its write-ahead log, and
@@ -145,17 +118,7 @@ func (s *Server) Replication() *ReplicationStats {
 		return nil
 	}
 	st := s.follower.Stats()
-	return &ReplicationStats{
-		Primary:    st.Primary,
-		RunID:      st.RunID,
-		Epoch:      st.Epoch,
-		Seq:        st.Seq,
-		Applied:    st.Applied,
-		Bootstraps: st.Bootstraps,
-		Conflicts:  st.Conflicts,
-		TailErrors: st.TailErrors,
-		LagMillis:  st.Lag.Milliseconds(),
-	}
+	return &st
 }
 
 // ReplicationSource returns the primary-side replication feed transports

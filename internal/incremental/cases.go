@@ -11,6 +11,18 @@ import (
 	"annotadb/internal/rules"
 )
 
+// AddTuples appends a tuple batch on the paper's Case 1 path
+// (AddAnnotatedTuples) when any tuple carries an annotation and on the
+// cheaper Case 2 path (AddUnannotatedTuples) when none does. Every writer
+// that appends tuples routes through it, so live application and log replay
+// choose the same case for the same batch.
+func (e *Engine) AddTuples(tuples []relation.Tuple) (*Report, error) {
+	if slices.ContainsFunc(tuples, relation.Tuple.Annotated) {
+		return e.AddAnnotatedTuples(tuples)
+	}
+	return e.AddUnannotatedTuples(tuples)
+}
+
 // AddAnnotatedTuples implements Case 1: appending tuples that may carry
 // annotations. Existing rules are updated by counting only the new tuples;
 // the candidate store is re-evaluated ("reviewing candidate association

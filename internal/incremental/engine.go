@@ -186,17 +186,19 @@ type Engine struct {
 // maxColdEntries bounds each cold-cache tier; exceeding it clears the tier.
 const maxColdEntries = 1 << 18
 
-// Stats aggregates engine activity over its lifetime.
+// Stats aggregates engine activity over its lifetime. Of its counters only
+// Remines (full re-mine fallbacks) is on the /stats wire, inside each
+// serving section that embeds it.
 type Stats struct {
-	Bootstraps  int
-	Case1       int
-	Case2       int
-	Case3       int
-	Removals    int
-	Remines     int
-	Promotions  int
-	Demotions   int
-	Discoveries int
+	Bootstraps  int `json:"-"`
+	Case1       int `json:"-"`
+	Case2       int `json:"-"`
+	Case3       int `json:"-"`
+	Removals    int `json:"-"`
+	Remines     int `json:"remines"`
+	Promotions  int `json:"-"`
+	Demotions   int `json:"-"`
+	Discoveries int `json:"-"`
 }
 
 // New bootstraps an engine over rel with a full mining pass.
@@ -318,20 +320,28 @@ func (e *Engine) rulesViewLocked() *rules.View {
 // taken under one lock acquisition: the rule view, the relation generation
 // those rules were maintained against, the thresholds' world size, and the
 // lifetime counters. Everything in a Snapshot is immutable and safe to
-// share; in particular Rules and Relation are guaranteed to belong to the
-// same generation, so a reader that evaluates Rules against a tuple fetched
-// from Relation can never see a torn pairing.
+// share; in particular Rules and View are guaranteed to belong to the same
+// generation, so a reader that evaluates Rules against a tuple fetched from
+// View can never see a torn pairing.
 type Snapshot struct {
+	// Rules is the immutable valid rule set.
 	Rules *rules.View
 	// Candidates is the near-miss slack pool of the same generation, frozen
 	// alongside Rules so tier transitions (promotions, demotions) can be
 	// diffed exactly between consecutive snapshots.
 	Candidates *rules.View
-	Relation   *relation.View
-	N          int
-	MinCount   int
+	// View is the immutable relation generation the rules were maintained
+	// against.
+	View *relation.View
+	// N is the relation size the rules' denominators refer to, and MinCount
+	// the absolute support threshold.
+	N        int
+	MinCount int
+	// RelVersion is the relation's mutation counter at capture; the live
+	// relation's Version minus this value is the capture's staleness.
 	RelVersion uint64
-	Stats      Stats
+	// Stats are the engine lifetime counters at capture.
+	Stats Stats
 }
 
 // Snapshot captures the current state atomically with respect to updates.
@@ -348,7 +358,7 @@ func (e *Engine) Snapshot() Snapshot {
 	return Snapshot{
 		Rules:      e.rulesViewLocked(),
 		Candidates: e.candsView,
-		Relation:   rv,
+		View:       rv,
 		N:          e.n,
 		MinCount:   e.minCount,
 		RelVersion: rv.Version(),

@@ -252,6 +252,41 @@ func TestPropertyCompiledMatchesSortedEvaluator(t *testing.T) {
 	}
 }
 
+// TestCompileRatioFilters: with non-zero MinConfidence and MinSupport,
+// Compile keeps exactly the rules whose own Confidence and Support reach
+// both thresholds, in the view's order, alone and combined with a kind
+// filter.
+func TestCompileRatioFilters(t *testing.T) {
+	optionCases := []Options{
+		{MinConfidence: 0.5},
+		{MinSupport: 0.15},
+		{MinConfidence: 0.5, MinSupport: 0.1},
+		{MinConfidence: 0.3, Kinds: []rules.Kind{rules.AnnotationToAnnotation}},
+	}
+	kept, filtered := 0, 0
+	for seed := int64(1); seed <= 50; seed++ {
+		_, set := randomWorld(rand.New(rand.NewSource(seed)))
+		view := set.Freeze()
+		for _, opts := range optionCases {
+			var want []rules.Rule
+			for _, r := range view.Sorted() {
+				if opts.kindAllowed(r.Kind()) && r.Confidence() >= opts.MinConfidence && r.Support() >= opts.MinSupport {
+					want = append(want, r)
+				}
+			}
+			got := Compile(view, opts).eligible
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %+v: Compile kept\n%v\nwant\n%v", seed, opts, got, want)
+			}
+			kept += len(want)
+			filtered += view.Len() - len(want)
+		}
+	}
+	if kept == 0 || filtered == 0 {
+		t.Fatalf("the option cases kept %d rules and filtered %d; both must happen to test the thresholds", kept, filtered)
+	}
+}
+
 // TestCompiledConcurrentReaders: one Compiled serves every reader goroutine
 // of a published snapshot, so concurrent evaluations must agree with a
 // single-threaded one (and, under -race, share no written state).

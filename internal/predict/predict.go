@@ -96,13 +96,12 @@ func (o Options) ruleAllowed(r rules.Rule) bool {
 	if o.ExcludeDerived && r.RHS.IsDerived() {
 		return false
 	}
-	if r.Confidence() < o.MinConfidence {
+	// A zero (or negative) ratio filter keeps every rule, so the default
+	// options skip the two divisions per rule on every publish.
+	if o.MinConfidence > 0 && r.Confidence() < o.MinConfidence {
 		return false
 	}
-	if r.Support() < o.MinSupport {
-		return false
-	}
-	return true
+	return o.MinSupport <= 0 || r.Support() >= o.MinSupport
 }
 
 // Evaluation scores recommendations against ground truth (experiment E7:

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -171,31 +172,46 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats is a point-in-time follower status snapshot.
+// Stats is a point-in-time follower status snapshot. Encoded as JSON (see
+// MarshalJSON) it is the /stats replication section.
 type Stats struct {
 	// Primary is the primary's base URL.
-	Primary string
+	Primary string `json:"primary"`
 	// RunID is the primary run the watermark belongs to ("" until known).
-	RunID string
+	RunID string `json:"run_id"`
 	// Epoch is the checkpoint generation of the current world.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Seq is the read-your-writes watermark: every primary write
 	// acknowledged with seq ≤ Seq (in run RunID) is visible here.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Applied counts log records applied since Start.
-	Applied uint64
-	// Bootstraps counts checkpoint bootstraps (1 after a clean Start).
-	Bootstraps uint64
-	// Conflicts counts re-bootstrap triggers: a 409 (trimmed or lost
-	// cursor) or a changed primary run id.
-	Conflicts uint64
-	// TailErrors counts transient tail-loop failures.
-	TailErrors uint64
-	// Lag is the wall clock elapsed since the follower last confirmed the
-	// primary's position — applied a frame, or polled the log and found
-	// itself caught up. A healthy caught-up follower stays near the poll
-	// interval; one cut off from its primary grows without bound.
-	Lag time.Duration
+	Applied uint64 `json:"applied_records"`
+	// Bootstraps counts checkpoint bootstraps (1 after a clean Start);
+	// Conflicts counts the re-bootstraps a conflict triggered among them: a
+	// 409 (trimmed or lost cursor) or a changed primary run id.
+	Bootstraps uint64 `json:"bootstraps"`
+	Conflicts  uint64 `json:"conflicts"`
+	// TailErrors counts transient tail-loop failures (primary unreachable,
+	// …).
+	TailErrors uint64 `json:"tail_errors"`
+	// LagMillis is the wall clock elapsed, in milliseconds, since the
+	// follower last confirmed the primary's position — applied a frame, or
+	// polled the log and found itself caught up. A healthy caught-up
+	// follower stays near the poll interval; one cut off from its primary
+	// grows without bound — the number operators alarm on without decoding
+	// seq deltas.
+	LagMillis int64 `json:"lag_ms"`
+}
+
+// MarshalJSON renders the /stats replication section: the fields above
+// under their tags, after "role":"follower". Only a pointer to the section
+// is ever embedded in a larger body, so this method is never promoted.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	type fields Stats // without this method
+	return json.Marshal(struct {
+		Role string `json:"role"`
+		fields
+	}{"follower", fields(s)})
 }
 
 // Follower tails a primary and maintains a serving world. Create with Start.
@@ -504,7 +520,7 @@ func (f *Follower) Stats() Stats {
 		Primary:    f.opts.Primary,
 		RunID:      runID,
 		Seq:        seq,
-		Lag:        lag,
+		LagMillis:  lag.Milliseconds(),
 		Applied:    f.applied.Load(),
 		Bootstraps: f.bootstraps.Load(),
 		Conflicts:  f.conflicts.Load(),

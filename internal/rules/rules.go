@@ -306,8 +306,10 @@ func (s *Set) Rewrite(fn func(r *Rule) bool) {
 	}
 }
 
-// Sorted returns the rules ordered deterministically: by kind, then LHS,
-// then RHS. Output files and test diffs depend on this order.
+// Sorted returns the rules ordered deterministically: by kind
+// (DataToAnnotation, AnnotationToAnnotation, MixedKind), then LHS length,
+// then LHS items, then RHS, comparing items by their interned ids. Output
+// files and test diffs depend on this order.
 func (s *Set) Sorted() []Rule {
 	out := make([]Rule, 0, len(s.byID))
 	for _, r := range s.byID {

@@ -340,38 +340,45 @@ func (s *Server) Recommend(idx int) ([]predict.Recommendation, uint64, error) {
 	return snap.Compiled.ForTupleAt(tu, idx), snap.Seq, nil
 }
 
-// Stats reports serving counters plus the published snapshot's identity.
+// Stats reports one serving core's counters plus its published snapshot's
+// identity. Encoded by its JSON tags it is one shard's entry in the /stats
+// per_shard array (see shard.ShardStats); the engine counters it embeds put
+// only remines on the wire.
 type Stats struct {
-	// Snapshot identity.
-	Seq        uint64
-	N          int
-	RuleCount  int
-	MinCount   int
-	RelVersion uint64
-	// LiveRelVersion is the live relation's mutation counter at the moment
-	// Stats ran; LiveRelVersion - RelVersion is the published snapshot's
+	// SnapshotSeq, Tuples and RuleCount identify the published snapshot.
+	SnapshotSeq uint64 `json:"seq"`
+	Tuples      int    `json:"tuples"`
+	RuleCount   int    `json:"rule_count"`
+	// RelVersion is the relation mutation counter the snapshot was
+	// published at and LiveRelVersion the live relation's counter at the
+	// moment Stats ran; Staleness, their difference, is the snapshot's
 	// staleness in relation mutations (0 when the writer is idle).
-	LiveRelVersion uint64
+	RelVersion     uint64 `json:"rel_version"`
+	LiveRelVersion uint64 `json:"live_rel_version"`
+	Staleness      uint64 `json:"staleness"`
 	// Attachments and DistinctAnnotations describe the snapshot's relation
 	// generation: total (tuple, annotation) pairs and annotations appearing
 	// on at least one tuple.
-	Attachments         int
-	DistinctAnnotations int
-	// Server counters.
-	Requests  uint64 // write requests accepted
-	Shed      uint64 // write requests refused with ErrOverloaded
-	Batches   uint64 // engine applications after coalescing
-	Coalesced uint64 // requests that shared an application
-	Reads     uint64 // snapshot loads served
+	Attachments         int `json:"attachments"`
+	DistinctAnnotations int `json:"distinct_annotations"`
+	// Requests counts write requests accepted, Batches engine applications
+	// after coalescing, Coalesced requests that shared an application, Reads
+	// snapshot loads served, and Shed write requests refused with
+	// ErrOverloaded.
+	Requests  uint64 `json:"requests"`
+	Batches   uint64 `json:"batches"`
+	Coalesced uint64 `json:"coalesced"`
+	Reads     uint64 `json:"reads"`
+	Shed      uint64 `json:"shed"`
 	// JournalErrors counts journal failures: groups rejected because their
 	// write-ahead log append failed, plus post-publish Committed errors.
-	JournalErrors uint64
+	JournalErrors uint64 `json:"-"`
 	// Latency digests the write path's per-stage histograms. On a sharded
 	// server every shard observes into one shared recorder, so the digest
-	// is already merged.
-	Latency LatencyStats
-	// Engine lifetime counters as of the snapshot.
-	Engine incremental.Stats
+	// is already merged and /stats reports it once, at the top level.
+	Latency LatencyStats `json:"-"`
+	// Stats are the engine lifetime counters as of the snapshot.
+	incremental.Stats
 }
 
 // Stats returns current serving statistics. The relation section
@@ -381,13 +388,14 @@ type Stats struct {
 // behind an O(n) scan.
 func (s *Server) Stats() Stats {
 	snap := s.snap.Load()
+	live := s.rel.Version()
 	return Stats{
-		Seq:                 snap.Seq,
-		N:                   snap.N,
+		SnapshotSeq:         snap.Seq,
+		Tuples:              snap.N,
 		RuleCount:           snap.Rules.Len(),
-		MinCount:            snap.MinCount,
 		RelVersion:          snap.RelVersion,
-		LiveRelVersion:      s.rel.Version(),
+		LiveRelVersion:      live,
+		Staleness:           live - snap.RelVersion,
 		Attachments:         snap.Attachments,
 		DistinctAnnotations: snap.DistinctAnnotations,
 		Requests:            s.requests.Load(),
@@ -397,7 +405,7 @@ func (s *Server) Stats() Stats {
 		Reads:               s.reads.Load(),
 		JournalErrors:       s.journalErrs.Load(),
 		Latency:             s.lat.Stats(),
-		Engine:              snap.EngineStats,
+		Stats:               snap.Stats,
 	}
 }
 
@@ -727,18 +735,7 @@ func (s *Server) applyGroup(kind opKind, group []*request) result {
 				return result{err: fmt.Errorf("%w: %w", ErrJournal, jerr)}
 			}
 		}
-		annotated := false
-		for _, tu := range tuples {
-			if tu.Annotated() {
-				annotated = true
-				break
-			}
-		}
-		if annotated {
-			rep, err = s.eng.AddAnnotatedTuples(tuples)
-		} else {
-			rep, err = s.eng.AddUnannotatedTuples(tuples)
-		}
+		rep, err = s.eng.AddTuples(tuples)
 	}
 	return result{rep: rep, err: err}
 }
@@ -750,17 +747,11 @@ func (s *Server) applyGroup(kind opKind, group []*request) result {
 // only for the chunks it actually touches.
 func (s *Server) publish() {
 	es := s.eng.Snapshot()
-	attachments, distinct := es.Relation.AttachmentTotals()
+	attachments, distinct := es.View.AttachmentTotals()
 	prev := s.snap.Load()
 	snap := &Snapshot{
+		Snapshot:            es,
 		Seq:                 s.seq.Add(1),
-		N:                   es.N,
-		MinCount:            es.MinCount,
-		RelVersion:          es.RelVersion,
-		EngineStats:         es.Stats,
-		View:                es.Relation,
-		Rules:               es.Rules,
-		Candidates:          es.Candidates,
 		Compiled:            predict.Compile(es.Rules, s.cfg.Recommend),
 		Attachments:         attachments,
 		DistinctAnnotations: distinct,

@@ -553,11 +553,11 @@ func TestStressReadersSeeConsistentSnapshots(t *testing.T) {
 	if st.Requests != uint64(writers*writesPerGoro) {
 		t.Errorf("Requests = %d, want %d", st.Requests, writers*writesPerGoro)
 	}
-	if st.Batches == 0 || st.Seq < 2 {
+	if st.Batches == 0 || st.SnapshotSeq < 2 {
 		t.Errorf("suspicious stats after stress: %+v", st)
 	}
 	t.Logf("stress: %d requests -> %d engine batches (%d coalesced), %d snapshots, %d reads",
-		st.Requests, st.Batches, st.Coalesced, st.Seq, st.Reads)
+		st.Requests, st.Batches, st.Coalesced, st.SnapshotSeq, st.Reads)
 }
 
 // TestReadYourWrites pins the acknowledgment ordering: once a write call
@@ -599,14 +599,14 @@ func TestStatsReflectSnapshot(t *testing.T) {
 	rel := fixture()
 	s, _ := mustServer(t, rel, testCfg(), Config{BatchWindow: -1})
 	st := s.Stats()
-	if st.N != rel.Len() {
-		t.Errorf("Stats N = %d, want %d", st.N, rel.Len())
+	if st.Tuples != rel.Len() {
+		t.Errorf("Stats Tuples = %d, want %d", st.Tuples, rel.Len())
 	}
 	if want := s.Snapshot().Rules.Len(); st.RuleCount != want {
 		t.Errorf("Stats RuleCount = %d, want %d", st.RuleCount, want)
 	}
-	if st.Engine.Bootstraps != 1 {
-		t.Errorf("Stats Engine.Bootstraps = %d, want 1", st.Engine.Bootstraps)
+	if st.Bootstraps != 1 {
+		t.Errorf("Stats Bootstraps = %d, want 1", st.Bootstraps)
 	}
 }
 

@@ -21,8 +21,8 @@ func TestWriterPublishesChurnEvents(t *testing.T) {
 	s, _ := mustServer(t, rel, testCfg(), Config{BatchWindow: -1, Stream: pub})
 
 	// The bootstrap publish must not have streamed the whole rule set.
-	if st := broker.Stats(); st.Published != 0 {
-		t.Fatalf("initial publish emitted %d events, want 0 (baseline)", st.Published)
+	if st := broker.Stats(); st.EventsPublished != 0 {
+		t.Fatalf("initial publish emitted %d events, want 0 (baseline)", st.EventsPublished)
 	}
 
 	ctx := context.Background()
@@ -39,7 +39,7 @@ func TestWriterPublishesChurnEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Promoted+rep.Demoted+rep.Discovered+rep.Dropped == 0 && broker.Stats().Published == 0 {
+	if rep.Promoted+rep.Demoted+rep.Discovered+rep.Dropped == 0 && broker.Stats().EventsPublished == 0 {
 		t.Skip("fixture produced no churn; nothing to assert")
 	}
 
@@ -50,11 +50,11 @@ func TestWriterPublishesChurnEvents(t *testing.T) {
 	// The acknowledged write's events are already in the broker (publish
 	// precedes the ack), stamped with the published snapshot's Seq.
 	st := broker.Stats()
-	if st.Published == 0 {
+	if st.EventsPublished == 0 {
 		t.Fatal("churn-producing batch emitted no events")
 	}
 	deadline := time.After(5 * time.Second)
-	for i := uint64(0); i < st.Published; i++ {
+	for i := uint64(0); i < st.EventsPublished; i++ {
 		select {
 		case ev := <-sub.Events:
 			if ev.Seq != snap.Seq {
@@ -64,7 +64,7 @@ func TestWriterPublishesChurnEvents(t *testing.T) {
 				t.Errorf("malformed event: %+v", ev)
 			}
 		case <-deadline:
-			t.Fatalf("timed out at event %d of %d", i, st.Published)
+			t.Fatalf("timed out at event %d of %d", i, st.EventsPublished)
 		}
 	}
 }

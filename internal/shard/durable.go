@@ -85,22 +85,22 @@ func HasDurableState(dir string) bool {
 	return err == nil
 }
 
-// Recovery summarizes how OpenDurable brought the cluster up.
+// Recovery summarizes how OpenDurable brought the cluster up: its stores'
+// reports folded into one. FromCheckpoint holds when every shard restored
+// from its checkpoint (no mining pass), Records totals the log records
+// replayed across shards, TornTail reports that at least one shard dropped
+// a torn final record, and Duration is the wall time of the whole open.
 type Recovery struct {
-	// FromCheckpoint reports that every shard restored from its checkpoint
-	// (no mining pass); false means the cluster was bootstrapped fresh.
-	FromCheckpoint bool
-	// Records is the total number of log records replayed across shards.
-	Records int
-	// TornTail reports that at least one shard dropped a torn final record.
-	TornTail bool
+	wal.Recovery
+	// Shards is the shard count of a sharded cluster, 0 for the
+	// single-store layout.
+	Shards int `json:"-"`
 	// PaddedTuples counts tuples re-appended (data values only) into
 	// replicas that a crash mid-fanout left behind the longest shard; the
 	// padded appends were never acknowledged, so their lost per-shard
-	// annotations are unacked writes, not data loss.
-	PaddedTuples int
-	// Duration is the wall time of the whole open.
-	Duration time.Duration
+	// annotations are unacked writes, not data loss. Always 0 for the
+	// single-store layout.
+	PaddedTuples int `json:"-"`
 }
 
 // DurableOptions configure a durable cluster.
@@ -167,13 +167,7 @@ func OpenDurable(opts DurableOptions, cfg mining.Config, eopts incremental.Optio
 		if err != nil {
 			return nil, err
 		}
-		rec := store.Recovery()
-		return &Cluster{dir: opts.Dir, stores: []*wal.Store{store}, recovery: Recovery{
-			FromCheckpoint: rec.FromCheckpoint,
-			Records:        rec.Records,
-			TornTail:       rec.TornTail,
-			Duration:       rec.Duration,
-		}}, nil
+		return &Cluster{dir: opts.Dir, stores: []*wal.Store{store}, recovery: Recovery{Recovery: store.Recovery()}}, nil
 	}
 	start := time.Now()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -247,7 +241,7 @@ func OpenDurable(opts DurableOptions, cfg mining.Config, eopts incremental.Optio
 		return seedRel, seedErr
 	}
 
-	c := &Cluster{dir: opts.Dir, stores: make([]*wal.Store, n)}
+	c := &Cluster{dir: opts.Dir, stores: make([]*wal.Store, n), recovery: Recovery{Shards: n}}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for s := 0; s < n; s++ {
@@ -439,11 +433,69 @@ func (c *Cluster) Engines() []*incremental.Engine {
 // Recovery reports what OpenDurable found and did.
 func (c *Cluster) Recovery() Recovery { return c.recovery }
 
-// Stats returns the per-shard durability counters, indexed by shard.
-func (c *Cluster) Stats() []wal.Stats {
-	out := make([]wal.Stats, len(c.stores))
-	for s, st := range c.stores {
-		out[s] = st.Stats()
+// ShardDurability is one shard's write-ahead log and checkpoint counters:
+// an entry of the /stats durability per_shard array.
+type ShardDurability struct {
+	// Shard is the shard index.
+	Shard int `json:"shard"`
+	wal.Stats
+}
+
+// DurabilityStats is the /stats durability section: the stores' counters
+// summed across shards (LastCheckpointUnixNano is the newest shard's), how
+// the cluster came up, and — when sharded — each shard's own counters.
+type DurabilityStats struct {
+	wal.Stats
+	// Recovery echoes how the cluster came up; its wire fields sit flat
+	// beside the counters.
+	Recovery Recovery `json:"-"`
+	// PerShard carries each shard's counters (nil for the single-store
+	// layout).
+	PerShard []ShardDurability `json:"per_shard,omitempty"`
+	// Events reports the durable rule-churn event log kept beside the
+	// cluster (one per server: sharded streams merge into a single cursor
+	// order). The cluster does not own that log, so Stats leaves it nil
+	// for its owner to fill; nil when the stream is disabled.
+	Events *wal.SegmentedStats `json:"events,omitempty"`
+}
+
+// MarshalJSON renders the section: the counters, the recovery report flat
+// beside them (padded_tuples only when sharded), and the newest
+// checkpoint's wall time in Unix seconds. Only a pointer to the section is
+// ever embedded in a larger body, so this method is never promoted.
+func (d DurabilityStats) MarshalJSON() ([]byte, error) {
+	type counters DurabilityStats // without this method
+	var padded *int
+	if d.PerShard != nil {
+		padded = &d.Recovery.PaddedTuples
+	}
+	return json.Marshal(struct {
+		counters
+		wal.Recovery
+		RecoverySeconds    float64 `json:"recovery_seconds"`
+		PaddedTuples       *int    `json:"padded_tuples,omitempty"`
+		LastCheckpointUnix float64 `json:"last_checkpoint_unix"`
+	}{counters(d), d.Recovery.Recovery, d.Recovery.Duration.Seconds(), padded,
+		float64(d.LastCheckpointUnixNano) / float64(time.Second)})
+}
+
+// Stats returns the durability section: every store's counters, summed,
+// and per shard when there are several.
+func (c *Cluster) Stats() DurabilityStats {
+	out := DurabilityStats{Recovery: c.recovery}
+	for s, store := range c.stores {
+		st := store.Stats()
+		out.RecordsAppended += st.RecordsAppended
+		out.LogBytes += st.LogBytes
+		out.Syncs += st.Syncs
+		out.UnsyncedRecords += st.UnsyncedRecords
+		out.UnsyncedBytes += st.UnsyncedBytes
+		out.Checkpoints += st.Checkpoints
+		out.CheckpointErrors += st.CheckpointErrors
+		out.LastCheckpointUnixNano = max(out.LastCheckpointUnixNano, st.LastCheckpointUnixNano)
+		if len(c.stores) > 1 {
+			out.PerShard = append(out.PerShard, ShardDurability{Shard: s, Stats: st})
+		}
 	}
 	return out
 }

@@ -210,8 +210,8 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 			// counters match the unsharded snapshot's.
 			refStats := ref.srv.Stats()
 			st := router.Stats()
-			if st.N != refStats.N {
-				t.Errorf("merged N = %d, unsharded %d", st.N, refStats.N)
+			if st.Tuples != refStats.Tuples {
+				t.Errorf("merged Tuples = %d, unsharded %d", st.Tuples, refStats.Tuples)
 			}
 			if st.Attachments != refStats.Attachments {
 				t.Errorf("merged attachments = %d, unsharded %d", st.Attachments, refStats.Attachments)

@@ -598,9 +598,11 @@ func Seqs(snaps []ShardSnapshot) []uint64 {
 }
 
 // SortRules orders token-form rules deterministically: by kind, then LHS
-// tokens, then RHS token — the merged equivalent of the rules package's
-// Sorted order. Data-to-annotation rules come first, as there; that is the
-// reverse of the wire kind strings' lexicographic order.
+// tokens compared element by element (a prefix first), then RHS token.
+// Unlike the rules package's Sorted order it compares tokens, not interned
+// ids, and does not put shorter LHSs first, so the order is the same for
+// every shard's dictionary. Data-to-annotation rules come first, as there;
+// that is the reverse of the wire kind strings' lexicographic order.
 func SortRules(rs []rules.TokenRule) {
 	dataFirst := rules.DataToAnnotation.String()
 	sort.Slice(rs, func(i, j int) bool {
@@ -718,57 +720,68 @@ func (r *Router) limit(recs []predict.TokenRecommendation) []predict.TokenRecomm
 	return recs
 }
 
-// ShardStats is one shard's serving statistics.
+// ShardStats is one shard's serving statistics: an entry of the /stats
+// per_shard array.
 type ShardStats struct {
 	// Shard is the shard index.
-	Shard int
-	// Stats is the shard's serving-core statistics.
+	Shard int `json:"shard"`
 	serve.Stats
 }
 
-// Stats is the merged serving statistics of a Router.
+// Stats is the merged serving statistics of a Router, in the shape of the
+// top-level /stats serving section: a one-shard router reports its scalars
+// alone, with no Shards, SeqVector or PerShard.
 type Stats struct {
-	// Shards is the shard count and Seqs the per-shard snapshot sequence
-	// vector at the moment Stats ran.
-	Shards int
-	Seqs   []uint64
-	// N is the merged generation's tuple count (the minimum per-shard
+	// SnapshotSeq is the sum of the per-shard snapshot sequences: the
+	// publish sequence itself at one shard, a staleness indicator beside
+	// the authoritative SeqVector at several.
+	SnapshotSeq uint64 `json:"snapshot_seq"`
+	// Tuples is the merged generation's tuple count (the minimum per-shard
 	// snapshot size; shards disagree only while an append is in flight).
-	N int
-	// RuleCount is the merged valid rule count (per-shard counts add: the
-	// per-shard rule sets are disjoint by construction).
-	RuleCount int
-	// Attachments and DistinctAnnotations add across shards: every
-	// (tuple, annotation) pair lives on exactly one shard.
-	Attachments         int
-	DistinctAnnotations int
-	// Requests, Batches, Coalesced, Reads, Shed, and JournalErrors add the
-	// per-shard serving counters.
-	Requests      uint64
-	Batches       uint64
-	Coalesced     uint64
-	Reads         uint64
-	Shed          uint64
-	JournalErrors uint64
+	Tuples int `json:"tuples"`
+	// RuleCount, RelVersion, LiveRelVersion, Staleness, Attachments and
+	// DistinctAnnotations add the per-shard figures: the per-shard rule sets
+	// are disjoint, and every (tuple, annotation) pair lives on exactly one
+	// shard.
+	RuleCount           int    `json:"rule_count"`
+	RelVersion          uint64 `json:"rel_version"`
+	LiveRelVersion      uint64 `json:"live_rel_version"`
+	Staleness           uint64 `json:"staleness"`
+	Attachments         int    `json:"attachments"`
+	DistinctAnnotations int    `json:"distinct_annotations"`
+	// Requests, Batches, Coalesced, Reads and Shed add the per-shard serving
+	// counters (see serve.Stats).
+	Requests  uint64 `json:"requests"`
+	Batches   uint64 `json:"batches"`
+	Coalesced uint64 `json:"coalesced"`
+	Reads     uint64 `json:"reads"`
+	Shed      uint64 `json:"shed"`
 	// Latency is the cross-shard per-stage latency digest (the shards share
 	// one recorder; see FromEngines).
-	Latency serve.LatencyStats
+	Latency serve.LatencyStats `json:"latency"`
 	// Remines adds the per-shard engine re-mine fallbacks.
-	Remines int
-	// PerShard carries each shard's full serving statistics.
-	PerShard []ShardStats
+	Remines int `json:"remines"`
+	// Shards is the shard count, SeqVector the per-shard snapshot sequence
+	// vector and PerShard each shard's own statistics; all three are empty
+	// at one shard.
+	Shards    int          `json:"shards,omitempty"`
+	SeqVector []uint64     `json:"seq_vector,omitempty"`
+	PerShard  []ShardStats `json:"per_shard,omitempty"`
 }
 
 // Stats merges every shard's serving statistics.
 func (r *Router) Stats() Stats {
-	out := Stats{Shards: len(r.shards)}
+	var out Stats
 	for s, sh := range r.shards {
 		st := sh.srv.Stats()
-		out.Seqs = append(out.Seqs, st.Seq)
-		if s == 0 || st.N < out.N {
-			out.N = st.N
+		if s == 0 || st.Tuples < out.Tuples {
+			out.Tuples = st.Tuples
 		}
+		out.SnapshotSeq += st.SnapshotSeq
 		out.RuleCount += st.RuleCount
+		out.RelVersion += st.RelVersion
+		out.LiveRelVersion += st.LiveRelVersion
+		out.Staleness += st.Staleness
 		out.Attachments += st.Attachments
 		out.DistinctAnnotations += st.DistinctAnnotations
 		out.Requests += st.Requests
@@ -776,13 +789,15 @@ func (r *Router) Stats() Stats {
 		out.Coalesced += st.Coalesced
 		out.Reads += st.Reads
 		out.Shed += st.Shed
-		out.JournalErrors += st.JournalErrors
-		out.Remines += st.Engine.Remines
+		out.Remines += st.Remines
+		out.Latency = st.Latency // the recorder is shared: any digest is the aggregate
+		out.SeqVector = append(out.SeqVector, st.SnapshotSeq)
 		out.PerShard = append(out.PerShard, ShardStats{Shard: s, Stats: st})
-		if s == 0 {
-			// The recorder is shared; any shard's digest is the aggregate.
-			out.Latency = st.Latency
-		}
+	}
+	if len(r.shards) == 1 {
+		out.SeqVector, out.PerShard = nil, nil
+	} else {
+		out.Shards = len(r.shards)
 	}
 	return out
 }

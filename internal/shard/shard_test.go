@@ -194,8 +194,8 @@ func TestRouterWriteRoutingAndStats(t *testing.T) {
 	}
 	owner := ShardOf("Annot_top:n1", n)
 	bumped := 0
-	for s := range after.Seqs {
-		if after.Seqs[s] > before.Seqs[s] {
+	for s := range after.SeqVector {
+		if after.SeqVector[s] > before.SeqVector[s] {
 			bumped++
 			if s != owner {
 				t.Errorf("shard %d republished for a family owned by shard %d", s, owner)
@@ -215,13 +215,13 @@ func TestRouterWriteRoutingAndStats(t *testing.T) {
 		t.Errorf("merged length = %d, want %d", got, lenBefore+1)
 	}
 	final := router.Stats()
-	for s := range final.Seqs {
-		if final.Seqs[s] <= after.Seqs[s] {
+	for s := range final.SeqVector {
+		if final.SeqVector[s] <= after.SeqVector[s] {
 			t.Errorf("shard %d did not republish after a tuple append", s)
 		}
 	}
-	if final.N != lenBefore+1 {
-		t.Errorf("merged stats N = %d, want %d", final.N, lenBefore+1)
+	if final.Tuples != lenBefore+1 {
+		t.Errorf("merged stats Tuples = %d, want %d", final.Tuples, lenBefore+1)
 	}
 }
 

@@ -129,23 +129,25 @@ func NewBroker(opts Options) *Broker {
 	return b
 }
 
-// Stats reports broker activity.
+// Stats reports broker activity. Encoded by its JSON tags it is the /stats
+// stream section.
 type Stats struct {
-	// Published counts events appended since the broker was built;
-	// PerShard breaks it down by emitting shard (len 1 unsharded).
-	Published uint64
-	PerShard  []uint64
+	// EventsPublished counts events appended since the broker was built;
+	// PerShard breaks it down by emitting shard (nil for a one-shard
+	// broker).
+	EventsPublished uint64   `json:"events_published"`
+	PerShard        []uint64 `json:"per_shard_events,omitempty"`
 	// Subscribers is the number of live subscriptions.
-	Subscribers int
-	// Gaps counts synthetic gap events delivered to subscribers whose
+	Subscribers int `json:"subscribers"`
+	// GapEvents counts synthetic gap events delivered to subscribers whose
 	// cursor fell out of retained history.
-	Gaps uint64
+	GapEvents uint64 `json:"gap_events"`
 	// LogErrors counts events that could not be appended to the durable
 	// segment log (they remain observable through the ring).
-	LogErrors uint64
+	LogErrors uint64 `json:"-"`
 	// FirstCursor and NextCursor bound the retained history.
-	FirstCursor uint64
-	NextCursor  uint64
+	FirstCursor uint64 `json:"first_cursor"`
+	NextCursor  uint64 `json:"next_cursor"`
 }
 
 // Stats returns current broker counters. Safe from any goroutine.
@@ -153,18 +155,21 @@ func (b *Broker) Stats() Stats {
 	b.mu.Lock()
 	first, next := b.oldest, b.next
 	b.mu.Unlock()
-	per := make([]uint64, len(b.perShard))
-	for i := range b.perShard {
-		per[i] = b.perShard[i].Load()
+	var per []uint64
+	if len(b.perShard) > 1 {
+		per = make([]uint64, len(b.perShard))
+		for i := range b.perShard {
+			per[i] = b.perShard[i].Load()
+		}
 	}
 	return Stats{
-		Published:   b.published.Load(),
-		PerShard:    per,
-		Subscribers: int(b.subscribers.Load()),
-		Gaps:        b.gaps.Load(),
-		LogErrors:   b.logErrors.Load(),
-		FirstCursor: first,
-		NextCursor:  next,
+		EventsPublished: b.published.Load(),
+		PerShard:        per,
+		Subscribers:     int(b.subscribers.Load()),
+		GapEvents:       b.gaps.Load(),
+		LogErrors:       b.logErrors.Load(),
+		FirstCursor:     first,
+		NextCursor:      next,
 	}
 }
 

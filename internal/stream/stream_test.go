@@ -240,7 +240,7 @@ drain:
 	if !sawGap {
 		t.Error("slow subscriber never received a gap event")
 	}
-	if b.Stats().Gaps == 0 {
+	if b.Stats().GapEvents == 0 {
 		t.Error("broker gap counter not incremented")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -61,44 +60,50 @@ func configFingerprint(cfg mining.Config, tag string) string {
 	return fp
 }
 
-// Recovery summarizes what Open found and did.
+// Recovery summarizes what Open found and did. On /stats its wire fields
+// sit flat in the durability section.
 type Recovery struct {
 	// FromCheckpoint reports that the engine was restored from a checkpoint
 	// (no bootstrap mine); false means the store was bootstrapped fresh.
-	FromCheckpoint bool
+	FromCheckpoint bool `json:"recovered"`
 	// Records is the number of log records replayed after the checkpoint.
-	Records int
+	Records int `json:"records_replayed"`
 	// TornTail reports that a torn final record was dropped and truncated.
-	TornTail bool
-	// Duration is the wall time of the whole Open, mine or recovery included.
-	Duration time.Duration
+	TornTail bool `json:"torn_tail"`
+	// Duration is the wall time of the whole Open, mine or recovery
+	// included; /stats reports it as recovery_seconds.
+	Duration time.Duration `json:"-"`
 }
 
-// Stats reports durability activity since Open.
+// Stats reports durability activity since Open. Encoded by its JSON tags it
+// is one shard's entry in the /stats durability per_shard array; summed
+// across shards it is the durability section's counters.
 type Stats struct {
-	// Records and LogBytes describe the appended log: records written since
-	// Open and the bytes of every retained segment (checkpoints trim them).
-	Records  uint64
-	LogBytes int64
+	// RecordsAppended and LogBytes describe the appended log: records
+	// written since Open and the bytes of every retained segment
+	// (checkpoints trim them).
+	RecordsAppended uint64 `json:"records_appended"`
+	LogBytes        int64  `json:"log_bytes"`
 	// Syncs counts explicit fsyncs of the log.
-	Syncs uint64
+	Syncs uint64 `json:"syncs"`
 	// UnsyncedRecords and UnsyncedBytes measure the crash window: records
 	// appended (and possibly acknowledged, under SyncInterval or
 	// SyncNever) whose covering fsync has not completed yet. Both are
 	// conservative — a record appended while a sync was in flight stays
 	// counted until the next sync — and both are 0 whenever the log is
-	// known durable. Under SyncAlways with group commit off they are 0
-	// between appends by construction.
-	UnsyncedRecords int64
-	UnsyncedBytes   int64
+	// known durable. Under SyncAlways they are transiently non-zero only
+	// while a group commit is in flight and never cover an acknowledged
+	// write; with group commit off they are 0 between appends by
+	// construction.
+	UnsyncedRecords int64 `json:"unsynced_records"`
+	UnsyncedBytes   int64 `json:"unsynced_bytes"`
 	// Checkpoints and CheckpointErrors count checkpoint attempts since Open.
-	Checkpoints      uint64
-	CheckpointErrors uint64
+	Checkpoints      uint64 `json:"checkpoints"`
+	CheckpointErrors uint64 `json:"checkpoint_errors"`
 	// LastCheckpointUnixNano is the wall time of the newest checkpoint
-	// written since Open, 0 when none has been written yet this run.
-	LastCheckpointUnixNano int64
-	// Recovery echoes what Open found.
-	Recovery Recovery
+	// written since Open, 0 when none has been written yet this run; /stats
+	// reports it once, at the top level, as last_checkpoint_unix.
+	LastCheckpointUnixNano int64 `json:"-"`
 }
 
 // Store is the durable serving store: an incremental engine whose mutations
@@ -404,7 +409,7 @@ func (s *Store) Recovery() Recovery { return s.recovery }
 func (s *Store) Stats() Stats {
 	unsyncedRecords, unsyncedBytes := s.unsynced()
 	return Stats{
-		Records:                s.records.Load(),
+		RecordsAppended:        s.records.Load(),
 		LogBytes:               s.log.Stats().RetainedBytes,
 		Syncs:                  s.syncs.Load(),
 		UnsyncedRecords:        unsyncedRecords,
@@ -412,7 +417,6 @@ func (s *Store) Stats() Stats {
 		Checkpoints:            s.checkpoints.Load(),
 		CheckpointErrors:       s.checkpointErrors.Load(),
 		LastCheckpointUnixNano: s.lastCheckpoint.Load(),
-		Recovery:               s.recovery,
 	}
 }
 
@@ -793,13 +797,7 @@ func (s *Store) applyRecord(rec Record) error {
 		if err != nil {
 			return replayError(err)
 		}
-		// Route exactly as the serving writer does: any annotated tuple in
-		// the batch selects the Case 1 path.
-		if slices.ContainsFunc(tuples, relation.Tuple.Annotated) {
-			_, err = s.eng.AddAnnotatedTuples(tuples)
-		} else {
-			_, err = s.eng.AddUnannotatedTuples(tuples)
-		}
+		_, err = s.eng.AddTuples(tuples)
 		return err
 	default:
 		return badRecord("unknown kind %v", rec.Kind)

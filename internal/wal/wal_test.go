@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"annotadb/internal/incremental"
 	"annotadb/internal/mining"
@@ -395,7 +396,7 @@ func TestStoreLogsAndReplaysAllMutationKinds(t *testing.T) {
 	if err := s.LogTuples(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Records; got != 3 {
+	if got := s.Stats().RecordsAppended; got != 3 {
 		t.Fatalf("logged %d records, want 3 (empty batches excluded)", got)
 	}
 	wantView := renderedRules(s.Engine())
@@ -757,6 +758,27 @@ func TestStoreReplaysUncoveredTailAfterInstallCrash(t *testing.T) {
 	}
 }
 
+// awaitInstallJournal is a store as the serving writer journals to it,
+// except that Committed first gives the background install in flight up to
+// installWait to finish, so every batch's Committed collects the install
+// the batch before it launched. The install still overlaps the next
+// batch's append and apply. Without the wait, one install whose fsync
+// outlasts the whole write loop is the only checkpoint the loop collects.
+type awaitInstallJournal struct{ *Store }
+
+const installWait = 10 * time.Second
+
+func (j awaitInstallJournal) Committed() error {
+	if in := j.inflight; in != nil { // writer-only state, read on the writer
+		select {
+		case err := <-in.done:
+			in.done <- err // hand the result back for Committed to collect
+		case <-time.After(installWait):
+		}
+	}
+	return j.Store.Committed()
+}
+
 // TestStoreBackgroundCheckpointsUnderServingLoad drives the production
 // wiring — serve writer + journal — with a per-batch checkpoint policy so
 // background installs continuously overlap appends, then closes gracefully
@@ -765,7 +787,7 @@ func TestStoreBackgroundCheckpointsUnderServingLoad(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, CheckpointBytes: 1}
 	s := openFixtureStore(t, opts)
-	srv := serve.New(s.Engine(), serve.Config{BatchWindow: -1, Journal: s})
+	srv := serve.New(s.Engine(), serve.Config{BatchWindow: -1, Journal: awaitInstallJournal{s}})
 	dict := s.Engine().Relation().Dictionary()
 	a1, _ := dict.Lookup("Annot_1")
 	ctx := context.Background()

@@ -313,15 +313,6 @@ func shapeSeq(seqs []uint64) ReadSeq {
 	return rs
 }
 
-// publicShards is a shard count as the public API reports it: 0 for a
-// one-shard (unsharded) server.
-func publicShards(n int) int {
-	if n > 1 {
-		return n
-	}
-	return 0
-}
-
 // readSeq is the generation identity of a read answered at seqs. A
 // follower's local sequences are meaningless to clients (they restart at
 // every re-bootstrap), so it advertises the replication watermark serving
@@ -562,34 +553,14 @@ func (s *Server) ApplyUpdateFile(ctx context.Context, r io.Reader) (UpdateReport
 	})
 }
 
-// ShardServerStats is one shard's serving statistics inside ServerStats.
-type ShardServerStats struct {
-	// Shard is the shard index.
-	Shard int `json:"shard"`
-	// SnapshotSeq, Tuples, and RuleCount identify the shard's published
-	// snapshot.
-	SnapshotSeq uint64 `json:"seq"`
-	Tuples      int    `json:"tuples"`
-	RuleCount   int    `json:"rule_count"`
-	// RelVersion and LiveRelVersion measure the shard's snapshot staleness
-	// in replica mutations; Staleness is their difference.
-	RelVersion     uint64 `json:"rel_version"`
-	LiveRelVersion uint64 `json:"live_rel_version"`
-	Staleness      uint64 `json:"staleness"`
-	// Attachments and DistinctAnnotations describe the shard's share of the
-	// annotation load (its families only).
-	Attachments         int `json:"attachments"`
-	DistinctAnnotations int `json:"distinct_annotations"`
-	// Requests, Batches, Coalesced, and Reads are the shard's serving
-	// counters; Shed counts writes this shard refused with ErrOverloaded.
-	Requests  uint64 `json:"requests"`
-	Batches   uint64 `json:"batches"`
-	Coalesced uint64 `json:"coalesced"`
-	Reads     uint64 `json:"reads"`
-	Shed      uint64 `json:"shed"`
-	// Remines counts the shard engine's full re-mine fallbacks.
-	Remines int `json:"remines"`
-}
+// ShardServerStats is one shard's serving statistics inside ServerStats:
+// its snapshot (SnapshotSeq, Tuples, RuleCount), its staleness in replica
+// mutations (RelVersion, LiveRelVersion, Staleness), its share of the
+// annotation load (Attachments, DistinctAnnotations: its families only),
+// its serving counters (Requests, Batches, Coalesced, Reads, and Shed for
+// writes it refused with ErrOverloaded) and its engine's counters, of which
+// Remines, the full re-mine fallbacks, is on the wire.
+type ShardServerStats = shard.ShardStats
 
 // StageLatency is one write-pipeline stage's latency digest: observation
 // count, mean, tail quantiles (bucket-resolution estimates, never below the
@@ -606,54 +577,27 @@ type WriteLatencyStats = serve.LatencyStats
 
 // ServerStats reports serving activity and the published snapshot. It is
 // the body of GET /stats, encoded by its JSON tags.
+//
+// The serving section it embeds identifies the current snapshot: SnapshotSeq
+// is the publish sequence for an unsharded server and the sum of the
+// per-shard sequence vector SeqVector for a sharded one (a staleness
+// indicator; SeqVector is the authoritative generation identity). Tuples is
+// the relation size the snapshot's rules refer to (for a sharded server the
+// minimum per-shard snapshot size), RuleCount the valid rules, and
+// Attachments and DistinctAnnotations the (tuple, annotation) pairs and
+// annotations present on at least one tuple, all read from frozen snapshot
+// tables so polling them never blocks a writer. RelVersion is the relation
+// mutation counter the snapshot was published at and LiveRelVersion the
+// counter now; Staleness, their difference, is 0 when idle (summed across
+// shards). Requests, Batches, Coalesced and Reads count write requests
+// accepted, engine applications after coalescing, requests that shared an
+// application and snapshot reads served; Shed counts writes refused with
+// ErrOverloaded (not included in Requests). Latency breaks accepted writes
+// down by pipeline stage, and Remines counts full re-mine fallbacks. Shards
+// (0 when unsharded), SeqVector and PerShard are set only on a sharded
+// server.
 type ServerStats struct {
-	// SnapshotSeq identifies the current snapshot: the publish sequence for
-	// an unsharded server, the sum of the per-shard sequence vector for a
-	// sharded one (a staleness indicator; SeqVector is the authoritative
-	// generation identity).
-	SnapshotSeq uint64 `json:"snapshot_seq"`
-	// Tuples is the relation size the snapshot's rules refer to (for a
-	// sharded server, the merged generation: the minimum per-shard
-	// snapshot size).
-	Tuples int `json:"tuples"`
-	// RuleCount is the number of valid rules in the snapshot (summed
-	// across shards; per-shard rule sets are disjoint).
-	RuleCount int `json:"rule_count"`
-	// RelVersion is the relation mutation counter the snapshot was
-	// published at; LiveRelVersion is the counter now. Staleness, their
-	// difference, is the snapshot's staleness in relation mutations (0 when
-	// idle). For a sharded server both are summed across shards, so the
-	// difference is the aggregate staleness.
-	RelVersion     uint64 `json:"rel_version"`
-	LiveRelVersion uint64 `json:"live_rel_version"`
-	Staleness      uint64 `json:"staleness"`
-	// Attachments and DistinctAnnotations describe the snapshot's relation
-	// generation: total (tuple, annotation) pairs and annotations present
-	// on at least one tuple. Both come from the frozen frequency tables, so
-	// polling them never blocks any writer.
-	Attachments         int `json:"attachments"`
-	DistinctAnnotations int `json:"distinct_annotations"`
-	// Requests, Batches, Coalesced, Reads are serving counters: write
-	// requests accepted, engine applications after coalescing, requests
-	// that shared an application, and snapshot reads served. Shed counts
-	// writes refused with ErrOverloaded by the bounded admission queue
-	// (not included in Requests).
-	Requests  uint64 `json:"requests"`
-	Batches   uint64 `json:"batches"`
-	Coalesced uint64 `json:"coalesced"`
-	Reads     uint64 `json:"reads"`
-	Shed      uint64 `json:"shed"`
-	// Latency breaks accepted writes down by pipeline stage.
-	Latency WriteLatencyStats `json:"latency"`
-	// Remines counts fallbacks to a full re-mine over the server's life.
-	Remines int `json:"remines"`
-	// Shards is the shard count (0 for an unsharded server) and SeqVector
-	// the per-shard snapshot sequence vector (nil when unsharded).
-	Shards    int      `json:"shards,omitempty"`
-	SeqVector []uint64 `json:"seq_vector,omitempty"`
-	// PerShard carries each shard's serving statistics (nil when
-	// unsharded).
-	PerShard []ShardServerStats `json:"per_shard,omitempty"`
+	shard.Stats
 	// Stream, Correlate and Durability are the churn stream's, the anomaly
 	// detector's and the durable store's counters: nil while the stream is
 	// disabled, no detector runs, or the server keeps nothing on disk.
@@ -669,60 +613,22 @@ type ServerStats struct {
 	Replication *ReplicationStats `json:"replication,omitempty"`
 }
 
-// Stats returns current serving statistics, with the stream, detector
-// and durability sections of StreamStats, CorrelateStats and Durability.
+// Stats returns current serving statistics, with the stream, detector,
+// durability and replication sections of StreamStats, CorrelateStats,
+// Durability and Replication.
 func (s *Server) Stats() ServerStats {
 	r, _ := s.serving()
-	st := r.Stats()
-	rs := shapeSeq(st.Seqs)
 	out := ServerStats{
-		Replication:         s.Replication(),
-		SnapshotSeq:         rs.Seq,
-		Tuples:              st.N,
-		RuleCount:           st.RuleCount,
-		Attachments:         st.Attachments,
-		DistinctAnnotations: st.DistinctAnnotations,
-		Requests:            st.Requests,
-		Batches:             st.Batches,
-		Coalesced:           st.Coalesced,
-		Reads:               st.Reads,
-		Shed:                st.Shed,
-		Latency:             st.Latency,
-		Remines:             st.Remines,
-		Shards:              publicShards(st.Shards),
-		SeqVector:           rs.Shards,
+		Stats:       r.Stats(),
+		Durability:  s.Durability(),
+		Replication: s.Replication(),
 	}
-	for _, ss := range st.PerShard {
-		out.RelVersion += ss.RelVersion
-		out.LiveRelVersion += ss.LiveRelVersion
-		if st.Shards == 1 {
-			continue // the totals above are the one shard's
-		}
-		out.PerShard = append(out.PerShard, ShardServerStats{
-			Shard:               ss.Shard,
-			SnapshotSeq:         ss.Seq,
-			Tuples:              ss.N,
-			RuleCount:           ss.RuleCount,
-			RelVersion:          ss.RelVersion,
-			LiveRelVersion:      ss.LiveRelVersion,
-			Staleness:           ss.LiveRelVersion - ss.RelVersion,
-			Attachments:         ss.Attachments,
-			DistinctAnnotations: ss.DistinctAnnotations,
-			Requests:            ss.Requests,
-			Batches:             ss.Batches,
-			Coalesced:           ss.Coalesced,
-			Reads:               ss.Reads,
-			Shed:                ss.Shed,
-			Remines:             ss.Engine.Remines,
-		})
-	}
-	out.Staleness = out.LiveRelVersion - out.RelVersion
-	if ss := s.StreamStats(); ss.Enabled {
+	if s.stream != nil {
+		ss := s.StreamStats()
 		out.Stream = &ss
 	}
 	if cs := s.CorrelateStats(); cs.DetectorRunning {
 		out.Correlate = &cs
 	}
-	out.Durability = s.Durability()
 	return out
 }

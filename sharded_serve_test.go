@@ -195,8 +195,8 @@ func TestShardedDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec2.FromCheckpoint || rec2.RecordsReplayed != 0 {
-		t.Errorf("reopen: FromCheckpoint=%v Records=%d, want true/0", rec2.FromCheckpoint, rec2.RecordsReplayed)
+	if !rec2.FromCheckpoint || rec2.Records != 0 {
+		t.Errorf("reopen: FromCheckpoint=%v Records=%d, want true/0", rec2.FromCheckpoint, rec2.Records)
 	}
 	srv2, err := NewServer(eng2, ServeOptions{BatchWindow: -1})
 	if err != nil {

@@ -181,41 +181,22 @@ func (s *Server) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan E
 }
 
 // StreamStats reports churn-stream activity; see Server.StreamStats.
-type StreamStats struct {
-	// Enabled is false when the stream was disabled at construction (all
-	// other fields are then zero).
-	Enabled bool `json:"-"`
-	// EventsPublished counts events appended since the server started;
-	// PerShard breaks them down by emitting shard (nil when unsharded).
-	EventsPublished uint64   `json:"events_published"`
-	PerShard        []uint64 `json:"per_shard_events,omitempty"`
-	// Subscribers is the number of live subscriptions; GapEvents counts
-	// synthetic gaps delivered to consumers that fell behind retention.
-	Subscribers int    `json:"subscribers"`
-	GapEvents   uint64 `json:"gap_events"`
-	// FirstCursor and NextCursor bound the retained history.
-	FirstCursor uint64 `json:"first_cursor"`
-	NextCursor  uint64 `json:"next_cursor"`
-}
+// EventsPublished counts events appended since the server started and
+// PerShard breaks them down by emitting shard (nil when unsharded);
+// Subscribers is the number of live subscriptions and GapEvents counts
+// synthetic gaps delivered to consumers that fell behind retention;
+// FirstCursor and NextCursor bound the retained history; LogErrors counts
+// events the durable event log could not append (still served from the
+// ring).
+type StreamStats = stream.Stats
 
-// StreamStats returns current churn-stream counters.
+// StreamStats returns current churn-stream counters: all zero when the
+// stream was disabled at construction.
 func (s *Server) StreamStats() StreamStats {
 	if s.stream == nil {
 		return StreamStats{}
 	}
-	st := s.stream.Stats()
-	out := StreamStats{
-		Enabled:         true,
-		EventsPublished: st.Published,
-		Subscribers:     st.Subscribers,
-		GapEvents:       st.Gaps,
-		FirstCursor:     st.FirstCursor,
-		NextCursor:      st.NextCursor,
-	}
-	if len(st.PerShard) > 1 {
-		out.PerShard = st.PerShard
-	}
-	return out
+	return s.stream.Stats()
 }
 
 // Health reports whether the server can still accept writes: nil while

@@ -343,8 +343,11 @@ func TestStreamDisabledAndSubscribeValidation(t *testing.T) {
 	if _, err := dark.Subscribe(ctx, SubscribeOptions{}); !errors.Is(err, ErrStreamDisabled) {
 		t.Errorf("disabled Subscribe err = %v, want ErrStreamDisabled", err)
 	}
-	if st := dark.StreamStats(); st.Enabled {
-		t.Error("disabled server reports an enabled stream")
+	if st := dark.Stats().Stream; st != nil {
+		t.Errorf("disabled server reports a stream section: %+v", st)
+	}
+	if st := dark.StreamStats(); !reflect.DeepEqual(st, StreamStats{}) {
+		t.Errorf("disabled server reports stream counters: %+v", st)
 	}
 }
 
@@ -363,7 +366,7 @@ func TestStreamStatsPerShard(t *testing.T) {
 				churnRound(t, srv, i)
 			}
 			st := srv.StreamStats()
-			if !st.Enabled || st.EventsPublished == 0 {
+			if st.EventsPublished == 0 {
 				t.Fatalf("churn published nothing: %+v", st)
 			}
 			if shards == 1 {
