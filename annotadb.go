@@ -26,9 +26,9 @@
 //     partitions by annotation family into independent write paths whose
 //     merged view stays exact for intra-family correlations;
 //   - OpenDurable: the persistent form of the above — every update batch
-//     is write-ahead logged and the mined state is checkpointed, so a
-//     restart recovers in time proportional to the un-checkpointed tail
-//     instead of re-mining the relation;
+//     is write-ahead logged and the relation is checkpointed, so a restart
+//     re-mines the checkpointed relation and replays only the
+//     un-checkpointed tail, not every batch since the dataset was loaded;
 //   - Server.Subscribe: a durable, cursor-resumable stream of rule churn —
 //     every published generation is diffed against its predecessor into
 //     typed events (promoted, demoted, added, retired, confidence changed)
@@ -400,7 +400,9 @@ func (e *Engine) Rules() []Rule {
 // Candidates returns the near-miss candidate store (rules slightly below
 // the thresholds, retained for cheap promotion) in Mine's order: by kind,
 // then LHS length, then LHS items and RHS by interned id. Nil for a sharded
-// engine.
+// engine. The candidates with pattern count at or above min support are
+// exactly a full re-mine's; the surplus below it depends on the engine's
+// history, and a durable engine's resets to a full mine's on every open.
 func (e *Engine) Candidates() []Rule {
 	if e.eng == nil {
 		return nil

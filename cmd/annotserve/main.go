@@ -27,10 +27,10 @@
 // primary's; -data, -data-dir, and -shards do not apply.
 //
 // With -data-dir the serving state is durable: every update batch is
-// write-ahead logged before it is applied and the full mined state is
-// checkpointed on a size/age policy, so a restart recovers from
-// checkpoint + log tail instead of re-mining the dataset (-data is then
-// only needed the first time, to seed an empty directory).
+// write-ahead logged before it is applied and the relation is checkpointed
+// on a size/age policy, so a restart re-mines the checkpointed relation and
+// replays the log tail (-data is then only needed the first time, to seed
+// an empty directory).
 //
 // With -shards N the write path is partitioned by annotation family
 // (the token prefix before the first ":", or the whole token): each shard

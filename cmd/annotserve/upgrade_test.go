@@ -109,3 +109,49 @@ func TestUpgradeFromByteAddressedWAL(t *testing.T) {
 		}
 	})
 }
+
+// TestUpgradeFromRuleCheckpoint opens data directories written by the build
+// whose checkpoints (format version 3) also held the rule tiers and pattern
+// catalogs (see testdata/upgrade/README.md). This build re-mines the
+// checkpointed relation instead: the directory that build closed cleanly,
+// and the one it was killed on with records still in its log, serve
+// exactly the rules that build served, on the first open and after a
+// restart. The killed one's close folds the replayed records into a
+// version 4 checkpoint, which its restart reads; the clean one has nothing
+// to fold and keeps its version 3 checkpoint.
+func TestUpgradeFromRuleCheckpoint(t *testing.T) {
+	fixtures := filepath.Join("testdata", "upgrade", "v3")
+	for name, version := range map[string]byte{"single": 3, "crashed": 4} {
+		t.Run(name, func(t *testing.T) {
+			dir := copyTree(t, filepath.Join(fixtures, name))
+			want, err := os.ReadFile(filepath.Join(fixtures, name+".rules.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, round := range []string{"first open", "reopen"} {
+				url, _, cancel, done := startRun(t, []string{"-data-dir", dir, "-addr", "127.0.0.1:0",
+					"-min-support", "0.2", "-min-confidence", "0.6", "-events=false"})
+				resp, err := http.Get(url + "/rules")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: GET /rules differs from the previous build's:\n got %s\nwant %s", round, got, want)
+				}
+				stopRun(t, cancel, done)
+			}
+			ck, err := os.ReadFile(filepath.Join(dir, "checkpoint.db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(ck, []byte{'A', 'D', 'B', 'C', 'K', 'P', 'T', version}) {
+				t.Errorf("checkpoint after the restart opens with %q, want format version %d", ck[:8], version)
+			}
+		})
+	}
+}

@@ -118,12 +118,12 @@ type EventLogStats = wal.SegmentedStats
 // OpenDurable opens (or creates) the durable serving store in opts Dir and
 // returns an engine backed by it.
 //
-// When the directory holds previous state, the engine is restored from its
-// checkpoint(s) and the log tail(s) replayed — no mining pass, and dataPath
-// is ignored. When the directory is empty, the dataset at dataPath (a
-// Figure 4 file; "" for an empty dataset) is loaded, mined once (per shard,
+// When the directory holds previous state, each engine is rebuilt by
+// mining the relation its checkpoint holds, and the log tail(s) replayed;
+// dataPath is ignored. When the directory is empty, the dataset at dataPath
+// (a Figure 4 file; "" for an empty dataset) is loaded, mined (per shard,
 // when dopts.Shards > 1), and checkpointed immediately so the next open
-// skips the mine.
+// reads the relation back instead of the dataset.
 //
 // The returned engine must be wrapped in NewServer before any mutation:
 // only the serving writers journal batches to the logs. A sharded engine

@@ -34,7 +34,8 @@
 // The catalogs and candidate store may additionally hold entries down to the
 // slack threshold γ·α·N; that surplus is a performance optimization (it lets
 // borderline rules be promoted without touching the database) and is allowed
-// to thin over time — invariants only bind at minCount.
+// to thin over time — invariants only bind at minCount. It depends on the
+// engine's history, and Restore resets it to a full mine's.
 package incremental
 
 import (
@@ -382,7 +383,10 @@ func (e *Engine) MinCount() int {
 
 // Verify re-mines the relation from scratch and compares against the
 // maintained state, returning an error describing the first discrepancy.
-// It is the paper's evaluation methodology as an assertable check.
+// It is the paper's evaluation methodology as an assertable check: the
+// valid tier must equal the re-mine's, and so must the candidates with
+// pattern count ≥ minCount (invariant I3). The surplus below minCount is
+// not compared; it depends on the engine's history.
 func (e *Engine) Verify() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -392,6 +396,10 @@ func (e *Engine) Verify() error {
 	}
 	if diff := rules.Diff(e.valid, res.Rules, e.rel.Dictionary()); len(diff) != 0 {
 		return fmt.Errorf("incremental: verify: %d discrepancies, first: %s", len(diff), diff[0])
+	}
+	bound := func(r rules.Rule) bool { return r.PatternCount >= res.MinCount }
+	if diff := rules.Diff(e.cands.Filter(bound), res.Candidates.Filter(bound), e.rel.Dictionary()); len(diff) != 0 {
+		return fmt.Errorf("incremental: verify: %d candidate discrepancies at or above min support, first: %s", len(diff), diff[0])
 	}
 	return nil
 }

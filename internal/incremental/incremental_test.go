@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +77,35 @@ func TestBootstrapMatchesFullMine(t *testing.T) {
 	}
 	if e.MinCount() != 4 {
 		t.Errorf("MinCount = %d, want 4", e.MinCount())
+	}
+}
+
+// TestVerifyChecksBoundCandidates pins what Verify compares besides the
+// valid tier: the candidates at or above min support (invariant I3) must
+// equal a re-mine's, while the surplus below it may differ.
+func TestVerifyChecksBoundCandidates(t *testing.T) {
+	// Confidence 0.9 makes {28}⇒Annot_1 (5 of 6) a candidate at min
+	// support; slack 0.5 keeps candidates down to a pattern count of 2.
+	e := mustEngine(t, fixture(), mining.Config{MinSupport: 0.4, MinConfidence: 0.9, CandidateSlack: 0.5})
+	var bound, surplus []rules.Rule
+	e.cands.Each(func(r rules.Rule) bool {
+		if r.PatternCount >= e.minCount {
+			bound = append(bound, r)
+		} else {
+			surplus = append(surplus, r)
+		}
+		return true
+	})
+	if len(bound) == 0 || len(surplus) == 0 {
+		t.Fatalf("fixture has %d bound and %d surplus candidates, want both", len(bound), len(surplus))
+	}
+	for _, r := range surplus {
+		e.cands.Remove(r.ID())
+	}
+	verify(t, e, "surplus candidates dropped")
+	e.cands.Remove(bound[0].ID())
+	if err := e.Verify(); err == nil || !strings.Contains(err.Error(), "candidate") {
+		t.Errorf("Verify with candidate %v missing = %v, want a candidate discrepancy", bound[0], err)
 	}
 }
 

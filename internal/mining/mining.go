@@ -110,7 +110,10 @@ type Result struct {
 	// Rules hold the valid rules: support ≥ α and confidence ≥ β.
 	Rules *rules.Set
 	// Candidates hold near-miss rules: pattern count ≥ γ·α·N but either
-	// support or confidence below threshold. Disjoint from Rules.
+	// support or confidence below threshold. Disjoint from Rules. An
+	// incremental engine keeps the ones at or above min support exact;
+	// its surplus below that depends on its history and resets to this
+	// set when a durable engine reopens.
 	Candidates *rules.Set
 	// DataPatterns catalogs pure-data itemsets with count ≥ γ·α·N
 	// (including all rule LHS de-numerators).

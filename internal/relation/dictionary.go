@@ -175,6 +175,19 @@ func (d *Dictionary) CountOf(kind Kind) int {
 	return d.counts[kind]
 }
 
+// Holds reports whether every item of s is interned. Codes are dense per
+// kind, so that is a bound check against the kind's count.
+func (d *Dictionary) Holds(s itemset.Itemset) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, it := range s {
+		if it.ID() > d.counts[kindOf(it)] {
+			return false
+		}
+	}
+	return true
+}
+
 // AnnotationItems returns every interned raw-annotation item, sorted.
 func (d *Dictionary) AnnotationItems() itemset.Itemset {
 	return d.itemsOf(KindAnnotation)

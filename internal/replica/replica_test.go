@@ -198,14 +198,12 @@ func TestSourceTailBeforeTrim(t *testing.T) {
 	// exactly what WriteCheckpointFile does before the writer's trim.
 	st := s.Engine().State()
 	ck := &storage.Checkpoint{
-		Epoch:             s.Epoch() + 1,
-		CoveredCursor:     base.End,
-		ConfigFingerprint: wal.Fingerprint(testCfg, ""),
-		Relation:          st.Relation,
-		Valid:             st.Valid,
-		Candidates:        st.Candidates,
-		DataPatterns:      st.DataPatterns,
-		AnnotPatterns:     st.AnnotPatterns,
+		CheckpointMeta: storage.CheckpointMeta{
+			Epoch:             s.Epoch() + 1,
+			CoveredCursor:     base.End,
+			ConfigFingerprint: wal.Fingerprint(testCfg, ""),
+		},
+		Relation: st.Relation,
 	}
 	if err := storage.WriteCheckpointFile(wal.CheckpointPath(s.Dir()), ck); err != nil {
 		t.Fatal(err)

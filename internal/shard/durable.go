@@ -87,7 +87,7 @@ func HasDurableState(dir string) bool {
 
 // Recovery summarizes how OpenDurable brought the cluster up: its stores'
 // reports folded into one. FromCheckpoint holds when every shard restored
-// from its checkpoint (no mining pass), Records totals the log records
+// from its checkpoint rather than from the dataset, Records totals the log records
 // replayed across shards, TornTail reports that at least one shard dropped
 // a torn final record, and Duration is the wall time of the whole open.
 type Recovery struct {

@@ -9,56 +9,31 @@ import (
 	"io"
 	"os"
 
-	"annotadb/internal/apriori"
 	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
-	"annotadb/internal/rules"
 )
 
 // checkpointMagic opens every checkpoint stream; the trailing byte is the
-// format version. Version 3 replaced version 2's CoveredBytes (an offset
-// into a byte-addressed log) with CoveredCursor. The two share a layout, so
-// version 2 is still read — as a checkpoint that covers no record of the
-// cursor-addressed log (see Checkpoint.CoveredCursor) — and version 1 is
-// refused.
-var checkpointMagic = []byte("ADBCKPT\x03")
+// format version. Version 4 holds only what the engine cannot derive: the
+// head fields, the dictionary, the tuples and the counters. Versions 3 and 2
+// also held the engine's rule tiers and pattern catalogs between the tuples
+// and the counters; they are still read, with those sections stepped over,
+// and version 2's CoveredBytes (an offset into a byte-addressed log) reads
+// as cursor 1 (see CheckpointMeta.CoveredCursor). Version 1 is refused.
+var checkpointMagic = []byte("ADBCKPT\x04")
 
-// legacyCheckpointMagic is version 2, read for the upgrade path only.
-var legacyCheckpointMagic = []byte("ADBCKPT\x02")
-
-// Checkpoint is a full capture of serving state: the relation (with its
-// dictionary, preserving item codes exactly), the engine's rule tiers and
-// frequent-pattern catalogs, and an opaque counter block for lifetime
-// statistics. Together with a write-ahead log tail it is sufficient to
-// restore an engine without re-mining; see the wal package.
+// Checkpoint is the serving state an engine cannot derive: the head fields,
+// the relation (with its dictionary, preserving item codes exactly) and an
+// opaque counter block for lifetime statistics. The rule tiers and pattern
+// catalogs are re-mined from the relation on open. Together with a
+// write-ahead log tail it restores an engine; see the wal package.
 type Checkpoint struct {
-	// Epoch is the checkpoint generation, one more than its predecessor's.
-	// A sharded manifest records each shard's epoch as a floor, so a shard
-	// directory restored from an older backup is refused.
-	Epoch uint64
-	// CoveredCursor is the log's next cursor at the moment the checkpoint's
-	// state was captured: every log record below it is folded into the
-	// checkpoint, every record at or after it is not. Checkpoints are
-	// written in the background while the writer keeps appending, so the
-	// log can legitimately run past it. A version 2 checkpoint reads as 1:
-	// it predates the cursor-addressed log, which starts at cursor 1.
-	CoveredCursor uint64
-	// ConfigFingerprint identifies the mining configuration the state was
-	// produced under. Recovery refuses a checkpoint whose fingerprint does
-	// not match the running configuration: restoring mined state under
-	// different thresholds silently breaks the exactness contract.
-	ConfigFingerprint string
+	CheckpointMeta
 	// Relation is the annotated relation, dictionary included. Writers hand
 	// in a pinned *relation.View (so serialization never blocks the live
 	// relation) or a *relation.Relation; ReadCheckpoint always produces a
 	// *relation.Relation.
 	Relation relation.Source
-	// Valid and Candidates are the engine's rule tiers.
-	Valid      *rules.Set
-	Candidates *rules.Set
-	// DataPatterns and AnnotPatterns are the frequent-pattern catalogs.
-	DataPatterns  *apriori.Catalog
-	AnnotPatterns *apriori.Catalog
 	// Counters is an opaque block of lifetime counters (the storage codec
 	// does not interpret them; the wal package maps them to engine stats).
 	Counters []int64
@@ -81,13 +56,12 @@ func corrupt(format string, args ...any) error {
 }
 
 // WriteCheckpoint serializes a checkpoint to w in the binary checkpoint
-// format: magic, varint-encoded sections (dictionary, tuples, rule tiers,
-// catalogs, counters), and a CRC32 trailer over everything preceding it.
-// The encoding preserves dictionary item codes exactly, so rule and catalog
-// itemsets remain valid across a round trip.
+// format: magic, the head fields, varint-encoded sections (dictionary,
+// tuples, counters), and a CRC32 trailer over everything preceding it. The
+// encoding preserves dictionary item codes exactly.
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
-	if ck.Relation == nil || ck.Valid == nil || ck.Candidates == nil || ck.DataPatterns == nil || ck.AnnotPatterns == nil {
-		return fmt.Errorf("storage: write checkpoint: incomplete checkpoint (nil section)")
+	if ck.Relation == nil {
+		return fmt.Errorf("storage: write checkpoint: incomplete checkpoint (nil relation)")
 	}
 	var buf bytes.Buffer
 	buf.Write(checkpointMagic)
@@ -99,10 +73,6 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 		return err
 	}
 	writeTuples(&buf, ck.Relation)
-	writeRuleSet(&buf, ck.Valid)
-	writeRuleSet(&buf, ck.Candidates)
-	writeCatalog(&buf, ck.DataPatterns)
-	writeCatalog(&buf, ck.AnnotPatterns)
 	writeUvarint(&buf, uint64(len(ck.Counters)))
 	for _, c := range ck.Counters {
 		writeVarint(&buf, c)
@@ -117,11 +87,11 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	return nil
 }
 
-// ReadCheckpoint parses a checkpoint stream written by WriteCheckpoint. The
-// whole stream is read and CRC-verified before any structure is built, and
-// any bytes after the CRC trailer are rejected as corruption — a checkpoint
-// is installed by atomic rename, so a valid file is never longer than its
-// trailer.
+// ReadCheckpoint parses a checkpoint stream written by WriteCheckpoint, or
+// by an earlier version's writer. The whole stream is read and CRC-verified
+// before any structure past the head fields is built, and any bytes after the CRC trailer are
+// rejected as corruption — a checkpoint is installed by atomic rename, so a
+// valid file is never longer than its trailer.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -135,30 +105,13 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if len(raw) < len(checkpointMagic)+4 {
 		return nil, corrupt("truncated: %d bytes", len(raw))
 	}
-	legacy, err := readMagic(raw)
+	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
+	meta, version, d, err := decodeHead(body)
 	if err != nil {
 		return nil, err
 	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, corrupt("CRC mismatch: computed %08x, stored %08x", got, want)
-	}
-	d := &decoder{buf: body[len(checkpointMagic):]}
-	epoch, err := d.uvarint("epoch")
-	if err != nil {
-		return nil, err
-	}
-	covered, err := d.coveredCursor(legacy)
-	if err != nil {
-		return nil, err
-	}
-	fpLen, err := d.uvarint("config fingerprint length")
-	if err != nil {
-		return nil, err
-	}
-	fp, err := d.bytes(fpLen, "config fingerprint")
-	if err != nil {
-		return nil, err
 	}
 	dict, err := readDictionary(d)
 	if err != nil {
@@ -168,28 +121,20 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	valid, err := readRuleSet(d)
-	if err != nil {
-		return nil, err
-	}
-	cands, err := readRuleSet(d)
-	if err != nil {
-		return nil, err
-	}
-	dataCat, err := readCatalog(d)
-	if err != nil {
-		return nil, err
-	}
-	annotCat, err := readCatalog(d)
-	if err != nil {
-		return nil, err
+	if version < 4 {
+		if err := d.skipRuleState(); err != nil {
+			return nil, err
+		}
 	}
 	nCounters, err := d.uvarint("counter count")
 	if err != nil {
 		return nil, err
 	}
+	if nCounters > uint64(len(d.buf)) { // every counter takes >= 1 byte
+		return nil, corrupt("counter count %d exceeds remaining input", nCounters)
+	}
 	counters := make([]int64, 0, nCounters)
-	for i := uint64(0); i < nCounters; i++ {
+	for range nCounters {
 		c, err := d.varint("counter")
 		if err != nil {
 			return nil, err
@@ -199,17 +144,7 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if len(d.buf) != 0 {
 		return nil, corrupt("%d trailing bytes inside CRC-covered body", len(d.buf))
 	}
-	return &Checkpoint{
-		Epoch:             epoch,
-		CoveredCursor:     covered,
-		ConfigFingerprint: string(fp),
-		Relation:          rel,
-		Valid:             valid,
-		Candidates:        cands,
-		DataPatterns:      dataCat,
-		AnnotPatterns:     annotCat,
-		Counters:          counters,
-	}, nil
+	return &Checkpoint{CheckpointMeta: meta, Relation: rel, Counters: counters}, nil
 }
 
 // WriteCheckpointFile installs the checkpoint at path with InstallFile, so a
@@ -289,56 +224,45 @@ func writeTuples(buf *bytes.Buffer, src relation.Source) {
 	})
 }
 
-func writeRuleSet(buf *bytes.Buffer, set *rules.Set) {
-	sorted := set.Sorted()
-	writeUvarint(buf, uint64(len(sorted)))
-	for _, r := range sorted {
-		writeItemset(buf, r.LHS)
-		writeUvarint(buf, uint64(uint32(r.RHS)))
-		writeUvarint(buf, uint64(r.PatternCount))
-		writeUvarint(buf, uint64(r.LHSCount))
-		writeUvarint(buf, uint64(r.N))
-	}
-}
-
-func writeCatalog(buf *bytes.Buffer, cat *apriori.Catalog) {
-	writeUvarint(buf, uint64(cat.Total()))
-	entries := cat.Sorted()
-	writeUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		writeItemset(buf, e.Set)
-		writeUvarint(buf, uint64(e.Count))
-	}
-}
-
-// decoder consumes the CRC-verified checkpoint body.
+// decoder consumes a checkpoint body.
 type decoder struct {
 	buf []byte
 }
 
-// readMagic checks the head of a checkpoint stream and reports whether it
-// is the legacy version 2.
-func readMagic(head []byte) (legacy bool, err error) {
-	if len(head) < len(checkpointMagic) {
-		return false, corrupt("bad magic")
+// decodeHead checks the magic of a checkpoint stream and parses the fields
+// every version opens with. It returns them with the format version and a
+// decoder positioned after them.
+func decodeHead(raw []byte) (CheckpointMeta, byte, *decoder, error) {
+	n := len(checkpointMagic) - 1
+	if len(raw) < len(checkpointMagic) || string(raw[:n]) != string(checkpointMagic[:n]) {
+		return CheckpointMeta{}, 0, nil, corrupt("bad magic")
 	}
-	switch string(head[:len(checkpointMagic)]) {
-	case string(checkpointMagic):
-		return false, nil
-	case string(legacyCheckpointMagic):
-		return true, nil
+	version := raw[n]
+	if version < 2 || version > checkpointMagic[n] {
+		return CheckpointMeta{}, 0, nil, corrupt("bad magic: unsupported version %d", version)
 	}
-	return false, corrupt("bad magic")
-}
-
-// coveredCursor decodes the field after the epoch: the covered cursor, or
-// in a legacy checkpoint a byte offset that maps to cursor 1.
-func (d *decoder) coveredCursor(legacy bool) (uint64, error) {
-	v, err := d.uvarint("covered cursor")
-	if legacy {
-		v = 1
+	d := &decoder{buf: raw[len(checkpointMagic):]}
+	var m CheckpointMeta
+	var err error
+	if m.Epoch, err = d.uvarint("epoch"); err != nil {
+		return CheckpointMeta{}, 0, nil, err
 	}
-	return v, err
+	if m.CoveredCursor, err = d.uvarint("covered cursor"); err != nil {
+		return CheckpointMeta{}, 0, nil, err
+	}
+	if version == 2 {
+		m.CoveredCursor = 1
+	}
+	fpLen, err := d.uvarint("config fingerprint length")
+	if err != nil {
+		return CheckpointMeta{}, 0, nil, err
+	}
+	fp, err := d.bytes(fpLen, "config fingerprint")
+	if err != nil {
+		return CheckpointMeta{}, 0, nil, err
+	}
+	m.ConfigFingerprint = string(fp)
+	return m, version, d, nil
 }
 
 func (d *decoder) uvarint(what string) (uint64, error) {
@@ -467,74 +391,60 @@ func readTuples(d *decoder, dict *relation.Dictionary) (*relation.Relation, erro
 		if !annots.PureAnnotations() {
 			return nil, corrupt("tuple %d has data value in annotation part", i)
 		}
+		if !dict.Holds(data) || !dict.Holds(annots) {
+			return nil, corrupt("tuple %d holds an item the dictionary lacks", i)
+		}
 		batch = append(batch, relation.Tuple{Data: data, Annots: annots})
 	}
 	rel.Append(batch...)
 	return rel, nil
 }
 
-func readRuleSet(d *decoder) (*rules.Set, error) {
-	n, err := d.uvarint("rule count")
-	if err != nil {
-		return nil, err
+// skipRuleState steps over the sections a version 2 or 3 checkpoint holds
+// between its tuples and its counters: the valid and candidate rule tiers,
+// then the data and annotation pattern catalogs. The engine re-mines them
+// on open, so they are checked for shape and dropped.
+func (d *decoder) skipRuleState() error {
+	for range 2 { // a rule: its LHS, its RHS, and three counts
+		if err := d.skipRecords("rule", true, 3); err != nil {
+			return err
+		}
 	}
-	if n > uint64(len(d.buf)) {
-		return nil, corrupt("rule count %d exceeds remaining input", n)
+	for range 2 { // a catalog: its total, then patterns with one count each
+		if _, err := d.uvarint("catalog total"); err != nil {
+			return err
+		}
+		if err := d.skipRecords("catalog pattern", false, 1); err != nil {
+			return err
+		}
 	}
-	set := rules.NewSet()
-	for i := uint64(0); i < n; i++ {
-		lhs, err := d.itemset("rule LHS")
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := d.item("rule RHS")
-		if err != nil {
-			return nil, err
-		}
-		pc, err := d.uvarint("rule pattern count")
-		if err != nil {
-			return nil, err
-		}
-		lc, err := d.uvarint("rule LHS count")
-		if err != nil {
-			return nil, err
-		}
-		nn, err := d.uvarint("rule N")
-		if err != nil {
-			return nil, err
-		}
-		r := rules.Rule{LHS: lhs, RHS: rhs, PatternCount: int(pc), LHSCount: int(lc), N: int(nn)}
-		if err := r.Validate(); err != nil {
-			return nil, corrupt("invalid rule: %v", err)
-		}
-		set.Add(r)
-	}
-	return set, nil
+	return nil
 }
 
-func readCatalog(d *decoder) (*apriori.Catalog, error) {
-	total, err := d.uvarint("catalog total")
+// skipRecords steps over a counted section whose records are an itemset,
+// an item when withItem is set, and counts uvarints.
+func (d *decoder) skipRecords(what string, withItem bool, counts int) error {
+	n, err := d.uvarint(what + " count")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cat := apriori.NewCatalog(int(total))
-	n, err := d.uvarint("catalog entry count")
-	if err != nil {
-		return nil, err
+	if n > uint64(len(d.buf)) { // every record takes >= 1 byte
+		return corrupt("%s count %d exceeds remaining input", what, n)
 	}
-	if n > uint64(len(d.buf)) {
-		return nil, corrupt("catalog entry count %d exceeds remaining input", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		set, err := d.itemset("catalog pattern")
-		if err != nil {
-			return nil, err
+	for range n {
+		if _, err := d.itemset(what); err != nil {
+			return err
 		}
-		count, err := d.uvarint("catalog pattern count")
-		if err != nil {
-			return nil, err
+		if withItem {
+			if _, err := d.item(what + " RHS"); err != nil {
+				return err
+			}
 		}
-		cat.Add(set, int(count))
+		for range counts {
+			if _, err := d.uvarint(what + " count"); err != nil {
+				return err
+			}
+		}
 	}
-	return cat, nil
+	return nil
 }

@@ -2,20 +2,20 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"annotadb/internal/apriori"
-	"annotadb/internal/mining"
+	"annotadb/internal/itemset"
 	"annotadb/internal/relation"
-	"annotadb/internal/rules"
 )
 
-// checkpointFixture mines the 10-tuple fixture world and packages the full
-// result as a checkpoint, exercising every section with real content.
+// checkpointFixture packages the 10-tuple fixture world as a checkpoint,
+// exercising every section with real content.
 func checkpointFixture(t *testing.T) *Checkpoint {
 	t.Helper()
 	rel := relation.FromTokens(
@@ -44,17 +44,9 @@ func checkpointFixture(t *testing.T) *Checkpoint {
 			nil,
 		},
 	)
-	res, err := mining.Mine(rel, mining.Config{MinSupport: 0.3, MinConfidence: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return &Checkpoint{
-		Relation:      rel,
-		Valid:         res.Rules,
-		Candidates:    res.Candidates,
-		DataPatterns:  res.DataPatterns,
-		AnnotPatterns: res.AnnotPatterns,
-		Counters:      []int64{1, 0, 2, 3, 0, 0, 4, 0, 5},
+		Relation: rel,
+		Counters: []int64{1, 0, 2, 3, 0, 0, 4, 0, 5},
 	}
 }
 
@@ -71,17 +63,8 @@ func tuplesAsTokens(t *testing.T, rel relation.Source) [][2][]string {
 
 func assertCheckpointsEqual(t *testing.T, got, want *Checkpoint) {
 	t.Helper()
-	if diff := rules.Diff(got.Valid, want.Valid, want.Relation.Dictionary()); len(diff) != 0 {
-		t.Errorf("valid rules differ: %v", diff)
-	}
-	if diff := rules.Diff(got.Candidates, want.Candidates, want.Relation.Dictionary()); len(diff) != 0 {
-		t.Errorf("candidate rules differ: %v", diff)
-	}
-	if !got.DataPatterns.Equal(want.DataPatterns) || got.DataPatterns.Total() != want.DataPatterns.Total() {
-		t.Error("data catalogs differ")
-	}
-	if !got.AnnotPatterns.Equal(want.AnnotPatterns) || got.AnnotPatterns.Total() != want.AnnotPatterns.Total() {
-		t.Error("annotation catalogs differ")
+	if got.CheckpointMeta != want.CheckpointMeta {
+		t.Errorf("head = %+v, want %+v", got.CheckpointMeta, want.CheckpointMeta)
 	}
 	if !reflect.DeepEqual(got.Counters, want.Counters) {
 		t.Errorf("counters = %v, want %v", got.Counters, want.Counters)
@@ -126,13 +109,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointEmptyRelationRoundTrip(t *testing.T) {
-	want := &Checkpoint{
-		Relation:      relation.New(),
-		Valid:         rules.NewSet(),
-		Candidates:    rules.NewSet(),
-		DataPatterns:  apriori.NewCatalog(0),
-		AnnotPatterns: apriori.NewCatalog(0),
-	}
+	want := &Checkpoint{Relation: relation.New()}
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, want); err != nil {
 		t.Fatal(err)
@@ -141,9 +118,8 @@ func TestCheckpointEmptyRelationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Relation.Len() != 0 || got.Valid.Len() != 0 || got.Candidates.Len() != 0 {
-		t.Errorf("empty checkpoint round-tripped non-empty: %d tuples, %d rules, %d candidates",
-			got.Relation.Len(), got.Valid.Len(), got.Candidates.Len())
+	if got.Relation.Len() != 0 {
+		t.Errorf("empty checkpoint round-tripped %d tuples", got.Relation.Len())
 	}
 	if len(got.Counters) != 0 {
 		t.Errorf("counters = %v, want empty", got.Counters)
@@ -222,6 +198,31 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsItemOutsideDictionary feeds a CRC-valid checkpoint
+// whose one tuple holds data item 2 while the dictionary interns one data
+// value. A tuple's item codes size the relation's postings, so accepting a
+// code far past the dictionary would allocate without bound.
+func TestCheckpointRejectsItemOutsideDictionary(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(checkpointMagic)
+	for _, v := range []uint64{0, 1, 0, 1, 1} { // epoch, cursor, no fingerprint, one data token of one byte
+		writeUvarint(&buf, v)
+	}
+	buf.WriteString("a")
+	for _, v := range []uint64{0, 0, 1} { // no annotation or derived tokens, one tuple
+		writeUvarint(&buf, v)
+	}
+	writeItemset(&buf, itemset.New(itemset.DataItem(2)))
+	writeItemset(&buf, nil)
+	writeUvarint(&buf, 0) // no counters
+	buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(buf.Bytes())))
+	_, err := ReadCheckpoint(&buf)
+	var ce *ErrCheckpointCorrupt
+	if !errors.As(err, &ce) {
+		t.Fatalf("tuple item outside the dictionary: got %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
 func TestWriteCheckpointFileReplacesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.db")
@@ -251,4 +252,32 @@ func TestWriteCheckpointFileReplacesAtomically(t *testing.T) {
 	if len(entries) != 1 {
 		t.Errorf("data dir holds %d entries after rewrites, want 1 (no temp litter)", len(entries))
 	}
+}
+
+// TestReadCheckpointVersion3 decodes testdata/checkpoint-v3.db, written by
+// the version 3 encoder from checkpointFixture's relation and counters with
+// the head below. Version 3 also held the rule tiers and pattern catalogs;
+// the reader steps over them and keeps the rest.
+func TestReadCheckpointVersion3(t *testing.T) {
+	got, err := ReadCheckpointFile(filepath.Join("testdata", "checkpoint-v3.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := checkpointFixture(t)
+	want.CheckpointMeta = CheckpointMeta{Epoch: 4, CoveredCursor: 17, ConfigFingerprint: "minsup=0.3 minconf=0.7"}
+	assertCheckpointsEqual(t, got, want)
+
+	// Written again, it is a version 4 checkpoint of the same state.
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("ADBCKPT\x04")) {
+		t.Errorf("rewritten magic = %q, want version 4", buf.Bytes()[:8])
+	}
+	again, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCheckpointsEqual(t, again, want)
 }

@@ -1,9 +1,16 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"annotadb/internal/relation"
 )
 
 // FuzzParseAnnotations fuzzes the Figure 14 annotation-batch parser
@@ -84,4 +91,77 @@ func FuzzParseAnnotations(f *testing.F) {
 			_ = derr
 		}
 	})
+}
+
+// FuzzReadCheckpoint fuzzes the checkpoint decoder. A follower decodes a
+// checkpoint straight off its primary's HTTP response, so the contract
+// under arbitrary input is: an error, never a panic, and every accepted
+// input re-encodes as a version 4 checkpoint that decodes to the same head,
+// tuples and counters. The seeds are one checkpoint of each readable
+// version; a checkpoint's CRC trailer makes most mutations fail early, so
+// the fuzzer's reach past it comes from the seeds' CRC-valid shapes.
+func FuzzReadCheckpoint(f *testing.F) {
+	var v4 bytes.Buffer
+	ck := &Checkpoint{
+		CheckpointMeta: CheckpointMeta{Epoch: 2, CoveredCursor: 9, ConfigFingerprint: "fp"},
+		Relation: relation.FromTokens(
+			[][]string{{"28", "85"}, {"28", "41"}, {"62"}},
+			[][]string{{"Annot_1"}, nil, {"Annot_1", "Annot_5"}},
+		),
+		Counters: []int64{1, -2, 3},
+	}
+	if err := WriteCheckpoint(&v4, ck); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4.Bytes())
+	for _, path := range []string{
+		filepath.Join("testdata", "checkpoint-v3.db"),
+		filepath.Join("..", "..", "cmd", "annotserve", "testdata", "upgrade", "single", "checkpoint.db"), // version 2
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkAcceptedCheckpoint(t, raw)
+		if len(raw) >= 4 {
+			// The same bytes with the CRC trailer repaired, so that
+			// mutations reach the sections behind it.
+			body := raw[: len(raw)-4 : len(raw)-4]
+			checkAcceptedCheckpoint(t, binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+		}
+	})
+}
+
+// checkAcceptedCheckpoint decodes raw and, if the decoder accepts it,
+// checks that it re-encodes as a version 4 checkpoint that decodes to the
+// same head, tuples and counters.
+func checkAcceptedCheckpoint(t *testing.T, raw []byte) {
+	got, err := ReadCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, got); err != nil {
+		t.Fatalf("re-encoding an accepted checkpoint: %v", err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), checkpointMagic) {
+		t.Fatalf("re-encoded magic %q, want %q", buf.Bytes()[:len(checkpointMagic)], checkpointMagic)
+	}
+	again, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+	}
+	if again.CheckpointMeta != got.CheckpointMeta {
+		t.Fatalf("head %+v became %+v", got.CheckpointMeta, again.CheckpointMeta)
+	}
+	if !reflect.DeepEqual(again.Counters, got.Counters) {
+		t.Fatalf("counters %v became %v", got.Counters, again.Counters)
+	}
+	if g, w := tuplesAsTokens(t, again.Relation), tuplesAsTokens(t, got.Relation); !reflect.DeepEqual(g, w) {
+		t.Fatalf("tuples %v became %v", w, g)
+	}
 }

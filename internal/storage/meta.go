@@ -7,20 +7,29 @@ import (
 	"os"
 )
 
-// CheckpointMeta is the cheap head of a checkpoint file: the generation
-// identity and log coverage, read without decoding (or CRC-verifying) the
-// state sections. The replication source peeks it to label the checkpoint
-// it streams; since the process wrote the file itself, skipping the
-// full-body CRC is safe — a follower that bootstraps from the file still
-// runs the complete ReadCheckpoint validation.
+// CheckpointMeta is the head of a checkpoint: the generation identity, the
+// log coverage and the mining configuration. ReadCheckpointMeta reads it
+// without decoding (or CRC-verifying) the state sections. The replication
+// source peeks it to label the checkpoint it streams; since the process
+// wrote the file itself, skipping the full-body CRC is safe — a follower
+// that bootstraps from the file still runs the complete ReadCheckpoint
+// validation.
 type CheckpointMeta struct {
-	// Epoch is the checkpoint generation.
+	// Epoch is the checkpoint generation, one more than its predecessor's.
+	// A sharded manifest records each shard's epoch as a floor, so a shard
+	// directory restored from an older backup is refused.
 	Epoch uint64
-	// CoveredCursor is the first log cursor the checkpoint's state does not
-	// hold; see Checkpoint.CoveredCursor.
+	// CoveredCursor is the log's next cursor at the moment the checkpoint's
+	// state was captured: every log record below it is folded into the
+	// checkpoint, every record at or after it is not. Checkpoints are
+	// written in the background while the writer keeps appending, so the
+	// log can legitimately run past it. A version 2 checkpoint reads as 1:
+	// it predates the cursor-addressed log, which starts at cursor 1.
 	CoveredCursor uint64
-	// ConfigFingerprint identifies the mining configuration; see
-	// Checkpoint.ConfigFingerprint.
+	// ConfigFingerprint identifies the mining configuration the state was
+	// produced under. Recovery refuses a checkpoint whose fingerprint does
+	// not match the running configuration, so a mistyped flag cannot
+	// silently change the rules a directory serves.
 	ConfigFingerprint string
 }
 
@@ -50,27 +59,6 @@ func ReadCheckpointMetaFrom(r io.Reader) (CheckpointMeta, error) {
 	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return CheckpointMeta{}, fmt.Errorf("storage: read checkpoint meta: %w", err)
 	}
-	head = head[:n]
-	legacy, err := readMagic(head)
-	if err != nil {
-		return CheckpointMeta{}, err
-	}
-	d := &decoder{buf: head[len(checkpointMagic):]}
-	epoch, err := d.uvarint("epoch")
-	if err != nil {
-		return CheckpointMeta{}, err
-	}
-	covered, err := d.coveredCursor(legacy)
-	if err != nil {
-		return CheckpointMeta{}, err
-	}
-	fpLen, err := d.uvarint("config fingerprint length")
-	if err != nil {
-		return CheckpointMeta{}, err
-	}
-	fp, err := d.bytes(fpLen, "config fingerprint")
-	if err != nil {
-		return CheckpointMeta{}, err
-	}
-	return CheckpointMeta{Epoch: epoch, CoveredCursor: covered, ConfigFingerprint: string(fp)}, nil
+	meta, _, _, err := decodeHead(head[:n])
+	return meta, err
 }

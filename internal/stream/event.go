@@ -71,7 +71,11 @@ const (
 	// tier events: they describe membership changes of the rules readers see.
 	TierValid Tier = "valid"
 	// TierCandidate is the near-miss slack pool. Candidate-tier events
-	// describe churn of rules hovering below the thresholds.
+	// describe churn of rules hovering below the thresholds. The pool's
+	// rules below min support depend on the engine's history and reset to
+	// a full mine's when a durable engine reopens, so their events may
+	// differ between a restarted primary, its followers and one that never
+	// restarted.
 	TierCandidate Tier = "candidate"
 )
 

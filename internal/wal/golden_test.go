@@ -8,16 +8,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"annotadb/internal/incremental"
+	"annotadb/internal/relation"
+	"annotadb/internal/storage"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/disk from the current writers")
 
-// TestDiskFormatGolden writes a fixed sequence through the log writers and
-// compares every file it leaves, byte for byte, with testdata/disk: a
-// write-ahead log segment set whose oldest segment a checkpoint's trim
-// deleted, and one sealed plus one active events segment — the check that
-// a refactor did not move the on-disk formats. After an intended format
-// change rewrite the files with -update-golden and review the diff.
+// TestDiskFormatGolden writes a fixed sequence through the log and
+// checkpoint writers and compares every file it leaves, byte for byte, with
+// testdata/disk: a write-ahead log segment set whose oldest segment a
+// checkpoint's trim deleted, one sealed plus one active events segment, and
+// a checkpoint — the check that a refactor did not move the on-disk
+// formats. After an intended format change rewrite the files with
+// -update-golden and review the diff.
 func TestDiskFormatGolden(t *testing.T) {
 	dir := t.TempDir()
 	// 48-byte segments: the first two records fill the first segment, the
@@ -53,6 +58,18 @@ func TestDiskFormatGolden(t *testing.T) {
 		}
 	}
 	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ck := &storage.Checkpoint{
+		CheckpointMeta: storage.CheckpointMeta{Epoch: 2, CoveredCursor: 3, ConfigFingerprint: configFingerprint(testCfg(), "")},
+		Relation: relation.FromTokens(
+			[][]string{{"28", "85"}, {"28", "41"}, {"62"}},
+			[][]string{{"Annot_1", "Annot_5"}, nil, {"Annot_5"}},
+		),
+		Counters: countersFromStats(incremental.Stats{Bootstraps: 1, Case1: 2, Case3: 3, Removals: 4, Remines: 5, Promotions: 6, Demotions: 7, Discoveries: 8}),
+	}
+	if err := storage.WriteCheckpointFile(CheckpointPath(dir), ck); err != nil {
 		t.Fatal(err)
 	}
 

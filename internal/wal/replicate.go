@@ -101,25 +101,20 @@ func DecodeFrames(data []byte) ([]Record, int64, error) {
 	}
 }
 
-// RestoreEngine rebuilds an incremental engine from a decoded checkpoint,
-// the construction Open recovers with. ReadCheckpoint always rebuilds a live
-// relation for the restored engine to own; Checkpoint.Relation is an
-// interface only so that writers can hand in a pinned view. The caller owns
-// the fingerprint comparison (see Fingerprint); replication clients compare
-// the checkpoint's fingerprint against their own configuration before
-// restoring.
+// RestoreEngine builds an incremental engine from a decoded checkpoint, the
+// construction Open recovers with: a full mine of the checkpoint's relation
+// (see incremental.Restore) with the checkpoint's lifetime counters put
+// back. ReadCheckpoint always rebuilds a live relation for the engine to
+// own; Checkpoint.Relation is an interface only so that writers can hand in
+// a pinned view. The caller owns the fingerprint comparison (see
+// Fingerprint); replication clients compare the checkpoint's fingerprint
+// against their own configuration before restoring.
 func RestoreEngine(ck *storage.Checkpoint, cfg mining.Config, eopts incremental.Options) (*incremental.Engine, error) {
 	rel, ok := ck.Relation.(*relation.Relation)
 	if !ok {
 		return nil, fmt.Errorf("wal: restore engine: checkpoint relation is %T, not a live relation", ck.Relation)
 	}
-	return incremental.Restore(rel, cfg, eopts, incremental.State{
-		Valid:         ck.Valid,
-		Candidates:    ck.Candidates,
-		DataPatterns:  ck.DataPatterns,
-		AnnotPatterns: ck.AnnotPatterns,
-		Stats:         statsFromCounters(ck.Counters),
-	})
+	return incremental.Restore(rel, cfg, eopts, statsFromCounters(ck.Counters))
 }
 
 // Fingerprint is the canonical fingerprint of the state-determining mining

@@ -63,8 +63,8 @@ func configFingerprint(cfg mining.Config, tag string) string {
 // Recovery summarizes what Open found and did. On /stats its wire fields
 // sit flat in the durability section.
 type Recovery struct {
-	// FromCheckpoint reports that the engine was restored from a checkpoint
-	// (no bootstrap mine); false means the store was bootstrapped fresh.
+	// FromCheckpoint reports that the engine was restored from a checkpoint;
+	// false means the store was bootstrapped fresh.
 	FromCheckpoint bool `json:"recovered"`
 	// Records is the number of log records replayed after the checkpoint.
 	Records int `json:"records_replayed"`
@@ -179,11 +179,12 @@ type Store struct {
 
 // Open recovers (or bootstraps) the durable store in opts.Dir.
 //
-// When a checkpoint exists the engine is restored from it without mining and
-// the log tail is replayed through the ordinary incremental update paths;
-// bootstrap is not called. Otherwise — the empty-data-dir case — bootstrap
-// must produce the initial relation, a full mine runs, and the first
-// checkpoint is written immediately so the next Open skips the mine.
+// When a checkpoint exists the engine is rebuilt by mining the relation it
+// holds (see RestoreEngine) and the log tail is replayed through the
+// ordinary incremental update paths; bootstrap is not called. Otherwise —
+// the empty-data-dir case — bootstrap must produce the initial relation, a
+// full mine runs, and the first checkpoint is written immediately so the
+// next Open reads the relation back from it.
 //
 // cfg must match across runs of the same directory; the checkpoint
 // records a fingerprint of the state-determining facets and Open refuses a
@@ -253,7 +254,7 @@ func Open(opts Options, cfg mining.Config, eopts incremental.Options, bootstrap 
 	}
 	if !s.recovery.FromCheckpoint {
 		// First run on this directory: install the initial checkpoint so the
-		// next Open restores instead of re-mining.
+		// next Open recovers without bootstrap.
 		if cerr := s.Checkpoint(); cerr != nil {
 			log.Close()
 			return nil, cerr
@@ -598,24 +599,22 @@ type pendingInstall struct {
 	done                           chan error
 }
 
-// capture pins the state a checkpoint will serialize: the engine state with
-// its relation view (one engine lock acquisition, O(rules) — the relation is
-// pinned copy-on-write, not copied), the next epoch, and the log's next
-// cursor, below which the capture holds every record. Everything in the
-// result is immutable or private, so serialization may proceed off the
-// writer goroutine while the engine keeps applying updates.
+// capture pins the state a checkpoint will serialize: the relation view
+// and the lifetime counters (one engine lock acquisition, O(1) — the
+// relation is pinned copy-on-write, not copied), the next epoch, and the
+// log's next cursor, below which the capture holds every record. Everything
+// in the result is immutable or private, so serialization may proceed off
+// the writer goroutine while the engine keeps applying updates.
 func (s *Store) capture() (*storage.Checkpoint, *pendingInstall) {
 	st := s.eng.State()
 	ck := &storage.Checkpoint{
-		Epoch:             s.epoch.Load() + 1,
-		CoveredCursor:     s.log.NextCursor(),
-		ConfigFingerprint: configFingerprint(s.cfg, s.opts.Tag),
-		Relation:          st.Relation,
-		Valid:             st.Valid,
-		Candidates:        st.Candidates,
-		DataPatterns:      st.DataPatterns,
-		AnnotPatterns:     st.AnnotPatterns,
-		Counters:          countersFromStats(st.Stats),
+		CheckpointMeta: storage.CheckpointMeta{
+			Epoch:             s.epoch.Load() + 1,
+			CoveredCursor:     s.log.NextCursor(),
+			ConfigFingerprint: configFingerprint(s.cfg, s.opts.Tag),
+		},
+		Relation: st.Relation,
+		Counters: countersFromStats(st.Stats),
 	}
 	return ck, &pendingInstall{
 		epoch:           ck.Epoch,

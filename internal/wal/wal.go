@@ -1,15 +1,15 @@
 // Package wal makes the serving store durable: a write-ahead log of serving
-// mutations plus periodic full-state checkpoints, so that a restarted server
-// recovers its mined rule state in time proportional to the un-checkpointed
-// update tail instead of re-mining the whole relation.
+// mutations plus periodic checkpoints of the relation, so that a restarted
+// server re-mines the checkpointed relation and replays only the
+// un-checkpointed update tail.
 //
 // # On-disk layout
 //
 // A Store owns one directory holding:
 //
-//	checkpoint.db — a full capture of serving state (relation, dictionary,
-//	                rule tiers, pattern catalogs, lifetime counters) in the
-//	                storage package's binary checkpoint format, installed by
+//	checkpoint.db — the serving state the engine cannot derive (relation,
+//	                dictionary, lifetime counters) in the storage package's
+//	                binary checkpoint format, installed by
 //	                storage.InstallFile;
 //	wal/          — the write-ahead log, a SegmentedLog of framed mutation
 //	                records (annotation add/remove batches and tuple
@@ -31,12 +31,12 @@
 //
 // Open recovers whatever state the directory holds. A missing directory or
 // an empty one bootstraps from scratch (full mine) and writes the first
-// checkpoint; an existing checkpoint restores the engine without mining and
-// replays the log from the checkpoint's covered cursor through the ordinary
-// incremental update paths. A torn final record — the expected artifact of
-// a crash mid-append — is dropped and truncated away. Segments a crash
-// left below the covered cursor are deleted first, and a log that ends
-// below it restarts there.
+// checkpoint; an existing checkpoint restores the engine by mining the
+// relation it holds and replays the log from the checkpoint's covered
+// cursor through the ordinary incremental update paths. A torn final
+// record — the expected artifact of a crash mid-append — is dropped and
+// truncated away. Segments a crash left below the covered cursor are
+// deleted first, and a log that ends below it restarts there.
 //
 // Records carry tokens, not item codes. Replay resolves them in log order
 // under the relation package's write-path rule (Dictionary.ResolveUpdates

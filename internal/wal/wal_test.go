@@ -326,7 +326,7 @@ func TestStoreBootstrapsEmptyDirAndRecovers(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen: the engine must come back from the checkpoint, not a mine.
+	// Reopen: the engine must come back from the checkpoint, not bootstrap.
 	s2 := openFixtureStore(t, opts)
 	rec := s2.Recovery()
 	if !rec.FromCheckpoint || rec.Records != 0 || rec.TornTail {
@@ -336,10 +336,66 @@ func TestStoreBootstrapsEmptyDirAndRecovers(t *testing.T) {
 		t.Errorf("recovered %d rules, want %d", got, wantRules)
 	}
 	if st := s2.Engine().Stats(); st.Bootstraps != 1 {
-		t.Errorf("engine bootstraps after recovery = %d, want 1 (no re-mine)", st.Bootstraps)
+		t.Errorf("engine bootstraps after recovery = %d, want 1 (the open's mine is not a bootstrap)", st.Bootstraps)
 	}
 	if err := s2.Engine().Verify(); err != nil {
 		t.Errorf("recovered state fails re-mine verification: %v", err)
+	}
+}
+
+// TestReopenKeepsLifetimeCounters pins that a reopen carries every lifetime
+// counter over from the checkpoint, the re-mine fallbacks /stats reports as
+// remines included: the open's own mine counts as nothing.
+func TestReopenKeepsLifetimeCounters(t *testing.T) {
+	dir := t.TempDir()
+	// A budget of one subset sends every attach to a multi-annotation tuple
+	// to the re-mine fallback.
+	eopts := incremental.Options{SubsetBudget: 1}
+	open := func() *Store {
+		t.Helper()
+		s, err := Open(Options{Dir: dir}, testCfg(), eopts, func() (*relation.Relation, error) {
+			return fixtureRelation(), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	dict := s.Engine().Relation().Dictionary()
+	a1, _ := dict.Lookup("Annot_1")
+	upd := []relation.AnnotationUpdate{{Index: 6, Annotation: a1}}
+	for _, remove := range []bool{false, true} {
+		if err := s.LogAnnotations(upd, remove); err != nil {
+			t.Fatal(err)
+		}
+		apply := s.Engine().AddAnnotations
+		if remove {
+			apply = s.Engine().RemoveAnnotations
+		}
+		if _, err := apply(upd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Engine().Stats()
+	if want.Remines == 0 || want.Case3 == 0 || want.Removals == 0 {
+		t.Fatalf("counters before close = %+v, want a re-mine, a Case 3 batch and a removal", want)
+	}
+	// The final checkpoint a serving close writes: the reopen replays
+	// nothing, so every counter must come from the checkpoint.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := open()
+	defer s2.Close()
+	if rec := s2.Recovery(); !rec.FromCheckpoint || rec.Records != 0 {
+		t.Fatalf("reopen recovery = %+v, want from the checkpoint with nothing replayed", rec)
+	}
+	if got := s2.Engine().Stats(); got != want {
+		t.Errorf("counters after reopen = %+v, want the closed store's %+v", got, want)
 	}
 }
 
